@@ -13,11 +13,13 @@ per-node event-sequence combinations (§5.4: "LMC-OPT triggers the soundness
 verification for 773 times, and each call takes 45 ms in average") — are
 fanned out to a process pool.
 
-Work units ship as plain integers: each candidate sequence is reduced to its
-``(consumed_hash, generated_hashes)`` steps, so pickling is trivial and the
-worker's replay is the same integer-only bookkeeping the sequential
-verifier uses.  Workers return index paths into the shipped sequences; the
-parent resolves them back to real events to build the witness trace.
+Work units ship as plain integers: each candidate sequence travels as the
+``(consumed_hash, generated_hashes)`` steps its
+:class:`~repro.core.soundness.CompiledSequence` already holds, so pickling
+is trivial and the worker runs the sequential verifier's own search —
+starvation quotient, then the one greedy-then-backtrack replay — on them.
+Workers return index paths into the shipped sequences; the parent resolves
+them back to real events to build the witness trace.
 
 Dispatch economics (docs/PERFORMANCE.md): workers live in the persistent
 process pool shared with parallel exploration
@@ -40,10 +42,12 @@ from repro.core.config import LMCConfig
 from repro.core.pool import shared_executor, shutdown_worker_pool
 from repro.core.records import NodeStateRecord
 from repro.core.soundness import (
-    NodeSequence,
+    CompiledSequence,
+    Order,
+    PlainStep,
     SoundnessVerifier,
-    backtrack_order,
-    has_competing_consumers,
+    replay_compiled,
+    search_combinations,
 )
 from repro.core.system_states import Combination, combination_to_system_state
 from repro.explore.budget import BudgetClock, SearchBudget
@@ -57,14 +61,12 @@ from repro.protocols.common import declared_action_names, declared_message_types
 from repro.reports import BugReport, CheckResult
 from repro.stats.counters import ExplorationStats
 
-#: A sequence step shipped to a worker: (consumed hash or None, generated).
-PlainStep = Tuple[Optional[int], Tuple[int, ...]]
 #: A work unit: per node, the candidate sequences in plain-step form.
 WorkUnit = Dict[int, List[Tuple[PlainStep, ...]]]
 #: A worker verdict: the chosen sequence index per node plus the executed
 #: total order as (node, step index) pairs — or None if no combination
 #: replays.
-Verdict = Optional[Tuple[Dict[int, int], List[Tuple[int, int]]]]
+Verdict = Optional[Tuple[Dict[int, int], Order]]
 
 
 class WorkerReport(NamedTuple):
@@ -79,7 +81,7 @@ class WorkerReport(NamedTuple):
     """
 
     verdict: Verdict
-    #: Sequence combinations the unit's search replayed (§5.4 counter).
+    #: Sequence combinations the unit's search examined (§5.4 counter).
     combinations: int
     #: Wall seconds the verification took inside the worker.
     wall_s: float
@@ -98,84 +100,30 @@ class WorkerReport(NamedTuple):
         )
 
 
-def _replay_plain(
-    sequences: Dict[int, Tuple[PlainStep, ...]]
-) -> Optional[List[Tuple[int, int]]]:
-    """The greedy hash replay over plain steps; returns the executed order.
-
-    Same contract as :func:`repro.core.soundness.replay_sequences`, over the
-    picklable plain-step form: greedy sweep first, and — when the starvation
-    could be a greedy artefact (two steps competing for one consumed hash) —
-    a fall back to the memoised :func:`backtrack_order` search.
-    """
-    pointers = {node: 0 for node in sequences}
-    net: Dict[int, int] = {}
-    order: List[Tuple[int, int]] = []
-    total = sum(len(seq) for seq in sequences.values())
-    nodes = sorted(sequences)
-    progress = True
-    executed = 0
-    while progress:
-        progress = False
-        for node in nodes:
-            sequence = sequences[node]
-            pointer = pointers[node]
-            while pointer < len(sequence):
-                consumed, generated = sequence[pointer]
-                if consumed is not None:
-                    available = net.get(consumed, 0)
-                    if available == 0:
-                        break
-                    if available == 1:
-                        del net[consumed]
-                    else:
-                        net[consumed] = available - 1
-                for item in generated:
-                    net[item] = net.get(item, 0) + 1
-                order.append((node, pointer))
-                pointer += 1
-                executed += 1
-                progress = True
-            pointers[node] = pointer
-    if executed == total:
-        return order
-    if has_competing_consumers(sequences):
-        return backtrack_order(sequences)
-    return None
-
-
 def _verify_unit_counted(
     unit: WorkUnit, max_combinations: Optional[int]
 ) -> Tuple[Verdict, int]:
-    """:func:`verify_unit` plus the number of combinations actually replayed."""
-    nodes = sorted(unit)
-    tried = 0
+    """:func:`verify_unit` plus the number of combinations actually tried.
 
-    def recurse(i: int, chosen: Dict[int, int]) -> Verdict:
-        nonlocal tried
-        if i == len(nodes):
-            tried += 1
-            if max_combinations is not None and tried > max_combinations:
-                return None
-            sequences = {
-                node: unit[node][chosen[node]] for node in nodes
-            }
-            order = _replay_plain(sequences)
-            if order is not None:
-                return (dict(chosen), order)
-            return None
-        node = nodes[i]
-        for index in range(len(unit[node])):
-            chosen[node] = index
-            verdict = recurse(i + 1, chosen)
-            if verdict is not None:
-                return verdict
-            if max_combinations is not None and tried > max_combinations:
-                return None
-        chosen.pop(node, None)
-        return None
-
-    return recurse(0, {}), tried
+    Compiles the shipped plain sequences and runs the serial verifier's own
+    search (:func:`~repro.core.soundness.search_combinations` over
+    :func:`~repro.core.soundness.replay_compiled`), so quotient, replay and
+    the ``soundness_sequences`` count are the sequential ones by construction.
+    """
+    per_node = [
+        [CompiledSequence(node, plain) for plain in unit[node]]
+        for node in sorted(unit)
+    ]
+    combo, order, tried = search_combinations(
+        per_node, max_combinations, replay_compiled
+    )
+    if order is None:
+        return None, tried
+    chosen = {
+        sequence.node: candidates.index(sequence)
+        for sequence, candidates in zip(combo, per_node)
+    }
+    return (chosen, order), tried
 
 
 def verify_unit(unit: WorkUnit, max_combinations: Optional[int]) -> Verdict:
@@ -369,7 +317,9 @@ class ParallelLocalModelChecker:
             stop_reason=outcome.reason,
         )
 
-        units: List[Tuple[Combination, WorkUnit, Dict[int, List[NodeSequence]]]] = []
+        units: List[
+            Tuple[Combination, WorkUnit, Dict[int, List[CompiledSequence]]]
+        ] = []
         verifier = SoundnessVerifier(
             pass_run.space,
             stats,
@@ -440,7 +390,7 @@ class ParallelLocalModelChecker:
 
     def _build_unit(
         self, verifier: SoundnessVerifier, combo: Combination
-    ) -> Tuple[Optional[WorkUnit], Dict[int, List[NodeSequence]]]:
+    ) -> Tuple[Optional[WorkUnit], Dict[int, List[CompiledSequence]]]:
         """Reduce a combination to a picklable work unit.
 
         Returns ``(None, {})`` when some node has no candidate sequence at
@@ -448,20 +398,14 @@ class ParallelLocalModelChecker:
         simplifications).
         """
         unit: WorkUnit = {}
-        resolved: Dict[int, List[NodeSequence]] = {}
+        resolved: Dict[int, List[CompiledSequence]] = {}
         for node in sorted(combo):
             record: NodeStateRecord = combo[node]
             sequences = verifier._enumerate_sequences(record)
             if not sequences:
                 return None, {}
             resolved[node] = sequences
-            unit[node] = [
-                tuple(
-                    (step.consumed_hash, step.generated_hashes)
-                    for step in sequence
-                )
-                for sequence in sequences
-            ]
+            unit[node] = [sequence.plain for sequence in sequences]
         return unit, resolved
 
     def _verify_all(self, units: Sequence[WorkUnit]) -> List[WorkerReport]:
@@ -510,9 +454,9 @@ class ParallelLocalModelChecker:
 
     @staticmethod
     def _resolve_trace(
-        resolved: Dict[int, List[NodeSequence]],
+        resolved: Dict[int, List[CompiledSequence]],
         chosen: Dict[int, int],
-        order: List[Tuple[int, int]],
+        order: Order,
     ) -> Tuple[Event, ...]:
         """Map a worker's index-path verdict back to real events (§4.1 witness).
 
@@ -520,8 +464,7 @@ class ParallelLocalModelChecker:
         :class:`~repro.core.soundness.SequenceStep` objects, so the witness
         trace — the paper's executable counter-example — is rebuilt here.
         """
-        events: List[Event] = []
-        for node, step_index in order:
-            sequence = resolved[node][chosen[node]]
-            events.append(sequence[step_index].event)
-        return tuple(events)
+        return tuple(
+            resolved[node][chosen[node]].steps[step_index].event
+            for node, step_index in order
+        )

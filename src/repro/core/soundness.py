@@ -30,6 +30,16 @@ falls back to a memoised backtracking search — but only when some consumed
 hash has more than one consumer, the sole case greedy can err on, so the
 common path stays the paper's linear sweep.
 
+Most combinations never reach that sweep.  Each enumerated sequence is
+compiled once (:class:`CompiledSequence`) into its plain hash steps, its
+per-hash generated-minus-consumed balance and its external needs, and a
+combination in which some sequence's deficit for a hash exceeds the others'
+surplus is dismissed on those counts alone (:func:`starved_need`) — the
+question "is there a valid total order" quotiented against one node's
+sequence at a time, in the spirit of partial model checking.  The condition
+is necessary for any replay to succeed, so it changes no verdict and no
+witness.
+
 Crash/restart steps (docs/FAULTS.md) thread through both enumeration and
 replay with no special casing: their predecessor links carry
 ``consumed_hash=None`` and ``generated_hashes=()``, so they behave exactly
@@ -70,7 +80,9 @@ Deviations from the paper, both explicit and bounded:
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from functools import partial
+from itertools import product
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.records import LocalStateSpace, NodeStateRecord, PredecessorLink
 from repro.model.events import Event
@@ -102,14 +114,56 @@ class SequenceStep:
         self.generated_hashes = generated_hashes
         self.event_hash = event_hash
 
-    @property
-    def is_network(self) -> bool:
-        """True when this step consumes a message."""
-        return self.consumed_hash is not None
-
 
 #: One node's candidate event sequence, oldest event first.
 NodeSequence = Tuple[SequenceStep, ...]
+
+#: A step reduced to pure hash bookkeeping: (consumed or None, generated).
+PlainStep = Tuple[Optional[int], Tuple[int, ...]]
+
+#: A combination's executed total order as ``(node, step index)`` pairs.
+Order = Tuple[Tuple[NodeId, int], ...]
+
+
+def plain_steps(steps: NodeSequence) -> Tuple[PlainStep, ...]:
+    """The hash-only form of a sequence: all the replay ever reads."""
+    return tuple((step.consumed_hash, step.generated_hashes) for step in steps)
+
+
+class CompiledSequence:
+    """One node's candidate sequence, compiled once for every replay it joins.
+
+    Built where the sequence is enumerated (so once per sequence-memo entry)
+    or, worker-side, from the shipped plain steps alone (``steps`` empty):
+
+    * ``plain`` — the ``(consumed, generated)`` step tuple the replay runs on;
+    * ``key`` — ``(node, plain)``, this sequence's share of a verdict-cache key;
+    * ``balance`` — per message hash, how often the sequence generates it
+      minus how often it consumes it;
+    * ``needs`` — ``(hash, deficit)`` for every negative balance: what the
+      *other* nodes of a combination must supply, net of their own
+      consumption, for any total order to exist (:func:`starved_need`).
+    """
+
+    __slots__ = ("node", "steps", "plain", "key", "balance", "needs")
+
+    def __init__(
+        self, node: NodeId, plain: Tuple[PlainStep, ...], steps: NodeSequence = ()
+    ):
+        self.node = node
+        self.steps = steps
+        self.plain = plain
+        self.key = (node, plain)
+        balance: Dict[int, int] = {}
+        for consumed, generated in plain:
+            if consumed is not None:
+                balance[consumed] = balance.get(consumed, 0) - 1
+            for item in generated:
+                balance[item] = balance.get(item, 0) + 1
+        self.balance = balance
+        self.needs = tuple(
+            (item, -count) for item, count in balance.items() if count < 0
+        )
 
 
 class SoundnessVerifier:
@@ -132,21 +186,20 @@ class SoundnessVerifier:
         self._emitter = emitter
         self._memoize = memoize
         self._replay_cache_limit = replay_cache_limit
-        #: (node, record index) -> (store version at compute time, sequences).
-        #: A bumped store version (new record or new predecessor pointer
-        #: anywhere in that node's store) invalidates the entry, so memoised
-        #: enumerations are reused exactly while the DAG below them is stable.
+        #: (node, record index) -> (store version at compute time, compiled
+        #: sequences).  A bumped store version (new record or new predecessor
+        #: pointer anywhere in that node's store) invalidates the entry, so
+        #: memoised enumerations — and the compiled form that rides on them —
+        #: are reused exactly while the DAG below them is stable.
         self._sequence_memo: Dict[
-            Tuple[NodeId, int], Tuple[int, List[NodeSequence]]
+            Tuple[NodeId, int], Tuple[int, List[CompiledSequence]]
         ] = {}
         #: Combination replay key -> executed order as (node, step index)
         #: pairs, or None when no valid total order exists.  The key is built
-        #: purely from event/consumed/generated hashes, which determine the
-        #: replay outcome; the witness events are re-resolved against the
-        #: *current* combination, so traces are identical to uncached runs.
-        self._replay_cache: "OrderedDict[tuple, Optional[Tuple[Tuple[NodeId, int], ...]]]" = (
-            OrderedDict()
-        )
+        #: purely from consumed/generated hashes, which determine the replay
+        #: outcome; the witness events are re-resolved against the *current*
+        #: combination, so traces are identical to uncached runs.
+        self._replay_cache: "OrderedDict[tuple, Optional[Order]]" = OrderedDict()
 
     # -- public API -----------------------------------------------------------
 
@@ -163,78 +216,79 @@ class SoundnessVerifier:
         Each call is one §5.4 measurement unit ("LMC-OPT triggers the
         soundness verification for 773 times, and each call takes 45 ms in
         average"): with tracing enabled it emits one ``soundness`` span
-        carrying the sequence count examined and the outcome.
+        carrying the sequence count examined, how many of those the
+        starvation quotient dismissed and how many reached the replay, the
+        outcome and — for an unsound one — the last starved node and hash.
         """
         self._stats.soundness_calls += 1
         if not self._emitter.enabled:
             return self._search(records)
         sequences_before = self._stats.soundness_sequences
+        audit: Dict[str, int] = {"quotient_rejected": 0, "replayed": 0}
         with self._emitter.span("soundness", nodes=len(records)) as span:
-            witness = self._search(records)
+            witness = self._search(records, audit)
+            if witness is not None:
+                audit.pop("starved_node", None)
+                audit.pop("starved_hash", None)
             span.add(
                 sequences=self._stats.soundness_sequences - sequences_before,
                 sound=witness is not None,
+                **audit,
             )
         return witness
 
     def _search(
-        self, records: Dict[NodeId, NodeStateRecord]
+        self,
+        records: Dict[NodeId, NodeStateRecord],
+        audit: Optional[Dict[str, int]] = None,
     ) -> Optional[Tuple[Event, ...]]:
-        """The uninstrumented body of :meth:`is_state_sound`."""
-        per_node: List[Tuple[NodeId, List[NodeSequence]]] = []
+        """The uninstrumented body of :meth:`is_state_sound`.
+
+        ``audit`` (tracing only) collects the span's quotient/replay counts.
+        """
+        per_node: List[List[CompiledSequence]] = []
         for node in sorted(records):
             sequences = self._enumerate_sequences(records[node])
             if not sequences:
                 # No acyclic path reaches this state: with the prototype's
                 # simplifications the state cannot be validated.
                 return None
-            per_node.append((node, sequences))
+            per_node.append(sequences)
 
-        combinations = 0
-        for combo in self._combinations(per_node):
-            combinations += 1
-            if (
-                self._max_combinations is not None
-                and combinations > self._max_combinations
-            ):
-                return None
-            self._stats.soundness_sequences += 1
-            order = self._replay(combo)
-            if order is not None:
-                return tuple(combo[node][index].event for node, index in order)
-        return None
+        replay = self._replay if self._memoize else replay_compiled
+        if audit is not None:
+            replay = partial(replay, audit=audit)
+        combo, order, tried = search_combinations(
+            per_node, self._max_combinations, replay
+        )
+        self._stats.soundness_sequences += tried
+        if order is None:
+            return None
+        steps = {sequence.node: sequence.steps for sequence in combo}
+        return tuple(steps[node][index].event for node, index in order)
 
     def _replay(
-        self, combo: Dict[NodeId, NodeSequence]
-    ) -> Optional[Tuple[Tuple[NodeId, int], ...]]:
-        """Replay a sequence combination, consulting the verdict cache.
+        self,
+        combo: Sequence[CompiledSequence],
+        audit: Optional[Dict[str, int]] = None,
+    ) -> Optional[Order]:
+        """:func:`replay_compiled` behind the verdict cache.
 
         The replay outcome — both whether a valid total order exists and
         *which* order the deterministic search finds — is a pure function of
-        the per-step ``(consumed_hash, generated_hashes)`` tuples, so those
-        form the cache key.  Witness events are resolved by the caller
-        against the current combination, keeping traces byte-identical to
-        uncached runs.
+        the per-step ``(consumed_hash, generated_hashes)`` tuples, so the
+        sequences' precompiled ``(node, plain)`` keys form the cache key.
+        Witness events are resolved by the caller against the current
+        combination, keeping traces byte-identical to uncached runs.
         """
-        if not self._memoize:
-            return replay_sequences_indexed(combo)
-        key = tuple(
-            (
-                node,
-                tuple(
-                    (step.consumed_hash, step.generated_hashes)
-                    for step in combo[node]
-                ),
-            )
-            for node in sorted(combo)
-        )
+        key = tuple([sequence.key for sequence in combo])
         cache = self._replay_cache
         cached = cache.get(key, _REPLAY_MISS)
         if cached is not _REPLAY_MISS:
             cache.move_to_end(key)
             self._stats.replay_cache_hits += 1
             return cached
-        order = replay_sequences_indexed(combo)
+        order = replay_compiled(combo, audit)
         cache[key] = order
         if (
             self._replay_cache_limit is not None
@@ -245,7 +299,7 @@ class SoundnessVerifier:
 
     # -- sequence enumeration ------------------------------------------------
 
-    def _enumerate_sequences(self, record: NodeStateRecord) -> List[NodeSequence]:
+    def _enumerate_sequences(self, record: NodeStateRecord) -> List[CompiledSequence]:
         """All simple predecessor paths from the live state to ``record``.
 
         Memoised per record, keyed on the node store's structural version:
@@ -253,7 +307,8 @@ class SoundnessVerifier:
         version and invalidates the memo, so a reused enumeration is always
         the one a fresh walk would produce.  Repeated preliminary violations
         on the same node states — the §5.4 dominant cost — then pay for the
-        DAG walk once instead of per violation.
+        DAG walk, and for compiling its sequences, once instead of per
+        violation.
         """
         if not self._memoize:
             return self._walk_sequences(record)
@@ -267,14 +322,14 @@ class SoundnessVerifier:
         self._sequence_memo[key] = (store.version, sequences)
         return sequences
 
-    def _walk_sequences(self, record: NodeStateRecord) -> List[NodeSequence]:
+    def _walk_sequences(self, record: NodeStateRecord) -> List[CompiledSequence]:
         """The uncached predecessor-DAG walk behind :meth:`_enumerate_sequences`.
 
         Walks the predecessor DAG backwards; a path never revisits a state
         hash (simple paths) and self-referencing links are skipped, per the
         paper's simplification.  Truncated at ``max_sequences_per_node``.
         """
-        sequences: List[NodeSequence] = []
+        sequences: List[CompiledSequence] = []
         store = self._space.store(record.node)
 
         def walk(current: NodeStateRecord, suffix: List[SequenceStep], seen: set) -> bool:
@@ -282,7 +337,10 @@ class SoundnessVerifier:
             if current.seed:
                 # The live/seed state: the suffix, reversed, is a complete
                 # sequence from the live state to the target record.
-                sequences.append(tuple(reversed(suffix)))
+                steps = tuple(reversed(suffix))
+                sequences.append(
+                    CompiledSequence(record.node, plain_steps(steps), steps)
+                )
                 return (
                     self._max_sequences is None
                     or len(sequences) < self._max_sequences
@@ -314,35 +372,82 @@ class SoundnessVerifier:
         walk(record, [], {record.hash})
         return sequences
 
-    # -- combination enumeration -------------------------------------------------
-
-    @staticmethod
-    def _combinations(
-        per_node: Sequence[Tuple[NodeId, List[NodeSequence]]]
-    ) -> Iterator[Dict[NodeId, NodeSequence]]:
-        """Cross product of per-node sequences, lazily."""
-
-        def recurse(i: int, chosen: Dict[NodeId, NodeSequence]):
-            if i == len(per_node):
-                yield dict(chosen)
-                return
-            node, sequences = per_node[i]
-            for sequence in sequences:
-                chosen[node] = sequence
-                yield from recurse(i + 1, chosen)
-            chosen.pop(node, None)
-
-        yield from recurse(0, {})
-
 
 #: Cache-miss sentinel for the replay verdict cache (``None`` is a verdict).
 _REPLAY_MISS = object()
 
 
+def search_combinations(
+    per_node: Sequence[Sequence[CompiledSequence]],
+    max_combinations: Optional[int],
+    replay: Callable[[Sequence[CompiledSequence]], Optional[Order]],
+) -> Tuple[Optional[Tuple[CompiledSequence, ...]], Optional[Order], int]:
+    """First combination of the cross product that ``replay`` accepts.
+
+    The one ``isStateSound`` search loop, shared by the serial verifier and
+    the pool workers.  ``per_node`` lists each node's candidates in node
+    order.  Returns ``(combination, order, tried)``; ``tried`` counts the
+    combinations handed to ``replay`` — the §5.4 ``soundness_sequences``
+    unit — and never exceeds ``max_combinations``.
+    """
+    tried = 0
+    for combo in product(*per_node):
+        if tried == max_combinations:
+            break
+        tried += 1
+        order = replay(combo)
+        if order is not None:
+            return combo, order, tried
+    return None, None, tried
+
+
+def starved_need(combo: Sequence[CompiledSequence]) -> Optional[Tuple[NodeId, int]]:
+    """A ``(node, hash)`` whose deficit the rest of ``combo`` cannot cover, if any.
+
+    The starvation quotient: the valid-total-order question evaluated
+    against one node's sequence at a time, on hash counts alone.  ``net``
+    starts empty and only generation increments it, so a hash the whole
+    combination consumes more often than it generates leaves some consumer
+    undrained in every order — an exact necessary condition of the replay
+    (crash-redelivery and drop steps already demand one generation per
+    consumption; duplicate steps consume nothing).  ``None`` means "not
+    refuted", not "valid".
+    """
+    for sequence in combo:
+        for needed, deficit in sequence.needs:
+            for other in combo:
+                if other is not sequence:
+                    deficit -= other.balance.get(needed, 0)
+            if deficit > 0:
+                return sequence.node, needed
+    return None
+
+
+def replay_compiled(
+    combo: Sequence[CompiledSequence], audit: Optional[Dict[str, int]] = None
+) -> Optional[Order]:
+    """Replay one combination — unless the quotient already refutes it.
+
+    ``audit`` (tracing only) counts dismissals and replays and keeps the
+    last starved node and hash.
+    """
+    starved = starved_need(combo)
+    if starved is not None:
+        if audit is not None:
+            audit["quotient_rejected"] += 1
+            audit["starved_node"], audit["starved_hash"] = starved
+        return None
+    if audit is not None:
+        audit["replayed"] += 1
+    return replay_sequences_indexed(
+        {sequence.node: sequence.plain for sequence in combo}
+    )
+
+
 def replay_sequences_indexed(
-    sequences: Dict[NodeId, NodeSequence]
-) -> Optional[Tuple[Tuple[NodeId, int], ...]]:
-    """The ``isSequenceValid`` greedy replay over message hashes.
+    sequences: Dict[NodeId, Sequence[PlainStep]]
+) -> Optional[Order]:
+    """The ``isSequenceValid`` greedy replay over plain message-hash steps.
 
     Returns the executed total order as ``(node, step index)`` pairs when
     every node's sequence drains, else ``None``.  When greedy starves and
@@ -357,7 +462,6 @@ def replay_sequences_indexed(
     total = sum(len(sequence) for sequence in sequences.values())
     nodes = sorted(sequences)
 
-    executed = 0
     progress = True
     while progress:
         progress = False
@@ -365,34 +469,26 @@ def replay_sequences_indexed(
             sequence = sequences[node]
             pointer = pointers[node]
             while pointer < len(sequence):
-                step = sequence[pointer]
-                if step.is_network:
-                    available = net.get(step.consumed_hash, 0)
+                consumed, generated = sequence[pointer]
+                if consumed is not None:
+                    available = net.get(consumed, 0)
                     if available == 0:
                         break
                     if available == 1:
-                        del net[step.consumed_hash]
+                        del net[consumed]
                     else:
-                        net[step.consumed_hash] = available - 1
-                for generated in step.generated_hashes:
-                    net[generated] = net.get(generated, 0) + 1
+                        net[consumed] = available - 1
+                for item in generated:
+                    net[item] = net.get(item, 0) + 1
                 order.append((node, pointer))
                 pointer += 1
-                executed += 1
                 progress = True
             pointers[node] = pointer
-    if executed == total:
+    if len(order) == total:
         return tuple(order)
-    plain = {
-        node: tuple(
-            (step.consumed_hash, step.generated_hashes)
-            for step in sequences[node]
-        )
-        for node in nodes
-    }
-    if not has_competing_consumers(plain):
+    if not has_competing_consumers(sequences):
         return None
-    found = backtrack_order(plain)
+    found = backtrack_order(sequences)
     if found is None:
         return None
     return tuple(found)
@@ -401,15 +497,15 @@ def replay_sequences_indexed(
 def replay_sequences(
     sequences: Dict[NodeId, NodeSequence]
 ) -> Optional[Tuple[Event, ...]]:
-    """:func:`replay_sequences_indexed` with the order resolved to events."""
-    order = replay_sequences_indexed(sequences)
+    """:func:`replay_sequences_indexed` over :class:`SequenceStep` sequences,
+    with the order resolved to events."""
+    order = replay_sequences_indexed(
+        {node: plain_steps(steps) for node, steps in sequences.items()}
+    )
     if order is None:
         return None
     return tuple(sequences[node][index].event for node, index in order)
 
-
-#: A step reduced to pure hash bookkeeping: (consumed or None, generated).
-PlainStep = Tuple[Optional[int], Tuple[int, ...]]
 
 #: Position-vector memo bound for :func:`backtrack_order`.  The position
 #: space is the product of (len + 1) over nodes, so real soundness calls

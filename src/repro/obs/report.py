@@ -114,10 +114,18 @@ class TraceSummary:
         }
 
     def soundness_profile(self) -> Dict[str, float]:
-        """§5.4 aggregate: calls, total/average wall time, sequences examined."""
+        """§5.4 aggregate: calls, total/average wall time, sequences examined.
+
+        From the ``soundness`` spans' quotient attributes it also says *why*
+        violations were rejected: ``quotient_rejected`` / ``replayed`` count
+        combinations, ``rejected_by_quotient`` / ``rejected_by_replay`` count
+        unsound calls none of whose combinations, or at least one of whose
+        combinations, reached the replay.
+        """
         calls = 0
         total_s = 0.0
         sequences = 0
+        quotient_rejected = replayed = by_quotient = by_replay = 0
         for span in self.spans():
             if span.get("name") not in _SOUNDNESS_SPANS:
                 continue
@@ -125,11 +133,24 @@ class TraceSummary:
             total_s += float(span.get("dur_s", 0.0))
             fields = span.get("fields", {})
             sequences += int(fields.get("sequences", fields.get("combinations", 0)))
+            if "quotient_rejected" not in fields:
+                continue  # a worker span, or a trace that predates the quotient
+            quotient_rejected += int(fields["quotient_rejected"])
+            replayed += int(fields.get("replayed", 0))
+            if not fields.get("sound"):
+                if fields.get("replayed"):
+                    by_replay += 1
+                else:
+                    by_quotient += 1
         return {
             "calls": calls,
             "total_s": total_s,
             "avg_ms": (total_s / calls * 1000.0) if calls else 0.0,
             "sequences": sequences,
+            "quotient_rejected": quotient_rejected,
+            "replayed": replayed,
+            "rejected_by_quotient": by_quotient,
+            "rejected_by_replay": by_replay,
         }
 
     def progress_profile(self) -> Optional[ProgressEstimate]:
@@ -253,6 +274,14 @@ class TraceSummary:
                     ],
                 )
             )
+            if profile["quotient_rejected"] or profile["replayed"]:
+                sections[-1] += (
+                    f"\nviolations rejected by quotient / by replay: "
+                    f"{profile['rejected_by_quotient']:,} / "
+                    f"{profile['rejected_by_replay']:,}  (combinations dismissed "
+                    f"unreplayed / replayed: {profile['quotient_rejected']:,} / "
+                    f"{profile['replayed']:,})"
+                )
 
         estimate = self.progress_profile()
         if estimate is not None and estimate.growth_factor is not None:

@@ -121,3 +121,31 @@ def test_parallel_confirms_bug_identically_with_and_without_caches():
     uncached = _run(make, None, cached=False)
     assert cached.found_bug and uncached.found_bug
     assert _observable(cached) == _observable(uncached)
+
+
+def test_s55_smoke_budget_identical_across_memoize_and_front_end():
+    """The starvation quotient is unconditional; it must be invisible everywhere.
+
+    The §5.5 snapshot at the bench's smoke budget (``bench/workloads.py``:
+    520 transitions), ``memoize_soundness`` on/off × inline / deferred
+    verification: same counters, same bug set, same witness event tuples.
+    At this budget the deferred front-end verifies against the predecessor
+    DAG the inline one saw, so the two are comparable counter for counter.
+    """
+    protocol, invariant, initial = _paxos_s55()
+    budget = SearchBudget(max_transitions=520)
+
+    def observe(front_end, memoize):
+        config = LMCConfig.optimized(
+            stop_on_first_bug=False, memoize_soundness=memoize
+        )
+        result = front_end(protocol, invariant, budget, config).run(initial)
+        observed = _observable(result)
+        observed["witnesses"] = [bug.trace for bug in result.bugs]
+        return observed
+
+    reference = observe(LocalModelChecker, True)
+    assert reference["counts"]["confirmed_bugs"] > 0
+    assert observe(LocalModelChecker, False) == reference
+    for memoize in (True, False):
+        assert observe(ParallelLocalModelChecker, memoize) == reference

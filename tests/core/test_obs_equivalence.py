@@ -13,6 +13,7 @@ from repro.core.config import LMCConfig
 from repro.core.parallel import ParallelLocalModelChecker
 from repro.explore.budget import SearchBudget
 from repro.obs.coverage import CoverageTracker
+from repro.obs.emitter import MemoryEmitter
 from repro.obs.registry import RunRegistry
 from repro.protocols.onepaxos import OnePaxosAgreement
 from repro.protocols.onepaxos import scenarios as onepaxos_scenarios
@@ -134,3 +135,39 @@ def test_instrumented_run_leaves_durable_record(tmp_path):
     assert "transitions" in record.heartbeat
     assert record.heartbeat["round"] >= 1
     assert "frontier" in record.heartbeat
+
+
+def test_soundness_spans_explain_rejections_without_changing_the_run():
+    """The quotient's span attributes are bookkeeping on the traced path only."""
+    protocol, invariant, initial = _paxos_s55()
+
+    def run(**kwargs):
+        return LocalModelChecker(
+            protocol, invariant, config=LMCConfig.optimized(), **kwargs
+        ).run(initial)
+
+    plain = run()
+    emitter = MemoryEmitter()
+    traced = run(emitter=emitter)
+    assert _observable(plain) == _observable(traced)
+
+    spans = [
+        record["fields"]
+        for record in emitter.records
+        if record["kind"] == "span" and record["name"] == "soundness"
+    ]
+    stats = traced.stats
+    assert len(spans) == stats.soundness_calls
+    # Every combination was a cache hit, a quotient dismissal or a replay.
+    assert (
+        sum(span["quotient_rejected"] + span["replayed"] for span in spans)
+        + stats.replay_cache_hits
+        == stats.soundness_sequences
+    )
+    assert sum(span["quotient_rejected"] for span in spans) > 0
+    for span in spans:
+        if span["sound"]:
+            assert "starved_hash" not in span and "starved_node" not in span
+        elif span["quotient_rejected"]:
+            assert span["starved_node"] in protocol.node_ids()
+            assert isinstance(span["starved_hash"], int)

@@ -10,11 +10,11 @@ from repro.core.checker import LocalModelChecker
 from repro.core.config import LMCConfig
 from repro.core.parallel import (
     ParallelLocalModelChecker,
-    _replay_plain,
     shutdown_verification_pool,
     verify_unit,
 )
 from repro.core.pool import shared_executor, shutdown_worker_pool
+from repro.core.soundness import replay_sequences_indexed
 from repro.explore.budget import SearchBudget
 from repro.protocols.paxos import PaxosAgreement
 from repro.protocols.paxos.scenarios import partial_choice_state, scenario_protocol
@@ -25,7 +25,7 @@ from repro.replay import validate_bug
 
 class TestPlainReplay:
     def test_empty_unit_valid(self):
-        assert _replay_plain({}) == []
+        assert replay_sequences_indexed({}) == ()
 
     def test_send_then_receive(self):
         sequences = {
@@ -34,13 +34,13 @@ class TestPlainReplay:
         }
         # normalise: steps are (consumed, generated)
         sequences = {0: ((None, (7,)),), 1: ((7, ()),)}
-        order = _replay_plain(sequences)
+        order = replay_sequences_indexed(sequences)
         assert order is not None
         assert order[0] == (0, 0)  # the send must run first
 
     def test_deadlock_detected(self):
         sequences = {0: ((1, (2,)),), 1: ((2, (1,)),)}
-        assert _replay_plain(sequences) is None
+        assert replay_sequences_indexed(sequences) is None
 
     def test_verify_unit_picks_working_combination(self):
         unit = {
@@ -101,6 +101,35 @@ class TestParallelChecker:
             workers=0,
         ).run(partial_choice_state())
         assert result.stats.soundness_calls <= 10
+
+    def test_soundness_sequences_match_sequential(self):
+        """Serial and pooled verification count the same combinations.
+
+        On the §5.5 snapshot at this budget the deferred verification sees
+        the same predecessor DAG as the inline one, so the counters must
+        agree — including under a biting ``max_combinations_per_check``,
+        where the pool used to count the over-cap combination too.
+        """
+        protocol = scenario_protocol(buggy=True)
+        budget = SearchBudget(max_transitions=520)
+        examined = {}
+        for cap in (None, 4):
+            config = LMCConfig.optimized(
+                stop_on_first_bug=False, max_combinations_per_check=cap
+            )
+            serial = LocalModelChecker(
+                protocol, PaxosAgreement(0), budget, config
+            ).run(partial_choice_state())
+            examined[cap] = serial.stats.soundness_sequences
+            for workers in (0, 2):
+                pooled = ParallelLocalModelChecker(
+                    protocol, PaxosAgreement(0), budget, config, workers=workers
+                ).run(partial_choice_state())
+                for counter in ("soundness_calls", "soundness_sequences", "confirmed_bugs"):
+                    assert getattr(pooled.stats, counter) == getattr(
+                        serial.stats, counter
+                    ), (cap, workers, counter)
+        assert examined[4] < examined[None]  # the cap really bit
 
     def test_algorithm_label(self):
         checker = ParallelLocalModelChecker(

@@ -13,7 +13,14 @@ from typing import Dict, List, Optional, Tuple
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.soundness import SequenceStep, replay_sequences
+from repro.core.soundness import (
+    CompiledSequence,
+    SequenceStep,
+    replay_compiled,
+    replay_sequences,
+    replay_sequences_indexed,
+    starved_need,
+)
 from repro.model.events import InternalEvent
 from repro.model.types import Action
 
@@ -144,8 +151,48 @@ def test_competing_consumers_fall_back_to_backtracking():
 
 
 def test_plain_replay_falls_back_too():
-    from repro.core.parallel import _replay_plain
-
-    order = _replay_plain(COMPETING_CONSUMERS)
+    order = replay_sequences_indexed(COMPETING_CONSUMERS)
     assert order is not None
     assert len(order) == 3
+
+
+# -- the starvation quotient ---------------------------------------------------
+
+# Two hash values over up to nine steps force repeated hashes: several
+# consumers of one hash (so greedy can err and the backtracking fallback
+# runs), multiplicities above one, drop-like steps (consume, generate
+# nothing) and local/crash-like steps (consume nothing).
+quotient_hashes = st.integers(min_value=1, max_value=2)
+quotient_steps = st.tuples(
+    st.one_of(st.none(), quotient_hashes),
+    st.lists(quotient_hashes, max_size=3).map(tuple),
+)
+quotient_combos = st.lists(
+    st.lists(quotient_steps, max_size=3).map(tuple), min_size=2, max_size=4
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(quotient_combos)
+def test_quotient_never_changes_a_replay(plain_sequences):
+    combo = [
+        CompiledSequence(node, plain) for node, plain in enumerate(plain_sequences)
+    ]
+    full = replay_sequences_indexed(dict(enumerate(plain_sequences)))
+    if starved_need(combo) is not None:
+        assert full is None
+    assert replay_compiled(combo) == full
+
+
+def test_quotient_counts_multiplicity_and_own_generation():
+    twice = ((7, ()), (7, ()))
+    once, two = ((None, (7,)),), ((None, (7, 7)),)
+    assert starved_need([CompiledSequence(0, twice), CompiledSequence(1, once)]) == (0, 7)
+    assert starved_need([CompiledSequence(0, twice), CompiledSequence(1, two)]) is None
+    # A sequence's own generation covers its own consumption...
+    own = ((None, (7,)), (7, ()))
+    assert starved_need([CompiledSequence(0, own), CompiledSequence(1, ())]) is None
+    # ...and a drop-like consumer competes for the same single copy.
+    drop = ((7, ()),)
+    combo = [CompiledSequence(0, own), CompiledSequence(1, drop)]
+    assert starved_need(combo) == (1, 7)

@@ -107,13 +107,13 @@ class TestSequenceEnumeration:
         space, _seed, _s1, s2 = self._space_with_chain()
         verifier = SoundnessVerifier(space, ExplorationStats())
         sequences = verifier._enumerate_sequences(s2)
-        lengths = sorted(len(seq) for seq in sequences)
+        lengths = sorted(len(seq.steps) for seq in sequences)
         assert lengths == [1, 2]  # seed->s2 direct, and seed->s1->s2
 
     def test_seed_state_has_one_empty_sequence(self):
         space, seed, _s1, _s2 = self._space_with_chain()
         verifier = SoundnessVerifier(space, ExplorationStats())
-        assert verifier._enumerate_sequences(seed) == [()]
+        assert [seq.steps for seq in verifier._enumerate_sequences(seed)] == [()]
 
     def test_self_reference_links_ignored(self):
         space = LocalStateSpace((0,))
