@@ -44,6 +44,14 @@ off by default and byte-identical-off:
   the delivery sweep: a blocked (message, destination) pair is counted as
   ``partition_blocks`` and retried once its window closes; a pair under a
   permanent window is simply never delivered.
+
+All six event families run through one pipeline: a round walks the cursor
+sweeps of :data:`repro.core.event_kinds.SWEEPS` (:meth:`_ExplorationPass._round`),
+each offer passes the sweep's pure gate, and a gated-in offer executes
+through :meth:`_ExplorationPass._execute` — i.e. through
+:meth:`repro.model.protocol.Protocol.execute`, the dispatch witness replay
+trusts — and folds into ``LS_n``/``I+`` in :meth:`_ExplorationPass._integrate`
+as its :class:`~repro.core.event_kinds.EventKind` row prescribes.
 """
 
 from __future__ import annotations
@@ -62,6 +70,20 @@ from repro.core.checkpoint import (
     verify_fingerprint,
 )
 from repro.core.config import LMCConfig
+from repro.core.event_kinds import (
+    ASSERT,
+    BOUND,
+    CURSOR_SWEEPS,
+    DEFER,
+    DELIVERY,
+    DELIVERY_SWEEP,
+    NOOP,
+    SEEN,
+    SWEEPS,
+    Cursor,
+    EventKind,
+    attempt,
+)
 from repro.core.explore_parallel import RoundSpeculator, SpecExec
 from repro.core.records import (
     LINK_BYTES,
@@ -80,34 +102,12 @@ from repro.core.system_states import (
 )
 from repro.explore.budget import BudgetClock, SearchBudget
 from repro.invariants.base import DecomposableInvariant, Invariant, LocalInvariant
-from repro.model.events import (
-    CrashEvent,
-    DeliveryEvent,
-    DropEvent,
-    DuplicateEvent,
-    Event,
-    InternalEvent,
-    RestartEvent,
-    event_hash,
-    message_hashes,
-)
+from repro.model.events import DeliveryEvent, Event, event_hash, message_hashes
 from repro.model.hashing import content_hash, intern_stats, interning_enabled
 from repro.model.protocol import Protocol
 from repro.model.system_state import SystemState
-from repro.model.types import (
-    Action,
-    CrashedState,
-    HandlerResult,
-    LocalAssertionError,
-    NodeId,
-)
-from repro.protocols.common import (
-    declared_action_names,
-    declared_message_types,
-    drop_result,
-    durable_projection,
-    restart_state,
-)
+from repro.model.types import HandlerResult, NodeId
+from repro.protocols.common import declared_action_names, declared_message_types
 from repro.network.monotonic import MonotonicNetwork, StoredMessage
 from repro.obs.coverage import NULL_COVERAGE, CoverageTracker
 from repro.obs.emitter import NULL_EMITTER, TraceEmitter
@@ -445,43 +445,29 @@ class _ExplorationPass:
         # series uses sum(per-node maxima).
         self._node_max_depth: Dict[NodeId, int] = {}
         self._retained_bytes = 0
-        self._local_cursor: Dict[NodeId, int] = {}
-        #: Fault-scheduler cursor per node: index of the next record to offer
-        #: a crash (or, for crashed marker records, a restart) to.  Only
-        #: advanced when ``fault_events_enabled``.
-        self._fault_cursor: Dict[NodeId, int] = {}
-        #: Crash events executed so far, against ``max_total_crashes``.
-        self._crashes_executed = 0
-        #: Drop-sweep cursor per stored message (keyed by ``seq``): index of
-        #: the next destination record to offer the drop to.  Only populated
-        #: when ``drop_faults``.
-        self._drop_cursor: Dict[int, int] = {}
-        #: Depth-blocked (stored seq, record index) pairs the drop sweep
-        #: passed over; mirrors ``StoredMessage.deferred`` for drops.
-        self._drop_deferred: Dict[int, set] = {}
-        #: Effective (state-changing) drop events, against ``max_drops``.
-        self._drops_executed = 0
-        #: Duplication-sweep cursor into the network admission log: sends at
-        #: or above it have not been offered a fault-minted duplicate yet.
+        #: The round's sweeps (:data:`repro.core.event_kinds.SWEEPS`) this
+        #: pass runs; a disabled fault sweep is absent, not inert.
+        self.sweeps = tuple(sweep for sweep in SWEEPS if sweep.active(self))
+        #: Sweep cursors by family name, then by node (``local``, ``fault``)
+        #: or stored ``seq`` (``drop``); the delivery sweep's ride on the
+        #: stored messages.  Each cursor's ``deferred`` set holds the
+        #: depth-blocked record indexes it passed over — write-only
+        #: bookkeeping in a fixed-bound run, consumed by depth extension
+        #: (docs/CHECKPOINTS.md) under :attr:`_reoffer`.
+        self.cursors: Dict[str, Dict[object, Cursor]] = {
+            sweep.name: {} for sweep in CURSOR_SWEEPS
+        }
+        #: The depth budget the gates read (fixed for the pass's lifetime).
+        self.max_depth = self.budget.max_depth
+        #: Duplication cursor into the network admission log: sends at or
+        #: above it have not been offered a fault-minted duplicate yet.
         self._dup_seq_cursor = 0
         #: True when this round blocked a pending delivery behind a partition
         #: window that eventually closes — the pass must keep rounding (the
         #: round number is the partition clock) instead of declaring
         #: fixpoint on a zero-execution round.
         self._partition_retry = False
-        #: The drop sweep only runs against protocols that declare the
-        #: ``handle_drop`` omission hook: for drop-oblivious protocols a
-        #: silent omission reaches no state a slower network could not
-        #: (docs/FAULTS.md), so there is nothing to explore.
-        self._has_drop_hook = getattr(self.protocol, "handle_drop", None) is not None
         self._seed_records: Dict[NodeId, NodeStateRecord] = {}
-        #: Depth-blocked (node, record index) pairs the local and fault
-        #: sweeps' cursors passed over; mirrors ``StoredMessage.deferred``
-        #: for internal and fault events.  Write-only bookkeeping in a
-        #: fixed-bound run; consumed by depth extension
-        #: (docs/CHECKPOINTS.md) under :attr:`_reoffer`.
-        self._local_deferred: Dict[NodeId, set] = {}
-        self._fault_deferred: Dict[NodeId, set] = {}
         #: Run-level context preceding this pass — counters already merged
         #: and bugs already confirmed by earlier widened passes — so a
         #: mid-pass checkpoint can snapshot the whole run.  Rebound by
@@ -641,8 +627,9 @@ class _ExplorationPass:
         for node, state in self.initial_system.items():
             record = self.space.seed(node, state)
             self._seed_records[node] = record
-            self._local_cursor[node] = 0
-            self._fault_cursor[node] = 0
+            for sweep in CURSOR_SWEEPS:
+                if sweep.per_node:
+                    self.cursors[sweep.name][node] = Cursor()
             self._retained_bytes += record.retained_bytes()
             if self._projection_index is not None:
                 self._projection_index.note(
@@ -663,7 +650,13 @@ class _ExplorationPass:
     # -- rounds -----------------------------------------------------------------
 
     def _round(self) -> int:
-        """One sweep of network and local events; returns executions done."""
+        """One sweep of network, local and fault events; returns executions.
+
+        Every family walks the same cursor sweep (:meth:`_sweep_lane`) over
+        its own lanes and gate — the rows of
+        :data:`repro.core.event_kinds.SWEEPS`, in order: deliveries, local
+        events, crash/restart faults, drops — followed by duplicate minting.
+        """
         executions = 0
         self._partition_retry = False
         partitions = self.config.partition_schedules
@@ -672,321 +665,135 @@ class _ExplorationPass:
         # worker pool.  The sweeps below are unchanged — they consume a
         # precomputed outcome on a table hit and compute inline on a miss,
         # so order, counters and results are byte-identical to serial.
-        speculator = self._speculator
-        if speculator is not None:
-            speculator.begin_round()
-        # Network events: each stored message runs on the destination states
-        # it has not been executed on yet ("by jumping over the old states").
-        for node in self.space.node_ids:
-            store = self.space.store(node)
-            for stored in self.network.for_destination(node):
-                if partitions and self._partition_blocked(stored):
-                    # The cursor does NOT advance: the pair is merely on
-                    # hold, and will be swept normally once the window
-                    # closes.  Pairs under a permanent window set no retry
-                    # flag — they can reach fixpoint blocked.
-                    if stored.cursor < len(store) or (
-                        self._reoffer and stored.deferred
-                    ):
-                        self.stats.partition_blocks += 1
-                        if not self._partition_permanent(stored):
-                            self._partition_retry = True
-                    continue
-                if self._reoffer and stored.deferred:
-                    executions += self._reoffer_deliveries(store, stored)
-                end = len(store)
-                if stored.cursor >= end:
-                    continue
-                for index in range(stored.cursor, end):
-                    record = store.records[index]
-                    stored.cursor = index + 1
-                    if record.discarded or record.crashed:
-                        # Crashed markers execute nothing; their messages
-                        # wait in ``I+`` for the restarted state.
-                        continue
-                    if not self._depth_allows(record):
-                        # The cursor has moved past this pair for good;
-                        # remember it so a depth extension can re-offer it.
-                        stored.deferred.add(index)
-                        continue
-                    executions += self._execute_delivery(record, stored)
-        # Local events: internal actions of states not yet expanded.
-        for node in self.space.node_ids:
-            store = self.space.store(node)
-            deferred = self._local_deferred.get(node)
-            if self._reoffer and deferred:
-                executions += self._reoffer_locals(store, deferred, speculator)
-            end = len(store)
-            start = self._local_cursor[node]
-            for index in range(start, end):
-                record = store.records[index]
-                self._local_cursor[node] = index + 1
-                if record.discarded or record.crashed:
-                    continue
-                if not self._depth_allows(record):
-                    self._local_deferred.setdefault(node, set()).add(index)
-                    continue
+        if self._speculator is not None:
+            self._speculator.begin_round()
+        for sweep in self.sweeps:
+            gate = sweep.gate
+            for cursor, store, subject in sweep.lanes(self):
                 if (
-                    self.local_event_bound is not None
-                    and record.local_depth >= self.local_event_bound
+                    partitions
+                    and sweep is DELIVERY_SWEEP
+                    and self._partition_holds(subject, store)
                 ):
-                    self.blocked_by_bound = True
                     continue
-                executions += self._expand_local(record, speculator)
-        # Fault events (docs/FAULTS.md): crash each eligible node state once,
-        # restart each crashed marker record once.  Entirely absent — not
-        # merely inert — when disabled, so the default run is byte-identical
-        # to a build without the scheduler.
-        if self.config.fault_events_enabled:
-            executions += self._fault_round()
-        # Omission and duplication sweeps (docs/FAULTS.md): like the crash
-        # scheduler, entirely absent — not merely inert — when disabled.
-        if self.config.drop_faults:
-            executions += self._drop_round()
+                executions += self._sweep_lane(gate, cursor, store, subject)
         if self.config.duplicate_faults:
-            executions += self._duplicate_round()
+            executions += self._mint_duplicates()
         return executions
 
-    def _expand_local(self, record: NodeStateRecord, speculator) -> int:
-        """Execute every enabled internal action of one node state."""
-        executions = 0
-        hit = (
-            speculator.internal_actions(record) if speculator is not None else None
-        )
-        if hit is not None:
-            actions, outcomes = hit
-            for action, outcome in zip(actions, outcomes):
-                executions += self._execute_internal(record, action, spec=outcome)
-        else:
-            for action in self.protocol.enabled_actions(record.state):
-                executions += self._execute_internal(record, action)
-        return executions
+    def _sweep_lane(self, gate, cursor, store, subject) -> int:
+        """Offer one lane's subject to the records its cursor has not passed.
 
-    # -- depth-extension re-offer (docs/CHECKPOINTS.md) --------------------------
-    #
-    # The cursor discipline advances past depth-blocked records for good,
-    # which is exactly right for a fixed bound — and exactly wrong for a
-    # bound that later grows.  The sweeps above record every blocked pair in
-    # a ``deferred`` set; these helpers, active only under ``_reoffer``
-    # (depth extension), drain the pairs the new bound unblocks.  A pair
-    # still blocked under the new bound stays deferred for a further
-    # extension; a pair whose record was discarded or crashed meanwhile is
-    # dropped, matching what the cursor sweep would have done.
-
-    def _reoffer_deliveries(self, store, stored: StoredMessage) -> int:
-        """Deliver ``stored`` to deferred records the new bound unblocked."""
-        executions = 0
-        for index in sorted(stored.deferred):
-            record = store.records[index]
-            if record.discarded or record.crashed:
-                stored.deferred.discard(index)
-                continue
-            if not self._depth_allows(record):
-                continue
-            stored.deferred.discard(index)
-            executions += self._execute_delivery(record, stored)
-        return executions
-
-    def _reoffer_locals(self, store, deferred: set, speculator) -> int:
-        """Expand deferred records the new bound unblocked."""
-        executions = 0
-        for index in sorted(deferred):
-            record = store.records[index]
-            if record.discarded or record.crashed:
-                deferred.discard(index)
-                continue
-            if not self._depth_allows(record):
-                continue
-            deferred.discard(index)
-            if (
-                self.local_event_bound is not None
-                and record.local_depth >= self.local_event_bound
-            ):
-                self.blocked_by_bound = True
-                continue
-            executions += self._expand_local(record, speculator)
-        return executions
-
-    def _reoffer_faults(self, store, deferred: set) -> int:
-        """Offer faults to deferred records the new bound unblocked.
-
-        Crash caps consume-and-drop, exactly like the cursor sweep: a
-        record over its crash budget gets no fault now or later.
+        The cursor discipline advances past depth-blocked records for good,
+        which is exactly right for a fixed bound — and exactly wrong for a
+        bound that later grows — so blocked indexes are kept in
+        ``cursor.deferred`` and, under ``_reoffer`` (depth extension),
+        drained first.  The cursor range is taken *after* the re-offers:
+        records they mint in this store are swept in the same round.
         """
         executions = 0
-        for index in sorted(deferred):
-            record = store.records[index]
-            if record.discarded:
-                deferred.discard(index)
-                continue
-            if not self._depth_allows(record):
-                continue
-            deferred.discard(index)
-            if record.crashed:
-                executions += self._execute_restart(record)
-                continue
-            if record.crashes >= self.config.max_crashes_per_node:
-                continue
-            limit = self.config.max_total_crashes
-            if limit is not None and self._crashes_executed >= limit:
-                continue
-            executions += self._execute_crash(record)
+        records = store.records
+        if self._reoffer and cursor.deferred:
+            executions += self._offer(
+                gate, cursor, records, subject, sorted(cursor.deferred)
+            )
+        if cursor.cursor < len(records):
+            executions += self._offer(
+                gate, cursor, records, subject, range(cursor.cursor, len(records))
+            )
         return executions
 
-    def _fault_round(self) -> int:
-        """One sweep of the fault scheduler; returns executions done.
+    def _offer(self, gate, cursor, records, subject, indexes) -> int:
+        """Gate each indexed record and apply the outcome's side effects.
 
-        Mirrors the local-event sweep: a per-node cursor offers each record
-        exactly one fault.  A live record gets a :class:`CrashEvent` when its
-        discovery path has crash budget left (per-node and global caps); a
-        crashed marker record gets the :class:`RestartEvent` that boots it
-        from its durable fragment.  Records minted here are swept in a later
-        round, exactly like states minted by handlers.
+        A pair still depth-blocked stays (or becomes) deferred for a further
+        extension; every other outcome settles the pair for good — skips,
+        spent caps and bound blocks consume-and-drop it, a row executes it.
+        Records minted here are swept in a later round, exactly like states
+        minted by handlers.
         """
         executions = 0
-        for node in self.space.node_ids:
-            store = self.space.store(node)
-            deferred = self._fault_deferred.get(node)
-            if self._reoffer and deferred:
-                executions += self._reoffer_faults(store, deferred)
-            end = len(store)
-            start = self._fault_cursor[node]
-            for index in range(start, end):
-                record = store.records[index]
-                self._fault_cursor[node] = index + 1
-                if record.discarded:
-                    continue
-                if not self._depth_allows(record):
-                    self._fault_deferred.setdefault(node, set()).add(index)
-                    continue
-                if record.crashed:
-                    executions += self._execute_restart(record)
-                    continue
-                if record.crashes >= self.config.max_crashes_per_node:
-                    continue
-                limit = self.config.max_total_crashes
-                if limit is not None and self._crashes_executed >= limit:
-                    continue
-                executions += self._execute_crash(record)
+        speculator = self._speculator
+        deferred = cursor.deferred
+        for index in indexes:
+            if index >= cursor.cursor:
+                cursor.cursor = index + 1
+            else:
+                # A re-offer: settled for good unless deferred again below.
+                deferred.discard(index)
+            record = records[index]
+            outcome = gate(self, record, subject)
+            if outcome is DEFER:
+                # Remember when the bound bit, so the pass can report
+                # "depth bound reached" instead of claiming exhaustion.
+                self._blocked_by_depth = True
+                deferred.add(index)
+                continue
+            if outcome.__class__ is not EventKind:
+                if outcome is SEEN:
+                    self.stats.history_skips += 1
+                elif outcome is BOUND:
+                    self.blocked_by_bound = True
+                continue
+            spec = (
+                speculator.lookup(outcome, record, subject)
+                if speculator is not None
+                else None
+            )
+            if not outcome.fan_out:
+                executions += self._execute(outcome, record, subject, spec)
+            elif spec is None:
+                for action in self.protocol.enabled_actions(record.state):
+                    executions += self._execute(outcome, record, action)
+            else:
+                # The worker's ``enabled_actions`` enumeration is a pure
+                # function of the (shipped, equal) state: same actions,
+                # same order as the line above would produce.
+                for action, action_spec in zip(*spec):
+                    executions += self._execute(outcome, record, action, action_spec)
         return executions
 
-    def _partition_blocked(self, stored: StoredMessage) -> bool:
+    def _partition_holds(self, stored: StoredMessage, store) -> bool:
         """Is ``stored`` unreachable under an active partition window?
 
         A window ``(start, end, srcs, dests)`` blocks the pair while the
         pass's round number lies in ``[start, end]`` (``end=None`` =
         forever).  The round number is the partition clock: deterministic,
-        checkpointed, and shared with the per-depth series.
+        checkpointed, and shared with the per-depth series.  A held lane's
+        cursor does NOT advance: the pair is merely on hold, and is swept
+        normally once the window closes.  Pending pairs count as
+        ``partition_blocks``; only a window that eventually closes sets the
+        retry flag — under ``end=None`` no later round can deliver the
+        pair, so a zero-execution round is a genuine fixpoint.
         """
         src = stored.message.src
         dest = stored.message.dest
         rnd = self.round_number
+        held = permanent = False
         for start, end, srcs, dests in self.config.partition_schedules:
-            if (
-                src in srcs
-                and dest in dests
-                and start <= rnd
-                and (end is None or rnd <= end)
-            ):
-                return True
-        return False
+            if src in srcs and dest in dests and start <= rnd:
+                if end is None:
+                    held = permanent = True
+                elif rnd <= end:
+                    held = True
+        if held and (
+            stored.cursor < len(store) or (self._reoffer and stored.deferred)
+        ):
+            self.stats.partition_blocks += 1
+            if not permanent:
+                self._partition_retry = True
+        return held
 
-    def _partition_permanent(self, stored: StoredMessage) -> bool:
-        """Is ``stored`` under a partition window that never closes?
-
-        Permanently blocked pairs must not keep the pass alive: with
-        ``end=None`` covering the pair, no later round can deliver it, so a
-        zero-execution round is a genuine fixpoint.
-        """
-        src = stored.message.src
-        dest = stored.message.dest
-        for start, end, srcs, dests in self.config.partition_schedules:
-            if (
-                end is None
-                and src in srcs
-                and dest in dests
-                and start <= self.round_number
-            ):
-                return True
-        return False
-
-    def _drop_round(self) -> int:
-        """One sweep of the omission scheduler; returns executions done.
-
-        Mirrors the delivery sweep with an independent cursor pair: each
-        stored original copy is offered as a :class:`DropEvent` to every
-        destination record it has not been offered to yet.  Eligible pairs
-        are those a delivery would also be offered (live record, depth
-        budget, message not already in the record's history); fault-minted
-        duplicates are never dropped.  Skipped entirely for drop-oblivious
-        protocols — without a ``handle_drop`` hook an omission reaches no
-        new states under the monotonic network (docs/FAULTS.md).
-        """
-        if not self._has_drop_hook:
-            return 0
-        executions = 0
-        for node in self.space.node_ids:
-            store = self.space.store(node)
-            for stored in self.network.for_destination(node):
-                if stored.duplicate:
-                    continue
-                deferred = self._drop_deferred.get(stored.seq)
-                if self._reoffer and deferred:
-                    executions += self._reoffer_drops(store, stored, deferred)
-                end = len(store)
-                start = self._drop_cursor.get(stored.seq, 0)
-                for index in range(start, end):
-                    record = store.records[index]
-                    self._drop_cursor[stored.seq] = index + 1
-                    if record.discarded or record.crashed:
-                        continue
-                    if not self._depth_allows(record):
-                        self._drop_deferred.setdefault(stored.seq, set()).add(
-                            index
-                        )
-                        continue
-                    if stored.hash in record.history:
-                        continue
-                    limit = self.config.max_drops
-                    if limit is not None and self._drops_executed >= limit:
-                        continue
-                    executions += self._execute_drop(record, stored)
-        return executions
-
-    def _reoffer_drops(self, store, stored: StoredMessage, deferred: set) -> int:
-        """Offer drops to deferred records the new bound unblocked.
-
-        The ``max_drops`` cap consumes-and-drops, exactly like the cursor
-        sweep: a pair passed over while the cap is spent gets no drop now
-        or later.
-        """
-        executions = 0
-        for index in sorted(deferred):
-            record = store.records[index]
-            if record.discarded or record.crashed:
-                deferred.discard(index)
-                continue
-            if not self._depth_allows(record):
-                continue
-            deferred.discard(index)
-            if stored.hash in record.history:
-                continue
-            limit = self.config.max_drops
-            if limit is not None and self._drops_executed >= limit:
-                continue
-            executions += self._execute_drop(record, stored)
-        return executions
-
-    def _duplicate_round(self) -> int:
+    def _mint_duplicates(self) -> int:
         """Re-admit each newly generated message once as a duplicate copy.
 
         The duplication scheduler rides the network's own admission path:
         ``add`` either admits the copy within ``duplicate_limit`` (and the
         copy is marked fault-minted, so its deliveries bypass the history
-        skip as :class:`DuplicateEvent` steps) or suppresses it into the
-        ``suppressed_duplicates`` counter.  Minting counts as an execution
-        so the delivery sweep of the next round sees the copies before the
-        pass can declare fixpoint.
+        skip as :class:`~repro.model.events.DuplicateEvent` steps) or
+        suppresses it into the ``suppressed_duplicates`` counter.  Minting
+        counts as an execution so the delivery sweep of the next round sees
+        the copies before the pass can declare fixpoint.
         """
         executions = 0
         high = self.network.high_water
@@ -1000,298 +807,59 @@ class _ExplorationPass:
         self._dup_seq_cursor = high
         return executions
 
-    def _depth_allows(self, record: NodeStateRecord) -> bool:
-        """Depth-budget gate: may ``record`` still execute events?
-
-        Implements the bounded-search knob the §5 evaluation uses to plot
-        per-depth curves; remembers when the bound bit so the pass can
-        report "depth bound reached" instead of claiming exhaustion.
-        """
-        limit = self.budget.max_depth
-        if limit is not None and record.depth >= limit:
-            self._blocked_by_depth = True
-            return False
-        return True
-
     # -- handler execution ---------------------------------------------------------
 
-    def _execute_delivery(self, record: NodeStateRecord, stored: StoredMessage) -> int:
-        """Execute one stored message on one node state (Fig. 9 line 6).
-
-        Runs the altered network handler ``H'_M`` of Fig. 8: the message is
-        taken from the shared monotonic ``I+`` and *not* consumed.  The
-        §4.2 redundant-execution rule (skip messages already in the state's
-        history) is applied first.  Returns handler executions done (0/1).
-        """
-        if stored.hash in record.history:
-            if stored.duplicate:
-                if -(stored.seq + 1) in record.history:
-                    # This path already consumed the copy (its per-copy
-                    # token is in the history): redelivering it again
-                    # would exceed the admitted duplication budget.
-                    self.stats.history_skips += 1
-                    return 0
-                # A fault-minted copy exists precisely to bypass the
-                # at-most-once rule: redeliver it (docs/FAULTS.md).
-                return self._execute_duplicate(record, stored)
-            self.stats.history_skips += 1
-            return 0
-        self._tick_budget()
-        if self.coverage.enabled:
-            self.coverage.note_delivery(type(stored.message.payload).__name__)
-        spec = (
-            self._speculator.delivery(record, stored)
-            if self._speculator is not None
-            else None
-        )
-        if spec is not None:
-            if spec == "a":
-                self._handle_assertion_failure(record)
-                return 1
-            if spec == "n":
-                self.stats.noop_executions += 1
-                return 1
-            self.stats.transitions += 1
-            memo = self._delivery_hash_memo
-            if memo is not None and stored.hash not in memo:
-                memo[stored.hash] = spec.ehash
-            self._integrate(
-                record,
-                DeliveryEvent(stored.message),
-                stored.hash,
-                spec.result,
-                is_internal=False,
-                event_hash_value=spec.ehash,
-                precomputed=spec,
-            )
-            return 1
-        try:
-            result = self.protocol.handle_message(record.state, stored.message)
-        except LocalAssertionError:
-            self._handle_assertion_failure(record)
-            return 1
-        if result.is_noop(record.state):
-            self.stats.noop_executions += 1
-            return 1
-        self.stats.transitions += 1
-        event = DeliveryEvent(stored.message)
-        memo = self._delivery_hash_memo
-        if memo is None:
-            ehash = event_hash(event)
-        else:
-            ehash = memo.get(stored.hash)
-            if ehash is None:
-                ehash = event_hash(event)
-                memo[stored.hash] = ehash
-        self._integrate(
-            record, event, stored.hash, result, is_internal=False,
-            event_hash_value=ehash,
-        )
-        return 1
-
-    def _execute_internal(
+    def _execute(
         self,
+        row: EventKind,
         record: NodeStateRecord,
-        action: Action,
+        subject: object,
         spec: Optional[object] = None,
     ) -> int:
-        """Execute one enabled internal action (Fig. 9 line 7, handler ``H_A``).
+        """Execute one event of family ``row`` on one node state.
 
-        Local events are unchanged by the Fig. 8 transformation — they touch
-        no network.  ``spec`` is this action's precomputed outcome when the
-        round's parallel frontier pass covered it.  Returns handler
-        executions done (always 1).
+        Fig. 9 lines 6-7 for every family: a delivery runs the altered
+        network handler ``H'_M`` of Fig. 8 (the message is taken from the
+        shared monotonic ``I+`` and *not* consumed), an internal action
+        runs ``H_A`` unchanged, and the fault families of docs/FAULTS.md
+        run their :meth:`~repro.model.protocol.Protocol.execute` branch —
+        a crash keeps only the durable fragment, a restart boots from it,
+        a drop runs the ``handle_drop`` timeout hook, a duplicate runs the
+        message handler again.  ``subject`` is the stored message, the
+        action, or ``None``; ``spec`` is this execution's precomputed
+        outcome when the round's parallel frontier pass covered it, else
+        the handler runs here.  Returns handler executions done (always 1).
         """
         self._tick_budget()
-        if self.coverage.enabled:
-            self.coverage.note_action(action.name)
-        if spec is not None:
-            if spec == "a":
-                self._handle_assertion_failure(record)
-                return 1
-            if spec == "n":
-                self.stats.noop_executions += 1
-                return 1
-            self.stats.transitions += 1
-            self._integrate(
-                record,
-                InternalEvent(action),
-                None,
-                spec.result,
-                is_internal=True,
-                event_hash_value=spec.ehash,
-                precomputed=spec,
-            )
-            return 1
-        try:
-            result = self.protocol.handle_action(record.state, action)
-        except LocalAssertionError:
+        payload = subject.message if row.on_message else subject
+        if row.covered and self.coverage.enabled:
+            if row.on_message:
+                self.coverage.note_delivery(type(payload.payload).__name__)
+            else:
+                self.coverage.note_action(payload.name)
+        event = row.make_event(record.node, payload)
+        outcome = (
+            spec if spec is not None else attempt(self.protocol, record.state, event)
+        )
+        if outcome is ASSERT:
             self._handle_assertion_failure(record)
             return 1
-        if result.is_noop(record.state):
+        if outcome is NOOP:
             self.stats.noop_executions += 1
             return 1
         self.stats.transitions += 1
-        event = InternalEvent(action)
-        self._integrate(record, event, None, result, is_internal=True)
-        return 1
-
-    def _execute_crash(self, record: NodeStateRecord) -> int:
-        """Crash one node state (docs/FAULTS.md): volatile state is lost.
-
-        The successor is a :class:`~repro.model.types.CrashedState` marker
-        carrying only the protocol's durable fragment.  No network effect:
-        under the monotonic ``I+`` the node's in-flight messages outlive it
-        by construction.  Returns handler executions done (always 1).
-        """
-        self._tick_budget()
-        spec = (
-            self._speculator.crash(record) if self._speculator is not None else None
-        )
-        if spec is not None:
-            result = spec.result
-            ehash: Optional[int] = spec.ehash
+        if row.fault is not None:
+            setattr(self.stats, row.counter, getattr(self.stats, row.counter) + 1)
+            if self.coverage.enabled:
+                self.coverage.note_fault(row.fault, record.node)
+            if self.emitter.enabled:
+                self.emitter.event(
+                    "fault", kind=row.fault, node=record.node, depth=record.depth
+                )
+        if spec is None:
+            self._integrate(row, record, subject, event, outcome, None)
         else:
-            durable = durable_projection(self.protocol, record.node, record.state)
-            result = HandlerResult(CrashedState(node=record.node, durable=durable))
-            ehash = None
-        self.stats.transitions += 1
-        self.stats.fault_crashes += 1
-        self._crashes_executed += 1
-        if self.coverage.enabled:
-            self.coverage.note_fault("crash", record.node)
-        if self.emitter.enabled:
-            self.emitter.event(
-                "fault", kind="crash", node=record.node, depth=record.depth
-            )
-        self._integrate(
-            record,
-            CrashEvent(record.node),
-            None,
-            result,
-            is_internal=False,
-            event_hash_value=ehash,
-            fault="crash",
-            precomputed=spec,
-        )
-        return 1
-
-    def _execute_restart(self, record: NodeStateRecord) -> int:
-        """Restart one crashed marker record from its durable fragment.
-
-        The recovered state enters ``LS_n`` like any newly discovered state
-        — with an *empty* history, so messages the node executed before the
-        crash may be redelivered to it (a real redelivery to a rebooted
-        process).  Returns handler executions done (always 1).
-        """
-        self._tick_budget()
-        spec = (
-            self._speculator.restart(record) if self._speculator is not None else None
-        )
-        if spec is not None:
-            result = spec.result
-            ehash: Optional[int] = spec.ehash
-        else:
-            recovered = restart_state(self.protocol, record.node, record.state.durable)
-            result = HandlerResult(recovered)
-            ehash = None
-        self.stats.transitions += 1
-        self.stats.fault_restarts += 1
-        if self.coverage.enabled:
-            self.coverage.note_fault("restart", record.node)
-        if self.emitter.enabled:
-            self.emitter.event(
-                "fault", kind="restart", node=record.node, depth=record.depth
-            )
-        self._integrate(
-            record,
-            RestartEvent(record.node),
-            None,
-            result,
-            is_internal=False,
-            event_hash_value=ehash,
-            fault="restart",
-            precomputed=spec,
-        )
-        return 1
-
-    def _execute_drop(self, record: NodeStateRecord, stored: StoredMessage) -> int:
-        """Lose one stored copy before delivery to one node state.
-
-        The protocol's ``handle_drop`` hook models the destination's
-        timeout/presumed-failure reaction.  The integrated
-        :class:`DropEvent` *consumes* the message hash: the successor
-        record's history contains it, so the copy is never-deliverable
-        along that branch — the cursor pair is pruned exactly as §4.2's
-        redundant-execution rule prunes an already-delivered message.
-        Returns handler executions done (always 1).
-        """
-        self._tick_budget()
-        try:
-            result = drop_result(self.protocol, record.state, stored.message)
-        except LocalAssertionError:
-            self._handle_assertion_failure(record)
-            return 1
-        assert result is not None  # the sweep gates on the hook's presence
-        if result.is_noop(record.state):
-            self.stats.noop_executions += 1
-            return 1
-        self.stats.transitions += 1
-        self.stats.fault_drops += 1
-        self._drops_executed += 1
-        if self.coverage.enabled:
-            self.coverage.note_fault("drop", record.node)
-        if self.emitter.enabled:
-            self.emitter.event(
-                "fault", kind="drop", node=record.node, depth=record.depth
-            )
-        self._integrate(
-            record, DropEvent(stored.message), stored.hash, result, is_internal=False
-        )
-        return 1
-
-    def _execute_duplicate(self, record: NodeStateRecord, stored: StoredMessage) -> int:
-        """Redeliver a fault-minted duplicate copy to one node state.
-
-        Reached from :meth:`_execute_delivery` when the copy's hash is
-        already in the record's history — exactly the redelivery the §4.2
-        at-most-once rule would otherwise skip.  Runs the ordinary message
-        handler; integrates as a :class:`DuplicateEvent`, a local-like step
-        during soundness replay (the copy has no generating handler, so it
-        consumes nothing).  The successor's history gains the copy's
-        *per-copy token* (``-(seq + 1)``, collision-free against the
-        non-negative 64-bit content hashes), so each admitted copy is
-        executed at most once per discovery path — without the token a
-        non-idempotent handler would chain unboundedly, one redelivery per
-        successor record.  Returns handler executions done (always 1).
-        """
-        self._tick_budget()
-        if self.coverage.enabled:
-            self.coverage.note_delivery(type(stored.message.payload).__name__)
-        try:
-            result = self.protocol.handle_message(record.state, stored.message)
-        except LocalAssertionError:
-            self._handle_assertion_failure(record)
-            return 1
-        if result.is_noop(record.state):
-            self.stats.noop_executions += 1
-            return 1
-        self.stats.transitions += 1
-        self.stats.fault_duplicates += 1
-        if self.coverage.enabled:
-            self.coverage.note_fault("duplicate", record.node)
-        if self.emitter.enabled:
-            self.emitter.event(
-                "fault", kind="duplicate", node=record.node, depth=record.depth
-            )
-        self._integrate(
-            record,
-            DuplicateEvent(stored.message),
-            None,
-            result,
-            is_internal=False,
-            history_token=-(stored.seq + 1),
-        )
+            self._integrate(row, record, subject, event, outcome.result, outcome)
         return 1
 
     def _handle_assertion_failure(self, record: NodeStateRecord) -> None:
@@ -1311,15 +879,12 @@ class _ExplorationPass:
 
     def _integrate(
         self,
+        row: EventKind,
         record: NodeStateRecord,
+        subject: object,
         event: Event,
-        consumed_hash: Optional[int],
         result: HandlerResult,
-        is_internal: bool,
-        event_hash_value: Optional[int] = None,
-        fault: Optional[str] = None,
-        precomputed: Optional[SpecExec] = None,
-        history_token: Optional[int] = None,
+        precomputed: Optional[SpecExec],
     ) -> None:
         """Fold a handler result into ``LS``/``I+`` (Fig. 9 lines 8-9).
 
@@ -1331,11 +896,10 @@ class _ExplorationPass:
         which under ``reverify_rejected`` re-opens cached rejected
         combinations (§4.2's completeness patch).
 
-        ``fault`` marks crash/restart integrations (docs/FAULTS.md): a crash
-        mints a crashed marker record (crash count incremented, excluded
-        from enumeration, never anchor-checked); a restart starts the
-        recovered state with an empty history so pre-crash messages can be
-        redelivered to it.
+        What the successor record inherits is read off ``row``
+        (:class:`~repro.core.event_kinds.EventKind`): the history entry the
+        event leaves, the local-depth step, and the crash/restart marks of
+        docs/FAULTS.md.
 
         ``precomputed`` carries a parallel-exploration worker's hashes for
         this execution (successor hash/size, per-send hash/size): the merge
@@ -1349,17 +913,29 @@ class _ExplorationPass:
                 self.network.add_hashed(message, info[0], info[1])
             new_hash = precomputed.new_hash
             new_size: Optional[int] = precomputed.new_size
+            ehash: Optional[int] = precomputed.ehash
         else:
             generated = message_hashes(result.sends)
             self.network.add_all(result.sends)
             new_hash = content_hash(result.state)
             new_size = None
+            ehash = None
+        memo = self._delivery_hash_memo
+        if row is DELIVERY and memo is not None:
+            cached = memo.get(subject.hash)
+            if cached is None:
+                if ehash is None:
+                    ehash = event_hash(event)
+                memo[subject.hash] = ehash
+            else:
+                ehash = cached
+        elif ehash is None:
+            ehash = event_hash(event)
+        consumed_hash = subject.hash if row.consumes else None
         link = PredecessorLink(
             prev_hash=record.hash,
             event=event,
-            event_hash=(
-                event_hash(event) if event_hash_value is None else event_hash_value
-            ),
+            event_hash=ehash,
             consumed_hash=consumed_hash,
             generated_hashes=generated,
         )
@@ -1377,8 +953,7 @@ class _ExplorationPass:
                 self.stats.explore_merge_conflicts_suppressed += 1
             if (
                 self._por
-                and consumed_hash is not None
-                and isinstance(event, DeliveryEvent)
+                and row is DELIVERY
                 and self._por_redundant(record, existing, link)
             ):
                 # Commutativity pruning (docs/REDUCTION.md): this link would
@@ -1395,25 +970,22 @@ class _ExplorationPass:
                 if self.config.reverify_rejected:
                     self._reverify_affected(existing)
             return
-        history = record.history
-        if consumed_hash is not None:
-            history = history | {consumed_hash}
-        if history_token is not None:
-            # Duplicate redelivery: a negative per-copy token marking this
-            # admitted copy as consumed along the new record's path.
-            history = history | {history_token}
-        if fault == "restart":
-            # A rebooted process has no delivery memory: clear the history
-            # so earlier messages can run again on the recovered state.
+        if row.reboots:
             history = frozenset()
+        else:
+            history = record.history
+            if consumed_hash is not None:
+                history = history | {consumed_hash}
+            if row.copy_token:
+                history = history | {-(subject.seq + 1)}
         new_record = store.add(
             result.state,
             new_hash,
             depth=record.depth + 1,
-            local_depth=record.local_depth + (1 if is_internal else 0),
+            local_depth=record.local_depth + row.local_step,
             history=history,
-            crashes=record.crashes + (1 if fault == "crash" else 0),
-            crashed=fault == "crash",
+            crashes=record.crashes + row.crashes,
+            crashed=row.crashes,
             state_size=new_size,
         )
         new_record.add_predecessor(link)
@@ -1678,17 +1250,18 @@ class _ExplorationPass:
         ``bug`` event.
         """
         self.stats.confirmed_bugs += 1
+        description = self.invariant.describe_violation(system)
         if self.emitter.enabled:
             self.emitter.event(
                 "bug",
                 invariant=type(self.invariant).__name__,
-                description=self.invariant.describe_violation(system),
+                description=description,
                 trace_length=len(trace),
             )
         self.bugs.append(
             BugReport(
                 kind="invariant",
-                description=self.invariant.describe_violation(system),
+                description=description,
                 violating_state=system,
                 trace=trace,
                 initial_state=self.initial_system,
@@ -1810,20 +1383,19 @@ class _ExplorationPass:
         }
 
     def _frontier_size(self) -> int:
-        """Pending executions the cursors have not reached yet.
+        """Pending offers the cursors have not reached yet.
 
-        Sums, per node, the records the local-event sweep has not expanded
-        plus — per stored message — the destination records it has not been
-        delivered to.  An O(nodes + messages) walk, run only on the
-        heartbeat cadence.
+        One sum over every active sweep's lanes — per node, the records the
+        local-event and fault sweeps have not been offered; per stored
+        message, the destination records it has not been delivered (or,
+        with drops on, lost) to.  An O(nodes + messages) walk, run only on
+        the heartbeat cadence.
         """
-        pending = 0
-        for node in self.space.node_ids:
-            store_len = len(self.space.store(node))
-            pending += store_len - self._local_cursor.get(node, 0)
-            for stored in self.network.for_destination(node):
-                pending += max(0, store_len - stored.cursor)
-        return pending
+        return sum(
+            max(0, len(store) - cursor.cursor)
+            for sweep in self.sweeps
+            for cursor, store, _subject in sweep.lanes(self)
+        )
 
     def _heartbeat(
         self,

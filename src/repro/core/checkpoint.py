@@ -49,6 +49,7 @@ import json
 import signal
 from typing import Any, Dict, List, Optional
 
+from repro.core.event_kinds import CURSOR_SWEEPS, Cursor
 from repro.core.records import PredecessorLink
 from repro.model.hashing import content_hash
 from repro.persistence import (
@@ -237,7 +238,7 @@ def snapshot_pass(
             ),
         }
     nodes = pass_.space.node_ids
-    return {
+    payload = {
         "fingerprint": fingerprint(
             checker.protocol, checker.invariant, checker.config, pass_.initial_system
         ),
@@ -262,16 +263,10 @@ def snapshot_pass(
             "round_number": pass_.round_number,
             "blocked_by_bound": pass_.blocked_by_bound,
             "blocked_by_depth": pass_._blocked_by_depth,
-            "crashes_executed": pass_._crashes_executed,
-            "drops_executed": pass_._drops_executed,
-            "drop_cursor": sorted(
-                [seq, cursor] for seq, cursor in pass_._drop_cursor.items()
-            ),
-            "drop_deferred": sorted(
-                [seq, sorted(indexes)]
-                for seq, indexes in pass_._drop_deferred.items()
-                if indexes
-            ),
+            # The crash/drop caps count executed fault transitions, i.e. the
+            # pass's own fault counters; the separate keys predate that.
+            "crashes_executed": pass_.stats.fault_crashes,
+            "drops_executed": pass_.stats.fault_drops,
             "dup_seq_cursor": pass_._dup_seq_cursor,
             "retained_bytes": pass_._retained_bytes,
             "stats": _encode_stats(pass_.stats),
@@ -302,14 +297,6 @@ def snapshot_pass(
                     for stored in pass_.network.messages_since(0)
                 ],
             },
-            "local_cursor": [[node, pass_._local_cursor.get(node, 0)] for node in nodes],
-            "fault_cursor": [[node, pass_._fault_cursor.get(node, 0)] for node in nodes],
-            "local_deferred": [
-                [node, sorted(pass_._local_deferred.get(node, ()))] for node in nodes
-            ],
-            "fault_deferred": [
-                [node, sorted(pass_._fault_deferred.get(node, ()))] for node in nodes
-            ],
             "node_max_depth": [
                 [node, pass_._node_max_depth[node]]
                 for node in nodes
@@ -331,6 +318,23 @@ def snapshot_pass(
             "symmetry": symmetry,
         },
     }
+    # Sweep cursor families (the delivery sweep's ride on the messages
+    # above).  Per-node families list every node; a per-message family
+    # lists only the cursors a sweep has moved — one still at 0 with
+    # nothing deferred means the same as none.
+    for sweep in CURSOR_SWEEPS:
+        cursors = sorted(pass_.cursors[sweep.name].items())
+        payload["pass"][f"{sweep.name}_cursor"] = [
+            [key, cursor.cursor]
+            for key, cursor in cursors
+            if sweep.per_node or cursor.cursor
+        ]
+        payload["pass"][f"{sweep.name}_deferred"] = [
+            [key, sorted(cursor.deferred)]
+            for key, cursor in cursors
+            if sweep.per_node or cursor.deferred
+        ]
+    return payload
 
 
 def restore_pass(
@@ -398,22 +402,14 @@ def restore_pass(
     pass_.round_number = data["round_number"]
     pass_.blocked_by_bound = data["blocked_by_bound"]
     pass_._blocked_by_depth = data["blocked_by_depth"]
-    pass_._crashes_executed = data["crashes_executed"]
-    pass_._drops_executed = data["drops_executed"]
-    pass_._drop_cursor = {seq: cursor for seq, cursor in data["drop_cursor"]}
-    pass_._drop_deferred = {
-        seq: set(indexes) for seq, indexes in data["drop_deferred"] if indexes
-    }
     pass_._dup_seq_cursor = data["dup_seq_cursor"]
     pass_._retained_bytes = data["retained_bytes"]
-    pass_._local_cursor = {node: cursor for node, cursor in data["local_cursor"]}
-    pass_._fault_cursor = {node: cursor for node, cursor in data["fault_cursor"]}
-    pass_._local_deferred = {
-        node: set(indexes) for node, indexes in data["local_deferred"] if indexes
-    }
-    pass_._fault_deferred = {
-        node: set(indexes) for node, indexes in data["fault_deferred"] if indexes
-    }
+    for sweep in CURSOR_SWEEPS:
+        cursors = pass_.cursors[sweep.name]
+        for key, position in data[f"{sweep.name}_cursor"]:
+            cursors[key] = Cursor(position)
+        for key, indexes in data[f"{sweep.name}_deferred"]:
+            cursors[key].deferred = set(indexes)
     pass_._node_max_depth = {node: depth for node, depth in data["node_max_depth"]}
 
     for depth, elapsed_s, metrics in data["series"]:

@@ -50,32 +50,21 @@ from collections import OrderedDict
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
+from repro.core.event_kinds import (
+    ASSERT,
+    KIND_BY_TAG,
+    NOOP,
+    EventKind,
+    attempt,
+)
 from repro.core.pool import shared_executor, shutdown_worker_pool
-from repro.model.events import (
-    CrashEvent,
-    DeliveryEvent,
-    InternalEvent,
-    RestartEvent,
-    event_hash,
-)
+from repro.model.events import event_hash
 from repro.model.hashing import content_hash_and_size
-from repro.model.types import (
-    Action,
-    CrashedState,
-    HandlerResult,
-    LocalAssertionError,
-)
-from repro.protocols.common import durable_projection, restart_state
+from repro.model.types import HandlerResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (checker imports us)
     from repro.core.checker import _ExplorationPass
     from repro.core.records import NodeStateRecord
-    from repro.network.monotonic import StoredMessage
-
-#: Speculative outcome tags for executions that produce no successor state:
-#: the handler raised a local assertion, or was a no-op.
-ASSERT = "a"
-NOOP = "n"
 
 
 class SpecExec:
@@ -155,15 +144,17 @@ def explore_shard_task(
 ) -> Tuple:
     """Worker entry point: precompute one frontier shard's executions.
 
-    ``items`` reference ``states`` (a per-shard dedup table of node states)
-    by index and messages by their ``I+`` sequence number; the delta in
+    ``items`` are ``(tag, state index, node, seq)`` rows: the event family
+    (:data:`repro.core.event_kinds.KIND_BY_TAG`), the node state by its
+    index into ``states`` (a per-shard dedup table) and, for message
+    families, the message by its ``I+`` sequence number; the delta in
     ``delta_blob`` covers ``[base_seq, high_seq)``.  Returns
     ``("sync", high)`` when this worker's replica has not seen ``base_seq``
     yet (the coordinator re-dispatches with the full log), else
     ``("ok", outcomes, state_table, message_table, wall_s, pid)`` with one
     outcome per item — ``("a",)``, ``("n",)``, an executed
-    ``("x", state_idx, hash, size, event_hash, sends)`` or, for internal
-    items, ``("i", actions, per_action_outcomes)``.
+    ``("x", state_idx, hash, size, event_hash, sends)`` or, for fan-out
+    (internal) items, ``("i", actions, per_action_outcomes)``.
     """
     started = time.perf_counter()
     replica = _replica_for(token, protocol_blob)
@@ -180,7 +171,13 @@ def explore_shard_task(
     out_msgs: List[Any] = []
     msg_pos: Dict[int, int] = {}
 
-    def encode_exec(result: HandlerResult, ehash: int) -> Tuple:
+    def run(row: EventKind, state: Any, node: Any, payload: Any) -> Tuple:
+        """The same :func:`attempt` the coordinator's miss path runs, plus
+        the content hashing ``_integrate`` would otherwise do."""
+        event = row.make_event(node, payload)
+        result = attempt(protocol, state, event)
+        if result is ASSERT or result is NOOP:
+            return (result,)
         new_hash, new_size = content_hash_and_size(result.state)
         pos = state_pos.get(new_hash)
         if pos is None:
@@ -196,51 +193,27 @@ def explore_shard_task(
                 msg_pos[msg_hash] = mpos
                 out_msgs.append(message)
             sends.append((mpos, msg_hash, msg_size))
-        return ("x", pos, new_hash, new_size, ehash, tuple(sends))
+        return ("x", pos, new_hash, new_size, event_hash(event), tuple(sends))
 
     outcomes: List[Optional[Tuple]] = []
-    for item in items:
-        kind = item[0]
-        state = states[item[1]]
-        if kind == "d":
-            message = replica.messages.get(item[2])
-            if message is None:
+    for tag, state_index, node, seq in items:
+        row = KIND_BY_TAG[tag]
+        state = states[state_index]
+        if row.fan_out:
+            actions = tuple(protocol.enabled_actions(state))
+            outcomes.append(
+                ("i", actions, tuple(run(row, state, node, a) for a in actions))
+            )
+            continue
+        payload = None
+        if row.on_message:
+            payload = replica.messages.get(seq)
+            if payload is None:
                 # Only reachable through a protocol bug in the sync
                 # handshake; a None outcome is just a table miss upstream.
                 outcomes.append(None)
                 continue
-            try:
-                result = protocol.handle_message(state, message)
-            except LocalAssertionError:
-                outcomes.append((ASSERT,))
-                continue
-            if result.is_noop(state):
-                outcomes.append((NOOP,))
-                continue
-            outcomes.append(encode_exec(result, event_hash(DeliveryEvent(message))))
-        elif kind == "i":
-            actions: Tuple[Action, ...] = tuple(protocol.enabled_actions(state))
-            inner: List[Tuple] = []
-            for action in actions:
-                try:
-                    result = protocol.handle_action(state, action)
-                except LocalAssertionError:
-                    inner.append((ASSERT,))
-                    continue
-                if result.is_noop(state):
-                    inner.append((NOOP,))
-                    continue
-                inner.append(encode_exec(result, event_hash(InternalEvent(action))))
-            outcomes.append(("i", actions, tuple(inner)))
-        elif kind == "c":
-            node = item[2]
-            durable = durable_projection(protocol, node, state)
-            result = HandlerResult(CrashedState(node=node, durable=durable))
-            outcomes.append(encode_exec(result, event_hash(CrashEvent(node))))
-        else:  # "r"
-            node = item[2]
-            result = HandlerResult(restart_state(protocol, node, state.durable))
-            outcomes.append(encode_exec(result, event_hash(RestartEvent(node))))
+        outcomes.append(run(row, state, node, payload))
     return (
         "ok",
         outcomes,
@@ -254,7 +227,17 @@ def explore_shard_task(
 # -- coordinator side ----------------------------------------------------------
 
 
-def _decode_exec(enc: Tuple, states: List[Any], msgs: List[Any]) -> SpecExec:
+def _decode(enc: Tuple, states: List[Any], msgs: List[Any]) -> Any:
+    """A worker outcome as the executor consumes it: the :data:`ASSERT` /
+    :data:`NOOP` constants (by identity), a :class:`SpecExec`, or — for a
+    fan-out item — ``(actions, per-action outcomes)``."""
+    tag = enc[0]
+    if tag == ASSERT:
+        return ASSERT
+    if tag == NOOP:
+        return NOOP
+    if tag == "i":
+        return enc[1], tuple(_decode(o, states, msgs) for o in enc[2])
     sends_enc = enc[5]
     return SpecExec(
         result=HandlerResult(
@@ -268,30 +251,12 @@ def _decode_exec(enc: Tuple, states: List[Any], msgs: List[Any]) -> SpecExec:
     )
 
 
-def _decode(enc: Tuple, states: List[Any], msgs: List[Any]):
-    tag = enc[0]
-    if tag == ASSERT or tag == NOOP:
-        return tag
-    if tag == "x":
-        return _decode_exec(enc, states, msgs)
-    # "i": per-action outcomes, each assert/noop/executed.
-    return (
-        "i",
-        enc[1],
-        tuple(
-            o[0] if o[0] in (ASSERT, NOOP) else _decode_exec(o, states, msgs)
-            for o in enc[2]
-        ),
-    )
-
-
 class RoundSpeculator:
     """Per-pass coordinator: snapshot, dispatch, and serve the round table.
 
     Owned by one :class:`~repro.core.checker._ExplorationPass`; the pass
     calls :meth:`begin_round` at the top of every round and then consults
-    :meth:`delivery` / :meth:`internal_actions` / :meth:`crash` /
-    :meth:`restart` from inside the (otherwise unchanged) serial sweep.  A
+    :meth:`lookup` from inside the (otherwise unchanged) serial sweep.  A
     ``None`` answer means "compute inline, exactly as before".
     """
 
@@ -378,7 +343,7 @@ class RoundSpeculator:
             _, outcomes, rstates, rmsgs, _wall, _pid = report
             for item, enc in zip(shard, outcomes):
                 if enc is not None:
-                    table[self._key(item)] = _decode(enc, rstates, rmsgs)
+                    table[self._key(*item)] = _decode(enc, rstates, rmsgs)
         self._table = table
         p.stats.explore_rounds_parallel += 1
         p.stats.explore_shards += len(shards)
@@ -452,60 +417,27 @@ class RoundSpeculator:
     # -- frontier snapshot -------------------------------------------------
 
     def _snapshot(self) -> List[Tuple]:
-        """The round-start frontier, mirroring the serial sweep's gates.
+        """The round-start frontier: ``(row, record, subject)`` per offer.
 
-        Prefilters apply only the gates that cannot flip mid-round
-        (``discarded`` is one-way, ``crashed``/``depth``/``history`` are
-        frozen at discovery) — the replay re-evaluates every gate in serial
-        order anyway, so over- or under-shipping here affects only how much
-        speculative work the pool gets, never the results.  Cursors are
-        *not* advanced; the serial sweep owns them.
+        Peeks every active sweep's cursor range through the sweep's own
+        gate and keeps the offers whose family the pool speculates on.
+        Gates are pure and cursors are *not* advanced — the serial sweep
+        owns them and re-evaluates every gate in serial order anyway
+        (``discarded`` and the crash cap can flip mid-round), so over- or
+        under-shipping here affects only how much speculative work the pool
+        gets, never the results.  Partition holds and depth-extension
+        re-offers are not anticipated for the same reason.
         """
         p = self._pass
         items: List[Tuple] = []
-        max_depth = p.budget.max_depth
-        for node in p.space.node_ids:
-            records = p.space.store(node).records
-            for stored in p.network.for_destination(node):
-                for index in range(stored.cursor, len(records)):
-                    record = records[index]
-                    if record.discarded or record.crashed:
-                        continue
-                    if max_depth is not None and record.depth >= max_depth:
-                        continue
-                    if stored.hash in record.history:
-                        continue
-                    items.append(("d", record, stored))
-        bound = p.local_event_bound
-        for node in p.space.node_ids:
-            records = p.space.store(node).records
-            for index in range(p._local_cursor[node], len(records)):
-                record = records[index]
-                if record.discarded or record.crashed:
-                    continue
-                if max_depth is not None and record.depth >= max_depth:
-                    continue
-                if bound is not None and record.local_depth >= bound:
-                    continue
-                items.append(("i", record))
-        if p.config.fault_events_enabled:
-            limit = p.config.max_total_crashes
-            crashes_left = limit is None or p._crashes_executed < limit
-            for node in p.space.node_ids:
-                records = p.space.store(node).records
-                for index in range(p._fault_cursor[node], len(records)):
-                    record = records[index]
-                    if record.discarded:
-                        continue
-                    if max_depth is not None and record.depth >= max_depth:
-                        continue
-                    if record.crashed:
-                        items.append(("r", record))
-                        continue
-                    if record.crashes >= p.config.max_crashes_per_node:
-                        continue
-                    if crashes_left:
-                        items.append(("c", record))
+        for sweep in p.sweeps:
+            gate = sweep.gate
+            for cursor, store, subject in sweep.lanes(p):
+                records = store.records
+                for index in range(cursor.cursor, len(records)):
+                    row = gate(p, records[index], subject)
+                    if row.__class__ is EventKind and row.speculated:
+                        items.append((row, records[index], subject))
         return items
 
     @staticmethod
@@ -514,69 +446,37 @@ class RoundSpeculator:
         states: List[Any] = []
         positions: Dict[Tuple[Any, int], int] = {}
         items: List[Tuple] = []
-        for item in shard:
-            kind = item[0]
-            record = item[1]
+        for row, record, subject in shard:
             key = (record.node, record.index)
             sidx = positions.get(key)
             if sidx is None:
                 sidx = len(states)
                 positions[key] = sidx
                 states.append(record.state)
-            if kind == "d":
-                items.append(("d", sidx, item[2].seq))
-            elif kind == "i":
-                items.append(("i", sidx))
-            else:
-                items.append((kind, sidx, record.node))
+            items.append(
+                (row.tag, sidx, record.node, subject.seq if row.on_message else None)
+            )
         return states, items
 
     @staticmethod
-    def _key(item: Tuple) -> Tuple:
-        kind = item[0]
-        record = item[1]
-        if kind == "d":
-            return ("d", record.node, record.index, item[2].seq)
-        return (kind, record.node, record.index)
+    def _key(row: EventKind, record: "NodeStateRecord", subject: Any) -> Tuple:
+        return (
+            row.tag,
+            record.node,
+            record.index,
+            subject.seq if row.on_message else None,
+        )
 
-    # -- table consults (None == compute inline) ---------------------------
-
-    def delivery(
-        self, record: "NodeStateRecord", stored: "StoredMessage"
+    def lookup(
+        self, row: EventKind, record: "NodeStateRecord", subject: Any
     ) -> Optional[Any]:
-        """Precomputed outcome of delivering ``stored`` to ``record``."""
-        table = self._table
-        if table is None:
-            return None
-        return table.get(("d", record.node, record.index, stored.seq))
+        """Precomputed outcome of offering ``row`` to ``record``, if any.
 
-    def internal_actions(
-        self, record: "NodeStateRecord"
-    ) -> Optional[Tuple[Tuple[Action, ...], Tuple[Any, ...]]]:
-        """Precomputed ``(actions, outcomes)`` for ``record``'s local sweep.
-
-        The action tuple is the worker's ``enabled_actions`` enumeration — a
-        pure function of the (shipped, equal) state, so it matches what the
-        coordinator would enumerate, in the same order.
+        :data:`ASSERT`, :data:`NOOP` or a :class:`SpecExec`; for a fan-out
+        row ``(actions, outcomes)`` over the worker's ``enabled_actions``
+        enumeration.  ``None`` means "compute inline".
         """
         table = self._table
         if table is None:
             return None
-        hit = table.get(("i", record.node, record.index))
-        if hit is None:
-            return None
-        return hit[1], hit[2]
-
-    def crash(self, record: "NodeStateRecord") -> Optional[SpecExec]:
-        """Precomputed crash projection of ``record``."""
-        table = self._table
-        if table is None:
-            return None
-        return table.get(("c", record.node, record.index))
-
-    def restart(self, record: "NodeStateRecord") -> Optional[SpecExec]:
-        """Precomputed restart boot of the crashed marker ``record``."""
-        table = self._table
-        if table is None:
-            return None
-        return table.get(("r", record.node, record.index))
+        return table.get(self._key(row, record, subject))

@@ -11,19 +11,44 @@ spaces exercise dispatch, sync-miss recovery and the merge path, and a
 SIGKILL test checks the broken-pool retry leaves verdicts intact.
 """
 
+import inspect
 import os
+import pickle
 import signal
+from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.checker import LocalModelChecker
 from repro.core.config import LMCConfig
+from repro.core.event_kinds import (
+    CRASH,
+    DELIVERY,
+    DROP,
+    DUPLICATE,
+    EVENT_KINDS,
+    INTERNAL,
+    RESTART,
+    attempt,
+)
+from repro.core.explore_parallel import SpecExec, _decode, explore_shard_task
 from repro.core.pool import shared_executor, shutdown_worker_pool
 from repro.explore.budget import SearchBudget
+from repro.model import events as events_module
+from repro.model.events import event_hash, message_hashes
+from repro.model.hashing import content_hash
+from repro.model.types import CrashedState, Message
 from repro.protocols.paxos import PaxosAgreement, PaxosProtocol
 from repro.protocols.paxos.scenarios import partial_choice_state, scenario_protocol
-from repro.protocols.twophase import CommitValidity, EagerCommitCoordinator
+from repro.protocols.twophase import (
+    CommitValidity,
+    Decision,
+    EagerCommitCoordinator,
+    TimeoutTwoPhaseCommit,
+    VoteRequest,
+)
 from repro.replay import validate_bug
 
 #: Phase timers are wall-clock; the explore_* counters exist only so the
@@ -145,3 +170,72 @@ class TestPoolFailure:
         assert parallel.found_bug
         replayed = validate_bug(protocol, parallel.first_bug(), CommitValidity())
         assert replayed.complete and replayed.violates
+
+
+class TestEventKindTable:
+    """The table both executors read (repro.core.event_kinds.EVENT_KINDS)."""
+
+    def test_every_event_class_has_exactly_one_row(self):
+        defined = sorted(
+            name
+            for name, cls in inspect.getmembers(events_module, inspect.isclass)
+            if cls.__module__ == events_module.__name__
+        )
+        assert sorted(row.event_class.__name__ for row in EVENT_KINDS) == defined
+
+    def test_tags_are_unique(self):
+        tags = [row.tag for row in EVENT_KINDS]
+        assert len(set(tags)) == len(tags)
+
+    #: One (node state, message) sample per row on the 2PC-with-timeouts
+    #: space, which declares every optional hook a row's execute branch uses
+    #: (durable_state, restart_state, handle_drop).
+    VOTED = replace(
+        TimeoutTwoPhaseCommit(3).initial_state(1), voted=True, my_vote=True
+    )
+    SAMPLES = {
+        DELIVERY: (
+            TimeoutTwoPhaseCommit(3).initial_state(1),
+            Message(dest=1, src=0, payload=VoteRequest()),
+        ),
+        INTERNAL: (TimeoutTwoPhaseCommit(3).initial_state(0), None),
+        CRASH: (replace(VOTED, decided=True), None),
+        RESTART: (CrashedState(node=1, durable=True), None),
+        DROP: (VOTED, Message(dest=1, src=0, payload=Decision(commit=True))),
+        DUPLICATE: (VOTED, Message(dest=1, src=0, payload=Decision(commit=False))),
+    }
+
+    @pytest.mark.parametrize(
+        "row", EVENT_KINDS, ids=lambda row: row.event_class.__name__
+    )
+    def test_worker_outcome_equals_coordinator_miss_path(self, row):
+        """Protocol.execute dispatches the row's event, and the pool worker
+        computes exactly what the coordinator computes inline on a miss."""
+        protocol = TimeoutTwoPhaseCommit(3)
+        state, message = self.SAMPLES[row]
+        node = state.node
+        report = explore_shard_task(
+            f"table-test:{row.tag}",
+            pickle.dumps(protocol),
+            0,
+            1,
+            pickle.dumps(((0, message),) if message is not None else ()),
+            [state],
+            [(row.tag, 0, node, 0 if row.on_message else None)],
+        )
+        assert report[0] == "ok"
+        shipped = _decode(report[1][0], report[2], report[3])
+        if row.fan_out:
+            payloads, outcomes = shipped
+            assert payloads == tuple(protocol.enabled_actions(state)) and payloads
+        else:
+            payloads, outcomes = (message,), (shipped,)
+        for payload, outcome in zip(payloads, outcomes):
+            event = row.make_event(node, payload)
+            assert isinstance(event, row.event_class) and event.node == node
+            inline = attempt(protocol, state, event)
+            assert isinstance(outcome, SpecExec), "samples are real transitions"
+            assert outcome.result == inline
+            assert outcome.new_hash == content_hash(inline.state)
+            assert outcome.generated == message_hashes(inline.sends)
+            assert outcome.ehash == event_hash(event)

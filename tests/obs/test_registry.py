@@ -6,7 +6,13 @@ import subprocess
 import sys
 import time
 
+from repro.core import checker as checker_module
+from repro.core.checker import LocalModelChecker
+from repro.core.config import LMCConfig
 from repro.fsio import atomic_write_json, atomic_write_text, read_json
+from repro.invariants.base import PredicateInvariant
+from repro.model.protocol import Protocol
+from repro.model.types import HandlerResult
 from repro.obs.registry import (
     HEARTBEAT_FILE,
     RunRecord,
@@ -201,3 +207,68 @@ def test_run_record_default_construction():
     assert record.status() == "registered"
     assert record.heartbeat_age_s() is None
     assert record.coverage() is None
+
+
+# -- the checker's heartbeat gauges ---------------------------------------------
+
+
+class _IdleProtocol(Protocol):
+    """Two nodes that never act or send: only fault events can happen."""
+
+    name = "idle"
+
+    def node_ids(self):
+        return (0, 1)
+
+    def initial_state(self, node):
+        return (node, "up")
+
+    def enabled_actions(self, state):
+        return ()
+
+    def handle_action(self, state, action):
+        return HandlerResult(state)
+
+    def handle_message(self, state, message):
+        return HandlerResult(state)
+
+
+class _RecordingHandle:
+    """A run handle that keeps every heartbeat snapshot in memory."""
+
+    def __init__(self):
+        self.beats = []
+
+    def heartbeat(self, snapshot, force=False):
+        self.beats.append(snapshot)
+        return True
+
+    def write_coverage(self, coverage):
+        pass
+
+
+def test_frontier_counts_pending_faults(monkeypatch):
+    """Round 1 crashes both seeds; round 2's only work is their restarts.
+
+    With a heartbeat before every execution, the one taken as the first
+    restart starts must still see the second crashed marker pending — the
+    delivery and local cursors have long passed it.
+    """
+    monkeypatch.setattr(checker_module, "_BUDGET_CHECK_INTERVAL", 1)
+    handle = _RecordingHandle()
+    result = LocalModelChecker(
+        _IdleProtocol(),
+        PredicateInvariant("true", lambda system: True),
+        config=LMCConfig(fault_events_enabled=True),
+        run_handle=handle,
+        metrics_interval=0.0,
+    ).run()
+    assert result.completed
+    assert result.stats.fault_restarts == 2
+    first_restart = next(
+        beat
+        for beat in handle.beats
+        if beat["round"] == 2 and beat["fault_crashes"] == 2
+    )
+    assert first_restart["fault_restarts"] == 0
+    assert first_restart["frontier"] == 1

@@ -13,7 +13,13 @@ Scans the given markdown files (default: docs/*.md and README.md) for:
   `` `docs/...` ``, `` `repro/...` ``, or any backticked token ending in
   ``.py`` / ``.md`` / ``.json`` with a directory separator) — checked for
   existence from the repository root, so a doc cannot keep pointing at a
-  module that was moved or deleted.
+  module that was moved or deleted;
+* backticked ``Class.member`` references (`` `RoundSpeculator.begin_round` ``,
+  `` `LMCConfig.optimized()` ``) whose class is defined under ``src/repro`` —
+  the member must exist on that class or a base class defined there
+  (methods, class-level names, ``__slots__`` entries and ``self.x``
+  attributes count; resolved from the AST, nothing is imported), so a doc
+  cannot keep citing a method a refactor deleted.
 
 Exits non-zero listing every violation.
 
@@ -24,6 +30,7 @@ Usage::
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -42,6 +49,10 @@ CODE_REF = re.compile(
     r"`((?:src|tools|tests|docs|benchmarks|examples)/[\w./-]+"
     r"|[\w-]+(?:/[\w.-]+)+\.(?:py|md|json))(?::\d+)?`"
 )
+
+#: Backticked ``Class.member`` tokens, optionally with a call suffix.  Only
+#: checked when ``Class`` is defined under ``src/repro``.
+SYMBOL_REF = re.compile(r"`(_?[A-Z]\w*)\.(\w+)(?:\([^`]*\))?`")
 
 #: Code-ref prefixes that name packages as *imported*, not as checked out:
 #: ``repro/...`` maps to ``src/repro/...``.
@@ -103,7 +114,60 @@ def heading_slugs(path: Path, cache: dict) -> set:
     return slugs
 
 
-def dead_links(path: Path, root: Path, slug_cache: dict) -> list:
+def class_members(root: Path) -> dict:
+    """Class name -> member names, for every class under ``src/repro``.
+
+    Members are what a doc may legitimately cite: names bound in the class
+    body (methods, fields, nested classes), ``__slots__`` entries, and
+    attributes assigned through ``self`` in any method — plus everything
+    inherited from base classes that are themselves defined under
+    ``src/repro``.  Same-named classes in different modules are merged.
+    """
+    own: dict = {}
+    bases: dict = {}
+    for source in sorted((root / "src" / "repro").rglob("*.py")):
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            members = own.setdefault(cls.name, set())
+            bases.setdefault(cls.name, set()).update(
+                base.id if isinstance(base, ast.Name) else getattr(base, "attr", "")
+                for base in cls.bases
+            )
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    members.add(node.name)
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names = {t.id for t in targets if isinstance(t, ast.Name)}
+                    members.update(names)
+                    if "__slots__" in names:
+                        members.update(
+                            elt.value
+                            for elt in getattr(node.value, "elts", ())
+                            if isinstance(elt, ast.Constant)
+                        )
+            members.update(
+                node.attr
+                for node in ast.walk(cls)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"
+            )
+    resolved: dict = {}
+
+    def resolve(name: str) -> set:
+        if name not in resolved:
+            resolved[name] = set(own[name])  # placed first: cycles terminate
+            for base in bases[name]:
+                if base in own:
+                    resolved[name] |= resolve(base)
+        return resolved[name]
+
+    return {name: resolve(name) for name in own}
+
+
+def dead_links(path: Path, root: Path, slug_cache: dict, members: dict) -> list:
     """(line number, problem) pairs for ``path``."""
     found = []
     in_fence = False
@@ -141,6 +205,10 @@ def dead_links(path: Path, root: Path, slug_cache: dict) -> list:
             ]
             if not any(candidate.exists() for candidate in candidates):
                 found.append((lineno, f"dead code ref: `{ref}`"))
+        for match in SYMBOL_REF.finditer(line):
+            cls, member = match.groups()
+            if cls in members and member not in members[cls]:
+                found.append((lineno, f"dead symbol ref: `{cls}.{member}`"))
     return found
 
 
@@ -152,19 +220,20 @@ def main(argv: list) -> int:
         files = sorted(root.glob("docs/*.md")) + [root / "README.md"]
     broken = 0
     slug_cache: dict = {}
+    members = class_members(root)
     for path in files:
         if not path.exists():
             print(f"{path}: file not found", file=sys.stderr)
             broken += 1
             continue
-        for lineno, problem in dead_links(path, root, slug_cache):
+        for lineno, problem in dead_links(path, root, slug_cache, members):
             print(f"{path}:{lineno}: {problem}", file=sys.stderr)
             broken += 1
     if broken:
         print(f"{broken} problem(s)", file=sys.stderr)
         return 1
     print(
-        f"checked {len(files)} file(s): links, anchors and code refs resolve"
+        f"checked {len(files)} file(s): links, anchors, code and symbol refs resolve"
     )
     return 0
 
