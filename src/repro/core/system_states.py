@@ -18,16 +18,18 @@ Two enumerators:
   value, the product is never walked at all — this is how "LMC-OPT drops the
   number of created system states to zero" in the bug-free run of Fig. 11.
 
-For invariants that override :meth:`projections_conflict` with a custom
-notion of conflict the pruning logic (which is specific to the default
-"two distinct non-None projections" conflict) is not applicable; the
-optimized enumerator then degrades gracefully to generate-and-filter, which
-is still complete.
+For non-pairwise invariants that override :meth:`projections_conflict` with
+a custom notion of conflict the pruning logic (which is specific to the
+default "two distinct non-None projections" conflict) is not applicable;
+the optimized enumerator then degrades gracefully to generate-and-filter,
+which is still complete.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+import heapq
+from operator import attrgetter
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.records import LocalStateSpace, NodeStateRecord
 from repro.invariants.base import DecomposableInvariant
@@ -36,6 +38,15 @@ from repro.model.types import NodeId
 
 #: A candidate combination: one visited record per node.
 Combination = Dict[NodeId, NodeStateRecord]
+
+#: A (possibly cached) projection lookup.
+ProjectionFn = Callable[[NodeId, NodeStateRecord], Optional[object]]
+
+#: An overridden ``projections_conflict``; ``None`` stands for the default
+#: notion (two distinct values), which the partner scans decide inline.
+ConflictFn = Optional[Callable[[Dict[NodeId, object]], bool]]
+
+_RECORD_INDEX = attrgetter("index")
 
 
 def combination_to_system_state(combo: Combination) -> SystemState:
@@ -57,31 +68,106 @@ def _active_records(space: LocalStateSpace, node: NodeId) -> List[NodeStateRecor
 
 
 class ProjectionIndex:
-    """Per-node index of records with a non-``None`` invariant projection.
+    """Per-node groups of records by invariant projection value.
 
-    The pairwise LMC-OPT scan only ever pairs the anchor with records whose
-    projection is non-``None``; maintaining those records (with their
-    projections) incrementally — one :meth:`note` per newly discovered state
-    — replaces the per-anchor rescan of every visited state.  Entries are
-    kept in discovery order and discarded records are skipped at read time,
-    so the enumeration order is exactly that of the uncached scan.
+    The pairwise LMC-OPT scan selects partners by what the invariant can
+    observe of them — "we map the node states to the values that are chosen
+    in them" (§4.2) — so the index keeps, per node, one group per distinct
+    non-``None`` projection (one :meth:`note` per newly discovered state)
+    and :meth:`partners` asks the conflict question once per *group* instead
+    of once per record.  A custom ``projections_conflict`` verdict is
+    memoised for the life of the index (one checker pass, hence one
+    invariant) under ``(anchor node, anchor projection, partner node,
+    partner projection)``; the node ids are part of the key because a
+    conflict notion may read them.  Both shortcuts lean on the
+    :class:`~repro.invariants.base.DecomposableInvariant` contract: the
+    verdict is a pure function of its argument and equal projections are
+    interchangeable.  An unhashable projection gets a group of its own and
+    no memo.
+
+    Groups hold their records in discovery order, several conflicting
+    groups are merged on ``record.index`` and discarded records are skipped
+    at read time, so partners come out exactly as the un-indexed scan
+    yields them.
     """
 
-    __slots__ = ("_by_node",)
+    __slots__ = ("_groups", "_verdicts")
 
     def __init__(self, node_ids: Sequence[NodeId]):
-        self._by_node: Dict[NodeId, List[Tuple[NodeStateRecord, object]]] = {
-            node: [] for node in node_ids
-        }
+        #: node -> {group key -> (projection, records in discovery order)};
+        #: the key is the projection itself, or a fresh token when the
+        #: projection cannot be hashed.
+        self._groups: Dict[
+            NodeId, Dict[object, Tuple[object, List[NodeStateRecord]]]
+        ] = {node: {} for node in node_ids}
+        self._verdicts: Dict[Tuple[NodeId, object, NodeId, object], bool] = {}
 
     def note(self, node: NodeId, record: NodeStateRecord, projection: object) -> None:
         """Register a newly discovered record's projection (``None`` ignored)."""
-        if projection is not None:
-            self._by_node[node].append((record, projection))
+        if projection is None:
+            return
+        groups = self._groups[node]
+        try:
+            group = groups.get(projection)
+        except TypeError:  # unhashable: a group of its own
+            groups[object()] = (projection, [record])
+            return
+        if group is None:
+            groups[projection] = (projection, [record])
+        else:
+            group[1].append(record)
 
-    def candidates(self, node: NodeId) -> List[Tuple[NodeStateRecord, object]]:
-        """(record, projection) pairs of ``node`` in discovery order."""
-        return self._by_node[node]
+    def partners(
+        self,
+        anchor_node: NodeId,
+        anchor_projection: object,
+        partner_node: NodeId,
+        conflict: ConflictFn,
+    ) -> Iterable[NodeStateRecord]:
+        """Live records of ``partner_node`` conflicting with the anchor.
+
+        The default notion needs no call at all: identity-or-equality per
+        group, exactly like set membership in the default implementation.
+        """
+        conflicting = [
+            records
+            for projection, records in self._groups[partner_node].values()
+            if (
+                not (projection is anchor_projection or projection == anchor_projection)
+                if conflict is None
+                else self._verdict(
+                    conflict, (anchor_node, anchor_projection, partner_node, projection)
+                )
+            )
+        ]
+        if not conflicting:
+            return ()
+        merged = (
+            conflicting[0]
+            if len(conflicting) == 1
+            else heapq.merge(*conflicting, key=_RECORD_INDEX)
+        )
+        return (record for record in merged if not record.discarded)
+
+    def _verdict(
+        self,
+        conflict: Callable[[Dict[NodeId, object]], bool],
+        key: Tuple[NodeId, object, NodeId, object],
+    ) -> bool:
+        """``conflict`` on the keyed pair, asked once per distinct hashable key."""
+        try:
+            return self._verdicts[key]
+        except KeyError:
+            memoise = True
+        except TypeError:  # an unhashable projection: no memo
+            memoise = False
+        anchor_node, anchor_projection, partner_node, partner_projection = key
+        verdict = bool(
+            conflict({anchor_node: anchor_projection, partner_node: partner_projection})
+        )
+        if memoise:
+            self._verdicts[key] = verdict
+        return verdict
 
 
 def enumerate_general(
@@ -111,17 +197,13 @@ def enumerate_general(
     yield from recurse(0)
 
 
-#: Signature of a (possibly cached) projection lookup.
-ProjectionFn = "Callable[[NodeId, NodeStateRecord], Optional[object]]"
-
-
 def enumerate_optimized(
     space: LocalStateSpace,
     anchor_node: NodeId,
     anchor: NodeStateRecord,
     invariant: DecomposableInvariant,
     completion_cap: Optional[int] = None,
-    projection_of=None,
+    projection_of: Optional[ProjectionFn] = None,
     index: Optional[ProjectionIndex] = None,
 ) -> Iterator[Combination]:
     """LMC-OPT enumeration: only combinations whose projections conflict.
@@ -137,6 +219,9 @@ def enumerate_optimized(
     pruned for the default conflict notion and generate-and-filtered for
     custom ones.  Complete with respect to LMC-GEN (up to the completion
     cap) for invariants honouring the decomposition contract.
+
+    Every projection any branch reads comes from ``projection_of`` (the
+    checker passes its per-record cache); the default asks the invariant.
     """
     if projection_of is None:
         projection_of = lambda node, record: invariant.local_projection(  # noqa: E731
@@ -148,11 +233,15 @@ def enumerate_optimized(
         )
         return
     if _uses_default_conflict(invariant):
-        yield from _enumerate_conflicting(space, anchor_node, anchor, invariant)
+        yield from _enumerate_conflicting(space, anchor_node, anchor, projection_of)
         return
     # Custom conflict notion without pairwise structure: generate-and-filter.
     for combo in enumerate_general(space, anchor_node, anchor):
-        projections = _projections_of(combo, invariant)
+        projections = {
+            node: projection
+            for node, record in combo.items()
+            if (projection := projection_of(node, record)) is not None
+        }
         if invariant.projections_conflict(projections):
             yield combo
 
@@ -163,7 +252,7 @@ def _enumerate_pairwise(
     anchor: NodeStateRecord,
     invariant: DecomposableInvariant,
     completion_cap: Optional[int],
-    projection_of,
+    projection_of: ProjectionFn,
     index: Optional[ProjectionIndex] = None,
 ) -> Iterator[Combination]:
     """Conflicting (anchor, other) pairs, each completed over remaining nodes.
@@ -172,51 +261,66 @@ def _enumerate_pairwise(
     member was the anchor of an earlier round, so anchored pairs suffice.
     Completions are enumerated in discovery order and capped per pair.
 
-    With a :class:`ProjectionIndex` the partner scan walks only the records
-    whose projection is non-``None`` (skipping discarded ones at read time);
-    without one it scans every active record — same pairs, same order.
+    With a :class:`ProjectionIndex` the partner scan visits one group per
+    distinct projection value; without one it asks about every active
+    record — the reference the index is tested against: same pairs, same
+    order.
     """
     anchor_projection = projection_of(anchor_node, anchor)
     if anchor_projection is None:
         return
     # The default conflict notion over two projections reduces to `!=`
     # (two distinct dict values iff the set of values has two elements);
-    # specialising skips a dict + set build per candidate pair in the
-    # hottest enumeration loop.  Overridden notions keep the full call.
-    default_conflict = _uses_default_conflict(invariant)
-    other_nodes = [node for node in space.node_ids if node != anchor_node]
-    for partner_node in other_nodes:
+    # specialising skips a dict + set build per candidate in the hottest
+    # enumeration loop.  Overridden notions keep the full call.
+    conflict = (
+        None if _uses_default_conflict(invariant) else invariant.projections_conflict
+    )
+    for partner_node in space.node_ids:
+        if partner_node == anchor_node:
+            continue
         if index is not None:
-            candidates = (
-                (partner, projection)
-                for partner, projection in index.candidates(partner_node)
-                if not partner.discarded
+            partners = index.partners(
+                anchor_node, anchor_projection, partner_node, conflict
             )
         else:
-            candidates = (
-                (partner, projection_of(partner_node, partner))
-                for partner in _active_records(space, partner_node)
+            partners = _scanned_partners(
+                space, anchor_node, anchor_projection, partner_node, conflict, projection_of
             )
-        for partner, partner_projection in candidates:
-            if partner_projection is None:
-                continue
-            if default_conflict:
-                # identity-or-equality, exactly like set membership in the
-                # default projections_conflict
-                if (
-                    partner_projection is anchor_projection
-                    or partner_projection == anchor_projection
-                ):
-                    continue
-            elif not invariant.projections_conflict(
-                {anchor_node: anchor_projection, partner_node: partner_projection}
-            ):
-                continue
+        for partner in partners:
             yield from _completions(
                 space,
                 {anchor_node: anchor, partner_node: partner},
                 completion_cap,
             )
+
+
+def _scanned_partners(
+    space: LocalStateSpace,
+    anchor_node: NodeId,
+    anchor_projection: object,
+    partner_node: NodeId,
+    conflict: ConflictFn,
+    projection_of: ProjectionFn,
+) -> Iterator[NodeStateRecord]:
+    """The un-indexed partner scan: one conflict question per active record."""
+    for partner in _active_records(space, partner_node):
+        partner_projection = projection_of(partner_node, partner)
+        if partner_projection is None:
+            continue
+        if conflict is None:
+            # identity-or-equality, exactly like set membership in the
+            # default projections_conflict
+            if (
+                partner_projection is anchor_projection
+                or partner_projection == anchor_projection
+            ):
+                continue
+        elif not conflict(
+            {anchor_node: anchor_projection, partner_node: partner_projection}
+        ):
+            continue
+        yield partner
 
 
 def _completions(
@@ -261,22 +365,11 @@ def _uses_default_conflict(invariant: DecomposableInvariant) -> bool:
     )
 
 
-def _projections_of(
-    combo: Combination, invariant: DecomposableInvariant
-) -> Dict[NodeId, object]:
-    projections: Dict[NodeId, object] = {}
-    for node, record in combo.items():
-        value = invariant.local_projection(node, record.state)
-        if value is not None:
-            projections[node] = value
-    return projections
-
-
 def _enumerate_conflicting(
     space: LocalStateSpace,
     anchor_node: NodeId,
     anchor: NodeStateRecord,
-    invariant: DecomposableInvariant,
+    projection_of: ProjectionFn,
 ) -> Iterator[Combination]:
     """Pruned product for the default conflict: ≥ 2 distinct projections."""
     other_nodes = [node for node in space.node_ids if node != anchor_node]
@@ -286,16 +379,13 @@ def _enumerate_conflicting(
         records = _active_records(space, node)
         if not records:
             return
-        projected = [
-            (record, invariant.local_projection(node, record.state))
-            for record in records
-        ]
+        projected = [(record, projection_of(node, record)) for record in records]
         candidates.append(projected)
         available.append(
             frozenset(value for _, value in projected if value is not None)
         )
 
-    anchor_projection = invariant.local_projection(anchor_node, anchor.state)
+    anchor_projection = projection_of(anchor_node, anchor)
     combo: Combination = {anchor_node: anchor}
     initial_values: Tuple[object, ...] = (
         (anchor_projection,) if anchor_projection is not None else ()

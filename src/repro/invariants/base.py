@@ -71,6 +71,23 @@ class DecomposableInvariant(Invariant):
     full Cartesian product.  Set it to False for exotic invariants whose
     conflicts only appear with three or more nodes; OPT then falls back to
     the pruned full-product enumeration.
+
+    The contract LMC-OPT relies on for *speed* (the partner scan asks once
+    per distinct projection, not once per record — see
+    :class:`repro.core.system_states.ProjectionIndex`):
+
+    * :meth:`projections_conflict` is a pure function of its argument — the
+      ``{node: projection}`` dict, node ids included — with no state and no
+      dependence on call order;
+    * equal projections are interchangeable: replacing a projection by an
+      equal (``==``, same hash) object never changes the verdict;
+    * hashable projections are grouped by value, and one verdict per
+      distinct ``(node, projection, node, projection)`` stands for every
+      pair of node states behind it.  An unhashable projection is legal but
+      forfeits the grouping (each such state is asked about on its own).
+
+    ``tests/invariants/test_decomposition_contract.py`` checks both
+    contracts for every shipped invariant over its reachable projections.
     """
 
     #: Violations are witnessed by a two-node projection conflict.

@@ -8,8 +8,8 @@ notion (two distinct non-``None`` projections), which is what unlocks the
 LMC-OPT pruning of §4.2: "we map the node states to the values that are
 chosen in them ... we thus select only the node states that at least two of
 them are mapped to different values".  :class:`PaxosAgreementAll` covers all
-indexes at once with a custom conflict (used by tests; OPT then degrades to
-generate-and-filter).
+indexes at once with a custom pairwise conflict (the online experiment's
+invariant; OPT's partner scan asks it once per distinct projection pair).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from typing import Dict, FrozenSet, Optional, Tuple
 from repro.invariants.base import DecomposableInvariant
 from repro.model.system_state import SystemState
 from repro.model.types import NodeId
-from repro.protocols.common import tm_keys
 from repro.protocols.paxos.messages import Value
 from repro.protocols.paxos.state import PaxosNodeState
 
@@ -64,19 +63,17 @@ class PaxosAgreementAll(DecomposableInvariant):
     def check(self, system: SystemState) -> bool:
         per_index: Dict[int, set] = {}
         for _node, state in system.items():
-            for index in tm_keys(state.learners):
-                value = state.chosen_value(index)
-                if value is not None:
-                    per_index.setdefault(index, set()).add(value)
+            for index, slot in state.learners:
+                if slot.chosen is not None:
+                    per_index.setdefault(index, set()).add(slot.chosen)
         return all(len(values) <= 1 for values in per_index.values())
 
     def describe_violation(self, system: SystemState) -> str:
         per_index: Dict[int, Dict[NodeId, Value]] = {}
         for node, state in system.items():
-            for index in tm_keys(state.learners):
-                value = state.chosen_value(index)
-                if value is not None:
-                    per_index.setdefault(index, {})[node] = value
+            for index, slot in state.learners:
+                if slot.chosen is not None:
+                    per_index.setdefault(index, {})[node] = slot.chosen
         conflicting = {
             index: choices
             for index, choices in per_index.items()
@@ -87,10 +84,12 @@ class PaxosAgreementAll(DecomposableInvariant):
     def local_projection(
         self, node: NodeId, state: PaxosNodeState
     ) -> Optional[FrozenSet[Tuple[int, Value]]]:
+        # One pass over the learner map: ``chosen_value(index)`` is a linear
+        # ``tm_get`` scan, so asking per decree is quadratic in decrees.
         chosen = frozenset(
-            (index, state.chosen_value(index))
-            for index in tm_keys(state.learners)
-            if state.chosen_value(index) is not None
+            (index, slot.chosen)
+            for index, slot in state.learners
+            if slot.chosen is not None
         )
         return chosen or None
 

@@ -44,8 +44,10 @@ from repro.core.checkpoint import (
     snapshot_pass,
 )
 from repro.core.config import LMCConfig
+from repro.core.system_states import enumerate_optimized
 from repro.explore.budget import SearchBudget
-from repro.protocols.paxos import PaxosAgreement, PaxosProtocol
+from repro.protocols.paxos import PaxosAgreement, PaxosAgreementAll, PaxosProtocol
+from repro.protocols.paxos.scenarios import partial_choice_state, scenario_protocol
 
 #: Excluded from counter equality: wall-clock phase timers, and the
 #: cache-hit counters a restored run rebuilds cold.
@@ -189,6 +191,58 @@ class TestInterruptResume:
         for payload in (mid_run[0], mid_run[len(mid_run) // 2], mid_run[-1]):
             resumed = _checker("opt", 6).resume(payload)
             assert _observable(resumed) == _observable(reference)
+
+    def test_kill_and_resume_rebuilds_projection_groups_in_order(self, tmp_path):
+        """The projection index is a derived cache, rebuilt from
+        ``store.records`` on restore.  Buggy Paxos under the multi-index
+        invariant has two value groups per node by round 4; the restored
+        groups must pair every anchor exactly as the un-indexed scan over
+        the restored stores does, and the resumed run must finish on the
+        uninterrupted run's counters."""
+
+        def checker(checkpointer=None):
+            return LocalModelChecker(
+                scenario_protocol(buggy=True),
+                PaxosAgreementAll(),
+                SearchBudget(max_depth=3),
+                LMCConfig.optimized(max_completions_per_conflict=1),
+                checkpointer=checkpointer,
+            )
+
+        reference = checker().run(partial_choice_state())
+        path = str(tmp_path / "checkpoint.json")
+        interrupted = checker(StopAtCheckpointer(path, stop_round=4)).run(
+            partial_choice_state()
+        )
+        created = interrupted.stats.system_states_created
+        assert 0 < created < reference.stats.system_states_created
+        payload = load_checkpoint(path)
+
+        _stats, _result, restored = checker()._restore(payload)
+        pairs = 0
+        for node in restored.space.node_ids:
+            for record in restored.space.store(node).records:
+                indexed, scanned = (
+                    [
+                        sorted((n, r.index) for n, r in combo.items())
+                        for combo in enumerate_optimized(
+                            restored.space,
+                            node,
+                            record,
+                            restored.invariant,
+                            1,
+                            restored._cached_projection,
+                            index,
+                        )
+                    ]
+                    for index in (restored._projection_index, None)
+                )
+                assert indexed == scanned
+                pairs += len(indexed)
+        assert pairs > created  # several records per group were walked
+
+        resumed = checker().resume(payload)
+        assert _observable(resumed) == _observable(reference)
 
     def test_sigterm_mid_run_then_resume(self, tmp_path):
         """The real signal path: SIGTERM lands mid-run, the cooperative

@@ -1,9 +1,14 @@
 """Tests for system-state creation: GEN, OPT (pairwise + pruned)."""
 
-from typing import Dict, Optional
+from collections import Counter
+from typing import Dict
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.records import LocalStateSpace
 from repro.core.system_states import (
+    ProjectionIndex,
     combination_to_system_state,
     enumerate_general,
     enumerate_optimized,
@@ -11,6 +16,7 @@ from repro.core.system_states import (
 from repro.invariants.base import DecomposableInvariant
 from repro.model.hashing import content_hash
 from repro.model.types import NodeId
+from repro.protocols.tree import ReceivedImpliesSent, TreeNodeState
 
 
 class ValueAgreement(DecomposableInvariant):
@@ -175,3 +181,213 @@ class TestFullProductOpt:
             )
         )
         assert combos == []
+
+
+class CountingConflict(ValueAgreement):
+    """Pairwise custom notion that reads the node ids; counts its calls."""
+
+    def __init__(self):
+        self.calls = Counter()
+
+    def projections_conflict(self, projections):
+        (a, pa), (b, pb) = projections.items()
+        self.calls[(a, pa, b, pb)] += 1
+        return pa != pb and a < b
+
+
+class ListProjection(ValueAgreement):
+    """Projects to an unhashable value (a one-element list)."""
+
+    def local_projection(self, node, state):
+        return None if state[0] is None else [state[0]]
+
+
+def combo_keys(combos):
+    return [tuple(sorted((n, r.index) for n, r in combo.items())) for combo in combos]
+
+
+def replay_pass(schedule, invariant, nodes=(0, 1, 2), cap=None, reference=None):
+    """Grow a space like a checker pass; compare both partner scans per anchor.
+
+    ``schedule`` items are ``(node, value)`` — a new state of ``node``
+    projecting to ``value`` — or ``("discard", node, record index)``.  Every
+    new record is noted and then anchors one enumeration through the
+    grouped index and one through the un-indexed reference scan; the two
+    must agree combination for combination, in order.  ``reference`` is the
+    (equivalent) invariant instance the un-indexed scan asks, when the
+    caller wants the two scans' calls counted apart.  Returns all
+    combinations the pass yielded.
+    """
+    reference = reference or invariant
+    space = LocalStateSpace(nodes)
+    index = ProjectionIndex(nodes)
+    projections = {}
+
+    def projection_of(node, record):
+        key = (node, record.index)
+        if key not in projections:
+            projections[key] = invariant.local_projection(node, record.state)
+        return projections[key]
+
+    yielded = []
+    for serial, item in enumerate(schedule):
+        if item[0] == "discard":
+            _tag, node, record_index = item
+            store = space.store(node)
+            store.mark_discarded(store.records[record_index])
+            continue
+        node, value = item
+        store = space.store(node)
+        state = (value, serial)
+        if store.records:
+            record = store.add(state, content_hash(state), serial, 0, frozenset())
+        else:
+            record = space.seed(node, state)
+        index.note(node, record, projection_of(node, record))
+        indexed = combo_keys(
+            enumerate_optimized(
+                space, node, record, invariant, cap, projection_of, index
+            )
+        )
+        scanned = combo_keys(
+            enumerate_optimized(space, node, record, reference, cap, projection_of)
+        )
+        assert indexed == scanned
+        yielded.extend(indexed)
+    return yielded
+
+
+class TestGroupedIndexEquivalence:
+    """The value-grouped index yields what the record scan yields, in order."""
+
+    INTERLEAVED = [
+        (2, None),
+        (1, "a"),
+        (1, "b"),
+        (1, "c"),
+        (1, "a"),
+        (1, None),
+        (1, "c"),
+        (1, "b"),
+        (2, None),
+        (0, "a"),
+        (0, "c"),
+        (0, "d"),
+    ]
+
+    def test_default_notion_three_interleaved_values(self):
+        for cap in (None, 1):
+            combos = replay_pass(self.INTERLEAVED, ValueAgreement(), cap=cap)
+            assert combos
+        # anchor "a" on node 0 pairs with node 1's b, c, c, b — two groups
+        # merged back into discovery order (record indexes 1, 2, 5, 6)
+        partners = [
+            dict(key)[1]
+            for key in replay_pass(self.INTERLEAVED[:10], ValueAgreement(), cap=1)
+            if dict(key)[0] == 0
+        ]
+        assert partners == [1, 2, 5, 6]
+
+    def test_node_id_dependent_custom_notion(self):
+        invariant = ReceivedImpliesSent(origin=0, target=1)
+        space = build_space(
+            {
+                0: [
+                    TreeNodeState(0),
+                    TreeNodeState(0, forwarded=True),
+                    TreeNodeState(0, sent=True),
+                ],
+                1: [
+                    TreeNodeState(1),
+                    TreeNodeState(1, received=True),
+                    TreeNodeState(1, received=True, forwarded=True),
+                ],
+                2: [TreeNodeState(2), TreeNodeState(2, forwarded=True)],
+            }
+        )
+        index = ProjectionIndex(space.node_ids)
+        for node in space.node_ids:
+            for record in space.store(node).records:
+                index.note(node, record, invariant.local_projection(node, record.state))
+        for node in space.node_ids:
+            for record in space.store(node).records:
+                for cap in (None, 1):
+                    indexed = enumerate_optimized(
+                        space, node, record, invariant, cap, index=index
+                    )
+                    scanned = enumerate_optimized(space, node, record, invariant, cap)
+                    assert combo_keys(indexed) == combo_keys(scanned)
+        # "unsent" on the origin against "received" on the target conflicts
+        # (2 partners x 2 completions); the same values on swapped nodes
+        # would not.
+        unsent = anchor_of(space, 0, index=0)
+        combos = list(enumerate_optimized(space, 0, unsent, invariant, index=index))
+        assert len(combos) == 4
+
+    def test_discarded_record_inside_a_conflicting_group(self):
+        schedule = [
+            (2, None),
+            (1, "b"),
+            (1, "c"),
+            (1, "b"),
+            (1, "b"),
+            ("discard", 1, 2),
+            (0, "a"),
+        ]
+        for invariant in (ValueAgreement(), CountingConflict()):
+            combos = replay_pass(schedule, invariant)
+            partners = [dict(key)[1] for key in combos if dict(key)[0] == 0]
+            assert partners == [0, 1, 3]
+
+    def test_unhashable_projection_gets_singleton_groups(self):
+        combos = replay_pass(self.INTERLEAVED, ListProjection())
+        assert combos == replay_pass(self.INTERLEAVED, ValueAgreement())
+
+        class ListNodeOrder(ListProjection):
+            def projections_conflict(self, projections):
+                (a, pa), (b, pb) = projections.items()
+                return pa != pb and a < b
+
+        assert replay_pass(self.INTERLEAVED, ListNodeOrder()) == replay_pass(
+            self.INTERLEAVED, CountingConflict()
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(
+                    st.integers(0, 2), st.sampled_from([None, "a", "b", "c"])
+                ),
+                st.tuples(st.just("discard"), st.integers(0, 2), st.integers(0, 5)),
+            ),
+            max_size=24,
+        ),
+        st.sampled_from([None, 1, 2]),
+    )
+    def test_any_interleaving_of_notes(self, raw, cap):
+        seen = Counter()
+        schedule = []
+        for item in raw:
+            if item[0] == "discard":
+                # only non-seed records that exist can be discarded
+                if not 0 < item[2] < seen[item[1]]:
+                    continue
+            else:
+                seen[item[0]] += 1
+            schedule.append(item)
+        replay_pass(schedule, ValueAgreement(), cap=cap)
+        replay_pass(schedule, CountingConflict(), cap=cap)
+
+    def test_one_real_conflict_call_per_distinct_key(self):
+        indexed, scanned = CountingConflict(), CountingConflict()
+        # later anchors repeat projections already asked about — the group
+        # visit collapses records, the memo collapses anchors — and the last
+        # asks from node 1 about value pairs node 0 anchored before, where
+        # the verdict differs: the node ids must be part of the memo key
+        schedule = self.INTERLEAVED + [(0, "a"), (1, "b"), (1, "a")]
+        assert replay_pass(schedule, indexed, reference=scanned)
+        assert set(indexed.calls) == set(scanned.calls)
+        assert max(indexed.calls.values()) == 1
+        # the reference asks once per (anchor, projecting partner record)
+        assert sum(scanned.calls.values()) > 2 * sum(indexed.calls.values())

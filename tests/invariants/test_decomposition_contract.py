@@ -6,9 +6,17 @@ satisfy ``projections_conflict``* (pairwise, for ``pairwise`` invariants).
 These tests enumerate reachable system states of buggy builds (which do
 produce violations) and verify the contract on every single one — the
 evidence that LMC-OPT cannot skip a real bug for our shipped invariants.
+
+The grouped ``ProjectionIndex`` leans on a second clause of the contract:
+``projections_conflict`` is a pure function of its argument and equal
+projections are interchangeable, so one verdict per distinct ``(node,
+projection, node, projection)`` may stand for every record pair behind it.
+:func:`assert_verdicts_pure` checks that clause for every shipped
+invariant over the projections its protocol actually reaches.
 """
 
-from itertools import combinations
+import pickle
+from itertools import combinations, permutations, product
 from typing import List
 
 from repro.explore.global_checker import (
@@ -27,7 +35,12 @@ from repro.protocols.paxos.scenarios import (
     scenario_protocol as paxos_scenario,
 )
 from repro.protocols.ring import AtMostOneLeader, GreedyRingElection
-from repro.protocols.twophase import CommitValidity, EagerCommitCoordinator
+from repro.protocols.tree import ReceivedImpliesSent, TreeProtocol
+from repro.protocols.twophase import (
+    Atomicity,
+    CommitValidity,
+    EagerCommitCoordinator,
+)
 
 
 def reachable_systems(protocol, initial=None, limit=20000) -> List[SystemState]:
@@ -78,11 +91,60 @@ def assert_contract(invariant: DecomposableInvariant, systems) -> int:
     return violations
 
 
+def local_products(systems) -> List[SystemState]:
+    """Every combination of reachable *node* states — LMC's Cartesian view.
+
+    An invariant that holds on every real run is only ever violated by
+    these (possibly invalid) combinations, which are exactly what LMC-OPT
+    feeds its conflict test.
+    """
+    per_node = {}
+    for system in systems:
+        for node, state in system.items():
+            per_node.setdefault(node, {})[hash(state)] = state
+    nodes = sorted(per_node)
+    return [
+        SystemState(dict(zip(nodes, states)))
+        for states in product(*(per_node[node].values() for node in nodes))
+    ]
+
+
+def assert_verdicts_pure(invariant: DecomposableInvariant, systems) -> int:
+    """The verdict-memo clause of the contract; returns the pairs checked.
+
+    Over every ordered pair of reachable ``(node, projection)`` on two
+    different nodes: projections are hashable (so the index groups them),
+    asking twice gives the same verdict, and an equal-but-not-identical
+    copy of either projection (a pickle round trip; singletons such as
+    ``True`` stay identical) gives that verdict too.
+    """
+    reached = {
+        (node, projection)
+        for system in systems
+        for node, state in system.items()
+        if (projection := invariant.local_projection(node, state)) is not None
+    }
+    checked = 0
+    for (a, pa), (b, pb) in permutations(reached, 2):
+        if a == b:
+            continue
+        verdict = invariant.projections_conflict({a: pa, b: pb})
+        assert isinstance(verdict, bool)
+        assert invariant.projections_conflict({a: pa, b: pb}) is verdict
+        ca, cb = pickle.loads(pickle.dumps((pa, pb)))
+        assert (ca, cb) == (pa, pb) and hash((ca, cb)) == hash((pa, pb))
+        assert invariant.projections_conflict({a: ca, b: cb}) is verdict
+        assert invariant.projections_conflict({a: ca, b: pb}) is verdict
+        checked += 1
+    return checked
+
+
 def test_paxos_agreement_contract():
     protocol = paxos_scenario(buggy=True)
     systems = reachable_systems(protocol, partial_choice_state())
     found = assert_contract(PaxosAgreement(0), systems)
     assert found > 0, "the buggy space must contain real violations"
+    assert assert_verdicts_pure(PaxosAgreement(0), systems) > 0
 
 
 def test_paxos_agreement_all_contract():
@@ -90,22 +152,46 @@ def test_paxos_agreement_all_contract():
     systems = reachable_systems(protocol, partial_choice_state())
     found = assert_contract(PaxosAgreementAll(), systems)
     assert found > 0
+    assert assert_verdicts_pure(PaxosAgreementAll(), systems) > 0
 
 
 def test_onepaxos_agreement_contract():
     protocol = onepaxos_scenario(buggy=True)
     systems = reachable_systems(protocol, post_leaderchange_state(protocol))
-    assert assert_contract(OnePaxosAgreement(0), systems) > 0
-    assert assert_contract(OnePaxosAgreementAll(), systems) > 0
+    for invariant in (OnePaxosAgreement(0), OnePaxosAgreementAll()):
+        assert assert_contract(invariant, systems) > 0
+        assert assert_verdicts_pure(invariant, systems) > 0
 
 
 def test_2pc_commit_validity_contract():
     protocol = EagerCommitCoordinator(3, no_voters=(2,))
     systems = reachable_systems(protocol)
     assert assert_contract(CommitValidity(), systems) > 0
+    assert assert_verdicts_pure(CommitValidity(), systems) > 0
+
+
+def test_2pc_atomicity_contract():
+    # No real run of this build mixes commit and abort; the violations
+    # live in the Cartesian combinations of node states.
+    protocol = EagerCommitCoordinator(3, no_voters=(2,))
+    systems = local_products(reachable_systems(protocol))
+    assert assert_contract(Atomicity(), systems) > 0
+    assert assert_verdicts_pure(Atomicity(), systems) > 0
+
+
+def test_tree_received_implies_sent_contract():
+    # The primer's ``----r``: violated only by an invalid combination, and
+    # the one shipped conflict notion that reads the node ids.
+    invariant = ReceivedImpliesSent()
+    systems = local_products(reachable_systems(TreeProtocol()))
+    assert assert_contract(invariant, systems) > 0
+    assert assert_verdicts_pure(invariant, systems) > 0
+    assert invariant.projections_conflict({0: "unsent", 4: "received"})
+    assert not invariant.projections_conflict({4: "unsent", 0: "received"})
 
 
 def test_ring_leader_contract():
     protocol = GreedyRingElection(3, initiators=(0,))
     systems = reachable_systems(protocol)
     assert assert_contract(AtMostOneLeader(), systems) > 0
+    assert assert_verdicts_pure(AtMostOneLeader(), systems) > 0
