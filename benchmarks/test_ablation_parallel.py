@@ -4,17 +4,21 @@
 decoupled, the model checking process can be embarrassingly parallelized to
 benefit from the ever increasing number of cores."
 
-The bench decouples exactly as the paper suggests: one exploration pass
-collects preliminary violations; the soundness verifications — each an
-independent combination search — fan out over worker processes.  Measured on
-the soundness-heavy buggy-Paxos workload of Fig. 13 (with a deterministic
-transition budget so every configuration verifies the same work list).
+The bench decouples exactly as the paper suggests: the exploration pass
+buffers preliminary violations; the soundness verifications — each an
+independent combination search — fan out over worker processes, a buffer at
+a time.  Measured on the soundness-heavy §5.5 snapshot (with a deterministic
+transition budget so every configuration verifies the same work list), next
+to the sequential checker verifying inline, so the break-even between
+"search in place" and "pickle, ship, search, ship back" stays visible
+(docs/PERFORMANCE.md, "When pooled verification pays").
 """
 
 import time
 
 import pytest
 
+from repro.core.checker import LocalModelChecker
 from repro.core.config import LMCConfig
 from repro.core.parallel import ParallelLocalModelChecker
 from repro.explore.budget import SearchBudget
@@ -22,27 +26,25 @@ from repro.protocols.paxos import PaxosAgreement
 from repro.protocols.paxos.scenarios import partial_choice_state, scenario_protocol
 from repro.stats.reporting import format_table
 
-#: Deterministic exploration bound: every configuration collects the same
-#: preliminary violations, so only verification throughput differs.
-BUDGET = SearchBudget(max_transitions=1500)
-CONFIG = LMCConfig.optimized(
-    stop_on_first_bug=False, max_collected_preliminary=1024
-)
+#: Deterministic exploration bound: every configuration finds the same
+#: 8,448 preliminary violations, so only verification throughput differs.
+BUDGET = SearchBudget(max_transitions=760)
+CONFIG = LMCConfig.optimized(stop_on_first_bug=False)
 
 
 @pytest.fixture(scope="module")
 def measurements():
     rows = []
-    for workers in (0, 2, 4):
+    for workers in ("serial", 0, 2, 4):
         protocol = scenario_protocol(buggy=True)
         started = time.perf_counter()
-        result = ParallelLocalModelChecker(
-            protocol,
-            PaxosAgreement(0),
-            budget=BUDGET,
-            config=CONFIG,
-            workers=workers,
-        ).run(partial_choice_state())
+        if workers == "serial":
+            checker = LocalModelChecker(protocol, PaxosAgreement(0), BUDGET, CONFIG)
+        else:
+            checker = ParallelLocalModelChecker(
+                protocol, PaxosAgreement(0), BUDGET, CONFIG, workers=workers
+            )
+        result = checker.run(partial_choice_state())
         elapsed = time.perf_counter() - started
         rows.append(
             {
@@ -58,7 +60,9 @@ def measurements():
 def test_parallel_configurations_agree(measurements, report):
     table = [
         (
-            row["workers"] or "in-process",
+            {"serial": "inline (LocalModelChecker)", 0: "deferred, in-process"}.get(
+                row["workers"], f"deferred, {row['workers']} workers"
+            ),
             round(row["elapsed"], 3),
             row["soundness_calls"],
             row["confirmed"],
@@ -68,11 +72,11 @@ def test_parallel_configurations_agree(measurements, report):
     report(
         "Ablation — parallel soundness verification\n"
         + format_table(
-            ["workers", "elapsed s", "verifications", "confirmed bugs"],
+            ["verification", "elapsed s", "verifications", "confirmed bugs"],
             table,
         )
         + "\n(identical work lists; wall time includes pool startup, so the "
-        "speedup shows only when verification dominates)"
+        "pool wins only when a soundness call costs well above its pickling)"
     )
     calls = {row["soundness_calls"] for row in measurements}
     confirmed = {row["confirmed"] for row in measurements}

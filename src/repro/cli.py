@@ -236,7 +236,16 @@ def build_parser() -> argparse.ArgumentParser:
         command.add_argument("--buggy", action="store_true")
         command.add_argument("--max-seconds", type=float, default=None)
         command.add_argument("--max-depth", type=int, default=None)
-        command.add_argument("--workers", type=int, default=0)
+        command.add_argument(
+            "--workers",
+            type=int,
+            default=0,
+            metavar="N",
+            help="pool workers verifying soundness under --algorithm "
+            "lmc-parallel; here 0 (the default) means all CPUs — unlike "
+            "--explore-workers, where 0 means serial, and unlike the library's "
+            "ParallelLocalModelChecker(workers=0), which verifies in-process",
+        )
         command.add_argument(
             "--explore-workers",
             type=int,
@@ -541,8 +550,8 @@ def run_check(
         fault_overrides["por_pruning"] = True
     explore_workers = getattr(args, "explore_workers", 0)
     if explore_workers:
-        # -1 (or any negative) = all CPUs, matching --workers' "0 or None"
-        # idiom while keeping this flag's 0 meaning "serial".
+        # -1 (or any negative) = all CPUs: ``None``, which — like --workers'
+        # 0 below — becomes a count in repro.core.pool.resolve_workers.
         fault_overrides["explore_workers"] = (
             None if explore_workers < 0 else explore_workers
         )
@@ -555,9 +564,9 @@ def run_check(
     resume_from = getattr(args, "resume_from", None)
     checkpointer = None
     if checkpoint_path or checkpoint_every or extend_from or resume_from:
-        if args.algorithm not in ("lmc-gen", "lmc-opt"):
+        if args.algorithm == "bdfs":
             raise CheckpointError(
-                "checkpoints require --algorithm lmc-gen or lmc-opt"
+                "checkpoints require --algorithm lmc-gen, lmc-opt or lmc-parallel"
             )
         if checkpoint_path is None:
             checkpoint_path = (
@@ -571,35 +580,25 @@ def run_check(
         # explores the paper's original event vocabulary — it registers
         # and finishes in the registry but emits no heartbeats.
         return GlobalModelChecker(protocol, invariant, budget=budget).run()
+    lmc_kwargs: Dict[str, Any] = dict(
+        budget=budget,
+        config=(
+            LMCConfig.general(**fault_overrides)
+            if args.algorithm == "lmc-gen"
+            else LMCConfig.optimized(**fault_overrides)
+        ),
+        emitter=emitter,
+        metrics_interval=interval,
+        run_handle=run_handle,
+        coverage=coverage,
+        checkpointer=checkpointer,
+    )
     if args.algorithm == "lmc-parallel":
-        checker: Any = ParallelLocalModelChecker(
-            protocol,
-            invariant,
-            budget=budget,
-            config=LMCConfig.optimized(**fault_overrides),
-            workers=args.workers or None,
-            emitter=emitter,
-            metrics_interval=interval,
-            run_handle=run_handle,
-            coverage=coverage,
+        checker = ParallelLocalModelChecker(
+            protocol, invariant, workers=args.workers or None, **lmc_kwargs
         )
     else:
-        config = (
-            LMCConfig.optimized(**fault_overrides)
-            if args.algorithm == "lmc-opt"
-            else LMCConfig.general(**fault_overrides)
-        )
-        checker = LocalModelChecker(
-            protocol,
-            invariant,
-            budget=budget,
-            config=config,
-            emitter=emitter,
-            metrics_interval=interval,
-            run_handle=run_handle,
-            coverage=coverage,
-            checkpointer=checkpointer,
-        )
+        checker = LocalModelChecker(protocol, invariant, **lmc_kwargs)
     if resume_from:
         result = checker.resume(load_checkpoint(resume_from))
     elif extend_from:

@@ -23,9 +23,10 @@ flags), the full ``I+`` log (message values, hashes, cursors, deferred
 pairs, fault-minted duplicate flags), all exploration counters and phase
 timers, the per-node sweep and fault cursors (including the drop sweep's
 cursor/deferred pairs and the duplication cursor), the depth series,
-confirmed bugs, the collected-unverified
-and rejected-combination caches, symmetry-reduction orbit keys, and the
-widening/prior-pass context of the enclosing run.
+confirmed bugs, the deferred-verification buffer (``unverified``: violations
+a :class:`~repro.core.parallel.ParallelLocalModelChecker` pass has found but
+not yet verified) and the rejected-combination cache, symmetry-reduction
+orbit keys, and the widening/prior-pass context of the enclosing run.
 
 What is deliberately *not* serialized, because it is derived state rebuilt
 on demand: the soundness verifier's sequence/replay memos (cold memos only
@@ -111,6 +112,16 @@ class CheckpointMismatch(CheckpointError):
 
 # -- configuration fingerprint ---------------------------------------------------
 
+#: ``LMCConfig`` fields that no longer exist, at the only values a checkpoint
+#: was ever written with (their defaults: the one checker that set them
+#: otherwise took no checkpointer).  Still fingerprinted so that envelopes
+#: written before their removal keep verifying — the digest is a hash of
+#: every key, so dropping these would orphan every existing checkpoint.
+_RETIRED_CONFIG_FIELDS = {
+    "collect_preliminary": "False",
+    "max_collected_preliminary": "2048",
+}
+
 
 def _instance_config(obj: Any) -> Dict[str, str]:
     """Stable view of an object's constructor-derived attributes."""
@@ -142,9 +153,12 @@ def fingerprint_fields(
             for node, state in initial_system.items()
         ),
         "config": {
-            field.name: repr(getattr(config, field.name))
-            for field in dataclasses.fields(config)
-            if field.name != "checkpoint_every_rounds"
+            **_RETIRED_CONFIG_FIELDS,
+            **{
+                field.name: repr(getattr(config, field.name))
+                for field in dataclasses.fields(config)
+                if field.name != "checkpoint_every_rounds"
+            },
         },
     }
 

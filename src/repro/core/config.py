@@ -54,7 +54,10 @@ class LMCConfig:
 
     #: Fig. 13 phase toggle: verify preliminary violations.  Disabled gives
     #: the "LMC-system-state" configuration: violations are counted but never
-    #: confirmed or reported.
+    #: confirmed or reported.  *When* an enabled verification runs — inline,
+    #: or buffered and fanned out over the worker pool — is a property of the
+    #: checker class (:class:`~repro.core.parallel.ParallelLocalModelChecker`),
+    #: not of the configuration.
     verify_soundness: bool = True
 
     #: Local assertion policy (§4.2): "discard" drops the node state that the
@@ -93,18 +96,6 @@ class LMCConfig:
 
     #: Stop the whole run at the first confirmed bug.
     stop_on_first_bug: bool = True
-
-    #: With ``verify_soundness=False``, keep the violating combinations for
-    #: later (batched or parallel) verification instead of dropping them.
-    #: Used by :class:`~repro.core.parallel.ParallelLocalModelChecker`, which
-    #: exploits the paper's observation that exploration, system-state
-    #: creation and soundness verification are decoupled and "can be
-    #: embarrassingly parallelized".
-    collect_preliminary: bool = False
-
-    #: Cap on collected unverified combinations.  Bounds both memory and the
-    #: per-combination work-unit construction of the parallel verifier.
-    max_collected_preliminary: int = 2048
 
     #: Memoize soundness machinery: per-record sequence enumerations (keyed
     #: on the store version, so new states or predecessor pointers

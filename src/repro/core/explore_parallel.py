@@ -11,7 +11,7 @@ exploits that independence **speculatively**:
    cursors will sweep, every record the local-event cursor will offer its
    internal actions, and (with faults on) every crash/restart candidate —
    and shards it across the persistent worker pool
-   (:func:`repro.core.pool.shared_executor`, shared with soundness
+   (:func:`repro.core.pool.map_ordered`, shared with soundness
    verification).
 2. Workers run the expensive node-local half of the execute loop — handler
    execution plus content hashing of successor states and sends (the
@@ -32,12 +32,14 @@ through a different path are simply dropped; cross-shard rediscoveries the
 merge folds into predecessor pointers are surfaced as
 ``explore_merge_conflicts_suppressed``.
 
-Failure containment: a :class:`BrokenProcessPool` rebuilds the pool and
-retries the round once; a second failure disables speculation for the rest
-of the pass and the checker continues serially with identical results.  A
-worker that has not seen earlier deltas (fresh pool, or a pool peer that
-was idle in prior rounds) answers with a sync-miss carrying its high-water
-mark; the coordinator re-dispatches that shard with the full message log.
+Failure containment: :func:`~repro.core.pool.map_ordered` rebuilds a broken
+pool and retries the round once; the second :class:`BrokenProcessPool`
+reaches :meth:`RoundSpeculator.begin_round`, which disables speculation for
+the rest of the pass — the checker continues serially with identical
+results.  A worker that has not seen earlier deltas (fresh pool, or a pool
+peer that was idle in prior rounds) answers with a sync-miss carrying its
+high-water mark; the coordinator re-dispatches that shard with the full
+message log.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ import os
 import pickle
 import time
 from collections import OrderedDict
-from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.event_kinds import (
@@ -57,7 +58,7 @@ from repro.core.event_kinds import (
     EventKind,
     attempt,
 )
-from repro.core.pool import shared_executor, shutdown_worker_pool
+from repro.core.pool import BrokenProcessPool, map_ordered, resolve_workers
 from repro.model.events import event_hash
 from repro.model.hashing import content_hash_and_size
 from repro.model.types import HandlerResult
@@ -151,12 +152,11 @@ def explore_shard_task(
     ``delta_blob`` covers ``[base_seq, high_seq)``.  Returns
     ``("sync", high)`` when this worker's replica has not seen ``base_seq``
     yet (the coordinator re-dispatches with the full log), else
-    ``("ok", outcomes, state_table, message_table, wall_s, pid)`` with one
-    outcome per item — ``("a",)``, ``("n",)``, an executed
+    ``("ok", outcomes, state_table, message_table)`` with one outcome per
+    item — ``("a",)``, ``("n",)``, an executed
     ``("x", state_idx, hash, size, event_hash, sends)`` or, for fan-out
     (internal) items, ``("i", actions, per_action_outcomes)``.
     """
-    started = time.perf_counter()
     replica = _replica_for(token, protocol_blob)
     if replica.high < base_seq:
         return ("sync", replica.high)
@@ -214,14 +214,7 @@ def explore_shard_task(
                 outcomes.append(None)
                 continue
         outcomes.append(run(row, state, node, payload))
-    return (
-        "ok",
-        outcomes,
-        out_states,
-        out_msgs,
-        time.perf_counter() - started,
-        os.getpid(),
-    )
+    return ("ok", outcomes, out_states, out_msgs)
 
 
 # -- coordinator side ----------------------------------------------------------
@@ -276,12 +269,8 @@ class RoundSpeculator:
     @classmethod
     def for_pass(cls, pass_: "_ExplorationPass") -> Optional["RoundSpeculator"]:
         """A speculator when the config enables one, else ``None``."""
-        workers = pass_.config.explore_workers
-        if workers is None:
-            workers = os.cpu_count() or 1
-        if workers <= 0:
-            return None
-        return cls(pass_, workers)
+        workers = resolve_workers(pass_.config.explore_workers)
+        return cls(pass_, workers) if workers > 0 else None
 
     # -- round lifecycle ---------------------------------------------------
 
@@ -317,30 +306,20 @@ class RoundSpeculator:
             tuple((s.seq, s.message) for s in p.network.messages_since(base))
         )
         started = time.perf_counter()
-        results: Optional[List[Optional[Tuple]]] = None
-        misses = 0
-        for attempt in (0, 1):
-            try:
-                results, misses = self._dispatch(encoded, base, high, delta_blob)
-                break
-            except BrokenProcessPool:
-                shutdown_worker_pool(broken=True)
-                if attempt:
-                    self.enabled = False
-                    return
-            except pickle.PicklingError:
-                # Unshippable model values (exotic protocol state): stay
-                # serial for the rest of the pass.
-                self.enabled = False
-                return
-        assert results is not None
+        try:
+            reports, misses = self._dispatch(encoded, base, high, delta_blob)
+        except (BrokenProcessPool, pickle.PicklingError):
+            # The pool broke twice in a row, or the model's values cannot
+            # be shipped: stay serial for the rest of the pass.
+            self.enabled = False
+            return
         self._shipped = high
         self._round_no += 1
         table: Dict[Tuple, Any] = {}
-        for shard, report in zip(shards, results):
-            if report is None or report[0] != "ok":
+        for shard, (result, _wall_s, _pid) in zip(shards, reports):
+            if result[0] != "ok":
                 continue
-            _, outcomes, rstates, rmsgs, _wall, _pid = report
+            _, outcomes, rstates, rmsgs = result
             for item, enc in zip(shard, outcomes):
                 if enc is not None:
                     table[self._key(*item)] = _decode(enc, rstates, rmsgs)
@@ -357,13 +336,13 @@ class RoundSpeculator:
                 sync_misses=misses,
                 dispatch_s=round(time.perf_counter() - started, 6),
             )
-            for index, report in enumerate(results):
-                if report is not None and report[0] == "ok":
+            for index, (result, wall_s, pid) in enumerate(reports):
+                if result[0] == "ok":
                     p.emitter.emit_span(
                         "worker_explore",
-                        report[4],
+                        wall_s,
                         fields={"shard": index, "items": len(shards[index])},
-                        pid=report[5],
+                        pid=pid,
                     )
 
     def _dispatch(
@@ -372,47 +351,35 @@ class RoundSpeculator:
         base: int,
         high: int,
         delta_blob: bytes,
-    ) -> Tuple[List[Optional[Tuple]], int]:
-        """Submit every shard; resolve sync-misses with a full-log resend."""
-        p = self._pass
-        executor = shared_executor(self.workers)
-        futures = [
-            executor.submit(
-                explore_shard_task,
-                self._token,
-                self._proto_blob,
-                base,
-                high,
-                delta_blob,
-                states,
-                items,
-            )
-            for states, items in encoded
+    ) -> Tuple[List[Tuple[Tuple, float, int]], int]:
+        """One generation over the pool; sync-misses resent with the full log.
+
+        Returns :func:`~repro.core.pool.map_ordered`'s ``(result, wall_s,
+        pid)`` triples, one per shard, and the sync-miss count.
+        """
+        run = (self._token, self._proto_blob)
+        reports = map_ordered(
+            self.workers,
+            explore_shard_task,
+            [run + (base, high, delta_blob) + shard for shard in encoded],
+        )
+        missed = [
+            index for index, report in enumerate(reports) if report[0][0] == "sync"
         ]
-        results: List[Optional[Tuple]] = [future.result() for future in futures]
-        misses = 0
-        full_blob: Optional[bytes] = None
-        for index, report in enumerate(results):
-            if report is None or report[0] != "sync":
-                continue
-            misses += 1
-            if full_blob is None:
-                full_blob = pickle.dumps(
-                    tuple((s.seq, s.message) for s in p.network.messages_since(0))
+        if missed:
+            full_blob = pickle.dumps(
+                tuple(
+                    (s.seq, s.message) for s in self._pass.network.messages_since(0)
                 )
-            states, items = encoded[index]
-            retried = executor.submit(
+            )
+            resent = map_ordered(
+                self.workers,
                 explore_shard_task,
-                self._token,
-                self._proto_blob,
-                0,
-                high,
-                full_blob,
-                states,
-                items,
-            ).result()
-            results[index] = retried if retried[0] == "ok" else None
-        return results, misses
+                [run + (0, high, full_blob) + encoded[index] for index in missed],
+            )
+            for index, report in zip(missed, resent):
+                reports[index] = report
+        return reports, len(missed)
 
     # -- frontier snapshot -------------------------------------------------
 

@@ -1,12 +1,13 @@
 """The persistent worker process pool shared across checker phases.
 
-PR 3 introduced a persistent :class:`ProcessPoolExecutor` for soundness
-verification; parallel frontier exploration (docs/PERFORMANCE.md) reuses the
-same workers for its per-round shard fan-out, so both phases amortize one
-pool's start-up cost instead of each paying their own.  This module owns the
-pool's lifecycle; the verification and exploration dispatchers only ever ask
-for :func:`shared_executor` and call :func:`shutdown_worker_pool` on the
-:class:`BrokenProcessPool` recovery path.
+Pooled soundness verification (:mod:`repro.core.parallel`) and parallel
+frontier exploration (:mod:`repro.core.explore_parallel`) are two clients of
+one protocol, :func:`map_ordered`: submit a generation of tasks, gather the
+results in submission order, time each task and tag it with its pid on the
+worker side, and survive one broken pool.  Both amortize the same workers'
+start-up cost; this module owns the pool's lifecycle, the
+:class:`BrokenProcessPool` recovery and the one place a worker count of
+``None`` becomes ``os.cpu_count()`` (:func:`resolve_workers`).
 
 The pool is process-global and created lazily.  A worker-count change
 rebuilds it; a rebuild of an *already broken* pool must not wait on its dead
@@ -18,8 +19,11 @@ rebuild path inspects the executor's broken flag and reuses the
 from __future__ import annotations
 
 import atexit
+import os
+import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Optional
+from concurrent.futures.process import BrokenProcessPool
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 _EXECUTOR: Optional[ProcessPoolExecutor] = None
 _EXECUTOR_WORKERS = 0
@@ -47,7 +51,7 @@ def shutdown_worker_pool(broken: bool = False) -> None:
     ``broken=True`` is the :class:`BrokenProcessPool` recovery path: the
     pool's workers are already dead or dying, so waiting on them can hang
     (and shutdown itself can raise mid-teardown), which would defeat the
-    retry-once recovery in the dispatchers.  There we cancel what we can,
+    retry-once recovery in :func:`map_ordered`.  There we cancel what we can,
     don't wait, and swallow teardown errors — the pool object is dropped
     either way and the next use builds a fresh one.
     """
@@ -65,3 +69,46 @@ def shutdown_worker_pool(broken: bool = False) -> None:
 
 
 atexit.register(shutdown_worker_pool)
+
+
+def resolve_workers(requested: Optional[int]) -> int:
+    """A configured worker count as a number: ``None`` means every CPU."""
+    return (os.cpu_count() or 1) if requested is None else requested
+
+
+def _timed(task: Callable[..., Any], arguments: Tuple) -> Tuple[Any, float, int]:
+    """Run one task where it was sent: ``(result, wall seconds, pid)``."""
+    started = time.perf_counter()
+    result = task(*arguments)
+    return result, time.perf_counter() - started, os.getpid()
+
+
+def map_ordered(
+    workers: int, task: Callable[..., Any], argument_tuples: Sequence[Tuple]
+) -> List[Tuple[Any, float, int]]:
+    """Run ``task(*arguments)`` for every tuple; results in submission order.
+
+    Each result comes back as ``(result, wall_s, pid)``, measured inside the
+    process that ran the task — the parent re-emits those as forwarded trace
+    spans.  ``workers == 0`` runs the generation in this process (same
+    triples, the parent's own pid).  A :class:`BrokenProcessPool` (a killed
+    worker) tears the pool down and resubmits the whole generation once;
+    a second one propagates, with the pool already torn down, and it is the
+    caller that decides what giving up means.  ``task`` must be a
+    module-level function and every argument picklable.
+    """
+    if workers == 0:
+        return [_timed(task, arguments) for arguments in argument_tuples]
+    for last_attempt in (False, True):
+        executor = shared_executor(workers)
+        try:
+            futures = [
+                executor.submit(_timed, task, arguments)
+                for arguments in argument_tuples
+            ]
+            return [future.result() for future in futures]
+        except BrokenProcessPool:
+            shutdown_worker_pool(broken=True)
+            if last_attempt:
+                raise
+    raise AssertionError("unreachable")

@@ -248,7 +248,7 @@ class SoundnessVerifier:
         """
         per_node: List[List[CompiledSequence]] = []
         for node in sorted(records):
-            sequences = self._enumerate_sequences(records[node])
+            sequences = self.enumerate_sequences(records[node])
             if not sequences:
                 # No acyclic path reaches this state: with the prototype's
                 # simplifications the state cannot be validated.
@@ -299,7 +299,7 @@ class SoundnessVerifier:
 
     # -- sequence enumeration ------------------------------------------------
 
-    def _enumerate_sequences(self, record: NodeStateRecord) -> List[CompiledSequence]:
+    def enumerate_sequences(self, record: NodeStateRecord) -> List[CompiledSequence]:
         """All simple predecessor paths from the live state to ``record``.
 
         Memoised per record, keyed on the node store's structural version:
@@ -323,7 +323,7 @@ class SoundnessVerifier:
         return sequences
 
     def _walk_sequences(self, record: NodeStateRecord) -> List[CompiledSequence]:
-        """The uncached predecessor-DAG walk behind :meth:`_enumerate_sequences`.
+        """The uncached predecessor-DAG walk behind :meth:`enumerate_sequences`.
 
         Walks the predecessor DAG backwards; a path never revisits a state
         hash (simple paths) and self-referencing links are skipped, per the

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.pool as pool
 from repro.core.checker import LocalModelChecker
 from repro.core.config import LMCConfig
 from repro.core.event_kinds import (
@@ -33,8 +34,13 @@ from repro.core.event_kinds import (
     RESTART,
     attempt,
 )
-from repro.core.explore_parallel import SpecExec, _decode, explore_shard_task
-from repro.core.pool import shared_executor, shutdown_worker_pool
+from repro.core.explore_parallel import (
+    RoundSpeculator,
+    SpecExec,
+    _decode,
+    explore_shard_task,
+)
+from repro.core.pool import BrokenProcessPool, shared_executor, shutdown_worker_pool
 from repro.explore.budget import SearchBudget
 from repro.model import events as events_module
 from repro.model.events import event_hash, message_hashes
@@ -170,6 +176,36 @@ class TestPoolFailure:
         assert parallel.found_bug
         replayed = validate_bug(protocol, parallel.first_bug(), CommitValidity())
         assert replayed.complete and replayed.violates
+
+    def test_second_pool_failure_finishes_the_pass_serially(self, monkeypatch):
+        """``map_ordered`` retries a broken generation once; the second
+        ``BrokenProcessPool`` reaches the speculator, which switches itself
+        off — the run still lands on the serial counters."""
+
+        class AlwaysBroken:
+            submits = 0
+
+            def submit(self, *_args):
+                AlwaysBroken.submits += 1
+                raise BrokenProcessPool("a worker died")
+
+        monkeypatch.setattr(pool, "shared_executor", lambda workers: AlwaysBroken())
+        disabled = []
+        begin_round = RoundSpeculator.begin_round
+
+        def spy(speculator):
+            begin_round(speculator)
+            disabled.append(not speculator.enabled)
+
+        monkeypatch.setattr(RoundSpeculator, "begin_round", spy)
+        serial = _run(EagerCommitCoordinator(3, no_voters=(2,)), CommitValidity())
+        parallel = _run(
+            EagerCommitCoordinator(3, no_voters=(2,)), CommitValidity(), **PARALLEL
+        )
+        assert AlwaysBroken.submits == 2  # one generation, retried once, then off
+        assert disabled and disabled[-1]
+        assert parallel.stats.explore_rounds_parallel == 0
+        assert _observable(serial) == _observable(parallel)
 
 
 class TestEventKindTable:

@@ -85,7 +85,7 @@ def test_local_checker_identical_with_observability_on(scenario, tmp_path):
 def test_parallel_checker_identical_with_observability_on(tmp_path):
     protocol, invariant, initial = _paxos_s55()
     budget = SearchBudget(max_transitions=400)
-    config = LMCConfig.optimized(max_collected_preliminary=64)
+    config = LMCConfig.optimized()
 
     def run(**kwargs):
         return ParallelLocalModelChecker(

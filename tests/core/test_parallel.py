@@ -2,20 +2,21 @@
 
 import os
 import signal
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+import repro.core.checker as checker_module
 import repro.core.pool as pool
+from repro.cli import WORKLOADS
 from repro.core.checker import LocalModelChecker
 from repro.core.config import LMCConfig
-from repro.core.parallel import (
-    ParallelLocalModelChecker,
-    shutdown_verification_pool,
-    verify_unit,
-)
-from repro.core.pool import shared_executor, shutdown_worker_pool
+from repro.core.parallel import ParallelLocalModelChecker, verify_unit
+from repro.core.pool import map_ordered, shared_executor, shutdown_worker_pool
 from repro.core.soundness import replay_sequences_indexed
 from repro.explore.budget import SearchBudget
+from repro.obs.emitter import MemoryEmitter
 from repro.protocols.paxos import PaxosAgreement
 from repro.protocols.paxos.scenarios import partial_choice_state, scenario_protocol
 from repro.protocols.tree import ReceivedImpliesSent, TreeProtocol
@@ -47,15 +48,19 @@ class TestPlainReplay:
             0: [((5, ()),), ((None, (9,)),)],  # first candidate needs hash 5
             1: [((9, ()),)],
         }
-        verdict = verify_unit(unit, max_combinations=None)
+        verdict, tried = verify_unit(unit, max_combinations=None)
         assert verdict is not None
         chosen, order = verdict
         assert chosen[0] == 1  # only the generating candidate works
         assert len(order) == 2
+        assert tried == 2
 
     def test_verify_unit_cap(self):
         unit = {0: [((5, ()),)] * 4, 1: [((6, ()),)] * 4}
-        assert verify_unit(unit, max_combinations=3) is None
+        assert verify_unit(unit, max_combinations=3) == (None, 3)
+
+    def test_verify_unit_without_candidates_is_unsound_after_zero_tries(self):
+        assert verify_unit({0: [()], 1: []}, max_combinations=None) == (None, 0)
 
 
 class TestParallelChecker:
@@ -90,17 +95,117 @@ class TestParallelChecker:
         ).run()
         assert sequential.found_bug and parallel.found_bug
 
-    def test_collection_is_deduplicated_and_capped(self):
+    def test_collection_is_deduplicated_and_a_small_buffer_loses_nothing(
+        self, monkeypatch
+    ):
+        """Pairwise OPT enumeration reaches some full combinations through
+        more than one conflicting pair.  The inline checker verifies — and
+        reports — every occurrence; the deferred buffer keeps one.  Shrinking
+        the buffer below the violation count only adds flushes."""
+        protocol = EagerCommitCoordinator(3, no_voters=(2,))
+        config = LMCConfig.optimized(stop_on_first_bug=False)
+
+        def violating_states(result):
+            return {bug.violating_state for bug in result.bugs}
+
+        serial = LocalModelChecker(protocol, CommitValidity(), config=config).run()
+        assert len(violating_states(serial)) < len(serial.bugs)  # duplicates exist
+
+        def deferred():
+            emitter = MemoryEmitter()
+            result = ParallelLocalModelChecker(
+                protocol, CommitValidity(), config=config, workers=0, emitter=emitter
+            ).run()
+            flushes = [
+                r["fields"]["units"]
+                for r in emitter.records
+                if r.get("name") == "dispatch"
+            ]
+            return result, flushes
+
+        one_flush, flushes = deferred()
+        assert len(flushes) == 1
+        assert len(one_flush.bugs) == len(violating_states(one_flush))
+        assert one_flush.stats.soundness_calls < serial.stats.soundness_calls
+        assert violating_states(one_flush) == violating_states(serial)
+
+        monkeypatch.setattr(checker_module, "DEFERRED_BUFFER_LIMIT", 10)
+        many_flushes, flushes = deferred()
+        assert len(flushes) > 10 and max(flushes) == 10
+        assert (
+            many_flushes.stats.preliminary_violations
+            == serial.stats.preliminary_violations
+        )
+        assert violating_states(many_flushes) == violating_states(serial)
+        for bug in many_flushes.bugs:
+            replayed = validate_bug(protocol, bug, CommitValidity())
+            assert replayed.complete and replayed.violates
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_no_silent_truncation_on_the_s55_snapshot(self, workers):
+        """8,448 preliminary violations against a 2,048-entry buffer: every
+        one is verified, and the ten bugs the inline checker confirms are
+        all reported (a capped collection used to drop 6,400 and four)."""
         protocol = scenario_protocol(buggy=True)
-        config = LMCConfig.optimized(max_collected_preliminary=10)
-        result = ParallelLocalModelChecker(
-            protocol,
-            PaxosAgreement(0),
-            budget=SearchBudget(max_seconds=5.0),
-            config=config,
-            workers=0,
+        budget = SearchBudget(max_transitions=760)
+        config = LMCConfig.optimized(stop_on_first_bug=False)
+        serial = LocalModelChecker(protocol, PaxosAgreement(0), budget, config).run(
+            partial_choice_state()
+        )
+        pooled = ParallelLocalModelChecker(
+            protocol, PaxosAgreement(0), budget, config, workers=workers
         ).run(partial_choice_state())
-        assert result.stats.soundness_calls <= 10
+        assert (serial.stats.soundness_calls, len(serial.bugs)) == (8448, 10)
+        for counter in ("soundness_calls", "soundness_sequences", "confirmed_bugs"):
+            assert getattr(pooled.stats, counter) == getattr(serial.stats, counter)
+        assert [bug.trace for bug in pooled.bugs] == [bug.trace for bug in serial.bugs]
+
+    @pytest.mark.parametrize("buggy", [False, True])
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_verdict_matches_sequential_on_every_cli_workload(self, workload, buggy):
+        """Every invariant kind the CLI can select — decomposable, general
+        and node-local — is confirmed by the deferred checker too."""
+        protocol, invariant = WORKLOADS[workload][0](3, buggy)
+        budget = SearchBudget(max_transitions=300)
+        serial = LocalModelChecker(
+            protocol, invariant, budget, LMCConfig.optimized()
+        ).run()
+        deferred = ParallelLocalModelChecker(
+            protocol, invariant, budget, LMCConfig.optimized(), workers=0
+        ).run()
+        assert deferred.found_bug == serial.found_bug
+        for bug in serial.bugs + deferred.bugs:
+            replayed = validate_bug(protocol, bug, invariant)
+            assert replayed.complete and replayed.violates
+
+    def test_local_event_bound_widens_as_in_the_sequential_checker(self):
+        protocol, invariant = WORKLOADS["2pc"][0](3, False)
+        config = LMCConfig.optimized(local_event_bound=1)
+        serial = LocalModelChecker(protocol, invariant, config=config).run()
+        unbounded = LocalModelChecker(protocol, invariant).run()
+        assert serial.stats.transitions > unbounded.stats.transitions  # it widened
+        deferred = ParallelLocalModelChecker(
+            protocol, invariant, config=config, workers=0
+        ).run()
+        assert (deferred.completed, deferred.stop_reason, deferred.stats.transitions) == (
+            serial.completed,
+            serial.stop_reason,
+            serial.stats.transitions,
+        )
+
+    def test_pooled_rejection_takes_the_orbit_fallback(self):
+        """Under symmetry reduction a rejected representative is retried
+        through its orbit siblings — by the helper both checkers share."""
+        protocol = EagerCommitCoordinator(4, no_voters=(2,))
+        config = LMCConfig.optimized(stop_on_first_bug=False, symmetry_reduction=True)
+        serial = LocalModelChecker(protocol, CommitValidity(), config=config).run()
+        deferred = ParallelLocalModelChecker(
+            protocol, CommitValidity(), config=config, workers=0
+        ).run()
+        assert len(serial.bugs) == len(deferred.bugs) == 52
+        assert {bug.violating_state for bug in deferred.bugs} == {
+            bug.violating_state for bug in serial.bugs
+        }
 
     def test_soundness_sequences_match_sequential(self):
         """Serial and pooled verification count the same combinations.
@@ -156,6 +261,30 @@ class _BrokenStubExecutor(_RaisingExecutor):
     _broken = True
 
 
+class _FlakyPool:
+    """Replaces ``pool.shared_executor``: the first ``failures`` executors it
+    hands out break on submit, later ones run the task in this process."""
+
+    def __init__(self, failures):
+        self.failures = failures
+        self.handed_out = 0
+
+    def __call__(self, workers):
+        self.handed_out += 1
+        return self
+
+    def submit(self, fn, *args):
+        if self.handed_out <= self.failures:
+            raise BrokenProcessPool("a worker died")
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def _double(value):
+    return 2 * value
+
+
 class TestPoolRecovery:
     def teardown_method(self):
         shutdown_worker_pool()
@@ -183,15 +312,6 @@ class TestPoolRecovery:
         monkeypatch.setattr(pool, "_EXECUTOR", None)
         monkeypatch.setattr(pool, "_EXECUTOR_WORKERS", 0)
 
-    def test_deprecated_alias_still_works(self, monkeypatch):
-        """`shutdown_verification_pool` forwards to the shared-pool teardown."""
-        stub = _RaisingExecutor()
-        monkeypatch.setattr(pool, "_EXECUTOR", stub)
-        monkeypatch.setattr(pool, "_EXECUTOR_WORKERS", 2)
-        shutdown_verification_pool(broken=True)
-        assert pool._EXECUTOR is None
-        assert stub.calls == [{"wait": False, "cancel_futures": True}]
-
     def test_worker_count_change_tolerates_broken_pool(self, monkeypatch):
         """Resizing away from an already-broken pool must not wait on it.
 
@@ -208,6 +328,29 @@ class TestPoolRecovery:
             assert executor.submit(os.getpid).result() > 0
         finally:
             shutdown_worker_pool()
+
+    def test_map_ordered_times_and_tags_each_task(self):
+        in_process = map_ordered(0, _double, [(1,), (2,), (3,)])
+        assert [result for result, _wall_s, _pid in in_process] == [2, 4, 6]
+        assert {pid for _result, _wall_s, pid in in_process} == {os.getpid()}
+        pooled = map_ordered(2, _double, [(1,), (2,), (3,)])
+        assert [result for result, _wall_s, _pid in pooled] == [2, 4, 6]
+        assert all(wall_s >= 0 for _result, wall_s, _pid in pooled)
+        assert os.getpid() not in {pid for _result, _wall_s, pid in pooled}
+
+    def test_map_ordered_retries_a_broken_generation_once(self, monkeypatch):
+        flaky = _FlakyPool(failures=1)
+        monkeypatch.setattr(pool, "shared_executor", flaky)
+        reports = map_ordered(2, _double, [(1,), (2,)])
+        assert [result for result, _wall_s, _pid in reports] == [2, 4]
+        assert flaky.handed_out == 2
+
+    def test_map_ordered_lets_the_second_failure_propagate(self, monkeypatch):
+        flaky = _FlakyPool(failures=2)
+        monkeypatch.setattr(pool, "shared_executor", flaky)
+        with pytest.raises(BrokenProcessPool):
+            map_ordered(2, _double, [(1,), (2,)])
+        assert flaky.handed_out == 2  # not a third attempt
 
     def test_killed_worker_is_retried_to_completion(self):
         """SIGKILL a pool worker; the next run must rebuild and still confirm."""

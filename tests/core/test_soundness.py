@@ -106,14 +106,14 @@ class TestSequenceEnumeration:
     def test_all_simple_paths_enumerated(self):
         space, _seed, _s1, s2 = self._space_with_chain()
         verifier = SoundnessVerifier(space, ExplorationStats())
-        sequences = verifier._enumerate_sequences(s2)
+        sequences = verifier.enumerate_sequences(s2)
         lengths = sorted(len(seq.steps) for seq in sequences)
         assert lengths == [1, 2]  # seed->s2 direct, and seed->s1->s2
 
     def test_seed_state_has_one_empty_sequence(self):
         space, seed, _s1, _s2 = self._space_with_chain()
         verifier = SoundnessVerifier(space, ExplorationStats())
-        assert [seq.steps for seq in verifier._enumerate_sequences(seed)] == [()]
+        assert [seq.steps for seq in verifier.enumerate_sequences(seed)] == [()]
 
     def test_self_reference_links_ignored(self):
         space = LocalStateSpace((0,))
@@ -127,7 +127,7 @@ class TestSequenceEnumeration:
             PredecessorLink(s1.hash, loop, event_hash(loop), None, ())
         )
         verifier = SoundnessVerifier(space, ExplorationStats())
-        sequences = verifier._enumerate_sequences(s1)
+        sequences = verifier.enumerate_sequences(s1)
         assert len(sequences) == 1
 
     def test_sequence_cap_respected(self):
@@ -135,7 +135,7 @@ class TestSequenceEnumeration:
         verifier = SoundnessVerifier(
             space, ExplorationStats(), max_sequences_per_node=1
         )
-        sequences = verifier._enumerate_sequences(s2)
+        sequences = verifier.enumerate_sequences(s2)
         assert len(sequences) == 1
 
     def test_is_state_sound_counts_calls(self):
