@@ -102,8 +102,13 @@ from repro.core.system_states import (
 )
 from repro.explore.budget import BudgetClock, SearchBudget
 from repro.invariants.base import DecomposableInvariant, Invariant, LocalInvariant
-from repro.model.events import DeliveryEvent, Event, event_hash, message_hashes
-from repro.model.hashing import content_hash, intern_stats, interning_enabled
+from repro.model.events import DeliveryEvent, Event, event_hash
+from repro.model.hashing import (
+    content_hash,
+    content_hash_and_size,
+    intern_stats,
+    interning_enabled,
+)
 from repro.model.protocol import Protocol
 from repro.model.system_state import SystemState
 from repro.model.types import HandlerResult, NodeId
@@ -457,13 +462,6 @@ class _ExplorationPass:
         )
         self.blocked_by_bound = False
         self._blocked_by_depth = False
-        # Delivery-event hashes memoised by message content hash: the event
-        # hash is a pure function of the message, and every stored message
-        # is delivered to many node states.  Tied to the interner toggle so
-        # the bench's uncached mode measures the true unoptimized baseline.
-        self._delivery_hash_memo: Optional[Dict[int, int]] = (
-            {} if interning_enabled() else None
-        )
         # Per-node deepest discovery depth.  The exploration depth the paper
         # plots is the length of the longest *combined* event sequence, i.e.
         # the sum of the per-node sequence lengths (the 22-event
@@ -943,35 +941,29 @@ class _ExplorationPass:
         docs/FAULTS.md.
 
         ``precomputed`` carries a parallel-exploration worker's hashes for
-        this execution (successor hash/size, per-send hash/size): the merge
-        then skips every re-encoding but makes exactly the same decisions —
-        send admission, successor dedup and predecessor linking are driven
-        by the same hash values a serial run would compute.
+        this execution (successor hash/size, event hash, per-send
+        hash/size): the merge then skips every re-encoding but makes exactly
+        the same decisions — send admission, successor dedup and predecessor
+        linking are driven by the same hash values a serial run would
+        compute.  Either way each send is hashed once and admitted through
+        ``add_hashed``.
         """
         if precomputed is not None:
             generated = precomputed.generated
-            for message, info in zip(result.sends, precomputed.send_info):
-                self.network.add_hashed(message, info[0], info[1])
+            send_info = precomputed.send_info
             new_hash = precomputed.new_hash
             new_size: Optional[int] = precomputed.new_size
-            ehash: Optional[int] = precomputed.ehash
+            ehash = precomputed.ehash
         else:
-            generated = message_hashes(result.sends)
-            self.network.add_all(result.sends)
-            new_hash = content_hash(result.state)
+            send_info = [
+                content_hash_and_size(m, by_value=True) for m in result.sends
+            ]
+            generated = tuple([info[0] for info in send_info])
+            new_hash = content_hash(result.state, by_value=True)
             new_size = None
-            ehash = None
-        memo = self._delivery_hash_memo
-        if row is DELIVERY and memo is not None:
-            cached = memo.get(subject.hash)
-            if cached is None:
-                if ehash is None:
-                    ehash = event_hash(event)
-                memo[subject.hash] = ehash
-            else:
-                ehash = cached
-        elif ehash is None:
             ehash = event_hash(event)
+        for message, info in zip(result.sends, send_info):
+            self.network.add_hashed(message, info[0], info[1])
         consumed_hash = subject.hash if row.consumes else None
         link = PredecessorLink(
             prev_hash=record.hash,

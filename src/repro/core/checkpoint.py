@@ -32,10 +32,9 @@ What is deliberately *not* serialized, because it is derived state rebuilt
 on demand: the soundness verifier's sequence/replay memos (cold memos only
 change ``*_cache_hits`` counters, never verdicts — the same contract the
 bench's cached-vs-uncached legs rely on), the projection cache and index
-(recomputed from the restored records in discovery order), the
-delivery-event-hash memo, the symmetry renamed-hash cache, and the
-parallel-exploration speculator (a fresh one re-ships the full ``I+`` log
-through its ordinary sync handshake).
+(recomputed from the restored records in discovery order), the symmetry
+renamed-hash cache, and the parallel-exploration speculator (a fresh one
+re-ships the full ``I+`` log through its ordinary sync handshake).
 
 Model values round-trip through :mod:`repro.persistence`'s structural
 codec — the same closed class registry and versioned-envelope discipline as

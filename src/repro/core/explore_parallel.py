@@ -178,7 +178,7 @@ def explore_shard_task(
         result = attempt(protocol, state, event)
         if result is ASSERT or result is NOOP:
             return (result,)
-        new_hash, new_size = content_hash_and_size(result.state)
+        new_hash, new_size = content_hash_and_size(result.state, by_value=True)
         pos = state_pos.get(new_hash)
         if pos is None:
             pos = len(out_states)
@@ -186,7 +186,7 @@ def explore_shard_task(
             out_states.append(result.state)
         sends = []
         for message in result.sends:
-            msg_hash, msg_size = content_hash_and_size(message)
+            msg_hash, msg_size = content_hash_and_size(message, by_value=True)
             mpos = msg_pos.get(msg_hash)
             if mpos is None:
                 mpos = len(out_msgs)

@@ -318,7 +318,7 @@ class LocalStateSpace:
 
     def seed(self, node: NodeId, state: object) -> NodeStateRecord:
         """Install the live/snapshot state of ``node`` (Fig. 9 lines 3-4)."""
-        state_hash = content_hash(state)
+        state_hash = content_hash(state, by_value=True)
         record = self.stores[node].add(
             state, state_hash, depth=0, local_depth=0, history=frozenset()
         )

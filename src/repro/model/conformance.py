@@ -8,6 +8,12 @@ interface documents but Python cannot enforce:
   lead to the same node state", or soundness replay breaks);
 * **hashability** — every reachable node state and emitted message is
   content-hashable (the closed immutable vocabulary);
+* **equal implies same encoding** — states, messages and events that
+  compare ``==`` encode to the same bytes (docs/PROTOCOL_GUIDE.md), which is
+  what lets the checkers hash them through the value memo of
+  :mod:`repro.model.hashing`: every digest the memo serves is compared with
+  the uncached reference walk, and dataclasses whose ``==`` ignores an
+  encoded field are named;
 * **totality** — handlers accept any message without crashing (foreign
   payloads must be no-ops, not exceptions);
 * **stable action enumeration** — ``enabled_actions`` is a pure function of
@@ -21,11 +27,12 @@ checker — it turns silent state-space corruption into a named error.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, List, Set, Tuple
+from typing import Any, Dict, Iterator, List, Set, Tuple
 
 from repro.model.events import DeliveryEvent, InternalEvent
-from repro.model.hashing import UnhashableModelValue, content_hash
+from repro.model.hashing import UnhashableModelValue, content_hash, equality_gap
 from repro.model.protocol import Protocol
 from repro.model.types import LocalAssertionError, Message
 
@@ -54,6 +61,42 @@ class ConformanceReport:
         return "\n".join(lines)
 
 
+def _equality_gaps(value: Any, seen: Set[type]) -> Iterator[str]:
+    """:func:`equality_gap` of every dataclass type in ``value`` not yet seen."""
+    if isinstance(value, (tuple, frozenset)):
+        for item in value:
+            yield from _equality_gaps(item, seen)
+    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+        if type(value) not in seen:
+            seen.add(type(value))
+            gap = equality_gap(type(value))
+            if gap is not None:
+                yield gap
+        for spec in dataclasses.fields(value):
+            yield from _equality_gaps(getattr(value, spec.name), seen)
+
+
+def _divergence(value: Any, twin: Any, where: str = "") -> str:
+    """Where two ``==`` values encode differently, as ``Class.field: a vs b``."""
+
+    def differ(a: Any, b: Any) -> bool:
+        return content_hash(a, intern=False) != content_hash(b, intern=False)
+
+    if dataclasses.is_dataclass(value) and type(twin) is type(value):
+        for spec in dataclasses.fields(value):
+            a, b = getattr(value, spec.name), getattr(twin, spec.name)
+            if differ(a, b):
+                return _divergence(a, b, f"{type(value).__qualname__}.{spec.name}")
+    elif isinstance(value, tuple) and isinstance(twin, tuple):
+        for index, (a, b) in enumerate(zip(value, twin)):
+            if differ(a, b):
+                return _divergence(a, b, f"{where}[{index}]")
+    return (
+        f"{where or type(value).__qualname__}: {value!r} ({type(value).__name__}) "
+        f"vs {twin!r} ({type(twin).__name__})"
+    )
+
+
 def check_protocol(
     protocol: Protocol,
     max_states: int = 2000,
@@ -71,14 +114,33 @@ def check_protocol(
     seen_hashes: dict = {node: set() for node in protocol.node_ids()}
     messages: List[Message] = []
     message_hashes: Set[int] = set()
+    first_equal: Dict[Any, Any] = {}  # value -> first admitted value == to it
+    classes_seen: Set[type] = set()
 
     def note(problem: str) -> None:
-        if len(report.problems) < max_problems:
+        if len(report.problems) < max_problems and problem not in report.problems:
             report.problems.append(problem)
+
+    def exact_hash(value: Any, context: str) -> int:
+        """The reference digest of ``value``, after validating that the
+        value memo serves the same one and that ``==`` sees every field."""
+        exact = content_hash(value, intern=False)
+        for gap in _equality_gaps(value, classes_seen):
+            note(f"{context}: {gap}, so == ignores part of what is hashed")
+        try:
+            twin = first_equal.setdefault(value, value)
+        except TypeError:  # unhashable by Python: the memo never sees it
+            twin = value
+        if content_hash(value, by_value=True) != exact:
+            note(
+                f"{context}: equal values encode differently, "
+                f"{_divergence(value, twin)}"
+            )
+        return exact
 
     def admit_state(node: int, state: Any) -> None:
         try:
-            digest = content_hash(state)
+            digest = exact_hash(state, f"state of node {node}")
         except UnhashableModelValue as exc:
             note(f"unhashable state on node {node}: {exc}")
             return
@@ -97,13 +159,14 @@ def check_protocol(
                 note(f"{context}: send to unknown node {message.dest}")
                 continue
             try:
-                digest = content_hash(message)
+                digest = exact_hash(message, context)
             except UnhashableModelValue as exc:
                 note(f"{context}: unhashable message: {exc}")
                 continue
             if digest not in message_hashes:
                 message_hashes.add(digest)
                 messages.append(message)
+                exact_hash(DeliveryEvent(message), context)
 
     def run_twice(handler, state, argument, context: str):
         try:
@@ -160,11 +223,14 @@ def check_protocol(
                             f"node {node}: enabled action targets node "
                             f"{action.node}"
                         )
+                    context = f"action {action.name} on node {node}"
+                    try:
+                        exact_hash(InternalEvent(action), context)
+                    except UnhashableModelValue as exc:
+                        note(f"{context}: unhashable action: {exc}")
+                        continue
                     result = run_twice(
-                        protocol.handle_action,
-                        state,
-                        action,
-                        f"action {action.name} on node {node}",
+                        protocol.handle_action, state, action, context
                     )
                     report.events_checked += 1
                     if result is None:

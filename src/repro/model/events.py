@@ -209,11 +209,11 @@ def event_hash(event: Event) -> int:
     ("Instead of the actual event, its hash is added into the predecessor
     pointers", §4.2).  This module hashes the full event value; the hash of a
     delivery event therefore coincides for duplicate sends of an equal
-    message, exactly as in the paper's prototype.  Event values are shared
-    by identity along exploration paths, so the interning cache in
-    :mod:`repro.model.hashing` answers repeat hashes without re-encoding.
+    message, exactly as in the paper's prototype.  Checkers mint a fresh
+    event object per execution, so repeat hashes are answered by the value
+    memo in :mod:`repro.model.hashing` without re-encoding.
     """
-    return content_hash(event)
+    return content_hash(event, by_value=True)
 
 
 def message_hashes(messages: Tuple[Message, ...]) -> Tuple[int, ...]:
@@ -221,11 +221,10 @@ def message_hashes(messages: Tuple[Message, ...]) -> Tuple[int, ...]:
 
     These are the values stored next to each predecessor pointer so the
     soundness replay can maintain its generated-message set ``net`` with
-    integer operations only.  Sits inside the checker's innermost
-    ``_integrate`` loop: the common no-sends case returns without building a
-    generator, and repeated sends of interned messages hit the shared
-    encoding cache.
+    integer operations only.  Handlers re-send equal messages as fresh
+    objects along many interleavings; the value memo in
+    :mod:`repro.model.hashing` encodes each distinct one once.
     """
     if not messages:
         return ()
-    return tuple(content_hash(message) for message in messages)
+    return tuple(content_hash(message, by_value=True) for message in messages)

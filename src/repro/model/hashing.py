@@ -32,6 +32,19 @@ read-only for encoding convenience) are never cached, because a mutation
 would go undetected.  Interning changes *nothing* about hash values: the
 cached bytes are exactly what the uncached walk would produce, a property
 ``tests/model/test_hash_interning.py`` checks against arbitrary values.
+
+Identity cannot help with the checker's commonest case: a handler re-derives
+a state, or re-sends a message, that *equals* one already encoded but is a
+fresh object (on two-proposal Paxos, 91% of the values the checker hashes).
+For those the interner keeps a second table keyed by the value itself —
+Python's own ``__hash__``/``__eq__``, which short-cut on shared sub-objects
+— consulted only by ``content_hash(value, by_value=True)`` after an identity
+miss.  ``==`` is coarser than the encoding (``True == 1 == 1.0``), so the
+probe is exact only for values whose equality implies equal encodings; that
+is a contract on protocol values (docs/PROTOCOL_GUIDE.md), which is why the
+keyword is passed where a value came out of a protocol handler and nowhere
+else, and why :func:`repro.model.conformance.check_protocol` re-derives
+every memoised digest with the uncached walk.
 """
 
 from __future__ import annotations
@@ -71,26 +84,37 @@ class UnhashableModelValue(TypeError):
 
 
 class HashInterner:
-    """Identity-keyed LRU cache of canonical encodings.
+    """Identity-keyed LRU cache of canonical encodings, plus a value memo.
 
     One entry per cached *object* (not per equal value): the key is
     ``id(value)`` and the entry pins the value alive, so identity is stable
     for exactly as long as the entry exists.  Stores the canonical bytes,
     the serialized size, and — once requested — the BLAKE2b digest, so
     ``content_hash`` + ``content_size`` on the same object cost one walk.
+
+    The value memo maps a value *itself* (``__hash__``/``__eq__``) to the
+    entry of the first equal object encoded, so a fresh-but-equal object is
+    answered without a walk.  Only ``by_value=True`` calls read or fill it;
+    see :func:`content_hash` for the contract that makes that exact.  It
+    shares ``capacity`` with the identity table and evicts oldest-first.
     """
 
-    __slots__ = ("capacity", "hits", "misses", "evictions", "_table")
+    __slots__ = (
+        "capacity", "hits", "value_hits", "misses", "evictions", "_table", "_values"
+    )
 
     def __init__(self, capacity: int = 1 << 16):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self.hits = 0
+        self.value_hits = 0
         self.misses = 0
         self.evictions = 0
         # id(value) -> [value, bytes, hash-or-None]
         self._table: "OrderedDict[int, list]" = OrderedDict()
+        # value -> the same entry list the identity table holds for it
+        self._values: "OrderedDict[Any, list]" = OrderedDict()
 
     def lookup(self, value: Any) -> Optional[list]:
         """The cache entry for ``value``, refreshed in the LRU, or None."""
@@ -112,17 +136,30 @@ class HashInterner:
             self.evictions += 1
         return entry
 
+    def store_value(self, entry: list) -> None:
+        """File ``entry`` under its value too, evicting the oldest if full."""
+        self._values[entry[0]] = entry
+        if len(self._values) > self.capacity:
+            self._values.popitem(last=False)
+            self.evictions += 1
+
     def clear(self) -> None:
-        """Drop every entry (counters are kept — they are cumulative)."""
+        """Drop every entry of both tables (counters are cumulative)."""
         self._table.clear()
+        self._values.clear()
 
     def __len__(self) -> int:
         return len(self._table)
 
     def stats(self) -> Dict[str, int]:
-        """Cumulative hit/miss/eviction counters plus the current size."""
+        """Cumulative hit/miss/eviction counters plus the current size.
+
+        ``hits`` counts every call answered without a walk; ``value_hits``
+        is the part of it the value memo answered.
+        """
         return {
             "hits": self.hits,
+            "value_hits": self.value_hits,
             "misses": self.misses,
             "evictions": self.evictions,
             "entries": len(self._table),
@@ -162,7 +199,9 @@ def intern_stats() -> Dict[str, int]:
     """Counters of the shared interner (zeros when interning is off).
 
     These are the cache hit/miss figures ``tools/bench.py`` records and the
-    checker emits as a ``hash_cache`` trace event (docs/OBSERVABILITY.md).
+    checker emits as a ``hash_cache`` trace event (docs/OBSERVABILITY.md);
+    a live interner also reports ``value_hits``, the share of ``hits`` its
+    value memo answered.
     """
     if _DEFAULT_INTERNER is None:
         return {"hits": 0, "misses": 0, "evictions": 0, "entries": 0, "capacity": 0}
@@ -202,19 +241,41 @@ def configure_encoding_caches(enabled: bool = True) -> None:
         _STR_ENCODINGS.clear()
         _DATACLASS_INFO.clear()
 
-#: Per-dataclass-class encoding header (tag + qualname + field count) and
-#: field-name tuple.  A dataclass's fields are fixed at class creation, so
-#: this is computed once per class instead of per instance.
-_DATACLASS_INFO: Dict[type, Tuple[bytes, Tuple[str, ...]]] = {}
+#: Per-dataclass-class encoding header (tag + qualname + field count),
+#: field-name tuple, and whether instances may be interned.  A dataclass's
+#: fields are fixed at class creation, so this is computed once per class
+#: instead of per instance.
+_DATACLASS_INFO: Dict[type, Tuple[bytes, Tuple[str, ...], bool]] = {}
 
 
-def _dataclass_info(cls: type) -> Tuple[bytes, Tuple[str, ...]]:
+def equality_gap(cls: type) -> Optional[str]:
+    """Why ``==`` on dataclass ``cls`` may hold between different encodings.
+
+    Every field is encoded, so a class compared by identity (``eq=False``)
+    or with a ``compare=False`` field breaks the value memo's contract
+    (:func:`content_hash`).  Returns the reason, naming the field, or None.
+    """
+    if not cls.__dataclass_params__.eq:
+        return f"{cls.__qualname__} is declared eq=False"
+    for field in dataclasses.fields(cls):
+        if not field.compare:
+            return f"{cls.__qualname__}.{field.name} is declared compare=False"
+    return None
+
+
+def _dataclass_info(cls: type) -> Tuple[bytes, Tuple[str, ...], bool]:
     info = _DATACLASS_INFO.get(cls)
     if info is None:
         fields = dataclasses.fields(cls)
         name = cls.__qualname__.encode("utf-8")
         header = _TAG_DATACLASS + _len4(len(name)) + name + _len4(len(fields))
-        info = (header, tuple(field.name for field in fields))
+        # A class with an equality gap is never interned (like a dict, it
+        # poisons its ancestors), which keeps it out of the value memo.
+        info = (
+            header,
+            tuple(field.name for field in fields),
+            equality_gap(cls) is None,
+        )
         if _ENCODING_CACHES:
             _DATACLASS_INFO[cls] = info
     return info
@@ -224,8 +285,9 @@ def _encode(value: Any, out: bytearray, interner: Optional[HashInterner]) -> boo
     """Append the canonical encoding of ``value``; returns cacheability.
 
     A subtree is cacheable unless it contains a ``dict`` (the one accepted
-    type that is mutable); non-cacheable subtrees are encoded but never
-    stored, and they poison their ancestors' cacheability.
+    type that is mutable) or a dataclass with an :func:`equality_gap`;
+    non-cacheable subtrees are encoded but never stored, and they poison
+    their ancestors' cacheability.
 
     The branch order is frequency-tuned (this function dominates checker
     profiles): exact-type checks for the common primitives first, then the
@@ -365,9 +427,8 @@ def _encode(value: Any, out: bytearray, interner: Optional[HashInterner]) -> boo
         interner.misses += 1
         if info is None:
             info = _dataclass_info(cls)
-        header, field_names = info
+        header, field_names, cacheable = info
         piece = bytearray(header)
-        cacheable = True
         table = interner._table
         for name in field_names:
             item = getattr(value, name)
@@ -410,9 +471,8 @@ def _encode_dataclass(
     value: Any, out: bytearray, interner: Optional[HashInterner]
 ) -> bool:
     """The dataclass branch of :func:`_encode`, shared by both paths."""
-    header, field_names = _dataclass_info(value.__class__)
+    header, field_names, cacheable = _dataclass_info(value.__class__)
     out += header
-    cacheable = True
     for name in field_names:
         cacheable &= _encode(getattr(value, name), out, interner)
     return cacheable
@@ -507,28 +567,38 @@ def canonical_bytes(value: Any, intern: bool = True) -> bytes:
     return bytes(out)
 
 
-def _interned_entry(value: Any) -> Optional[list]:
-    """The interner entry for ``value``, encoding it on a miss (if possible)."""
+def _interned_entry(value: Any, by_value: bool) -> list:
+    """The entry for ``value`` after an identity miss in the shared interner.
+
+    With ``by_value`` the value memo is probed first, and a value that had
+    to be encoded after all is filed there too.  An unhashable value (a
+    ``TypeError`` from the probe) takes the plain walk and is never filed.
+    """
     interner = _DEFAULT_INTERNER
-    if interner is None:
-        return None
-    table = interner._table
-    entry = table.get(id(value))
-    if entry is not None and entry[0] is value:
-        interner.hits += 1
-        return entry
+    if by_value:
+        try:
+            entry = interner._values.get(value)
+        except TypeError:
+            by_value = False
+        else:
+            if entry is not None:
+                interner.hits += 1
+                interner.value_hits += 1
+                return entry
     out = bytearray()
     cacheable = _encode(value, out, interner)
     # _encode already stored cacheable composites; fetch the entry it made
-    # (primitives and dict-containing values land here with entry None).
+    # (primitives and uncacheable values land here with entry None).
     if cacheable:
-        entry = table.get(id(value))
+        entry = interner._table.get(id(value))
         if entry is not None and entry[0] is value:
+            if by_value:
+                interner.store_value(entry)
             return entry
     return [value, bytes(out), None]
 
 
-def content_hash(value: Any, intern: bool = True) -> int:
+def content_hash(value: Any, intern: bool = True, by_value: bool = False) -> int:
     """Stable 64-bit content hash of a model value.
 
     Equal values always hash equally, across processes and runs; this is the
@@ -537,6 +607,14 @@ def content_hash(value: Any, intern: bool = True) -> int:
     one dict probe, no LRU touch — because this function sits inside the
     checker's innermost loops; recency bookkeeping is worth paying only on
     the (much rarer) encode path.
+
+    ``by_value=True`` lets an identity miss be answered by an ``==``-equal
+    value encoded earlier.  Python equality is coarser than the encoding
+    (``True == 1 == 1.0``), so this is exact only under the contract of
+    docs/PROTOCOL_GUIDE.md — *values of one protocol that compare equal
+    encode equal* — and callers pass it only for values a protocol handler
+    produced; :func:`repro.model.conformance.check_protocol` checks the
+    contract.  The default stays exact for arbitrary values.
     """
     interner = _DEFAULT_INTERNER
     if intern and interner is not None:
@@ -544,7 +622,7 @@ def content_hash(value: Any, intern: bool = True) -> int:
         if entry is not None and entry[0] is value:
             interner.hits += 1
         else:
-            entry = _interned_entry(value)
+            entry = _interned_entry(value, by_value)
         digest = entry[2]
         if digest is None:
             digest = int.from_bytes(
@@ -569,12 +647,15 @@ def content_size(value: Any, intern: bool = True) -> int:
     return len(canonical_bytes(value, intern=intern))
 
 
-def content_hash_and_size(value: Any, intern: bool = True) -> Tuple[int, int]:
+def content_hash_and_size(
+    value: Any, intern: bool = True, by_value: bool = False
+) -> Tuple[int, int]:
     """Hash and serialized size from a single canonical encoding pass.
 
     Callers that need both — the monotonic network stores a message by hash
     and charges its serialized size — previously encoded twice; this walks
-    (or interns) once and derives both.
+    (or interns) once and derives both.  ``by_value`` as in
+    :func:`content_hash`.
     """
     interner = _DEFAULT_INTERNER
     if intern and interner is not None:
@@ -582,7 +663,7 @@ def content_hash_and_size(value: Any, intern: bool = True) -> Tuple[int, int]:
         if entry is not None and entry[0] is value:
             interner.hits += 1
         else:
-            entry = _interned_entry(value)
+            entry = _interned_entry(value, by_value)
         digest = entry[2]
         if digest is None:
             digest = int.from_bytes(

@@ -99,7 +99,7 @@ class MonotonicNetwork:
         """
         # One canonical encoding pass yields both the hash and the size the
         # memory accounting charges (previously two full encodings).
-        msg_hash, msg_size = content_hash_and_size(message)
+        msg_hash, msg_size = content_hash_and_size(message, by_value=True)
         return self.add_hashed(message, msg_hash, msg_size)
 
     def add_hashed(

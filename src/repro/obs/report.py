@@ -198,9 +198,10 @@ class TraceSummary:
         """Pool & cache health: interner hit rate, evictions, parallel rounds.
 
         Pulls together the operational gauges a long run's trace carries but
-        the paper tables don't surface: the hash interner's hit rate (the
-        last ``hash_cache`` event — the interner is process-global, so the
-        last snapshot is the authoritative one), rejected-cache evictions
+        the paper tables don't surface: the hash interner's hit rate and the
+        value memo's part of it (the last ``hash_cache`` event — the
+        interner is process-global, so the last snapshot is the
+        authoritative one), rejected-cache evictions
         and the two cache-hit counters from the final metric, and the
         parallel-exploration round/shard/sync-miss totals from
         ``parallel_round`` events.
@@ -212,6 +213,7 @@ class TraceSummary:
             hits = int(fields.get("hits", 0))
             misses = int(fields.get("misses", 0))
             health["intern_hits"] = hits
+            health["intern_value_hits"] = int(fields.get("value_hits", 0))
             health["intern_misses"] = misses
             health["intern_evictions"] = int(fields.get("evictions", 0))
             health["intern_entries"] = int(fields.get("entries", 0))

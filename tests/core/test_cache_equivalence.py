@@ -8,16 +8,18 @@ these tests check it in-process on the two snapshot experiments (§5.5 Paxos
 and §5.6 1Paxos), for both the sequential and the parallel front-end.
 """
 
+import contextlib
+
 import pytest
 
-from repro.core.checker import LocalModelChecker
+from repro.core.checker import LocalModelChecker, _ExplorationPass
 from repro.core.config import LMCConfig
 from repro.core.parallel import ParallelLocalModelChecker
-from repro.explore.budget import SearchBudget
+from repro.explore.budget import BudgetClock, SearchBudget
 from repro.model import hashing
 from repro.protocols.onepaxos import OnePaxosAgreement
 from repro.protocols.onepaxos import scenarios as onepaxos_scenarios
-from repro.protocols.paxos import PaxosAgreement
+from repro.protocols.paxos import PaxosAgreement, PaxosProtocol
 from repro.protocols.paxos.scenarios import partial_choice_state, scenario_protocol
 from repro.protocols.twophase import CommitValidity, EagerCommitCoordinator
 
@@ -44,20 +46,27 @@ def _observable(result):
     }
 
 
+@contextlib.contextmanager
+def _hashing_caches(cached):
+    """The bench's uncached hashing configuration, undone on exit."""
+    if not cached:
+        hashing.configure_interning(False)
+        hashing.configure_encoding_caches(False)
+    try:
+        yield
+    finally:
+        hashing.configure_encoding_caches(True)
+        hashing.configure_interning(True)
+
+
 def _run(make_checker, initial, cached, **extra):
     overrides = dict(extra)
     if not cached:
         overrides.update(
             {"memoize_soundness": False, "incremental_enumeration": False}
         )
-    if not cached:
-        hashing.configure_interning(False)
-        hashing.configure_encoding_caches(False)
-    try:
+    with _hashing_caches(cached):
         return make_checker(LMCConfig.optimized(**overrides)).run(initial)
-    finally:
-        hashing.configure_encoding_caches(True)
-        hashing.configure_interning(True)
 
 
 def _paxos_s55():
@@ -148,3 +157,43 @@ def test_s55_smoke_budget_identical_across_memoize_and_front_end():
     assert observe(LocalModelChecker, False) == reference
     for memoize in (True, False):
         assert observe(ParallelLocalModelChecker, memoize) == reference
+
+
+def _stored_hashes(cached):
+    """Every content hash a depth-4 two-proposal Paxos pass keeps — node
+    states, ``I+`` messages, link event/consumed/generated hashes — each
+    checked against the uncached reference walk of the value it names."""
+    protocol = PaxosProtocol(num_nodes=3, proposals=((0, 0, "v0"), (1, 1, "v1")))
+    with _hashing_caches(cached):
+        run = _ExplorationPass(
+            LocalModelChecker(protocol, PaxosAgreement(0), config=LMCConfig.optimized()),
+            protocol.initial_system_state(),
+            BudgetClock(SearchBudget(max_depth=4)),
+            None,
+        )
+        run.execute()
+    states, links = [], []
+    for store in run.space.stores.values():
+        for record in store:
+            assert record.hash == hashing.content_hash(record.state, intern=False)
+            states.append(record.hash)
+            for link in record.predecessors:
+                assert link.event_hash == hashing.content_hash(link.event, intern=False)
+                links.append(
+                    (link.prev_hash, link.event_hash, link.consumed_hash)
+                    + link.generated_hashes
+                )
+    messages = []
+    for stored in run.network.all_messages():
+        assert stored.hash == hashing.content_hash(stored.message, intern=False)
+        messages.append(stored.hash)
+    return sorted(states), sorted(messages), sorted(links, key=repr)
+
+
+def test_value_memo_hashes_equal_the_uncached_configuration():
+    """The value memo (``by_value=True`` call sites) serves exactly the
+    digests the no-interner, no-encoding-cache configuration computes."""
+    memoised = _stored_hashes(cached=True)
+    assert hashing.intern_stats()["value_hits"] > 0
+    assert len(memoised[0]) > 500 and len(memoised[1]) > 20
+    assert _stored_hashes(cached=False) == memoised

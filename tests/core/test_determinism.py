@@ -7,6 +7,8 @@ coincide exactly.  This is what makes counterexamples reproducible and the
 benches meaningful.
 """
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -67,41 +69,70 @@ def test_bug_witness_identical_across_runs():
     assert first.first_bug().violating_state == second.first_bug().violating_state
 
 
-def test_determinism_across_processes():
-    """Content hashing must not depend on PYTHONHASHSEED."""
-    script = (
-        "from repro.core.checker import LocalModelChecker\n"
-        "from repro.core.config import LMCConfig\n"
-        "from repro.protocols.paxos import PaxosAgreement, PaxosProtocol\n"
-        "r = LocalModelChecker(PaxosProtocol(), PaxosAgreement(0),"
-        " config=LMCConfig.optimized()).run()\n"
-        "print(r.stats.transitions, r.stats.node_states,"
-        " r.stats.history_skips)\n"
-    )
+COUNTER_SCRIPT = (
+    "from repro.core.checker import LocalModelChecker\n"
+    "from repro.core.config import LMCConfig\n"
+    "from repro.protocols.paxos import PaxosAgreement, PaxosProtocol\n"
+    "r = LocalModelChecker(PaxosProtocol(), PaxosAgreement(0),"
+    " config=LMCConfig.optimized()).run()\n"
+    "print(r.stats.transitions, r.stats.node_states,"
+    " r.stats.history_skips)\n"
+)
 
-    # A scrubbed environment (fresh hash seed, nothing else) — except that
-    # the child must still find the package when the suite runs from a
-    # plain checkout via PYTHONPATH=src, so the checkout's src dir (and any
-    # caller-provided PYTHONPATH) is forwarded.
+#: Prints every content hash a default-Paxos pass stores: node states, ``I+``
+#: messages and predecessor-link event hashes, sorted.
+HASH_SCRIPT = (
+    "from repro.core.checker import LocalModelChecker, _ExplorationPass\n"
+    "from repro.core.config import LMCConfig\n"
+    "from repro.explore.budget import BudgetClock, SearchBudget\n"
+    "from repro.protocols.paxos import PaxosAgreement, PaxosProtocol\n"
+    "p = PaxosProtocol()\n"
+    "run = _ExplorationPass(LocalModelChecker(p, PaxosAgreement(0),"
+    " config=LMCConfig.optimized()), p.initial_system_state(),"
+    " BudgetClock(SearchBudget.unbounded()), None)\n"
+    "run.execute()\n"
+    "records = [r for store in run.space.stores.values() for r in store]\n"
+    "print(sorted(r.hash for r in records))\n"
+    "print(sorted(m.hash for m in run.network.all_messages()))\n"
+    "print(sorted(l.event_hash for r in records for l in r.predecessors))\n"
+)
+
+
+def _run_in_child(script: str, seed: str) -> str:
+    """``script`` under a scrubbed environment (fresh hash seed, nothing
+    else) — except that the child must still find the package when the
+    suite runs from a plain checkout via PYTHONPATH=src, so the checkout's
+    src dir (and any caller-provided PYTHONPATH) is forwarded."""
     src_dir = Path(__file__).resolve().parents[2] / "src"
     pythonpath = os.pathsep.join(
         [str(src_dir)]
         + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
     )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={
+            "PYTHONHASHSEED": seed,
+            "PATH": "/usr/bin:/bin",
+            "PYTHONPATH": pythonpath,
+        },
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
-    def run(seed: str) -> str:
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env={
-                "PYTHONHASHSEED": seed,
-                "PATH": "/usr/bin:/bin",
-                "PYTHONPATH": pythonpath,
-            },
-            timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        return proc.stdout
 
-    assert run("1") == run("424242")
+def test_determinism_across_processes():
+    """Content hashing must not depend on PYTHONHASHSEED."""
+    assert _run_in_child(COUNTER_SCRIPT, "1") == _run_in_child(COUNTER_SCRIPT, "424242")
+
+
+def test_memoised_hashes_reproduced_by_a_second_process():
+    """The value memo probes with Python's salted ``hash``; what it serves
+    must not depend on the salt, nor on what this process memoised before."""
+    here = io.StringIO()
+    with contextlib.redirect_stdout(here):
+        exec(HASH_SCRIPT, {})  # this process: warm interner, its own salt
+    assert here.getvalue().count("\n") == 3
+    assert _run_in_child(HASH_SCRIPT, "7") == here.getvalue()

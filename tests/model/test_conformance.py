@@ -1,7 +1,7 @@
 """Conformance sweep: every shipped protocol keeps the Protocol contract."""
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Tuple
 
 import pytest
@@ -129,6 +129,86 @@ class CrashingProtocol(Protocol):
 
     def handle_message(self, state, message):
         raise RuntimeError(f"unexpected payload {message.payload!r}")
+
+
+@dataclass(frozen=True)
+class FlagState:
+    node: NodeId
+    flag: object = None
+
+
+@dataclass(frozen=True)
+class StampedState:
+    node: NodeId
+    count: int = 0
+    stamp: int = field(default=0, compare=False)
+
+
+class _TwoActionProtocol(Protocol):
+    """One node, two actions enabled on the initial state only."""
+
+    def node_ids(self) -> Tuple[NodeId, ...]:
+        return (0,)
+
+    def enabled_actions(self, state):
+        if state == self.initial_state(0):
+            return (Action(node=0, name="a"), Action(node=0, name="b"))
+        return ()
+
+    def handle_message(self, state, message):
+        return HandlerResult(state)
+
+
+class TypeUnstableProtocol(_TwoActionProtocol):
+    """Writes ``1`` on one path and ``True`` on another into the same field:
+    the two successors compare equal but encode differently."""
+
+    name = "type-unstable"
+
+    def initial_state(self, node):
+        return FlagState(node=node)
+
+    def handle_action(self, state, action):
+        return HandlerResult(replace(state, flag=1 if action.name == "a" else True))
+
+
+class HiddenFieldProtocol(_TwoActionProtocol):
+    """Successors differ only in a ``compare=False`` field."""
+
+    name = "hidden-field"
+
+    def initial_state(self, node):
+        return StampedState(node=node)
+
+    def handle_action(self, state, action):
+        return HandlerResult(
+            replace(state, count=1, stamp=1 if action.name == "a" else 2)
+        )
+
+
+def test_type_unstable_field_detected():
+    """The value memo serves ``FlagState(0, 1)``'s digest for the equal
+    ``FlagState(0, True)``; the walk compares it with the reference."""
+    report = check_protocol(TypeUnstableProtocol())
+    assert not report.ok
+    assert any(
+        "equal values encode differently" in problem and "FlagState.flag" in problem
+        for problem in report.problems
+    ), report.summary()
+    # Both successors were still explored: dedup uses the reference digest.
+    assert report.states_checked == 3
+
+
+def test_compare_false_field_detected():
+    report = check_protocol(HiddenFieldProtocol())
+    assert not report.ok
+    assert any(
+        "StampedState.stamp is declared compare=False" in problem
+        for problem in report.problems
+    ), report.summary()
+    # Such a class is never interned, so its digests stay exact.
+    assert not any("encode differently" in p for p in report.problems)
+    assert report.states_checked == 3
 
 
 def test_nondeterminism_detected():

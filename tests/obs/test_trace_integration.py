@@ -135,6 +135,8 @@ class TestCliTracing:
         assert "Overhead breakdown (Fig. 13)" in report
         assert "Soundness verification profile" in report
         assert "Final counters" in report
+        # The hash_cache event's value-probe share reaches the health table.
+        assert "intern_value_hits" in report
 
     def test_trace_subcommand_defaults_output(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
