@@ -815,6 +815,8 @@ def render_status(record: RunRecord) -> str:
             lines.append(
                 f"last checkpoint: round {checkpoint.get('round', '-')} "
                 f"({checkpoint.get('writes', '-')} writes, "
+                f"{checkpoint.get('segments', '-')} segments, "
+                f"{checkpoint.get('bytes_written', '-')} bytes written, "
                 f"{checkpoint.get('path', '-')})"
             )
     # Progress/ETA describe an in-flight run; once a result exists the

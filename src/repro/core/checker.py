@@ -66,7 +66,6 @@ from repro.core.checkpoint import (
     apply_stats,
     decode_initial_system,
     restore_pass,
-    snapshot_pass,
     verify_fingerprint,
 )
 from repro.core.config import LMCConfig
@@ -591,13 +590,11 @@ class _ExplorationPass:
                         else "state space exhausted"
                     )
                     if checkpointer is not None:
-                        checkpointer.write(
-                            snapshot_pass(
-                                self,
-                                reason="pass completed",
-                                pass_completed=True,
-                                pass_reason=reason,
-                            )
+                        checkpointer.snapshot(
+                            self,
+                            reason="pass completed",
+                            pass_completed=True,
+                            pass_reason=reason,
                         )
                         self._heartbeat_now()
                     return _PassOutcome(stopped=False, completed=True, reason=reason)
@@ -605,10 +602,8 @@ class _ExplorationPass:
                     self.round_number, self.config
                 ):
                     interrupted = checkpointer.stop_requested
-                    checkpointer.write(
-                        snapshot_pass(
-                            self, reason="sigterm" if interrupted else "cadence"
-                        )
+                    checkpointer.snapshot(
+                        self, reason="sigterm" if interrupted else "cadence"
                     )
                     self._heartbeat_now()
                     if interrupted:
@@ -1488,6 +1483,8 @@ class _ExplorationPass:
                 "path": checkpointer.path,
                 "round": checkpointer.last_round,
                 "writes": checkpointer.writes,
+                "segments": checkpointer.segments,
+                "bytes_written": checkpointer.bytes_written,
             }
         points = [
             (sample.depth, sample.elapsed_s, sample.get("transitions"))

@@ -39,6 +39,14 @@ re-ships the full ``I+`` log through its ordinary sync handshake).
 Model values round-trip through :mod:`repro.persistence`'s structural
 codec — the same closed class registry and versioned-envelope discipline as
 the bug corpus, so deserialization never executes arbitrary content.
+
+On disk a checkpoint is a *log*: because everything above only grows, a
+:class:`Checkpointer` writes one full snapshot per pass (the base line) and
+then appends, per write, one segment line holding what the pass gained since
+— :func:`snapshot_pass` given the writer's :class:`_Marks`.
+:func:`load_checkpoint` folds the lines back into the payload a full
+snapshot of the last round would have been, so nothing downstream of it
+knows the difference.
 """
 
 from __future__ import annotations
@@ -46,11 +54,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import signal
 from typing import Any, Dict, List, Optional
 
 from repro.core.event_kinds import CURSOR_SWEEPS, Cursor
 from repro.core.records import PredecessorLink
+from repro.fsio import append_text, atomic_write_text
 from repro.model.hashing import content_hash
 from repro.persistence import (
     ClassRegistry,
@@ -62,9 +72,7 @@ from repro.persistence import (
     encode_event,
     encode_system_state,
     encode_value,
-    load_envelope,
     registry_for_protocol,
-    save_envelope,
 )
 from repro.stats.counters import ExplorationStats
 from repro.stats.series import DepthSample
@@ -73,7 +81,9 @@ from repro.stats.series import DepthSample
 #: Version 2 added the fault-scheduler extensions of docs/FAULTS.md: the
 #: drop-sweep cursor/deferred state, the duplication cursor, the per-message
 #: fault-minted ``duplicate`` flag, and drop/duplicate predecessor events.
-CHECKPOINT_FORMAT_VERSION = 2
+#: Version 3 made the file a log — a base line plus appended segments; its
+#: base line is a version-2 file, which is why the reader still takes those.
+CHECKPOINT_FORMAT_VERSION = 3
 #: Envelope kind tag (see :func:`repro.persistence.save_envelope`).
 CHECKPOINT_KIND = "lmc-checkpoint"
 
@@ -195,6 +205,45 @@ def apply_stats(stats: ExplorationStats, encoded: Dict[str, Any]) -> None:
 # -- pass snapshot ---------------------------------------------------------------
 
 
+class _Marks:
+    """What a checkpoint log already holds of one pass.
+
+    The starting point of the pass's next segment: per store one ``(link
+    count, discarded)`` pair per record written — the only two things a
+    record changes after it is stored — plus the ``I+`` high-water mark and
+    the round of the write.  The pass fingerprint rides along because its
+    inputs are fixed for the pass.
+    """
+
+    __slots__ = ("pass_", "fingerprint", "round", "stores", "messages")
+
+    def __init__(self, pass_: Any, fingerprint: str):
+        self.pass_ = pass_
+        self.fingerprint = fingerprint
+        self.round = pass_.round_number
+        self.stores = {
+            node: [
+                (len(record.predecessors), record.discarded)
+                for record in pass_.space.store(node).records
+            ]
+            for node in pass_.space.node_ids
+        }
+        self.messages = pass_.network.high_water
+
+
+def _encode_links(links: List[PredecessorLink]) -> List[Dict[str, Any]]:
+    return [
+        {
+            "prev_hash": link.prev_hash,
+            "event": encode_event(link.event),
+            "event_hash": link.event_hash,
+            "consumed_hash": link.consumed_hash,
+            "generated_hashes": list(link.generated_hashes),
+        }
+        for link in links
+    ]
+
+
 def _encode_record(record: Any) -> Dict[str, Any]:
     return {
         "state": encode_value(record.state),
@@ -207,17 +256,27 @@ def _encode_record(record: Any) -> Dict[str, Any]:
         "seed": record.seed,
         "discarded": record.discarded,
         "state_size": record.state_size,
-        "predecessors": [
-            {
-                "prev_hash": link.prev_hash,
-                "event": encode_event(link.event),
-                "event_hash": link.event_hash,
-                "consumed_hash": link.consumed_hash,
-                "generated_hashes": list(link.generated_hashes),
-            }
-            for link in record.predecessors
+        "predecessors": _encode_links(record.predecessors),
+    }
+
+
+def _encode_store(store: Any, written: Optional[List[Any]]) -> Dict[str, Any]:
+    """One ``LS_n``: the records the log lacks and, for a segment, what the
+    ``written`` ones gained — ``[index, new links, discarded]`` rows."""
+    records = store.records
+    encoded = {
+        "version": store.version,
+        "records": [
+            _encode_record(record) for record in records[len(written or ()) :]
         ],
     }
+    if written is not None:
+        encoded["grown"] = [
+            [index, _encode_links(record.predecessors[links:]), record.discarded]
+            for index, (record, (links, discarded)) in enumerate(zip(records, written))
+            if len(record.predecessors) != links or record.discarded != discarded
+        ]
+    return encoded
 
 
 def _combo_rows(combo: Dict[Any, Any]) -> List[List[Any]]:
@@ -231,6 +290,7 @@ def snapshot_pass(
     pass_completed: bool = False,
     pass_reason: str = "",
     elapsed: Optional[float] = None,
+    marks: Optional[_Marks] = None,
 ) -> Dict[str, Any]:
     """Serialize one exploration pass — plus its run context — to JSON.
 
@@ -239,9 +299,25 @@ def snapshot_pass(
     from exactly this state.  ``elapsed`` overrides the clock reading, for
     round-trip tests that need two snapshots of the same state to compare
     equal.
+
+    Without ``marks`` the result is the full snapshot.  With them it is the
+    segment since the write they describe: the append-only families — store
+    records, their predecessor links, ``I+`` messages — carry only what lies
+    beyond the marks, older records' gains go to per-store ``grown`` rows
+    and older messages' ``[cursor, deferred]`` pairs to a ``cursors`` table,
+    and a ``marks`` key records what the segment was built against.  All
+    else is small and mutable, and is rewritten whole either way.
     """
     checker = pass_.checker
     budget = pass_.budget
+    if marks is None:
+        written, sent = {}, 0
+        digest = fingerprint(
+            checker.protocol, checker.invariant, checker.config, pass_.initial_system
+        )
+    else:
+        written, sent, digest = marks.stores, marks.messages, marks.fingerprint
+    log = pass_.network.messages_since(0)
     symmetry = None
     if pass_._symmetry is not None:
         symmetry = {
@@ -252,9 +328,7 @@ def snapshot_pass(
         }
     nodes = pass_.space.node_ids
     payload = {
-        "fingerprint": fingerprint(
-            checker.protocol, checker.invariant, checker.config, pass_.initial_system
-        ),
+        "fingerprint": digest,
         "algorithm": checker.algorithm,
         "reason": reason,
         "pass_completed": pass_completed,
@@ -284,16 +358,7 @@ def snapshot_pass(
             "retained_bytes": pass_._retained_bytes,
             "stats": _encode_stats(pass_.stats),
             "stores": [
-                [
-                    node,
-                    {
-                        "version": pass_.space.store(node).version,
-                        "records": [
-                            _encode_record(record)
-                            for record in pass_.space.store(node).records
-                        ],
-                    },
-                ]
+                [node, _encode_store(pass_.space.store(node), written.get(node))]
                 for node in nodes
             ],
             "network": {
@@ -307,7 +372,7 @@ def snapshot_pass(
                         "deferred": sorted(stored.deferred),
                         "duplicate": stored.duplicate,
                     }
-                    for stored in pass_.network.messages_since(0)
+                    for stored in log[sent:]
                 ],
             },
             "node_max_depth": [
@@ -346,6 +411,15 @@ def snapshot_pass(
             [key, sorted(cursor.deferred)]
             for key, cursor in cursors
             if sweep.per_node or cursor.deferred
+        ]
+    if marks is not None:
+        payload["marks"] = {
+            "round": marks.round,
+            "stores": [[node, len(written[node])] for node in nodes],
+            "messages": sent,
+        }
+        payload["pass"]["network"]["cursors"] = [
+            [stored.cursor, sorted(stored.deferred)] for stored in log[:sent]
         ]
     return payload
 
@@ -486,27 +560,115 @@ def restore_pass(
 
 
 def save_checkpoint(path: str, payload: Dict[str, Any]) -> None:
-    """Write a checkpoint atomically (see :func:`repro.fsio.atomic_write_json`).
+    """Write one line of the checkpoint log at ``path``.
 
-    Readers observe either the previous complete checkpoint or the new one
-    — a kill mid-write never leaves a truncated file.  Unlike the bug
-    corpus, checkpoints are machine artifacts rewritten on every cadence
-    round, so they are stored compact (``indent=None``): on the Fig. 10
-    d=6 snapshot that is ~3x smaller and cuts the encode time to roughly a
-    tenth.  Key order stays sorted, keeping the bytes canonical for the
-    round-trip property test.
+    A full snapshot replaces the file atomically (see
+    :func:`repro.fsio.atomic_write_text`): readers observe either the
+    previous complete log or the new base, never a truncated one.  A segment
+    — a payload carrying ``marks`` — is appended and fsynced; a kill
+    mid-append leaves a torn last line, which :func:`load_checkpoint` drops,
+    so the file then reads as the previous round boundary.
+
+    Lines are compact JSON (``indent=None``): checkpoints are machine
+    artifacts, and on the Fig. 10 d=6 snapshot that is ~3x smaller and a
+    tenth of the encode time of the bug corpus's indented form.  Key order
+    stays sorted, keeping the bytes canonical for the round-trip property
+    test.
     """
-    save_envelope(
-        path, CHECKPOINT_KIND, CHECKPOINT_FORMAT_VERSION, payload, indent=None
-    )
+    envelope = dict(payload, format=CHECKPOINT_KIND, version=CHECKPOINT_FORMAT_VERSION)
+    line = json.dumps(envelope, sort_keys=True, default=str) + "\n"
+    if "marks" in payload:
+        append_text(path, line)
+    else:
+        atomic_write_text(path, line)
+
+
+def _fold(folded: Optional[Dict[str, Any]], line: Dict[str, Any]) -> Dict[str, Any]:
+    """The payload read so far with one more parsed log line applied.
+
+    The result is what a full :func:`snapshot_pass` of the line's round
+    holds: a segment's own dictionary, with the append-only lists it
+    continues spliced in front of what it adds.
+    """
+    if line.get("format") != CHECKPOINT_KIND:
+        raise CheckpointError(
+            f"expected a {CHECKPOINT_KIND!r} payload, found {line.get('format')!r}"
+        )
+    version = line.get("version")
+    # A version-2 file is a version-3 base line with nothing after it.
+    if version != CHECKPOINT_FORMAT_VERSION and (version != 2 or folded is not None):
+        raise CheckpointError(
+            f"unsupported {CHECKPOINT_KIND} version {version!r} (this reader "
+            f"understands version {CHECKPOINT_FORMAT_VERSION} and version-2 files)"
+        )
+    marks = line.pop("marks", None)
+    if (marks is None) != (folded is None):
+        raise CheckpointError("a log is one full snapshot, then segments only")
+    if folded is None:
+        line["version"] = CHECKPOINT_FORMAT_VERSION
+        return line
+    if line["fingerprint"] != folded["fingerprint"]:
+        raise CheckpointError("segment of another run (its fingerprint differs)")
+    data, delta = folded["pass"], line["pass"]
+    messages = data["network"]["messages"]
+    held = {
+        "round": data["round_number"],
+        "stores": [[node, len(store["records"])] for node, store in data["stores"]],
+        "messages": len(messages),
+    }
+    cursors = delta["network"].pop("cursors")
+    if marks != held or len(cursors) != len(messages):
+        raise CheckpointError(
+            f"segment built against {marks} but the log holds {held}: "
+            "a gap, a duplicate or another writer"
+        )
+    for (_, store), (_, gained) in zip(data["stores"], delta["stores"]):
+        records = store["records"]
+        for index, links, discarded in gained.pop("grown"):
+            records[index]["predecessors"] += links
+            records[index]["discarded"] = discarded
+        records += gained["records"]
+        gained["records"] = records
+    for row, (cursor, deferred) in zip(messages, cursors):
+        row["cursor"], row["deferred"] = cursor, deferred
+    messages += delta["network"]["messages"]
+    delta["network"]["messages"] = messages
+    return line
 
 
 def load_checkpoint(path: str) -> Dict[str, Any]:
-    """Read a checkpoint written by :func:`save_checkpoint`, strictly."""
-    try:
-        return load_envelope(path, CHECKPOINT_KIND, CHECKPOINT_FORMAT_VERSION)
-    except ValueError as exc:
-        raise CheckpointError(str(exc)) from None
+    """Read the checkpoint log at ``path`` into one snapshot payload, strictly.
+
+    Streams the file line by line through :func:`_fold`.  Only the *final*
+    line may be unterminated or unparseable — the kill-mid-append case,
+    dropped — anything wrong earlier, or wrong in a line that did parse, is
+    a :class:`CheckpointError` naming the line.
+    """
+    folded: Optional[Dict[str, Any]] = None
+    torn: Optional[str] = None
+    # Bytes, not text: a damaged byte must fail inside the loop, on its line.
+    with open(path, "rb") as handle:
+        for number, raw in enumerate(handle, 1):
+            if torn is not None:
+                raise CheckpointError(torn)
+            try:
+                if folded is not None and not raw.endswith(b"\n"):
+                    raise ValueError("unterminated line")
+                line = json.loads(raw)
+            except ValueError as exc:
+                torn = f"{path}:{number}: {exc}"
+                continue
+            try:
+                folded = _fold(folded, line)
+            except CheckpointError as exc:
+                raise CheckpointError(f"{path}:{number}: {exc}") from None
+            except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+                raise CheckpointError(
+                    f"{path}:{number}: malformed line ({exc!r})"
+                ) from None
+    if folded is None:
+        raise CheckpointError(torn or f"{path}: empty file")
+    return folded
 
 
 def verify_fingerprint(
@@ -558,6 +720,15 @@ class Checkpointer:
         #: Round number of the last snapshot written, for heartbeats/status.
         self.last_round: Optional[int] = None
         self.writes = 0
+        #: Bytes this writer put on disk, over every base and segment; the
+        #: file is smaller whenever a new base replaced an older log.
+        self.bytes_written = 0
+        #: Segment lines after the current file's base line.
+        self.segments = 0
+        #: What the file holds of the pass being written; ``None`` before
+        #: the first write, and stale — hence a fresh base — for any other
+        #: pass (a widened one, or the next run's).
+        self._marks: Optional[_Marks] = None
         self._previous_handler: Any = None
         self._installed = False
 
@@ -577,6 +748,10 @@ class Checkpointer:
             self._installed = False
 
     def uninstall(self) -> None:
+        """Undo :meth:`install` once the run is over, and let go of its pass
+        (the marks would keep every record alive): whatever is written next
+        starts a fresh base."""
+        self._marks = None
         if self._installed:
             signal.signal(signal.SIGTERM, self._previous_handler)
             self._installed = False
@@ -596,8 +771,28 @@ class Checkpointer:
         every = self.cadence(config)
         return every is not None and round_number % every == 0
 
+    def snapshot(
+        self, pass_: Any, reason: str, pass_completed: bool = False, pass_reason: str = ""
+    ) -> None:
+        """Persist ``pass_`` as it stands at this round boundary.
+
+        The first snapshot of a pass is the full one and starts the file
+        over (which also compacts the log a resumed or extended run came
+        from); each later one appends the segment since the previous.
+        """
+        marks = self._marks
+        if marks is not None and marks.pass_ is not pass_:
+            marks = None
+        payload = snapshot_pass(pass_, reason, pass_completed, pass_reason, marks=marks)
+        self.write(payload)
+        self._marks = _Marks(pass_, payload["fingerprint"])
+
     def write(self, payload: Dict[str, Any]) -> None:
         """Persist one snapshot and record it for heartbeat reporting."""
+        appended = "marks" in payload
+        before = os.path.getsize(self.path) if appended else 0
         save_checkpoint(self.path, payload)
+        self.bytes_written += os.path.getsize(self.path) - before
+        self.segments = self.segments + 1 if appended else 0
         self.writes += 1
         self.last_round = payload["pass"]["round_number"]

@@ -12,6 +12,12 @@ destination with :func:`os.replace` (atomic within one filesystem).
 :func:`atomic_write_json` layers JSON encoding on top.  Both clean up the
 temporary file on any failure, so an aborted write leaves no debris next to
 the artifact it failed to replace.
+
+:func:`append_text` is the log-structured counterpart (the checkpoint log of
+docs/CHECKPOINTS.md): bytes are added to the end of an existing file and
+fsynced.  A kill mid-append leaves a torn *tail*, never a damaged prefix, so
+the writer must frame its appends (one newline-terminated line each) and the
+reader must drop an incomplete last frame.
 """
 
 from __future__ import annotations
@@ -45,6 +51,14 @@ def atomic_write_text(path: str, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def append_text(path: str, text: str) -> None:
+    """Append ``text`` to ``path`` and fsync it before returning."""
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(text)
+        handle.flush()
+        os.fsync(handle.fileno())
 
 
 def atomic_write_json(

@@ -271,24 +271,35 @@ class RunRegistry:
         return RunHandle(directory, run_id)
 
     def gc_checkpoints(self) -> List[str]:
-        """Delete finished runs' leftover checkpoints; return pruned paths.
+        """Delete checkpoint files no run can use any more; return pruned paths.
 
-        Only runs with a ``result.json`` qualify: an in-flight or killed
-        run's checkpoint is its resume point and is never touched.  Only
-        the registry-managed ``checkpoint.json`` inside each run directory
-        is removed — never a user-chosen ``--checkpoint PATH`` elsewhere.
+        A finished run (one with a ``result.json``) loses its
+        ``checkpoint.json``; an in-flight or killed run's is its resume point
+        and is never touched.  Every run that is not live also loses its
+        ``checkpoint.json.*.tmp`` files: a kill inside
+        :func:`repro.fsio.atomic_write_text` strands one, megabytes each, and
+        a temporary file is never a resume point.  Only registry-managed
+        files inside each run directory are removed — never a user-chosen
+        ``--checkpoint PATH`` elsewhere.
         """
-        pruned: List[str] = []
+        doomed: List[str] = []
         for record in self.list_runs():
-            if record.result is None:
+            finished = record.result is not None
+            if finished:
+                doomed.append(record.checkpoint_path)
+            if finished or record.status() == "killed":
+                doomed.extend(
+                    os.path.join(record.directory, name)
+                    for name in os.listdir(record.directory)
+                    if name.startswith(CHECKPOINT_FILE + ".") and name.endswith(".tmp")
+                )
+        pruned: List[str] = []
+        for path in doomed:
+            try:
+                os.remove(path)
+            except OSError:
                 continue
-            path = record.checkpoint_path
-            if os.path.isfile(path):
-                try:
-                    os.remove(path)
-                except OSError:
-                    continue
-                pruned.append(path)
+            pruned.append(path)
         return pruned
 
     # -- reader side -----------------------------------------------------------

@@ -14,6 +14,9 @@ The durable-snapshot layer's contract, tested from four angles:
   re-offering only the frontier the old bound blocked.
 * **Refusal**: fingerprint, budget and format mismatches must raise
   loudly instead of silently exploring a different space.
+* **The log**: the file is a base line plus appended segments; cut or
+  damaged anywhere it must load as a complete round boundary or raise
+  :class:`CheckpointError` naming the line, never as something in between.
 
 Equality everywhere excludes phase timers (wall clock) and the cache-hit
 counters (``sequence_cache_hits``/``replay_cache_hits``/
@@ -123,7 +126,7 @@ class CaptureCheckpointer(Checkpointer):
 
     def write(self, payload):
         super().write(payload)
-        self.payloads.append(payload)
+        self.payloads.append(load_checkpoint(self.path))
 
 
 class StopAtCheckpointer(Checkpointer):
@@ -519,6 +522,13 @@ class TestRefusals:
         with open(path) as handle:
             envelope = json.load(handle)
 
+        # Version 2 wrote the same object, alone and unterminated: still read.
+        envelope["version"] = 2
+        legacy = str(tmp_path / "legacy.json")
+        with open(legacy, "w") as handle:
+            json.dump(envelope, handle)
+        assert load_checkpoint(legacy) == load_checkpoint(path)
+
         envelope["version"] = 999
         tampered = str(tmp_path / "tampered.json")
         with open(tampered, "w") as handle:
@@ -532,3 +542,125 @@ class TestRefusals:
             json.dump(envelope, handle)
         with pytest.raises(CheckpointError):
             load_checkpoint(tampered)
+
+
+def _lines(path):
+    with open(path, "rb") as handle:
+        return handle.read().splitlines(keepends=True)
+
+
+def _write(path, chunks):
+    with open(path, "wb") as handle:
+        handle.write(b"".join(chunks))
+    return str(path)
+
+
+class TestCheckpointLog:
+    """Hostile inputs against the base-line-plus-segments file."""
+
+    DEPTH = 6
+
+    @pytest.fixture(scope="class")
+    def log(self, tmp_path_factory):
+        """A cadence-1 log, the payload a reader saw after each write, and
+        the counters every resumable prefix must finish on."""
+        path = str(tmp_path_factory.mktemp("log") / "cadence.json")
+        cadence = CaptureCheckpointer(path)
+        reference = _checker("opt", self.DEPTH, checkpointer=cadence).run()
+        lines = _lines(path)
+        assert len(lines) == len(cadence.payloads) == cadence.writes >= 4
+        assert cadence.segments == len(lines) - 1
+        assert cadence.bytes_written == sum(map(len, lines))
+        return lines, cadence.payloads, _observable(reference)
+
+    def _resumes_to_reference(self, path, reference):
+        payload = load_checkpoint(path)
+        if payload["pass_completed"]:
+            return payload
+        assert _observable(_checker("opt", self.DEPTH).resume(payload)) == reference
+        return payload
+
+    def test_cut_file_loads_as_the_last_complete_boundary(self, log, tmp_path):
+        lines, payloads, reference = log
+        whole = b"".join(lines)
+        last = len(whole) - len(lines[-1])
+        cuts = {
+            "inside the last line": (last + len(lines[-1]) // 2, -2),
+            "at the last line's newline": (len(whole) - 1, -2),
+            "after the previous newline": (last, -2),
+            "nothing cut": (len(whole), -1),
+            "inside a middle line": (len(lines[0]) + len(lines[1]) // 2, 0),
+        }
+        for where, (size, boundary) in cuts.items():
+            path = _write(tmp_path / "cut.json", [whole[:size]])
+            assert self._resumes_to_reference(path, reference) == payloads[boundary], where
+        for size in (len(lines[0]) // 2, 0):
+            with pytest.raises(CheckpointError):
+                load_checkpoint(_write(tmp_path / "cut.json", [whole[:size]]))
+
+    def test_damage_before_the_last_line_names_the_line(self, log, tmp_path):
+        lines, _payloads, _reference = log
+        flipped = bytearray(lines[1])
+        flipped[len(flipped) // 2] ^= 0x80
+        damaged = {
+            "byte flipped": [lines[0], bytes(flipped), *lines[2:]],
+            "line cut short": [lines[0], lines[1][: len(lines[1]) // 2] + b"\n", *lines[2:]],
+            "not an object": [lines[0], b"[]\n", *lines[2:]],
+        }
+        for chunks in damaged.values():
+            with pytest.raises(CheckpointError, match=r"damaged\.json:2: "):
+                load_checkpoint(_write(tmp_path / "damaged.json", chunks))
+
+    def test_misplaced_segments_are_refused_with_their_line(self, log, tmp_path):
+        lines, _payloads, _reference = log
+        other = str(tmp_path / "other.json")
+        _checker("opt_faults", self.DEPTH, checkpointer=Checkpointer(other, 1)).run()
+        cases = {
+            "duplicated last line": ([*lines, lines[-1]], len(lines) + 1, "a gap"),
+            "skipped round": ([lines[0], *lines[2:]], 2, "a gap"),
+            "later round first": ([lines[0], lines[2], lines[1]], 2, "a gap"),
+            "another run": ([lines[0], _lines(other)[1], *lines[2:]], 2, "another run"),
+            "second base": ([lines[0], lines[0]], 2, "one full snapshot"),
+            "no base": (lines[1:], 1, "one full snapshot"),
+        }
+        for chunks, number, reason in cases.values():
+            with pytest.raises(CheckpointError, match=rf"spliced\.json:{number}: .*{reason}"):
+                load_checkpoint(_write(tmp_path / "spliced.json", chunks))
+
+    def test_new_pass_and_resumed_run_start_a_fresh_base(self, log, tmp_path):
+        """First write of a pass replaces the file, later writes append —
+        for each widened pass, and for a run resumed onto its own file."""
+        _log_lines, payloads, reference = log
+
+        def widening(checkpointer=None):
+            return LocalModelChecker(
+                PaxosProtocol(num_nodes=3, proposals=((0, 0, "v0"),)),
+                PaxosAgreement(0),
+                SearchBudget(max_depth=self.DEPTH),
+                LMCConfig.optimized(local_event_bound=1),
+                checkpointer=checkpointer,
+            )
+
+        path = str(tmp_path / "widening.json")
+        cadence = CaptureCheckpointer(path)
+        widened = widening(cadence).run()
+        bounds = [payload["run"]["bound"] for payload in cadence.payloads]
+        assert len(set(bounds)) > 1, "the run must widen at least once"
+        assert len(_lines(path)) == bounds.count(bounds[-1]) < cadence.writes
+        assert cadence.bytes_written > os.path.getsize(path)
+        for payload in (cadence.payloads[0], cadence.payloads[len(bounds) // 2]):
+            assert _observable(widening().resume(payload)) == _observable(widened)
+
+        mid_run = payloads[1]
+        path = str(tmp_path / "resumed.json")
+        save_checkpoint(path, mid_run)
+        onto_itself = Checkpointer(path, every_rounds=1)
+        resumed = _checker("opt", self.DEPTH, checkpointer=onto_itself).resume(
+            load_checkpoint(path)
+        )
+        assert _observable(resumed) == reference
+        assert len(_lines(path)) == onto_itself.writes == onto_itself.segments + 1
+        final = load_checkpoint(path)
+        assert final["pass_completed"]
+        for family in ("round_number", "stores", "network"):
+            assert final["pass"][family] == payloads[-1]["pass"][family]

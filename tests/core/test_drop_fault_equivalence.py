@@ -366,7 +366,7 @@ class _CaptureCheckpointer(Checkpointer):
 
     def write(self, payload):
         super().write(payload)
-        self.payloads.append(payload)
+        self.payloads.append(load_checkpoint(self.path))
 
 
 @pytest.mark.parametrize(

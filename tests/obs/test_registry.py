@@ -159,6 +159,37 @@ def test_status_killed_when_pid_is_gone(tmp_path):
     assert registry.load(handle.run_id).status() == "killed"
 
 
+def test_gc_prunes_checkpoint_debris_but_keeps_resume_points(tmp_path):
+    """``repro runs --gc``: a temporary file stranded by a kill inside
+    ``atomic_write_text`` goes for every run that is not live; a
+    ``checkpoint.json`` goes only once its run has a result."""
+    registry = RunRegistry(str(tmp_path))
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    pids = {"finished": child.pid, "killed": child.pid, "running": os.getpid()}
+    planted = {}
+    for name, pid in pids.items():
+        handle = registry.register("check", run_id=name)
+        _write_heartbeat(handle.directory, pid=pid, wall_ts=time.time())
+        planted[name] = [
+            os.path.join(handle.directory, leaf)
+            for leaf in ("checkpoint.json", "checkpoint.json.k3_x9a.tmp")
+        ]
+        for path in planted[name]:
+            with open(path, "w") as out:
+                out.write("{}")
+        if name == "finished":
+            handle.finish()
+    assert registry.load("killed").status() == "killed"
+
+    pruned = registry.gc_checkpoints()
+    assert sorted(pruned) == sorted(planted["finished"] + planted["killed"][1:])
+    survivors = [planted["killed"][0], *planted["running"]]
+    assert all(os.path.isfile(path) for path in survivors)
+    assert not any(os.path.exists(path) for path in pruned)
+    assert registry.gc_checkpoints() == []
+
+
 def test_heartbeat_age_and_as_dict(tmp_path):
     registry = RunRegistry(str(tmp_path))
     handle = registry.register("check", workload="echo")

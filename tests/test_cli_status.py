@@ -97,6 +97,31 @@ def test_paxos_coverage_lists_every_declared_handler(tmp_path, capsys):
     assert "All declared handlers exercised." in out
 
 
+def test_status_reports_the_checkpoint_log(tmp_path, capsys):
+    """The heartbeat's ``checkpoint`` record counts what the writer appended;
+    ``repro status`` prints it, and ``runs --gc`` prunes the finished log."""
+    root = str(tmp_path / "runs")
+    check = ["check", "paxos", "--max-depth", "4", "--checkpoint-every", "1"]
+    assert main([*check, "--registry-root", root]) == 0
+    capsys.readouterr()
+    record = RunRegistry(root).latest()
+    checkpoint = record.heartbeat["checkpoint"]
+    with open(record.checkpoint_path, "rb") as handle:
+        lines = handle.read().splitlines(keepends=True)
+    assert checkpoint["writes"] == len(lines) == checkpoint["segments"] + 1 > 2
+    assert checkpoint["bytes_written"] == sum(map(len, lines))
+
+    code, out = _run_main(capsys, ["status", "--registry-root", root])
+    assert code == 0
+    assert (
+        f"{checkpoint['segments']} segments, "
+        f"{checkpoint['bytes_written']} bytes written" in out
+    )
+    code, out = _run_main(capsys, ["runs", "--gc", "--registry-root", root])
+    assert code == 0 and "pruned 1 stale checkpoint(s)" in out
+    assert not record.has_checkpoint()
+
+
 @pytest.mark.slow
 def test_live_status_from_second_process(tmp_path):
     """The acceptance path: watch an in-flight run from another process."""

@@ -7,7 +7,8 @@ The end-to-end kill story, exercised exactly as an operator would hit it:
    final counters;
 2. start the same check with ``--checkpoint-every 1`` in the background,
    wait (via the run registry) until it has written a mid-run checkpoint,
-   and SIGKILL the pid from ``meta.json`` — no warning, no handler;
+   and SIGKILL the pid from ``meta.json`` — no warning, no handler; the
+   file left behind must be a log of at least two lines;
 3. ``repro resume <run_id>`` and assert the resumed run's final counters
    match the reference byte-for-byte.
 
@@ -160,6 +161,14 @@ def main(argv=None):
         os.kill(pid, signal.SIGKILL)
     child_out, _ = child.communicate(timeout=args.timeout)
     run_id = os.path.basename(run_dir) if run_dir else None
+    # The kill must land on a log — a base line plus appended segments, the
+    # last of them possibly torn — not on a lone base.
+    log_lines = 0
+    if run_dir is not None and not failures:
+        with open(os.path.join(run_dir, "checkpoint.json"), "rb") as handle:
+            log_lines = sum(1 for _ in handle)
+        if log_lines < 2:
+            failures.append(f"killed run's checkpoint has {log_lines} line(s)")
 
     # 3. Resume and compare counters.
     resumed = None
@@ -194,7 +203,10 @@ def main(argv=None):
         return 1
 
     print("resume smoke OK")
-    print(f"  killed run : {run_id} (mid-run checkpoint: {checkpoint_seen})")
+    print(
+        f"  killed run : {run_id} (mid-run checkpoint: {checkpoint_seen}, "
+        f"{log_lines} log lines)"
+    )
     for label in COUNTER_LABELS:
         print(f"  {label:12s}: {expected.get(label)}")
     return 0
