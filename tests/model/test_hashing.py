@@ -1,6 +1,20 @@
-"""Tests for deterministic content hashing."""
+"""Tests for deterministic content hashing.
+
+``golden/encodings.json`` pins the canonical bytes and digest of a fixed
+corpus that reaches every branch of the encoder, plus every hash a depth-4
+two-proposal Paxos pass stores.  It was written before the encoder was
+rewritten as one walk and is compared unedited; ``python
+tests/model/test_hashing.py`` regenerates it — only ever do that on a commit
+whose encodings are the intended reference.
+"""
 
 import dataclasses
+import hashlib
+import json
+import sys
+from collections import namedtuple
+from enum import IntEnum
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -9,10 +23,14 @@ from hypothesis import strategies as st
 from repro.model.hashing import (
     UnhashableModelValue,
     canonical_bytes,
+    configure_interning,
     content_hash,
+    content_hash_and_size,
     content_size,
     hash_many,
 )
+
+GOLDEN_PATH = Path(__file__).parent / "golden" / "encodings.json"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -135,3 +153,210 @@ def test_encoding_injective_on_samples(a, b):
 @given(st.tuples(st.integers(), st.text(max_size=10)))
 def test_hash_fits_in_64_bits(value):
     assert 0 <= content_hash(value) < 2**64
+
+
+# -- golden encodings ----------------------------------------------------------
+
+
+class Color(IntEnum):
+    RED = 1
+    GREEN = 2
+
+
+class Name(str):
+    pass
+
+
+class Pair(tuple):
+    pass
+
+
+Point = namedtuple("Point", "x y")
+
+
+@dataclasses.dataclass(frozen=True)
+class WithMapping:
+    label: str
+    table: dict
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class ByIdentity:
+    a: int
+    b: str
+
+
+#: ``str()`` of an ``IntEnum`` member is its class-qualified name before
+#: Python 3.11 and its value from 3.11 on, and the int branch encodes
+#: ``str(value)``: the entry is pinned as 3.11+ writes it.
+VERSION_DEPENDENT = {"int_enum": (3, 11)}
+
+
+def golden_corpus():
+    """``(name, value)`` pairs reaching every encoder branch; fresh objects
+    on every call.  No two composites compare equal while encoding
+    differently, so the value memo may answer any of them."""
+    return [
+        ("int_small", 7),
+        ("int_zero", 0),
+        ("int_negative", -42),
+        ("int_40_digits", 10**39 + 12345),
+        ("int_negative_40_digits", -(10**39) - 6789),
+        ("true", True),
+        ("false", False),
+        ("none", None),
+        ("str_empty", ""),
+        ("str_unicode", "héllo ✓"),
+        ("str_long", "ab" * 700),
+        ("str_subclass", Name("alice")),
+        ("int_enum", Color.GREEN),
+        ("float_one", 1.0),
+        ("float_negative_zero", -0.0),
+        ("float_inf", float("inf")),
+        ("bytes", b"\x00\xffpayload"),
+        ("bytes_long", bytes(range(256)) * 5),
+        ("tuple_empty", ()),
+        ("tuple_long", tuple(range(1100))),
+        ("tuple_subclass", Pair((1, "a", None))),
+        ("namedtuple", Point(3, "y")),
+        ("frozenset_empty", frozenset()),
+        ("frozenset_mixed", frozenset({5, "a", None, (2, "b"), b"c", 2.5, False})),
+        ("dict_top", {3: "c", 1: ("a",), 2: None}),
+        ("dataclass", Sample(4, "d")),
+        ("dataclass_with_dict", WithMapping("m", {"b": 2, "a": (1, None)})),
+        ("dataclass_eq_false", ByIdentity(5, "z")),
+        (
+            "nested_dataclasses",
+            (
+                Sample(1, "x"),
+                Other(1, "x"),
+                frozenset({Sample(2, "y"), Sample(3, "z")}),
+                (Sample(1, "x"), ()),
+            ),
+        ),
+        (
+            "nested_mix",
+            (
+                Name("n"),
+                -0.5,
+                Point(Pair((True, b"")), frozenset({Point(1, 2), (None, "s")})),
+                WithMapping("w", {"k": (Sample(9, "q"),)}),
+                (ByIdentity(6, "e"), "ab" * 600),
+                frozenset({frozenset({1, 2}), frozenset(), (10**30,)}),
+            ),
+        ),
+        (
+            "nested_deep",
+            ((((("leaf", -1), 2.0), None), False), Sample(-3, "")),
+        ),
+    ]
+
+
+def paxos_pass_hashes():
+    """Every hash a depth-4 two-proposal Paxos pass stores, in sorted order:
+    node states, ``I+`` messages, distinct event hashes, and the link
+    tuples ``(prev, event, consumed, *generated)`` as a count and a digest."""
+    from repro.core.checker import LocalModelChecker, _ExplorationPass
+    from repro.core.config import LMCConfig
+    from repro.explore.budget import BudgetClock, SearchBudget
+    from repro.protocols.paxos import PaxosAgreement, PaxosProtocol
+
+    protocol = PaxosProtocol(num_nodes=3, proposals=((0, 0, "v0"), (1, 1, "v1")))
+    checker = LocalModelChecker(
+        protocol,
+        PaxosAgreement(0),
+        budget=SearchBudget(max_depth=4),
+        config=LMCConfig.optimized(),
+    )
+    run = _ExplorationPass(
+        checker, protocol.initial_system_state(), BudgetClock(checker.budget), None
+    )
+    run.execute()
+    states, events, links = [], set(), []
+    values = []
+    for store in run.space.stores.values():
+        for record in store:
+            states.append(record.hash)
+            values.append((record.hash, record.state))
+            for link in record.predecessors:
+                events.add(link.event_hash)
+                values.append((link.event_hash, link.event))
+                links.append(
+                    (link.prev_hash, link.event_hash, link.consumed_hash)
+                    + link.generated_hashes
+                )
+    messages = []
+    for stored in run.network.all_messages():
+        messages.append(stored.hash)
+        values.append((stored.hash, stored.message))
+    links.sort(key=repr)
+    summary = {
+        "states": sorted(states),
+        "messages": sorted(messages),
+        "events": sorted(events),
+        "links": len(links),
+        "links_sha256": hashlib.sha256(repr(links).encode("ascii")).hexdigest(),
+    }
+    return summary, values
+
+
+def _reference_encodings():
+    return {
+        name: {
+            "bytes": canonical_bytes(value, intern=False).hex(),
+            "hash": content_hash(value, intern=False),
+        }
+        for name, value in golden_corpus()
+    }
+
+
+def _applies(name):
+    return sys.version_info >= VERSION_DEPENDENT.get(name, (0,))
+
+
+def test_encodings_match_golden():
+    """Interned (cold and warm), uncached and value-memoised encodings of the
+    corpus, and every hash a Paxos pass stores, equal the pinned file."""
+    golden = json.loads(GOLDEN_PATH.read_text())
+    configure_interning(False)
+    configure_interning(True)  # a cold shared interner and value memo
+    try:
+        for corpus in (golden_corpus(), golden_corpus()):
+            for name, value in corpus:
+                if not _applies(name):
+                    continue
+                expected = golden["values"][name]
+                size = len(expected["bytes"]) // 2
+                for _ in range(2):
+                    for intern in (True, False):
+                        assert canonical_bytes(value, intern=intern).hex() == (
+                            expected["bytes"]
+                        ), name
+                        assert content_hash(value, intern=intern) == expected["hash"]
+                        assert content_size(value, intern=intern) == size
+                        assert content_hash_and_size(value, intern=intern) == (
+                            expected["hash"],
+                            size,
+                        )
+                    assert content_hash(value, by_value=True) == expected["hash"]
+                    assert content_hash_and_size(value, by_value=True) == (
+                        expected["hash"],
+                        size,
+                    )
+        summary, values = paxos_pass_hashes()
+        assert summary == golden["paxos_depth4"]
+        for digest, value in values:
+            assert content_hash(value, intern=False) == digest
+    finally:
+        configure_interning(True)
+
+
+if __name__ == "__main__":
+    assert sys.version_info >= (3, 11), "VERSION_DEPENDENT entries need 3.11+"
+    GOLDEN_PATH.parent.mkdir(exist_ok=True)
+    payload = {
+        "values": _reference_encodings(),
+        "paxos_depth4": paxos_pass_hashes()[0],
+    }
+    GOLDEN_PATH.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN_PATH}")
