@@ -14,24 +14,24 @@ frozensets, mappings with orderable keys, and frozen dataclasses.
 Interning
 ---------
 
-Canonical encoding sits inside the checker's innermost loops: every handler
-result is hashed, every send is hashed into ``I+``, every event hash walks
-the message it wraps.  Model values are immutable and heavily shared by
-identity — protocol handlers build successor states with
+Every handler result is hashed, every send is hashed into ``I+``, every
+event hash walks the message it wraps.  Model values are immutable and
+heavily shared by identity — protocol handlers build successor states with
 ``dataclasses.replace``, so an unchanged sub-state is the *same object* in
-thousands of encoded values — which makes an identity-keyed cache of
-canonical encodings both safe and very effective.  :class:`HashInterner`
-caches, per composite object, the encoded bytes plus the derived digest and
-size; :func:`canonical_encode` consults it recursively, so a cache hit on a
-nested sub-state skips the entire sub-walk.
+thousands of encoded values.  :class:`HashInterner` therefore keeps, per
+tuple, frozenset and dataclass object, the encoded bytes plus the digest
+once one is asked for, in an identity table the walk consults at every
+composite: a hit on a nested sub-state skips the entire sub-walk.
 
-The cache is an LRU bounded by ``capacity`` entries and keyed by ``id``;
-entries keep a strong reference to their value, so a cached id can never be
-recycled while its entry is alive.  Values containing ``dict``s (accepted
-read-only for encoding convenience) are never cached, because a mutation
-would go undetected.  Interning changes *nothing* about hash values: the
-cached bytes are exactly what the uncached walk would produce, a property
-``tests/model/test_hash_interning.py`` checks against arbitrary values.
+The table holds at most ``capacity`` entries, evicts the oldest first (a hit
+does not refresh an entry), and keys by ``id``; entries keep a strong
+reference to their value, so a cached id can never be recycled while its
+entry is alive.  Values containing ``dict``s (accepted read-only for
+encoding convenience) are never cached, because a mutation would go
+undetected.  Interning changes *nothing* about hash values: the cached bytes
+are exactly what the uncached walk (``intern=False``) produces, a property
+``tests/model/test_hash_interning.py`` checks against arbitrary values and
+``tests/model/golden/encodings.json`` pins byte for byte.
 
 Identity cannot help with the checker's commonest case: a handler re-derives
 a state, or re-sends a message, that *equals* one already encoded but is a
@@ -39,12 +39,13 @@ fresh object (on two-proposal Paxos, 91% of the values the checker hashes).
 For those the interner keeps a second table keyed by the value itself —
 Python's own ``__hash__``/``__eq__``, which short-cut on shared sub-objects
 — consulted only by ``content_hash(value, by_value=True)`` after an identity
-miss.  ``==`` is coarser than the encoding (``True == 1 == 1.0``), so the
-probe is exact only for values whose equality implies equal encodings; that
-is a contract on protocol values (docs/PROTOCOL_GUIDE.md), which is why the
-keyword is passed where a value came out of a protocol handler and nowhere
-else, and why :func:`repro.model.conformance.check_protocol` re-derives
-every memoised digest with the uncached walk.
+miss; it shares ``capacity`` and the oldest-first eviction.  ``==`` is
+coarser than the encoding (``True == 1 == 1.0``), so the probe is exact only
+for values whose equality implies equal encodings; that is a contract on
+protocol values (docs/PROTOCOL_GUIDE.md), which is why the keyword is passed
+where a value came out of a protocol handler and nowhere else, and why
+:func:`repro.model.conformance.check_protocol` re-derives every memoised
+digest with the uncached walk.
 """
 
 from __future__ import annotations
@@ -84,19 +85,20 @@ class UnhashableModelValue(TypeError):
 
 
 class HashInterner:
-    """Identity-keyed LRU cache of canonical encodings, plus a value memo.
+    """Identity-keyed cache of canonical encodings, plus a value memo.
 
     One entry per cached *object* (not per equal value): the key is
     ``id(value)`` and the entry pins the value alive, so identity is stable
-    for exactly as long as the entry exists.  Stores the canonical bytes,
-    the serialized size, and — once requested — the BLAKE2b digest, so
-    ``content_hash`` + ``content_size`` on the same object cost one walk.
+    for exactly as long as the entry exists.  Stores the canonical bytes
+    and — once requested — the BLAKE2b digest, so ``content_hash`` +
+    ``content_size`` on the same object cost one walk.
 
     The value memo maps a value *itself* (``__hash__``/``__eq__``) to the
     entry of the first equal object encoded, so a fresh-but-equal object is
     answered without a walk.  Only ``by_value=True`` calls read or fill it;
-    see :func:`content_hash` for the contract that makes that exact.  It
-    shares ``capacity`` with the identity table and evicts oldest-first.
+    see :func:`content_hash` for the contract that makes that exact.
+
+    Both tables hold at most ``capacity`` entries and evict oldest-first.
     """
 
     __slots__ = (
@@ -116,25 +118,12 @@ class HashInterner:
         # value -> the same entry list the identity table holds for it
         self._values: "OrderedDict[Any, list]" = OrderedDict()
 
-    def lookup(self, value: Any) -> Optional[list]:
-        """The cache entry for ``value``, refreshed in the LRU, or None."""
-        entry = self._table.get(id(value))
-        if entry is None or entry[0] is not value:
-            # ``entry[0] is not value`` can only happen if a caller broke
-            # the immutability contract badly enough to free a cached
-            # object; treat it as a miss rather than serve foreign bytes.
-            return None
-        self._table.move_to_end(id(value))
-        return entry
-
-    def store(self, value: Any, encoded: bytes) -> list:
-        """Insert the encoding of ``value``, evicting LRU entries if full."""
-        entry = [value, encoded, None]
-        self._table[id(value)] = entry
+    def store(self, value: Any, encoded: bytes) -> None:
+        """Insert the encoding of ``value``, evicting the oldest if full."""
+        self._table[id(value)] = [value, encoded, None]
         if len(self._table) > self.capacity:
             self._table.popitem(last=False)
             self.evictions += 1
-        return entry
 
     def store_value(self, entry: list) -> None:
         """File ``entry`` under its value too, evicting the oldest if full."""
@@ -216,31 +205,6 @@ def _len4(n: int) -> bytes:
     return _LEN4[n] if n < 1024 else n.to_bytes(4, "big")
 
 
-#: Value-keyed caches of full primitive encodings (tag + length + body).
-#: Ints and strings recur constantly inside states (node ids, ballots,
-#: indexes, value strings); both types are immutable and exactly typed here,
-#: so value keying is safe.  Cleared wholesale when they grow past the cap.
-#: Gated by :func:`configure_encoding_caches` so benchmarks can compare the
-#: cached hot path against the original encode-everything-every-time walk.
-_INT_ENCODINGS: Dict[int, bytes] = {}
-_STR_ENCODINGS: Dict[str, bytes] = {}
-_PRIMITIVE_CACHE_CAP = 1 << 15
-_ENCODING_CACHES = True
-
-
-def configure_encoding_caches(enabled: bool = True) -> None:
-    """Toggle the value-keyed primitive/dataclass-header encoding caches.
-
-    Disabling also clears them.  Used by ``tools/bench.py`` to measure the
-    unoptimized baseline; the produced encodings are identical either way.
-    """
-    global _ENCODING_CACHES
-    _ENCODING_CACHES = enabled
-    if not enabled:
-        _INT_ENCODINGS.clear()
-        _STR_ENCODINGS.clear()
-        _DATACLASS_INFO.clear()
-
 #: Per-dataclass-class encoding header (tag + qualname + field count),
 #: field-name tuple, and whether instances may be interned.  A dataclass's
 #: fields are fixed at class creation, so this is computed once per class
@@ -264,20 +228,15 @@ def equality_gap(cls: type) -> Optional[str]:
 
 
 def _dataclass_info(cls: type) -> Tuple[bytes, Tuple[str, ...], bool]:
-    info = _DATACLASS_INFO.get(cls)
-    if info is None:
-        fields = dataclasses.fields(cls)
-        name = cls.__qualname__.encode("utf-8")
-        header = _TAG_DATACLASS + _len4(len(name)) + name + _len4(len(fields))
-        # A class with an equality gap is never interned (like a dict, it
-        # poisons its ancestors), which keeps it out of the value memo.
-        info = (
-            header,
-            tuple(field.name for field in fields),
-            equality_gap(cls) is None,
-        )
-        if _ENCODING_CACHES:
-            _DATACLASS_INFO[cls] = info
+    fields = dataclasses.fields(cls)
+    name = cls.__qualname__.encode("utf-8")
+    # A class with an equality gap is never interned (like a dict, it
+    # poisons its ancestors), which keeps it out of the value memo.
+    info = _DATACLASS_INFO[cls] = (
+        _TAG_DATACLASS + _len4(len(name)) + name + _len4(len(fields)),
+        tuple(field.name for field in fields),
+        equality_gap(cls) is None,
+    )
     return info
 
 
@@ -289,40 +248,20 @@ def _encode(value: Any, out: bytearray, interner: Optional[HashInterner]) -> boo
     non-cacheable subtrees are encoded but never stored, and they poison
     their ancestors' cacheability.
 
-    The branch order is frequency-tuned (this function dominates checker
-    profiles): exact-type checks for the common primitives first, then the
-    interned composites, with subclasses and rarer types handled by
-    :func:`_encode_slow` — whose branch chain is the original, and hence
-    the defining, encoding semantics.
+    Exact-type checks for the common primitives come first (this function
+    dominates checker profiles), then the interned composites — exact
+    ``tuple`` and ``frozenset`` and dataclasses, looked up in and stored to
+    ``interner`` when one is given.  Subclasses and rarer types go to
+    :func:`_encode_other`, whose ``isinstance`` order defines the encoding.
     """
     cls = value.__class__
     if cls is int:
-        if _ENCODING_CACHES:
-            piece = _INT_ENCODINGS.get(value)
-            if piece is None:
-                body = str(value).encode("ascii")
-                piece = _TAG_INT + _len4(len(body)) + body
-                if len(_INT_ENCODINGS) >= _PRIMITIVE_CACHE_CAP:
-                    _INT_ENCODINGS.clear()
-                _INT_ENCODINGS[value] = piece
-            out += piece
-        else:
-            body = str(value).encode("ascii")
-            out += _TAG_INT + _len4(len(body)) + body
+        body = b"%d" % value
+        out += _TAG_INT + _len4(len(body)) + body
         return True
     if cls is str:
-        if _ENCODING_CACHES:
-            piece = _STR_ENCODINGS.get(value)
-            if piece is None:
-                body = value.encode("utf-8")
-                piece = _TAG_STR + _len4(len(body)) + body
-                if len(_STR_ENCODINGS) >= _PRIMITIVE_CACHE_CAP:
-                    _STR_ENCODINGS.clear()
-                _STR_ENCODINGS[value] = piece
-            out += piece
-        else:
-            body = value.encode("utf-8")
-            out += _TAG_STR + _len4(len(body)) + body
+        body = value.encode("utf-8")
+        out += _TAG_STR + _len4(len(body)) + body
         return True
     if value is None:
         out += _TAG_NONE
@@ -330,162 +269,69 @@ def _encode(value: Any, out: bytearray, interner: Optional[HashInterner]) -> boo
     if cls is bool:
         out += _TAG_TRUE if value else _TAG_FALSE
         return True
-    if cls is tuple:
-        if interner is None:
-            out += _TAG_TUPLE
-            out += _len4(len(value))
-            for item in value:
-                _encode(item, out, None)
-            return True
-        key = id(value)
-        entry = interner._table.get(key)
-        if entry is not None and entry[0] is value:
-            interner._table.move_to_end(key)
-            interner.hits += 1
-            out += entry[1]
-            return True
-        interner.misses += 1
-        piece = bytearray(_TAG_TUPLE)
-        piece += _len4(len(value))
-        cacheable = True
-        table = interner._table
-        for item in value:
-            # Inlined leaf dispatch: composites recurse through _encode
-            # maybe a dozen times per fresh state, but leaves number in the
-            # hundreds — the call overhead is the cost, not the encoding.
-            icls = item.__class__
-            if icls is int:
-                if _ENCODING_CACHES:
-                    enc = _INT_ENCODINGS.get(item)
-                    if enc is not None:
-                        piece += enc
-                        continue
-            elif icls is str:
-                if _ENCODING_CACHES:
-                    enc = _STR_ENCODINGS.get(item)
-                    if enc is not None:
-                        piece += enc
-                        continue
-            elif item is None:
-                piece += _TAG_NONE
-                continue
-            else:
-                child = table.get(id(item))
-                if child is not None and child[0] is item:
-                    interner.hits += 1
-                    piece += child[1]
-                    continue
-            cacheable &= _encode(item, piece, interner)
-        if cacheable:
-            entry = [value, bytes(piece), None]
-            table[id(value)] = entry
-            if len(table) > interner.capacity:
-                table.popitem(last=False)
-                interner.evictions += 1
-        out += piece
-        return cacheable
-    if cls is frozenset:
-        if interner is not None:
-            key = id(value)
-            entry = interner._table.get(key)
-            if entry is not None and entry[0] is value:
-                interner._table.move_to_end(key)
-                interner.hits += 1
-                out += entry[1]
-                return True
-            interner.misses += 1
-        # Sets are unordered: encode elements individually and sort the
-        # encodings so equal sets encode equally.
-        cacheable = True
-        encodings = []
-        for item in value:
-            piece = bytearray()
-            cacheable &= _encode(item, piece, interner)
-            encodings.append(bytes(piece))
-        encodings.sort()
-        body = bytearray(_TAG_FROZENSET)
-        body += _len4(len(encodings))
-        for piece in encodings:
-            body += piece
-        if interner is not None and cacheable:
-            interner.store(value, bytes(body))
-        out += body
-        return cacheable
-    info = _DATACLASS_INFO.get(cls)
-    if info is not None or (
-        dataclasses.is_dataclass(value) and not isinstance(value, type)
-    ):
-        if interner is None:
-            return _encode_dataclass(value, out, None)
-        key = id(value)
-        entry = interner._table.get(key)
-        if entry is not None and entry[0] is value:
-            interner._table.move_to_end(key)
-            interner.hits += 1
-            out += entry[1]
-            return True
-        interner.misses += 1
+    if cls is not tuple and cls is not frozenset:
+        info = _DATACLASS_INFO.get(cls)
         if info is None:
+            if not dataclasses.is_dataclass(value) or isinstance(value, type):
+                return _encode_other(value, out, interner)
             info = _dataclass_info(cls)
+    if interner is not None:
+        entry = interner._table.get(id(value))
+        # ``entry[0] is not value`` can only happen if a caller broke the
+        # immutability contract badly enough to free a cached object; treat
+        # it as a miss rather than serve foreign bytes.
+        if entry is not None and entry[0] is value:
+            interner.hits += 1
+            out += entry[1]
+            return True
+        interner.misses += 1
+    start = len(out)
+    if cls is tuple:
+        cacheable = _encode_tuple(value, out, interner)
+    elif cls is frozenset:
+        cacheable = _encode_frozenset(value, out, interner)
+    else:
         header, field_names, cacheable = info
-        piece = bytearray(header)
-        table = interner._table
+        out += header
         for name in field_names:
-            item = getattr(value, name)
-            # Same inlined leaf dispatch as the tuple branch above.
-            icls = item.__class__
-            if icls is int:
-                if _ENCODING_CACHES:
-                    enc = _INT_ENCODINGS.get(item)
-                    if enc is not None:
-                        piece += enc
-                        continue
-            elif icls is str:
-                if _ENCODING_CACHES:
-                    enc = _STR_ENCODINGS.get(item)
-                    if enc is not None:
-                        piece += enc
-                        continue
-            elif item is None:
-                piece += _TAG_NONE
-                continue
-            else:
-                child = table.get(id(item))
-                if child is not None and child[0] is item:
-                    interner.hits += 1
-                    piece += child[1]
-                    continue
-            cacheable &= _encode(item, piece, interner)
-        if cacheable:
-            entry = [value, bytes(piece), None]
-            table[id(value)] = entry
-            if len(table) > interner.capacity:
-                table.popitem(last=False)
-                interner.evictions += 1
-        out += piece
-        return cacheable
-    return _encode_slow(value, out, interner)
-
-
-def _encode_dataclass(
-    value: Any, out: bytearray, interner: Optional[HashInterner]
-) -> bool:
-    """The dataclass branch of :func:`_encode`, shared by both paths."""
-    header, field_names, cacheable = _dataclass_info(value.__class__)
-    out += header
-    for name in field_names:
-        cacheable &= _encode(getattr(value, name), out, interner)
+            cacheable &= _encode(getattr(value, name), out, interner)
+    if cacheable and interner is not None:
+        interner.store(value, bytes(out[start:]))
     return cacheable
 
 
-def _encode_slow(
-    value: Any, out: bytearray, interner: Optional[HashInterner]
-) -> bool:
-    """Rare types and subclasses: the original isinstance-ordered chain.
+def _encode_tuple(value: tuple, out: bytearray, interner: Optional[HashInterner]) -> bool:
+    out += _TAG_TUPLE + _len4(len(value))
+    cacheable = True
+    for item in value:
+        cacheable &= _encode(item, out, interner)
+    return cacheable
 
-    Anything here encodes exactly as it always did — e.g. an ``int``
-    subclass via the int branch, a namedtuple via the tuple branch — so the
-    fast exact-type dispatch above never changes a hash value.
+
+def _encode_frozenset(
+    value: frozenset, out: bytearray, interner: Optional[HashInterner]
+) -> bool:
+    # Sets are unordered: encode elements individually and sort the
+    # encodings so equal sets encode equally.
+    cacheable = True
+    pieces = []
+    for item in value:
+        piece = bytearray()
+        cacheable &= _encode(item, piece, interner)
+        pieces.append(piece)
+    pieces.sort()
+    out += _TAG_FROZENSET + _len4(len(pieces))
+    out += b"".join(pieces)
+    return cacheable
+
+
+def _encode_other(value: Any, out: bytearray, interner: Optional[HashInterner]) -> bool:
+    """Subclasses and rare types, never interned themselves.
+
+    The ``isinstance`` order is the definition of the encoding — an ``int``
+    subclass such as an ``IntEnum`` member encodes as an int, a namedtuple
+    as a tuple — and the exact-type branches of :func:`_encode` agree with
+    it byte for byte.
     """
     if isinstance(value, int):
         body = str(value).encode("ascii")
@@ -499,23 +345,9 @@ def _encode_slow(
     elif isinstance(value, bytes):
         out += _TAG_BYTES + _len4(len(value)) + value
     elif isinstance(value, tuple):
-        out += _TAG_TUPLE + _len4(len(value))
-        cacheable = True
-        for item in value:
-            cacheable &= _encode(item, out, interner)
-        return cacheable
+        return _encode_tuple(value, out, interner)
     elif isinstance(value, frozenset):
-        cacheable = True
-        encodings = []
-        for item in value:
-            piece = bytearray()
-            cacheable &= _encode(item, piece, interner)
-            encodings.append(bytes(piece))
-        encodings.sort()
-        out += _TAG_FROZENSET + _len4(len(encodings))
-        for piece in encodings:
-            out += piece
-        return cacheable
+        return _encode_frozenset(value, out, interner)
     elif isinstance(value, dict):
         # Mappings are accepted read-only for convenience in *encoding* (for
         # example a frozen dataclass exposing a derived dict); model states
@@ -539,63 +371,62 @@ def _encode_slow(
     return True
 
 
-def canonical_encode(value: Any, out: bytearray) -> None:
-    """Append a canonical, prefix-free byte encoding of ``value`` to ``out``.
+def canonical_bytes(value: Any, intern: bool = True) -> bytes:
+    """Return the canonical, prefix-free byte encoding of ``value``.
 
     The encoding is deterministic across processes and Python versions that
     share ``repr`` semantics for floats (we encode floats via ``repr`` to
-    remain exact for round-trippable values).  Consults the shared interner
-    when one is configured; the produced bytes are identical either way.
+    remain exact for round-trippable values).  ``intern=False`` forces the
+    uncached walk — the reference the property tests compare the interned
+    path against; the produced bytes are identical either way.
     """
-    _encode(value, out, _DEFAULT_INTERNER)
-
-
-def canonical_bytes(value: Any, intern: bool = True) -> bytes:
-    """Return the canonical byte encoding of ``value``.
-
-    ``intern=False`` forces the uncached walk — the reference the property
-    tests compare the interned path against.
-    """
-    interner = _DEFAULT_INTERNER if intern else None
-    if interner is not None:
-        entry = interner.lookup(value)
-        if entry is not None:
-            interner.hits += 1
-            return entry[1]
     out = bytearray()
-    _encode(value, out, interner)
+    _encode(value, out, _DEFAULT_INTERNER if intern else None)
     return bytes(out)
 
 
-def _interned_entry(value: Any, by_value: bool) -> list:
-    """The entry for ``value`` after an identity miss in the shared interner.
+def _entry(value: Any, intern: bool, by_value: bool) -> list:
+    """``[value, bytes, digest]`` for ``value``, the digest filled in.
 
-    With ``by_value`` the value memo is probed first, and a value that had
-    to be encoded after all is filed there too.  An unhashable value (a
-    ``TypeError`` from the probe) takes the plain walk and is never filed.
+    The one path behind :func:`content_hash` and
+    :func:`content_hash_and_size`: the identity table, then — with
+    ``by_value`` — the value memo, then the walk.  A value the walk stored
+    comes back as its identity-table entry (filed in the value memo too
+    under ``by_value``), so its digest is computed once; a primitive, an
+    uncacheable value or an uninterned call gets a throwaway entry.  An
+    unhashable value (a ``TypeError`` from the probe) takes the plain walk
+    and is never filed.
     """
-    interner = _DEFAULT_INTERNER
-    if by_value:
-        try:
-            entry = interner._values.get(value)
-        except TypeError:
-            by_value = False
+    interner = _DEFAULT_INTERNER if intern else None
+    if interner is None:
+        entry = [value, canonical_bytes(value, intern=False), None]
+    else:
+        entry = interner._table.get(id(value))
+        if entry is not None and entry[0] is value:
+            interner.hits += 1
         else:
+            entry = None
+            if by_value:
+                try:
+                    entry = interner._values.get(value)
+                except TypeError:
+                    by_value = False
             if entry is not None:
                 interner.hits += 1
                 interner.value_hits += 1
-                return entry
-    out = bytearray()
-    cacheable = _encode(value, out, interner)
-    # _encode already stored cacheable composites; fetch the entry it made
-    # (primitives and uncacheable values land here with entry None).
-    if cacheable:
-        entry = interner._table.get(id(value))
-        if entry is not None and entry[0] is value:
-            if by_value:
-                interner.store_value(entry)
-            return entry
-    return [value, bytes(out), None]
+            else:
+                out = bytearray()
+                _encode(value, out, interner)
+                entry = interner._table.get(id(value))
+                if entry is None:
+                    entry = [value, bytes(out), None]
+                elif by_value:
+                    interner.store_value(entry)
+    if entry[2] is None:
+        entry[2] = int.from_bytes(
+            blake2b(entry[1], digest_size=_DIGEST_BYTES).digest(), "big"
+        )
+    return entry
 
 
 def content_hash(value: Any, intern: bool = True, by_value: bool = False) -> int:
@@ -603,10 +434,7 @@ def content_hash(value: Any, intern: bool = True, by_value: bool = False) -> int
 
     Equal values always hash equally, across processes and runs; this is the
     identity used for visited-state dedup, predecessor pointers and the
-    soundness replay's generated-message sets.  The hit path is inlined —
-    one dict probe, no LRU touch — because this function sits inside the
-    checker's innermost loops; recency bookkeeping is worth paying only on
-    the (much rarer) encode path.
+    soundness replay's generated-message sets.
 
     ``by_value=True`` lets an identity miss be answered by an ``==``-equal
     value encoded earlier.  Python equality is coarser than the encoding
@@ -616,24 +444,7 @@ def content_hash(value: Any, intern: bool = True, by_value: bool = False) -> int
     produced; :func:`repro.model.conformance.check_protocol` checks the
     contract.  The default stays exact for arbitrary values.
     """
-    interner = _DEFAULT_INTERNER
-    if intern and interner is not None:
-        entry = interner._table.get(id(value))
-        if entry is not None and entry[0] is value:
-            interner.hits += 1
-        else:
-            entry = _interned_entry(value, by_value)
-        digest = entry[2]
-        if digest is None:
-            digest = int.from_bytes(
-                blake2b(entry[1], digest_size=_DIGEST_BYTES).digest(), "big"
-            )
-            entry[2] = digest
-        return digest
-    digest = blake2b(
-        canonical_bytes(value, intern=False), digest_size=_DIGEST_BYTES
-    ).digest()
-    return int.from_bytes(digest, "big")
+    return _entry(value, intern, by_value)[2]
 
 
 def content_size(value: Any, intern: bool = True) -> int:
@@ -653,27 +464,11 @@ def content_hash_and_size(
     """Hash and serialized size from a single canonical encoding pass.
 
     Callers that need both — the monotonic network stores a message by hash
-    and charges its serialized size — previously encoded twice; this walks
-    (or interns) once and derives both.  ``by_value`` as in
-    :func:`content_hash`.
+    and charges its serialized size — walk (or intern) once and derive
+    both.  ``by_value`` as in :func:`content_hash`.
     """
-    interner = _DEFAULT_INTERNER
-    if intern and interner is not None:
-        entry = interner._table.get(id(value))
-        if entry is not None and entry[0] is value:
-            interner.hits += 1
-        else:
-            entry = _interned_entry(value, by_value)
-        digest = entry[2]
-        if digest is None:
-            digest = int.from_bytes(
-                blake2b(entry[1], digest_size=_DIGEST_BYTES).digest(), "big"
-            )
-            entry[2] = digest
-        return digest, len(entry[1])
-    encoded = canonical_bytes(value, intern=False)
-    digest = blake2b(encoded, digest_size=_DIGEST_BYTES).digest()
-    return int.from_bytes(digest, "big"), len(encoded)
+    entry = _entry(value, intern, by_value)
+    return entry[2], len(entry[1])
 
 
 def substitute_node_ids(value: Any, mapping: Dict[int, int]) -> Any:

@@ -51,11 +51,9 @@ def _hashing_caches(cached):
     """The bench's uncached hashing configuration, undone on exit."""
     if not cached:
         hashing.configure_interning(False)
-        hashing.configure_encoding_caches(False)
     try:
         yield
     finally:
-        hashing.configure_encoding_caches(True)
         hashing.configure_interning(True)
 
 
@@ -164,11 +162,19 @@ def _stored_hashes(cached):
     states, ``I+`` messages, link event/consumed/generated hashes — each
     checked against the uncached reference walk of the value it names."""
     protocol = PaxosProtocol(num_nodes=3, proposals=((0, 0, "v0"), (1, 1, "v1")))
+    # The pass reads its depth bound from ``checker.budget``; the clock only
+    # enforces transition/state/time limits.
+    checker = LocalModelChecker(
+        protocol,
+        PaxosAgreement(0),
+        budget=SearchBudget(max_depth=4),
+        config=LMCConfig.optimized(),
+    )
     with _hashing_caches(cached):
         run = _ExplorationPass(
-            LocalModelChecker(protocol, PaxosAgreement(0), config=LMCConfig.optimized()),
+            checker,
             protocol.initial_system_state(),
-            BudgetClock(SearchBudget(max_depth=4)),
+            BudgetClock(checker.budget),
             None,
         )
         run.execute()
@@ -192,7 +198,7 @@ def _stored_hashes(cached):
 
 def test_value_memo_hashes_equal_the_uncached_configuration():
     """The value memo (``by_value=True`` call sites) serves exactly the
-    digests the no-interner, no-encoding-cache configuration computes."""
+    digests the no-interner configuration computes."""
     memoised = _stored_hashes(cached=True)
     assert hashing.intern_stats()["value_hits"] > 0
     assert len(memoised[0]) > 500 and len(memoised[1]) > 20

@@ -18,7 +18,6 @@ from repro.model import hashing
 from repro.model.hashing import (
     HashInterner,
     canonical_bytes,
-    configure_encoding_caches,
     configure_interning,
     content_hash,
     content_hash_and_size,
@@ -45,7 +44,6 @@ class Outer:
 def _restore_hashing_globals():
     """Every test here may reconfigure the module globals; undo it."""
     yield
-    configure_encoding_caches(True)
     configure_interning(True)
 
 
@@ -100,7 +98,6 @@ def test_uncached_mode_agrees_with_cached_mode(value):
     """The bench's uncached configuration produces identical encodings."""
     cached = canonical_bytes(value)
     configure_interning(False)
-    configure_encoding_caches(False)
     try:
         assert not interning_enabled()
         assert canonical_bytes(value) == cached
@@ -109,14 +106,13 @@ def test_uncached_mode_agrees_with_cached_mode(value):
             len(cached),
         )
     finally:
-        configure_encoding_caches(True)
         configure_interning(True)
 
 
 @given(st.lists(st.tuples(st.integers(), st.text(max_size=8)), min_size=10, max_size=30))
 @settings(max_examples=50)
 def test_eviction_preserves_correctness(items):
-    """A tiny LRU evicts constantly yet never changes a hash."""
+    """A tiny table evicts constantly yet never changes a hash."""
     interner = HashInterner(capacity=3)
     for value in items:
         out = bytearray()

@@ -3,7 +3,7 @@
 
 Runs the Fig. 10/11 workloads (and the §5.5/§5.6 snapshot experiments) in
 two modes — *cached* (every cache enabled, the library default) and
-*uncached* (interning, encoding caches, soundness memoization and
+*uncached* (hash interning, soundness memoization and
 incremental enumeration all disabled, reproducing the pre-optimization hot
 path) — and writes ``BENCH_lmc.json`` with wall-clock, transition counts,
 peak RSS and cache hit rates.
@@ -262,7 +262,6 @@ def _run_child(workload: str, mode: str) -> None:
 
     if mode == "uncached":
         hashing.configure_interning(False)
-        hashing.configure_encoding_caches(False)
         overrides: Dict[str, Any] = {
             "memoize_soundness": False,
             "incremental_enumeration": False,
