@@ -24,9 +24,10 @@ operations" section for the run registry.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.checker import LocalModelChecker
 from repro.core.checkpoint import Checkpointer, CheckpointError, load_checkpoint
@@ -170,6 +171,159 @@ def parse_partition_spec(spec: str) -> Tuple[int, Optional[int], tuple, tuple]:
     return (start, end, srcs, dests)
 
 
+def worker_count(text: str) -> Optional[int]:
+    """Parse ``--explore-workers``: a count, where any negative one means all
+    CPUs — ``None``, which repro.core.pool.resolve_workers turns into one."""
+    count = int(text)
+    return None if count < 0 else count
+
+
+class _AppendTuple(argparse.Action):
+    """``action="append"`` into a tuple, the type ``LMCConfig`` fields hold."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, getattr(namespace, self.dest) + (values,))
+
+
+#: Every ``LMCConfig`` field with its default.  A flag that sets a field is
+#: declared with ``dest=`` the field and this default, so
+#: :func:`build_config` reads the whole configuration off ``args`` by name.
+CONFIG_DEFAULTS = {field.name: field.default for field in dataclasses.fields(LMCConfig)}
+
+
+def _config_flag_adder(command: argparse.ArgumentParser) -> Callable[..., None]:
+    """``add(flag, field, **kwargs)``: declare on ``command`` a flag that
+    writes ``LMCConfig.<field>``, defaulting to the field's default."""
+
+    def add(flag: str, field: str, **kwargs: Any) -> None:
+        command.add_argument(flag, dest=field, default=CONFIG_DEFAULTS[field], **kwargs)
+
+    return add
+
+
+def add_reduction_flags(command: argparse.ArgumentParser) -> None:
+    """The reduction flags, shared by ``check`` and ``scenario``."""
+    add = _config_flag_adder(command)
+    add(
+        "--symmetry-reduction",
+        "symmetry_reduction",
+        action="store_true",
+        help="canonicalise system-state combinations to orbit "
+        "representatives under the protocol-declared node-symmetry "
+        "group (LMC algorithms only; a scenario restricts the group to "
+        "its snapshot's stabilizer; see docs/REDUCTION.md)",
+    )
+    add(
+        "--por",
+        "por_pruning",
+        action="store_true",
+        help="prune non-canonical orderings of commuting deliveries "
+        "from the predecessor DAG (LMC algorithms only; see "
+        "docs/REDUCTION.md)",
+    )
+
+
+def add_config_flags(command: argparse.ArgumentParser) -> None:
+    """The ``check`` flags that set ``LMCConfig`` fields."""
+    add = _config_flag_adder(command)
+    add(
+        "--explore-workers",
+        "explore_workers",
+        type=worker_count,
+        metavar="N",
+        help="shard each exploration round's frontier across N pool "
+        "workers (LMC algorithms only; 0 explores serially, -1 uses "
+        "all CPUs; results are identical either way — see "
+        "docs/PERFORMANCE.md)",
+    )
+    add(
+        "--faults",
+        "fault_events_enabled",
+        action="store_true",
+        help="explore crash/restart fault schedules (LMC algorithms "
+        "only; see docs/FAULTS.md)",
+    )
+    add(
+        "--max-crashes-per-node",
+        "max_crashes_per_node",
+        type=int,
+        metavar="N",
+        help="crashes allowed on any single node's discovery path "
+        "(default %(default)s; consulted only with --faults)",
+    )
+    add(
+        "--max-total-crashes",
+        "max_total_crashes",
+        type=int,
+        metavar="N",
+        help="global cap on crash events across the run "
+        "(default: only the per-node bound; consulted only with --faults)",
+    )
+    add(
+        "--drop-faults",
+        "drop_faults",
+        action="store_true",
+        help="explore message-loss schedules against protocols that "
+        "declare a handle_drop omission hook (LMC algorithms only; "
+        "see docs/FAULTS.md)",
+    )
+    add(
+        "--max-drops",
+        "max_drops",
+        type=int,
+        metavar="N",
+        help="global cap on effective drop events across the run "
+        "(default: unbounded; consulted only with --drop-faults)",
+    )
+    add(
+        "--duplicate-faults",
+        "duplicate_faults",
+        action="store_true",
+        help="explore at-least-once redelivery of every sent message "
+        "(LMC algorithms only; needs --duplicate-limit 1 or more; "
+        "see docs/FAULTS.md)",
+    )
+    add(
+        "--duplicate-limit",
+        "duplicate_limit",
+        type=int,
+        metavar="N",
+        help="extra copies of one message value the monotonic network "
+        "admits (default %(default)s; raise alongside --duplicate-faults "
+        "to deepen redelivery exploration)",
+    )
+    add(
+        "--partition",
+        "partition_schedules",
+        action=_AppendTuple,
+        type=parse_partition_spec,
+        metavar="START:END:SRCS:DESTS",
+        help="block deliveries from SRCS to DESTS during rounds "
+        "START..END (END empty or '-' means forever; repeatable; "
+        "see docs/FAULTS.md)",
+    )
+    add_reduction_flags(command)
+
+
+def build_config(args: argparse.Namespace) -> LMCConfig:
+    """The configuration the flags spell: every ``args`` attribute named like
+    an ``LMCConfig`` field, over LMC-GEN for ``--algorithm lmc-gen`` and
+    LMC-OPT otherwise (a scenario has no ``--algorithm``)."""
+    factory = LMCConfig.general if vars(args).get("algorithm") == "lmc-gen" else LMCConfig.optimized
+    return factory(**{name: value for name, value in vars(args).items() if name in CONFIG_DEFAULTS})
+
+
+def changed_config_flags(args: argparse.Namespace) -> List[str]:
+    """The config flags ``args`` sets away from their defaults, as spelled."""
+    probe = argparse.ArgumentParser()
+    add_config_flags(probe)
+    return [
+        action.option_strings[0]
+        for action in probe._actions
+        if action.dest in CONFIG_DEFAULTS and getattr(args, action.dest) != action.default
+    ]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -246,93 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--explore-workers, where 0 means serial, and unlike the library's "
             "ParallelLocalModelChecker(workers=0), which verifies in-process",
         )
-        command.add_argument(
-            "--explore-workers",
-            type=int,
-            default=0,
-            metavar="N",
-            help="shard each exploration round's frontier across N pool "
-            "workers (LMC algorithms only; 0 explores serially, -1 uses "
-            "all CPUs; results are identical either way — see "
-            "docs/PERFORMANCE.md)",
-        )
-        command.add_argument(
-            "--faults",
-            action="store_true",
-            help="explore crash/restart fault schedules (LMC algorithms "
-            "only; see docs/FAULTS.md)",
-        )
-        command.add_argument(
-            "--max-crashes-per-node",
-            type=int,
-            default=1,
-            metavar="N",
-            help="crashes allowed on any single node's discovery path "
-            "(default 1; implies --faults semantics only when --faults is set)",
-        )
-        command.add_argument(
-            "--max-total-crashes",
-            type=int,
-            default=None,
-            metavar="N",
-            help="global cap on crash events across the run "
-            "(default: only the per-node bound)",
-        )
-        command.add_argument(
-            "--drop-faults",
-            action="store_true",
-            help="explore message-loss schedules against protocols that "
-            "declare a handle_drop omission hook (LMC algorithms only; "
-            "see docs/FAULTS.md)",
-        )
-        command.add_argument(
-            "--max-drops",
-            type=int,
-            default=None,
-            metavar="N",
-            help="global cap on effective drop events across the run "
-            "(default: unbounded)",
-        )
-        command.add_argument(
-            "--duplicate-faults",
-            action="store_true",
-            help="explore at-least-once redelivery of every sent message "
-            "(LMC algorithms only; see docs/FAULTS.md)",
-        )
-        command.add_argument(
-            "--duplicate-limit",
-            type=int,
-            default=None,
-            metavar="N",
-            help="how many copies of one message value the monotonic "
-            "network may admit (default 1; raise alongside "
-            "--duplicate-faults to deepen redelivery exploration)",
-        )
-        command.add_argument(
-            "--partition",
-            dest="partitions",
-            action="append",
-            type=parse_partition_spec,
-            default=None,
-            metavar="START:END:SRCS:DESTS",
-            help="block deliveries from SRCS to DESTS during rounds "
-            "START..END (END empty or '-' means forever; repeatable; "
-            "see docs/FAULTS.md)",
-        )
-        command.add_argument(
-            "--symmetry-reduction",
-            action="store_true",
-            help="canonicalise system-state combinations to orbit "
-            "representatives under the protocol-declared node-symmetry "
-            "group (LMC algorithms only; see docs/REDUCTION.md)",
-        )
-        command.add_argument(
-            "--por",
-            action="store_true",
-            help="prune non-canonical orderings of commuting deliveries "
-            "from the predecessor DAG (LMC algorithms only; see "
-            "docs/REDUCTION.md)",
-        )
+        add_config_flags(command)
         command.add_argument(
             "--checkpoint-every",
             type=int,
@@ -379,19 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     scenario.add_argument("name", choices=("s55", "s56"))
     scenario.add_argument("--buggy", action="store_true", default=None)
     scenario.add_argument("--correct", dest="buggy", action="store_false")
-    scenario.add_argument(
-        "--symmetry-reduction",
-        action="store_true",
-        help="canonicalise system-state combinations to orbit "
-        "representatives (the group is restricted to the snapshot's "
-        "stabilizer; see docs/REDUCTION.md)",
-    )
-    scenario.add_argument(
-        "--por",
-        action="store_true",
-        help="prune non-canonical orderings of commuting deliveries "
-        "(see docs/REDUCTION.md)",
-    )
+    add_reduction_flags(scenario)
     add_trace_flags(scenario)
     add_registry_flags(scenario)
 
@@ -527,34 +583,6 @@ def run_check(
     protocol, invariant = builder(args.nodes, args.buggy)
     budget = SearchBudget(max_depth=args.max_depth, max_seconds=args.max_seconds)
     interval = getattr(args, "metrics_interval", None)
-    fault_overrides = {}
-    if getattr(args, "faults", False):
-        fault_overrides = dict(
-            fault_events_enabled=True,
-            max_crashes_per_node=args.max_crashes_per_node,
-            max_total_crashes=args.max_total_crashes,
-        )
-    if getattr(args, "drop_faults", False):
-        fault_overrides["drop_faults"] = True
-        if args.max_drops is not None:
-            fault_overrides["max_drops"] = args.max_drops
-    if getattr(args, "duplicate_faults", False):
-        fault_overrides["duplicate_faults"] = True
-    if getattr(args, "duplicate_limit", None) is not None:
-        fault_overrides["duplicate_limit"] = args.duplicate_limit
-    if getattr(args, "partitions", None):
-        fault_overrides["partition_schedules"] = tuple(args.partitions)
-    if getattr(args, "symmetry_reduction", False):
-        fault_overrides["symmetry_reduction"] = True
-    if getattr(args, "por", False):
-        fault_overrides["por_pruning"] = True
-    explore_workers = getattr(args, "explore_workers", 0)
-    if explore_workers:
-        # -1 (or any negative) = all CPUs: ``None``, which — like --workers'
-        # 0 below — becomes a count in repro.core.pool.resolve_workers.
-        fault_overrides["explore_workers"] = (
-            None if explore_workers < 0 else explore_workers
-        )
     # Checkpointing (docs/CHECKPOINTS.md): any of the three flags turns the
     # snapshot layer on; the file defaults into the registry run directory
     # so `repro resume <run_id>` finds it without extra bookkeeping.
@@ -576,17 +604,13 @@ def run_check(
             )
         checkpointer = Checkpointer(checkpoint_path, every_rounds=checkpoint_every)
     if args.algorithm == "bdfs":
-        # The fault scheduler is an LMC feature (docs/FAULTS.md); B-DFS
-        # explores the paper's original event vocabulary — it registers
-        # and finishes in the registry but emits no heartbeats.
+        # B-DFS explores the paper's original event vocabulary under no
+        # LMCConfig (``main`` refuses LMC flags with it); it registers and
+        # finishes in the registry but emits no heartbeats.
         return GlobalModelChecker(protocol, invariant, budget=budget).run()
     lmc_kwargs: Dict[str, Any] = dict(
         budget=budget,
-        config=(
-            LMCConfig.general(**fault_overrides)
-            if args.algorithm == "lmc-gen"
-            else LMCConfig.optimized(**fault_overrides)
-        ),
+        config=build_config(args),
         emitter=emitter,
         metrics_interval=interval,
         run_handle=run_handle,
@@ -639,15 +663,10 @@ def run_scenario(
         protocol = onepaxos_scenario(buggy)
         invariant = OnePaxosAgreement(0)
         initial = post_leaderchange_state(protocol)
-    overrides = {}
-    if getattr(args, "symmetry_reduction", False):
-        overrides["symmetry_reduction"] = True
-    if getattr(args, "por", False):
-        overrides["por_pruning"] = True
     checker = LocalModelChecker(
         protocol,
         invariant,
-        config=LMCConfig.optimized(**overrides),
+        config=build_config(args),
         emitter=emitter,
         metrics_interval=interval,
         run_handle=run_handle,
@@ -963,6 +982,14 @@ def main(argv: Optional[list] = None) -> int:
         if prepared is None:
             return 2
         args, argv = prepared
+    ignored = changed_config_flags(args) if getattr(args, "algorithm", None) == "bdfs" else []
+    if ignored:
+        print(
+            "error: --algorithm bdfs takes no LMC configuration; it would "
+            f"ignore {' '.join(ignored)}",
+            file=sys.stderr,
+        )
+        return 2
     try:
         emitter = _make_emitter(args)
     except OSError as exc:

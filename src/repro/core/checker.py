@@ -132,6 +132,23 @@ _BUDGET_CHECK_INTERVAL = 256
 #: violations holds at most this many unverified combinations.
 DEFERRED_BUFFER_LIMIT = 2048
 
+#: LRU bound on the ``reverify_rejected`` combination cache; evictions trade
+#: the §4.2 completeness patch back for bounded memory on long online runs
+#: and are surfaced as ``rejected_cache_evictions``.
+REJECTED_CACHE_LIMIT = 4096
+
+#: For :class:`~repro.invariants.base.LocalInvariant` violations, how many
+#: system-state completions (combinations of the *other* nodes' states) to
+#: try before giving the violating node state up as invalid.  A local
+#: violation is a bug iff *some* valid system state contains the state, so
+#: this cap bounds a secondary search; like the soundness caps it trades
+#: completeness for bounded work.
+MAX_COMPLETIONS_PER_LOCAL_VIOLATION = 64
+
+#: In the pairwise LMC-OPT enumerator, how many completions over the
+#: remaining nodes to build per conflicting pair of node states.
+MAX_COMPLETIONS_PER_CONFLICT = 128
+
 #: Stop reason of a SIGTERM-interrupted pass.  Its checkpoint carries the
 #: deferred buffer, which the resumed run verifies — so this run must not.
 _INTERRUPTED = "interrupted (checkpoint written)"
@@ -504,7 +521,7 @@ class _ExplorationPass:
         #: old depth bound blocked, then the normal cursor sweeps take over.
         self._reoffer = False
         # reverify_rejected extension: cached rejected combinations (an LRU
-        # ordered dict, bounded by ``rejected_cache_limit``), indexed by the
+        # ordered dict, bounded by ``REJECTED_CACHE_LIMIT``), indexed by the
         # (node, record index) pairs they contain.  Entry keys are monotone
         # insertion numbers; reverification touches an entry, eviction drops
         # the least recently touched.
@@ -598,9 +615,7 @@ class _ExplorationPass:
                         )
                         self._heartbeat_now()
                     return _PassOutcome(stopped=False, completed=True, reason=reason)
-                if checkpointer is not None and checkpointer.due(
-                    self.round_number, self.config
-                ):
+                if checkpointer is not None and checkpointer.due(self.round_number):
                     interrupted = checkpointer.stop_requested
                     checkpointer.snapshot(
                         self, reason="sigterm" if interrupted else "cadence"
@@ -1127,7 +1142,7 @@ class _ExplorationPass:
                         new_record.node,
                         new_record,
                         self.invariant,
-                        completion_cap=self.config.max_completions_per_conflict,
+                        completion_cap=MAX_COMPLETIONS_PER_CONFLICT,
                         projection_of=self._cached_projection,
                         index=self._projection_index,
                     )
@@ -1206,11 +1221,10 @@ class _ExplorationPass:
         # nodes must first generate, so soundness must search over
         # completions of the other nodes' states, not just the seeds.
         bugs_before = len(self.bugs)
-        cap = self.config.max_completions_per_local_violation
         for tried, combo in enumerate(
             enumerate_general(self.space, new_record.node, new_record)
         ):
-            if cap is not None and tried >= cap:
+            if tried >= MAX_COMPLETIONS_PER_LOCAL_VIOLATION:
                 return
             if tried % 16 == 15:
                 if self.clock.out_of_time():
@@ -1351,7 +1365,7 @@ class _ExplorationPass:
         invariant is violated and reverify them after the changes into LS
         that affect them"); indexed by member record so
         :meth:`_reverify_affected` can find entries cheaply.  The cache is
-        an LRU bounded by ``rejected_cache_limit`` — an eviction trades a
+        an LRU bounded by ``REJECTED_CACHE_LIMIT`` — an eviction trades a
         sliver of the patched-back completeness for bounded memory on long
         online runs and is counted in ``rejected_cache_evictions``.
         """
@@ -1362,8 +1376,7 @@ class _ExplorationPass:
             self._rejected_index.setdefault((node, record.index), []).append(
                 entry_index
             )
-        limit = self.config.rejected_cache_limit
-        if limit is not None and len(self._rejected_entries) > limit:
+        if len(self._rejected_entries) > REJECTED_CACHE_LIMIT:
             self._rejected_entries.popitem(last=False)
             self.stats.rejected_cache_evictions += 1
 

@@ -122,13 +122,17 @@ class CheckpointMismatch(CheckpointError):
 # -- configuration fingerprint ---------------------------------------------------
 
 #: ``LMCConfig`` fields that no longer exist, at the only values a checkpoint
-#: was ever written with (their defaults: the one checker that set them
-#: otherwise took no checkpointer).  Still fingerprinted so that envelopes
-#: written before their removal keep verifying — the digest is a hash of
-#: every key, so dropping these would orphan every existing checkpoint.
+#: was ever written with (their defaults: the one checker that set the first
+#: two otherwise took no checkpointer, and no caller set the last three).
+#: Still fingerprinted so that envelopes written before their removal keep
+#: verifying — the digest is a hash of every key, so dropping these would
+#: orphan every existing checkpoint.
 _RETIRED_CONFIG_FIELDS = {
     "collect_preliminary": "False",
     "max_collected_preliminary": "2048",
+    "max_completions_per_local_violation": "64",
+    "max_completions_per_conflict": "128",
+    "rejected_cache_limit": "4096",
 }
 
 
@@ -148,9 +152,7 @@ def fingerprint_fields(
     system contributes per-node content hashes — a pass seeded with a
     crafted live snapshot (the §5.5 scenarios) must not resume a run
     seeded from the protocol boot states.  Every :class:`LMCConfig` field
-    participates except ``checkpoint_every_rounds``: the cadence decides
-    *when* snapshots are written, never what is explored, so resuming
-    under a different cadence (or none) is sound.
+    participates.
     """
     return {
         "protocol": f"{type(protocol).__module__}.{type(protocol).__qualname__}",
@@ -166,7 +168,6 @@ def fingerprint_fields(
             **{
                 field.name: repr(getattr(config, field.name))
                 for field in dataclasses.fields(config)
-                if field.name != "checkpoint_every_rounds"
             },
         },
     }
@@ -701,8 +702,10 @@ class Checkpointer:
 
     Attach one to a :class:`~repro.core.checker.LocalModelChecker`; the
     pass consults :meth:`due` at every round boundary and always writes a
-    final snapshot when a pass completes.  ``every_rounds`` defaults to
-    ``LMCConfig.checkpoint_every_rounds`` when left ``None``.
+    final snapshot when a pass completes.  ``every_rounds`` is the round
+    cadence; ``None`` writes only those final snapshots (and SIGTERM ones).
+    Checkpoints are bookkeeping outside the explored state, so the cadence
+    is no part of the fingerprint: a run may resume under another one.
 
     SIGTERM handling is cooperative: the handler only sets a flag, the
     sweep finishes its current round, the boundary snapshot is written,
@@ -713,6 +716,8 @@ class Checkpointer:
     """
 
     def __init__(self, path: str, every_rounds: Optional[int] = None):
+        if every_rounds is not None and every_rounds < 1:
+            raise ValueError("every_rounds must be >= 1 or None")
         self.path = path
         self.every_rounds = every_rounds
         #: Set by the SIGTERM handler; checked at round boundaries.
@@ -758,18 +763,11 @@ class Checkpointer:
 
     # -- policy ------------------------------------------------------------
 
-    def cadence(self, config: Any) -> Optional[int]:
-        """The effective round cadence (explicit, else the config knob)."""
-        if self.every_rounds is not None:
-            return self.every_rounds
-        return config.checkpoint_every_rounds
-
-    def due(self, round_number: int, config: Any) -> bool:
+    def due(self, round_number: int) -> bool:
         """Should the pass write a snapshot at this round boundary?"""
         if self.stop_requested:
             return True
-        every = self.cadence(config)
-        return every is not None and round_number % every == 0
+        return self.every_rounds is not None and round_number % self.every_rounds == 0
 
     def snapshot(
         self, pass_: Any, reason: str, pass_completed: bool = False, pass_reason: str = ""

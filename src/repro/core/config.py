@@ -75,18 +75,6 @@ class LMCConfig:
     #: Upper bound on sequence *combinations* tried per soundness call.
     max_combinations_per_check: Optional[int] = 8192
 
-    #: For :class:`~repro.invariants.base.LocalInvariant` violations, how
-    #: many system-state completions (combinations of the *other* nodes'
-    #: states) to try before giving the violating node state up as invalid.
-    #: A local violation is a bug iff *some* valid system state contains the
-    #: state, so this cap bounds a secondary search; like the soundness caps
-    #: it trades completeness for bounded work.
-    max_completions_per_local_violation: Optional[int] = 64
-
-    #: In the pairwise LMC-OPT enumerator, how many completions over the
-    #: remaining nodes to build per conflicting pair of node states.
-    max_completions_per_conflict: Optional[int] = 128
-
     #: Extension beyond the paper's prototype: cache preliminary violations
     #: whose soundness check failed and re-verify them when a new predecessor
     #: pointer is added to any node state they contain.  Restores the
@@ -107,12 +95,6 @@ class LMCConfig:
 
     #: LRU bound on cached replay verdicts; ``None`` removes the bound.
     replay_cache_limit: Optional[int] = 4096
-
-    #: LRU bound on the ``reverify_rejected`` combination cache; evictions
-    #: trade the §4.2 completeness patch back for bounded memory on long
-    #: online runs and are surfaced as ``rejected_cache_evictions``.
-    #: ``None`` removes the bound.
-    rejected_cache_limit: Optional[int] = 4096
 
     #: Explore crash/restart fault schedules (docs/FAULTS.md): the checker
     #: additionally mints a :class:`~repro.model.events.CrashEvent` for every
@@ -202,13 +184,6 @@ class LMCConfig:
     #: false positive).  Off by default and byte-identical-off.
     por_pruning: bool = False
 
-    #: Write a durable checkpoint (docs/CHECKPOINTS.md) every N completed
-    #: exploration rounds; ``None`` disables the cadence (a checkpointer, if
-    #: attached, then writes only on SIGTERM and at pass completion).
-    #: Checkpoints are bookkeeping outside the explored state: every counter,
-    #: verdict and witness is byte-identical with the cadence on or off.
-    checkpoint_every_rounds: Optional[int] = None
-
     #: Reuse incremental per-node structures during system-state creation:
     #: cached active-record lists and — for pairwise LMC-OPT — a per-node
     #: index of records with non-``None`` projections, so each anchored
@@ -232,7 +207,6 @@ class LMCConfig:
             "max_sequences_per_node",
             "max_combinations_per_check",
             "replay_cache_limit",
-            "rejected_cache_limit",
         ):
             value = getattr(self, name)
             if value is not None and value <= 0:
@@ -243,8 +217,6 @@ class LMCConfig:
             raise ValueError("explore_shard_min must be >= 1")
         if self.explore_round_threshold < 1:
             raise ValueError("explore_round_threshold must be >= 1")
-        if self.checkpoint_every_rounds is not None and self.checkpoint_every_rounds < 1:
-            raise ValueError("checkpoint_every_rounds must be >= 1 or None")
         if self.max_crashes_per_node < 0:
             raise ValueError("max_crashes_per_node must be >= 0")
         if self.max_total_crashes is not None and self.max_total_crashes < 0:

@@ -54,7 +54,7 @@ class ExplorationStats:
     #: ``soundness_sequences`` — the cache changes cost, not semantics).
     replay_cache_hits: int = 0
     #: Rejected-combination cache entries dropped by the LRU bound
-    #: (``LMCConfig.rejected_cache_limit``).
+    #: (``repro.core.checker.REJECTED_CACHE_LIMIT``).
     rejected_cache_evictions: int = 0
     #: Crash events executed by the fault scheduler (docs/FAULTS.md).
     fault_crashes: int = 0

@@ -37,6 +37,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import checker as checker_module
 from repro.core.checker import LocalModelChecker
 from repro.core.checkpoint import (
     CheckpointError,
@@ -137,10 +138,10 @@ class StopAtCheckpointer(Checkpointer):
         super().__init__(path)
         self.stop_round = stop_round
 
-    def due(self, round_number, config):
+    def due(self, round_number):
         if round_number >= self.stop_round:
             self.stop_requested = True
-        return super().due(round_number, config)
+        return super().due(round_number)
 
 
 class TestRoundTrip:
@@ -231,20 +232,25 @@ class TestInterruptResume:
             resumed = _checker("opt", 6).resume(payload)
             assert _observable(resumed) == _observable(reference)
 
-    def test_kill_and_resume_rebuilds_projection_groups_in_order(self, tmp_path):
+    def test_kill_and_resume_rebuilds_projection_groups_in_order(
+        self, tmp_path, monkeypatch
+    ):
         """The projection index is a derived cache, rebuilt from
         ``store.records`` on restore.  Buggy Paxos under the multi-index
         invariant has two value groups per node by round 4; the restored
         groups must pair every anchor exactly as the un-indexed scan over
         the restored stores does, and the resumed run must finish on the
         uninterrupted run's counters."""
+        # One completion per conflicting pair, as the enumeration below
+        # walks them.
+        monkeypatch.setattr(checker_module, "MAX_COMPLETIONS_PER_CONFLICT", 1)
 
         def checker(checkpointer=None):
             return LocalModelChecker(
                 scenario_protocol(buggy=True),
                 PaxosAgreementAll(),
                 SearchBudget(max_depth=3),
-                LMCConfig.optimized(max_completions_per_conflict=1),
+                LMCConfig.optimized(),
                 checkpointer=checkpointer,
             )
 
@@ -438,6 +444,10 @@ class TestRefusals:
         ).run()
         assert not result.completed
         return load_checkpoint(path)
+
+    def test_checkpointer_refuses_a_cadence_below_one(self, tmp_path):
+        with pytest.raises(ValueError, match="every_rounds"):
+            Checkpointer(str(tmp_path / "c.json"), every_rounds=0)
 
     def test_resume_refuses_budget_mismatch(self, tmp_path):
         payload = self._interrupted_checkpoint(tmp_path, depth=6)

@@ -72,17 +72,26 @@ class TestPhaseToggles:
 class TestDuplicateLimit:
     def test_zero_limit_suppresses_duplicates(self):
         result = LocalModelChecker(
-            PaxosProtocol(), PaxosAgreement(0), config=LMCConfig(duplicate_limit=0)
+            PaxosProtocol(),
+            PaxosAgreement(0),
+            config=LMCConfig(duplicate_limit=0, create_system_states=False),
         ).run()
         assert result.stats.suppressed_duplicates > 0
 
     def test_duplicates_add_work_but_no_states(self):
-        """The §4.2 rationale for limit 0: duplicate copies are pure waste."""
+        """The §4.2 rationale for limit 0: duplicate copies are pure waste.
+
+        Both sides are exploration counters, so system-state creation is off.
+        """
         zero = LocalModelChecker(
-            PaxosProtocol(), PaxosAgreement(0), config=LMCConfig(duplicate_limit=0)
+            PaxosProtocol(),
+            PaxosAgreement(0),
+            config=LMCConfig(duplicate_limit=0, create_system_states=False),
         ).run()
         two = LocalModelChecker(
-            PaxosProtocol(), PaxosAgreement(0), config=LMCConfig(duplicate_limit=2)
+            PaxosProtocol(),
+            PaxosAgreement(0),
+            config=LMCConfig(duplicate_limit=2, create_system_states=False),
         ).run()
         assert two.stats.node_states == zero.stats.node_states
         assert two.stats.transitions > zero.stats.transitions
@@ -172,13 +181,18 @@ class TestLocalEventBoundWidening:
         assert result.stats.node_states == 3
 
     def test_widening_restarts_until_saturation(self):
+        # Widening is an exploration matter: system states stay off.
         bounded = LocalModelChecker(
             PaxosProtocol(),
             PaxosAgreement(0),
-            config=LMCConfig(local_event_bound=1, widen_increment=1),
+            config=LMCConfig(
+                local_event_bound=1, widen_increment=1, create_system_states=False
+            ),
         ).run()
         unbounded = LocalModelChecker(
-            PaxosProtocol(), PaxosAgreement(0), config=LMCConfig()
+            PaxosProtocol(),
+            PaxosAgreement(0),
+            config=LMCConfig(create_system_states=False),
         ).run()
         assert bounded.completed
         # Widening must eventually reach everything the unbounded run sees

@@ -16,6 +16,7 @@ from pathlib import Path
 
 from repro.core.checker import LocalModelChecker
 from repro.core.config import LMCConfig
+from repro.explore.budget import SearchBudget
 from repro.explore.global_checker import GlobalModelChecker
 from repro.protocols.paxos import PaxosAgreement, PaxosProtocol
 from repro.protocols.paxos.scenarios import partial_choice_state, scenario_protocol
@@ -50,8 +51,11 @@ def test_lmc_runs_identically_twice():
 
 
 def test_global_runs_identically_twice():
+    # Depth 10 is 2,158 global states: enough for the search order to matter.
     def run():
-        return GlobalModelChecker(PaxosProtocol(), PaxosAgreement(0)).run()
+        return GlobalModelChecker(
+            PaxosProtocol(), PaxosAgreement(0), budget=SearchBudget(max_depth=10)
+        ).run()
 
     assert counters_of(run()) == counters_of(run())
 

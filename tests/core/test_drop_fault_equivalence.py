@@ -133,10 +133,10 @@ class _StopAtCheckpointer(Checkpointer):
         super().__init__(path)
         self.stop_round = stop_round
 
-    def due(self, round_number, config):
+    def due(self, round_number):
         if round_number >= self.stop_round:
             self.stop_requested = True
-        return super().due(round_number, config)
+        return super().due(round_number)
 
 
 def test_inert_knobs_survive_checkpoint_resume_byte_identically(tmp_path):

@@ -226,10 +226,10 @@ class _SigtermAtRound(Checkpointer):
         super().__init__(path)
         self.stop_round = stop_round
 
-    def due(self, round_number, config):
+    def due(self, round_number):
         if round_number == self.stop_round:
             os.kill(os.getpid(), signal.SIGTERM)
-        return super().due(round_number, config)
+        return super().due(round_number)
 
 
 def _checker(case, workers, depth, checkpointer=None):

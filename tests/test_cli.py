@@ -2,7 +2,22 @@
 
 import pytest
 
-from repro.cli import WORKLOADS, build_parser, main
+import argparse
+import dataclasses
+
+from repro.cli import (
+    CONFIG_DEFAULTS,
+    WORKLOADS,
+    add_config_flags,
+    build_config,
+    build_parser,
+    main,
+)
+from repro.core.config import LMCConfig
+
+
+def _config(*argv, command="check"):
+    return build_config(build_parser().parse_args([command, *argv]))
 
 
 class TestParser:
@@ -72,38 +87,35 @@ class TestFaultFlags:
     """The omission-fault knobs (docs/FAULTS.md) thread CLI → LMCConfig."""
 
     def test_fault_flags_parse_round_trip(self):
-        args = build_parser().parse_args(
-            [
-                "check",
-                "2pc-timeout",
-                "--drop-faults",
-                "--max-drops",
-                "3",
-                "--duplicate-faults",
-                "--duplicate-limit",
-                "2",
-                "--partition",
-                "1:2:0:1,2",
-                "--partition",
-                "3:-:1:0",
-            ]
+        config = _config(
+            "2pc-timeout",
+            "--drop-faults",
+            "--max-drops",
+            "3",
+            "--duplicate-faults",
+            "--duplicate-limit",
+            "2",
+            "--partition",
+            "1:2:0:1,2",
+            "--partition",
+            "3:-:1:0",
         )
-        assert args.drop_faults is True
-        assert args.max_drops == 3
-        assert args.duplicate_faults is True
-        assert args.duplicate_limit == 2
-        assert args.partitions == [
+        assert config.drop_faults is True
+        assert config.max_drops == 3
+        assert config.duplicate_faults is True
+        assert config.duplicate_limit == 2
+        assert config.partition_schedules == (
             (1, 2, (0,), (1, 2)),
             (3, None, (1,), (0,)),
-        ]
+        )
 
     def test_fault_flags_default_off(self):
-        args = build_parser().parse_args(["check", "2pc-timeout"])
-        assert args.drop_faults is False
-        assert args.max_drops is None
-        assert args.duplicate_faults is False
-        assert args.duplicate_limit is None
-        assert args.partitions is None
+        config = _config("2pc-timeout")
+        assert config.drop_faults is False
+        assert config.max_drops is None
+        assert config.duplicate_faults is False
+        assert config.duplicate_limit == 0
+        assert config.partition_schedules == ()
 
     @pytest.mark.parametrize(
         "spec", ["nonsense", "1:2:0", "x:2:0:1", "1:2::1", "1:2:0:"]
@@ -175,3 +187,62 @@ class TestFaultFlags:
             )
             == 0
         )
+
+
+#: One setting per config flag: (flags, field, value the field then holds).
+CONFIG_FLAG_CASES = [
+    (["--explore-workers", "2"], "explore_workers", 2),
+    (["--explore-workers", "-1"], "explore_workers", None),
+    (["--faults"], "fault_events_enabled", True),
+    (["--max-crashes-per-node", "2"], "max_crashes_per_node", 2),
+    (["--max-total-crashes", "3"], "max_total_crashes", 3),
+    (["--drop-faults"], "drop_faults", True),
+    (["--max-drops", "4"], "max_drops", 4),
+    (["--duplicate-faults"], "duplicate_faults", True),
+    (["--duplicate-limit", "2"], "duplicate_limit", 2),
+    (["--partition", "2:-:0:1"], "partition_schedules", ((2, None, (0,), (1,)),)),
+    (["--symmetry-reduction"], "symmetry_reduction", True),
+    (["--por"], "por_pruning", True),
+]
+
+
+class TestConfigBinding:
+    """Each config flag writes its ``LMCConfig`` field by name, and nothing
+    else: the CLI keeps no per-flag mapping to drift."""
+
+    def test_no_flags_build_the_library_defaults(self):
+        assert _config("tree") == LMCConfig.optimized()
+        assert _config("tree", "--algorithm", "lmc-gen") == LMCConfig.general()
+        assert _config("s55", command="scenario") == LMCConfig.optimized()
+
+    def test_every_config_flag_has_a_case(self):
+        probe = argparse.ArgumentParser()
+        add_config_flags(probe)
+        declared = {a.dest for a in probe._actions if a.dest in CONFIG_DEFAULTS}
+        assert declared == {field for _, field, _ in CONFIG_FLAG_CASES}
+
+    @pytest.mark.parametrize("flags, field, value", CONFIG_FLAG_CASES)
+    def test_one_flag_changes_exactly_its_field(self, flags, field, value):
+        # Redelivery needs an admission budget, or the config refuses.
+        context = ["--duplicate-limit", "1"] if field == "duplicate_faults" else []
+        before = _config("tree", *context)
+        assert getattr(before, field) != value
+        assert _config("tree", *context, *flags) == dataclasses.replace(
+            before, **{field: value}
+        )
+
+    @pytest.mark.parametrize(
+        "flag, field",
+        [("--symmetry-reduction", "symmetry_reduction"), ("--por", "por_pruning")],
+    )
+    def test_scenario_reduction_flags_reach_the_config(self, flag, field):
+        assert _config("s55", flag, command="scenario") == LMCConfig.optimized(
+            **{field: True}
+        )
+
+    def test_bdfs_refuses_lmc_flags_it_would_ignore(self, capsys):
+        argv = ["check", "2pc-timeout", "--algorithm", "bdfs", "--no-registry"]
+        assert main([*argv, "--drop-faults", "--max-drops", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "--drop-faults" in err and "--max-drops" in err
+        assert main(argv) == 0
