@@ -98,9 +98,15 @@ from repro.core.system_states import (
     combination_to_system_state,
     enumerate_general,
     enumerate_optimized,
+    enumerate_summarised,
 )
 from repro.explore.budget import BudgetClock, SearchBudget
-from repro.invariants.base import DecomposableInvariant, Invariant, LocalInvariant
+from repro.invariants.base import (
+    DecomposableInvariant,
+    Invariant,
+    LocalInvariant,
+    declares_summary,
+)
 from repro.model.events import DeliveryEvent, Event, event_hash
 from repro.model.hashing import (
     content_hash,
@@ -532,6 +538,12 @@ class _ExplorationPass:
         # scan is quadratic in visited states, and projections of large
         # multi-decree states are not free.
         self._projection_cache: Dict[Tuple[NodeId, int], object] = {}
+        #: Summarised GEN's per-record ``Invariant.summary`` cache, and the
+        #: invariant calls made (the ``materialise`` span's
+        #: ``tuples_checked``; not a stats counter, so a summarised run's
+        #: counters stay those of the per-combination walk).
+        self._summary_cache: Dict[Tuple[NodeId, int], object] = {}
+        self._invariant_calls = 0
         # Incremental pairwise-OPT partner index: per node, the records with
         # non-None projections, maintained as states are discovered so each
         # anchored enumeration stops rescanning every visited state.
@@ -1118,16 +1130,24 @@ class _ExplorationPass:
         system-state creation (GEN: the full anchored product of §4;
         OPT: only invariant-relevant combinations via the decomposition of
         §4.2), invariant checks on each, and — for violations — soundness
-        verification.  Wall time lands in the ``system_states`` Fig. 13
-        bucket (soundness time is compensated out by
-        :meth:`_verify_and_report`); with tracing on, the batch becomes one
-        ``materialise`` span carrying the created/violation counts.
+        verification.  Under GEN with an invariant that declares
+        ``summary`` (and symmetry reduction off), ``check`` runs once per
+        distinct summary tuple and the combinations that hold are counted
+        in bulk, each as one created and one checked system state, so every
+        counter reads as if each had been checked
+        (:func:`~repro.core.system_states.enumerate_summarised`).  Wall time
+        lands in the ``system_states`` Fig. 13 bucket (soundness time is
+        compensated out by :meth:`_verify_and_report`); with tracing on,
+        the batch becomes one ``materialise`` span carrying the
+        created/violation counts and the invariant calls made
+        (``tuples_checked``).
         """
         if not self.config.create_system_states:
             return
         started = time.perf_counter()
         created_before = self.stats.system_states_created
         violations_before = self.stats.preliminary_violations
+        checks_before = self._invariant_calls
         with self.emitter.span("materialise", node=new_record.node) as span:
             try:
                 if isinstance(self.invariant, LocalInvariant):
@@ -1136,21 +1156,36 @@ class _ExplorationPass:
                 use_opt = self.config.invariant_specific_creation and isinstance(
                     self.invariant, DecomposableInvariant
                 )
-                if use_opt:
-                    combos = enumerate_optimized(
+                summarised = (
+                    not use_opt
+                    and self._symmetry is None
+                    and declares_summary(self.invariant)
+                )
+                if summarised:
+                    blocks = enumerate_summarised(
                         self.space,
                         new_record.node,
                         new_record,
-                        self.invariant,
-                        completion_cap=MAX_COMPLETIONS_PER_CONFLICT,
-                        projection_of=self._cached_projection,
-                        index=self._projection_index,
+                        self._cached_summary,
+                        self._holds,
                     )
                 else:
-                    combos = enumerate_general(
-                        self.space, new_record.node, new_record
+                    combos = (
+                        enumerate_optimized(
+                            self.space,
+                            new_record.node,
+                            new_record,
+                            self.invariant,
+                            completion_cap=MAX_COMPLETIONS_PER_CONFLICT,
+                            projection_of=self._cached_projection,
+                            index=self._projection_index,
+                        )
+                        if use_opt
+                        else enumerate_general(self.space, new_record.node, new_record)
                     )
-                for checked, combo in enumerate(combos):
+                    blocks = ((1, combo) for combo in combos)
+                name = type(self.invariant).__name__
+                for checked, (covered, combo) in enumerate(blocks):
                     if checked % 64 == 63:
                         if self.clock.out_of_time():
                             raise _StopSearch(
@@ -1167,14 +1202,15 @@ class _ExplorationPass:
                         # verdict covers this combination.
                         self.stats.symmetry_skips += 1
                         continue
-                    self.stats.system_states_created += 1
-                    system = combination_to_system_state(combo)
-                    self.stats.invariant_checks += 1
-                    holds = self.invariant.check(system)
+                    self.stats.system_states_created += covered
+                    self.stats.invariant_checks += covered
+                    # A summarised block that holds comes without a
+                    # combination; a summarised combination violates.
+                    holds = combo is None or (
+                        not summarised and self._holds(combo)
+                    )
                     if self.coverage.enabled:
-                        self.coverage.note_invariant(
-                            type(self.invariant).__name__, not holds
-                        )
+                        self.coverage.note_invariant(name, not holds, covered)
                     if holds:
                         continue
                     self.stats.preliminary_violations += 1
@@ -1190,10 +1226,16 @@ class _ExplorationPass:
                     - created_before,
                     violations=self.stats.preliminary_violations
                     - violations_before,
+                    tuples_checked=self._invariant_calls - checks_before,
                 )
                 self.stats.add_phase_time(
                     "system_states", time.perf_counter() - started
                 )
+
+    def _holds(self, combo: Combination) -> bool:
+        """``check`` on one combination's system state, counted for the trace."""
+        self._invariant_calls += 1
+        return self.invariant.check(combination_to_system_state(combo))
 
     def _check_local_invariant(self, new_record: NodeStateRecord) -> None:
         """Check a node-local invariant on one new node state.
@@ -1355,6 +1397,21 @@ class _ExplorationPass:
                 node, record.state
             )
         return self._projection_cache[key]
+
+    def _cached_summary(self, node: NodeId, record: NodeStateRecord):
+        """Memoised ``Invariant.summary`` of a node state (summarised GEN).
+
+        Every anchored enumeration groups the other nodes' records by
+        summary; the cache asks the invariant once per record.
+        """
+        key = (node, record.index)
+        try:
+            return self._summary_cache[key]
+        except KeyError:
+            summary = self._summary_cache[key] = self.invariant.summary(
+                node, record.state
+            )
+            return summary
 
     # -- reverify extension ------------------------------------------------------
 

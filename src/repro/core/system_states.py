@@ -6,10 +6,14 @@ to evaluate invariants, and always anchored at a newly added node state:
 over the states of all the nodes except node n" (§4.2) — combinations made
 purely of older states were already checked in earlier rounds.
 
-Two enumerators:
+Three enumerators:
 
 * :func:`enumerate_general` — LMC-GEN: the full product over other nodes'
   visited states.
+* :func:`enumerate_summarised` — the same product for an invariant that
+  declares ``summary``: the invariant is asked once per distinct tuple of
+  node summaries and a product with no violating tuple is counted in bulk;
+  an anchor with a violating tuple is walked combination by combination.
 * :func:`enumerate_optimized` — LMC-OPT: invariant-specific creation.  The
   invariant's local projection maps each node state to its relevant summary
   (Paxos: the chosen value, ``None`` when undecided); only combinations whose
@@ -28,6 +32,7 @@ which is still complete.
 from __future__ import annotations
 
 import heapq
+from itertools import product
 from operator import attrgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -41,6 +46,9 @@ Combination = Dict[NodeId, NodeStateRecord]
 
 #: A (possibly cached) projection lookup.
 ProjectionFn = Callable[[NodeId, NodeStateRecord], Optional[object]]
+
+#: A (possibly cached) ``Invariant.summary`` lookup.
+SummaryFn = Callable[[NodeId, NodeStateRecord], object]
 
 #: An overridden ``projections_conflict``; ``None`` stands for the default
 #: notion (two distinct values), which the partner scans decide inline.
@@ -195,6 +203,55 @@ def enumerate_general(
         combo.pop(node, None)
 
     yield from recurse(0)
+
+
+def enumerate_summarised(
+    space: LocalStateSpace,
+    anchor_node: NodeId,
+    anchor: NodeStateRecord,
+    summary_of: SummaryFn,
+    holds: Callable[[Combination], bool],
+) -> Iterator[Tuple[int, Optional[Combination]]]:
+    """LMC-GEN's anchored product, checked once per distinct summary tuple.
+
+    For an invariant declaring ``summary`` (whose ``check`` is a function of
+    the per-node summary tuple, :class:`~repro.invariants.base.Invariant`),
+    ``holds`` is asked once per distinct tuple of the other nodes'
+    summaries, on one representative combination.  Yields ``(covered,
+    None)`` for ``covered`` combinations that hold and ``(1, combo)`` for
+    each violating combination, in :func:`enumerate_general`'s order: a
+    consumer that adds ``covered`` to its counters sees at every violation
+    exactly the counts the per-combination walk would have reached.
+
+    When no tuple violates, the whole product is one block.  Otherwise the
+    anchor falls back to :func:`enumerate_general`, asking ``holds`` of
+    every combination, so its order and verdicts are the walk's own.
+    """
+    other_nodes = [node for node in space.node_ids if node != anchor_node]
+    representatives: List[Dict[object, NodeStateRecord]] = []
+    size = 1
+    for node in other_nodes:
+        records = _active_records(space, node)
+        if not records:
+            return
+        size *= len(records)
+        first: Dict[object, NodeStateRecord] = {}
+        for record in records:
+            first.setdefault(summary_of(node, record), record)
+        representatives.append(first)
+
+    for keys in product(*representatives):
+        combo: Combination = {anchor_node: anchor}
+        for node, key, first in zip(other_nodes, keys, representatives):
+            combo[node] = first[key]
+        if not holds(combo):
+            break
+    else:
+        yield size, None
+        return
+
+    for combo in enumerate_general(space, anchor_node, anchor):
+        yield 1, (None if holds(combo) else combo)
 
 
 def enumerate_optimized(

@@ -23,7 +23,7 @@ three shapes, each unlocking a different optimisation in LMC:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Dict, Iterable, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterable, Optional, Tuple
 
 from repro.model.system_state import SystemState
 from repro.model.types import NodeId
@@ -34,6 +34,24 @@ class Invariant(ABC):
 
     ``check`` returns True when the invariant *holds*.  The checkers report a
     bug when ``check`` returns False on a state they can prove reachable.
+
+    An invariant may also declare the optional :meth:`summary` hook, which
+    LMC-GEN uses to check each distinct summary tuple once instead of each
+    combination (:func:`repro.core.system_states.enumerate_summarised`).
+    The contract it relies on:
+
+    * ``check`` is a function of the per-node summary tuple: two system
+      states over the same nodes whose node states have equal summaries,
+      node by node, get the same verdict;
+    * summaries are hashable, and a summary equal to another (a pickle
+      round trip, say) groups with it: ``==`` and ``hash`` agree.
+
+    ``tests/invariants/test_decomposition_contract.py`` checks the contract
+    for every shipped invariant that declares the hook, and
+    :func:`repro.model.conformance.check_protocol` samples it for any
+    invariant handed to it.  An invariant that reads something a summary
+    leaves out must not declare the hook: GEN would skip combinations whose
+    verdict differs from their representative's.
     """
 
     #: Short name used in bug reports and benchmark tables.
@@ -46,6 +64,18 @@ class Invariant(ABC):
     def describe_violation(self, system: SystemState) -> str:
         """Human-readable account of why ``system`` violates the invariant."""
         return f"invariant {self.name!r} violated on {system!r}"
+
+    def summary(self, node: NodeId, state: Any) -> Hashable:
+        """What of ``node``'s ``state`` :meth:`check` can see (optional hook).
+
+        Not declared by default; see the class docstring for the contract.
+        """
+        raise NotImplementedError(f"{type(self).__name__} declares no summary")
+
+
+def declares_summary(invariant: Invariant) -> bool:
+    """True when ``invariant``'s class overrides :meth:`Invariant.summary`."""
+    return type(invariant).summary is not Invariant.summary
 
 
 class DecomposableInvariant(Invariant):

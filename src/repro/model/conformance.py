@@ -19,6 +19,12 @@ interface documents but Python cannot enforce:
 * **stable action enumeration** — ``enabled_actions`` is a pure function of
   the state.
 
+Given an invariant that declares the optional ``summary`` hook, it also
+samples the hook's contract (:class:`~repro.invariants.base.Invariant`):
+summaries are hashable and survive a pickle round trip into the same group,
+and combinations of the explored node states with equal summary tuples get
+the same ``check`` verdict.
+
 :func:`check_protocol` drives a bounded exploration of the protocol and
 verifies each property on every state and event it encounters, returning a
 report of violations.  Run it against a new protocol before handing it to a
@@ -28,13 +34,21 @@ checker — it turns silent state-space corruption into a named error.
 from __future__ import annotations
 
 import dataclasses
+import pickle
+import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
+from repro.invariants.base import Invariant, declares_summary
 from repro.model.events import DeliveryEvent, InternalEvent
 from repro.model.hashing import UnhashableModelValue, content_hash, equality_gap
 from repro.model.protocol import Protocol
+from repro.model.system_state import SystemState
 from repro.model.types import LocalAssertionError, Message
+
+
+#: Combinations drawn when sampling an invariant's ``summary`` contract.
+SUMMARY_SAMPLES = 500
 
 
 @dataclass
@@ -101,13 +115,16 @@ def check_protocol(
     protocol: Protocol,
     max_states: int = 2000,
     max_problems: int = 20,
+    invariant: Optional[Invariant] = None,
 ) -> ConformanceReport:
     """Explore ``protocol`` breadth-first, validating the contract throughout.
 
     The exploration delivers every generated message to every visited state
     of its destination (LMC-style conservative delivery), which exercises
     handlers on inputs they may not expect — exactly the situations in which
-    contract violations hide.
+    contract violations hide.  An ``invariant`` declaring ``summary`` has
+    its contract sampled over :data:`SUMMARY_SAMPLES` combinations of the
+    explored node states (:func:`summary_contract_problems`).
     """
     report = ConformanceReport()
     per_node_states: dict = {node: [] for node in protocol.node_ids()}
@@ -258,4 +275,83 @@ def check_protocol(
                 admit_state(message.dest, result.state)
                 if len(seen_hashes[message.dest]) > before:
                     progress = True
+    if invariant is not None and declares_summary(invariant):
+        _, problems = summary_contract_problems(
+            invariant, _sampled_systems(invariant, per_node_states)
+        )
+        for problem in problems:
+            note(problem)
     return report
+
+
+def summary_contract_problems(
+    invariant: Invariant, systems: Iterable[SystemState]
+) -> Tuple[int, List[str]]:
+    """The ``summary`` contract over ``systems``: (distinct tuples, problems).
+
+    Every system state's per-node summary tuple must be hashable, states
+    with equal tuples must get the same ``check`` verdict, and a pickle
+    round trip of a tuple (equal but not identical) must land in its group.
+    Stops at the first problem.
+    """
+    name = type(invariant).__name__
+    verdicts: Dict[Tuple[Any, ...], bool] = {}
+    for system in systems:
+        key = tuple(
+            (node, invariant.summary(node, state)) for node, state in system.items()
+        )
+        try:
+            hash(key)
+        except TypeError:
+            return len(verdicts), [f"{name}.summary is unhashable on {system!r}"]
+        verdict = invariant.check(system)
+        if verdicts.setdefault(key, verdict) != verdict:
+            return len(verdicts), [
+                f"{name}: equal summary tuples {key!r}, different verdicts "
+                f"(one on {system!r})"
+            ]
+    for key, verdict in verdicts.items():
+        if verdicts.get(pickle.loads(pickle.dumps(key))) != verdict:
+            return len(verdicts), [
+                f"{name}: summary tuple {key!r} does not group with its "
+                "pickle round trip"
+            ]
+    return len(verdicts), []
+
+
+def _sampled_systems(
+    invariant: Invariant, per_node_states: Dict[Any, List[Any]]
+) -> Iterator[SystemState]:
+    """Seeded draws over the explored node states, each with an equal twin.
+
+    :data:`SUMMARY_SAMPLES` times: one state per node, then a twin that
+    swaps every state for one of equal summary (found by ``==``, so an
+    unhashable summary still reaches the contract check).
+    """
+    if any(not states for states in per_node_states.values()):
+        return
+    summaries = {
+        node: [invariant.summary(node, state) for state in states]
+        for node, states in per_node_states.items()
+    }
+    rng = random.Random(0)
+    nodes = sorted(per_node_states)
+    for _ in range(SUMMARY_SAMPLES):
+        picks = {node: rng.randrange(len(per_node_states[node])) for node in nodes}
+        yield SystemState(
+            {node: per_node_states[node][i] for node, i in picks.items()}
+        )
+        yield SystemState(
+            {
+                node: rng.choice(
+                    [
+                        state
+                        for state, summary in zip(
+                            per_node_states[node], summaries[node]
+                        )
+                        if summary == summaries[node][i]
+                    ]
+                )
+                for node, i in picks.items()
+            }
+        )

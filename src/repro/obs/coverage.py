@@ -47,7 +47,7 @@ class CoverageTracker:
         self.message_types: Dict[str, int] = {}
         #: Executions of the internal handler, keyed by action name.
         self.actions: Dict[str, int] = {}
-        #: Invariant evaluations, keyed by invariant class name.
+        #: System states checked, keyed by invariant class name.
         self.invariant_checks: Dict[str, int] = {}
         #: Preliminary violations, keyed by invariant class name.
         self.invariant_violations: Dict[str, int] = {}
@@ -64,11 +64,16 @@ class CoverageTracker:
     def note_action(self, name: str) -> None:
         self.actions[name] = self.actions.get(name, 0) + 1
 
-    def note_invariant(self, name: str, violated: bool) -> None:
-        self.invariant_checks[name] = self.invariant_checks.get(name, 0) + 1
+    def note_invariant(self, name: str, violated: bool, count: int = 1) -> None:
+        """``count`` system states checked against ``name``, all with one verdict.
+
+        Summarised LMC-GEN covers many system states with one ``check``
+        call; the totals still count system states.
+        """
+        self.invariant_checks[name] = self.invariant_checks.get(name, 0) + count
         if violated:
             self.invariant_violations[name] = (
-                self.invariant_violations.get(name, 0) + 1
+                self.invariant_violations.get(name, 0) + count
             )
 
     def note_fault(self, kind: str, node: Any) -> None:
@@ -112,7 +117,7 @@ class NullCoverage(CoverageTracker):
     def note_action(self, name: str) -> None:
         pass
 
-    def note_invariant(self, name: str, violated: bool) -> None:
+    def note_invariant(self, name: str, violated: bool, count: int = 1) -> None:
         pass
 
     def note_fault(self, kind: str, node: Any) -> None:

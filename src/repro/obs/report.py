@@ -10,6 +10,8 @@ alone:
 * the **§5.4 soundness profile** — call count, average wall time per call,
   and sequences examined, aggregated over ``soundness`` and
   ``worker_verify`` spans (so sequential and parallel runs read the same);
+* the LMC-GEN summary line — invariant calls against the system states
+  they covered, from the ``materialise`` spans' ``tuples_checked``;
 * span counts/durations per name, final counters, and per-worker totals
   for multiprocess runs.
 
@@ -153,6 +155,22 @@ class TraceSummary:
             "rejected_by_replay": by_replay,
         }
 
+    def materialise_profile(self) -> Dict[str, int]:
+        """Invariant calls against system states over ``materialise`` spans.
+
+        Summarised LMC-GEN checks one combination per distinct summary
+        tuple and counts the rest, so ``tuples_checked`` falls below
+        ``system_states``; a per-combination walk has the two equal.
+        """
+        tuples = states = 0
+        for span in self.spans("materialise"):
+            fields = span.get("fields", {})
+            if "tuples_checked" not in fields:
+                continue  # a trace that predates summarised GEN
+            tuples += int(fields["tuples_checked"])
+            states += int(fields.get("system_states", 0))
+        return {"tuples_checked": tuples, "system_states": states}
+
     def progress_profile(self) -> Optional[ProgressEstimate]:
         """Frontier-growth fit over the trace's metric samples.
 
@@ -284,6 +302,13 @@ class TraceSummary:
                     f"unreplayed / replayed: {profile['quotient_rejected']:,} / "
                     f"{profile['replayed']:,})"
                 )
+
+        materialised = self.materialise_profile()
+        if materialised["tuples_checked"] < materialised["system_states"]:
+            sections.append(
+                f"GEN: {materialised['tuples_checked']:,} tuples checked covering "
+                f"{materialised['system_states']:,} system states"
+            )
 
         estimate = self.progress_profile()
         if estimate is not None and estimate.growth_factor is not None:

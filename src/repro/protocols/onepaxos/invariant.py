@@ -51,6 +51,8 @@ class OnePaxosAgreement(DecomposableInvariant):
     ) -> Optional[Value]:
         return state.chosen_value(self.index)
 
+    summary = local_projection
+
 
 class OnePaxosAgreementAll(DecomposableInvariant):
     """No two nodes choose different values for *any* 1Paxos decree index.
@@ -85,6 +87,8 @@ class OnePaxosAgreementAll(DecomposableInvariant):
     def local_projection(self, node: NodeId, state: OnePaxosNodeState):
         chosen = frozenset(state.chosen1)
         return chosen or None
+
+    summary = local_projection
 
     def projections_conflict(self, projections) -> bool:
         per_index = {}

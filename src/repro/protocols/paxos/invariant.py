@@ -54,6 +54,8 @@ class PaxosAgreement(DecomposableInvariant):
     ) -> Optional[Value]:
         return state.chosen_value(self.index)
 
+    summary = local_projection
+
 
 class PaxosAgreementAll(DecomposableInvariant):
     """No two nodes choose different values for *any* decree index."""
@@ -92,6 +94,8 @@ class PaxosAgreementAll(DecomposableInvariant):
             if slot.chosen is not None
         )
         return chosen or None
+
+    summary = local_projection
 
     def projections_conflict(self, projections: Dict[NodeId, object]) -> bool:
         per_index: Dict[int, set] = {}

@@ -147,3 +147,6 @@ class AtMostOneLeader(DecomposableInvariant):
         self, node: NodeId, state: RingNodeState
     ) -> Optional[NodeId]:
         return node if state.leader else None
+
+    def summary(self, node: NodeId, state: RingNodeState) -> bool:
+        return state.leader

@@ -193,3 +193,9 @@ class ReceivedImpliesSent(DecomposableInvariant):
             projections.get(self.target) == "received"
             and projections.get(self.origin) == "unsent"
         )
+
+    def summary(self, node: NodeId, state: TreeNodeState) -> Tuple[bool, bool]:
+        return (
+            node == self.target and state.received,
+            node == self.origin and state.sent,
+        )

@@ -262,6 +262,8 @@ class Atomicity(DecomposableInvariant):
     ) -> Optional[bool]:
         return state.decided
 
+    summary = local_projection
+
 
 class CommitValidity(DecomposableInvariant):
     """A commit decision requires that nobody voted no.
@@ -308,6 +310,8 @@ class CommitValidity(DecomposableInvariant):
         if voted_no:
             return "voted-no"
         return None
+
+    summary = local_projection
 
     def projections_conflict(self, projections: Dict[NodeId, object]) -> bool:
         values = set(projections.values())

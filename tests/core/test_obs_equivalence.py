@@ -17,8 +17,9 @@ from repro.obs.emitter import MemoryEmitter
 from repro.obs.registry import RunRegistry
 from repro.protocols.onepaxos import OnePaxosAgreement
 from repro.protocols.onepaxos import scenarios as onepaxos_scenarios
-from repro.protocols.paxos import PaxosAgreement
+from repro.protocols.paxos import PaxosAgreement, PaxosProtocol
 from repro.protocols.paxos.scenarios import partial_choice_state, scenario_protocol
+from tests.core.test_summarised_gen import walked
 
 #: Phase timers are wall-clock and excluded, as in the cache-equivalence gate.
 EXCLUDED_KEYS = ("phase_",)
@@ -171,3 +172,37 @@ def test_soundness_spans_explain_rejections_without_changing_the_run():
         elif span["quotient_rejected"]:
             assert span["starved_node"] in protocol.node_ids()
             assert isinstance(span["starved_hash"], int)
+
+
+def test_summarised_gen_coverage_counts_equal_with_tracing_on_and_off():
+    """Coverage counts system states, whether one check covered many or one."""
+    protocol = PaxosProtocol(num_nodes=3, proposals=((0, 0, "v0"),))
+    budget = SearchBudget(max_depth=3)
+
+    def run(invariant, **kwargs):
+        coverage = CoverageTracker()
+        result = LocalModelChecker(
+            protocol, invariant, budget, LMCConfig.general(), coverage=coverage, **kwargs
+        ).run()
+        return result, coverage.as_dict()
+
+    plain, plain_coverage = run(PaxosAgreement(0))
+    emitter = MemoryEmitter()
+    traced, traced_coverage = run(PaxosAgreement(0), emitter=emitter)
+    assert _observable(plain) == _observable(traced)
+    assert plain_coverage == traced_coverage
+    checks = plain_coverage["invariant_checks"]["PaxosAgreement"]
+    assert checks == plain.stats.invariant_checks
+    # The same counts from the per-combination walk (summary hidden).
+    walked_result, walked_coverage = run(walked(PaxosAgreement(0)))
+    assert walked_coverage == plain_coverage
+    assert _observable(walked_result) == _observable(plain)
+    # The spans say how many calls stood for those system states.
+    spans = [
+        record["fields"]
+        for record in emitter.records
+        if record["kind"] == "span" and record["name"] == "materialise"
+    ]
+    covered = sum(span["system_states"] for span in spans)
+    assert covered == plain.stats.system_states_created
+    assert 0 < sum(span["tuples_checked"] for span in spans) < covered

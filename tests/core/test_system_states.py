@@ -12,6 +12,7 @@ from repro.core.system_states import (
     combination_to_system_state,
     enumerate_general,
     enumerate_optimized,
+    enumerate_summarised,
 )
 from repro.invariants.base import DecomposableInvariant
 from repro.model.hashing import content_hash
@@ -391,3 +392,72 @@ class TestGroupedIndexEquivalence:
         assert max(indexed.calls.values()) == 1
         # the reference asks once per (anchor, projecting partner record)
         assert sum(scanned.calls.values()) > 2 * sum(indexed.calls.values())
+
+
+class TestSummarisedEquivalence:
+    """``enumerate_summarised`` against the filtered ``enumerate_general``.
+
+    Over arbitrary small spaces (with discards): the covered counts add up
+    to the product, the violating combinations come out in the walk's order,
+    and before each one the running count equals the walk's position.
+    """
+
+    @staticmethod
+    def walked(space, anchor_node, anchor, check):
+        position, violating = 0, []
+        for combo in enumerate_general(space, anchor_node, anchor):
+            position += 1
+            if not check(combination_to_system_state(combo)):
+                violating.append((position, combo_keys([combo])[0]))
+        return position, violating
+
+    @staticmethod
+    def summarised(space, anchor_node, anchor, check):
+        calls = []
+
+        def holds(combo):
+            calls.append(combo)
+            return check(combination_to_system_state(combo))
+
+        position, violating = 0, []
+        for covered, combo in enumerate_summarised(
+            space, anchor_node, anchor, lambda node, record: record.state[0], holds
+        ):
+            position += covered
+            if combo is not None:
+                assert covered == 1
+                violating.append((position, combo_keys([combo])[0]))
+        return position, violating, len(calls)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.dictionaries(
+            st.integers(0, 3),
+            st.lists(st.sampled_from([None, "a", "b"]), min_size=1, max_size=6),
+            min_size=1,
+            max_size=4,
+        ),
+        st.data(),
+    )
+    def test_counts_and_violations_match_the_walk(self, values, data):
+        space = build_space(
+            {node: [(value, i) for i, value in enumerate(vs)] for node, vs in values.items()}
+        )
+        for node, store in space.stores.items():
+            for record in store.records[1:]:
+                if data.draw(st.booleans(), label=f"discard {node}/{record.index}"):
+                    store.mark_discarded(record)
+
+        def agreement(system):
+            return len({state[0] for _node, state in system.items()} - {None}) <= 1
+
+        anchor_node = data.draw(st.sampled_from(sorted(values)), label="anchor")
+        anchor = anchor_of(space, anchor_node)
+        total, violating = self.walked(space, anchor_node, anchor, agreement)
+        covered, summarised, calls = self.summarised(space, anchor_node, anchor, agreement)
+        assert covered == total
+        assert summarised == violating
+        # at most one call per distinct tuple of other nodes' values, plus
+        # one per combination when some tuple violates
+        tuples = 3 ** (len(values) - 1)
+        assert calls <= (tuples + total if violating else tuples)

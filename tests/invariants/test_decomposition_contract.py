@@ -13,16 +13,30 @@ projections are interchangeable, so one verdict per distinct ``(node,
 projection, node, projection)`` may stand for every record pair behind it.
 :func:`assert_verdicts_pure` checks that clause for every shipped
 invariant over the projections its protocol actually reaches.
+
+Summarised LMC-GEN leans on the optional ``summary`` hook: ``check`` is a
+function of the per-node summary tuple, so one verdict stands for every
+combination behind a tuple.  :func:`assert_summary_contract` checks it for
+every shipped invariant that declares the hook, over every combination of
+reachable node states.
 """
 
 import pickle
 from itertools import combinations, permutations, product
 from typing import List
 
+import pytest
+
 from repro.explore.global_checker import (
     GlobalModelChecker,
 )
-from repro.invariants.base import DecomposableInvariant, PredicateInvariant
+from repro.invariants.base import (
+    DecomposableInvariant,
+    Invariant,
+    PredicateInvariant,
+    declares_summary,
+)
+from repro.model.conformance import summary_contract_problems
 from repro.model.system_state import SystemState
 from repro.protocols.onepaxos import OnePaxosAgreement, OnePaxosAgreementAll
 from repro.protocols.onepaxos.scenarios import (
@@ -41,6 +55,7 @@ from repro.protocols.twophase import (
     CommitValidity,
     EagerCommitCoordinator,
 )
+from tests.model.test_conformance import BlindAtomicity
 
 
 def reachable_systems(protocol, initial=None, limit=20000) -> List[SystemState]:
@@ -139,20 +154,37 @@ def assert_verdicts_pure(invariant: DecomposableInvariant, systems) -> int:
     return checked
 
 
-def test_paxos_agreement_contract():
-    protocol = paxos_scenario(buggy=True)
-    systems = reachable_systems(protocol, partial_choice_state())
+def assert_summary_contract(invariant: Invariant, systems) -> int:
+    """The ``summary`` contract over ``systems``; returns the distinct tuples.
+
+    The exhaustive form of what ``check_protocol`` samples: one checker,
+    :func:`repro.model.conformance.summary_contract_problems`.
+    """
+    assert declares_summary(invariant)
+    tuples, problems = summary_contract_problems(invariant, systems)
+    assert not problems, problems[0]
+    return tuples
+
+
+@pytest.fixture(scope="module")
+def paxos_systems():
+    return reachable_systems(paxos_scenario(buggy=True), partial_choice_state())
+
+
+def test_paxos_agreement_contract(paxos_systems):
+    systems = paxos_systems
     found = assert_contract(PaxosAgreement(0), systems)
     assert found > 0, "the buggy space must contain real violations"
     assert assert_verdicts_pure(PaxosAgreement(0), systems) > 0
+    assert assert_summary_contract(PaxosAgreement(0), local_products(systems)) > 1
 
 
-def test_paxos_agreement_all_contract():
-    protocol = paxos_scenario(buggy=True)
-    systems = reachable_systems(protocol, partial_choice_state())
+def test_paxos_agreement_all_contract(paxos_systems):
+    systems = paxos_systems
     found = assert_contract(PaxosAgreementAll(), systems)
     assert found > 0
     assert assert_verdicts_pure(PaxosAgreementAll(), systems) > 0
+    assert assert_summary_contract(PaxosAgreementAll(), local_products(systems)) > 1
 
 
 def test_onepaxos_agreement_contract():
@@ -161,6 +193,7 @@ def test_onepaxos_agreement_contract():
     for invariant in (OnePaxosAgreement(0), OnePaxosAgreementAll()):
         assert assert_contract(invariant, systems) > 0
         assert assert_verdicts_pure(invariant, systems) > 0
+        assert assert_summary_contract(invariant, local_products(systems)) > 1
 
 
 def test_2pc_commit_validity_contract():
@@ -168,6 +201,7 @@ def test_2pc_commit_validity_contract():
     systems = reachable_systems(protocol)
     assert assert_contract(CommitValidity(), systems) > 0
     assert assert_verdicts_pure(CommitValidity(), systems) > 0
+    assert assert_summary_contract(CommitValidity(), local_products(systems)) > 1
 
 
 def test_2pc_atomicity_contract():
@@ -177,6 +211,7 @@ def test_2pc_atomicity_contract():
     systems = local_products(reachable_systems(protocol))
     assert assert_contract(Atomicity(), systems) > 0
     assert assert_verdicts_pure(Atomicity(), systems) > 0
+    assert assert_summary_contract(Atomicity(), systems) > 1
 
 
 def test_tree_received_implies_sent_contract():
@@ -186,6 +221,7 @@ def test_tree_received_implies_sent_contract():
     systems = local_products(reachable_systems(TreeProtocol()))
     assert assert_contract(invariant, systems) > 0
     assert assert_verdicts_pure(invariant, systems) > 0
+    assert assert_summary_contract(invariant, systems) > 1
     assert invariant.projections_conflict({0: "unsent", 4: "received"})
     assert not invariant.projections_conflict({4: "unsent", 0: "received"})
 
@@ -195,3 +231,12 @@ def test_ring_leader_contract():
     systems = reachable_systems(protocol)
     assert assert_contract(AtMostOneLeader(), systems) > 0
     assert assert_verdicts_pure(AtMostOneLeader(), systems) > 0
+    assert assert_summary_contract(AtMostOneLeader(), local_products(systems)) > 1
+
+
+def test_summary_contract_catches_a_summary_that_hides_the_verdict():
+    systems = local_products(
+        reachable_systems(EagerCommitCoordinator(3, no_voters=(2,)))
+    )
+    with pytest.raises(AssertionError, match="different verdicts"):
+        assert_summary_contract(BlindAtomicity(), systems)

@@ -12,13 +12,27 @@ from repro.model.types import Action, HandlerResult, Message, NodeId
 from repro.protocols.chain import ChainProtocol
 from repro.protocols.echo import EchoProtocol
 from repro.protocols.fifo_wrapper import FifoStampedProtocol
-from repro.protocols.onepaxos import OnePaxosProtocol
-from repro.protocols.paxos import BuggyPaxosProtocol, PaxosProtocol
+from repro.protocols.onepaxos import (
+    OnePaxosAgreement,
+    OnePaxosAgreementAll,
+    OnePaxosProtocol,
+)
+from repro.protocols.paxos import (
+    BuggyPaxosProtocol,
+    PaxosAgreement,
+    PaxosAgreementAll,
+    PaxosProtocol,
+)
 from repro.protocols.randtree import RandTreeProtocol, SiblingMixupRandTree
-from repro.protocols.ring import GreedyRingElection, RingElection
+from repro.protocols.ring import AtMostOneLeader, GreedyRingElection, RingElection
 from repro.protocols.stream import StreamProtocol
-from repro.protocols.tree import TreeProtocol
-from repro.protocols.twophase import EagerCommitCoordinator, TwoPhaseCommit
+from repro.protocols.tree import ReceivedImpliesSent, TreeProtocol
+from repro.protocols.twophase import (
+    Atomicity,
+    CommitValidity,
+    EagerCommitCoordinator,
+    TwoPhaseCommit,
+)
 
 ALL_PROTOCOLS = [
     TreeProtocol(),
@@ -235,3 +249,59 @@ def test_report_summary_renders():
     text = report.summary()
     assert "problems" in text
     assert "RuntimeError" in text
+
+
+# -- the optional ``summary`` hook of an invariant -------------------------------
+
+SUMMARISED = [
+    (BuggyPaxosProtocol(num_nodes=3, proposals=((0, 0, "v0"), (1, 0, "v1")),
+                        require_init=False), PaxosAgreement(0)),
+    (BuggyPaxosProtocol(num_nodes=3, proposals=((0, 0, "v0"), (1, 0, "v1")),
+                        require_init=False), PaxosAgreementAll()),
+    (OnePaxosProtocol(num_nodes=3, proposals=((2, 0, "v"),), fault_suspects=(2,),
+                      require_init=False), OnePaxosAgreement(0)),
+    (OnePaxosProtocol(num_nodes=3, proposals=((2, 0, "v"),), fault_suspects=(2,),
+                      require_init=False), OnePaxosAgreementAll()),
+    (EagerCommitCoordinator(3, no_voters=(2,)), Atomicity()),
+    (EagerCommitCoordinator(3, no_voters=(2,)), CommitValidity()),
+    (GreedyRingElection(3, initiators=(0,)), AtMostOneLeader()),
+    (TreeProtocol(), ReceivedImpliesSent()),
+]
+
+
+@pytest.mark.parametrize(
+    "protocol, invariant", SUMMARISED, ids=lambda value: value.name
+)
+def test_shipped_summaries_conform(protocol, invariant):
+    report = check_protocol(protocol, max_states=300, invariant=invariant)
+    assert report.ok, report.summary()
+
+
+class BlindAtomicity(Atomicity):
+    """Summarises what ``check`` does not read: equal tuples, other verdicts."""
+
+    def summary(self, node, state):
+        return state.voted
+
+
+class UnpicklableSummary(Atomicity):
+    def summary(self, node, state):
+        return object()
+
+
+def test_summary_hiding_the_verdict_detected():
+    report = check_protocol(
+        EagerCommitCoordinator(3, no_voters=(2,)), invariant=BlindAtomicity()
+    )
+    assert any("different verdicts" in problem for problem in report.problems), (
+        report.summary()
+    )
+
+
+def test_summary_without_value_equality_detected():
+    report = check_protocol(
+        EagerCommitCoordinator(3, no_voters=(2,)), invariant=UnpicklableSummary()
+    )
+    assert any("pickle round trip" in problem for problem in report.problems), (
+        report.summary()
+    )

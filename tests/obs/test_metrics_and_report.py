@@ -214,3 +214,29 @@ class TestTraceSummary:
 
     def test_render_empty_trace(self):
         assert "empty trace" in TraceSummary([]).render()
+
+    def test_gen_line_only_when_tuples_stand_for_more_system_states(self):
+        def materialise(ts, tuples, states):
+            return {
+                "ts": ts,
+                "pid": 1,
+                "kind": "span",
+                "name": "materialise",
+                "dur_s": 0.001,
+                "fields": {"system_states": states, "tuples_checked": tuples},
+            }
+
+        summarised = _trace_records() + [
+            materialise(0.4, 4, 1000),
+            materialise(0.5, 2, 261383),
+        ]
+        assert TraceSummary(summarised).materialise_profile() == {
+            "tuples_checked": 6,
+            "system_states": 262383,
+        }
+        assert (
+            "GEN: 6 tuples checked covering 262,383 system states"
+            in TraceSummary(summarised).render()
+        )
+        walked = _trace_records() + [materialise(0.4, 7, 7)]
+        assert "tuples checked" not in TraceSummary(walked).render()
