@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.checkpoint import (
     Checkpointer,
@@ -96,9 +96,9 @@ from repro.core.system_states import (
     Combination,
     ProjectionIndex,
     combination_to_system_state,
+    clean_block_size,
     enumerate_general,
     enumerate_optimized,
-    enumerate_summarised,
 )
 from repro.explore.budget import BudgetClock, SearchBudget
 from repro.invariants.base import (
@@ -1131,22 +1131,24 @@ class _ExplorationPass:
         OPT: only invariant-relevant combinations via the decomposition of
         §4.2), invariant checks on each, and — for violations — soundness
         verification.  Under GEN with an invariant that declares
-        ``summary`` (and symmetry reduction off), ``check`` runs once per
-        distinct summary tuple and the combinations that hold are counted
-        in bulk, each as one created and one checked system state, so every
-        counter reads as if each had been checked
-        (:func:`~repro.core.system_states.enumerate_summarised`).  Wall time
-        lands in the ``system_states`` Fig. 13 bucket (soundness time is
-        compensated out by :meth:`_verify_and_report`); with tracing on,
-        the batch becomes one ``materialise`` span carrying the
-        created/violation counts and the invariant calls made
-        (``tuples_checked``).
+        ``summary``, ``check`` runs once per distinct summary tuple; an
+        anchor none of whose tuples violates is counted as one block
+        (:meth:`_count_clean_block`), and any other anchor is walked
+        combination by combination, so every counter reads as if each
+        combination had been checked.  Wall time lands in the
+        ``system_states`` Fig. 13 bucket (soundness time is compensated out
+        by :meth:`_verify_and_report`); with tracing on, the batch becomes
+        one ``materialise`` span carrying the created/violation counts, the
+        invariant calls made (``tuples_checked``) and, with symmetry
+        reduction on, the combinations skipped as orbit siblings
+        (``orbit_skips``).
         """
         if not self.config.create_system_states:
             return
         started = time.perf_counter()
         created_before = self.stats.system_states_created
         violations_before = self.stats.preliminary_violations
+        skips_before = self.stats.symmetry_skips
         checks_before = self._invariant_calls
         with self.emitter.span("materialise", node=new_record.node) as span:
             try:
@@ -1156,44 +1158,36 @@ class _ExplorationPass:
                 use_opt = self.config.invariant_specific_creation and isinstance(
                     self.invariant, DecomposableInvariant
                 )
-                summarised = (
-                    not use_opt
-                    and self._symmetry is None
-                    and declares_summary(self.invariant)
-                )
-                if summarised:
-                    blocks = enumerate_summarised(
+                if not use_opt and declares_summary(self.invariant):
+                    size = clean_block_size(
                         self.space,
                         new_record.node,
                         new_record,
                         self._cached_summary,
                         self._holds,
                     )
-                else:
-                    combos = (
-                        enumerate_optimized(
-                            self.space,
-                            new_record.node,
-                            new_record,
-                            self.invariant,
-                            completion_cap=MAX_COMPLETIONS_PER_CONFLICT,
-                            projection_of=self._cached_projection,
-                            index=self._projection_index,
-                        )
-                        if use_opt
-                        else enumerate_general(self.space, new_record.node, new_record)
+                    if size is not None:
+                        self._count_clean_block(new_record, size)
+                        return
+                combos = (
+                    enumerate_optimized(
+                        self.space,
+                        new_record.node,
+                        new_record,
+                        self.invariant,
+                        completion_cap=MAX_COMPLETIONS_PER_CONFLICT,
+                        projection_of=self._cached_projection,
+                        index=self._projection_index,
                     )
-                    blocks = ((1, combo) for combo in combos)
+                    if use_opt
+                    else enumerate_general(self.space, new_record.node, new_record)
+                )
                 name = type(self.invariant).__name__
-                for checked, (covered, combo) in enumerate(blocks):
+                for checked, combo in enumerate(combos):
                     if checked % 64 == 63:
-                        if self.clock.out_of_time():
-                            raise _StopSearch(
-                                "time budget exhausted", completed=False
-                            )
                         # Soundness enumeration dominates hard rounds; keep
                         # the live heartbeat cadence alive from inside it.
-                        self.metrics.pulse(self.explored_depth)
+                        self._pulse()
                     if self._symmetry is not None and not (
                         self._symmetry.first_occurrence(combo)
                     ):
@@ -1202,15 +1196,11 @@ class _ExplorationPass:
                         # verdict covers this combination.
                         self.stats.symmetry_skips += 1
                         continue
-                    self.stats.system_states_created += covered
-                    self.stats.invariant_checks += covered
-                    # A summarised block that holds comes without a
-                    # combination; a summarised combination violates.
-                    holds = combo is None or (
-                        not summarised and self._holds(combo)
-                    )
+                    self.stats.system_states_created += 1
+                    self.stats.invariant_checks += 1
+                    holds = self._holds(combo)
                     if self.coverage.enabled:
-                        self.coverage.note_invariant(name, not holds, covered)
+                        self.coverage.note_invariant(name, not holds)
                     if holds:
                         continue
                     self.stats.preliminary_violations += 1
@@ -1228,9 +1218,40 @@ class _ExplorationPass:
                     - violations_before,
                     tuples_checked=self._invariant_calls - checks_before,
                 )
+                if self._symmetry is not None:
+                    span.add(orbit_skips=self.stats.symmetry_skips - skips_before)
                 self.stats.add_phase_time(
                     "system_states", time.perf_counter() - started
                 )
+
+    def _count_clean_block(self, anchor: NodeStateRecord, size: int) -> None:
+        """Book an anchored product none of whose ``size`` combinations violates.
+
+        Each combination counts as one created and one checked system state.
+        With symmetry reduction on, only combinations whose orbit is new
+        count, the rest are symmetry skips, and the reducer counts them in
+        chunks (:meth:`SymmetryReducer.count_block`) with the time budget
+        and heartbeat checked after each, so a stop leaves the counters at
+        the combinations counted so far.
+        """
+        if self._symmetry is None:
+            chunks: Iterable[Tuple[int, int]] = ((size, size),)
+        else:
+            chunks = self._symmetry.count_block(self.space, anchor.node, anchor)
+        name = type(self.invariant).__name__
+        for combinations, new in chunks:
+            self.stats.system_states_created += new
+            self.stats.invariant_checks += new
+            self.stats.symmetry_skips += combinations - new
+            if new and self.coverage.enabled:
+                self.coverage.note_invariant(name, False, new)
+            self._pulse()
+
+    def _pulse(self) -> None:
+        """Stop on an exhausted time budget, else keep the heartbeat cadence."""
+        if self.clock.out_of_time():
+            raise _StopSearch("time budget exhausted", completed=False)
+        self.metrics.pulse(self.explored_depth)
 
     def _holds(self, combo: Combination) -> bool:
         """``check`` on one combination's system state, counted for the trace."""
@@ -1269,9 +1290,7 @@ class _ExplorationPass:
             if tried >= MAX_COMPLETIONS_PER_LOCAL_VIOLATION:
                 return
             if tried % 16 == 15:
-                if self.clock.out_of_time():
-                    raise _StopSearch("time budget exhausted", completed=False)
-                self.metrics.pulse(self.explored_depth)
+                self._pulse()
             if self._symmetry is not None and not (
                 self._symmetry.first_occurrence(combo)
             ):
@@ -1494,9 +1513,7 @@ class _ExplorationPass:
         ):
             raise _StopSearch("state budget exhausted", completed=False)
         if executed % _BUDGET_CHECK_INTERVAL == 0:
-            if self.clock.out_of_time():
-                raise _StopSearch("time budget exhausted", completed=False)
-            self.metrics.pulse(self.explored_depth)
+            self._pulse()
 
     def explored_depth(self) -> int:
         """Length of the longest combined event sequence explored so far."""

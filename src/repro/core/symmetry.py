@@ -30,7 +30,8 @@ byte-identical to a build without this module.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from operator import itemgetter
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.model.hashing import content_hash
 from repro.model.types import NodeId
@@ -42,6 +43,14 @@ from repro.protocols.common import declared_symmetry_classes, renamed_state
 #: from the end of the declaration until the product fits — a smaller group
 #: only weakens the reduction, never its soundness.
 _GROUP_CAP = 720
+
+#: Combinations per chunk of :meth:`SymmetryReducer.count_block`: the caller
+#: checks its time budget and heartbeat between chunks.
+BLOCK_CHUNK = 4096
+
+#: ``(π(node), hash(rename(state, π)))``: one record's contribution to the
+#: orbit-key candidate of group element π.
+Pair = Tuple[NodeId, int]
 
 
 def _class_permutations(members: Tuple[NodeId, ...]) -> List[Dict[NodeId, NodeId]]:
@@ -91,24 +100,28 @@ class SymmetryReducer:
     One reducer serves one exploration pass.  It holds:
 
     * the composed symmetry ``group`` (identity first);
-    * a renamed-hash cache — ``content_hash(rename(state, π))`` keyed by
-      ``(node, record index, group index)``, with the identity element
-      answered by the record's stored hash for free;
+    * per record, its pair vector — one ``(π(node), hash(rename(state,
+      π)))`` pair per group element, keyed by ``(node, record index)``,
+      with the identity's hash being the record's stored one;
     * the set of canonical orbit keys already enumerated this pass.
 
-    A combination's **orbit key** is the minimum, over the group, of the
-    sorted tuple of ``(π(node), hash(rename(state, π)))`` pairs.  Two
-    combinations get equal keys iff some group element maps one onto the
-    other (modulo the vanishing probability of a content-hash collision),
-    so first-occurrence filtering on the key enumerates exactly one member
-    per orbit.
+    A combination's **orbit key** is the minimum, over the group, of its
+    records' π-pairs listed by target node ``π(node)``, ascending — the
+    sorted pair tuple, since the targets are distinct.  Two combinations
+    get equal keys iff some group element maps one onto the other (modulo
+    the vanishing probability of a content-hash collision), so
+    first-occurrence filtering on the key enumerates exactly one member per
+    orbit.  :meth:`orbit_key` and :meth:`count_block` both read the pair
+    vectors and place them with the same getters, so the per-combination
+    walk and the counted block produce the same keys.
     """
 
     __slots__ = (
         "protocol",
         "classes",
         "group",
-        "_renamed_hash",
+        "_pairs",
+        "_placements",
         "_seen",
         "orbit_hits",
     )
@@ -122,7 +135,9 @@ class SymmetryReducer:
         self.protocol = protocol
         self.classes = classes
         self.group = build_group(classes, cap)
-        self._renamed_hash: Dict[Tuple[NodeId, int, int], int] = {}
+        self._pairs: Dict[Tuple[NodeId, int], Tuple[Pair, ...]] = {}
+        #: Node order of a combination -> one placing getter per group element.
+        self._placements: Dict[Tuple[NodeId, ...], Tuple[Callable, ...]] = {}
         self._seen: set = set()
         #: Orbit keys that came back already seen (== the checker's
         #: ``symmetry_skips``, kept here too for the ``reduction`` event).
@@ -173,34 +188,94 @@ class SymmetryReducer:
             if fixes:
                 kept.append(mapping)
         self.group = tuple(kept)
+        self._pairs.clear()
+        self._placements.clear()
 
     # -- canonicalisation --------------------------------------------------
 
-    def _hash_under(self, record: Any, index: int, mapping: Dict[NodeId, NodeId]) -> int:
-        """Content hash of ``record.state`` renamed by group element ``index``."""
-        if not mapping:
-            return record.hash
-        key = (record.node, record.index, index)
-        cached = self._renamed_hash.get(key)
-        if cached is None:
-            cached = content_hash(renamed_state(self.protocol, record.state, mapping))
-            self._renamed_hash[key] = cached
-        return cached
-
-    def orbit_key(self, combo: Dict[NodeId, Any]) -> Tuple[Tuple[int, int], ...]:
-        """The canonical key of ``combo``'s orbit (minimum over the group)."""
-        best: Optional[Tuple[Tuple[int, int], ...]] = None
-        for index, mapping in enumerate(self.group):
-            key = tuple(
-                sorted(
-                    (mapping.get(node, node), self._hash_under(record, index, mapping))
-                    for node, record in combo.items()
+    def _pairs_of(self, record: Any) -> Tuple[Pair, ...]:
+        """``record``'s pair vector: ``(π(node), hash(rename(state, π)))`` per π."""
+        key = (record.node, record.index)
+        pairs = self._pairs.get(key)
+        if pairs is None:
+            node = record.node
+            pairs = tuple(
+                (
+                    mapping.get(node, node),
+                    content_hash(renamed_state(self.protocol, record.state, mapping))
+                    if mapping
+                    else record.hash,
                 )
+                for mapping in self.group
             )
-            if best is None or key < best:
-                best = key
-        assert best is not None
-        return best
+            self._pairs[key] = pairs
+        return pairs
+
+    def _placing(self, nodes: Tuple[NodeId, ...]) -> Tuple[Callable, ...]:
+        """Per group element π, the getter listing π-pairs by target node.
+
+        The getter takes one pair per node of ``nodes``, in that order, and
+        returns them ordered by ``π(node)`` ascending: the order ``sorted``
+        would give, decided once per node order instead of per combination.
+        """
+        placing = self._placements.get(nodes)
+        if placing is None:
+            targets = sorted(nodes)
+            getters = []
+            for mapping in self.group:
+                source = {mapping.get(node, node): i for i, node in enumerate(nodes)}
+                getters.append(itemgetter(*(source[target] for target in targets)))
+            placing = self._placements[nodes] = tuple(getters)
+        return placing
+
+    def orbit_key(self, combo: Dict[NodeId, Any]) -> Tuple[Pair, ...]:
+        """The canonical key of ``combo``'s orbit (minimum over the group)."""
+        columns = zip(*(self._pairs_of(record) for record in combo.values()))
+        return min(
+            place(column) for place, column in zip(self._placing(tuple(combo)), columns)
+        )
+
+    def count_block(
+        self, space: Any, anchor_node: NodeId, anchor: Any
+    ) -> Iterator[Tuple[int, int]]:
+        """New orbits among ``enumerate_general``'s combinations, counted.
+
+        The anchored product over the other nodes' active records, in
+        :func:`~repro.core.system_states.enumerate_general`'s order, each
+        combination keyed as :meth:`orbit_key` keys it and filtered as
+        :meth:`first_occurrence` filters it — but without building a
+        combination dict, sorting, or leaving C loops: per group element
+        one ``itertools.product`` over the records' π-pairs, placed by the
+        same getters, and the minimum over the group per combination.
+
+        Yields ``(combinations, new orbits)`` per chunk of at most
+        :data:`BLOCK_CHUNK` combinations.  ``_seen`` and ``orbit_hits``
+        cover exactly the chunks yielded so far, so a caller that stops
+        between chunks leaves them consistent with what it counted.
+        """
+        nodes = tuple(space.node_ids)
+        rows = []
+        size = 1
+        for node in nodes:
+            records = (
+                (anchor,) if node == anchor_node else space.store(node).active_records()
+            )
+            size *= len(records)
+            rows.append([self._pairs_of(record) for record in records])
+        streams = [
+            map(place, itertools.product(*([pairs[k] for pairs in row] for row in rows)))
+            for k, place in enumerate(self._placing(nodes))
+        ]
+        keys = map(min, *streams) if len(streams) > 1 else streams[0]
+        seen = self._seen
+        while size:
+            step = min(size, BLOCK_CHUNK)
+            before = len(seen)
+            seen.update(itertools.islice(keys, step))
+            new = len(seen) - before
+            self.orbit_hits += step - new
+            size -= step
+            yield step, new
 
     def first_occurrence(self, combo: Dict[NodeId, Any]) -> bool:
         """True when no member of ``combo``'s orbit was enumerated before.
@@ -234,9 +309,8 @@ class SymmetryReducer:
                 continue
             variant: Dict[NodeId, Any] = {}
             complete = True
-            for node, record in combo.items():
-                target = mapping.get(node, node)
-                renamed_hash = self._hash_under(record, index, mapping)
+            for record in combo.values():
+                target, renamed_hash = self._pairs_of(record)[index]
                 sibling = space.store(target).lookup(renamed_hash)
                 if sibling is None or sibling.discarded or sibling.crashed:
                     complete = False
@@ -254,5 +328,5 @@ class SymmetryReducer:
             "symmetry_classes": len(self.classes),
             "orbits_enumerated": len(self._seen),
             "orbit_hits": self.orbit_hits,
-            "renamed_hashes_cached": len(self._renamed_hash),
+            "renamed_hashes_cached": len(self._pairs) * (len(self.group) - 1),
         }

@@ -205,27 +205,19 @@ def enumerate_general(
     yield from recurse(0)
 
 
-def enumerate_summarised(
+def clean_block_size(
     space: LocalStateSpace,
     anchor_node: NodeId,
     anchor: NodeStateRecord,
     summary_of: SummaryFn,
     holds: Callable[[Combination], bool],
-) -> Iterator[Tuple[int, Optional[Combination]]]:
-    """LMC-GEN's anchored product, checked once per distinct summary tuple.
+) -> Optional[int]:
+    """The anchored product's size when none of it violates, else ``None``.
 
     For an invariant declaring ``summary`` (whose ``check`` is a function of
     the per-node summary tuple, :class:`~repro.invariants.base.Invariant`),
     ``holds`` is asked once per distinct tuple of the other nodes'
-    summaries, on one representative combination.  Yields ``(covered,
-    None)`` for ``covered`` combinations that hold and ``(1, combo)`` for
-    each violating combination, in :func:`enumerate_general`'s order: a
-    consumer that adds ``covered`` to its counters sees at every violation
-    exactly the counts the per-combination walk would have reached.
-
-    When no tuple violates, the whole product is one block.  Otherwise the
-    anchor falls back to :func:`enumerate_general`, asking ``holds`` of
-    every combination, so its order and verdicts are the walk's own.
+    summaries, on one representative combination, until one violates.
     """
     other_nodes = [node for node in space.node_ids if node != anchor_node]
     representatives: List[Dict[object, NodeStateRecord]] = []
@@ -233,7 +225,7 @@ def enumerate_summarised(
     for node in other_nodes:
         records = _active_records(space, node)
         if not records:
-            return
+            return 0
         size *= len(records)
         first: Dict[object, NodeStateRecord] = {}
         for record in records:
@@ -245,13 +237,37 @@ def enumerate_summarised(
         for node, key, first in zip(other_nodes, keys, representatives):
             combo[node] = first[key]
         if not holds(combo):
-            break
-    else:
-        yield size, None
-        return
+            return None
+    return size
 
-    for combo in enumerate_general(space, anchor_node, anchor):
-        yield 1, (None if holds(combo) else combo)
+
+def enumerate_summarised(
+    space: LocalStateSpace,
+    anchor_node: NodeId,
+    anchor: NodeStateRecord,
+    summary_of: SummaryFn,
+    holds: Callable[[Combination], bool],
+) -> Iterator[Tuple[int, Optional[Combination]]]:
+    """LMC-GEN's anchored product, checked once per distinct summary tuple.
+
+    Yields ``(covered, None)`` for ``covered`` combinations that hold and
+    ``(1, combo)`` for each violating combination, in
+    :func:`enumerate_general`'s order: a consumer that adds ``covered`` to
+    its counters sees at every violation exactly the counts the
+    per-combination walk would have reached.
+
+    When no tuple violates (:func:`clean_block_size`), the whole product is
+    one block.  Otherwise the anchor falls back to
+    :func:`enumerate_general`, asking ``holds`` of every combination, so its
+    order and verdicts are the walk's own — the composition
+    ``LocalModelChecker`` runs, with its symmetry filter in the walk.
+    """
+    size = clean_block_size(space, anchor_node, anchor, summary_of, holds)
+    if size is None:
+        for combo in enumerate_general(space, anchor_node, anchor):
+            yield 1, (None if holds(combo) else combo)
+    elif size:
+        yield size, None
 
 
 def enumerate_optimized(

@@ -37,7 +37,7 @@ class Invariant(ABC):
 
     An invariant may also declare the optional :meth:`summary` hook, which
     LMC-GEN uses to check each distinct summary tuple once instead of each
-    combination (:func:`repro.core.system_states.enumerate_summarised`).
+    combination (:func:`repro.core.system_states.clean_block_size`).
     The contract it relies on:
 
     * ``check`` is a function of the per-node summary tuple: two system

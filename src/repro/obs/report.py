@@ -161,15 +161,21 @@ class TraceSummary:
         Summarised LMC-GEN checks one combination per distinct summary
         tuple and counts the rest, so ``tuples_checked`` falls below
         ``system_states``; a per-combination walk has the two equal.
+        When a symmetry reducer ran (its spans carry ``orbit_skips``), the
+        profile adds ``orbit_skips``: combinations skipped as orbit siblings.
         """
-        tuples = states = 0
+        profile = {"tuples_checked": 0, "system_states": 0}
         for span in self.spans("materialise"):
             fields = span.get("fields", {})
             if "tuples_checked" not in fields:
                 continue  # a trace that predates summarised GEN
-            tuples += int(fields["tuples_checked"])
-            states += int(fields.get("system_states", 0))
-        return {"tuples_checked": tuples, "system_states": states}
+            profile["tuples_checked"] += int(fields["tuples_checked"])
+            profile["system_states"] += int(fields.get("system_states", 0))
+            if "orbit_skips" in fields:
+                profile["orbit_skips"] = profile.get("orbit_skips", 0) + int(
+                    fields["orbit_skips"]
+                )
+        return profile
 
     def progress_profile(self) -> Optional[ProgressEstimate]:
         """Frontier-growth fit over the trace's metric samples.
@@ -309,6 +315,11 @@ class TraceSummary:
                 f"GEN: {materialised['tuples_checked']:,} tuples checked covering "
                 f"{materialised['system_states']:,} system states"
             )
+            if materialised.get("orbit_skips"):
+                sections[-1] += (
+                    f"; {materialised['orbit_skips']:,} combinations skipped as "
+                    f"orbit siblings"
+                )
 
         estimate = self.progress_profile()
         if estimate is not None and estimate.growth_factor is not None:

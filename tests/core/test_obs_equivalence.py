@@ -206,3 +206,42 @@ def test_summarised_gen_coverage_counts_equal_with_tracing_on_and_off():
     covered = sum(span["system_states"] for span in spans)
     assert covered == plain.stats.system_states_created
     assert 0 < sum(span["tuples_checked"] for span in spans) < covered
+
+
+def test_symmetry_reduced_gen_coverage_counts_equal_with_tracing_on_and_off():
+    """With symmetry on, coverage counts the system states each orbit stood for.
+
+    Clean anchors are counted per new orbit in blocks; the traced run, the
+    untraced run and the per-combination walk must agree on every counter
+    and coverage count, and the spans must say how many combinations were
+    skipped as orbit siblings.
+    """
+    protocol = PaxosProtocol(num_nodes=3, proposals=((0, 0, "v0"),))
+    budget = SearchBudget(max_depth=3)
+    config = LMCConfig.general(symmetry_reduction=True)
+
+    def run(invariant, **kwargs):
+        coverage = CoverageTracker()
+        result = LocalModelChecker(
+            protocol, invariant, budget, config, coverage=coverage, **kwargs
+        ).run()
+        return result, coverage.as_dict()
+
+    plain, plain_coverage = run(PaxosAgreement(0))
+    emitter = MemoryEmitter()
+    traced, traced_coverage = run(PaxosAgreement(0), emitter=emitter)
+    assert _observable(plain) == _observable(traced)
+    assert plain_coverage == traced_coverage
+    checks = plain_coverage["invariant_checks"]["PaxosAgreement"]
+    assert checks == plain.stats.invariant_checks
+    walked_result, walked_coverage = run(walked(PaxosAgreement(0)))
+    assert walked_coverage == plain_coverage
+    assert _observable(walked_result) == _observable(plain)
+    spans = [
+        record["fields"]
+        for record in emitter.records
+        if record["kind"] == "span" and record["name"] == "materialise"
+    ]
+    assert sum(span["system_states"] for span in spans) == plain.stats.system_states_created
+    skips = sum(span["orbit_skips"] for span in spans)
+    assert skips == plain.stats.symmetry_skips > 0

@@ -11,19 +11,26 @@ every reported bug must still replay end to end.
 
 The algebra the soundness argument leans on is pinned directly: the
 composed renaming group is closed under composition, orbit keys are
-invariant across an orbit (canonicalisation is idempotent), and seeding
-from an asymmetric live snapshot collapses the group to its stabilizer.
+invariant across an orbit (canonicalisation is idempotent), the block
+counter finds exactly the orbits first-occurrence filtering admits, and
+seeding from an asymmetric live snapshot collapses the group to its
+stabilizer.
 """
 
 from dataclasses import dataclass
+from math import factorial
 from typing import Any, Dict, Tuple
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import symmetry
 from repro.core.checker import LocalModelChecker
 from repro.core.config import LMCConfig
+from repro.core.records import LocalStateSpace
 from repro.core.symmetry import SymmetryReducer, build_group
+from repro.core.system_states import enumerate_general
 from repro.explore.budget import SearchBudget
 from repro.model.hashing import content_hash, substitute_node_ids
 from repro.model.types import NodeId
@@ -311,6 +318,102 @@ def test_orbit_key_is_invariant_across_the_orbit(data):
     assert reducer.first_occurrence(combo)
     assert not reducer.first_occurrence(renamed)
     assert reducer.orbit_hits == 1
+
+
+def _add(space: LocalStateSpace, state: EchoNodeState):
+    """Store ``state`` as a new record of its node; None when already known."""
+    store = space.store(state.node)
+    state_hash = content_hash(state)
+    if store.lookup(state_hash) is not None:
+        return None
+    return store.add(state, state_hash, 1, 0, frozenset())
+
+
+def _counted_and_walked(reducers, space, anchor):
+    """New orbits of ``anchor``'s block: counted by one reducer, walked by the other."""
+    counted, walked = reducers
+    new = sum(
+        fresh for _combinations, fresh in counted.count_block(space, anchor.node, anchor)
+    )
+    expected = sum(
+        walked.first_occurrence(combo)
+        for combo in enumerate_general(space, anchor.node, anchor)
+    )
+    return new, expected
+
+
+def _echo_space(responders: int):
+    protocol = EchoProtocol(num_nodes=responders + 1)
+    space = LocalStateSpace(protocol.node_ids())
+    for node in protocol.node_ids():
+        space.seed(node, protocol.initial_state(node))
+    reducers = tuple(
+        SymmetryReducer(protocol, protocol.symmetry_classes()) for _ in range(2)
+    )
+    return protocol, space, reducers
+
+
+@given(
+    responders=st.sampled_from([2, 3]),
+    chunk=st.integers(1, 5),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_count_block_finds_the_orbits_first_occurrence_admits(responders, chunk, data):
+    """``count_block`` against ``first_occurrence`` over ``enumerate_general``.
+
+    Records arrive in a random interleaving across the nodes (group of 2
+    with two responders, of 6 with three), each new record anchoring a
+    block; chunks as small as one combination.  After every block both
+    reducers must agree on the new-orbit count, the orbit-key set and the
+    hit count.
+    """
+    protocol, space, reducers = _echo_space(responders)
+    assert all(len(r.group) == factorial(responders) for r in reducers)
+    nodes = protocol.node_ids()
+    additions = data.draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(nodes),
+                st.booleans(),
+                st.booleans(),
+                st.sets(st.sampled_from(nodes)),
+            ),
+            max_size=10,
+        )
+    )
+    with mock.patch.object(symmetry, "BLOCK_CHUNK", chunk):
+        for node, pinged, ponged, pongs in additions:
+            anchor = _add(space, _echo_state(node, pinged, ponged, tuple(pongs)))
+            if anchor is None:
+                continue
+            new, expected = _counted_and_walked(reducers, space, anchor)
+            assert new == expected
+            counted, walked = reducers
+            assert counted._seen == walked._seen
+            assert counted.orbit_hits == walked.orbit_hits
+
+
+def test_count_block_anchor_before_its_renamed_sibling_exists():
+    """An anchor whose renamed sibling record is not stored yet.
+
+    Responder 1 pongs first: its π-pair names a state responder 2 has not
+    reached, so the orbit is new and no sibling variant exists.  When
+    responder 2 reaches the mirrored state, its block holds that orbit
+    again and counts it as a hit — as the walk does.
+    """
+    protocol, space, reducers = _echo_space(2)
+    counted, walked = reducers
+    first = _add(space, _echo_state(1, pinged=False, ponged=True, pongs=()))
+    assert _counted_and_walked(reducers, space, first) == (1, 1)
+    combo = {node: space.store(node).records[-1] for node in protocol.node_ids()}
+    assert list(counted.orbit_variants(space, combo)) == []
+    sibling = _add(space, _echo_state(2, pinged=False, ponged=True, pongs=()))
+    # Blocks at responder 2: {seed, first} at responder 1; the pair with
+    # ``first`` is new, the pair with the seed mirrors the earlier block.
+    assert _counted_and_walked(reducers, space, sibling) == (1, 1)
+    assert counted.orbit_hits == walked.orbit_hits == 1
+    assert counted._seen == walked._seen
 
 
 def test_stabilizer_collapses_on_asymmetric_snapshot():

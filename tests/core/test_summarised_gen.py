@@ -12,23 +12,36 @@ Cases cover a clean space (the bulk path only), spaces whose tuples violate
 (the per-combination fallback at violating anchors, soundness calls,
 ``stop_on_first_bug`` on and off), drop
 and crash faults, the deferring ``ParallelLocalModelChecker``, and
-checkpoint kill-and-resume and ``extend_depth``.
+checkpoint kill-and-resume and ``extend_depth``.  With symmetry reduction
+on, clean anchors count their new orbits in one pass
+(``SymmetryReducer.count_block``); those cases also compare the reducer's
+orbit keys and hit count, and the checkpoint's ``symmetry`` block.
 """
 
 import copy
 import functools
+import json
+import math
+from unittest import mock
 
 import pytest
 
+from repro.core import symmetry
 from repro.core.checker import LocalModelChecker
 from repro.core.checkpoint import Checkpointer, load_checkpoint
 from repro.core.config import LMCConfig
 from repro.core.parallel import ParallelLocalModelChecker
-from repro.explore.budget import SearchBudget
+from repro.core.symmetry import SymmetryReducer
+from repro.explore.budget import BudgetClock, SearchBudget
 from repro.invariants.base import Invariant, declares_summary
 from repro.protocols.paxos import PaxosAgreement, PaxosAgreementAll, PaxosProtocol
 from repro.protocols.paxos.scenarios import partial_choice_state, scenario_protocol
-from repro.protocols.twophase import Atomicity, TimeoutTwoPhaseCommit
+from repro.protocols.twophase import (
+    Atomicity,
+    CommitValidity,
+    EagerCommitCoordinator,
+    TimeoutTwoPhaseCommit,
+)
 
 
 def walked(invariant):
@@ -246,16 +259,165 @@ def test_extend_depth_matches_the_walk(case, shallow, tmp_path):
     assert observable(summarised) == observable(reference)
 
 
-def test_symmetry_reduction_keeps_the_walk():
-    """Symmetry on: every combination is still checked on its own."""
-    protocol, invariant, _ = correct_paxos()
-    invariant = counting(invariant)
-    result = LocalModelChecker(
-        protocol,
-        invariant,
+def reducers_built(run):
+    """``run()``'s result, the symmetry reducers its passes built, and the
+    number of combinations they counted in blocks (``count_block``)."""
+    built, blocked = [], []
+    for_pass = SymmetryReducer.for_pass.__func__
+    count_block = SymmetryReducer.count_block
+
+    def recording(cls, pass_):
+        reducer = for_pass(cls, pass_)
+        built.append(reducer)
+        return reducer
+
+    def counted(self, *args):
+        for combinations, new in count_block(self, *args):
+            blocked.append(combinations)
+            yield combinations, new
+
+    with mock.patch.object(
+        SymmetryReducer, "for_pass", classmethod(recording)
+    ), mock.patch.object(SymmetryReducer, "count_block", counted):
+        result = run()
+    return result, built, sum(blocked)
+
+
+def four_node_paxos():
+    """One scripted proposer, three passive acceptors: a group of 6."""
+    return PaxosProtocol(num_nodes=4, proposals=((0, 0, "v0"),)), PaxosAgreement(0), None
+
+
+def eager_commit():
+    """Two yes-voters (a class of 2) beside a no-voter: commit bugs."""
+    return EagerCommitCoordinator(4, no_voters=(3,)), CommitValidity(), None
+
+
+#: name -> (scenario, budget, config), all with symmetry reduction on.
+SYMMETRY_CASES = {
+    "paxos_sym_depth3": (
+        correct_paxos,
         SearchBudget(max_depth=3),
         LMCConfig.general(symmetry_reduction=True),
-    ).run()
-    assert result.stats.symmetry_skips > 0
-    # One check per checked system state, plus the seed check.
-    assert invariant.calls == result.stats.invariant_checks
+    ),
+    "paxos_sym_depth4": (
+        correct_paxos,
+        SearchBudget(max_depth=4),
+        LMCConfig.general(symmetry_reduction=True),
+    ),
+    "paxos4_passive_sym": (
+        four_node_paxos,
+        SearchBudget(max_depth=4),
+        LMCConfig.general(symmetry_reduction=True),
+    ),
+    "2pc_drops_and_crashes_sym": (
+        two_phase_timeouts,
+        SearchBudget(max_depth=5),
+        LMCConfig.general(
+            symmetry_reduction=True,
+            stop_on_first_bug=False,
+            drop_faults=True,
+            fault_events_enabled=True,
+        ),
+    ),
+    "eager_commit_sym": (
+        eager_commit,
+        SearchBudget(max_depth=6),
+        LMCConfig.general(symmetry_reduction=True, stop_on_first_bug=False),
+    ),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def both_reduced(case):
+    """Summarised and walked runs of a symmetry case, each with its reducers."""
+    scenario, budget, config = SYMMETRY_CASES[case]
+    protocol, invariant, initial = scenario()
+    return tuple(
+        reducers_built(
+            lambda: LocalModelChecker(protocol, variant, budget, config).run(initial)
+        )
+        for variant in (invariant, walked(invariant))
+    )
+
+
+@pytest.mark.parametrize("case", sorted(SYMMETRY_CASES))
+def test_symmetry_reduced_gen_matches_the_walk(case):
+    """Clean anchors counted per orbit, violating anchors walked: same run."""
+    (summarised, counted, blocked), (reference, walked_reducers, _) = both_reduced(case)
+    assert observable(summarised) == observable(reference)
+    assert summarised.stats.symmetry_skips > 0
+    assert [(r._seen, r.orbit_hits) for r in counted] == [
+        (r._seen, r.orbit_hits) for r in walked_reducers
+    ]
+    # Clean anchors were counted in blocks, not walked.
+    assert blocked > 0
+
+
+def test_symmetry_cases_cover_groups_violations_and_faults():
+    (_, (reducer,), _), _ = both_reduced("paxos4_passive_sym")
+    assert len(reducer.group) == 6
+    for case in ("2pc_drops_and_crashes_sym", "eager_commit_sym"):
+        (result, _, _), _ = both_reduced(case)
+        assert result.bugs and result.stats.preliminary_violations > len(result.bugs)
+    (faulty, _, _), _ = both_reduced("2pc_drops_and_crashes_sym")
+    assert faulty.stats.fault_drops and faulty.stats.fault_crashes
+
+
+@pytest.mark.parametrize("case", ["paxos_sym_depth3", "2pc_drops_and_crashes_sym"])
+def test_symmetry_checkpoint_block_is_byte_identical(case, tmp_path):
+    scenario, budget, config = SYMMETRY_CASES[case]
+    protocol, invariant, initial = scenario()
+    blocks = []
+    for label, variant in (("summarised", invariant), ("walked", walked(invariant))):
+        path = str(tmp_path / f"{label}.json")
+        LocalModelChecker(
+            protocol, variant, budget, config, checkpointer=Checkpointer(path)
+        ).run(initial)
+        blocks.append(json.dumps(load_checkpoint(path)["pass"]["symmetry"]))
+    assert blocks[0] == blocks[1]
+    assert json.loads(blocks[0])["seen"]
+
+
+def test_time_budget_stops_inside_a_counted_block(monkeypatch):
+    """Out of time between two chunks: counters hold what was counted.
+
+    Chunks shrink to 4 combinations and the clock runs out as soon as a
+    block has yielded a chunk with more of it still to come, so the run
+    must stop inside ``_check_new_state`` with every counter, ``_seen`` and
+    ``orbit_hits`` covering the counted chunks exactly.
+    """
+    monkeypatch.setattr(symmetry, "BLOCK_CHUNK", 4)
+    partial = []
+    count_block = SymmetryReducer.count_block
+
+    def watched(self, space, anchor_node, anchor):
+        size = math.prod(
+            len(space.store(node).active_records())
+            for node in space.node_ids
+            if node != anchor_node
+        )
+        counted = 0
+        for combinations, new in count_block(self, space, anchor_node, anchor):
+            counted += combinations
+            partial.append(counted < size)
+            yield combinations, new
+
+    monkeypatch.setattr(SymmetryReducer, "count_block", watched)
+    monkeypatch.setattr(BudgetClock, "out_of_time", lambda clock: any(partial))
+    protocol, invariant, _ = correct_paxos()
+    result, (reducer,), _ = reducers_built(
+        lambda: LocalModelChecker(
+            protocol,
+            invariant,
+            SearchBudget(max_depth=4, max_seconds=60),
+            LMCConfig.general(symmetry_reduction=True),
+        ).run()
+    )
+    assert not result.completed
+    assert result.stop_reason == "time budget exhausted"
+    assert partial[-1] and not any(partial[:-1])
+    stats = result.stats
+    assert len(reducer._seen) == stats.system_states_created
+    assert stats.invariant_checks == stats.system_states_created + 1
+    assert reducer.orbit_hits == stats.symmetry_skips > 0

@@ -240,3 +240,33 @@ class TestTraceSummary:
         )
         walked = _trace_records() + [materialise(0.4, 7, 7)]
         assert "tuples checked" not in TraceSummary(walked).render()
+
+    def test_gen_line_counts_orbit_skips_when_a_reducer_ran(self):
+        def materialise(ts, tuples, states, skips):
+            return {
+                "ts": ts,
+                "pid": 1,
+                "kind": "span",
+                "name": "materialise",
+                "dur_s": 0.001,
+                "fields": {
+                    "system_states": states,
+                    "tuples_checked": tuples,
+                    "orbit_skips": skips,
+                },
+            }
+
+        reduced = _trace_records() + [
+            materialise(0.4, 3, 1000, 900),
+            materialise(0.5, 2, 131065, 129418),
+        ]
+        assert TraceSummary(reduced).materialise_profile() == {
+            "tuples_checked": 5,
+            "system_states": 132065,
+            "orbit_skips": 130318,
+        }
+        assert (
+            "GEN: 5 tuples checked covering 132,065 system states; "
+            "130,318 combinations skipped as orbit siblings"
+            in TraceSummary(reduced).render()
+        )
