@@ -20,7 +20,8 @@ Work units ship as plain integers: each candidate sequence travels as the
 ``(consumed_hash, generated_hashes)`` steps its
 :class:`~repro.core.soundness.CompiledSequence` already holds, so pickling
 is trivial and the worker runs the sequential verifier's own search —
-starvation quotient, then the one greedy-then-backtrack replay — on them.
+record-level bound, starvation quotient, then the one
+greedy-then-backtrack replay — on them.
 Workers return index paths into the shipped sequences; the parent resolves
 them back to real events to build the witness trace.
 
@@ -41,8 +42,11 @@ from repro.core.soundness import (
     CompiledSequence,
     Order,
     PlainStep,
+    combination_count,
+    refuted_by_bound,
     replay_compiled,
     search_combinations,
+    summarise,
 )
 from repro.core.system_states import Combination
 from repro.model.events import Event
@@ -66,36 +70,50 @@ def verify_unit(
     """Search a work unit's sequence combinations for a valid total order.
 
     The worker-side half of §4.1's ``isStateSound``, over plain hash steps:
-    compiles the shipped sequences and runs the serial verifier's own search
-    (:func:`~repro.core.soundness.search_combinations` over
-    :func:`~repro.core.soundness.replay_compiled`), so quotient, replay and
-    the combination count are the sequential ones by construction.  Returns
-    the verdict and the number of combinations tried (the §5.4
-    ``soundness_sequences`` unit); a node without any candidate sequence
-    makes the cross product empty — unsound after zero tries, exactly as
-    the serial verifier answers.
+    returns the verdict and the number of combinations tried (the §5.4
+    ``soundness_sequences`` unit).  See :func:`audited_verify_unit`.
+    """
+    verdict, tried, _refuted = audited_verify_unit(unit, max_combinations)
+    return verdict, tried
+
+
+def audited_verify_unit(
+    unit: WorkUnit, max_combinations: Optional[int]
+) -> Tuple[Verdict, int, bool]:
+    """:func:`verify_unit`, also saying whether the record-level bound refuted it.
+
+    Compiles the shipped sequences and runs the serial verifier's own search
+    — :func:`~repro.core.soundness.refuted_by_bound` over their summaries,
+    then :func:`~repro.core.soundness.search_combinations` over
+    :func:`~repro.core.soundness.replay_compiled` — so bound, quotient,
+    replay and the combination count are the sequential ones by
+    construction.  A node without any candidate sequence makes the cross
+    product empty: unsound after zero tries, exactly as the serial verifier
+    answers.
     """
     per_node = [
         [CompiledSequence(node, plain) for plain in unit[node]]
         for node in sorted(unit)
     ]
+    if refuted_by_bound([summarise(sequences) for sequences in per_node]):
+        return None, combination_count(per_node, max_combinations), True
     combo, order, tried = search_combinations(
         per_node, max_combinations, replay_compiled
     )
     if order is None:
-        return None, tried
+        return None, tried, False
     chosen = {
         sequence.node: candidates.index(sequence)
         for sequence, candidates in zip(combo, per_node)
     }
-    return (chosen, order), tried
+    return (chosen, order), tried, False
 
 
 def verify_batch_task(
     table: List[Tuple[PlainStep, ...]],
     specs: List[UnitSpec],
     max_combinations: Optional[int],
-) -> List[Tuple[Verdict, int]]:
+) -> List[Tuple[Verdict, int, bool]]:
     """The pool task: rebuild a batch's units from its table, verify each.
 
     Batching amortizes per-task dispatch overhead (pickle + queue round
@@ -103,7 +121,7 @@ def verify_batch_task(
     searches are fast.
     """
     return [
-        verify_unit(
+        audited_verify_unit(
             {node: [table[index] for index in spec[node]] for node in spec},
             max_combinations,
         )
@@ -181,14 +199,14 @@ class ParallelLocalModelChecker(LocalModelChecker):
             "dispatch", units=len(units), workers=self.workers
         ) as dispatch_span:
             answers = [
-                (verdict, tried, wall_s / len(verdicts), pid)
+                (verdict, tried, refuted, wall_s / len(verdicts), pid)
                 for verdicts, wall_s, pid in map_ordered(
                     workers, verify_batch_task, batches
                 )
-                for verdict, tried in verdicts
+                for verdict, tried, refuted in verdicts
             ]
             for index, (unit, answer) in enumerate(zip(units, answers)):
-                verdict, tried, share_s, pid = answer
+                verdict, tried, refuted, share_s, pid = answer
                 stats.soundness_calls += 1
                 stats.soundness_sequences += tried
                 self.emitter.emit_span(
@@ -198,6 +216,7 @@ class ParallelLocalModelChecker(LocalModelChecker):
                         "unit": index,
                         "combinations": tried,
                         "sound": verdict is not None,
+                        "bound_refuted": refuted,
                     },
                     pid=pid,
                 )

@@ -40,6 +40,17 @@ sequence at a time, in the spirit of partial model checking.  The condition
 is necessary for any replay to succeed, so it changes no verdict and no
 witness.
 
+Most *calls* never reach the per-combination quotient either.  Beside each
+memoised enumeration the verifier keeps a record summary
+(:func:`summarise`): the needs common to all of the record's sequences, at
+their smallest deficit, and per hash the largest balance any of its
+sequences offers.  When some node's common need exceeds the best the other
+nodes could supply between them (:func:`refuted_by_bound`), every
+combination of the product fails :func:`starved_need`, so the call is
+refuted once — partial model checking again, quotienting by one record at
+a time — and only its combination count and verdict-cache traffic are
+replayed, exactly as the per-combination loop would have left them.
+
 Crash/restart steps (docs/FAULTS.md) thread through both enumeration and
 replay with no special casing: their predecessor links carry
 ``consumed_hash=None`` and ``generated_hashes=()``, so they behave exactly
@@ -81,7 +92,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from functools import partial
-from itertools import product
+from itertools import islice, product
+from math import prod
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.records import LocalStateSpace, NodeStateRecord, PredecessorLink
@@ -137,7 +149,9 @@ class CompiledSequence:
     or, worker-side, from the shipped plain steps alone (``steps`` empty):
 
     * ``plain`` — the ``(consumed, generated)`` step tuple the replay runs on;
-    * ``key`` — ``(node, plain)``, this sequence's share of a verdict-cache key;
+    * ``key`` — the verifier's small int for ``(node, plain)``, this
+      sequence's share of a verdict-cache key (``None`` worker-side, where
+      nothing is cached);
     * ``balance`` — per message hash, how often the sequence generates it
       minus how often it consumes it;
     * ``needs`` — ``(hash, deficit)`` for every negative balance: what the
@@ -148,12 +162,16 @@ class CompiledSequence:
     __slots__ = ("node", "steps", "plain", "key", "balance", "needs")
 
     def __init__(
-        self, node: NodeId, plain: Tuple[PlainStep, ...], steps: NodeSequence = ()
+        self,
+        node: NodeId,
+        plain: Tuple[PlainStep, ...],
+        steps: NodeSequence = (),
+        key: Optional[int] = None,
     ):
         self.node = node
         self.steps = steps
         self.plain = plain
-        self.key = (node, plain)
+        self.key = key
         balance: Dict[int, int] = {}
         for consumed, generated in plain:
             if consumed is not None:
@@ -164,6 +182,66 @@ class CompiledSequence:
         self.needs = tuple(
             (item, -count) for item, count in balance.items() if count < 0
         )
+
+
+#: A record's summary over its compiled sequences, ``(common, best)``: see
+#: :func:`summarise`.
+RecordSummary = Tuple[Dict[int, int], Dict[int, int]]
+
+
+def summarise(sequences: Sequence[CompiledSequence]) -> RecordSummary:
+    """The record-level bound's view of one node's candidate sequences.
+
+    ``common[h]`` is the smallest deficit for ``h`` across ``sequences``,
+    kept only for hashes every sequence needs; ``best[h]`` is the largest
+    ``balance.get(h, 0)`` across them.  Whichever sequence a combination
+    picks, it needs at least ``common`` and offers at most ``best``.
+    """
+    if not sequences:
+        return {}, {}
+    common = dict(sequences[0].needs)
+    for sequence in sequences[1:]:
+        balance = sequence.balance
+        common = {
+            item: min(deficit, -balance[item])
+            for item, deficit in common.items()
+            if balance.get(item, 0) < 0
+        }
+    items = set().union(*[sequence.balance for sequence in sequences])
+    best = {
+        item: max(sequence.balance.get(item, 0) for sequence in sequences)
+        for item in items
+    }
+    return common, best
+
+
+def refuted_by_bound(summaries: Sequence[RecordSummary]) -> bool:
+    """True when every combination of the product fails :func:`starved_need`.
+
+    Some node ``i`` and hash ``h`` with ``common_i[h] > sum(best_j[h], j != i)``:
+    any combination's sequence for ``i`` needs at least ``common_i[h]``
+    while the others supply at most their ``best``, so that sequence is
+    starved of ``h`` whichever sequences the others contribute.  A necessary
+    condition of the quotient, decided once per call in
+    O(nodes x common needs).
+    """
+    for index, (common, _best) in enumerate(summaries):
+        for item, deficit in common.items():
+            for other, (_common, best) in enumerate(summaries):
+                if other != index:
+                    deficit -= best.get(item, 0)
+            if deficit > 0:
+                return True
+    return False
+
+
+def combination_count(
+    per_node: Sequence[Sequence[CompiledSequence]], max_combinations: Optional[int]
+) -> int:
+    """How many combinations :func:`search_combinations` tries on a call
+    whose every combination is rejected: the product, capped."""
+    total = prod(len(sequences) for sequences in per_node)
+    return total if max_combinations is None else min(total, max_combinations)
 
 
 class SoundnessVerifier:
@@ -187,19 +265,25 @@ class SoundnessVerifier:
         self._memoize = memoize
         self._replay_cache_limit = replay_cache_limit
         #: (node, record index) -> (store version at compute time, compiled
-        #: sequences).  A bumped store version (new record or new predecessor
-        #: pointer anywhere in that node's store) invalidates the entry, so
-        #: memoised enumerations — and the compiled form that rides on them —
-        #: are reused exactly while the DAG below them is stable.
+        #: sequences, their :func:`summarise` summary).  A bumped store
+        #: version (new record or new predecessor pointer anywhere in that
+        #: node's store) invalidates the entry, so memoised enumerations —
+        #: and the compiled form and summary that ride on them — are reused
+        #: exactly while the DAG below them is stable.
         self._sequence_memo: Dict[
-            Tuple[NodeId, int], Tuple[int, List[CompiledSequence]]
+            Tuple[NodeId, int], Tuple[int, List[CompiledSequence], RecordSummary]
         ] = {}
+        #: (node, plain steps) -> the small int standing for it in cache keys.
+        self._sequence_keys: Dict[Tuple[NodeId, Tuple[PlainStep, ...]], int] = {}
         #: Combination replay key -> executed order as (node, step index)
-        #: pairs, or None when no valid total order exists.  The key is built
-        #: purely from consumed/generated hashes, which determine the replay
-        #: outcome; the witness events are re-resolved against the *current*
-        #: combination, so traces are identical to uncached runs.
-        self._replay_cache: "OrderedDict[tuple, Optional[Order]]" = OrderedDict()
+        #: pairs, or None when no valid total order exists.  The key is the
+        #: tuple of the sequences' interned ``(node, plain)`` ints — purely
+        #: consumed/generated hashes, which determine the replay outcome; the
+        #: witness events are re-resolved against the *current* combination,
+        #: so traces are identical to uncached runs.
+        self._replay_cache: "OrderedDict[Tuple[int, ...], Optional[Order]]" = (
+            OrderedDict()
+        )
 
     # -- public API -----------------------------------------------------------
 
@@ -217,14 +301,19 @@ class SoundnessVerifier:
         soundness verification for 773 times, and each call takes 45 ms in
         average"): with tracing enabled it emits one ``soundness`` span
         carrying the sequence count examined, how many of those the
-        starvation quotient dismissed and how many reached the replay, the
+        starvation quotient dismissed and how many reached the replay,
+        whether the record-level bound refuted the call outright, the
         outcome and — for an unsound one — the last starved node and hash.
         """
         self._stats.soundness_calls += 1
         if not self._emitter.enabled:
             return self._search(records)
         sequences_before = self._stats.soundness_sequences
-        audit: Dict[str, int] = {"quotient_rejected": 0, "replayed": 0}
+        audit: Dict[str, int] = {
+            "quotient_rejected": 0,
+            "replayed": 0,
+            "bound_refuted": False,
+        }
         with self._emitter.span("soundness", nodes=len(records)) as span:
             witness = self._search(records, audit)
             if witness is not None:
@@ -245,16 +334,25 @@ class SoundnessVerifier:
         """The uninstrumented body of :meth:`is_state_sound`.
 
         ``audit`` (tracing only) collects the span's quotient/replay counts.
+        With memoisation on, a call the record-level bound refutes skips the
+        product walk; ``memoize=False`` keeps the per-combination reference.
         """
         per_node: List[List[CompiledSequence]] = []
+        summaries: List[Optional[RecordSummary]] = []
         for node in sorted(records):
-            sequences = self.enumerate_sequences(records[node])
+            sequences, summary = self._compiled(records[node])
             if not sequences:
                 # No acyclic path reaches this state: with the prototype's
                 # simplifications the state cannot be validated.
                 return None
             per_node.append(sequences)
+            summaries.append(summary)
 
+        if self._memoize and refuted_by_bound(summaries):
+            tried = combination_count(per_node, self._max_combinations)
+            self._stats.soundness_sequences += tried
+            self._file_refuted(per_node, tried, audit)
+            return None
         replay = self._replay if self._memoize else replay_compiled
         if audit is not None:
             replay = partial(replay, audit=audit)
@@ -277,7 +375,7 @@ class SoundnessVerifier:
         The replay outcome — both whether a valid total order exists and
         *which* order the deterministic search finds — is a pure function of
         the per-step ``(consumed_hash, generated_hashes)`` tuples, so the
-        sequences' precompiled ``(node, plain)`` keys form the cache key.
+        sequences' interned ``(node, plain)`` keys form the cache key.
         Witness events are resolved by the caller against the current
         combination, keeping traces byte-identical to uncached runs.
         """
@@ -297,6 +395,46 @@ class SoundnessVerifier:
             cache.popitem(last=False)
         return order
 
+    def _file_refuted(
+        self,
+        per_node: Sequence[Sequence[CompiledSequence]],
+        tried: int,
+        audit: Optional[Dict[str, int]],
+    ) -> None:
+        """Leave a bound-refuted call's traces where the product walk would.
+
+        The first ``tried`` combination keys pass through the verdict cache
+        in product order, as :meth:`_replay` would take them: a hit moves to
+        the end and is counted, a miss is filed as ``None`` (the quotient's
+        verdict) and may evict the oldest entry.  With ``audit``, the misses
+        count as quotient dismissals and the last one names the starved pair.
+        """
+        cache = self._replay_cache
+        limit = self._replay_cache_limit
+        hits = 0
+        last_miss: Optional[Tuple[int, ...]] = None
+        keys = product(*[[sequence.key for sequence in each] for each in per_node])
+        for key in islice(keys, tried):
+            if key in cache:
+                cache.move_to_end(key)
+                hits += 1
+                continue
+            cache[key] = None
+            last_miss = key
+            if limit is not None and len(cache) > limit:
+                cache.popitem(last=False)
+        self._stats.replay_cache_hits += hits
+        if audit is None:
+            return
+        audit["bound_refuted"] = True
+        if last_miss is not None:
+            audit["quotient_rejected"] += tried - hits
+            combo = [
+                next(sequence for sequence in each if sequence.key == key)
+                for each, key in zip(per_node, last_miss)
+            ]
+            audit["starved_node"], audit["starved_hash"] = starved_need(combo)
+
     # -- sequence enumeration ------------------------------------------------
 
     def enumerate_sequences(self, record: NodeStateRecord) -> List[CompiledSequence]:
@@ -307,20 +445,28 @@ class SoundnessVerifier:
         version and invalidates the memo, so a reused enumeration is always
         the one a fresh walk would produce.  Repeated preliminary violations
         on the same node states — the §5.4 dominant cost — then pay for the
-        DAG walk, and for compiling its sequences, once instead of per
-        violation.
+        DAG walk, and for compiling and summarising its sequences, once
+        instead of per violation.
         """
+        return self._compiled(record)[0]
+
+    def _compiled(
+        self, record: NodeStateRecord
+    ) -> Tuple[List[CompiledSequence], Optional[RecordSummary]]:
+        """:meth:`enumerate_sequences` plus the memo entry's summary
+        (``None`` when memoisation is off)."""
         if not self._memoize:
-            return self._walk_sequences(record)
+            return self._walk_sequences(record), None
         store = self._space.store(record.node)
         key = (record.node, record.index)
         cached = self._sequence_memo.get(key)
         if cached is not None and cached[0] == store.version:
             self._stats.sequence_cache_hits += 1
-            return cached[1]
+            return cached[1], cached[2]
         sequences = self._walk_sequences(record)
-        self._sequence_memo[key] = (store.version, sequences)
-        return sequences
+        summary = summarise(sequences)
+        self._sequence_memo[key] = (store.version, sequences, summary)
+        return sequences, summary
 
     def _walk_sequences(self, record: NodeStateRecord) -> List[CompiledSequence]:
         """The uncached predecessor-DAG walk behind :meth:`enumerate_sequences`.
@@ -331,6 +477,7 @@ class SoundnessVerifier:
         """
         sequences: List[CompiledSequence] = []
         store = self._space.store(record.node)
+        keys = self._sequence_keys
 
         def walk(current: NodeStateRecord, suffix: List[SequenceStep], seen: set) -> bool:
             """Extend paths backwards; returns False when the cap is hit."""
@@ -338,9 +485,9 @@ class SoundnessVerifier:
                 # The live/seed state: the suffix, reversed, is a complete
                 # sequence from the live state to the target record.
                 steps = tuple(reversed(suffix))
-                sequences.append(
-                    CompiledSequence(record.node, plain_steps(steps), steps)
-                )
+                plain = plain_steps(steps)
+                key = keys.setdefault((record.node, plain), len(keys))
+                sequences.append(CompiledSequence(record.node, plain, steps, key))
                 return (
                     self._max_sequences is None
                     or len(sequences) < self._max_sequences

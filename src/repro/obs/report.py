@@ -122,12 +122,15 @@ class TraceSummary:
         violations were rejected: ``quotient_rejected`` / ``replayed`` count
         combinations, ``rejected_by_quotient`` / ``rejected_by_replay`` count
         unsound calls none of whose combinations, or at least one of whose
-        combinations, reached the replay.
+        combinations, reached the replay.  ``bound_refuted`` counts the calls
+        the record-level bound refuted before walking their product, out of
+        the ``bound_calls`` whose spans say either way.
         """
         calls = 0
         total_s = 0.0
         sequences = 0
         quotient_rejected = replayed = by_quotient = by_replay = 0
+        bound_calls = bound_refuted = 0
         for span in self.spans():
             if span.get("name") not in _SOUNDNESS_SPANS:
                 continue
@@ -135,6 +138,9 @@ class TraceSummary:
             total_s += float(span.get("dur_s", 0.0))
             fields = span.get("fields", {})
             sequences += int(fields.get("sequences", fields.get("combinations", 0)))
+            if "bound_refuted" in fields:
+                bound_calls += 1
+                bound_refuted += bool(fields["bound_refuted"])
             if "quotient_rejected" not in fields:
                 continue  # a worker span, or a trace that predates the quotient
             quotient_rejected += int(fields["quotient_rejected"])
@@ -153,6 +159,8 @@ class TraceSummary:
             "replayed": replayed,
             "rejected_by_quotient": by_quotient,
             "rejected_by_replay": by_replay,
+            "bound_calls": bound_calls,
+            "bound_refuted": bound_refuted,
         }
 
     def materialise_profile(self) -> Dict[str, int]:
@@ -307,6 +315,11 @@ class TraceSummary:
                     f"{profile['rejected_by_replay']:,}  (combinations dismissed "
                     f"unreplayed / replayed: {profile['quotient_rejected']:,} / "
                     f"{profile['replayed']:,})"
+                )
+            if profile["bound_calls"]:
+                sections[-1] += (
+                    f"\n{profile['bound_refuted']:,} of {profile['bound_calls']:,} "
+                    f"soundness calls refuted by the record-level bound"
                 )
 
         materialised = self.materialise_profile()

@@ -8,6 +8,7 @@ PR 3 cache work and the PR 4 fault scheduler hold themselves to.
 
 import pytest
 
+import repro.core.soundness as soundness
 from repro.core.checker import LocalModelChecker
 from repro.core.config import LMCConfig
 from repro.core.parallel import ParallelLocalModelChecker
@@ -15,10 +16,12 @@ from repro.explore.budget import SearchBudget
 from repro.obs.coverage import CoverageTracker
 from repro.obs.emitter import MemoryEmitter
 from repro.obs.registry import RunRegistry
+from repro.obs.report import TraceSummary
 from repro.protocols.onepaxos import OnePaxosAgreement
 from repro.protocols.onepaxos import scenarios as onepaxos_scenarios
 from repro.protocols.paxos import PaxosAgreement, PaxosProtocol
 from repro.protocols.paxos.scenarios import partial_choice_state, scenario_protocol
+from repro.protocols.twophase import Atomicity, TimeoutTwoPhaseCommit
 from tests.core.test_summarised_gen import walked
 
 #: Phase timers are wall-clock and excluded, as in the cache-equivalence gate.
@@ -172,6 +175,59 @@ def test_soundness_spans_explain_rejections_without_changing_the_run():
         elif span["quotient_rejected"]:
             assert span["starved_node"] in protocol.node_ids()
             assert isinstance(span["starved_hash"], int)
+
+
+def _s55_at_760():
+    protocol, invariant, initial = _paxos_s55()
+    config = LMCConfig.optimized(stop_on_first_bug=False)
+    return protocol, invariant, initial, SearchBudget(max_transitions=760), config
+
+
+def _2pc_timeout_with_drops_and_crashes():
+    config = LMCConfig.optimized(
+        drop_faults=True, fault_events_enabled=True, stop_on_first_bug=False
+    )
+    return TimeoutTwoPhaseCommit(3), Atomicity(), None, SearchBudget(), config
+
+
+@pytest.mark.parametrize(
+    "space",
+    [_s55_at_760, _2pc_timeout_with_drops_and_crashes],
+    ids=["s55@760", "2pc-timeout-faults"],
+)
+def test_bound_refuted_calls_trace_as_the_product_walk_does(space, monkeypatch):
+    """A call the record-level bound refutes emits the span the
+    per-combination loop would: the same sequence, dismissal and replay
+    counts and the same last starved pair — cache hits included, which the
+    faulty 2PC space has thousands of.  Only ``bound_refuted`` tells them
+    apart, and the trace report counts it."""
+    protocol, invariant, initial, budget, config = space()
+
+    def run():
+        emitter = MemoryEmitter()
+        result = LocalModelChecker(
+            protocol, invariant, budget, config, emitter=emitter
+        ).run(initial)
+        spans = [
+            record["fields"]
+            for record in emitter.records
+            if record["kind"] == "span" and record["name"] == "soundness"
+        ]
+        return result, spans, TraceSummary(emitter.records).render()
+
+    bounded, bounded_spans, report = run()
+    monkeypatch.setattr(soundness, "refuted_by_bound", lambda summaries: False)
+    walked_result, walked_spans, _ = run()
+
+    assert _observable(bounded) == _observable(walked_result)
+    refuted = sum(span.pop("bound_refuted") for span in bounded_spans)
+    assert not any(span.pop("bound_refuted") for span in walked_spans)
+    assert bounded_spans == walked_spans
+    assert 0 < refuted < len(bounded_spans)
+    assert (
+        f"{refuted:,} of {len(bounded_spans):,} soundness calls refuted by the "
+        f"record-level bound" in report
+    )
 
 
 def test_summarised_gen_coverage_counts_equal_with_tracing_on_and_off():

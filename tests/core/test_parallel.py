@@ -12,7 +12,11 @@ import repro.core.pool as pool
 from repro.cli import WORKLOADS
 from repro.core.checker import LocalModelChecker
 from repro.core.config import LMCConfig
-from repro.core.parallel import ParallelLocalModelChecker, verify_unit
+from repro.core.parallel import (
+    ParallelLocalModelChecker,
+    audited_verify_unit,
+    verify_unit,
+)
 from repro.core.pool import map_ordered, shared_executor, shutdown_worker_pool
 from repro.core.soundness import replay_sequences_indexed
 from repro.explore.budget import SearchBudget
@@ -159,6 +163,37 @@ class TestParallelChecker:
         for counter in ("soundness_calls", "soundness_sequences", "confirmed_bugs"):
             assert getattr(pooled.stats, counter) == getattr(serial.stats, counter)
         assert [bug.trace for bug in pooled.bugs] == [bug.trace for bug in serial.bugs]
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_workers_refute_by_the_record_level_bound(self, workers):
+        """The pool applies the serial verifier's bound worker-side: on the
+        s55@760 snapshot it refutes the same 8,388 of 8,448 units, and each
+        refuted unit still counts its whole (capped) product."""
+        protocol = scenario_protocol(buggy=True)
+        budget = SearchBudget(max_transitions=760)
+        config = LMCConfig.optimized(stop_on_first_bug=False)
+        emitter = MemoryEmitter()
+        pooled = ParallelLocalModelChecker(
+            protocol, PaxosAgreement(0), budget, config, workers=workers, emitter=emitter
+        ).run(partial_choice_state())
+        units = [
+            record["fields"]
+            for record in emitter.records
+            if record.get("name") == "worker_verify"
+        ]
+        assert len(units) == pooled.stats.soundness_calls == 8448
+        refuted = [unit for unit in units if unit["bound_refuted"]]
+        assert len(refuted) == 8388
+        assert not any(unit["sound"] for unit in refuted)
+        assert all(unit["combinations"] > 0 for unit in refuted)
+        assert sum(unit["combinations"] for unit in units) == 134388
+
+    def test_verify_unit_refutes_by_the_bound_and_counts_the_capped_product(self):
+        # Node 0 needs hash 5 twice; node 1 offers at most one copy.
+        unit = {0: [((5, ()), (5, ()))] * 3, 1: [((None, (5,)),), ()]}
+        assert audited_verify_unit(unit, max_combinations=None) == (None, 6, True)
+        assert audited_verify_unit(unit, max_combinations=4) == (None, 4, True)
+        assert verify_unit(unit, max_combinations=4) == (None, 4)
 
     @pytest.mark.parametrize("buggy", [False, True])
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))

@@ -1,10 +1,26 @@
 """Tests for soundness verification: sequence enumeration and greedy replay."""
 
+from itertools import count, product
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.core.soundness as soundness
 from repro.core.records import LocalStateSpace, PredecessorLink
-from repro.core.soundness import SequenceStep, SoundnessVerifier, replay_sequences
+from repro.core.soundness import (
+    CompiledSequence,
+    SequenceStep,
+    SoundnessVerifier,
+    refuted_by_bound,
+    replay_sequences,
+    starved_need,
+    summarise,
+)
 from repro.model.events import DeliveryEvent, InternalEvent, event_hash
 from repro.model.hashing import content_hash
 from repro.model.types import Action, Message
+from repro.obs.emitter import MemoryEmitter
 from repro.stats.counters import ExplorationStats
 
 
@@ -152,3 +168,146 @@ class TestSequenceEnumeration:
         stats = ExplorationStats()
         verifier = SoundnessVerifier(space, stats, max_combinations=0)
         assert verifier.is_state_sound({0: s2}) is None
+
+
+class TestRecordLevelBound:
+    def test_summary_keeps_needs_common_to_every_sequence(self):
+        sequences = [
+            CompiledSequence(0, ((7, ()), (7, ()), (8, ()))),
+            CompiledSequence(0, ((7, ()), (None, (9,)))),
+        ]
+        common, best = summarise(sequences)
+        assert common == {7: 1}  # 8 is needed by one sequence only
+        assert best == {7: -1, 8: 0, 9: 1}
+
+    def test_bound_compares_a_common_need_with_the_others_best_supply(self):
+        needs_two = summarise([CompiledSequence(0, ((7, ()), (7, ())))])
+        offers = summarise(
+            [CompiledSequence(1, ((None, (7,)),)), CompiledSequence(1, ())]
+        )
+        assert refuted_by_bound([needs_two, offers])
+        # Two copies from one sequence of the other node cover the need.
+        plenty = summarise([CompiledSequence(1, ((None, (7, 7)),))])
+        assert not refuted_by_bound([needs_two, plenty])
+        # A lone node's deficit has no one to cover it; its own generation
+        # nets out in its balance (the bound counts, it does not order).
+        assert refuted_by_bound([summarise([CompiledSequence(0, ((7, ()),))])])
+        assert not refuted_by_bound(
+            [summarise([CompiledSequence(0, ((7, ()), (None, (7,))))])]
+        )
+
+
+# Three hash values over one- to three-step sequences: needs, surpluses and
+# refutations are all common, and the small alphabet repeats plain tuples.
+bound_hashes = st.integers(min_value=1, max_value=3)
+bound_plains = st.lists(
+    st.tuples(
+        st.one_of(st.none(), bound_hashes),
+        st.lists(bound_hashes, max_size=1).map(tuple),
+    ),
+    min_size=1,
+    max_size=3,
+).map(tuple)
+#: Per node, the candidate sequences of each of its records.
+bound_records = st.lists(
+    st.lists(st.lists(bound_plains, min_size=1, max_size=4), min_size=1, max_size=2),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(bound_plains, min_size=1, max_size=4), min_size=1, max_size=3))
+def test_a_refuted_call_starves_every_combination(plains_per_node):
+    per_node = [
+        [CompiledSequence(node, plain) for plain in plains]
+        for node, plains in enumerate(plains_per_node)
+    ]
+    if refuted_by_bound([summarise(sequences) for sequences in per_node]):
+        for combo in product(*per_node):
+            assert starved_need(combo) is not None
+
+
+def _space_realising(records_per_node):
+    """A space whose records enumerate exactly the given plain sequences.
+
+    Every sequence is its own chain of fresh states from the seed into the
+    record, so the walk finds one path per chain, in insertion order.
+    """
+    space = LocalStateSpace(tuple(range(len(records_per_node))))
+    fresh = count(1)
+    targets = []
+    for node, records in enumerate(records_per_node):
+        seed = space.seed(node, ("seed", node))
+        store = space.store(node)
+
+        def state():
+            number = next(fresh)
+            return store.add(("s", number), number, 1, 1, frozenset())
+
+        targets.append([])
+        for sequences in records:
+            target = state()
+            for plain in sequences:
+                previous = seed
+                for position, (consumed, generated) in enumerate(plain):
+                    current = target if position == len(plain) - 1 else state()
+                    event = internal(node, f"e{next(fresh)}")
+                    current.add_predecessor(
+                        PredecessorLink(
+                            previous.hash, event, event_hash(event), consumed, generated
+                        )
+                    )
+                    previous = current
+            targets[node].append(target)
+    return space, targets
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    records_per_node=bound_records,
+    picks=st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=12),
+    cache_limit=st.sampled_from([None, 1, 3, 4096]),
+    max_combinations=st.one_of(st.none(), st.integers(min_value=0, max_value=6)),
+)
+def test_the_bound_leaves_what_the_product_walk_leaves(
+    records_per_node, picks, cache_limit, max_combinations
+):
+    """Bound on vs off: same counters, same verdicts, same spans, and the
+    verdict cache holds the same keys in the same LRU order."""
+    space, targets = _space_realising(records_per_node)
+    # Each call picks one record per node; the picks cycle over the nodes.
+    calls = [
+        {
+            node: records[picks[(call + node) % len(picks)] % len(records)]
+            for node, records in enumerate(targets)
+        }
+        for call in range(len(picks))
+    ]
+
+    def run():
+        stats, emitter = ExplorationStats(), MemoryEmitter()
+        verifier = SoundnessVerifier(
+            space,
+            stats,
+            max_combinations=max_combinations,
+            emitter=emitter,
+            replay_cache_limit=cache_limit,
+        )
+        verdicts = [verifier.is_state_sound(records) for records in calls]
+        spans = [
+            {key: value for key, value in record["fields"].items() if key != "bound_refuted"}
+            for record in emitter.records
+            if record["kind"] == "span" and record["name"] == "soundness"
+        ]
+        return (
+            stats.snapshot(),
+            verdicts,
+            spans,
+            list(verifier._replay_cache.items()),
+        )
+
+    with_bound = run()
+    with mock.patch.object(soundness, "refuted_by_bound", lambda summaries: False):
+        without_bound = run()
+    assert with_bound == without_bound

@@ -215,6 +215,30 @@ class TestTraceSummary:
     def test_render_empty_trace(self):
         assert "empty trace" in TraceSummary([]).render()
 
+    def test_bound_line_counts_spans_that_carry_the_field(self):
+        line = "soundness calls refuted by the record-level bound"
+        assert line not in TraceSummary(_trace_records()).render()
+
+        def span(name, refuted):
+            return {
+                "ts": 0.1,
+                "pid": 1,
+                "kind": "span",
+                "name": name,
+                "dur_s": 0.001,
+                "fields": {"sequences": 4, "sound": False, "bound_refuted": refuted},
+            }
+
+        records = _trace_records() + [
+            span("soundness", True),
+            span("worker_verify", True),
+            span("soundness", False),
+        ]
+        summary = TraceSummary(records)
+        profile = summary.soundness_profile()
+        assert (profile["bound_refuted"], profile["bound_calls"]) == (2, 3)
+        assert f"2 of 3 {line}" in summary.render()
+
     def test_gen_line_only_when_tuples_stand_for_more_system_states(self):
         def materialise(ts, tuples, states):
             return {
