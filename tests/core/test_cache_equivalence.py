@@ -9,6 +9,8 @@ and §5.6 1Paxos), for both the sequential and the parallel front-end.
 """
 
 import contextlib
+import json
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +23,14 @@ from repro.protocols.onepaxos import OnePaxosAgreement
 from repro.protocols.onepaxos import scenarios as onepaxos_scenarios
 from repro.protocols.paxos import PaxosAgreement, PaxosProtocol
 from repro.protocols.paxos.scenarios import partial_choice_state, scenario_protocol
-from repro.protocols.twophase import CommitValidity, EagerCommitCoordinator
+from repro.protocols.twophase import (
+    Atomicity,
+    CommitValidity,
+    EagerCommitCoordinator,
+    TimeoutTwoPhaseCommit,
+)
+
+GOLDEN_PATH = Path(__file__).parent / "golden" / "workload_counts.json"
 
 #: Snapshot keys excluded from comparison: phase timers are wall-clock, and
 #: the cache-hit counters are definitionally zero in the uncached run.
@@ -77,6 +86,80 @@ def _onepaxos_s56():
     protocol = onepaxos_scenarios.scenario_protocol(buggy=True)
     invariant = OnePaxosAgreement(0)
     return protocol, invariant, onepaxos_scenarios.post_leaderchange_state(protocol)
+
+
+def _paxos(num_nodes=3):
+    protocol = PaxosProtocol(num_nodes=num_nodes, proposals=((0, 0, "v0"),))
+    return protocol, PaxosAgreement(0), None
+
+
+def _twophase_timeout():
+    return TimeoutTwoPhaseCommit(3), Atomicity(), None
+
+
+#: name -> (scenario, LMC-OPT or LMC-GEN, budget, config overrides): the
+#: workloads whose counters, completion and bugs ``golden/workload_counts.json``
+#: pins.  Fig. 10's sweep brackets early, middle and full exploration;
+#: ``paxos_sym`` gives three interchangeable acceptors to the reducer.
+WORKLOADS = {
+    "paxos_opt": (_paxos, LMCConfig.optimized, SearchBudget.unbounded(), {}),
+    "paxos_gen": (_paxos, LMCConfig.general, SearchBudget.unbounded(), {}),
+    **{
+        f"fig10_d{depth}": (
+            _paxos, LMCConfig.optimized, SearchBudget(max_depth=depth), {}
+        )
+        for depth in (4, 6, 8, 10)
+    },
+    "s55_snapshot": (_paxos_s55, LMCConfig.optimized, SearchBudget.unbounded(), {}),
+    "s56_onepaxos": (_onepaxos_s56, LMCConfig.optimized, SearchBudget.unbounded(), {}),
+    "paxos_faults": (
+        _paxos,
+        LMCConfig.optimized,
+        SearchBudget.unbounded(),
+        {"fault_events_enabled": True},
+    ),
+    "twophase_drops": (
+        _twophase_timeout,
+        LMCConfig.optimized,
+        SearchBudget.unbounded(),
+        {"drop_faults": True},
+    ),
+    "paxos_sym": (
+        lambda: _paxos(num_nodes=4),
+        LMCConfig.general,
+        SearchBudget(max_depth=4),
+        {},
+    ),
+}
+
+
+def _run_workload(name, cached=True, **extra):
+    scenario, factory, budget, overrides = WORKLOADS[name]
+    protocol, invariant, initial = scenario()
+    if not cached:
+        extra.update({"memoize_soundness": False, "incremental_enumeration": False})
+    with _hashing_caches(cached):
+        config = factory(**overrides, **extra)
+        return LocalModelChecker(protocol, invariant, budget, config).run(initial)
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_counts_match_golden(name):
+    """Absolute counters, completion and bug descriptions of each workload.
+
+    The golden file was copied from the cached rows of the cross-process
+    benchmark baseline.  A counter it predates is not drift while it
+    reads zero: the schema grew, the work did not.
+    """
+    with open(GOLDEN_PATH, encoding="utf-8") as handle:
+        expected = json.load(handle)[name]
+    observed = _observable(_run_workload(name))
+    observed["counts"] = {
+        key: value
+        for key, value in observed["counts"].items()
+        if key in expected["counts"] or value
+    }
+    assert {key: observed[key] for key in expected} == expected
 
 
 @pytest.mark.parametrize("scenario", [_paxos_s55, _onepaxos_s56], ids=["s55", "s56"])
