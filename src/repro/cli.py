@@ -178,6 +178,14 @@ def worker_count(text: str) -> Optional[int]:
     return None if count < 0 else count
 
 
+def pool_size(text: str) -> int:
+    """Parse ``--workers``: a count of at least 0 (where 0 means all CPUs)."""
+    count = int(text)
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"workers must be >= 0, got {count}")
+    return count
+
+
 class _AppendTuple(argparse.Action):
     """``action="append"`` into a tuple, the type ``LMCConfig`` fields hold."""
 
@@ -392,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
         command.add_argument("--max-depth", type=int, default=None)
         command.add_argument(
             "--workers",
-            type=int,
+            type=pool_size,
             default=0,
             metavar="N",
             help="pool workers verifying soundness under --algorithm "

@@ -201,8 +201,6 @@ class LocalModelChecker:
         self.metrics_interval = metrics_interval
         #: Run-registry handle for cross-process heartbeats ("Live
         #: operations" in docs/OBSERVABILITY.md); ``None`` disables them.
-        #: A plain attribute: harnesses that build the checker indirectly
-        #: (tools/bench.py) can set it after construction.
         self.run_handle = run_handle
         #: Coverage tracker (:mod:`repro.obs.coverage`); ``None`` selects
         #: the shared zero-overhead null tracker.

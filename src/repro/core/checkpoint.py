@@ -123,7 +123,9 @@ class CheckpointMismatch(CheckpointError):
 
 #: ``LMCConfig`` fields that no longer exist, at the only values a checkpoint
 #: was ever written with (their defaults: the one checker that set the first
-#: two otherwise took no checkpointer, and no caller set the last three).
+#: two otherwise took no checkpointer, no caller set the next three, and the
+#: last two — now ``repro.core.explore_parallel`` constants — were only ever
+#: set by a benchmark harness that wrote no checkpoint).
 #: Still fingerprinted so that envelopes written before their removal keep
 #: verifying — the digest is a hash of every key, so dropping these would
 #: orphan every existing checkpoint.
@@ -133,6 +135,8 @@ _RETIRED_CONFIG_FIELDS = {
     "max_completions_per_local_violation": "64",
     "max_completions_per_conflict": "128",
     "rejected_cache_limit": "4096",
+    "explore_shard_min": "64",
+    "explore_round_threshold": "128",
 }
 
 

@@ -150,18 +150,10 @@ class LMCConfig:
     #: hashes; the coordinator then replays the exact serial sweep consuming
     #: those results, so counters, verdicts and witnesses are byte-identical
     #: to the serial checker.  ``0`` (the default) keeps exploration fully
-    #: in-process; ``None`` uses ``os.cpu_count()``.
+    #: in-process; ``None`` uses ``os.cpu_count()``.  Which rounds go
+    #: parallel, and in how many shards, is fixed by
+    #: :mod:`repro.core.explore_parallel`'s ``ROUND_THRESHOLD``/``SHARD_MIN``.
     explore_workers: Optional[int] = 0
-
-    #: Minimum frontier items per exploration shard: below this, fewer (or
-    #: larger) shards are used so dispatch overhead never exceeds the work
-    #: shipped.  Only consulted when ``explore_workers`` enables parallelism.
-    explore_shard_min: int = 64
-
-    #: Rounds with fewer frontier items than this run entirely serially —
-    #: early rounds are tiny (a handful of seeds and their first messages)
-    #: and pay pool latency without amortizing it.
-    explore_round_threshold: int = 128
 
     #: Symmetry reduction (docs/REDUCTION.md): canonicalise system-state
     #: combinations to orbit representatives under the protocol-declared
@@ -213,10 +205,6 @@ class LMCConfig:
                 raise ValueError(f"{name} must be positive or None")
         if self.explore_workers is not None and self.explore_workers < 0:
             raise ValueError("explore_workers must be >= 0 or None")
-        if self.explore_shard_min < 1:
-            raise ValueError("explore_shard_min must be >= 1")
-        if self.explore_round_threshold < 1:
-            raise ValueError("explore_round_threshold must be >= 1")
         if self.max_crashes_per_node < 0:
             raise ValueError("max_crashes_per_node must be >= 0")
         if self.max_total_crashes is not None and self.max_total_crashes < 0:

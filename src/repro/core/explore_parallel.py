@@ -67,6 +67,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (checker imports us)
     from repro.core.checker import _ExplorationPass
     from repro.core.records import NodeStateRecord
 
+#: Rounds with fewer frontier items than this run entirely serially — early
+#: rounds are tiny (a handful of seeds and their first messages) and pay
+#: pool latency without amortizing it.
+ROUND_THRESHOLD = 128
+
+#: Minimum frontier items per shard: below this, fewer (larger) shards are
+#: used so dispatch overhead never exceeds the work shipped.
+SHARD_MIN = 64
+
 
 class SpecExec:
     """A precomputed handler execution: successor, sends, and their hashes.
@@ -277,7 +286,7 @@ class RoundSpeculator:
     def begin_round(self) -> None:
         """Snapshot this round's frontier and precompute it across the pool.
 
-        Small rounds (below ``explore_round_threshold`` items) skip the pool
+        Small rounds (below :data:`ROUND_THRESHOLD` items) skip the pool
         entirely; dispatch failures fall back to serial execution — in every
         case the subsequent sweep produces byte-identical results.
         """
@@ -292,9 +301,9 @@ class RoundSpeculator:
                 self.enabled = False
                 return
         items = self._snapshot()
-        if len(items) < p.config.explore_round_threshold:
+        if len(items) < ROUND_THRESHOLD:
             return
-        shard_size = max(p.config.explore_shard_min, -(-len(items) // self.workers))
+        shard_size = max(SHARD_MIN, -(-len(items) // self.workers))
         shards = [
             items[start : start + shard_size]
             for start in range(0, len(items), shard_size)

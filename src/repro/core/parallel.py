@@ -164,6 +164,8 @@ class ParallelLocalModelChecker(LocalModelChecker):
     defers_verification = True
 
     def __init__(self, *args: Any, workers: Optional[int] = 0, **kwargs: Any):
+        if workers is not None and workers < 0:
+            raise ValueError(f"workers must be >= 0 or None, got {workers}")
         super().__init__(*args, **kwargs)
         self.workers = workers
         self.algorithm = "LMC-parallel"
@@ -196,7 +198,7 @@ class ParallelLocalModelChecker(LocalModelChecker):
         ]
         witnesses: List[Optional[Tuple[Event, ...]]] = []
         with self.emitter.span(
-            "dispatch", units=len(units), workers=self.workers
+            "dispatch", units=len(units), workers=workers
         ) as dispatch_span:
             answers = [
                 (verdict, tried, refuted, wall_s / len(verdicts), pid)

@@ -187,8 +187,9 @@ def interning_enabled() -> bool:
 def intern_stats() -> Dict[str, int]:
     """Counters of the shared interner (zeros when interning is off).
 
-    These are the cache hit/miss figures ``tools/bench.py`` records and the
-    checker emits as a ``hash_cache`` trace event (docs/OBSERVABILITY.md);
+    These are the cache hit/miss figures the benchmark harness (``bench/``)
+    records and the checker emits as a ``hash_cache`` trace event
+    (docs/OBSERVABILITY.md);
     a live interner also reports ``value_hits``, the share of ``hits`` its
     value memo answered.
     """

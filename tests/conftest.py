@@ -7,6 +7,7 @@ happen once per session and are shared read-only.
 
 import pytest
 
+import repro.core.explore_parallel as explore_parallel
 from repro.core.checker import LocalModelChecker
 from repro.obs.registry import RUNS_ROOT_ENV
 
@@ -25,6 +26,16 @@ from repro.core.config import LMCConfig
 from repro.explore.budget import SearchBudget
 from repro.explore.global_checker import GlobalModelChecker
 from repro.protocols.paxos import PaxosAgreement, PaxosProtocol
+
+
+@pytest.fixture(scope="module")
+def dispatch_every_round():
+    """Parallelize every exploration round and shard to single items, so
+    tiny test spaces still cross the dispatch/merge machinery many times."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(explore_parallel, "ROUND_THRESHOLD", 1)
+        patch.setattr(explore_parallel, "SHARD_MIN", 1)
+        yield
 
 
 def paxos_space():

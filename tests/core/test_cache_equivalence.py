@@ -1,11 +1,13 @@
 """Caches on vs caches off must be observationally identical.
 
-PR 3's hot-path optimizations (interned hashing, memoized soundness replay,
+The hot-path optimizations (interned hashing, memoized soundness replay,
 incremental enumeration) are performance work only: every counter the §5
 benches print, every verdict, and every witness trace must be byte-identical
-with the caches disabled.  ``tools/bench.py`` checks this across processes;
-these tests check it in-process on the two snapshot experiments (§5.5 Paxos
-and §5.6 1Paxos), for both the sequential and the parallel front-end.
+with the caches disabled.  These tests check it in-process on the snapshot
+experiments (§5.5 Paxos and §5.6 1Paxos), for both the sequential and the
+parallel front-end, and on the benchmark workloads whose absolute counters
+``golden/workload_counts.json`` pins; the wall-clock side of the caches is
+``benchmarks/test_cache_speedup.py``.
 """
 
 import contextlib
@@ -66,14 +68,13 @@ def _hashing_caches(cached):
         hashing.configure_interning(True)
 
 
-def _run(make_checker, initial, cached, **extra):
-    overrides = dict(extra)
+def _run(make_checker, initial, cached, factory=LMCConfig.optimized, **overrides):
     if not cached:
         overrides.update(
             {"memoize_soundness": False, "incremental_enumeration": False}
         )
     with _hashing_caches(cached):
-        return make_checker(LMCConfig.optimized(**overrides)).run(initial)
+        return make_checker(factory(**overrides)).run(initial)
 
 
 def _paxos_s55():
@@ -133,23 +134,23 @@ WORKLOADS = {
 }
 
 
-def _run_workload(name, cached=True, **extra):
+def _run_workload(name, cached=True):
     scenario, factory, budget, overrides = WORKLOADS[name]
     protocol, invariant, initial = scenario()
-    if not cached:
-        extra.update({"memoize_soundness": False, "incremental_enumeration": False})
-    with _hashing_caches(cached):
-        config = factory(**overrides, **extra)
-        return LocalModelChecker(protocol, invariant, budget, config).run(initial)
+
+    def make(config):
+        return LocalModelChecker(protocol, invariant, budget, config)
+
+    return _run(make, initial, cached, factory, **overrides)
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_workload_counts_match_golden(name):
     """Absolute counters, completion and bug descriptions of each workload.
 
-    The golden file was copied from the cached rows of the cross-process
-    benchmark baseline.  A counter it predates is not drift while it
-    reads zero: the schema grew, the work did not.
+    The golden file holds the cached rows of the cross-process benchmark
+    baseline this suite replaced.  A counter it predates is not drift while
+    it reads zero: the schema grew, the work did not.
     """
     with open(GOLDEN_PATH, encoding="utf-8") as handle:
         expected = json.load(handle)[name]
@@ -162,17 +163,22 @@ def test_workload_counts_match_golden(name):
     assert {key: observed[key] for key in expected} == expected
 
 
-@pytest.mark.parametrize("scenario", [_paxos_s55, _onepaxos_s56], ids=["s55", "s56"])
-def test_local_checker_equivalent_with_and_without_caches(scenario):
-    protocol, invariant, initial = scenario()
-
-    def make(config):
-        return LocalModelChecker(protocol, invariant, config=config)
-
-    cached = _run(make, initial, cached=True)
-    uncached = _run(make, initial, cached=False)
-    assert cached.found_bug and uncached.found_bug
-    assert _observable(cached) == _observable(uncached)
+@pytest.mark.parametrize(
+    "name",
+    [
+        pytest.param("s55_snapshot", id="s55"),
+        pytest.param("s56_onepaxos", id="s56"),
+        "paxos_opt",
+        "fig10_d6",
+        "paxos_faults",
+        "twophase_drops",
+        "paxos_sym",
+    ],
+)
+def test_local_checker_equivalent_with_and_without_caches(name):
+    """The golden test above pins the cached run's counters and bugs."""
+    cached = _run_workload(name, cached=True)
+    assert _observable(_run_workload(name, cached=False)) == _observable(cached)
 
 
 #: The parallel front-end defers soundness verification to the next buffer

@@ -409,6 +409,12 @@ class TestDepthExtension:
             assert _observable(extended) == _observable(cold[depth])
             if index + 1 < len(depths):
                 payload = load_checkpoint(path)
+        if variant == "opt":
+            # The chain pays only for what each larger bound unblocks, and its
+            # counters end equal to the deepest cold run's; the cold sweep
+            # re-pays every shallower depth from scratch.
+            cold_sweep = sum(result.stats.transitions for result in cold.values())
+            assert cold_sweep >= 1.5 * extended.stats.transitions
 
     def test_extension_to_unbounded_depth(self, tmp_path):
         reference = _checker("opt", 10).run()

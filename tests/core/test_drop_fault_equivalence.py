@@ -167,8 +167,14 @@ def test_inert_knobs_survive_checkpoint_resume_byte_identically(tmp_path):
 # -- drop-dependent bug: loss is required to break atomicity ---------------------
 
 
-def test_drop_dependent_bug_found_with_drop_witness():
-    """2PC presumed-abort atomicity breaks only under a drop schedule."""
+@pytest.mark.parametrize(
+    "reduction",
+    [{}, {"symmetry_reduction": True, "por_pruning": True}],
+    ids=["unreduced", "reduced"],
+)
+def test_drop_dependent_bug_found_with_drop_witness(reduction):
+    """2PC presumed-abort atomicity breaks only under a drop schedule, with
+    or without symmetry and commutativity reduction."""
     protocol = TimeoutTwoPhaseCommit(3)
     invariant = Atomicity()
 
@@ -180,7 +186,7 @@ def test_drop_dependent_bug_found_with_drop_witness():
     result = LocalModelChecker(
         protocol,
         invariant,
-        config=LMCConfig.optimized(drop_faults=True),
+        config=LMCConfig.optimized(drop_faults=True, **reduction),
     ).run()
     assert result.found_bug
     assert result.stats.snapshot()["fault_drops"] > 0

@@ -28,6 +28,7 @@ from typing import Any, Tuple
 
 import pytest
 
+import repro.core.explore_parallel as explore_parallel
 from repro.core.checker import LocalModelChecker
 from repro.core.checkpoint import Checkpointer, load_checkpoint
 from repro.core.config import LMCConfig
@@ -41,9 +42,8 @@ from repro.protocols.twophase import Atomicity, TimeoutTwoPhaseCommit
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_PATH = GOLDEN_DIR / "pipeline_counters.json"
 
-#: Force every round through the pool, so small spaces still cross the
-#: dispatch/merge path (same knobs as test_explore_parallel_equivalence).
-PARALLEL = dict(explore_workers=2, explore_round_threshold=1, explore_shard_min=1)
+PARALLEL = dict(explore_workers=2)
+pytestmark = pytest.mark.usefixtures("dispatch_every_round")
 
 
 @dataclass(frozen=True)
@@ -366,5 +366,6 @@ def _write_golden(tmp_dir):
 if __name__ == "__main__":
     import tempfile
 
+    explore_parallel.ROUND_THRESHOLD = explore_parallel.SHARD_MIN = 1
     with tempfile.TemporaryDirectory() as scratch:
         _write_golden(scratch)

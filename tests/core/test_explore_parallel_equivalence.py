@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.explore_parallel as explore_parallel
 import repro.core.pool as pool
 from repro.core.checker import LocalModelChecker
 from repro.core.config import LMCConfig
@@ -62,9 +63,8 @@ from repro.replay import validate_bug
 #: match the serial run exactly.
 EXCLUDED_KEYS = ("phase_", "explore_")
 
-#: Aggressive knobs: parallelize every round, shard to single items, so tiny
-#: test spaces still cross the dispatch/merge machinery many times.
-PARALLEL = dict(explore_workers=2, explore_round_threshold=1, explore_shard_min=1)
+PARALLEL = dict(explore_workers=2)
+pytestmark = pytest.mark.usefixtures("dispatch_every_round")
 
 
 def _observable(result):
@@ -146,13 +146,9 @@ class TestEquivalence:
         )
         assert replayed.complete and replayed.violates
 
-    def test_round_threshold_keeps_small_runs_serial(self):
-        result = _run(
-            EagerCommitCoordinator(3),
-            CommitValidity(),
-            explore_workers=2,
-            explore_round_threshold=10_000,
-        )
+    def test_round_threshold_keeps_small_runs_serial(self, monkeypatch):
+        monkeypatch.setattr(explore_parallel, "ROUND_THRESHOLD", 10_000)
+        result = _run(EagerCommitCoordinator(3), CommitValidity(), **PARALLEL)
         assert result.completed
         assert result.stats.explore_rounds_parallel == 0
         assert result.stats.explore_shards == 0

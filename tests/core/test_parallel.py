@@ -91,6 +91,10 @@ class TestParallelChecker:
         replayed = validate_bug(protocol, result.first_bug(), PaxosAgreement(0))
         assert replayed.complete and replayed.violates
 
+    def test_negative_worker_count_is_refused_at_construction(self):
+        with pytest.raises(ValueError, match="workers"):
+            ParallelLocalModelChecker(TreeProtocol(), ReceivedImpliesSent(), workers=-1)
+
     def test_agrees_with_sequential_on_2pc_bug(self):
         protocol = EagerCommitCoordinator(3, no_voters=(2,))
         sequential = LocalModelChecker(protocol, CommitValidity()).run()

@@ -6,6 +6,7 @@ from repro.cli import main
 from repro.core.checker import LocalModelChecker
 from repro.core.config import LMCConfig
 from repro.core.parallel import ParallelLocalModelChecker
+from repro.core.pool import resolve_workers
 from repro.explore.budget import SearchBudget
 from repro.obs.emitter import MemoryEmitter
 from repro.obs.report import TraceSummary
@@ -82,7 +83,7 @@ class TestSequentialTrace:
 
 
 class TestParallelTrace:
-    @pytest.mark.parametrize("workers", [0, 2])
+    @pytest.mark.parametrize("workers", [0, 2, None])
     def test_worker_spans_agree_with_merged_stats(self, workers):
         emitter = MemoryEmitter()
         result = ParallelLocalModelChecker(
@@ -103,7 +104,9 @@ class TestParallelTrace:
             == stats.soundness_sequences
             > 0
         )
-        assert len(spans(emitter, "dispatch")) == 1
+        (dispatch,) = spans(emitter, "dispatch")
+        # The pool size the flush used, not the request (None = every CPU).
+        assert dispatch["fields"]["workers"] == resolve_workers(workers)
         # The Fig. 13 decomposition exists in parallel mode too.
         assert "soundness" in stats.phase_seconds
         assert "explore" in stats.phase_seconds

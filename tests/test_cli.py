@@ -61,6 +61,12 @@ class TestCheckCommand:
     def test_parallel_algorithm(self, capsys):
         assert main(["check", "tree", "--algorithm", "lmc-parallel"]) == 0
 
+    def test_negative_pool_size_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["check", "tree", "--algorithm", "lmc-parallel", "--workers", "-1"])
+        assert exited.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
     def test_depth_bound_flag(self, capsys):
         assert main(["check", "echo", "--max-depth", "2"]) == 0
 

@@ -70,7 +70,8 @@ def github_slug(heading: str) -> str:
     """
     text = heading.strip().lower()
     # Strip inline code/emphasis markers but keep their contents
-    # (underscores survive: GitHub slugs `BENCH_lmc` as bench_lmc).
+    # (underscores survive: GitHub slugs `LMCConfig.explore_workers` as
+    # lmcconfigexplore_workers).
     text = text.replace("`", "").replace("*", "")
     # Markdown links in headings contribute only their text.
     text = re.sub(r"\[([^\]]*)\]\([^)]*\)", r"\1", text)
