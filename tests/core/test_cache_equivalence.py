@@ -6,7 +6,9 @@ benches print, every verdict, and every witness trace must be byte-identical
 with the caches disabled.  These tests check it in-process on the snapshot
 experiments (§5.5 Paxos and §5.6 1Paxos), for both the sequential and the
 parallel front-end, and on the benchmark workloads whose absolute counters
-``golden/workload_counts.json`` pins; the wall-clock side of the caches is
+``golden/workload_counts.json`` pins.  Those workloads also rerun with
+symmetry reduction and POR on, and one with two exploration workers at the
+shipped thresholds.  The wall-clock side of the caches is
 ``benchmarks/test_cache_speedup.py``.
 """
 
@@ -21,6 +23,7 @@ from repro.core.config import LMCConfig
 from repro.core.parallel import ParallelLocalModelChecker
 from repro.explore.budget import BudgetClock, SearchBudget
 from repro.model import hashing
+from repro.obs.emitter import MemoryEmitter
 from repro.protocols.onepaxos import OnePaxosAgreement
 from repro.protocols.onepaxos import scenarios as onepaxos_scenarios
 from repro.protocols.paxos import PaxosAgreement, PaxosProtocol
@@ -134,14 +137,19 @@ WORKLOADS = {
 }
 
 
-def _run_workload(name, cached=True):
+def _run_workload(name, cached=True, emitter=None, **extra):
     scenario, factory, budget, overrides = WORKLOADS[name]
     protocol, invariant, initial = scenario()
 
     def make(config):
-        return LocalModelChecker(protocol, invariant, budget, config)
+        return LocalModelChecker(protocol, invariant, budget, config, emitter)
 
-    return _run(make, initial, cached, factory, **overrides)
+    return _run(make, initial, cached, factory, **overrides, **extra)
+
+
+def _golden(name):
+    with open(GOLDEN_PATH, encoding="utf-8") as handle:
+        return json.load(handle)[name]
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
@@ -152,8 +160,7 @@ def test_workload_counts_match_golden(name):
     baseline this suite replaced.  A counter it predates is not drift while
     it reads zero: the schema grew, the work did not.
     """
-    with open(GOLDEN_PATH, encoding="utf-8") as handle:
-        expected = json.load(handle)[name]
+    expected = _golden(name)
     observed = _observable(_run_workload(name))
     observed["counts"] = {
         key: value
@@ -163,22 +170,58 @@ def test_workload_counts_match_golden(name):
     assert {key: observed[key] for key in expected} == expected
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        pytest.param("s55_snapshot", id="s55"),
-        pytest.param("s56_onepaxos", id="s56"),
-        "paxos_opt",
-        "fig10_d6",
-        "paxos_faults",
-        "twophase_drops",
-        "paxos_sym",
-    ],
-)
+#: The workloads each cross-mode leg below reruns: every golden workload but
+#: the slow LMC-GEN run and the other Fig. 10 depths.
+CROSS_MODE = [
+    pytest.param("s55_snapshot", id="s55"),
+    pytest.param("s56_onepaxos", id="s56"),
+    "paxos_opt",
+    "fig10_d6",
+    "paxos_faults",
+    "twophase_drops",
+    "paxos_sym",
+]
+
+
+@pytest.mark.parametrize("name", CROSS_MODE)
 def test_local_checker_equivalent_with_and_without_caches(name):
     """The golden test above pins the cached run's counters and bugs."""
     cached = _run_workload(name, cached=True)
     assert _observable(_run_workload(name, cached=False)) == _observable(cached)
+
+
+@pytest.mark.parametrize("name", CROSS_MODE)
+def test_reduction_keeps_golden_completion_and_bugs(name):
+    """Symmetry reduction and POR shrink the visit counts, never the verdict.
+
+    The witness may be its orbit's canonical representative, so only the
+    bug descriptions are compared, not the traces.
+    """
+    expected = _golden(name)
+    reduced = _run_workload(name, symmetry_reduction=True, por_pruning=True)
+    assert reduced.completed == expected["completed"]
+    assert [bug.description for bug in reduced.bugs] == expected["bugs"]
+
+
+def test_two_worker_exploration_at_default_thresholds_matches_serial():
+    """At the shipped ``ROUND_THRESHOLD`` and ``SHARD_MIN`` the early rounds
+    of three-node Paxos run serially and the later ones on the pool; the
+    mixed run must equal the serial one in everything but ``explore_*``."""
+    emitter = MemoryEmitter()
+    parallel = _run_workload("paxos_opt", emitter=emitter, explore_workers=2)
+    rounds = sum(1 for record in emitter.records if record.get("name") == "round")
+    assert 0 < parallel.stats.explore_rounds_parallel < rounds
+
+    def serial_view(result):
+        observed = _observable(result)
+        observed["counts"] = {
+            key: value
+            for key, value in observed["counts"].items()
+            if not key.startswith("explore_")
+        }
+        return observed
+
+    assert serial_view(parallel) == serial_view(_run_workload("paxos_opt"))
 
 
 #: The parallel front-end defers soundness verification to the next buffer
