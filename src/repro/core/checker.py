@@ -542,6 +542,10 @@ class _ExplorationPass:
         #: counters stay those of the per-combination walk).
         self._summary_cache: Dict[Tuple[NodeId, int], object] = {}
         self._invariant_calls = 0
+        #: The round's one ``materialise`` span: every :meth:`_check_new_state`
+        #: of a round enters it and adds its counts, and each round's end
+        #: flushes it.
+        self._materialise = self.emitter.batch_span("materialise")
         # Incremental pairwise-OPT partner index: per node, the records with
         # non-None projections, maintained as states are discovered so each
         # anchored enumeration stops rescanning every visited state.
@@ -588,6 +592,7 @@ class _ExplorationPass:
                         executions = self._round()
                         span.add(executions=executions)
                     finally:
+                        self._materialise.flush()
                         # Attribute the round's exploration time even when a
                         # stop criterion (or confirmed bug) aborts it
                         # mid-round, so the Fig. 13 phase decomposition
@@ -1135,20 +1140,22 @@ class _ExplorationPass:
         combination by combination, so every counter reads as if each
         combination had been checked.  Wall time lands in the
         ``system_states`` Fig. 13 bucket (soundness time is compensated out
-        by :meth:`_verify_and_report`); with tracing on, the batch becomes
-        one ``materialise`` span carrying the created/violation counts, the
-        invariant calls made (``tuples_checked``) and, with symmetry
-        reduction on, the combinations skipped as orbit siblings
-        (``orbit_skips``).
+        by :meth:`_verify_and_report`); with tracing on, the call adds to
+        its round's one ``materialise`` span: one anchor, its node, the
+        created/violation counts, the invariant calls made
+        (``tuples_checked``) and, with symmetry reduction on, the
+        combinations skipped as orbit siblings (``orbit_skips``).
         """
         if not self.config.create_system_states:
             return
         started = time.perf_counter()
-        created_before = self.stats.system_states_created
-        violations_before = self.stats.preliminary_violations
-        skips_before = self.stats.symmetry_skips
-        checks_before = self._invariant_calls
-        with self.emitter.span("materialise", node=new_record.node) as span:
+        traced = self.emitter.enabled
+        if traced:
+            created_before = self.stats.system_states_created
+            violations_before = self.stats.preliminary_violations
+            skips_before = self.stats.symmetry_skips
+            checks_before = self._invariant_calls
+        with self._materialise as span:
             try:
                 if isinstance(self.invariant, LocalInvariant):
                     self._check_local_invariant(new_record)
@@ -1209,15 +1216,18 @@ class _ExplorationPass:
                     else:
                         self._verify_and_report(combo)
             finally:
-                span.add(
-                    system_states=self.stats.system_states_created
-                    - created_before,
-                    violations=self.stats.preliminary_violations
-                    - violations_before,
-                    tuples_checked=self._invariant_calls - checks_before,
-                )
-                if self._symmetry is not None:
-                    span.add(orbit_skips=self.stats.symmetry_skips - skips_before)
+                if traced:
+                    span.add(
+                        anchors=1,
+                        system_states=self.stats.system_states_created
+                        - created_before,
+                        violations=self.stats.preliminary_violations
+                        - violations_before,
+                        tuples_checked=self._invariant_calls - checks_before,
+                    )
+                    span.tally("nodes", new_record.node)
+                    if self._symmetry is not None:
+                        span.add(orbit_skips=self.stats.symmetry_skips - skips_before)
                 self.stats.add_phase_time(
                     "system_states", time.perf_counter() - started
                 )

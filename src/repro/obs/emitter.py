@@ -3,11 +3,13 @@
 A trace is a flat stream of JSON records, one per line.  Three kinds:
 
 ``span``
-    A named, timed region — an exploration round, a system-state
-    materialisation batch, one soundness call, one worker verification.
+    A named, timed region — an exploration round, a round's system-state
+    materialisation, one soundness call, one worker verification.
     Spans carry ``id``/``parent`` so nested regions reconstruct into a
     tree; a span record is written when the region *ends* and its ``ts``
-    is the region's start, so sorting by ``ts`` yields causal order.
+    is the region's start, so sorting by ``ts`` yields causal order.  A
+    batched span (:meth:`TraceEmitter.batch_span`) is one record for many
+    short entries into a region, written when its owner flushes it.
 ``event``
     A point-in-time occurrence (a bug confirmation, a run ending).
 ``metric``
@@ -33,7 +35,7 @@ import time
 from typing import Any, Callable, Dict, List, Optional, TextIO, Union
 
 #: Schema version stamped on the trace header event.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class _Span:
@@ -84,12 +86,98 @@ class _Span:
         )
 
 
+class _BatchSpan:
+    """One span record standing for many short entries into the same region.
+
+    Each ``with`` entry pushes the span's id onto the nesting stack while
+    it runs, so spans opened inside nest under it; the first entry after a
+    flush reserves the id and fixes ``ts`` and ``parent``.  :meth:`add`
+    sums counts across entries, ``dur_s`` is the summed time inside
+    entries, and :meth:`flush` writes the one record — nothing if no entry
+    happened.
+    """
+
+    __slots__ = (
+        "_emitter", "name", "span_id", "parent", "fields", "_first", "_start", "_dur"
+    )
+
+    def __init__(self, emitter: "TraceEmitter", name: str):
+        self._emitter = emitter
+        self.name = name
+        self._start = 0.0
+        self._reset()
+
+    def _reset(self) -> None:
+        self.span_id: Optional[int] = None
+        self.parent: Optional[int] = None
+        self.fields: Dict[str, Any] = {}
+        self._first = self._dur = 0.0
+
+    def add(self, **deltas: int) -> None:
+        """Add each count to the field of that name."""
+        fields = self.fields
+        for key, value in deltas.items():
+            fields[key] = fields.get(key, 0) + value
+
+    def tally(self, key: str, label: object) -> None:
+        """Count one entry under ``label`` in the per-label field ``key``."""
+        counts = self.fields.setdefault(key, {})
+        label = str(label)  # the same keys in memory as after a JSON round trip
+        counts[label] = counts.get(label, 0) + 1
+
+    def __enter__(self) -> "_BatchSpan":
+        emitter = self._emitter
+        self._start = time.perf_counter()
+        if self.span_id is None:
+            self.span_id = emitter._next_id
+            emitter._next_id += 1
+            self.parent = emitter._stack[-1] if emitter._stack else None
+            self._first = self._start
+        emitter._stack.append(self.span_id)
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._dur += time.perf_counter() - self._start
+        stack = self._emitter._stack
+        if stack and stack[-1] == self.span_id:
+            stack.pop()
+
+    def flush(self) -> None:
+        """Write the span's record if it was entered at all, and start afresh.
+
+        The next entry after a flush reserves a new id: one object serves a
+        sequence of batches, such as a pass's rounds.
+        """
+        if self.span_id is None:
+            return
+        emitter = self._emitter
+        emitter._write_record(
+            {
+                "ts": self._first - emitter._origin,
+                "pid": os.getpid(),
+                "kind": "span",
+                "name": self.name,
+                "id": self.span_id,
+                "parent": self.parent,
+                "dur_s": self._dur,
+                "fields": self.fields,
+            }
+        )
+        self._reset()
+
+
 class _NullSpan:
     """Shared no-op span: the entire cost of a disabled instrumentation point."""
 
     __slots__ = ()
 
     def add(self, **fields: Any) -> None:
+        pass
+
+    def tally(self, key: str, label: object) -> None:
+        pass
+
+    def flush(self) -> None:
         pass
 
     def __enter__(self) -> "_NullSpan":
@@ -127,6 +215,10 @@ class TraceEmitter:
         self._next_id += 1
         parent = self._stack[-1] if self._stack else None
         return _Span(self, name, span_id, parent, fields)
+
+    def batch_span(self, name: str) -> Union[_BatchSpan, _NullSpan]:
+        """One span record for many entries into a region (see :class:`_BatchSpan`)."""
+        return _BatchSpan(self, name)
 
     def emit_span(
         self,
@@ -208,6 +300,9 @@ class NullEmitter(TraceEmitter):
         self._closed = False
 
     def span(self, name: str, **fields: Any) -> _NullSpan:
+        return _NULL_SPAN
+
+    def batch_span(self, name: str) -> _NullSpan:
         return _NULL_SPAN
 
     def emit_span(self, name, dur_s, fields=None, pid=None) -> None:

@@ -11,7 +11,8 @@ alone:
   and sequences examined, aggregated over ``soundness`` and
   ``worker_verify`` spans (so sequential and parallel runs read the same);
 * the LMC-GEN summary line — invariant calls against the system states
-  they covered, from the ``materialise`` spans' ``tuples_checked``;
+  they covered, from the ``materialise`` spans' ``tuples_checked`` (one
+  span per anchor in schema-1 traces, one per round in schema 2);
 * span counts/durations per name, final counters, and per-worker totals
   for multiprocess runs.
 
@@ -166,7 +167,8 @@ class TraceSummary:
     def materialise_profile(self) -> Dict[str, int]:
         """Invariant calls against system states over ``materialise`` spans.
 
-        Summarised LMC-GEN checks one combination per distinct summary
+        Sums per-anchor spans (schema 1) and per-round spans (schema 2)
+        alike.  Summarised LMC-GEN checks one combination per distinct summary
         tuple and counts the rest, so ``tuples_checked`` falls below
         ``system_states``; a per-combination walk has the two equal.
         When a symmetry reducer ran (its spans carry ``orbit_skips``), the
@@ -405,10 +407,16 @@ class TraceSummary:
         return "\n\n".join(sections)
 
     def _span_rows(self) -> List[tuple]:
+        """Count and total seconds per span name.
+
+        A schema-2 ``materialise`` span stands for a round's ``anchors``
+        node states, so it counts as that many, the one span per anchor a
+        schema-1 trace carries.
+        """
         totals: Dict[str, List[float]] = {}
         for span in self.spans():
             entry = totals.setdefault(span.get("name", "?"), [0, 0.0])
-            entry[0] += 1
+            entry[0] += int(span.get("fields", {}).get("anchors", 1))
             entry[1] += float(span.get("dur_s", 0.0))
         return [
             (name, int(count), seconds)

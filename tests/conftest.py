@@ -1,8 +1,9 @@
 """Shared expensive fixtures: full explorations of the Fig. 10 Paxos space.
 
 Several test modules compare algorithms on the paper's single-proposal
-space; the full B-DFS exploration alone takes tens of seconds, so the runs
-happen once per session and are shared read-only.
+space, so the full LMC-GEN and LMC-OPT runs happen once per session and
+are shared read-only.  The B-DFS baseline on that space takes tens of
+seconds and lives in ``benchmarks/`` (``test_s51_transition_counts``).
 """
 
 import pytest
@@ -23,8 +24,6 @@ def _isolated_runs_root(monkeypatch, tmp_path_factory):
         RUNS_ROOT_ENV, str(tmp_path_factory.mktemp("lmc-runs"))
     )
 from repro.core.config import LMCConfig
-from repro.explore.budget import SearchBudget
-from repro.explore.global_checker import GlobalModelChecker
 from repro.protocols.paxos import PaxosAgreement, PaxosProtocol
 
 
@@ -40,15 +39,6 @@ def dispatch_every_round():
 
 def paxos_space():
     return PaxosProtocol(num_nodes=3, proposals=((0, 0, "v0"),)), PaxosAgreement(0)
-
-
-@pytest.fixture(scope="session")
-def paxos_bdfs_full():
-    """Complete B-DFS exploration of the single-proposal space (slow)."""
-    protocol, invariant = paxos_space()
-    return GlobalModelChecker(
-        protocol, invariant, budget=SearchBudget(max_seconds=600)
-    ).run()
 
 
 @pytest.fixture(scope="session")

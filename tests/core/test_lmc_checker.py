@@ -246,15 +246,6 @@ class TestSeriesAndStats:
         memory = paxos_gen_full.series.column("memory_bytes")
         assert memory[0] < memory[-1]
 
-    def test_transition_count_far_below_global(
-        self, paxos_bdfs_full, paxos_opt_full
-    ):
-        # §5.1: B-DFS executes two orders of magnitude more transitions.
-        assert (
-            paxos_bdfs_full.stats.transitions
-            > 50 * paxos_opt_full.stats.transitions
-        )
-
     def test_live_state_violation_reported_immediately(self):
         # A snapshot that already violates is a sound bug with empty trace.
         protocol = TreeProtocol()

@@ -10,6 +10,7 @@ import pytest
 
 import repro.core.soundness as soundness
 from repro.core.checker import LocalModelChecker
+from repro.core.checkpoint import Checkpointer, load_checkpoint
 from repro.core.config import LMCConfig
 from repro.core.parallel import ParallelLocalModelChecker
 from repro.explore.budget import SearchBudget
@@ -21,7 +22,12 @@ from repro.protocols.onepaxos import OnePaxosAgreement
 from repro.protocols.onepaxos import scenarios as onepaxos_scenarios
 from repro.protocols.paxos import PaxosAgreement, PaxosProtocol
 from repro.protocols.paxos.scenarios import partial_choice_state, scenario_protocol
-from repro.protocols.twophase import Atomicity, TimeoutTwoPhaseCommit
+from repro.protocols.twophase import (
+    Atomicity,
+    CommitValidity,
+    EagerCommitCoordinator,
+    TimeoutTwoPhaseCommit,
+)
 from tests.core.test_summarised_gen import walked
 
 #: Phase timers are wall-clock and excluded, as in the cache-equivalence gate.
@@ -301,3 +307,120 @@ def test_symmetry_reduced_gen_coverage_counts_equal_with_tracing_on_and_off():
     assert sum(span["system_states"] for span in spans) == plain.stats.system_states_created
     skips = sum(span["orbit_skips"] for span in spans)
     assert skips == plain.stats.symmetry_skips > 0
+
+
+# -- one ``materialise`` span per round ---------------------------------------
+
+
+def _round_spans_reconcile(records, stats):
+    """Each round has at most one ``materialise`` span, nested under it, with
+    every soundness call of the round nested under that span, and the spans'
+    summed counts equal the run's counters.  Returns the spans by name."""
+    spans = {}
+    for record in records:
+        if record["kind"] == "span":
+            spans.setdefault(record["name"], []).append(record)
+    rounds = {span["id"] for span in spans["round"]}
+    materialise = spans["materialise"]
+    parents = [span["parent"] for span in materialise]
+    assert len(parents) == len(set(parents))
+    assert set(parents) <= rounds
+    batches = {span["id"] for span in materialise}
+    passes = {span["id"] for span in spans["pass"]}
+    assert all(span["parent"] in batches for span in spans.get("soundness", ()))
+    # A deferred buffer flushes inside a round's batch or, at the pass's
+    # end, under the pass.
+    assert all(span["parent"] in batches | passes for span in spans.get("dispatch", ()))
+    fields = [span["fields"] for span in materialise]
+    assert sum(f["system_states"] for f in fields) == stats.system_states_created
+    assert sum(f["violations"] for f in fields) == stats.preliminary_violations
+    assert sum(f.get("orbit_skips", 0) for f in fields) == stats.symmetry_skips
+    assert all(f["anchors"] == sum(f["nodes"].values()) for f in fields)
+    return spans
+
+
+def _s55_opt(stop_on_first_bug):
+    def run(emitter=None):
+        protocol, invariant, initial = _paxos_s55()
+        budget = SearchBudget() if stop_on_first_bug else SearchBudget(max_transitions=760)
+        config = LMCConfig.optimized(stop_on_first_bug=stop_on_first_bug)
+        return LocalModelChecker(
+            protocol, invariant, budget, config, emitter=emitter
+        ).run(initial)
+
+    return run
+
+
+def _summarised_gen_with_symmetry(emitter=None):
+    return LocalModelChecker(
+        PaxosProtocol(num_nodes=3, proposals=((0, 0, "v0"),)),
+        PaxosAgreement(0),
+        SearchBudget(max_depth=3),
+        LMCConfig.general(symmetry_reduction=True),
+        emitter=emitter,
+    ).run()
+
+
+def _deferred_verification(emitter=None):
+    protocol, invariant, initial = _paxos_s55()
+    # The buffer fills (2,048 violations) inside a round's batch, and the
+    # flush confirms the first bug there.
+    return ParallelLocalModelChecker(
+        protocol, invariant, SearchBudget(), LMCConfig.optimized(), workers=0, emitter=emitter
+    ).run(initial)
+
+
+def _extended_from_checkpoint(tmp_path):
+    def run(emitter=None):
+        # One emitter for both legs: the extended run's counters include the
+        # checkpointed leg's, and so does the trace.
+        path = str(tmp_path / f"d3-{emitter is None}.json")
+
+        def checker(depth, **extra):
+            return LocalModelChecker(
+                EagerCommitCoordinator(3, no_voters=(2,)),
+                CommitValidity(),
+                SearchBudget(max_depth=depth),
+                LMCConfig.optimized(stop_on_first_bug=False),
+                emitter=emitter,
+                **extra,
+            )
+
+        checker(3, checkpointer=Checkpointer(path)).run()
+        return checker(5).extend_depth(load_checkpoint(path))
+
+    return run
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["s55-first-bug", "s55@760-all-bugs", "gen-symmetry", "deferred", "extend-depth"],
+)
+def test_one_materialise_span_per_round(case, tmp_path):
+    run = {
+        "s55-first-bug": _s55_opt(True),
+        "s55@760-all-bugs": _s55_opt(False),
+        "gen-symmetry": _summarised_gen_with_symmetry,
+        "deferred": _deferred_verification,
+        "extend-depth": _extended_from_checkpoint(tmp_path),
+    }[case]
+    plain = run()
+    emitter = MemoryEmitter()
+    traced = run(emitter)
+    assert _observable(plain) == _observable(traced)
+    spans = _round_spans_reconcile(emitter.records, traced.stats)
+    assert traced.stats.system_states_created > 0
+    if case == "s55-first-bug":
+        # The confirming soundness call cut its round short; the round's
+        # span was still written, and holds that call.
+        assert traced.found_bug and traced.stop_reason == "bug found"
+        last_round = spans["round"][-1]["id"]
+        cut = [span for span in spans["materialise"] if span["parent"] == last_round]
+        assert len(cut) == 1
+        assert spans["soundness"][-1]["parent"] == cut[0]["id"]
+    if case == "deferred":
+        assert traced.found_bug and spans["dispatch"]
+    if case == "gen-symmetry":
+        assert traced.stats.symmetry_skips > 0
+    if case in ("s55@760-all-bugs", "extend-depth"):
+        assert traced.stats.preliminary_violations > 0 and spans["soundness"]

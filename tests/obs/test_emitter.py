@@ -21,7 +21,7 @@ class TestMemoryEmitter:
         emitter = MemoryEmitter()
         assert emitter.records[0]["kind"] == "event"
         assert emitter.records[0]["name"] == "trace_start"
-        assert emitter.records[0]["fields"]["schema"] == 1
+        assert emitter.records[0]["fields"]["schema"] == 2
 
     def test_span_record_shape(self):
         emitter = MemoryEmitter()
@@ -97,6 +97,52 @@ class TestMemoryEmitter:
         assert kinds.count("metric") == 1
         assert emitter.records[-1]["fields"] == {"transitions": 7, "depth": 2}
 
+    def test_batch_span_is_one_record_for_many_entries(self):
+        emitter = MemoryEmitter()
+        with emitter.span("round") as round_span:
+            batch = emitter.batch_span("materialise")
+            for node in (0, 1, 0):
+                with batch as entry:
+                    with emitter.span("soundness"):
+                        pass
+                    entry.add(anchors=1, system_states=2)
+                    entry.tally("nodes", node)
+            batch.flush()
+        spans = [r for r in emitter.records if r["kind"] == "span"]
+        assert [r["name"] for r in spans] == ["soundness"] * 3 + ["materialise", "round"]
+        materialise = spans[3]
+        assert materialise["parent"] == round_span.span_id
+        assert materialise["fields"] == {
+            "anchors": 3,
+            "system_states": 6,
+            "nodes": {"0": 2, "1": 1},
+        }
+        assert all(r["parent"] == materialise["id"] for r in spans[:3])
+        assert materialise["ts"] <= spans[0]["ts"]
+        assert 0 <= materialise["dur_s"] <= spans[4]["dur_s"]
+        # A flush starts the next batch afresh, with a new id.
+        with batch as entry:
+            entry.add(anchors=1)
+        batch.flush()
+        again = emitter.records[-1]
+        assert again["fields"] == {"anchors": 1}
+        assert again["id"] > materialise["id"] and again["parent"] is None
+
+    def test_batch_span_entered_on_an_exception_still_flushes(self):
+        emitter = MemoryEmitter()
+        batch = emitter.batch_span("materialise")
+        with pytest.raises(RuntimeError):
+            with batch:
+                raise RuntimeError("stop")
+        assert emitter._stack == []
+        batch.flush()
+        assert emitter.records[-1]["name"] == "materialise"
+
+    def test_batch_span_never_entered_writes_nothing(self):
+        emitter = MemoryEmitter()
+        emitter.batch_span("materialise").flush()
+        assert [r["name"] for r in emitter.records] == ["trace_start"]
+
     def test_close_drops_later_records(self):
         emitter = MemoryEmitter()
         emitter.close()
@@ -168,10 +214,15 @@ class TestNullEmitter:
         NULL_EMITTER.emit_span("w", 0.1)
         with NULL_EMITTER.span("s") as span:
             span.add(c=3)
+        with NULL_EMITTER.batch_span("b") as batch:
+            batch.add(d=4)
+            batch.tally("nodes", 0)
+        batch.flush()
 
     def test_span_returns_shared_singleton(self):
         # No per-call allocation: the whole point of the zero-overhead claim.
         assert NullEmitter().span("a") is NullEmitter().span("b")
+        assert NullEmitter().batch_span("c") is NullEmitter().span("a")
 
     def test_null_span_overhead_is_negligible(self):
         emitter = NullEmitter()

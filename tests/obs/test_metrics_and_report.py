@@ -294,3 +294,65 @@ class TestTraceSummary:
             "130,318 combinations skipped as orbit siblings"
             in TraceSummary(reduced).render()
         )
+
+    def test_per_anchor_and_per_round_materialise_spans_read_the_same(self):
+        """A schema-1 trace (one span per anchor) and the schema-2 trace of
+        the same run (one span per round, counting its ``anchors``) give the
+        same profile, GEN line and span count."""
+
+        def span(ts, dur_s, fields):
+            return {
+                "ts": ts,
+                "pid": 1,
+                "kind": "span",
+                "name": "materialise",
+                "dur_s": dur_s,
+                "fields": fields,
+            }
+
+        anchors = [(0, 1, 40, 10), (1, 2, 500, 60), (0, 3, 9000, 20), (2, 1, 8, 8)]
+        per_anchor = _trace_records() + [
+            span(
+                0.4 + index / 100,
+                0.25,
+                {
+                    "node": node,
+                    "tuples_checked": tuples,
+                    "system_states": states,
+                    "violations": 0,
+                    "orbit_skips": skips,
+                },
+            )
+            for index, (node, tuples, states, skips) in enumerate(anchors)
+        ]
+
+        def per_round(batch):
+            return {
+                "anchors": len(batch),
+                "tuples_checked": sum(tuples for _, tuples, _, _ in batch),
+                "system_states": sum(states for _, _, states, _ in batch),
+                "violations": 0,
+                "orbit_skips": sum(skips for *_, skips in batch),
+                "nodes": {
+                    str(node): sum(1 for other, *_ in batch if other == node)
+                    for node, *_ in batch
+                },
+            }
+
+        per_round_records = _trace_records() + [
+            span(0.4, 0.5, per_round(anchors[:2])),
+            span(0.5, 0.5, per_round(anchors[2:])),
+        ]
+        v1, v2 = TraceSummary(per_anchor), TraceSummary(per_round_records)
+        assert v1.materialise_profile() == v2.materialise_profile() == {
+            "tuples_checked": 7,
+            "system_states": 9548,
+            "orbit_skips": 98,
+        }
+        gen = (
+            "GEN: 7 tuples checked covering 9,548 system states; "
+            "98 combinations skipped as orbit siblings"
+        )
+        assert gen in v1.render() and gen in v2.render()
+        assert v1._span_rows() == v2._span_rows()
+        assert ("materialise", 4, 1.0) in v2._span_rows()
