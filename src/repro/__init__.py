@@ -19,7 +19,6 @@ Quickstart::
 """
 
 from repro.core.checker import LocalModelChecker
-from repro.core.parallel import ParallelLocalModelChecker
 from repro.core.config import LMCConfig
 from repro.explore.budget import SearchBudget
 from repro.explore.global_checker import GlobalModelChecker
@@ -44,7 +43,6 @@ __all__ = [
     "LocalModelChecker",
     "MemoryEmitter",
     "NullEmitter",
-    "ParallelLocalModelChecker",
     "ReplayOutcome",
     "SearchBudget",
     "TraceEmitter",

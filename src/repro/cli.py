@@ -27,12 +27,11 @@ import argparse
 import dataclasses
 import os
 import sys
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NoReturn, Optional, Tuple, Type
 
 from repro.core.checker import LocalModelChecker
 from repro.core.checkpoint import Checkpointer, CheckpointError, load_checkpoint
 from repro.core.config import LMCConfig
-from repro.core.parallel import ParallelLocalModelChecker
 from repro.explore.budget import SearchBudget
 from repro.explore.global_checker import GlobalModelChecker
 from repro.invariants.base import Invariant
@@ -176,14 +175,6 @@ def worker_count(text: str) -> Optional[int]:
     CPUs — ``None``, which repro.core.pool.resolve_workers turns into one."""
     count = int(text)
     return None if count < 0 else count
-
-
-def pool_size(text: str) -> int:
-    """Parse ``--workers``: a count of at least 0 (where 0 means all CPUs)."""
-    count = int(text)
-    if count < 0:
-        raise argparse.ArgumentTypeError(f"workers must be >= 0, got {count}")
-    return count
 
 
 class _AppendTuple(argparse.Action):
@@ -332,8 +323,19 @@ def changed_config_flags(args: argparse.Namespace) -> List[str]:
     ]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _RaisingParser(argparse.ArgumentParser):
+    """Raises :class:`argparse.ArgumentError` where a parser would exit:
+    for an argv read back from the run registry, not typed by the user."""
+
+    def error(self, message: str) -> NoReturn:
+        raise argparse.ArgumentError(None, message)
+
+
+def build_parser(
+    parser_class: Type[argparse.ArgumentParser] = argparse.ArgumentParser,
+) -> argparse.ArgumentParser:
+    """The ``repro`` command line; ``parser_class`` builds every subparser too."""
+    parser = parser_class(
         prog="repro",
         description="Local model checking without the network (NSDI'11)",
     )
@@ -391,23 +393,13 @@ def build_parser() -> argparse.ArgumentParser:
         command.add_argument("workload", choices=sorted(WORKLOADS))
         command.add_argument(
             "--algorithm",
-            choices=("bdfs", "lmc-gen", "lmc-opt", "lmc-parallel"),
+            choices=("bdfs", "lmc-gen", "lmc-opt"),
             default="lmc-opt",
         )
         command.add_argument("--nodes", type=int, default=3)
         command.add_argument("--buggy", action="store_true")
         command.add_argument("--max-seconds", type=float, default=None)
         command.add_argument("--max-depth", type=int, default=None)
-        command.add_argument(
-            "--workers",
-            type=pool_size,
-            default=0,
-            metavar="N",
-            help="pool workers verifying soundness under --algorithm "
-            "lmc-parallel; here 0 (the default) means all CPUs — unlike "
-            "--explore-workers, where 0 means serial, and unlike the library's "
-            "ParallelLocalModelChecker(workers=0), which verifies in-process",
-        )
         add_config_flags(command)
         command.add_argument(
             "--checkpoint-every",
@@ -602,7 +594,7 @@ def run_check(
     if checkpoint_path or checkpoint_every or extend_from or resume_from:
         if args.algorithm == "bdfs":
             raise CheckpointError(
-                "checkpoints require --algorithm lmc-gen, lmc-opt or lmc-parallel"
+                "checkpoints require --algorithm lmc-gen or lmc-opt"
             )
         if checkpoint_path is None:
             checkpoint_path = (
@@ -625,12 +617,7 @@ def run_check(
         coverage=coverage,
         checkpointer=checkpointer,
     )
-    if args.algorithm == "lmc-parallel":
-        checker = ParallelLocalModelChecker(
-            protocol, invariant, workers=args.workers or None, **lmc_kwargs
-        )
-    else:
-        checker = LocalModelChecker(protocol, invariant, **lmc_kwargs)
+    checker = LocalModelChecker(protocol, invariant, **lmc_kwargs)
     if resume_from:
         result = checker.resume(load_checkpoint(resume_from))
     elif extend_from:
@@ -730,7 +717,15 @@ def _prepare_resume(
             file=sys.stderr,
         )
         return None
-    saved_args = build_parser().parse_args(saved_argv)
+    try:
+        saved_args = build_parser(_RaisingParser).parse_args(saved_argv)
+    except argparse.ArgumentError as exc:
+        print(
+            f"error: run {record.run_id} was recorded with arguments this "
+            f"version rejects: {exc}",
+            file=sys.stderr,
+        )
+        return None
     if saved_args.command not in ("check", "trace"):
         print(
             f"error: run {record.run_id} ran `{saved_args.command}`, "
@@ -1017,9 +1012,9 @@ def main(argv: Optional[list] = None) -> int:
             result = run_check(args, emitter, run_handle, coverage)
         else:
             result = run_scenario(args, emitter, run_handle, coverage)
-        # End-of-run bookkeeping: the merged final counters (which, for a
-        # parallel run, only exist after the fan-out) and a closing event,
-        # so trace-report always has an authoritative last metric record.
+        # End-of-run bookkeeping: the merged final counters and a closing
+        # event, so trace-report always has an authoritative last metric
+        # record.
         emitter.metric(**result.stats.snapshot())
         emitter.event(
             "run_end",

@@ -1,7 +1,6 @@
 """The paper's contribution: the local model checker (LMC)."""
 
 from repro.core.checker import LocalModelChecker
-from repro.core.parallel import ParallelLocalModelChecker
 from repro.core.config import LMCConfig
 from repro.core.records import LocalStateSpace, NodeStateRecord, PredecessorLink
 from repro.core.soundness import SoundnessVerifier, replay_sequences
@@ -14,7 +13,6 @@ from repro.core.system_states import (
 __all__ = [
     "LMCConfig",
     "LocalModelChecker",
-    "ParallelLocalModelChecker",
     "LocalStateSpace",
     "NodeStateRecord",
     "PredecessorLink",

@@ -132,12 +132,6 @@ from repro.stats.series import DepthSeries
 #: How many handler executions between wall-clock budget checks.
 _BUDGET_CHECK_INTERVAL = 256
 
-#: Preliminary violations a deferring checker buffers before it verifies
-#: them (:meth:`_ExplorationPass._flush_unverified`).  A flush costs one pool
-#: round trip, so the buffer is large; it is bounded so that a run with many
-#: violations holds at most this many unverified combinations.
-DEFERRED_BUFFER_LIMIT = 2048
-
 #: LRU bound on the ``reverify_rejected`` combination cache; evictions trade
 #: the §4.2 completeness patch back for bounded memory on long online runs
 #: and are surfaced as ``rejected_cache_evictions``.
@@ -155,10 +149,6 @@ MAX_COMPLETIONS_PER_LOCAL_VIOLATION = 64
 #: remaining nodes to build per conflicting pair of node states.
 MAX_COMPLETIONS_PER_CONFLICT = 128
 
-#: Stop reason of a SIGTERM-interrupted pass.  Its checkpoint carries the
-#: deferred buffer, which the resumed run verifies — so this run must not.
-_INTERRUPTED = "interrupted (checkpoint written)"
-
 
 class _StopSearch(Exception):
     """Internal control flow: a stop criterion fired mid-exploration."""
@@ -171,11 +161,6 @@ class _StopSearch(Exception):
 
 class LocalModelChecker:
     """Local model checking with a-posteriori soundness verification."""
-
-    #: Whether a pass buffers preliminary violations and hands them, a buffer
-    #: at a time, to :meth:`verify_deferred` instead of verifying each inline.
-    #: Set by :class:`~repro.core.parallel.ParallelLocalModelChecker`.
-    defers_verification = False
 
     def __init__(
         self,
@@ -230,16 +215,6 @@ class LocalModelChecker:
             declared_messages=declared_message_types(self.protocol),
             declared_actions=declared_action_names(self.protocol),
         )
-
-    def verify_deferred(
-        self, run_pass: "_ExplorationPass", combos: List[Combination]
-    ) -> List[Optional[Tuple[Event, ...]]]:
-        """Verify a flushed buffer: one witness, or ``None``, per combination.
-
-        Here, one inline call each — what a sequential checker resuming a
-        deferring checker's checkpoint does with the buffer it inherits.
-        """
-        return [run_pass.verifier.is_state_sound(combo) for combo in combos]
 
     def run(self, initial_system: Optional[SystemState] = None) -> CheckResult:
         """Explore from ``initial_system`` (default: protocol initial state).
@@ -380,7 +355,7 @@ class LocalModelChecker:
                 with self.emitter.span(
                     "pass", algorithm=self.algorithm, local_event_bound=bound
                 ) as pass_span:
-                    pass_outcome = run_pass.finish(run_pass.execute())
+                    pass_outcome = run_pass.execute()
                     pass_span.add(
                         stop_reason=pass_outcome.reason,
                         transitions=run_pass.stats.transitions,
@@ -444,12 +419,6 @@ class _ExplorationPass:
 
         self.stats = ExplorationStats()
         self.bugs: List[BugReport] = []
-        #: The deferred-verification buffer (``checker.defers_verification``):
-        #: violating combinations awaiting the next flush, deduplicated —
-        #: pairwise OPT enumeration can produce the same full combination
-        #: through different conflicting pairs.
-        self.unverified: List[Combination] = []
-        self._unverified_keys: set = set()
         self.series = DepthSeries(checker.algorithm)
         self.space = LocalStateSpace(self.protocol.node_ids())
         self.network = MonotonicNetwork(self.config.duplicate_limit)
@@ -637,7 +606,9 @@ class _ExplorationPass:
                     )
                     self._heartbeat_now()
                     if interrupted:
-                        raise _StopSearch(_INTERRUPTED, completed=False)
+                        raise _StopSearch(
+                            "interrupted (checkpoint written)", completed=False
+                        )
         except _StopSearch as stop:
             return _PassOutcome(
                 stopped=True, completed=stop.completed, reason=stop.reason
@@ -664,23 +635,6 @@ class _ExplorationPass:
                 if self._symmetry is not None:
                     payload.update(self._symmetry.summary())
                 self.emitter.event("reduction", **payload)
-
-    def finish(self, outcome: _PassOutcome) -> _PassOutcome:
-        """Verify what the deferred buffer still holds once the pass has ended.
-
-        Budget stops included — the violations were found within budget and
-        dropping them would be a silent completeness hole.  A confirmation
-        under ``stop_on_first_bug`` turns the outcome into a "bug found" stop.
-        """
-        if not self.unverified or outcome.reason == _INTERRUPTED:
-            return outcome
-        try:
-            self._flush_unverified(in_materialise=False)
-        except _StopSearch as stop:
-            outcome = _PassOutcome(True, stop.completed, stop.reason)
-        # The series must end on the run's final counters.
-        self._record_depth_sample(force=True)
-        return outcome
 
     def _seed(self) -> None:
         """Install the live state (Fig. 9 lines 2-4): seed each ``LS_n``.
@@ -1211,10 +1165,7 @@ class _ExplorationPass:
                     self.stats.preliminary_violations += 1
                     if not self.config.verify_soundness:
                         continue
-                    if self.checker.defers_verification:
-                        self._defer(combo)
-                    else:
-                        self._verify_and_report(combo)
+                    self._verify_and_report(combo)
             finally:
                 if traced:
                     span.add(
@@ -1273,9 +1224,8 @@ class _ExplorationPass:
         point in the §4.2 creation spectrum.  A violating node state is a
         bug iff *some* valid system state contains it, so confirmation
         still searches completions of the other nodes' states through
-        soundness verification — inline even in a deferring checker: the
-        search stops at the first completion that confirms, so there is no
-        batch to fan out.
+        soundness verification, stopping at the first completion that
+        confirms.
         """
         assert isinstance(self.invariant, LocalInvariant)
         self.stats.invariant_checks += 1
@@ -1314,71 +1264,36 @@ class _ExplorationPass:
 
         Fig. 9 lines 13-16: the a-posteriori check that makes LMC sound
         (§4.1).  Callers skip it with ``verify_soundness`` off (the Fig. 13
-        "LMC-system-state" configuration: violations are only counted).
-        """
-        started = time.perf_counter()
-        try:
-            self._settle(combo, self.verifier.is_state_sound(combo))
-        finally:
-            self._charge_soundness(time.perf_counter() - started)
-
-    def _defer(self, combo: Combination) -> None:
-        """Buffer a preliminary violation; verify the buffer when it fills."""
-        key = tuple((node, record.index) for node, record in sorted(combo.items()))
-        if key in self._unverified_keys:
-            return
-        self._unverified_keys.add(key)
-        self.unverified.append(dict(combo))
-        if len(self.unverified) >= DEFERRED_BUFFER_LIMIT:
-            self._flush_unverified()
-
-    def _flush_unverified(self, in_materialise: bool = True) -> None:
-        """Verify the deferred buffer through the checker and settle each verdict.
-
-        Verdicts are settled in buffer (discovery) order, so bugs are
-        reported in the order the inline checker reports them; a
-        ``stop_on_first_bug`` stop discards the verdicts after the first
-        confirmation.
-        """
-        combos, self.unverified = self.unverified, []
-        self._unverified_keys.clear()
-        started = time.perf_counter()
-        try:
-            witnesses = self.checker.verify_deferred(self, combos)
-            for combo, witness in zip(combos, witnesses):
-                self._settle(combo, witness)
-        finally:
-            self._charge_soundness(time.perf_counter() - started, in_materialise)
-
-    def _settle(self, combo: Combination, witness: Optional[Tuple[Event, ...]]) -> None:
-        """Act on one soundness verdict: report a bug, or remember a rejection."""
-        if witness is None and self._symmetry is not None:
-            # Orbit-aware fallback (docs/REDUCTION.md): the enumerated
-            # representative of a violating orbit may fail replay while a
-            # sibling — reached through differently-named nodes, so with a
-            # differently-shaped predecessor DAG — carries the valid
-            # ordering.  Confirming any sibling confirms the orbit; the
-            # sibling's own (violating, by equivariance) system state is
-            # reported so the witness replays against it.
-            for variant in self._symmetry.orbit_variants(self.space, combo):
-                witness = self.verifier.is_state_sound(variant)
-                if witness is not None:
-                    combo = variant
-                    break
-        if witness is not None:
-            self._report_bug(combination_to_system_state(combo), witness)
-        elif self.config.reverify_rejected:
-            self._cache_rejected(combo)
-
-    def _charge_soundness(self, seconds: float, in_materialise: bool = True) -> None:
-        """Book verification wall time into the Fig. 13 ``soundness`` phase.
+        "LMC-system-state" configuration: violations are only counted).  A
+        rejection is remembered for ``reverify_rejected``.
 
         The enclosing :meth:`_check_new_state` measures its whole wall time
-        into ``system_states``; verification that ran inside it is moved out
-        so the phases stay disjoint.
+        into the Fig. 13 ``system_states`` phase; the verification's share
+        is moved into ``soundness`` so the phases stay disjoint.
         """
-        self.stats.add_phase_time("soundness", seconds)
-        if in_materialise:
+        started = time.perf_counter()
+        try:
+            witness = self.verifier.is_state_sound(combo)
+            if witness is None and self._symmetry is not None:
+                # Orbit-aware fallback (docs/REDUCTION.md): the enumerated
+                # representative of a violating orbit may fail replay while a
+                # sibling — reached through differently-named nodes, so with
+                # a differently-shaped predecessor DAG — carries the valid
+                # ordering.  Confirming any sibling confirms the orbit; the
+                # sibling's own (violating, by equivariance) system state is
+                # reported so the witness replays against it.
+                for variant in self._symmetry.orbit_variants(self.space, combo):
+                    witness = self.verifier.is_state_sound(variant)
+                    if witness is not None:
+                        combo = variant
+                        break
+            if witness is not None:
+                self._report_bug(combination_to_system_state(combo), witness)
+            elif self.config.reverify_rejected:
+                self._cache_rejected(combo)
+        finally:
+            seconds = time.perf_counter() - started
+            self.stats.add_phase_time("soundness", seconds)
             self.stats.add_phase_time("system_states", -seconds)
 
     def _report_bug(self, system: SystemState, trace: Tuple[Event, ...]) -> None:

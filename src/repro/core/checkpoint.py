@@ -23,10 +23,11 @@ flags), the full ``I+`` log (message values, hashes, cursors, deferred
 pairs, fault-minted duplicate flags), all exploration counters and phase
 timers, the per-node sweep and fault cursors (including the drop sweep's
 cursor/deferred pairs and the duplication cursor), the depth series,
-confirmed bugs, the deferred-verification buffer (``unverified``: violations
-a :class:`~repro.core.parallel.ParallelLocalModelChecker` pass has found but
-not yet verified) and the rejected-combination cache, symmetry-reduction
-orbit keys, and the widening/prior-pass context of the enclosing run.
+confirmed bugs and the rejected-combination cache, symmetry-reduction orbit
+keys, and the widening/prior-pass context of the enclosing run.  Every
+preliminary violation is verified inline, so ``unverified`` is always
+written empty; a non-empty one was written mid-buffer by a retired checker
+that deferred verification, and :func:`load_checkpoint` refuses it.
 
 What is deliberately *not* serialized, because it is derived state rebuilt
 on demand: the soundness verifier's sequence/replay memos (cold memos only
@@ -390,7 +391,7 @@ def snapshot_pass(
                 for sample in pass_.series.samples
             ],
             "bugs": [bug_to_dict(bug) for bug in pass_.bugs],
-            "unverified": [_combo_rows(combo) for combo in pass_.unverified],
+            "unverified": [],
             "rejected": {
                 "next": pass_._rejected_next,
                 "entries": [
@@ -513,14 +514,6 @@ def restore_pass(
 
     pass_.bugs.extend(bug_from_dict(item, registry) for item in data["bugs"])
 
-    for combo_rows in data["unverified"]:
-        combo = {
-            node: pass_.space.store(node).records[index]
-            for node, index in combo_rows
-        }
-        pass_._unverified_keys.add(tuple((node, index) for node, index in combo_rows))
-        pass_.unverified.append(combo)
-
     rejected = data["rejected"]
     pass_._rejected_next = rejected["next"]
     for entry_index, combo_rows in rejected["entries"]:
@@ -605,6 +598,13 @@ def _fold(folded: Optional[Dict[str, Any]], line: Dict[str, Any]) -> Dict[str, A
         raise CheckpointError(
             f"unsupported {CHECKPOINT_KIND} version {version!r} (this reader "
             f"understands version {CHECKPOINT_FORMAT_VERSION} and version-2 files)"
+        )
+    inherited = len(line["pass"]["unverified"])
+    if inherited:
+        raise CheckpointError(
+            f"the pass carries {inherited} unverified preliminary violation(s), "
+            "written by a checker that deferred verification; this version "
+            "verifies every violation inline and cannot resume them"
         )
     marks = line.pop("marks", None)
     if (marks is None) != (folded is None):

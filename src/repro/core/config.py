@@ -54,10 +54,8 @@ class LMCConfig:
 
     #: Fig. 13 phase toggle: verify preliminary violations.  Disabled gives
     #: the "LMC-system-state" configuration: violations are counted but never
-    #: confirmed or reported.  *When* an enabled verification runs — inline,
-    #: or buffered and fanned out over the worker pool — is a property of the
-    #: checker class (:class:`~repro.core.parallel.ParallelLocalModelChecker`),
-    #: not of the configuration.
+    #: confirmed or reported.  Enabled, each violation is verified inline,
+    #: where it is found.
     verify_soundness: bool = True
 
     #: Local assertion policy (§4.2): "discard" drops the node state that the

@@ -11,8 +11,7 @@ exploits that independence **speculatively**:
    cursors will sweep, every record the local-event cursor will offer its
    internal actions, and (with faults on) every crash/restart candidate —
    and shards it across the persistent worker pool
-   (:func:`repro.core.pool.map_ordered`, shared with soundness
-   verification).
+   (:func:`repro.core.pool.map_ordered`).
 2. Workers run the expensive node-local half of the execute loop — handler
    execution plus content hashing of successor states and sends (the
    dominant cost of the explore phase) — against a per-run **replica** of

@@ -1,13 +1,13 @@
-"""The persistent worker process pool shared across checker phases.
+"""The persistent worker process pool behind parallel frontier exploration.
 
-Pooled soundness verification (:mod:`repro.core.parallel`) and parallel
-frontier exploration (:mod:`repro.core.explore_parallel`) are two clients of
-one protocol, :func:`map_ordered`: submit a generation of tasks, gather the
-results in submission order, time each task and tag it with its pid on the
-worker side, and survive one broken pool.  Both amortize the same workers'
-start-up cost; this module owns the pool's lifecycle, the
-:class:`BrokenProcessPool` recovery and the one place a worker count of
-``None`` becomes ``os.cpu_count()`` (:func:`resolve_workers`).
+Its one client, :mod:`repro.core.explore_parallel`, speaks one protocol,
+:func:`map_ordered`: submit a generation of tasks, gather the results in
+submission order, time each task and tag it with its pid on the worker
+side, and survive one broken pool.  The pool persists across rounds and
+runs, so the workers' start-up cost is paid once; this module owns the
+pool's lifecycle, the :class:`BrokenProcessPool` recovery and the one place
+a worker count of ``None`` becomes ``os.cpu_count()``
+(:func:`resolve_workers`).
 
 The pool is process-global and created lazily.  A worker-count change
 rebuilds it; a rebuild of an *already broken* pool must not wait on its dead

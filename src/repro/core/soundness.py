@@ -91,10 +91,9 @@ Deviations from the paper, both explicit and bounded:
 from __future__ import annotations
 
 from collections import OrderedDict
-from functools import partial
 from itertools import islice, product
 from math import prod
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.records import LocalStateSpace, NodeStateRecord, PredecessorLink
 from repro.model.events import Event
@@ -145,13 +144,13 @@ def plain_steps(steps: NodeSequence) -> Tuple[PlainStep, ...]:
 class CompiledSequence:
     """One node's candidate sequence, compiled once for every replay it joins.
 
-    Built where the sequence is enumerated (so once per sequence-memo entry)
-    or, worker-side, from the shipped plain steps alone (``steps`` empty):
+    Built where the sequence is enumerated, so once per sequence-memo entry:
 
+    * ``steps`` — the :class:`SequenceStep` values, which resolve a replayed
+      order back to the witness events;
     * ``plain`` — the ``(consumed, generated)`` step tuple the replay runs on;
     * ``key`` — the verifier's small int for ``(node, plain)``, this
-      sequence's share of a verdict-cache key (``None`` worker-side, where
-      nothing is cached);
+      sequence's share of a verdict-cache key;
     * ``balance`` — per message hash, how often the sequence generates it
       minus how often it consumes it;
     * ``needs`` — ``(hash, deficit)`` for every negative balance: what the
@@ -165,8 +164,8 @@ class CompiledSequence:
         self,
         node: NodeId,
         plain: Tuple[PlainStep, ...],
-        steps: NodeSequence = (),
-        key: Optional[int] = None,
+        steps: NodeSequence,
+        key: int,
     ):
         self.node = node
         self.steps = steps
@@ -233,15 +232,6 @@ def refuted_by_bound(summaries: Sequence[RecordSummary]) -> bool:
             if deficit > 0:
                 return True
     return False
-
-
-def combination_count(
-    per_node: Sequence[Sequence[CompiledSequence]], max_combinations: Optional[int]
-) -> int:
-    """How many combinations :func:`search_combinations` tries on a call
-    whose every combination is rejected: the product, capped."""
-    total = prod(len(sequences) for sequences in per_node)
-    return total if max_combinations is None else min(total, max_combinations)
 
 
 class SoundnessVerifier:
@@ -334,8 +324,13 @@ class SoundnessVerifier:
         """The uninstrumented body of :meth:`is_state_sound`.
 
         ``audit`` (tracing only) collects the span's quotient/replay counts.
-        With memoisation on, a call the record-level bound refutes skips the
-        product walk; ``memoize=False`` keeps the per-combination reference.
+        The walk takes the cross product in node order and stops at the
+        first combination the replay accepts; ``tried`` counts the
+        combinations handed to the replay — the §5.4 ``soundness_sequences``
+        unit — and never exceeds ``max_combinations``.  With memoisation on,
+        a call the record-level bound refutes skips the product walk and
+        counts the product, capped; ``memoize=False`` keeps the
+        per-combination reference.
         """
         per_node: List[List[CompiledSequence]] = []
         summaries: List[Optional[RecordSummary]] = []
@@ -348,22 +343,27 @@ class SoundnessVerifier:
             per_node.append(sequences)
             summaries.append(summary)
 
+        cap = self._max_combinations
         if self._memoize and refuted_by_bound(summaries):
-            tried = combination_count(per_node, self._max_combinations)
+            tried = prod(len(sequences) for sequences in per_node)
+            if cap is not None:
+                tried = min(tried, cap)
             self._stats.soundness_sequences += tried
             self._file_refuted(per_node, tried, audit)
             return None
         replay = self._replay if self._memoize else replay_compiled
-        if audit is not None:
-            replay = partial(replay, audit=audit)
-        combo, order, tried = search_combinations(
-            per_node, self._max_combinations, replay
-        )
+        tried = 0
+        for combo in product(*per_node):
+            if tried == cap:
+                break
+            tried += 1
+            order = replay(combo, audit)
+            if order is not None:
+                self._stats.soundness_sequences += tried
+                steps = {sequence.node: sequence.steps for sequence in combo}
+                return tuple(steps[node][index].event for node, index in order)
         self._stats.soundness_sequences += tried
-        if order is None:
-            return None
-        steps = {sequence.node: sequence.steps for sequence in combo}
-        return tuple(steps[node][index].event for node, index in order)
+        return None
 
     def _replay(
         self,
@@ -522,30 +522,6 @@ class SoundnessVerifier:
 
 #: Cache-miss sentinel for the replay verdict cache (``None`` is a verdict).
 _REPLAY_MISS = object()
-
-
-def search_combinations(
-    per_node: Sequence[Sequence[CompiledSequence]],
-    max_combinations: Optional[int],
-    replay: Callable[[Sequence[CompiledSequence]], Optional[Order]],
-) -> Tuple[Optional[Tuple[CompiledSequence, ...]], Optional[Order], int]:
-    """First combination of the cross product that ``replay`` accepts.
-
-    The one ``isStateSound`` search loop, shared by the serial verifier and
-    the pool workers.  ``per_node`` lists each node's candidates in node
-    order.  Returns ``(combination, order, tried)``; ``tried`` counts the
-    combinations handed to ``replay`` — the §5.4 ``soundness_sequences``
-    unit — and never exceeds ``max_combinations``.
-    """
-    tried = 0
-    for combo in product(*per_node):
-        if tried == max_combinations:
-            break
-        tried += 1
-        order = replay(combo)
-        if order is not None:
-            return combo, order, tried
-    return None, None, tried
 
 
 def starved_need(combo: Sequence[CompiledSequence]) -> Optional[Tuple[NodeId, int]]:

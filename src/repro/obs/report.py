@@ -8,13 +8,14 @@ alone:
   vs soundness-verification wall-time shares, read from the final ``metric``
   record's ``phase_*_s`` fields (the same buckets the checker maintains);
 * the **§5.4 soundness profile** — call count, average wall time per call,
-  and sequences examined, aggregated over ``soundness`` and
-  ``worker_verify`` spans (so sequential and parallel runs read the same);
+  and sequences examined, aggregated over ``soundness`` spans and the
+  ``worker_verify`` spans of traces written while verification could still
+  run on the worker pool;
 * the LMC-GEN summary line — invariant calls against the system states
   they covered, from the ``materialise`` spans' ``tuples_checked`` (one
   span per anchor in schema-1 traces, one per round in schema 2);
 * span counts/durations per name, final counters, and per-worker totals
-  for multiprocess runs.
+  over forwarded worker spans.
 
 Rendering reuses :func:`repro.stats.reporting.format_table`, keeping
 trace-report output in the same monospace-table dialect as the benches.
@@ -217,9 +218,11 @@ class TraceSummary:
         return estimate_progress(samples, max_depth)
 
     def worker_profile(self) -> List[Dict[str, Any]]:
-        """Per-process totals over forwarded ``worker_verify`` spans."""
+        """Per-process totals over forwarded worker spans: ``worker_explore``
+        shards, and the ``worker_verify`` units of traces written while
+        verification could still run on the pool."""
         by_pid: Dict[int, Dict[str, Any]] = {}
-        for span in self.spans("worker_verify"):
+        for span in self.spans("worker_explore") + self.spans("worker_verify"):
             pid = span.get("pid", 0)
             entry = by_pid.setdefault(
                 pid, {"pid": pid, "units": 0, "total_s": 0.0}

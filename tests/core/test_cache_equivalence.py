@@ -4,8 +4,8 @@ The hot-path optimizations (interned hashing, memoized soundness replay,
 incremental enumeration) are performance work only: every counter the §5
 benches print, every verdict, and every witness trace must be byte-identical
 with the caches disabled.  These tests check it in-process on the snapshot
-experiments (§5.5 Paxos and §5.6 1Paxos), for both the sequential and the
-parallel front-end, and on the benchmark workloads whose absolute counters
+experiments (§5.5 Paxos and §5.6 1Paxos), serially and with two
+exploration workers, and on the benchmark workloads whose absolute counters
 ``golden/workload_counts.json`` pins.  Those workloads also rerun with
 symmetry reduction and POR on, and one with two exploration workers at the
 shipped thresholds.  The wall-clock side of the caches is
@@ -20,7 +20,6 @@ import pytest
 
 from repro.core.checker import LocalModelChecker, _ExplorationPass
 from repro.core.config import LMCConfig
-from repro.core.parallel import ParallelLocalModelChecker
 from repro.explore.budget import BudgetClock, SearchBudget
 from repro.model import hashing
 from repro.obs.emitter import MemoryEmitter
@@ -224,69 +223,63 @@ def test_two_worker_exploration_at_default_thresholds_matches_serial():
     assert serial_view(parallel) == serial_view(_run_workload("paxos_opt"))
 
 
-#: The parallel front-end defers soundness verification to the next buffer
-#: flush, so it stops on the first bug later than the inline checker and
-#: would otherwise explore much more of the snapshot spaces; a deterministic
-#: transition budget (the parallel ablation bench's pattern) keeps the work
-#: list identical across modes and the test fast.
-PARALLEL_BUDGET = SearchBudget(max_transitions=400)
+#: A deterministic transition budget keeps the snapshot runs short; with
+#: every round dispatched, it still crosses the pool dozens of times.
+EXPLORE_BUDGET = SearchBudget(max_transitions=400)
 
 
+@pytest.mark.usefixtures("dispatch_every_round")
 @pytest.mark.parametrize("scenario", [_paxos_s55, _onepaxos_s56], ids=["s55", "s56"])
-def test_parallel_checker_equivalent_with_and_without_caches(scenario):
+def test_explore_workers_equivalent_with_and_without_caches(scenario):
+    """The coordinator's caches are off in the uncached run; the pool
+    workers hash with their own.  Neither may show in any result."""
     protocol, invariant, initial = scenario()
 
     def make(config):
-        return ParallelLocalModelChecker(
-            protocol, invariant, budget=PARALLEL_BUDGET, config=config, workers=0
-        )
+        return LocalModelChecker(protocol, invariant, budget=EXPLORE_BUDGET, config=config)
 
-    cached = _run(make, initial, cached=True)
-    uncached = _run(make, initial, cached=False)
+    cached = _run(make, initial, cached=True, explore_workers=2)
+    uncached = _run(make, initial, cached=False, explore_workers=2)
+    assert cached.stats.explore_rounds_parallel > 0
     assert _observable(cached) == _observable(uncached)
 
 
-def test_parallel_confirms_bug_identically_with_and_without_caches():
+@pytest.mark.usefixtures("dispatch_every_round")
+def test_explore_workers_confirm_bug_identically_with_and_without_caches():
     """On a space small enough to exhaust, the confirmed bug is identical."""
     protocol = EagerCommitCoordinator(3, no_voters=(2,))
 
     def make(config):
-        return ParallelLocalModelChecker(
-            protocol, CommitValidity(), config=config, workers=0
-        )
+        return LocalModelChecker(protocol, CommitValidity(), config=config)
 
-    cached = _run(make, None, cached=True)
-    uncached = _run(make, None, cached=False)
+    cached = _run(make, None, cached=True, explore_workers=2)
+    uncached = _run(make, None, cached=False, explore_workers=2)
     assert cached.found_bug and uncached.found_bug
     assert _observable(cached) == _observable(uncached)
 
 
-def test_s55_smoke_budget_identical_across_memoize_and_front_end():
+def test_s55_smoke_budget_identical_across_memoize():
     """The starvation quotient is unconditional; it must be invisible everywhere.
 
     The §5.5 snapshot at the bench's smoke budget (``bench/workloads.py``:
-    520 transitions), ``memoize_soundness`` on/off × inline / deferred
-    verification: same counters, same bug set, same witness event tuples.
-    At this budget the deferred front-end verifies against the predecessor
-    DAG the inline one saw, so the two are comparable counter for counter.
+    520 transitions), ``memoize_soundness`` on/off: same counters, same bug
+    set, same witness event tuples.
     """
     protocol, invariant, initial = _paxos_s55()
     budget = SearchBudget(max_transitions=520)
 
-    def observe(front_end, memoize):
+    def observe(memoize):
         config = LMCConfig.optimized(
             stop_on_first_bug=False, memoize_soundness=memoize
         )
-        result = front_end(protocol, invariant, budget, config).run(initial)
+        result = LocalModelChecker(protocol, invariant, budget, config).run(initial)
         observed = _observable(result)
         observed["witnesses"] = [bug.trace for bug in result.bugs]
         return observed
 
-    reference = observe(LocalModelChecker, True)
+    reference = observe(True)
     assert reference["counts"]["confirmed_bugs"] > 0
-    assert observe(LocalModelChecker, False) == reference
-    for memoize in (True, False):
-        assert observe(ParallelLocalModelChecker, memoize) == reference
+    assert observe(False) == reference
 
 
 def _stored_hashes(cached):

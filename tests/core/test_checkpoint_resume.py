@@ -48,12 +48,10 @@ from repro.core.checkpoint import (
     snapshot_pass,
 )
 from repro.core.config import LMCConfig
-from repro.core.parallel import ParallelLocalModelChecker
 from repro.core.system_states import enumerate_optimized
 from repro.explore.budget import SearchBudget
 from repro.protocols.paxos import PaxosAgreement, PaxosAgreementAll, PaxosProtocol
 from repro.protocols.paxos.scenarios import partial_choice_state, scenario_protocol
-from repro.protocols.twophase import CommitValidity, EagerCommitCoordinator
 
 #: Excluded from counter equality: wall-clock phase timers, and the
 #: cache-hit counters a restored run rebuilds cold.
@@ -63,7 +61,8 @@ EXCLUDED_KEYS = frozenset(
 )
 
 #: The config axes the codec must cover: GEN vs OPT, crash–restart
-#: scheduling on, symmetry reduction on.
+#: scheduling on, symmetry reduction on, rounds sharded across two pool
+#: workers.
 CONFIGS = {
     "opt": ("optimized", {}),
     "gen": ("general", {}),
@@ -71,27 +70,12 @@ CONFIGS = {
     "gen_faults": ("general", {"fault_events_enabled": True}),
     "opt_sym": ("optimized", {"symmetry_reduction": True}),
     "gen_sym": ("general", {"symmetry_reduction": True}),
+    "opt_explore": ("optimized", {"explore_workers": 2}),
 }
-
-
-#: One more row: deferred verification (``ParallelLocalModelChecker``,
-#: in-process) over buggy 2PC with every bug wanted — clean Paxos has no
-#: preliminary violations, and the point is a non-empty deferred buffer in
-#: the envelope (176 combinations at round 3).
-DEFERRED = "opt_deferred"
 
 
 def _checker(variant, depth, checkpointer=None):
     """A fresh checker over the single-proposal Paxos space."""
-    if variant == DEFERRED:
-        return ParallelLocalModelChecker(
-            EagerCommitCoordinator(3, no_voters=(2,)),
-            CommitValidity(),
-            SearchBudget(max_depth=depth),
-            LMCConfig.optimized(stop_on_first_bug=False),
-            workers=0,
-            checkpointer=checkpointer,
-        )
     factory, overrides = CONFIGS[variant]
     protocol = PaxosProtocol(num_nodes=3, proposals=((0, 0, "v0"),))
     return LocalModelChecker(
@@ -147,7 +131,7 @@ class StopAtCheckpointer(Checkpointer):
 class TestRoundTrip:
     @settings(max_examples=8, deadline=None)
     @given(
-        variant=st.sampled_from(sorted(CONFIGS) + [DEFERRED]),
+        variant=st.sampled_from(sorted(CONFIGS)),
         pick=st.integers(min_value=0, max_value=30),
     )
     def test_serialize_deserialize_serialize_is_byte_identical(
@@ -183,10 +167,13 @@ class TestRoundTrip:
 
 
 class TestInterruptResume:
-    @pytest.mark.parametrize("variant", sorted(CONFIGS) + [DEFERRED])
+    @pytest.mark.usefixtures("dispatch_every_round")
+    @pytest.mark.parametrize("variant", sorted(CONFIGS))
     def test_interrupted_run_resumes_to_identical_counters(self, variant, tmp_path):
         depth = 4 if variant.startswith("gen") else 6
         reference = _checker(variant, depth).run()
+        if variant == "opt_explore":
+            assert reference.stats.explore_rounds_parallel > 0
 
         path = str(tmp_path / "checkpoint.json")
         interrupted = _checker(
@@ -197,23 +184,6 @@ class TestInterruptResume:
         assert interrupted.stats.transitions < reference.stats.transitions
 
         payload = load_checkpoint(path)
-        if variant == DEFERRED:
-            # The buffer travels in the envelope and is verified once, by
-            # the resumed run: the interrupted one must not have touched it.
-            assert len(payload["pass"]["unverified"]) > 100
-            assert interrupted.stats.soundness_calls == 0
-            assert reference.stats.soundness_calls > 100
-            # The fingerprint does not name the checker class: a sequential
-            # checker may resume it, and verifies the inherited buffer too.
-            inline = LocalModelChecker(
-                EagerCommitCoordinator(3, no_voters=(2,)),
-                CommitValidity(),
-                SearchBudget(max_depth=depth),
-                LMCConfig.optimized(stop_on_first_bug=False),
-            ).resume(payload)
-            assert {bug.violating_state for bug in inline.bugs} == {
-                bug.violating_state for bug in reference.bugs
-            }
         resumed = _checker(variant, depth).resume(payload)
         assert _observable(resumed) == _observable(reference)
 

@@ -21,6 +21,7 @@ the same run, which pins the on-disk format.
 
 import json
 import os
+import shutil
 import signal
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -30,12 +31,14 @@ import pytest
 
 import repro.core.explore_parallel as explore_parallel
 from repro.core.checker import LocalModelChecker
-from repro.core.checkpoint import Checkpointer, load_checkpoint
+from repro.cli import main
+from repro.core.checkpoint import CheckpointError, Checkpointer, load_checkpoint
 from repro.core.config import LMCConfig
 from repro.explore.budget import SearchBudget
 from repro.invariants.base import LocalInvariant
 from repro.model.protocol import Protocol
 from repro.model.types import Action, HandlerResult, Message, NodeId, local_assert
+from repro.obs.registry import RunRegistry
 from repro.protocols.paxos import PaxosAgreement, PaxosProtocol
 from repro.protocols.twophase import Atomicity, TimeoutTwoPhaseCommit
 
@@ -315,6 +318,36 @@ def test_parent_written_envelope_extends_to_golden_counters():
         load_checkpoint(str(ENVELOPE_COMPLETED))
     )
     assert _observable(extended) == _golden()[ENVELOPE_CASE]["serial"]["extended"]
+
+
+def test_envelope_with_an_inherited_buffer_is_refused(tmp_path, capsys):
+    """A non-empty ``unverified`` list was written mid-buffer by the retired
+    deferring checker: resuming it would skip verifying those rows, so the
+    reader refuses it, and a CLI resume fails without harming the registry."""
+    payload = json.loads(ENVELOPE_MIDRUN.read_text(encoding="utf-8"))
+    assert payload["pass"]["unverified"] == []
+    payload["pass"]["unverified"] = [[[node, 0] for node in (0, 1, 2)]]
+    injected = tmp_path / "injected.json"
+    injected.write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
+    with pytest.raises(CheckpointError, match="carries 1 unverified"):
+        _checker(ENVELOPE_CASE, 0, CASES[ENVELOPE_CASE][2][1]).resume(
+            load_checkpoint(str(injected))
+        )
+
+    root = str(tmp_path / "runs")
+    killed = RunRegistry(root).register(
+        command="check",
+        workload="2pc-timeout",
+        argv=["check", "2pc-timeout", "--max-depth", "5", "--checkpoint-every", "1"],
+    )
+    shutil.copy(injected, os.path.join(killed.directory, "checkpoint.json"))
+    assert main(["resume", killed.run_id, "--registry-root", root]) == 2
+    assert "carries 1 unverified" in capsys.readouterr().err
+    assert main(["runs", "--registry-root", root]) == 0
+    assert killed.run_id in capsys.readouterr().out
+    resumed = RunRegistry(root).latest()
+    assert resumed.meta["resumed_from"] == killed.run_id
+    assert "carries 1 unverified" in resumed.result["error"]
 
 
 def _without_clocks(value):

@@ -7,7 +7,8 @@ counter, verdict, witness trace and stop reason must equal the serial run —
 the same equivalence discipline ``test_cache_equivalence`` and
 ``test_fault_equivalence`` apply to the PR 3 caches and the PR 4 fault
 scheduler.  The tests force tiny thresholds/shards so even small state
-spaces exercise dispatch, sync-miss recovery and the merge path, and a
+spaces exercise dispatch, sync-miss recovery and the merge path, on every
+CLI workload and across the GEN, POR, symmetry and cap configurations, and a
 SIGKILL test checks the broken-pool retry leaves verdicts intact.
 """
 
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 
 import repro.core.explore_parallel as explore_parallel
 import repro.core.pool as pool
+from repro.cli import WORKLOADS
 from repro.core.checker import LocalModelChecker
 from repro.core.config import LMCConfig
 from repro.core.event_kinds import (
@@ -47,8 +49,11 @@ from repro.model import events as events_module
 from repro.model.events import event_hash, message_hashes
 from repro.model.hashing import content_hash
 from repro.model.types import CrashedState, Message
+from repro.protocols.onepaxos import OnePaxosAgreement
+from repro.protocols.onepaxos import scenarios as onepaxos_scenarios
 from repro.protocols.paxos import PaxosAgreement, PaxosProtocol
 from repro.protocols.paxos.scenarios import partial_choice_state, scenario_protocol
+from repro.protocols.tree import ReceivedImpliesSent, TreeProtocol
 from repro.protocols.twophase import (
     CommitValidity,
     Decision,
@@ -152,6 +157,123 @@ class TestEquivalence:
         assert result.completed
         assert result.stats.explore_rounds_parallel == 0
         assert result.stats.explore_shards == 0
+
+
+    @pytest.mark.parametrize("buggy", [False, True])
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_verdict_matches_serial_on_every_cli_workload(self, workload, buggy):
+        """Every invariant kind the CLI can select — decomposable, general
+        and node-local — gets the serial verdict, and every bug replays."""
+        protocol, invariant = WORKLOADS[workload][0](3, buggy)
+        budget = SearchBudget(max_transitions=300)
+        serial = _run(protocol, invariant, budget=budget)
+        parallel = _run(protocol, invariant, budget=budget, **PARALLEL)
+        assert _observable(serial) == _observable(parallel)
+        assert parallel.stats.explore_rounds_parallel > 0
+        for bug in parallel.bugs:
+            replayed = validate_bug(protocol, bug, invariant)
+            assert replayed.complete and replayed.violates
+
+    def test_every_bug_of_an_exhaustive_run_matches_serial(self):
+        """With every bug wanted, pairwise OPT enumeration reaches some
+        violating states more than once; each occurrence is verified and
+        reported inline, in the same order, with or without the pool."""
+        protocol = EagerCommitCoordinator(3, no_voters=(2,))
+        serial = _run(protocol, CommitValidity(), stop_on_first_bug=False)
+        parallel = _run(protocol, CommitValidity(), stop_on_first_bug=False, **PARALLEL)
+        assert len({bug.violating_state for bug in serial.bugs}) < len(serial.bugs)
+        assert _observable(serial) == _observable(parallel)
+
+    def test_local_event_bound_widens_as_in_the_serial_checker(self):
+        protocol, invariant = WORKLOADS["2pc"][0](3, False)
+        unbounded = _run(protocol, invariant)
+        serial = _run(protocol, invariant, local_event_bound=1)
+        assert serial.stats.transitions > unbounded.stats.transitions  # it widened
+        parallel = _run(protocol, invariant, local_event_bound=1, **PARALLEL)
+        assert _observable(serial) == _observable(parallel)
+
+    def test_symmetry_orbit_fallback_matches_serial(self):
+        """Under symmetry reduction a rejected representative is retried
+        through its orbit siblings; the pool must not change which."""
+        protocol = EagerCommitCoordinator(4, no_voters=(2,))
+        kw = dict(stop_on_first_bug=False, symmetry_reduction=True)
+        serial = _run(protocol, CommitValidity(), **kw)
+        parallel = _run(protocol, CommitValidity(), **kw, **PARALLEL)
+        assert len(serial.bugs) == 52
+        assert _observable(serial) == _observable(parallel)
+
+    def test_a_biting_combination_cap_matches_serial(self):
+        """On the §5.5 snapshot the cap changes how many combinations are
+        examined, identically with and without the pool."""
+        budget = SearchBudget(max_transitions=520)
+        examined = {}
+        for cap in (None, 4):
+            kw = dict(stop_on_first_bug=False, max_combinations_per_check=cap)
+            serial = _run(
+                scenario_protocol(buggy=True),
+                PaxosAgreement(0),
+                budget=budget,
+                initial=partial_choice_state(),
+                **kw,
+            )
+            parallel = _run(
+                scenario_protocol(buggy=True),
+                PaxosAgreement(0),
+                budget=budget,
+                initial=partial_choice_state(),
+                **kw,
+                **PARALLEL,
+            )
+            assert _observable(serial) == _observable(parallel), cap
+            examined[cap] = serial.stats.soundness_sequences
+        assert examined[4] < examined[None]  # the cap really bit
+
+    def test_onepaxos_snapshot_bug_and_witness_match(self):
+        """The §5.6 1Paxos snapshot: the other protocol whose bug the paper
+        finds from a live-system state."""
+        protocol = onepaxos_scenarios.scenario_protocol(buggy=True)
+        initial = onepaxos_scenarios.post_leaderchange_state(protocol)
+        serial = _run(protocol, OnePaxosAgreement(0), initial=initial)
+        parallel = _run(protocol, OnePaxosAgreement(0), initial=initial, **PARALLEL)
+        assert serial.found_bug
+        assert _observable(serial) == _observable(parallel)
+        assert parallel.stats.explore_rounds_parallel > 0
+
+    def test_general_enumeration_matches_serial(self):
+        """LMC-GEN materialises every combination; the pool only feeds the
+        node-local half, so its counters match too."""
+        protocol = PaxosProtocol(num_nodes=3, proposals=((0, 0, "v0"),))
+
+        def run(**kw):
+            return LocalModelChecker(
+                protocol,
+                PaxosAgreement(0),
+                budget=SearchBudget(max_depth=4),
+                config=LMCConfig.general(**kw),
+            ).run()
+
+        serial, parallel = run(), run(**PARALLEL)
+        assert serial.stats.system_states_created > 0
+        assert _observable(serial) == _observable(parallel)
+        assert parallel.stats.explore_rounds_parallel > 0
+
+    def test_por_pruning_matches_serial(self):
+        protocol = PaxosProtocol(num_nodes=3, proposals=((0, 0, "v0"),))
+        budget = SearchBudget(max_depth=6)
+        serial = _run(protocol, PaxosAgreement(0), budget=budget, por_pruning=True)
+        parallel = _run(
+            protocol, PaxosAgreement(0), budget=budget, por_pruning=True, **PARALLEL
+        )
+        assert _observable(serial) == _observable(parallel)
+        assert parallel.stats.explore_rounds_parallel > 0
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_clean_tree_rejects_every_violation(self, workers):
+        result = _run(TreeProtocol(), ReceivedImpliesSent(), explore_workers=workers)
+        assert result.completed
+        assert not result.found_bug
+        assert result.stats.soundness_calls > 0
+        assert (result.stats.explore_rounds_parallel > 0) == (workers > 0)
 
 
 class TestPoolFailure:

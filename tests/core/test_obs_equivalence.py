@@ -12,7 +12,6 @@ import repro.core.soundness as soundness
 from repro.core.checker import LocalModelChecker
 from repro.core.checkpoint import Checkpointer, load_checkpoint
 from repro.core.config import LMCConfig
-from repro.core.parallel import ParallelLocalModelChecker
 from repro.explore.budget import SearchBudget
 from repro.obs.coverage import CoverageTracker
 from repro.obs.emitter import MemoryEmitter
@@ -92,18 +91,21 @@ def test_local_checker_identical_with_observability_on(scenario, tmp_path):
     assert _observable(plain) == _observable(instrumented)
 
 
-def test_parallel_checker_identical_with_observability_on(tmp_path):
+@pytest.mark.usefixtures("dispatch_every_round")
+def test_explore_workers_identical_with_observability_on(tmp_path):
+    """Forwarded worker spans and pool events must not shift any result."""
     protocol, invariant, initial = _paxos_s55()
     budget = SearchBudget(max_transitions=400)
-    config = LMCConfig.optimized()
+    config = LMCConfig.optimized(explore_workers=2)
 
     def run(**kwargs):
-        return ParallelLocalModelChecker(
-            protocol, invariant, budget=budget, config=config, workers=0, **kwargs
+        return LocalModelChecker(
+            protocol, invariant, budget=budget, config=config, **kwargs
         ).run(initial)
 
     plain = run()
     instrumented = run(**_instrumented_kwargs(tmp_path, interval=0.001))
+    assert plain.stats.explore_rounds_parallel > 0
     assert _observable(plain) == _observable(instrumented)
 
 
@@ -326,11 +328,7 @@ def _round_spans_reconcile(records, stats):
     assert len(parents) == len(set(parents))
     assert set(parents) <= rounds
     batches = {span["id"] for span in materialise}
-    passes = {span["id"] for span in spans["pass"]}
     assert all(span["parent"] in batches for span in spans.get("soundness", ()))
-    # A deferred buffer flushes inside a round's batch or, at the pass's
-    # end, under the pass.
-    assert all(span["parent"] in batches | passes for span in spans.get("dispatch", ()))
     fields = [span["fields"] for span in materialise]
     assert sum(f["system_states"] for f in fields) == stats.system_states_created
     assert sum(f["violations"] for f in fields) == stats.preliminary_violations
@@ -339,11 +337,13 @@ def _round_spans_reconcile(records, stats):
     return spans
 
 
-def _s55_opt(stop_on_first_bug):
+def _s55_opt(stop_on_first_bug, explore_workers=0):
     def run(emitter=None):
         protocol, invariant, initial = _paxos_s55()
         budget = SearchBudget() if stop_on_first_bug else SearchBudget(max_transitions=760)
-        config = LMCConfig.optimized(stop_on_first_bug=stop_on_first_bug)
+        config = LMCConfig.optimized(
+            stop_on_first_bug=stop_on_first_bug, explore_workers=explore_workers
+        )
         return LocalModelChecker(
             protocol, invariant, budget, config, emitter=emitter
         ).run(initial)
@@ -359,15 +359,6 @@ def _summarised_gen_with_symmetry(emitter=None):
         LMCConfig.general(symmetry_reduction=True),
         emitter=emitter,
     ).run()
-
-
-def _deferred_verification(emitter=None):
-    protocol, invariant, initial = _paxos_s55()
-    # The buffer fills (2,048 violations) inside a round's batch, and the
-    # flush confirms the first bug there.
-    return ParallelLocalModelChecker(
-        protocol, invariant, SearchBudget(), LMCConfig.optimized(), workers=0, emitter=emitter
-    ).run(initial)
 
 
 def _extended_from_checkpoint(tmp_path):
@@ -392,16 +383,23 @@ def _extended_from_checkpoint(tmp_path):
     return run
 
 
+@pytest.mark.usefixtures("dispatch_every_round")
 @pytest.mark.parametrize(
     "case",
-    ["s55-first-bug", "s55@760-all-bugs", "gen-symmetry", "deferred", "extend-depth"],
+    [
+        "s55-first-bug",
+        "s55@760-all-bugs",
+        "s55@760-explore-workers",
+        "gen-symmetry",
+        "extend-depth",
+    ],
 )
 def test_one_materialise_span_per_round(case, tmp_path):
     run = {
         "s55-first-bug": _s55_opt(True),
         "s55@760-all-bugs": _s55_opt(False),
+        "s55@760-explore-workers": _s55_opt(False, explore_workers=2),
         "gen-symmetry": _summarised_gen_with_symmetry,
-        "deferred": _deferred_verification,
         "extend-depth": _extended_from_checkpoint(tmp_path),
     }[case]
     plain = run()
@@ -418,9 +416,10 @@ def test_one_materialise_span_per_round(case, tmp_path):
         cut = [span for span in spans["materialise"] if span["parent"] == last_round]
         assert len(cut) == 1
         assert spans["soundness"][-1]["parent"] == cut[0]["id"]
-    if case == "deferred":
-        assert traced.found_bug and spans["dispatch"]
     if case == "gen-symmetry":
         assert traced.stats.symmetry_skips > 0
-    if case in ("s55@760-all-bugs", "extend-depth"):
+    if case in ("s55@760-all-bugs", "s55@760-explore-workers", "extend-depth"):
         assert traced.stats.preliminary_violations > 0 and spans["soundness"]
+    if case == "s55@760-explore-workers":
+        # Pool rounds add worker spans, not materialise spans.
+        assert traced.stats.explore_rounds_parallel > 0 and spans["worker_explore"]

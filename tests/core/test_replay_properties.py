@@ -28,6 +28,12 @@ from repro.model.types import Action
 Plain = Tuple[Optional[int], Tuple[int, ...]]
 
 
+def compiled(node, plain):
+    """A compiled sequence of event-less steps: all the quotient reads."""
+    steps = tuple(SequenceStep(None, consumed, generated) for consumed, generated in plain)
+    return CompiledSequence(node, plain, steps, key=0)
+
+
 def make_step(node: int, index: int, plain: Plain) -> SequenceStep:
     consumed, generated = plain
     return SequenceStep(
@@ -176,7 +182,7 @@ quotient_combos = st.lists(
 @given(quotient_combos)
 def test_quotient_never_changes_a_replay(plain_sequences):
     combo = [
-        CompiledSequence(node, plain) for node, plain in enumerate(plain_sequences)
+        compiled(node, plain) for node, plain in enumerate(plain_sequences)
     ]
     full = replay_sequences_indexed(dict(enumerate(plain_sequences)))
     if starved_need(combo) is not None:
@@ -187,12 +193,12 @@ def test_quotient_never_changes_a_replay(plain_sequences):
 def test_quotient_counts_multiplicity_and_own_generation():
     twice = ((7, ()), (7, ()))
     once, two = ((None, (7,)),), ((None, (7, 7)),)
-    assert starved_need([CompiledSequence(0, twice), CompiledSequence(1, once)]) == (0, 7)
-    assert starved_need([CompiledSequence(0, twice), CompiledSequence(1, two)]) is None
+    assert starved_need([compiled(0, twice), compiled(1, once)]) == (0, 7)
+    assert starved_need([compiled(0, twice), compiled(1, two)]) is None
     # A sequence's own generation covers its own consumption...
     own = ((None, (7,)), (7, ()))
-    assert starved_need([CompiledSequence(0, own), CompiledSequence(1, ())]) is None
+    assert starved_need([compiled(0, own), compiled(1, ())]) is None
     # ...and a drop-like consumer competes for the same single copy.
     drop = ((7, ()),)
-    combo = [CompiledSequence(0, own), CompiledSequence(1, drop)]
+    combo = [compiled(0, own), compiled(1, drop)]
     assert starved_need(combo) == (1, 7)

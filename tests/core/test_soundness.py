@@ -14,6 +14,7 @@ from repro.core.soundness import (
     SoundnessVerifier,
     refuted_by_bound,
     replay_sequences,
+    replay_sequences_indexed,
     starved_need,
     summarise,
 )
@@ -34,6 +35,12 @@ def delivery(dest, src, payload):
 
 def step(event, consumed=None, generated=()):
     return SequenceStep(event, consumed, tuple(generated))
+
+
+def compiled(node, plain):
+    """A compiled sequence of event-less steps: all the bound reads."""
+    steps = tuple(SequenceStep(None, consumed, generated) for consumed, generated in plain)
+    return CompiledSequence(node, plain, steps, key=0)
 
 
 class TestReplay:
@@ -95,6 +102,21 @@ class TestReplay:
         assert order is not None
         nodes = [event.node for event in order]
         assert set(nodes) == {0, 1}
+
+
+class TestPlainReplay:
+    def test_empty_unit_valid(self):
+        assert replay_sequences_indexed({}) == ()
+
+    def test_send_then_receive(self):
+        # Steps are (consumed, generated): node 0 sends hash 7, node 1 consumes it.
+        order = replay_sequences_indexed({0: ((None, (7,)),), 1: ((7, ()),)})
+        assert order is not None
+        assert order[0] == (0, 0)  # the send must run first
+
+    def test_deadlock_detected(self):
+        sequences = {0: ((1, (2,)),), 1: ((2, (1,)),)}
+        assert replay_sequences_indexed(sequences) is None
 
 
 class TestSequenceEnumeration:
@@ -173,27 +195,27 @@ class TestSequenceEnumeration:
 class TestRecordLevelBound:
     def test_summary_keeps_needs_common_to_every_sequence(self):
         sequences = [
-            CompiledSequence(0, ((7, ()), (7, ()), (8, ()))),
-            CompiledSequence(0, ((7, ()), (None, (9,)))),
+            compiled(0, ((7, ()), (7, ()), (8, ()))),
+            compiled(0, ((7, ()), (None, (9,)))),
         ]
         common, best = summarise(sequences)
         assert common == {7: 1}  # 8 is needed by one sequence only
         assert best == {7: -1, 8: 0, 9: 1}
 
     def test_bound_compares_a_common_need_with_the_others_best_supply(self):
-        needs_two = summarise([CompiledSequence(0, ((7, ()), (7, ())))])
+        needs_two = summarise([compiled(0, ((7, ()), (7, ())))])
         offers = summarise(
-            [CompiledSequence(1, ((None, (7,)),)), CompiledSequence(1, ())]
+            [compiled(1, ((None, (7,)),)), compiled(1, ())]
         )
         assert refuted_by_bound([needs_two, offers])
         # Two copies from one sequence of the other node cover the need.
-        plenty = summarise([CompiledSequence(1, ((None, (7, 7)),))])
+        plenty = summarise([compiled(1, ((None, (7, 7)),))])
         assert not refuted_by_bound([needs_two, plenty])
         # A lone node's deficit has no one to cover it; its own generation
         # nets out in its balance (the bound counts, it does not order).
-        assert refuted_by_bound([summarise([CompiledSequence(0, ((7, ()),))])])
+        assert refuted_by_bound([summarise([compiled(0, ((7, ()),))])])
         assert not refuted_by_bound(
-            [summarise([CompiledSequence(0, ((7, ()), (None, (7,))))])]
+            [summarise([compiled(0, ((7, ()), (None, (7,))))])]
         )
 
 
@@ -220,7 +242,7 @@ bound_records = st.lists(
 @given(st.lists(st.lists(bound_plains, min_size=1, max_size=4), min_size=1, max_size=3))
 def test_a_refuted_call_starves_every_combination(plains_per_node):
     per_node = [
-        [CompiledSequence(node, plain) for plain in plains]
+        [compiled(node, plain) for plain in plains]
         for node, plains in enumerate(plains_per_node)
     ]
     if refuted_by_bound([summarise(sequences) for sequences in per_node]):
@@ -311,3 +333,52 @@ def test_the_bound_leaves_what_the_product_walk_leaves(
     with mock.patch.object(soundness, "refuted_by_bound", lambda summaries: False):
         without_bound = run()
     assert with_bound == without_bound
+
+
+def _verify(records_per_node, **verifier_kw):
+    """One traced call on the first record of each node of a realised space:
+    ``(witness, stats, soundness span fields)``."""
+    space, targets = _space_realising(records_per_node)
+    stats, emitter = ExplorationStats(), MemoryEmitter()
+    verifier = SoundnessVerifier(space, stats, emitter=emitter, **verifier_kw)
+    witness = verifier.is_state_sound({node: records[0] for node, records in enumerate(targets)})
+    (span,) = [record["fields"] for record in emitter.records if record.get("name") == "soundness"]
+    return witness, stats, span
+
+
+class TestCombinationSearch:
+    def test_picks_the_working_combination(self):
+        # Node 0's first candidate needs hash 5, which nobody generates; its
+        # second generates the 9 that node 1 consumes.
+        witness, stats, _span = _verify(
+            [[[((5, ()),), ((None, (9,)),)]], [[((9, ()),)]]]
+        )
+        assert witness is not None
+        assert [event.node for event in witness] == [0, 1]
+        assert stats.soundness_sequences == 2
+
+    def test_the_cap_bounds_the_product_walk(self):
+        unit = [[[((5, ()),)] * 4], [[((6, ()),)] * 4]]
+        for memoize in (True, False):
+            witness, stats, _span = _verify(unit, max_combinations=3, memoize=memoize)
+            assert witness is None
+            assert stats.soundness_sequences == 3
+
+    def test_a_node_without_candidates_is_unsound_after_zero_tries(self):
+        space = LocalStateSpace((0, 1))
+        seed = space.seed(0, ("seed", 0))
+        space.seed(1, ("seed", 1))
+        unreachable = space.store(1).add(("s", 1), 1, 1, 1, frozenset())
+        stats = ExplorationStats()
+        verifier = SoundnessVerifier(space, stats)
+        assert verifier.is_state_sound({0: seed, 1: unreachable}) is None
+        assert (stats.soundness_calls, stats.soundness_sequences) == (1, 0)
+
+    def test_the_bound_refutes_and_counts_the_capped_product(self):
+        # Node 0 needs hash 5 twice; node 1 offers at most one copy.
+        unit = [[[((5, ()), (5, ()))] * 3], [[((None, (5,)),), ((None, ()),)]]]
+        for cap, tried in ((None, 6), (4, 4)):
+            witness, stats, span = _verify(unit, max_combinations=cap)
+            assert witness is None
+            assert span["bound_refuted"] is True
+            assert stats.soundness_sequences == span["sequences"] == tried

@@ -11,8 +11,8 @@ every witness.  The walked reference is the same invariant with its
 Cases cover a clean space (the bulk path only), spaces whose tuples violate
 (the per-combination fallback at violating anchors, soundness calls,
 ``stop_on_first_bug`` on and off), drop
-and crash faults, the deferring ``ParallelLocalModelChecker``, and
-checkpoint kill-and-resume and ``extend_depth``.  With symmetry reduction
+and crash faults, two exploration workers, and checkpoint kill-and-resume
+and ``extend_depth``.  With symmetry reduction
 on, clean anchors count their new orbits in one pass
 (``SymmetryReducer.count_block``); those cases also compare the reducer's
 orbit keys and hit count, and the checkpoint's ``symmetry`` block.
@@ -22,6 +22,7 @@ import copy
 import functools
 import json
 import math
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -30,7 +31,6 @@ from repro.core import symmetry
 from repro.core.checker import LocalModelChecker
 from repro.core.checkpoint import Checkpointer, load_checkpoint
 from repro.core.config import LMCConfig
-from repro.core.parallel import ParallelLocalModelChecker
 from repro.core.symmetry import SymmetryReducer
 from repro.explore.budget import BudgetClock, SearchBudget
 from repro.invariants.base import Invariant, declares_summary
@@ -156,16 +156,15 @@ CASES = {
 
 
 @functools.lru_cache(maxsize=None)
-def both(case, checker_class=LocalModelChecker, workers=None):
+def both(case):
     """The summarised run, its walked reference and the counted invariant.
 
     Cached: several tests read the same deterministic runs.
     """
-    kwargs = {} if workers is None else {"workers": workers}
     scenario, budget, config = CASES[case]
     protocol, invariant, initial = scenario()
-    reference = checker_class(protocol, walked(invariant), budget, config, **kwargs)
-    summarised = checker_class(protocol, counting(invariant), budget, config, **kwargs)
+    reference = LocalModelChecker(protocol, walked(invariant), budget, config)
+    summarised = LocalModelChecker(protocol, counting(invariant), budget, config)
     return summarised.run(initial), reference.run(initial), invariant
 
 
@@ -192,9 +191,16 @@ def test_cases_cover_clean_and_violating_tuples():
     assert faulty.bugs and faulty.stats.fault_drops and faulty.stats.fault_crashes
 
 
-def test_deferring_parallel_checker_matches_the_walk():
-    summarised, reference, _ = both("s55_all_bugs", ParallelLocalModelChecker, workers=0)
-    assert summarised.bugs
+@pytest.mark.usefixtures("dispatch_every_round")
+def test_explore_workers_match_the_walk():
+    """Summarised GEN with every round sharded across two pool workers:
+    the coordinator still checks tuples, and the run equals the walk."""
+    scenario, budget, config = CASES["s55_all_bugs"]
+    config = replace(config, explore_workers=2)
+    protocol, invariant, initial = scenario()
+    summarised = LocalModelChecker(protocol, counting(invariant), budget, config).run(initial)
+    reference = LocalModelChecker(protocol, walked(invariant), budget, config).run(initial)
+    assert summarised.bugs and summarised.stats.explore_rounds_parallel > 0
     assert observable(summarised) == observable(reference)
 
 

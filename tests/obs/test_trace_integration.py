@@ -1,11 +1,12 @@
 """Integration: traces from real checker runs agree with ExplorationStats."""
 
+import os
+
 import pytest
 
 from repro.cli import main
 from repro.core.checker import LocalModelChecker
 from repro.core.config import LMCConfig
-from repro.core.parallel import ParallelLocalModelChecker
 from repro.core.pool import resolve_workers
 from repro.explore.budget import SearchBudget
 from repro.obs.emitter import MemoryEmitter
@@ -82,46 +83,48 @@ class TestSequentialTrace:
                 assert traced.stats.snapshot()[key] == value
 
 
-class TestParallelTrace:
-    @pytest.mark.parametrize("workers", [0, 2, None])
-    def test_worker_spans_agree_with_merged_stats(self, workers):
+class TestExploreWorkerTrace:
+    """The exploration front's pool work is visible in the trace: one
+    ``parallel_round`` event per dispatched round, one forwarded
+    ``worker_explore`` span per shard, tagged with the worker's pid."""
+
+    @staticmethod
+    def _traced(workers):
         emitter = MemoryEmitter()
-        result = ParallelLocalModelChecker(
+        result = LocalModelChecker(
             EagerCommitCoordinator(3, no_voters=(2,)),
             CommitValidity(),
-            workers=workers,
+            config=LMCConfig.optimized(explore_workers=workers),
             emitter=emitter,
         ).run()
+        return result, emitter
+
+    @pytest.mark.usefixtures("dispatch_every_round")
+    @pytest.mark.parametrize("workers", [0, 2, None])
+    def test_worker_spans_agree_with_merged_stats(self, workers):
+        result, emitter = self._traced(workers)
         stats = result.stats
 
         assert result.found_bug
-        worker_spans = spans(emitter, "worker_verify")
-        assert len(worker_spans) == stats.soundness_calls > 0
-        # The satellite bugfix: worker combination counts are merged, not
-        # silently dropped.
-        assert (
-            sum(s["fields"]["combinations"] for s in worker_spans)
-            == stats.soundness_sequences
-            > 0
+        rounds = spans(emitter, "parallel_round")
+        worker_spans = spans(emitter, "worker_explore")
+        assert len(rounds) == stats.explore_rounds_parallel
+        assert len(worker_spans) == stats.explore_shards
+        assert (stats.explore_shards > 0) == (workers != 0)
+        assert sum(r["fields"]["shards"] for r in rounds) == stats.explore_shards
+        assert sum(s["fields"]["items"] for s in worker_spans) == sum(
+            r["fields"]["items"] for r in rounds
         )
-        (dispatch,) = spans(emitter, "dispatch")
-        # The pool size the flush used, not the request (None = every CPU).
-        assert dispatch["fields"]["workers"] == resolve_workers(workers)
-        # The Fig. 13 decomposition exists in parallel mode too.
-        assert "soundness" in stats.phase_seconds
-        assert "explore" in stats.phase_seconds
+        # The pool size the round used, not the request (None = every CPU).
+        assert {r["fields"]["workers"] for r in rounds} <= {resolve_workers(workers)}
+        # Verification stays inline: soundness spans reconcile as serially.
+        assert len(spans(emitter, "soundness")) == stats.soundness_calls > 0
+        assert {"explore", "soundness"} <= set(stats.phase_seconds)
 
+    @pytest.mark.usefixtures("dispatch_every_round")
     def test_pool_worker_pids_forwarded(self):
-        import os
-
-        emitter = MemoryEmitter()
-        ParallelLocalModelChecker(
-            EagerCommitCoordinator(3, no_voters=(2,)),
-            CommitValidity(),
-            workers=2,
-            emitter=emitter,
-        ).run()
-        pids = {s["pid"] for s in spans(emitter, "worker_verify")}
+        _result, emitter = self._traced(2)
+        pids = {s["pid"] for s in spans(emitter, "worker_explore")}
         assert pids and os.getpid() not in pids
 
 
@@ -146,26 +149,19 @@ class TestCliTracing:
         assert main(["trace", "tree"]) == 0
         assert (tmp_path / "tree.trace.jsonl").exists()
 
-    def test_parallel_cli_trace_has_worker_spans(self, tmp_path, capsys):
+    def test_explore_workers_trace_has_a_workers_table(self, tmp_path, capsys):
+        """Forwarded ``worker_explore`` shards carry the workers' own pids
+        into trace-report's per-pid Workers table."""
         path = tmp_path / "par.jsonl"
-        assert (
-            main(
-                [
-                    "check",
-                    "2pc",
-                    "--buggy",
-                    "--algorithm",
-                    "lmc-parallel",
-                    "--trace-out",
-                    str(path),
-                ]
-            )
-            == 1
-        )
+        argv = ["check", "paxos", "--explore-workers", "2", "--trace-out", str(path)]
+        assert main(argv) == 0
         summary = TraceSummary.from_file(str(path))
-        assert summary.spans("worker_verify")
-        assert summary.soundness_profile()["calls"] > 0
-        assert set(summary.phase_seconds()) >= {"explore", "soundness"}
+        workers = summary.worker_profile()
+        assert sum(w["units"] for w in workers) == len(summary.spans("worker_explore")) > 0
+        assert os.getpid() not in {w["pid"] for w in workers}
+        capsys.readouterr()
+        assert main(["trace-report", str(path)]) == 0
+        assert "Workers" in capsys.readouterr().out
 
     def test_scenario_accepts_trace_flags(self, tmp_path, capsys):
         path = tmp_path / "s55.jsonl"

@@ -4,6 +4,7 @@ import pytest
 
 import argparse
 import dataclasses
+import os
 
 from repro.cli import (
     CONFIG_DEFAULTS,
@@ -14,6 +15,7 @@ from repro.cli import (
     main,
 )
 from repro.core.config import LMCConfig
+from repro.obs.registry import RunRegistry
 
 
 def _config(*argv, command="check"):
@@ -59,13 +61,27 @@ class TestCheckCommand:
         assert main(["check", "chain", "--algorithm", "lmc-gen"]) == 0
 
     def test_parallel_algorithm(self, capsys):
-        assert main(["check", "tree", "--algorithm", "lmc-parallel"]) == 0
+        """Pooled verification is retired: its algorithm and pool flag are
+        usage errors."""
+        for retired in (["--algorithm", "lmc-parallel"], ["--workers", "2"]):
+            with pytest.raises(SystemExit) as exited:
+                main(["check", "tree", *retired])
+            assert exited.value.code == 2
+            assert retired[0] in capsys.readouterr().err
 
-    def test_negative_pool_size_exits_two(self, capsys):
-        with pytest.raises(SystemExit) as exited:
-            main(["check", "tree", "--algorithm", "lmc-parallel", "--workers", "-1"])
-        assert exited.value.code == 2
-        assert "--workers" in capsys.readouterr().err
+    def test_explore_workers_print_the_serial_report(self, capsys):
+        """The exploration front changes no line of the report but its
+        phase timings and run id.  Three-node Paxos is large enough for the
+        shipped thresholds to send rounds to the pool."""
+
+        def report(*flags):
+            assert main(["check", "paxos", *flags]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            return [line for line in lines if " : " in line and not line.startswith("run id")]
+
+        serial = report()
+        assert "transitions   : 4107" in serial
+        assert report("--explore-workers", "2") == serial
 
     def test_depth_bound_flag(self, capsys):
         assert main(["check", "echo", "--max-depth", "2"]) == 0
@@ -252,3 +268,42 @@ class TestConfigBinding:
         err = capsys.readouterr().err
         assert "--drop-faults" in err and "--max-drops" in err
         assert main(argv) == 0
+
+
+def test_resume_of_arguments_this_version_rejects_exits_two(tmp_path, capsys):
+    """A registered argv that no longer parses is one error line, not
+    argparse's usage text and ``SystemExit``."""
+    root = str(tmp_path / "runs")
+    argv = ["check", "tree", "--algorithm", "no-such-algorithm", "--checkpoint-every", "1"]
+    run = RunRegistry(root).register(command="check", workload="tree", argv=argv)
+    with open(os.path.join(run.directory, "checkpoint.json"), "w") as handle:
+        handle.write("{}\n")
+    assert main(["resume", run.run_id, "--registry-root", root]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"error: run {run.run_id} was recorded with arguments this version "
+        "rejects: argument --algorithm: invalid choice: 'no-such-algorithm'"
+    )
+    assert err.count("\n") == 1 and "usage" not in err
+
+
+@pytest.mark.parametrize(
+    "retired",
+    [["--algorithm", "lmc-parallel"], ["--workers", "2"]],
+    ids=["algorithm", "workers"],
+)
+def test_resume_of_a_pooled_verification_run_exits_two(retired, tmp_path, capsys):
+    """Runs registered with the retired pooled verification's flags cannot
+    resume; each is refused in one line naming the flag."""
+    root = str(tmp_path / "runs")
+    argv = ["check", "2pc", "--buggy", *retired, "--checkpoint-every", "1"]
+    run = RunRegistry(root).register(command="check", workload="2pc", argv=argv)
+    with open(os.path.join(run.directory, "checkpoint.json"), "w") as handle:
+        handle.write("{}\n")
+    assert main(["resume", run.run_id, "--registry-root", root]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"error: run {run.run_id} was recorded with arguments this version rejects: "
+    )
+    assert retired[0] in err
+    assert err.count("\n") == 1 and "usage" not in err
