@@ -32,6 +32,7 @@ from typing import Any, Callable, Dict, List, NoReturn, Optional, Tuple, Type
 from repro.core.checker import LocalModelChecker
 from repro.core.checkpoint import Checkpointer, CheckpointError, load_checkpoint
 from repro.core.config import LMCConfig
+from repro.core.pool import require_fork
 from repro.explore.budget import SearchBudget
 from repro.explore.global_checker import GlobalModelChecker
 from repro.invariants.base import Invariant
@@ -230,8 +231,8 @@ def add_config_flags(command: argparse.ArgumentParser) -> None:
         "explore_workers",
         type=worker_count,
         metavar="N",
-        help="shard each exploration round's frontier across N pool "
-        "workers (LMC algorithms only; 0 explores serially, -1 uses "
+        help="shard each exploration round's frontier across N forked "
+        "children (LMC algorithms only; 0 explores serially, -1 uses "
         "all CPUs; results are identical either way — see "
         "docs/PERFORMANCE.md)",
     )
@@ -992,6 +993,11 @@ def main(argv: Optional[list] = None) -> int:
             f"ignore {' '.join(ignored)}",
             file=sys.stderr,
         )
+        return 2
+    try:
+        require_fork(getattr(args, "explore_workers", 0))
+    except ValueError as exc:
+        print(f"error: --explore-workers: {exc}", file=sys.stderr)
         return 2
     try:
         emitter = _make_emitter(args)

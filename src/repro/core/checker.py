@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
+from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.checkpoint import (
@@ -81,9 +82,11 @@ from repro.core.event_kinds import (
     SWEEPS,
     Cursor,
     EventKind,
-    attempt,
+    Transition,
+    execute,
 )
-from repro.core.explore_parallel import RoundSpeculator, SpecExec
+from repro.core.explore_parallel import RoundSpeculator
+from repro.core.pool import require_fork
 from repro.core.records import (
     LINK_BYTES,
     LocalStateSpace,
@@ -107,16 +110,11 @@ from repro.invariants.base import (
     LocalInvariant,
     declares_summary,
 )
-from repro.model.events import DeliveryEvent, Event, event_hash
-from repro.model.hashing import (
-    content_hash,
-    content_hash_and_size,
-    intern_stats,
-    interning_enabled,
-)
+from repro.model.events import DeliveryEvent
+from repro.model.hashing import intern_stats, interning_enabled
 from repro.model.protocol import Protocol
 from repro.model.system_state import SystemState
-from repro.model.types import HandlerResult, NodeId
+from repro.model.types import NodeId
 from repro.protocols.common import declared_action_names, declared_message_types
 from repro.network.monotonic import MonotonicNetwork, StoredMessage
 from repro.obs.coverage import NULL_COVERAGE, CoverageTracker
@@ -174,6 +172,7 @@ class LocalModelChecker:
         coverage: Optional[CoverageTracker] = None,
         checkpointer: Optional[Checkpointer] = None,
     ):
+        require_fork(config.explore_workers)
         self.protocol = protocol
         self.invariant = invariant
         self.budget = budget
@@ -530,8 +529,8 @@ class _ExplorationPass:
         )
         #: Parallel frontier exploration (docs/PERFORMANCE.md): per-round
         #: speculative precomputation of handler results and content hashes
-        #: across the shared worker pool.  ``None`` (``explore_workers=0``)
-        #: keeps the sweep fully in-process.
+        #: in forked children.  ``None`` (``explore_workers=0``) keeps the
+        #: sweep fully in-process.
         self._speculator: Optional[RoundSpeculator] = RoundSpeculator.for_pass(self)
         #: Symmetry reduction (docs/REDUCTION.md): orbit canonicalisation of
         #: candidate combinations under the protocol-declared node-symmetry
@@ -679,10 +678,10 @@ class _ExplorationPass:
         self._partition_retry = False
         partitions = self.config.partition_schedules
         # Parallel frontier exploration: snapshot the round-start frontier
-        # and precompute its handler results + content hashes across the
-        # worker pool.  The sweeps below are unchanged — they consume a
-        # precomputed outcome on a table hit and compute inline on a miss,
-        # so order, counters and results are byte-identical to serial.
+        # and precompute its handler results + content hashes in forked
+        # children.  The sweeps below are unchanged — they adopt a child's
+        # outcome on a table hit and run the kernel inline on a miss, so
+        # order, counters and results are byte-identical to serial.
         if self._speculator is not None:
             self._speculator.begin_round()
         for sweep in self.sweeps:
@@ -753,22 +752,21 @@ class _ExplorationPass:
                 elif outcome is BOUND:
                     self.blocked_by_bound = True
                 continue
-            spec = (
+            packed = (
                 speculator.lookup(outcome, record, subject)
                 if speculator is not None
                 else None
             )
             if not outcome.fan_out:
-                executions += self._execute(outcome, record, subject, spec)
-            elif spec is None:
-                for action in self.protocol.enabled_actions(record.state):
-                    executions += self._execute(outcome, record, action)
-            else:
-                # The worker's ``enabled_actions`` enumeration is a pure
-                # function of the (shipped, equal) state: same actions,
-                # same order as the line above would produce.
-                for action, action_spec in zip(*spec):
-                    executions += self._execute(outcome, record, action, action_spec)
+                executions += self._execute(outcome, record, subject, packed)
+                continue
+            actions = self.protocol.enabled_actions(record.state)
+            # A child enumerated the same actions of the same state, in the
+            # same order, and packed one outcome per action.
+            for action, action_packed in zip(
+                actions, repeat(None) if packed is None else packed
+            ):
+                executions += self._execute(outcome, record, action, action_packed)
         return executions
 
     def _partition_holds(self, stored: StoredMessage, store) -> bool:
@@ -832,7 +830,7 @@ class _ExplorationPass:
         row: EventKind,
         record: NodeStateRecord,
         subject: object,
-        spec: Optional[object] = None,
+        packed: Optional[object] = None,
     ) -> int:
         """Execute one event of family ``row`` on one node state.
 
@@ -844,20 +842,21 @@ class _ExplorationPass:
         a crash keeps only the durable fragment, a restart boots from it,
         a drop runs the ``handle_drop`` timeout hook, a duplicate runs the
         message handler again.  ``subject`` is the stored message, the
-        action, or ``None``; ``spec`` is this execution's precomputed
-        outcome when the round's parallel frontier pass covered it, else
-        the handler runs here.  Returns handler executions done (always 1).
+        action, or ``None``; ``packed`` is a speculation child's outcome of
+        this execution when the round's frontier covered it, else the
+        kernel (:func:`~repro.core.event_kinds.execute`) runs here.  Returns
+        handler executions done (always 1).
         """
         self._tick_budget()
-        payload = subject.message if row.on_message else subject
         if row.covered and self.coverage.enabled:
             if row.on_message:
-                self.coverage.note_delivery(type(payload.payload).__name__)
+                self.coverage.note_delivery(type(subject.message.payload).__name__)
             else:
-                self.coverage.note_action(payload.name)
-        event = row.make_event(record.node, payload)
+                self.coverage.note_action(subject.name)
         outcome = (
-            spec if spec is not None else attempt(self.protocol, record.state, event)
+            execute(self.protocol, row, record, subject)
+            if packed is None
+            else self._speculator.adopt(row, record, subject, packed)
         )
         if outcome is ASSERT:
             self._handle_assertion_failure(record)
@@ -874,10 +873,7 @@ class _ExplorationPass:
                 self.emitter.event(
                     "fault", kind=row.fault, node=record.node, depth=record.depth
                 )
-        if spec is None:
-            self._integrate(row, record, subject, event, outcome, None)
-        else:
-            self._integrate(row, record, subject, event, outcome.result, outcome)
+        self._integrate(row, record, subject, outcome)
         return 1
 
     def _handle_assertion_failure(self, record: NodeStateRecord) -> None:
@@ -900,9 +896,7 @@ class _ExplorationPass:
         row: EventKind,
         record: NodeStateRecord,
         subject: object,
-        event: Event,
-        result: HandlerResult,
-        precomputed: Optional[SpecExec],
+        step: Transition,
     ) -> None:
         """Fold a handler result into ``LS``/``I+`` (Fig. 9 lines 8-9).
 
@@ -919,38 +913,24 @@ class _ExplorationPass:
         event leaves, the local-depth step, and the crash/restart marks of
         docs/FAULTS.md.
 
-        ``precomputed`` carries a parallel-exploration worker's hashes for
-        this execution (successor hash/size, event hash, per-send
-        hash/size): the merge then skips every re-encoding but makes exactly
-        the same decisions — send admission, successor dedup and predecessor
-        linking are driven by the same hash values a serial run would
-        compute.  Either way each send is hashed once and admitted through
-        ``add_hashed``.
+        ``step`` is the kernel's :class:`~repro.core.event_kinds.Transition`
+        — computed here or adopted from a speculation child — so every hash
+        the fold needs (successor hash and size, event hash, per-send hash
+        and size) is already in hand: send admission, successor dedup and
+        predecessor linking re-encode nothing.
         """
-        if precomputed is not None:
-            generated = precomputed.generated
-            send_info = precomputed.send_info
-            new_hash = precomputed.new_hash
-            new_size: Optional[int] = precomputed.new_size
-            ehash = precomputed.ehash
-        else:
-            send_info = [
-                content_hash_and_size(m, by_value=True) for m in result.sends
-            ]
-            generated = tuple([info[0] for info in send_info])
-            new_hash = content_hash(result.state, by_value=True)
-            new_size = None
-            ehash = event_hash(event)
-        for message, info in zip(result.sends, send_info):
-            self.network.add_hashed(message, info[0], info[1])
+        send_info = step.send_info
+        for message, (msg_hash, msg_size) in zip(step.sends, send_info):
+            self.network.add_hashed(message, msg_hash, msg_size)
         consumed_hash = subject.hash if row.consumes else None
         link = PredecessorLink(
             prev_hash=record.hash,
-            event=event,
-            event_hash=ehash,
+            event=step.event,
+            event_hash=step.event_hash,
             consumed_hash=consumed_hash,
-            generated_hashes=generated,
+            generated_hashes=tuple([msg_hash for msg_hash, _size in send_info]),
         )
+        new_hash = step.state_hash
         store = self.space.store(record.node)
         if new_hash == record.hash:
             # Sends without a state change: a self-referencing link, ignored
@@ -959,7 +939,7 @@ class _ExplorationPass:
             return
         existing = store.lookup(new_hash)
         if existing is not None:
-            if precomputed is not None:
+            if step.speculated:
                 # A speculatively-executed successor the deterministic merge
                 # found already in LS_n — exactly the dedup serial would do.
                 self.stats.explore_merge_conflicts_suppressed += 1
@@ -991,14 +971,14 @@ class _ExplorationPass:
             if row.copy_token:
                 history = history | {-(subject.seq + 1)}
         new_record = store.add(
-            result.state,
+            step.state,
             new_hash,
             depth=record.depth + 1,
             local_depth=record.local_depth + row.local_step,
             history=history,
             crashes=record.crashes + row.crashes,
             crashed=row.crashes,
-            state_size=new_size,
+            state_size=step.state_size,
         )
         new_record.add_predecessor(link)
         self._retained_bytes += new_record.retained_bytes()

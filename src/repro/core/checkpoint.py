@@ -34,8 +34,9 @@ on demand: the soundness verifier's sequence/replay memos (cold memos only
 change ``*_cache_hits`` counters, never verdicts — the same contract the
 bench's cached-vs-uncached legs rely on), the projection cache and index
 (recomputed from the restored records in discovery order), the symmetry
-renamed-hash cache, and the parallel-exploration speculator (a fresh one
-re-ships the full ``I+`` log through its ordinary sync handshake).
+renamed-hash cache, the stored messages' event memos, and the
+parallel-exploration speculator (its children read the restored pass
+directly).
 
 Model values round-trip through :mod:`repro.persistence`'s structural
 codec — the same closed class registry and versioned-envelope discipline as
@@ -541,8 +542,7 @@ def restore_pass(
 
     # Derived caches are rebuilt, not restored: projections in discovery
     # order (exactly the order seeding + integration noted them), verifier
-    # memos cold (cache-hit counters only), speculator fresh (full-log
-    # resync on first dispatch).
+    # memos cold (cache-hit counters only), speculator fresh.
     if pass_._projection_index is not None:
         for node in pass_.space.node_ids:
             for record in pass_.space.store(node).records:

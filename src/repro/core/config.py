@@ -143,12 +143,13 @@ class LMCConfig:
 
     #: Worker processes for parallel frontier exploration
     #: (docs/PERFORMANCE.md): each round, the per-node frontier of pending
-    #: deliveries, internal actions and fault steps is sharded across the
-    #: persistent worker pool, which precomputes handler results and content
-    #: hashes; the coordinator then replays the exact serial sweep consuming
-    #: those results, so counters, verdicts and witnesses are byte-identical
-    #: to the serial checker.  ``0`` (the default) keeps exploration fully
-    #: in-process; ``None`` uses ``os.cpu_count()``.  Which rounds go
+    #: deliveries, internal actions and fault steps is sharded across
+    #: children forked for the round, which precompute handler results and
+    #: content hashes; the coordinator then replays the exact serial sweep
+    #: adopting those results, so counters, verdicts and witnesses are
+    #: byte-identical to the serial checker.  ``0`` (the default) keeps
+    #: exploration fully in-process; ``None`` uses ``os.cpu_count()``.  A
+    #: count above 0 needs ``os.fork`` (checked when the checker is built).  Which rounds go
     #: parallel, and in how many shards, is fixed by
     #: :mod:`repro.core.explore_parallel`'s ``ROUND_THRESHOLD``/``SHARD_MIN``.
     explore_workers: Optional[int] = 0

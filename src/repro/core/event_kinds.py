@@ -8,18 +8,19 @@ family is data, and this module is that data:
 
 * :class:`EventKind` rows (:data:`EVENT_KINDS`) say how an executed event
   folds into the successor record — which history entry it leaves, whether
-  it is a local step, which fault counter it bumps — and are shared by the
-  coordinator's executor (``core/checker.py``), the pool workers and the
-  round speculator (``core/explore_parallel.py``);
+  it is a local step, which fault counter it bumps — and are read by the
+  coordinator's executor (``core/checker.py``) and the round speculator
+  (``core/explore_parallel.py``);
 * :class:`Sweep` rows (:data:`SWEEPS`) say which cursor lanes a round walks
   and carry the *pure* gate deciding what a lane's next record is offered.
   The sweeper applies a gate's side effects; the speculator peeks the same
   gates to guess the round's frontier without advancing anything, and
   ``core/checkpoint.py`` serializes the cursor families by name.
 
-Every handler runs through :func:`attempt`, i.e. through
-:meth:`repro.model.protocol.Protocol.execute` — the same dispatch witness
-replay trusts — so a step is computed by one code site only.
+Every handler runs through one execution kernel, :func:`execute`, i.e.
+through :meth:`repro.model.protocol.Protocol.execute` — the same dispatch
+witness replay trusts — so a step is computed by one code site only, in
+the checker's process or in a forked speculation child.
 """
 
 from __future__ import annotations
@@ -35,31 +36,99 @@ from repro.model.events import (
     Event,
     InternalEvent,
     RestartEvent,
+    event_hash,
 )
+from repro.model.hashing import content_hash_and_size
 from repro.model.types import LocalAssertionError, NodeId
 
-#: Outcomes of :func:`attempt` that produce no successor state: the handler
-#: raised a local assertion, or was a no-op.  Also the wire tags pool
-#: workers ship for them.
+#: Outcomes of :func:`execute` that produce no successor state: the handler
+#: raised a local assertion, or was a no-op.  Also the tags a speculation
+#: child ships for them.
 ASSERT = "a"
 NOOP = "n"
 
 
-def attempt(protocol: Any, state: Any, event: Event) -> Any:
-    """Run ``event`` on ``state``: :data:`ASSERT`, :data:`NOOP`, or the
-    :class:`~repro.model.types.HandlerResult` of a genuine transition."""
+class Transition:
+    """An executed event that changed something, with every hash its
+    integration needs: the successor's content hash and canonical size from
+    one encoding, the event hash and each send's ``(hash, size)``.
+
+    ``state`` and a send's message are ``None`` only in a transition a
+    speculation child computed and did not ship them for — the successor
+    was already in ``LS_n`` at round start, or the send's copy count was
+    already spent — so integration never reads them.
+    """
+
+    __slots__ = (
+        "event", "event_hash", "state", "state_hash", "state_size", "sends",
+        "send_info", "speculated",
+    )
+
+    def __init__(
+        self,
+        event: Event,
+        ehash: int,
+        state: Any,
+        state_hash: int,
+        state_size: int,
+        sends: Tuple[Any, ...],
+        send_info: Tuple[Tuple[int, int], ...],
+        speculated: bool = False,
+    ):
+        self.event = event
+        self.event_hash = ehash
+        self.state = state
+        self.state_hash = state_hash
+        self.state_size = state_size
+        self.sends = sends
+        self.send_info = send_info
+        #: Computed by a speculation child: the merge counts the ones whose
+        #: successor it finds already stored
+        #: (``explore_merge_conflicts_suppressed``).
+        self.speculated = speculated
+
+
+def event_of(row: "EventKind", record: Any, subject: Any) -> Tuple[Event, Optional[int]]:
+    """The event offering ``subject`` to ``record`` makes, and its hash when
+    already known: a stored message memoises both per family."""
+    if row.on_message:
+        return subject.event(row)
+    return row.make_event(record.node, subject), None
+
+
+def execute(protocol: Any, row: "EventKind", record: Any, subject: Any) -> Any:
+    """The execution kernel: run ``subject`` (a stored message, an action or
+    ``None``) on ``record`` as a ``row`` event.
+
+    Returns :data:`ASSERT`, :data:`NOOP`, or the :class:`Transition` of a
+    genuine step.
+    """
+    event, ehash = event_of(row, record, subject)
+    state = record.state
     try:
         result = protocol.execute(state, event)
     except LocalAssertionError:
         return ASSERT
-    return NOOP if result.is_noop(state) else result
+    if result.is_noop(state):
+        return NOOP
+    state_hash, state_size = content_hash_and_size(result.state, by_value=True)
+    return Transition(
+        event,
+        event_hash(event) if ehash is None else ehash,
+        result.state,
+        state_hash,
+        state_size,
+        result.sends,
+        tuple([content_hash_and_size(m, by_value=True) for m in result.sends]),
+    )
 
 
 @dataclass(frozen=True)
 class EventKind:
     """How one event family executes and integrates (a table row)."""
 
-    #: Unique tag: the pool wire format and the speculation table key.
+    #: Unique tag: the speculation table key and the stored-message event
+    #: memo key.
     tag: str
     event_class: type
     #: The sweep subject is a stored message (else an action, or nothing).
@@ -89,7 +158,7 @@ class EventKind:
     reboots: bool = False
     #: Handler coverage is noted (message payload type / action name).
     covered: bool = False
-    #: The round speculator ships this family to the pool.
+    #: The round speculator precomputes this family in its forked children.
     speculated: bool = False
 
     def make_event(self, node: NodeId, payload: Any) -> Event:
@@ -124,7 +193,6 @@ DUPLICATE = EventKind(
 EVENT_KINDS: Tuple[EventKind, ...] = (
     DELIVERY, INTERNAL, CRASH, RESTART, DROP, DUPLICATE
 )
-KIND_BY_TAG = {kind.tag: kind for kind in EVENT_KINDS}
 
 # -- gates -----------------------------------------------------------------------
 #

@@ -1,4 +1,4 @@
-"""Parallel frontier exploration: shard the LMC round loop across the pool.
+"""Parallel frontier exploration: speculate each LMC round in forked children.
 
 The paper's monotonic-network framing makes per-node expansion independent:
 given a snapshot of ``I+``, executing a pending delivery, internal action or
@@ -10,57 +10,51 @@ exploits that independence **speculatively**:
    — every ``(record, stored message)`` delivery pair the per-message
    cursors will sweep, every record the local-event cursor will offer its
    internal actions, and (with faults on) every crash/restart candidate —
-   and shards it across the persistent worker pool
-   (:func:`repro.core.pool.map_ordered`).
-2. Workers run the expensive node-local half of the execute loop — handler
-   execution plus content hashing of successor states and sends (the
-   dominant cost of the explore phase) — against a per-run **replica** of
-   the protocol and message store, kept current by monotone ``I+`` deltas
-   (:meth:`~repro.network.monotonic.MonotonicNetwork.messages_since`).
-3. The coordinator then replays the *exact serial sweep*, consuming a
-   worker's precomputed result wherever the table has one and executing
+   and splits it into shards.
+2. It forks one child per shard (:func:`repro.core.pool.fork_map`).  A
+   child inherits the coordinator's memory copy-on-write — records, ``I+``,
+   the protocol, the warm hash interner — and runs the execution kernel
+   (:func:`repro.core.event_kinds.execute`), the very function the
+   coordinator's executor runs, on each of its items.  Per item it pipes
+   back integers only: the outcome tag, the successor's hash and size, the
+   event hash and each send's ``(hash, size)``.  Objects go with them only
+   where the coordinator may need them: a successor state whose hash was
+   not in the node's store at round start, and a send whose copy count was
+   still below ``1 + duplicate_limit`` then.
+3. The coordinator then replays the *exact serial sweep*, adopting a
+   child's outcome wherever the table has one and running the kernel
    inline on a miss (intra-round cascades: messages and records minted
    mid-round are invisible to the round-start snapshot).
 
 Because the merge **is** the serial order, every counter, verdict, witness
 trace and dedup decision is byte-identical to the serial checker by
 construction — speculation only moves pure-function work (handlers are
-functions of immutable values; content hashing is deterministic across
-processes) onto other cores.  Worker results that the replay re-discovers
-through a different path are simply dropped; cross-shard rediscoveries the
-merge folds into predecessor pointers are surfaced as
-``explore_merge_conflicts_suppressed``.
+functions of immutable values; content hashing is deterministic) onto other
+cores.  Child results the replay re-discovers through a different path are
+dropped; cross-shard rediscoveries the merge folds into predecessor
+pointers are surfaced as ``explore_merge_conflicts_suppressed``.
 
-Failure containment: :func:`~repro.core.pool.map_ordered` rebuilds a broken
-pool and retries the round once; the second :class:`BrokenProcessPool`
-reaches :meth:`RoundSpeculator.begin_round`, which disables speculation for
-the rest of the pass — the checker continues serially with identical
-results.  A worker that has not seen earlier deltas (fresh pool, or a pool
-peer that was idle in prior rounds) answers with a sync-miss carrying its
-high-water mark; the coordinator re-dispatches that shard with the full
-message log.
+Failure containment: any child failure — a non-zero exit, a signal, a short
+or undecodable result — runs that round inline and turns speculation off
+for the rest of the pass, with one ``parallel_fallback`` trace event
+carrying the exit status.  Results are unchanged either way.
 """
 
 from __future__ import annotations
 
-import itertools
-import os
-import pickle
 import time
-from collections import OrderedDict
+from functools import partial
 from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.event_kinds import (
     ASSERT,
-    KIND_BY_TAG,
     NOOP,
     EventKind,
-    attempt,
+    Transition,
+    event_of,
+    execute,
 )
-from repro.core.pool import BrokenProcessPool, map_ordered, resolve_workers
-from repro.model.events import event_hash
-from repro.model.hashing import content_hash_and_size
-from repro.model.types import HandlerResult
+from repro.core.pool import ChildFailed, fork_map, resolve_workers
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (checker imports us)
     from repro.core.checker import _ExplorationPass
@@ -68,7 +62,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (checker imports us)
 
 #: Rounds with fewer frontier items than this run entirely serially — early
 #: rounds are tiny (a handful of seeds and their first messages) and pay
-#: pool latency without amortizing it.
+#: fork latency without amortizing it.
 ROUND_THRESHOLD = 128
 
 #: Minimum frontier items per shard: below this, fewer (larger) shards are
@@ -76,203 +70,27 @@ ROUND_THRESHOLD = 128
 SHARD_MIN = 64
 
 
-class SpecExec:
-    """A precomputed handler execution: successor, sends, and their hashes.
-
-    Everything ``_integrate`` would otherwise compute on the hot path — the
-    successor's content hash and canonical size, the event hash, and each
-    send's ``(hash, size)`` — shipped back from the worker so the
-    coordinator's replay only does the bookkeeping.
-    """
-
-    __slots__ = ("result", "new_hash", "new_size", "ehash", "generated", "send_info")
-
-    def __init__(
-        self,
-        result: HandlerResult,
-        new_hash: int,
-        new_size: int,
-        ehash: int,
-        generated: Tuple[int, ...],
-        send_info: Tuple[Tuple[int, int], ...],
-    ):
-        self.result = result
-        self.new_hash = new_hash
-        self.new_size = new_size
-        self.ehash = ehash
-        #: Send hashes in emission order (the link's ``generated_hashes``).
-        self.generated = generated
-        #: ``(hash, size)`` per send, for no-re-encode network admission.
-        self.send_info = send_info
-
-
-# -- worker side ---------------------------------------------------------------
-
-
-class _Replica:
-    """One run's worker-local view: the protocol and the message store."""
-
-    __slots__ = ("protocol", "messages", "high")
-
-    def __init__(self, protocol: Any):
-        self.protocol = protocol
-        #: seq -> message, grown monotonically by shipped deltas.
-        self.messages: Dict[int, Any] = {}
-        #: Messages below this seq are all present (the synced prefix).
-        self.high = 0
-
-
-#: Per-run replicas, keyed by run token; a small LRU — workers persist
-#: across checker runs, so stale runs' replicas must not accumulate.
-_REPLICAS: "OrderedDict[str, _Replica]" = OrderedDict()
-_REPLICA_CAP = 4
-
-_TOKENS = itertools.count()
-
-
-def _replica_for(token: str, protocol_blob: bytes) -> _Replica:
-    replica = _REPLICAS.get(token)
-    if replica is None:
-        replica = _Replica(pickle.loads(protocol_blob))
-        _REPLICAS[token] = replica
-        while len(_REPLICAS) > _REPLICA_CAP:
-            _REPLICAS.popitem(last=False)
-    else:
-        _REPLICAS.move_to_end(token)
-    return replica
-
-
-def explore_shard_task(
-    token: str,
-    protocol_blob: bytes,
-    base_seq: int,
-    high_seq: int,
-    delta_blob: bytes,
-    states: List[Any],
-    items: List[Tuple],
-) -> Tuple:
-    """Worker entry point: precompute one frontier shard's executions.
-
-    ``items`` are ``(tag, state index, node, seq)`` rows: the event family
-    (:data:`repro.core.event_kinds.KIND_BY_TAG`), the node state by its
-    index into ``states`` (a per-shard dedup table) and, for message
-    families, the message by its ``I+`` sequence number; the delta in
-    ``delta_blob`` covers ``[base_seq, high_seq)``.  Returns
-    ``("sync", high)`` when this worker's replica has not seen ``base_seq``
-    yet (the coordinator re-dispatches with the full log), else
-    ``("ok", outcomes, state_table, message_table)`` with one outcome per
-    item — ``("a",)``, ``("n",)``, an executed
-    ``("x", state_idx, hash, size, event_hash, sends)`` or, for fan-out
-    (internal) items, ``("i", actions, per_action_outcomes)``.
-    """
-    replica = _replica_for(token, protocol_blob)
-    if replica.high < base_seq:
-        return ("sync", replica.high)
-    for seq, message in pickle.loads(delta_blob):
-        replica.messages[seq] = message
-    if high_seq > replica.high:
-        replica.high = high_seq
-    protocol = replica.protocol
-
-    out_states: List[Any] = []
-    state_pos: Dict[int, int] = {}
-    out_msgs: List[Any] = []
-    msg_pos: Dict[int, int] = {}
-
-    def run(row: EventKind, state: Any, node: Any, payload: Any) -> Tuple:
-        """The same :func:`attempt` the coordinator's miss path runs, plus
-        the content hashing ``_integrate`` would otherwise do."""
-        event = row.make_event(node, payload)
-        result = attempt(protocol, state, event)
-        if result is ASSERT or result is NOOP:
-            return (result,)
-        new_hash, new_size = content_hash_and_size(result.state, by_value=True)
-        pos = state_pos.get(new_hash)
-        if pos is None:
-            pos = len(out_states)
-            state_pos[new_hash] = pos
-            out_states.append(result.state)
-        sends = []
-        for message in result.sends:
-            msg_hash, msg_size = content_hash_and_size(message, by_value=True)
-            mpos = msg_pos.get(msg_hash)
-            if mpos is None:
-                mpos = len(out_msgs)
-                msg_pos[msg_hash] = mpos
-                out_msgs.append(message)
-            sends.append((mpos, msg_hash, msg_size))
-        return ("x", pos, new_hash, new_size, event_hash(event), tuple(sends))
-
-    outcomes: List[Optional[Tuple]] = []
-    for tag, state_index, node, seq in items:
-        row = KIND_BY_TAG[tag]
-        state = states[state_index]
-        if row.fan_out:
-            actions = tuple(protocol.enabled_actions(state))
-            outcomes.append(
-                ("i", actions, tuple(run(row, state, node, a) for a in actions))
-            )
-            continue
-        payload = None
-        if row.on_message:
-            payload = replica.messages.get(seq)
-            if payload is None:
-                # Only reachable through a protocol bug in the sync
-                # handshake; a None outcome is just a table miss upstream.
-                outcomes.append(None)
-                continue
-        outcomes.append(run(row, state, node, payload))
-    return ("ok", outcomes, out_states, out_msgs)
-
-
-# -- coordinator side ----------------------------------------------------------
-
-
-def _decode(enc: Tuple, states: List[Any], msgs: List[Any]) -> Any:
-    """A worker outcome as the executor consumes it: the :data:`ASSERT` /
-    :data:`NOOP` constants (by identity), a :class:`SpecExec`, or — for a
-    fan-out item — ``(actions, per-action outcomes)``."""
-    tag = enc[0]
-    if tag == ASSERT:
-        return ASSERT
-    if tag == NOOP:
-        return NOOP
-    if tag == "i":
-        return enc[1], tuple(_decode(o, states, msgs) for o in enc[2])
-    sends_enc = enc[5]
-    return SpecExec(
-        result=HandlerResult(
-            states[enc[1]], tuple(msgs[pos] for pos, _h, _s in sends_enc)
-        ),
-        new_hash=enc[2],
-        new_size=enc[3],
-        ehash=enc[4],
-        generated=tuple(h for _pos, h, _s in sends_enc),
-        send_info=tuple((h, s) for _pos, h, s in sends_enc),
-    )
-
-
 class RoundSpeculator:
-    """Per-pass coordinator: snapshot, dispatch, and serve the round table.
+    """Per-pass coordinator: snapshot, fork, and serve the round table.
 
     Owned by one :class:`~repro.core.checker._ExplorationPass`; the pass
     calls :meth:`begin_round` at the top of every round and then consults
     :meth:`lookup` from inside the (otherwise unchanged) serial sweep.  A
-    ``None`` answer means "compute inline, exactly as before".
+    ``None`` answer means "run the kernel inline"; anything else goes
+    through :meth:`adopt`.
     """
 
     def __init__(self, pass_: "_ExplorationPass", workers: int):
         self._pass = pass_
         self.workers = workers
-        #: Cleared after an unrecoverable pool failure: the rest of the pass
-        #: runs serially (results unchanged — only speed).
+        #: Cleared after a failed round: the rest of the pass runs serially
+        #: (results unchanged — only speed).
         self.enabled = True
         self._table: Optional[Dict[Tuple, Any]] = None
-        self._proto_blob: Optional[bytes] = None
-        #: High-water ``I+`` seq already shipped to the pool.
-        self._shipped = 0
+        #: The round's shipped successor states and send messages, by hash.
+        self._states: Dict[int, Any] = {}
+        self._messages: Dict[int, Any] = {}
         self._round_no = 0
-        self._token = f"{os.getpid()}:{next(_TOKENS)}"
 
     @classmethod
     def for_pass(cls, pass_: "_ExplorationPass") -> Optional["RoundSpeculator"]:
@@ -283,22 +101,18 @@ class RoundSpeculator:
     # -- round lifecycle ---------------------------------------------------
 
     def begin_round(self) -> None:
-        """Snapshot this round's frontier and precompute it across the pool.
+        """Snapshot this round's frontier and precompute it in forked children.
 
-        Small rounds (below :data:`ROUND_THRESHOLD` items) skip the pool
-        entirely; dispatch failures fall back to serial execution — in every
-        case the subsequent sweep produces byte-identical results.
+        Small rounds (below :data:`ROUND_THRESHOLD` items) fork nothing; a
+        failed child leaves the round to the inline kernel — in every case
+        the subsequent sweep produces byte-identical results.
         """
         p = self._pass
         self._table = None
+        self._states = {}
+        self._messages = {}
         if not self.enabled:
             return
-        if self._proto_blob is None:
-            try:
-                self._proto_blob = pickle.dumps(p.protocol)
-            except (pickle.PicklingError, TypeError, AttributeError):
-                self.enabled = False
-                return
         items = self._snapshot()
         if len(items) < ROUND_THRESHOLD:
             return
@@ -307,31 +121,20 @@ class RoundSpeculator:
             items[start : start + shard_size]
             for start in range(0, len(items), shard_size)
         ]
-        encoded = [self._encode_shard(shard) for shard in shards]
-        base = self._shipped
-        high = p.network.high_water
-        delta_blob = pickle.dumps(
-            tuple((s.seq, s.message) for s in p.network.messages_since(base))
-        )
         started = time.perf_counter()
         try:
-            reports, misses = self._dispatch(encoded, base, high, delta_blob)
-        except (BrokenProcessPool, pickle.PicklingError):
-            # The pool broke twice in a row, or the model's values cannot
-            # be shipped: stay serial for the rest of the pass.
+            reports = self._dispatch(shards)
+        except (ChildFailed, OSError) as failure:
             self.enabled = False
+            if p.emitter.enabled:
+                p.emitter.event(
+                    "parallel_fallback",
+                    round=p.round_number,
+                    status=getattr(failure, "status", None),
+                    reason=str(failure),
+                )
             return
-        self._shipped = high
         self._round_no += 1
-        table: Dict[Tuple, Any] = {}
-        for shard, (result, _wall_s, _pid) in zip(shards, reports):
-            if result[0] != "ok":
-                continue
-            _, outcomes, rstates, rmsgs = result
-            for item, enc in zip(shard, outcomes):
-                if enc is not None:
-                    table[self._key(*item)] = _decode(enc, rstates, rmsgs)
-        self._table = table
         p.stats.explore_rounds_parallel += 1
         p.stats.explore_shards += len(shards)
         if p.emitter.enabled:
@@ -341,53 +144,66 @@ class RoundSpeculator:
                 items=len(items),
                 shards=len(shards),
                 workers=self.workers,
-                sync_misses=misses,
                 dispatch_s=round(time.perf_counter() - started, 6),
             )
-            for index, (result, wall_s, pid) in enumerate(reports):
-                if result[0] == "ok":
-                    p.emitter.emit_span(
-                        "worker_explore",
-                        wall_s,
-                        fields={"shard": index, "items": len(shards[index])},
-                        pid=pid,
-                    )
-
-    def _dispatch(
-        self,
-        encoded: List[Tuple[List[Any], List[Tuple]]],
-        base: int,
-        high: int,
-        delta_blob: bytes,
-    ) -> Tuple[List[Tuple[Tuple, float, int]], int]:
-        """One generation over the pool; sync-misses resent with the full log.
-
-        Returns :func:`~repro.core.pool.map_ordered`'s ``(result, wall_s,
-        pid)`` triples, one per shard, and the sync-miss count.
-        """
-        run = (self._token, self._proto_blob)
-        reports = map_ordered(
-            self.workers,
-            explore_shard_task,
-            [run + (base, high, delta_blob) + shard for shard in encoded],
-        )
-        missed = [
-            index for index, report in enumerate(reports) if report[0][0] == "sync"
-        ]
-        if missed:
-            full_blob = pickle.dumps(
-                tuple(
-                    (s.seq, s.message) for s in self._pass.network.messages_since(0)
+            for index, (_result, wall_s, pid) in enumerate(reports):
+                p.emitter.emit_span(
+                    "worker_explore",
+                    wall_s,
+                    fields={"shard": index, "items": len(shards[index])},
+                    pid=pid,
                 )
-            )
-            resent = map_ordered(
-                self.workers,
-                explore_shard_task,
-                [run + (0, high, full_blob) + encoded[index] for index in missed],
-            )
-            for index, report in zip(missed, resent):
-                reports[index] = report
-        return reports, len(missed)
+
+    def _dispatch(self, shards: List[List[Tuple]]) -> List[Tuple[Any, float, int]]:
+        """Fork one child per shard and file what they piped back as the
+        round table; returns :func:`~repro.core.pool.fork_map`'s reports."""
+        reports = fork_map([partial(self._speculate, shard) for shard in shards])
+        table: Dict[Tuple, Any] = {}
+        for shard, ((outcomes, states, messages), _wall_s, _pid) in zip(shards, reports):
+            self._states.update(states)
+            self._messages.update(messages)
+            for item, packed in zip(shard, outcomes):
+                table[self._key(*item)] = packed
+        self._table = table
+        return reports
+
+    def _speculate(self, shard: List[Tuple]) -> Tuple[List[Any], Dict, Dict]:
+        """A child's whole job: the kernel on every item of ``shard``.
+
+        Returns the packed outcome per item — for a fan-out item, a tuple of
+        them over the record's ``enabled_actions`` — and the successor
+        states and messages the coordinator may need, by hash.
+        """
+        p = self._pass
+        protocol = p.protocol
+        admits = p.network.admits
+        states: Dict[int, Any] = {}
+        messages: Dict[int, Any] = {}
+
+        def pack(outcome: Any, store: Any) -> Any:
+            if outcome is ASSERT or outcome is NOOP:
+                return outcome
+            state_hash = outcome.state_hash
+            if state_hash not in states and store.lookup(state_hash) is None:
+                states[state_hash] = outcome.state
+            for message, (msg_hash, _size) in zip(outcome.sends, outcome.send_info):
+                if msg_hash not in messages and admits(msg_hash):
+                    messages[msg_hash] = message
+            return (state_hash, outcome.state_size, outcome.event_hash, outcome.send_info)
+
+        outcomes: List[Any] = []
+        for row, record, subject in shard:
+            store = p.space.store(record.node)
+            if row.fan_out:
+                outcomes.append(
+                    tuple(
+                        pack(execute(protocol, row, record, action), store)
+                        for action in protocol.enabled_actions(record.state)
+                    )
+                )
+            else:
+                outcomes.append(pack(execute(protocol, row, record, subject), store))
+        return outcomes, states, messages
 
     # -- frontier snapshot -------------------------------------------------
 
@@ -395,13 +211,13 @@ class RoundSpeculator:
         """The round-start frontier: ``(row, record, subject)`` per offer.
 
         Peeks every active sweep's cursor range through the sweep's own
-        gate and keeps the offers whose family the pool speculates on.
-        Gates are pure and cursors are *not* advanced — the serial sweep
-        owns them and re-evaluates every gate in serial order anyway
-        (``discarded`` and the crash cap can flip mid-round), so over- or
-        under-shipping here affects only how much speculative work the pool
-        gets, never the results.  Partition holds and depth-extension
-        re-offers are not anticipated for the same reason.
+        gate and keeps the offers whose family is speculated.  Gates are
+        pure and cursors are *not* advanced — the serial sweep owns them
+        and re-evaluates every gate in serial order anyway (``discarded``
+        and the crash cap can flip mid-round), so over- or under-shipping
+        here affects only how much speculative work the children get, never
+        the results.  Partition holds and depth-extension re-offers are not
+        anticipated for the same reason.
         """
         p = self._pass
         items: List[Tuple] = []
@@ -416,24 +232,6 @@ class RoundSpeculator:
         return items
 
     @staticmethod
-    def _encode_shard(shard: List[Tuple]) -> Tuple[List[Any], List[Tuple]]:
-        """Ship each distinct record state once per shard, items by index."""
-        states: List[Any] = []
-        positions: Dict[Tuple[Any, int], int] = {}
-        items: List[Tuple] = []
-        for row, record, subject in shard:
-            key = (record.node, record.index)
-            sidx = positions.get(key)
-            if sidx is None:
-                sidx = len(states)
-                positions[key] = sidx
-                states.append(record.state)
-            items.append(
-                (row.tag, sidx, record.node, subject.seq if row.on_message else None)
-            )
-        return states, items
-
-    @staticmethod
     def _key(row: EventKind, record: "NodeStateRecord", subject: Any) -> Tuple:
         return (
             row.tag,
@@ -445,13 +243,32 @@ class RoundSpeculator:
     def lookup(
         self, row: EventKind, record: "NodeStateRecord", subject: Any
     ) -> Optional[Any]:
-        """Precomputed outcome of offering ``row`` to ``record``, if any.
-
-        :data:`ASSERT`, :data:`NOOP` or a :class:`SpecExec`; for a fan-out
-        row ``(actions, outcomes)`` over the worker's ``enabled_actions``
-        enumeration.  ``None`` means "compute inline".
-        """
+        """A child's packed outcome of offering ``row`` to ``record``, if any
+        (for a fan-out row, one per enabled action); ``None`` means "run the
+        kernel inline"."""
         table = self._table
         if table is None:
             return None
         return table.get(self._key(row, record, subject))
+
+    def adopt(
+        self, row: EventKind, record: "NodeStateRecord", subject: Any, packed: Any
+    ) -> Any:
+        """``packed`` as the kernel would have returned it inline:
+        :data:`ASSERT`, :data:`NOOP` or a speculated :class:`Transition`."""
+        if packed == ASSERT:
+            return ASSERT
+        if packed == NOOP:
+            return NOOP
+        state_hash, state_size, ehash, send_info = packed
+        messages = self._messages
+        return Transition(
+            event_of(row, record, subject)[0],
+            ehash,
+            self._states.get(state_hash),
+            state_hash,
+            state_size,
+            tuple([messages.get(msg_hash) for msg_hash, _size in send_info]),
+            send_info,
+            speculated=True,
+        )

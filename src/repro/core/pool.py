@@ -1,74 +1,42 @@
-"""The persistent worker process pool behind parallel frontier exploration.
+"""Forked children for parallel frontier exploration.
 
-Its one client, :mod:`repro.core.explore_parallel`, speaks one protocol,
-:func:`map_ordered`: submit a generation of tasks, gather the results in
-submission order, time each task and tag it with its pid on the worker
-side, and survive one broken pool.  The pool persists across rounds and
-runs, so the workers' start-up cost is paid once; this module owns the
-pool's lifecycle, the :class:`BrokenProcessPool` recovery and the one place
-a worker count of ``None`` becomes ``os.cpu_count()``
-(:func:`resolve_workers`).
+Its one client, :mod:`repro.core.explore_parallel`, hands :func:`fork_map`
+one zero-argument task per shard.  Each task runs in a child forked for it:
+the child inherits the coordinator's whole memory copy-on-write — the
+checker's records, the monotonic network, the protocol and the warm hash
+interner — so nothing is shipped *to* it; it pipes back the task's pickled
+result and exits.  Every child is reaped before :func:`fork_map` returns, so
+its CPU lands in the parent's ``RUSAGE_CHILDREN``.
 
-The pool is process-global and created lazily.  A worker-count change
-rebuilds it; a rebuild of an *already broken* pool must not wait on its dead
-workers (``shutdown(wait=True)`` can hang on a SIGKILLed worker), so the
-rebuild path inspects the executor's broken flag and reuses the
-``broken=True`` teardown in that case.
+This module also owns the one place a worker count of ``None`` becomes
+``os.cpu_count()`` (:func:`resolve_workers`) and the platform guard
+(:func:`require_fork`).
 """
 
 from __future__ import annotations
 
-import atexit
+import gc
 import os
+import pickle
+import signal
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+import traceback
+from typing import Any, Callable, Dict, List, NoReturn, Optional, Sequence, Tuple
 
-_EXECUTOR: Optional[ProcessPoolExecutor] = None
-_EXECUTOR_WORKERS = 0
-
-
-def shared_executor(workers: int) -> ProcessPoolExecutor:
-    """The process pool, created lazily and rebuilt on a worker-count change.
-
-    When the existing pool is already broken (its ``_broken`` flag is set —
-    a worker died since the last dispatch), the rebuild tears it down via the
-    no-wait broken path instead of blocking on dead processes.
-    """
-    global _EXECUTOR, _EXECUTOR_WORKERS
-    if _EXECUTOR is not None and _EXECUTOR_WORKERS != workers:
-        shutdown_worker_pool(broken=bool(getattr(_EXECUTOR, "_broken", False)))
-    if _EXECUTOR is None:
-        _EXECUTOR = ProcessPoolExecutor(max_workers=workers)
-        _EXECUTOR_WORKERS = workers
-    return _EXECUTOR
+#: Children forked and not yet reaped, with the read end of each one's
+#: result pipe (``None`` once the parent took it over).  Empty between
+#: :func:`fork_map` calls.
+_LIVE: Dict[int, Optional[int]] = {}
 
 
-def shutdown_worker_pool(broken: bool = False) -> None:
-    """Tear down the persistent pool (idempotent; re-created on next use).
+class ChildFailed(Exception):
+    """A child exited non-zero, died by a signal, or piped back a short or
+    undecodable result.  ``status`` is the child's exit code (negative: the
+    signal that killed it)."""
 
-    ``broken=True`` is the :class:`BrokenProcessPool` recovery path: the
-    pool's workers are already dead or dying, so waiting on them can hang
-    (and shutdown itself can raise mid-teardown), which would defeat the
-    retry-once recovery in :func:`map_ordered`.  There we cancel what we can,
-    don't wait, and swallow teardown errors — the pool object is dropped
-    either way and the next use builds a fresh one.
-    """
-    global _EXECUTOR, _EXECUTOR_WORKERS
-    if _EXECUTOR is not None:
-        if broken:
-            try:
-                _EXECUTOR.shutdown(wait=False, cancel_futures=True)
-            except Exception:  # noqa: BLE001 - best-effort teardown of a dead pool
-                pass
-        else:
-            _EXECUTOR.shutdown(wait=True)
-        _EXECUTOR = None
-        _EXECUTOR_WORKERS = 0
-
-
-atexit.register(shutdown_worker_pool)
+    def __init__(self, status: int, detail: str):
+        super().__init__(f"speculation child {detail} (exit status {status})")
+        self.status = status
 
 
 def resolve_workers(requested: Optional[int]) -> int:
@@ -76,39 +44,104 @@ def resolve_workers(requested: Optional[int]) -> int:
     return (os.cpu_count() or 1) if requested is None else requested
 
 
-def _timed(task: Callable[..., Any], arguments: Tuple) -> Tuple[Any, float, int]:
-    """Run one task where it was sent: ``(result, wall seconds, pid)``."""
-    started = time.perf_counter()
-    result = task(*arguments)
-    return result, time.perf_counter() - started, os.getpid()
+def require_fork(workers: Optional[int]) -> None:
+    """Refuse a worker count this platform cannot honour: speculation
+    children are forked, and some platforms have no ``os.fork``."""
+    if resolve_workers(workers) > 0 and not hasattr(os, "fork"):
+        raise ValueError(
+            f"explore_workers={workers!r} needs os.fork, which this platform "
+            "lacks; use explore_workers=0"
+        )
 
 
-def map_ordered(
-    workers: int, task: Callable[..., Any], argument_tuples: Sequence[Tuple]
-) -> List[Tuple[Any, float, int]]:
-    """Run ``task(*arguments)`` for every tuple; results in submission order.
+def _child(task: Callable[[], Any], write_fd: int) -> NoReturn:
+    """The forked child's whole life: run ``task``, pipe back
+    ``(result, wall seconds)``, exit without running the parent's exit
+    handlers or flushing its inherited buffers."""
+    code = 1
+    try:
+        # The parent's cooperative handlers (the Checkpointer's SIGTERM
+        # flag) mean nothing here: a signal ends the child.
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        # The child allocates little and lives one round; a collection
+        # would only touch (and copy) the parent's pages.
+        gc.disable()
+        started = time.perf_counter()
+        result = task()
+        payload = pickle.dumps(
+            (result, time.perf_counter() - started), pickle.HIGHEST_PROTOCOL
+        )
+        with open(write_fd, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    except Exception:  # noqa: BLE001 - reported here; the exit status tells the parent
+        traceback.print_exc()
+    finally:
+        os._exit(code)
 
-    Each result comes back as ``(result, wall_s, pid)``, measured inside the
-    process that ran the task — the parent re-emits those as forwarded trace
-    spans.  ``workers == 0`` runs the generation in this process (same
-    triples, the parent's own pid).  A :class:`BrokenProcessPool` (a killed
-    worker) tears the pool down and resubmits the whole generation once;
-    a second one propagates, with the pool already torn down, and it is the
-    caller that decides what giving up means.  ``task`` must be a
-    module-level function and every argument picklable.
+
+def _collect(pid: int) -> Tuple[bytes, int]:
+    """Read child ``pid``'s whole result, then reap it: ``(bytes, status)``."""
+    read_fd = _LIVE[pid]
+    _LIVE[pid] = None
+    with open(read_fd, "rb") as pipe:
+        data = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    del _LIVE[pid]
+    return data, os.waitstatus_to_exitcode(status)
+
+
+def fork_map(tasks: Sequence[Callable[[], Any]]) -> List[Tuple[Any, float, int]]:
+    """Run every task at once, each in its own forked child.
+
+    Returns ``(result, wall_s, pid)`` per task, in task order; ``wall_s`` is
+    measured inside the child.  Raises :class:`ChildFailed`, with every
+    child already reaped, when any child fails.  Any exception in the parent
+    (an interrupt) kills and reaps the children before it propagates.
     """
-    if workers == 0:
-        return [_timed(task, arguments) for arguments in argument_tuples]
-    for last_attempt in (False, True):
-        executor = shared_executor(workers)
+    pids: List[int] = []
+    try:
+        for task in tasks:
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_fd)
+                _child(task, write_fd)
+            os.close(write_fd)
+            _LIVE[pid] = read_fd
+            pids.append(pid)
+        collected = [_collect(pid) for pid in pids]
+    finally:
+        shutdown_worker_pool()
+    reports = []
+    for pid, (data, status) in zip(pids, collected):
+        if status != 0:
+            raise ChildFailed(status, "failed")
         try:
-            futures = [
-                executor.submit(_timed, task, arguments)
-                for arguments in argument_tuples
-            ]
-            return [future.result() for future in futures]
-        except BrokenProcessPool:
-            shutdown_worker_pool(broken=True)
-            if last_attempt:
-                raise
-    raise AssertionError("unreachable")
+            result, wall_s = pickle.loads(data)
+        except Exception as exc:  # noqa: BLE001 - any decode error is a failed child
+            raise ChildFailed(status, "piped back a short or undecodable result") from exc
+        reports.append((result, wall_s, pid))
+    return reports
+
+
+def shutdown_worker_pool() -> None:
+    """Kill and reap any child still live (idempotent).
+
+    :func:`fork_map` reaps its children before it returns, so this finds
+    none after a normal round; it is what an interrupted round, and a
+    caller that wants to be sure no child outlives it, run.
+    """
+    while _LIVE:
+        pid, read_fd = _LIVE.popitem()
+        if read_fd is not None:
+            os.close(read_fd)
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        try:
+            os.waitpid(pid, 0)
+        except ChildProcessError:
+            pass

@@ -23,8 +23,9 @@ kept faithful to the knob so its cost can be measured.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
+from repro.model.events import Event, event_hash
 from repro.model.hashing import content_hash_and_size
 from repro.model.types import Message, NodeId
 
@@ -49,9 +50,14 @@ class StoredMessage:
     history skip and integrate as
     :class:`~repro.model.events.DuplicateEvent` steps.  Always ``False``
     when ``duplicate_faults`` is off.
+
+    :meth:`event` memoises, per event family, the event this message makes
+    and its hash: every delivery of the copy reuses one event object instead
+    of minting and re-hashing a fresh one.  Derived state, never
+    checkpointed.
     """
 
-    __slots__ = ("message", "hash", "seq", "cursor", "deferred", "duplicate")
+    __slots__ = ("message", "hash", "seq", "cursor", "deferred", "duplicate", "_events")
 
     def __init__(self, message: Message, msg_hash: int, seq: int):
         self.message = message
@@ -60,6 +66,16 @@ class StoredMessage:
         self.cursor = 0
         self.deferred: set = set()
         self.duplicate = False
+        self._events: Dict[str, Tuple[Event, int]] = {}
+
+    def event(self, kind: Any) -> Tuple[Event, int]:
+        """The event ``kind`` (an event-family row with a ``tag`` and a
+        ``make_event``) makes of this message, and its content hash."""
+        pair = self._events.get(kind.tag)
+        if pair is None:
+            event = kind.make_event(self.message.dest, self.message)
+            pair = self._events[kind.tag] = (event, event_hash(event))
+        return pair
 
     def __repr__(self) -> str:
         return f"StoredMessage(#{self.seq} {self.message.describe()} cursor={self.cursor})"
@@ -81,8 +97,7 @@ class MonotonicNetwork:
         self._by_dest: Dict[NodeId, List[StoredMessage]] = {}
         self._copies: Dict[int, int] = {}  # message hash -> stored copies
         #: Stored messages in admission order; index equals ``seq``, so
-        #: :meth:`messages_since` is a plain slice (the incremental ``I+``
-        #: delta parallel exploration ships to its workers).
+        #: :meth:`messages_since` is a plain slice.
         self._log: List[StoredMessage] = []
         self._seq = 0
         self._suppressed_duplicates = 0
@@ -103,14 +118,15 @@ class MonotonicNetwork:
         return self.add_hashed(message, msg_hash, msg_size)
 
     def add_hashed(
-        self, message: Message, msg_hash: int, msg_size: int
+        self, message: Optional[Message], msg_hash: int, msg_size: int
     ) -> Optional[StoredMessage]:
         """:meth:`add` with the content hash and size already computed.
 
-        Parallel exploration workers hash their handlers' sends; the
-        coordinator merges those messages without re-encoding them.  The
-        hash is trusted — canonical content hashing is deterministic across
-        processes (``tests/test_determinism.py``).
+        The checker's execution kernel hashes a handler's sends once, in
+        this process or in a forked speculation child; the hash is trusted.
+        A ``message`` of ``None`` stands for a value :meth:`admits` refused
+        earlier: copy counts only grow, so it is suppressed without being
+        read.
         """
         copies = self._copies.get(msg_hash, 0)
         if copies >= 1 + self.duplicate_limit:
@@ -125,6 +141,11 @@ class MonotonicNetwork:
         self._log.append(stored)
         self._retained_bytes += msg_size
         return stored
+
+    def admits(self, msg_hash: int) -> bool:
+        """Would a send with this hash be stored now (copy count below
+        ``1 + duplicate_limit``)?"""
+        return self._copies.get(msg_hash, 0) < 1 + self.duplicate_limit
 
     def add_all(self, messages: Tuple[Message, ...]) -> Tuple[StoredMessage, ...]:
         """Add several messages; return the records of those actually stored."""
@@ -176,8 +197,8 @@ class MonotonicNetwork:
 
         The monotone ``I+`` delta: because nothing is ever removed, a reader
         that has seen everything below ``seq`` is brought fully up to date by
-        exactly this slice.  Parallel exploration ships it to pool workers
-        instead of re-sending the whole network every round.
+        exactly this slice (the duplication scheduler's and the checkpoint
+        log's reader).
         """
         return tuple(self._log[seq:])
 

@@ -34,6 +34,9 @@ from repro.stats.reporting import format_table
 #: Span names counted into the §5.4 soundness profile.
 _SOUNDNESS_SPANS = ("soundness", "worker_verify")
 
+#: ``parallel_round`` fields that label a round rather than count its work.
+_ROUND_LABELS = ("number", "shards", "workers")
+
 
 def load_trace(
     path: str, tolerate_truncated_tail: bool = True
@@ -239,9 +242,10 @@ class TraceSummary:
         value memo's part of it (the last ``hash_cache`` event — the
         interner is process-global, so the last snapshot is the
         authoritative one), rejected-cache evictions
-        and the two cache-hit counters from the final metric, and the
-        parallel-exploration round/shard/sync-miss totals from
-        ``parallel_round`` events.
+        and the two cache-hit counters from the final metric, the
+        parallel-exploration round and item totals from ``parallel_round``
+        events, and how many ``parallel_fallback`` events a failed
+        speculation child caused.
         """
         health: Dict[str, Any] = {}
         caches = self.events("hash_cache")
@@ -270,14 +274,17 @@ class TraceSummary:
                 health[counter] = int(final[counter])
         rounds = self.events("parallel_round")
         if rounds:
-            fields_of = [record.get("fields", {}) for record in rounds]
             health["parallel_round_events"] = len(rounds)
-            health["parallel_items"] = sum(
-                int(fields.get("items", 0)) for fields in fields_of
-            )
-            health["parallel_sync_misses"] = sum(
-                int(fields.get("sync_misses", 0)) for fields in fields_of
-            )
+            # Every per-round count a round event carries, summed: ``items``
+            # today, plus the tallies older traces recorded per round.
+            for record in rounds:
+                for key, value in record.get("fields", {}).items():
+                    if key not in _ROUND_LABELS and isinstance(value, int):
+                        total = f"parallel_{key}"
+                        health[total] = health.get(total, 0) + value
+        fallbacks = self.events("parallel_fallback")
+        if fallbacks:
+            health["parallel_fallbacks"] = len(fallbacks)
         return health
 
     # -- rendering -------------------------------------------------------------

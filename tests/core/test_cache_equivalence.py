@@ -204,7 +204,7 @@ def test_reduction_keeps_golden_completion_and_bugs(name):
 
 def test_two_worker_exploration_at_default_thresholds_matches_serial():
     """At the shipped ``ROUND_THRESHOLD`` and ``SHARD_MIN`` the early rounds
-    of three-node Paxos run serially and the later ones on the pool; the
+    of three-node Paxos run serially and the later ones forked; the
     mixed run must equal the serial one in everything but ``explore_*``."""
     emitter = MemoryEmitter()
     parallel = _run_workload("paxos_opt", emitter=emitter, explore_workers=2)
@@ -224,15 +224,16 @@ def test_two_worker_exploration_at_default_thresholds_matches_serial():
 
 
 #: A deterministic transition budget keeps the snapshot runs short; with
-#: every round dispatched, it still crosses the pool dozens of times.
+#: every round dispatched, it still forks dozens of times.
 EXPLORE_BUDGET = SearchBudget(max_transitions=400)
 
 
 @pytest.mark.usefixtures("dispatch_every_round")
 @pytest.mark.parametrize("scenario", [_paxos_s55, _onepaxos_s56], ids=["s55", "s56"])
 def test_explore_workers_equivalent_with_and_without_caches(scenario):
-    """The coordinator's caches are off in the uncached run; the pool
-    workers hash with their own.  Neither may show in any result."""
+    """The caches are off in the uncached run, for the coordinator and the
+    forked children it speculates in alike.  Neither may show in any
+    result."""
     protocol, invariant, initial = scenario()
 
     def make(config):
@@ -328,3 +329,32 @@ def test_value_memo_hashes_equal_the_uncached_configuration():
     assert hashing.intern_stats()["value_hits"] > 0
     assert len(memoised[0]) > 500 and len(memoised[1]) > 20
     assert _stored_hashes(cached=False) == memoised
+
+
+def test_a_repeated_run_re_walks_no_state():
+    """A new record's size comes from the same lookup as its hash.
+
+    The second of two identical runs in one process (the shape of the
+    online loop's restarts) meets every successor as a fresh object equal
+    to one the first run encoded: the value memo answers its hash, and the
+    size must come from that answer too, not from a second walk of the
+    state (which cost 23,289 interner misses on this space).
+    """
+    hashing.configure_interning(False)
+    hashing.configure_interning(True)
+    protocol = PaxosProtocol(num_nodes=3, proposals=((0, 0, "v0"), (1, 1, "v1")))
+
+    def run():
+        return LocalModelChecker(
+            protocol,
+            PaxosAgreement(0),
+            budget=SearchBudget(max_depth=5),
+            config=LMCConfig.optimized(),
+        ).run()
+
+    first = run()
+    misses = hashing.intern_stats()["misses"]
+    second = run()
+    assert second.stats.node_states == first.stats.node_states == 3894
+    assert _observable(second) == _observable(first)
+    assert hashing.intern_stats()["misses"] - misses < 100

@@ -61,7 +61,7 @@ EXCLUDED_KEYS = frozenset(
 )
 
 #: The config axes the codec must cover: GEN vs OPT, crash–restart
-#: scheduling on, symmetry reduction on, rounds sharded across two pool
+#: scheduling on, symmetry reduction on, rounds sharded across two forked
 #: workers.
 CONFIGS = {
     "opt": ("optimized", {}),

@@ -1,20 +1,19 @@
 """Parallel frontier exploration must be invisible in every result.
 
-The PR's speculative round executor (docs/PERFORMANCE.md "Parallel frontier
-exploration") precomputes handler results on pool workers and merges them by
-replaying the exact serial sweep, so with ``explore_workers > 0`` every
-counter, verdict, witness trace and stop reason must equal the serial run —
-the same equivalence discipline ``test_cache_equivalence`` and
-``test_fault_equivalence`` apply to the PR 3 caches and the PR 4 fault
+The speculative round executor (docs/PERFORMANCE.md "Parallel frontier
+exploration") precomputes handler results in forked children and merges
+them by replaying the exact serial sweep, so with ``explore_workers > 0``
+every counter, verdict, witness trace and stop reason must equal the serial
+run — the same equivalence discipline ``test_cache_equivalence`` and
+``test_fault_equivalence`` apply to the hashing caches and the fault
 scheduler.  The tests force tiny thresholds/shards so even small state
-spaces exercise dispatch, sync-miss recovery and the merge path, on every
-CLI workload and across the GEN, POR, symmetry and cap configurations, and a
-SIGKILL test checks the broken-pool retry leaves verdicts intact.
+spaces exercise the fork and the merge path, on every CLI workload and
+across the GEN, POR, symmetry and cap configurations, and a SIGKILL test
+checks a failed child leaves verdicts intact.
 """
 
 import inspect
 import os
-import pickle
 import signal
 from dataclasses import replace
 
@@ -25,7 +24,7 @@ from hypothesis import strategies as st
 import repro.core.explore_parallel as explore_parallel
 import repro.core.pool as pool
 from repro.cli import WORKLOADS
-from repro.core.checker import LocalModelChecker
+from repro.core.checker import LocalModelChecker, _ExplorationPass
 from repro.core.config import LMCConfig
 from repro.core.event_kinds import (
     CRASH,
@@ -35,26 +34,25 @@ from repro.core.event_kinds import (
     EVENT_KINDS,
     INTERNAL,
     RESTART,
-    attempt,
+    Transition,
+    execute,
 )
-from repro.core.explore_parallel import (
-    RoundSpeculator,
-    SpecExec,
-    _decode,
-    explore_shard_task,
-)
-from repro.core.pool import BrokenProcessPool, shared_executor, shutdown_worker_pool
-from repro.explore.budget import SearchBudget
+from repro.core.explore_parallel import RoundSpeculator
+from repro.core.records import NodeStateRecord
+from repro.explore.budget import BudgetClock, SearchBudget
 from repro.model import events as events_module
 from repro.model.events import event_hash, message_hashes
-from repro.model.hashing import content_hash
+from repro.model.hashing import content_hash, content_size
 from repro.model.types import CrashedState, Message
+from repro.network.monotonic import StoredMessage
+from repro.obs.emitter import MemoryEmitter
 from repro.protocols.onepaxos import OnePaxosAgreement
 from repro.protocols.onepaxos import scenarios as onepaxos_scenarios
 from repro.protocols.paxos import PaxosAgreement, PaxosProtocol
 from repro.protocols.paxos.scenarios import partial_choice_state, scenario_protocol
 from repro.protocols.tree import ReceivedImpliesSent, TreeProtocol
 from repro.protocols.twophase import (
+    Atomicity,
     CommitValidity,
     Decision,
     EagerCommitCoordinator,
@@ -62,6 +60,7 @@ from repro.protocols.twophase import (
     VoteRequest,
 )
 from repro.replay import validate_bug
+from tests.core.test_pool import _unreaped_child
 
 #: Phase timers are wall-clock; the explore_* counters exist only so the
 #: parallel run can prove it actually went parallel.  Everything else must
@@ -177,7 +176,7 @@ class TestEquivalence:
     def test_every_bug_of_an_exhaustive_run_matches_serial(self):
         """With every bug wanted, pairwise OPT enumeration reaches some
         violating states more than once; each occurrence is verified and
-        reported inline, in the same order, with or without the pool."""
+        reported inline, in the same order, with or without speculation."""
         protocol = EagerCommitCoordinator(3, no_voters=(2,))
         serial = _run(protocol, CommitValidity(), stop_on_first_bug=False)
         parallel = _run(protocol, CommitValidity(), stop_on_first_bug=False, **PARALLEL)
@@ -194,7 +193,7 @@ class TestEquivalence:
 
     def test_symmetry_orbit_fallback_matches_serial(self):
         """Under symmetry reduction a rejected representative is retried
-        through its orbit siblings; the pool must not change which."""
+        through its orbit siblings; speculation must not change which."""
         protocol = EagerCommitCoordinator(4, no_voters=(2,))
         kw = dict(stop_on_first_bug=False, symmetry_reduction=True)
         serial = _run(protocol, CommitValidity(), **kw)
@@ -204,7 +203,7 @@ class TestEquivalence:
 
     def test_a_biting_combination_cap_matches_serial(self):
         """On the §5.5 snapshot the cap changes how many combinations are
-        examined, identically with and without the pool."""
+        examined, identically with and without speculation."""
         budget = SearchBudget(max_transitions=520)
         examined = {}
         for cap in (None, 4):
@@ -240,7 +239,7 @@ class TestEquivalence:
         assert parallel.stats.explore_rounds_parallel > 0
 
     def test_general_enumeration_matches_serial(self):
-        """LMC-GEN materialises every combination; the pool only feeds the
+        """LMC-GEN materialises every combination; speculation only feeds the
         node-local half, so its counters match too."""
         protocol = PaxosProtocol(num_nodes=3, proposals=((0, 0, "v0"),))
 
@@ -276,54 +275,45 @@ class TestEquivalence:
         assert (result.stats.explore_rounds_parallel > 0) == (workers > 0)
 
 
-class TestPoolFailure:
-    def teardown_method(self):
-        shutdown_worker_pool()
+class TestForkFailure:
+    """A failed speculation child costs speed only: its round runs inline,
+    speculation stays off for the rest of the pass, and no child is left
+    behind."""
 
-    def test_killed_worker_mid_setup_still_matches_serial(self):
-        """SIGKILL a pool worker; dispatch must recover (or fall back) with
-        byte-identical results either way."""
-        shutdown_worker_pool()
-        executor = shared_executor(2)
-        victim = executor.submit(os.getpid).result()
-        os.kill(victim, signal.SIGKILL)
-        protocol = EagerCommitCoordinator(3, no_voters=(2,))
-        serial = _run(EagerCommitCoordinator(3, no_voters=(2,)), CommitValidity())
-        parallel = _run(protocol, CommitValidity(), **PARALLEL)
+    def test_killed_child_still_matches_serial(self, monkeypatch):
+        """SIGKILL the children of the second parallel round: the pass must
+        fall back to the inline kernel and land on the serial results."""
+        speculate = RoundSpeculator._speculate
+
+        def doomed(speculator, shard):
+            if speculator._round_no >= 1:  # read in the child: round 2 on
+                os.kill(os.getpid(), signal.SIGKILL)
+            return speculate(speculator, shard)
+
+        monkeypatch.setattr(RoundSpeculator, "_speculate", doomed)
+        protocol = PaxosProtocol(num_nodes=3, proposals=((0, 0, "v0"),))
+        budget = SearchBudget(max_depth=6)
+        serial = _run(protocol, PaxosAgreement(0), budget=budget)
+        emitter = MemoryEmitter()
+        parallel = LocalModelChecker(
+            protocol,
+            PaxosAgreement(0),
+            budget=budget,
+            config=LMCConfig.optimized(**PARALLEL),
+            emitter=emitter,
+        ).run()
         assert _observable(serial) == _observable(parallel)
-        assert parallel.found_bug
-        replayed = validate_bug(protocol, parallel.first_bug(), CommitValidity())
-        assert replayed.complete and replayed.violates
+        assert parallel.stats.explore_rounds_parallel == 1
+        fallbacks = [r for r in emitter.records if r.get("name") == "parallel_fallback"]
+        assert len(fallbacks) == 1
+        assert fallbacks[0]["fields"]["status"] == -signal.SIGKILL
+        assert _unreaped_child() == 0
 
-    def test_second_pool_failure_finishes_the_pass_serially(self, monkeypatch):
-        """``map_ordered`` retries a broken generation once; the second
-        ``BrokenProcessPool`` reaches the speculator, which switches itself
-        off — the run still lands on the serial counters."""
-
-        class AlwaysBroken:
-            submits = 0
-
-            def submit(self, *_args):
-                AlwaysBroken.submits += 1
-                raise BrokenProcessPool("a worker died")
-
-        monkeypatch.setattr(pool, "shared_executor", lambda workers: AlwaysBroken())
-        disabled = []
-        begin_round = RoundSpeculator.begin_round
-
-        def spy(speculator):
-            begin_round(speculator)
-            disabled.append(not speculator.enabled)
-
-        monkeypatch.setattr(RoundSpeculator, "begin_round", spy)
-        serial = _run(EagerCommitCoordinator(3, no_voters=(2,)), CommitValidity())
-        parallel = _run(
-            EagerCommitCoordinator(3, no_voters=(2,)), CommitValidity(), **PARALLEL
-        )
-        assert AlwaysBroken.submits == 2  # one generation, retried once, then off
-        assert disabled and disabled[-1]
-        assert parallel.stats.explore_rounds_parallel == 0
-        assert _observable(serial) == _observable(parallel)
+    def test_no_child_outlives_a_run(self):
+        result = _run(EagerCommitCoordinator(3, no_voters=(2,)), CommitValidity(), **PARALLEL)
+        assert result.stats.explore_rounds_parallel > 0
+        assert _unreaped_child() == 0
+        assert not pool._LIVE
 
 
 class TestEventKindTable:
@@ -363,33 +353,38 @@ class TestEventKindTable:
         "row", EVENT_KINDS, ids=lambda row: row.event_class.__name__
     )
     def test_worker_outcome_equals_coordinator_miss_path(self, row):
-        """Protocol.execute dispatches the row's event, and the pool worker
-        computes exactly what the coordinator computes inline on a miss."""
+        """Protocol.execute dispatches the row's event, and what a forked
+        round's child computes, adopted by the coordinator, is exactly what
+        the kernel computes inline on a miss."""
         protocol = TimeoutTwoPhaseCommit(3)
+        checker = LocalModelChecker(protocol, Atomicity(), config=LMCConfig(explore_workers=1))
+        pass_ = _ExplorationPass(
+            checker, protocol.initial_system_state(), BudgetClock(checker.budget), None
+        )
+        speculator = pass_._speculator
         state, message = self.SAMPLES[row]
         node = state.node
-        report = explore_shard_task(
-            f"table-test:{row.tag}",
-            pickle.dumps(protocol),
-            0,
-            1,
-            pickle.dumps(((0, message),) if message is not None else ()),
-            [state],
-            [(row.tag, 0, node, 0 if row.on_message else None)],
+        record = NodeStateRecord(node, state, content_hash(state), 0, 0, 0, frozenset())
+        subject = (
+            StoredMessage(message, content_hash(message), 0) if row.on_message else None
         )
-        assert report[0] == "ok"
-        shipped = _decode(report[1][0], report[2], report[3])
+        (_report, _wall_s, pid), = speculator._dispatch([[(row, record, subject)]])
+        assert pid != os.getpid()
+        packed = speculator.lookup(row, record, subject)
         if row.fan_out:
-            payloads, outcomes = shipped
-            assert payloads == tuple(protocol.enabled_actions(state)) and payloads
+            payloads = tuple(protocol.enabled_actions(state))
+            assert payloads and len(packed) == len(payloads)
         else:
-            payloads, outcomes = (message,), (shipped,)
-        for payload, outcome in zip(payloads, outcomes):
-            event = row.make_event(node, payload)
-            assert isinstance(event, row.event_class) and event.node == node
-            inline = attempt(protocol, state, event)
-            assert isinstance(outcome, SpecExec), "samples are real transitions"
-            assert outcome.result == inline
-            assert outcome.new_hash == content_hash(inline.state)
-            assert outcome.generated == message_hashes(inline.sends)
-            assert outcome.ehash == event_hash(event)
+            payloads, packed = (subject,), (packed,)
+        for payload, shipped in zip(payloads, packed):
+            adopted = speculator.adopt(row, record, payload, shipped)
+            inline = execute(protocol, row, record, payload)
+            assert isinstance(inline, Transition), "samples are real transitions"
+            assert isinstance(adopted.event, row.event_class) and adopted.event.node == node
+            assert adopted.speculated and not inline.speculated
+            for field in Transition.__slots__[:-1]:
+                assert getattr(adopted, field) == getattr(inline, field), field
+            assert adopted.state_hash == content_hash(inline.state)
+            assert adopted.state_size == content_size(inline.state)
+            assert adopted.event_hash == event_hash(adopted.event)
+            assert tuple(h for h, _ in adopted.send_info) == message_hashes(inline.sends)

@@ -93,7 +93,7 @@ def test_local_checker_identical_with_observability_on(scenario, tmp_path):
 
 @pytest.mark.usefixtures("dispatch_every_round")
 def test_explore_workers_identical_with_observability_on(tmp_path):
-    """Forwarded worker spans and pool events must not shift any result."""
+    """Forwarded worker spans and round events must not shift any result."""
     protocol, invariant, initial = _paxos_s55()
     budget = SearchBudget(max_transitions=400)
     config = LMCConfig.optimized(explore_workers=2)

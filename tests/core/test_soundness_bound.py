@@ -64,7 +64,7 @@ def two_phase_faults():
 
 
 def two_phase_faults_explore():
-    """The same space with its rounds sharded across two pool workers."""
+    """The same space with its rounds sharded across two forked children."""
     *space, config = two_phase_faults()
     return (*space, replace(config, explore_workers=2))
 

@@ -193,7 +193,7 @@ def test_cases_cover_clean_and_violating_tuples():
 
 @pytest.mark.usefixtures("dispatch_every_round")
 def test_explore_workers_match_the_walk():
-    """Summarised GEN with every round sharded across two pool workers:
+    """Summarised GEN with every round sharded across two forked children:
     the coordinator still checks tuples, and the run equals the walk."""
     scenario, budget, config = CASES["s55_all_bugs"]
     config = replace(config, explore_workers=2)

@@ -215,6 +215,31 @@ class TestTraceSummary:
     def test_render_empty_trace(self):
         assert "empty trace" in TraceSummary([]).render()
 
+    def test_health_sums_round_counts_and_counts_fallbacks(self):
+        """Round events of any age sum their per-round counts — a trace on
+        disk from before forked speculation still reads its sync-misses —
+        and each failed-child fallback is counted."""
+
+        def event(name, **fields):
+            return {"ts": 0.0, "pid": 1, "kind": "event", "name": name, "fields": fields}
+
+        now = dict(shards=2, workers=2, dispatch_s=0.01)
+        current = [
+            event("parallel_round", number=1, items=300, **now),
+            event("parallel_round", number=2, items=500, **now),
+            event("parallel_fallback", round=9, status=-9, reason="killed"),
+        ]
+        health = TraceSummary(current).health_profile()
+        assert health["parallel_round_events"] == 2
+        assert health["parallel_items"] == 800
+        assert health["parallel_fallbacks"] == 1
+        assert not {"parallel_number", "parallel_shards", "parallel_workers",
+                    "parallel_round", "parallel_status"} & set(health)
+        on_disk = [event("parallel_round", number=1, items=300, sync_misses=2, **now)]
+        health = TraceSummary(on_disk).health_profile()
+        assert health["parallel_sync_misses"] == 2
+        assert "parallel_fallbacks" not in health
+
     def test_bound_line_counts_spans_that_carry_the_field(self):
         line = "soundness calls refuted by the record-level bound"
         assert line not in TraceSummary(_trace_records()).render()

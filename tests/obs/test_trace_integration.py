@@ -84,9 +84,9 @@ class TestSequentialTrace:
 
 
 class TestExploreWorkerTrace:
-    """The exploration front's pool work is visible in the trace: one
+    """The exploration front's forked work is visible in the trace: one
     ``parallel_round`` event per dispatched round, one forwarded
-    ``worker_explore`` span per shard, tagged with the worker's pid."""
+    ``worker_explore`` span per shard, tagged with the child's pid."""
 
     @staticmethod
     def _traced(workers):
@@ -115,7 +115,7 @@ class TestExploreWorkerTrace:
         assert sum(s["fields"]["items"] for s in worker_spans) == sum(
             r["fields"]["items"] for r in rounds
         )
-        # The pool size the round used, not the request (None = every CPU).
+        # The worker count the round used, not the request (None = every CPU).
         assert {r["fields"]["workers"] for r in rounds} <= {resolve_workers(workers)}
         # Verification stays inline: soundness spans reconcile as serially.
         assert len(spans(emitter, "soundness")) == stats.soundness_calls > 0

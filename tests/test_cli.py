@@ -72,7 +72,7 @@ class TestCheckCommand:
     def test_explore_workers_print_the_serial_report(self, capsys):
         """The exploration front changes no line of the report but its
         phase timings and run id.  Three-node Paxos is large enough for the
-        shipped thresholds to send rounds to the pool."""
+        shipped thresholds to fork rounds."""
 
         def report(*flags):
             assert main(["check", "paxos", *flags]) == 0
