@@ -231,10 +231,10 @@ def add_config_flags(command: argparse.ArgumentParser) -> None:
         "explore_workers",
         type=worker_count,
         metavar="N",
-        help="shard each exploration round's frontier across N forked "
-        "children (LMC algorithms only; 0 explores serially, -1 uses "
-        "all CPUs; results are identical either way — see "
-        "docs/PERFORMANCE.md)",
+        help="shard each exploration round's frontier across N workers: "
+        "this process and N-1 forked children (LMC algorithms only; 0 or "
+        "1 explores serially, -1 uses all CPUs; results are identical "
+        "either way — see docs/PERFORMANCE.md)",
     )
     add(
         "--faults",

@@ -529,8 +529,8 @@ class _ExplorationPass:
         )
         #: Parallel frontier exploration (docs/PERFORMANCE.md): per-round
         #: speculative precomputation of handler results and content hashes
-        #: in forked children.  ``None`` (``explore_workers=0``) keeps the
-        #: sweep fully in-process.
+        #: in forked children.  ``None`` (``explore_workers`` 0 or 1) keeps
+        #: the sweep fully in-process.
         self._speculator: Optional[RoundSpeculator] = RoundSpeculator.for_pass(self)
         #: Symmetry reduction (docs/REDUCTION.md): orbit canonicalisation of
         #: candidate combinations under the protocol-declared node-symmetry
@@ -613,6 +613,8 @@ class _ExplorationPass:
                 stopped=True, completed=stop.completed, reason=stop.reason
             )
         finally:
+            if self._speculator is not None:
+                self._speculator.abort()
             self.stats.suppressed_duplicates += self.network.suppressed_duplicates
             self.stats.node_states = self.space.total_states()
             # Final sample: the series must end at the run's actual end time
@@ -678,10 +680,11 @@ class _ExplorationPass:
         self._partition_retry = False
         partitions = self.config.partition_schedules
         # Parallel frontier exploration: snapshot the round-start frontier
-        # and precompute its handler results + content hashes in forked
-        # children.  The sweeps below are unchanged — they adopt a child's
-        # outcome on a table hit and run the kernel inline on a miss, so
-        # order, counters and results are byte-identical to serial.
+        # and precompute all but its first shard's handler results + content
+        # hashes in forked children.  The sweeps below are unchanged — they
+        # adopt a child's outcome on a table hit and run the kernel inline
+        # otherwise, so order, counters and results are byte-identical to
+        # serial.
         if self._speculator is not None:
             self._speculator.begin_round()
         for sweep in self.sweeps:
@@ -696,6 +699,8 @@ class _ExplorationPass:
                 executions += self._sweep_lane(gate, cursor, store, subject)
         if self.config.duplicate_faults:
             executions += self._mint_duplicates()
+        if self._speculator is not None:
+            self._speculator.end_round()
         return executions
 
     def _sweep_lane(self, gate, cursor, store, subject) -> int:
@@ -762,9 +767,10 @@ class _ExplorationPass:
                 continue
             actions = self.protocol.enabled_actions(record.state)
             # A child enumerated the same actions of the same state, in the
-            # same order, and packed one outcome per action.
+            # same order, and packed one outcome per action; any other
+            # answer holds for every action.
             for action, action_packed in zip(
-                actions, repeat(None) if packed is None else packed
+                actions, packed if packed.__class__ is tuple else repeat(packed)
             ):
                 executions += self._execute(outcome, record, action, action_packed)
         return executions
@@ -842,9 +848,10 @@ class _ExplorationPass:
         a crash keeps only the durable fragment, a restart boots from it,
         a drop runs the ``handle_drop`` timeout hook, a duplicate runs the
         message handler again.  ``subject`` is the stored message, the
-        action, or ``None``; ``packed`` is a speculation child's outcome of
-        this execution when the round's frontier covered it, else the
-        kernel (:func:`~repro.core.event_kinds.execute`) runs here.  Returns
+        action, or ``None``; ``packed`` is what the speculator's
+        :meth:`~repro.core.explore_parallel.RoundSpeculator.lookup` answered
+        for a parallel round's frontier item, else the kernel
+        (:func:`~repro.core.event_kinds.execute`) runs here.  Returns
         handler executions done (always 1).
         """
         self._tick_budget()
@@ -940,8 +947,9 @@ class _ExplorationPass:
         existing = store.lookup(new_hash)
         if existing is not None:
             if step.speculated:
-                # A speculatively-executed successor the deterministic merge
-                # found already in LS_n — exactly the dedup serial would do.
+                # A parallel round's frontier successor the deterministic
+                # merge found already in LS_n — exactly the dedup serial
+                # would do.
                 self.stats.explore_merge_conflicts_suppressed += 1
             if (
                 self._por

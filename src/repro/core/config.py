@@ -141,17 +141,19 @@ class LMCConfig:
     #: default) is byte-identical to a build without partition support.
     partition_schedules: tuple = ()
 
-    #: Worker processes for parallel frontier exploration
-    #: (docs/PERFORMANCE.md): each round, the per-node frontier of pending
-    #: deliveries, internal actions and fault steps is sharded across
-    #: children forked for the round, which precompute handler results and
-    #: content hashes; the coordinator then replays the exact serial sweep
-    #: adopting those results, so counters, verdicts and witnesses are
-    #: byte-identical to the serial checker.  ``0`` (the default) keeps
-    #: exploration fully in-process; ``None`` uses ``os.cpu_count()``.  A
-    #: count above 0 needs ``os.fork`` (checked when the checker is built).  Which rounds go
-    #: parallel, and in how many shards, is fixed by
-    #: :mod:`repro.core.explore_parallel`'s ``ROUND_THRESHOLD``/``SHARD_MIN``.
+    #: Workers for parallel frontier exploration (docs/PERFORMANCE.md),
+    #: the coordinator included: each round, the per-node frontier of
+    #: pending deliveries, internal actions and fault steps is split into
+    #: one shard per worker; the coordinator works the first shard itself
+    #: and children forked for the round precompute the others' handler
+    #: results and content hashes, which the coordinator adopts as its
+    #: exact serial sweep reaches them, so counters, verdicts and witnesses
+    #: are byte-identical to the serial checker.  ``0`` (the default) and
+    #: ``1`` keep exploration fully in-process; ``None`` uses
+    #: ``os.cpu_count()``.  A count of 2 or more needs ``os.fork`` (checked
+    #: when the checker is built).  Which rounds go parallel, and in how
+    #: many shards, is fixed by :mod:`repro.core.explore_parallel`'s
+    #: ``ROUND_THRESHOLD``/``SHARD_MIN``.
     explore_workers: Optional[int] = 0
 
     #: Symmetry reduction (docs/REDUCTION.md): canonicalise system-state

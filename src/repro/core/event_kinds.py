@@ -82,9 +82,9 @@ class Transition:
         self.state_size = state_size
         self.sends = sends
         self.send_info = send_info
-        #: Computed by a speculation child: the merge counts the ones whose
-        #: successor it finds already stored
-        #: (``explore_merge_conflicts_suppressed``).
+        #: A frontier item of a parallel round, whichever process computed
+        #: it: the merge counts the ones whose successor it finds already
+        #: stored (``explore_merge_conflicts_suppressed``).
         self.speculated = speculated
 
 

@@ -10,34 +10,42 @@ exploits that independence **speculatively**:
    — every ``(record, stored message)`` delivery pair the per-message
    cursors will sweep, every record the local-event cursor will offer its
    internal actions, and (with faults on) every crash/restart candidate —
-   and splits it into shards.
-2. It forks one child per shard (:func:`repro.core.pool.fork_map`).  A
-   child inherits the coordinator's memory copy-on-write — records, ``I+``,
-   the protocol, the warm hash interner — and runs the execution kernel
-   (:func:`repro.core.event_kinds.execute`), the very function the
+   and splits it into one shard per worker, the coordinator included.
+2. It keeps the first shard, the sweep-order prefix, and forks one child
+   per other shard (:func:`repro.core.pool.fork`) without waiting for them.
+   A child inherits the coordinator's memory copy-on-write — records,
+   ``I+``, the protocol, the warm hash interner — and runs the execution
+   kernel (:func:`repro.core.event_kinds.execute`), the very function the
    coordinator's executor runs, on each of its items.  Per item it pipes
    back integers only: the outcome tag, the successor's hash and size, the
    event hash and each send's ``(hash, size)``.  Objects go with them only
    where the coordinator may need them: a successor state whose hash was
    not in the node's store at round start, and a send whose copy count was
    still below ``1 + duplicate_limit`` then.
-3. The coordinator then replays the *exact serial sweep*, adopting a
-   child's outcome wherever the table has one and running the kernel
+3. The coordinator meanwhile replays the *exact serial sweep*.  It runs its
+   own shard's items through the kernel inline, collects (and reaps) a
+   child the first time the sweep meets one of that child's items, adopts
+   a child's outcome wherever the table has one, and runs the kernel
    inline on a miss (intra-round cascades: messages and records minted
-   mid-round are invisible to the round-start snapshot).
+   mid-round are invisible to the round-start snapshot).  A child the
+   sweep never reached is collected at round end; every exit from the pass
+   kills and reaps the rest.
 
 Because the merge **is** the serial order, every counter, verdict, witness
 trace and dedup decision is byte-identical to the serial checker by
 construction — speculation only moves pure-function work (handlers are
 functions of immutable values; content hashing is deterministic) onto other
-cores.  Child results the replay re-discovers through a different path are
-dropped; cross-shard rediscoveries the merge folds into predecessor
-pointers are surfaced as ``explore_merge_conflicts_suppressed``.
+cores.  Frontier results the replay re-discovers through a different path
+are dropped; those rediscoveries, folded into predecessor pointers, are
+surfaced as ``explore_merge_conflicts_suppressed`` whichever process
+computed them.
 
 Failure containment: any child failure — a non-zero exit, a signal, a short
-or undecodable result — runs that round inline and turns speculation off
-for the rest of the pass, with one ``parallel_fallback`` trace event
-carrying the exit status.  Results are unchanged either way.
+or undecodable result — kills the round's other children, runs the rest of
+the round inline, leaves the round out of the ``explore_*`` counters and
+turns speculation off for the rest of the pass, with one
+``parallel_fallback`` trace event carrying the exit status.  Results are
+unchanged either way.
 """
 
 from __future__ import annotations
@@ -54,7 +62,7 @@ from repro.core.event_kinds import (
     event_of,
     execute,
 )
-from repro.core.pool import ChildFailed, fork_map, resolve_workers
+from repro.core.pool import ChildFailed, collect, fork, resolve_workers, shutdown_worker_pool
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (checker imports us)
     from repro.core.checker import _ExplorationPass
@@ -70,14 +78,21 @@ ROUND_THRESHOLD = 128
 SHARD_MIN = 64
 
 
+#: What :meth:`RoundSpeculator.lookup` answers for an item of the
+#: coordinator's own shard: run the kernel inline and mark the result as
+#: speculated.
+INLINE = "s"
+
+
 class RoundSpeculator:
     """Per-pass coordinator: snapshot, fork, and serve the round table.
 
     Owned by one :class:`~repro.core.checker._ExplorationPass`; the pass
-    calls :meth:`begin_round` at the top of every round and then consults
-    :meth:`lookup` from inside the (otherwise unchanged) serial sweep.  A
-    ``None`` answer means "run the kernel inline"; anything else goes
-    through :meth:`adopt`.
+    calls :meth:`begin_round` at the top of every round, consults
+    :meth:`lookup` from inside the (otherwise unchanged) serial sweep, calls
+    :meth:`end_round` once the sweep is done and :meth:`abort` on every
+    exit from the pass.  A ``None`` answer means "run the kernel inline";
+    anything else goes through :meth:`adopt`.
     """
 
     def __init__(self, pass_: "_ExplorationPass", workers: int):
@@ -86,25 +101,36 @@ class RoundSpeculator:
         #: Cleared after a failed round: the rest of the pass runs serially
         #: (results unchanged — only speed).
         self.enabled = True
+        #: Item key → :data:`INLINE`, the pid of the child computing it, or
+        #: a collected child's packed outcome.  ``None`` outside a
+        #: speculated round.
         self._table: Optional[Dict[Tuple, Any]] = None
+        #: The round's uncollected children: pid → (shard number, keys).
+        self._pending: Dict[int, Tuple[int, List[Tuple]]] = {}
         #: The round's shipped successor states and send messages, by hash.
         self._states: Dict[int, Any] = {}
         self._messages: Dict[int, Any] = {}
         self._round_no = 0
+        #: The live round's ``parallel_round`` fields, and the merge-conflict
+        #: count it started from (restored if a child fails).
+        self._round: Dict[str, Any] = {}
+        self._conflicts_before = 0
 
     @classmethod
     def for_pass(cls, pass_: "_ExplorationPass") -> Optional["RoundSpeculator"]:
-        """A speculator when the config enables one, else ``None``."""
+        """A speculator when the config asks for more than one worker (the
+        coordinator counts as one), else ``None``."""
         workers = resolve_workers(pass_.config.explore_workers)
-        return cls(pass_, workers) if workers > 0 else None
+        return cls(pass_, workers) if workers > 1 else None
 
     # -- round lifecycle ---------------------------------------------------
 
     def begin_round(self) -> None:
-        """Snapshot this round's frontier and precompute it in forked children.
+        """Snapshot this round's frontier, keep its first shard and fork one
+        child per other shard; returns without waiting for them.
 
         Small rounds (below :data:`ROUND_THRESHOLD` items) fork nothing; a
-        failed child leaves the round to the inline kernel — in every case
+        failed fork leaves the round to the inline kernel — in every case
         the subsequent sweep produces byte-identical results.
         """
         p = self._pass
@@ -113,6 +139,7 @@ class RoundSpeculator:
         self._messages = {}
         if not self.enabled:
             return
+        started = time.perf_counter()
         items = self._snapshot()
         if len(items) < ROUND_THRESHOLD:
             return
@@ -121,51 +148,84 @@ class RoundSpeculator:
             items[start : start + shard_size]
             for start in range(0, len(items), shard_size)
         ]
-        started = time.perf_counter()
+        key = self._key
+        table = dict.fromkeys([key(*item) for item in shards[0]], INLINE)
         try:
-            reports = self._dispatch(shards)
-        except (ChildFailed, OSError) as failure:
-            self.enabled = False
-            if p.emitter.enabled:
-                p.emitter.event(
-                    "parallel_fallback",
-                    round=p.round_number,
-                    status=getattr(failure, "status", None),
-                    reason=str(failure),
-                )
+            for number, shard in enumerate(shards[1:], 1):
+                pid = fork(partial(self._speculate, shard))
+                keys = [key(*item) for item in shard]
+                self._pending[pid] = (number, keys)
+                table.update(dict.fromkeys(keys, pid))
+        except OSError as failure:
+            self._fall_back(failure)
             return
+        self._table = table
         self._round_no += 1
         p.stats.explore_rounds_parallel += 1
         p.stats.explore_shards += len(shards)
-        if p.emitter.enabled:
-            p.emitter.event(
-                "parallel_round",
-                number=self._round_no,
-                items=len(items),
-                shards=len(shards),
-                workers=self.workers,
-                dispatch_s=round(time.perf_counter() - started, 6),
-            )
-            for index, (_result, wall_s, pid) in enumerate(reports):
-                p.emitter.emit_span(
-                    "worker_explore",
-                    wall_s,
-                    fields={"shard": index, "items": len(shards[index])},
-                    pid=pid,
-                )
+        self._conflicts_before = p.stats.explore_merge_conflicts_suppressed
+        self._round = dict(
+            number=self._round_no, items=len(items), inline_items=len(shards[0]),
+            shards=len(shards), workers=self.workers, wait_s=0.0, killed=0,
+            dispatch_s=round(time.perf_counter() - started, 6),
+        )
 
-    def _dispatch(self, shards: List[List[Tuple]]) -> List[Tuple[Any, float, int]]:
-        """Fork one child per shard and file what they piped back as the
-        round table; returns :func:`~repro.core.pool.fork_map`'s reports."""
-        reports = fork_map([partial(self._speculate, shard) for shard in shards])
-        table: Dict[Tuple, Any] = {}
-        for shard, ((outcomes, states, messages), _wall_s, _pid) in zip(shards, reports):
-            self._states.update(states)
-            self._messages.update(messages)
-            for item, packed in zip(shard, outcomes):
-                table[self._key(*item)] = packed
-        self._table = table
-        return reports
+    def end_round(self) -> None:
+        """Collect every child the sweep did not reach, then trace the round."""
+        while self._pending:
+            self._collect(next(iter(self._pending)))
+        emitter = self._pass.emitter
+        if self._table is not None and emitter.enabled:
+            self._round["wait_s"] = round(self._round["wait_s"], 6)
+            emitter.event("parallel_round", **self._round)
+        self._table = None
+
+    def abort(self) -> None:
+        """The pass stops (a bug, a budget, an interrupt, an exception, a
+        failed child): kill and reap every child still running.  A round
+        cut this way still emits its ``parallel_round``, whose ``killed``
+        counts the children it never collected (they have no
+        ``worker_explore`` span)."""
+        if self._table is not None:
+            self._round["killed"] = len(self._pending)
+        shutdown_worker_pool()
+        self._pending.clear()
+        self.end_round()
+
+    def _collect(self, pid: int) -> None:
+        """Wait for child ``pid`` and file its outcomes in the round table."""
+        number, keys = self._pending.pop(pid)
+        started = time.perf_counter()
+        try:
+            (outcomes, states, messages), wall_s = collect(pid)
+        except ChildFailed as failure:
+            self._fall_back(failure)
+            return
+        self._round["wait_s"] += time.perf_counter() - started
+        self._states.update(states)
+        self._messages.update(messages)
+        self._table.update(zip(keys, outcomes))
+        if self._pass.emitter.enabled:
+            fields = {"shard": number, "items": len(keys)}
+            self._pass.emitter.emit_span("worker_explore", wall_s, fields=fields, pid=pid)
+
+    def _fall_back(self, failure: Exception) -> None:
+        """A child failed, or could not be forked: kill the round's others,
+        leave the round out of the ``explore_*`` counters, and run the rest
+        of the pass inline."""
+        p = self._pass
+        self.enabled = False
+        if self._table is not None:
+            self._table = None
+            p.stats.explore_rounds_parallel -= 1
+            p.stats.explore_shards -= self._round["shards"]
+            p.stats.explore_merge_conflicts_suppressed = self._conflicts_before
+        self.abort()
+        if p.emitter.enabled:
+            status = getattr(failure, "status", None)
+            p.emitter.event(
+                "parallel_fallback", round=p.round_number, status=status, reason=str(failure)
+            )
 
     def _speculate(self, shard: List[Tuple]) -> Tuple[List[Any], Dict, Dict]:
         """A child's whole job: the kernel on every item of ``shard``.
@@ -243,19 +303,29 @@ class RoundSpeculator:
     def lookup(
         self, row: EventKind, record: "NodeStateRecord", subject: Any
     ) -> Optional[Any]:
-        """A child's packed outcome of offering ``row`` to ``record``, if any
-        (for a fan-out row, one per enabled action); ``None`` means "run the
-        kernel inline"."""
+        """How to run offering ``row`` to ``record``: ``None`` (inline, as
+        serial), :data:`INLINE` (inline, an item of the coordinator's own
+        shard) or a child's packed outcome — for a fan-out row, one per
+        enabled action.  The first lookup of a child's item collects it."""
         table = self._table
         if table is None:
             return None
-        return table.get(self._key(row, record, subject))
+        packed = table.get(self._key(row, record, subject))
+        if packed.__class__ is int:
+            self._collect(packed)
+            return self.lookup(row, record, subject)
+        return packed
 
     def adopt(
         self, row: EventKind, record: "NodeStateRecord", subject: Any, packed: Any
     ) -> Any:
         """``packed`` as the kernel would have returned it inline:
         :data:`ASSERT`, :data:`NOOP` or a speculated :class:`Transition`."""
+        if packed == INLINE:
+            outcome = execute(self._pass.protocol, row, record, subject)
+            if outcome.__class__ is Transition:
+                outcome.speculated = True
+            return outcome
         if packed == ASSERT:
             return ASSERT
         if packed == NOOP:

@@ -1,12 +1,12 @@
 """Forked children for parallel frontier exploration.
 
-Its one client, :mod:`repro.core.explore_parallel`, hands :func:`fork_map`
-one zero-argument task per shard.  Each task runs in a child forked for it:
-the child inherits the coordinator's whole memory copy-on-write — the
-checker's records, the monotonic network, the protocol and the warm hash
-interner — so nothing is shipped *to* it; it pipes back the task's pickled
-result and exits.  Every child is reaped before :func:`fork_map` returns, so
-its CPU lands in the parent's ``RUSAGE_CHILDREN``.
+Its one client, :mod:`repro.core.explore_parallel`, hands :func:`fork` one
+zero-argument task per child shard and goes on with its own work.  The
+child inherits the coordinator's whole memory copy-on-write — the checker's
+records, the monotonic network, the protocol and the warm hash interner —
+so nothing is shipped *to* it; it pipes back the task's pickled result and
+exits.  :func:`collect` reads one child's result and reaps it, so its CPU
+lands in the parent's ``RUSAGE_CHILDREN``.
 
 This module also owns the one place a worker count of ``None`` becomes
 ``os.cpu_count()`` (:func:`resolve_workers`) and the platform guard
@@ -21,11 +21,11 @@ import pickle
 import signal
 import time
 import traceback
-from typing import Any, Callable, Dict, List, NoReturn, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, NoReturn, Optional, Tuple
 
 #: Children forked and not yet reaped, with the read end of each one's
 #: result pipe (``None`` once the parent took it over).  Empty between
-#: :func:`fork_map` calls.
+#: rounds.
 _LIVE: Dict[int, Optional[int]] = {}
 
 
@@ -45,12 +45,13 @@ def resolve_workers(requested: Optional[int]) -> int:
 
 
 def require_fork(workers: Optional[int]) -> None:
-    """Refuse a worker count this platform cannot honour: speculation
-    children are forked, and some platforms have no ``os.fork``."""
-    if resolve_workers(workers) > 0 and not hasattr(os, "fork"):
+    """Refuse a worker count this platform cannot honour: every worker but
+    the coordinator is a forked child, and some platforms have no
+    ``os.fork``."""
+    if resolve_workers(workers) > 1 and not hasattr(os, "fork"):
         raise ValueError(
             f"explore_workers={workers!r} needs os.fork, which this platform "
-            "lacks; use explore_workers=0"
+            "lacks; use explore_workers=0 or 1"
         )
 
 
@@ -81,57 +82,50 @@ def _child(task: Callable[[], Any], write_fd: int) -> NoReturn:
         os._exit(code)
 
 
-def _collect(pid: int) -> Tuple[bytes, int]:
-    """Read child ``pid``'s whole result, then reap it: ``(bytes, status)``."""
+def fork(task: Callable[[], Any]) -> int:
+    """Start ``task`` in a forked child and return the child's pid at once;
+    :func:`collect` waits for its result."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        os.close(read_fd)
+        _child(task, write_fd)
+    os.close(write_fd)
+    _LIVE[pid] = read_fd
+    return pid
+
+
+def collect(pid: int) -> Tuple[Any, float]:
+    """Wait for child ``pid``, reap it and return ``(result, wall_s)``;
+    ``wall_s`` is measured inside the child.  Raises :class:`ChildFailed`,
+    with the child reaped, when it failed."""
     read_fd = _LIVE[pid]
     _LIVE[pid] = None
     with open(read_fd, "rb") as pipe:
         data = pipe.read()
     _, status = os.waitpid(pid, 0)
     del _LIVE[pid]
-    return data, os.waitstatus_to_exitcode(status)
-
-
-def fork_map(tasks: Sequence[Callable[[], Any]]) -> List[Tuple[Any, float, int]]:
-    """Run every task at once, each in its own forked child.
-
-    Returns ``(result, wall_s, pid)`` per task, in task order; ``wall_s`` is
-    measured inside the child.  Raises :class:`ChildFailed`, with every
-    child already reaped, when any child fails.  Any exception in the parent
-    (an interrupt) kills and reaps the children before it propagates.
-    """
-    pids: List[int] = []
+    status = os.waitstatus_to_exitcode(status)
+    if status != 0:
+        raise ChildFailed(status, "failed")
     try:
-        for task in tasks:
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                os.close(read_fd)
-                _child(task, write_fd)
-            os.close(write_fd)
-            _LIVE[pid] = read_fd
-            pids.append(pid)
-        collected = [_collect(pid) for pid in pids]
-    finally:
-        shutdown_worker_pool()
-    reports = []
-    for pid, (data, status) in zip(pids, collected):
-        if status != 0:
-            raise ChildFailed(status, "failed")
-        try:
-            result, wall_s = pickle.loads(data)
-        except Exception as exc:  # noqa: BLE001 - any decode error is a failed child
-            raise ChildFailed(status, "piped back a short or undecodable result") from exc
-        reports.append((result, wall_s, pid))
-    return reports
+        return pickle.loads(data)
+    except Exception as exc:  # noqa: BLE001 - any decode error is a failed child
+        raise ChildFailed(status, "piped back a short or undecodable result") from exc
 
 
 def shutdown_worker_pool() -> None:
     """Kill and reap any child still live (idempotent).
 
-    :func:`fork_map` reaps its children before it returns, so this finds
-    none after a normal round; it is what an interrupted round, and a
-    caller that wants to be sure no child outlives it, run.
+    A normal round collects every child it forked, so this finds none
+    then; it is what a failed or interrupted round, a pass that stops
+    mid-round, and a caller that wants to be sure no child outlives it,
+    run.
     """
     while _LIVE:
         pid, read_fd = _LIVE.popitem()

@@ -243,9 +243,10 @@ class TraceSummary:
         interner is process-global, so the last snapshot is the
         authoritative one), rejected-cache evictions
         and the two cache-hit counters from the final metric, the
-        parallel-exploration round and item totals from ``parallel_round``
-        events, and how many ``parallel_fallback`` events a failed
-        speculation child caused.
+        parallel-exploration round, item and time totals from
+        ``parallel_round`` events (``parallel_wait_s``: how long the
+        coordinator waited on its children), and how many
+        ``parallel_fallback`` events a failed speculation child caused.
         """
         health: Dict[str, Any] = {}
         caches = self.events("hash_cache")
@@ -275,13 +276,17 @@ class TraceSummary:
         rounds = self.events("parallel_round")
         if rounds:
             health["parallel_round_events"] = len(rounds)
-            # Every per-round count a round event carries, summed: ``items``
-            # today, plus the tallies older traces recorded per round.
+            # Every per-round count and time a round event carries, summed:
+            # ``items``, ``inline_items``, ``dispatch_s``, ``wait_s`` and
+            # ``killed`` today, plus the tallies older traces recorded per round.
             for record in rounds:
                 for key, value in record.get("fields", {}).items():
-                    if key not in _ROUND_LABELS and isinstance(value, int):
+                    if key not in _ROUND_LABELS and isinstance(value, (int, float)):
                         total = f"parallel_{key}"
                         health[total] = health.get(total, 0) + value
+            for key, value in health.items():
+                if isinstance(value, float) and key.startswith("parallel_"):
+                    health[key] = round(value, 6)
         fallbacks = self.events("parallel_fallback")
         if fallbacks:
             health["parallel_fallbacks"] = len(fallbacks)

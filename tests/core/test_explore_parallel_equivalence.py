@@ -1,21 +1,24 @@
 """Parallel frontier exploration must be invisible in every result.
 
 The speculative round executor (docs/PERFORMANCE.md "Parallel frontier
-exploration") precomputes handler results in forked children and merges
-them by replaying the exact serial sweep, so with ``explore_workers > 0``
+exploration") works the first shard of each round in the coordinator,
+precomputes the others' handler results in forked children and merges
+them by replaying the exact serial sweep, so with ``explore_workers > 1``
 every counter, verdict, witness trace and stop reason must equal the serial
 run — the same equivalence discipline ``test_cache_equivalence`` and
 ``test_fault_equivalence`` apply to the hashing caches and the fault
 scheduler.  The tests force tiny thresholds/shards so even small state
 spaces exercise the fork and the merge path, on every CLI workload and
-across the GEN, POR, symmetry and cap configurations, and a SIGKILL test
-checks a failed child leaves verdicts intact.
+across the GEN, POR, symmetry and cap configurations; SIGKILL tests check a
+failed child leaves verdicts intact, and every exit from a pass leaves no
+child behind.
 """
 
 import inspect
 import os
 import signal
 from dataclasses import replace
+from itertools import repeat
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +28,7 @@ import repro.core.explore_parallel as explore_parallel
 import repro.core.pool as pool
 from repro.cli import WORKLOADS
 from repro.core.checker import LocalModelChecker, _ExplorationPass
+from repro.core.checkpoint import Checkpointer
 from repro.core.config import LMCConfig
 from repro.core.event_kinds import (
     CRASH,
@@ -60,7 +64,7 @@ from repro.protocols.twophase import (
     VoteRequest,
 )
 from repro.replay import validate_bug
-from tests.core.test_pool import _unreaped_child
+from tests.core.test_pool import _unreaped_child, no_child_left_behind  # noqa: F401
 
 #: Phase timers are wall-clock; the explore_* counters exist only so the
 #: parallel run can prove it actually went parallel.  Everything else must
@@ -158,15 +162,19 @@ class TestEquivalence:
         assert result.stats.explore_shards == 0
 
 
+    @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("buggy", [False, True])
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-    def test_verdict_matches_serial_on_every_cli_workload(self, workload, buggy):
+    def test_verdict_matches_serial_on_every_cli_workload(
+        self, workload, buggy, workers
+    ):
         """Every invariant kind the CLI can select — decomposable, general
-        and node-local — gets the serial verdict, and every bug replays."""
+        and node-local — gets the serial verdict, and every bug replays.
+        Three workers collect one child while the other may still run."""
         protocol, invariant = WORKLOADS[workload][0](3, buggy)
         budget = SearchBudget(max_transitions=300)
         serial = _run(protocol, invariant, budget=budget)
-        parallel = _run(protocol, invariant, budget=budget, **PARALLEL)
+        parallel = _run(protocol, invariant, budget=budget, explore_workers=workers)
         assert _observable(serial) == _observable(parallel)
         assert parallel.stats.explore_rounds_parallel > 0
         for bug in parallel.bugs:
@@ -266,19 +274,23 @@ class TestEquivalence:
         assert _observable(serial) == _observable(parallel)
         assert parallel.stats.explore_rounds_parallel > 0
 
-    @pytest.mark.parametrize("workers", [0, 2])
+    @pytest.mark.parametrize("workers", [0, 1, 2, 3])
     def test_clean_tree_rejects_every_violation(self, workers):
         result = _run(TreeProtocol(), ReceivedImpliesSent(), explore_workers=workers)
         assert result.completed
         assert not result.found_bug
         assert result.stats.soundness_calls > 0
-        assert (result.stats.explore_rounds_parallel > 0) == (workers > 0)
+        assert (result.stats.explore_rounds_parallel > 0) == (workers > 1)
 
 
 class TestForkFailure:
-    """A failed speculation child costs speed only: its round runs inline,
-    speculation stays off for the rest of the pass, and no child is left
-    behind."""
+    """A failed speculation child costs speed only: the rest of its round
+    runs inline, speculation stays off for the rest of the pass, and no
+    child is left behind — whichever way the pass ends."""
+
+    @staticmethod
+    def _fallbacks(emitter):
+        return [r for r in emitter.records if r.get("name") == "parallel_fallback"]
 
     def test_killed_child_still_matches_serial(self, monkeypatch):
         """SIGKILL the children of the second parallel round: the pass must
@@ -304,16 +316,118 @@ class TestForkFailure:
         ).run()
         assert _observable(serial) == _observable(parallel)
         assert parallel.stats.explore_rounds_parallel == 1
-        fallbacks = [r for r in emitter.records if r.get("name") == "parallel_fallback"]
+        fallbacks = self._fallbacks(emitter)
         assert len(fallbacks) == 1
         assert fallbacks[0]["fields"]["status"] == -signal.SIGKILL
         assert _unreaped_child() == 0
 
-    def test_no_child_outlives_a_run(self):
-        result = _run(EagerCommitCoordinator(3, no_voters=(2,)), CommitValidity(), **PARALLEL)
+    def test_child_dies_while_the_coordinator_works_its_shard(self, monkeypatch):
+        """The child of the sixth parallel round (382 items in the
+        coordinator's own shard) is killed after the coordinator has run 200
+        of them: the results are serial, and the failed round is left out
+        of every ``explore_*`` counter — they equal a run whose speculation
+        stops at that round, although the coordinator's items had already
+        met merge conflicts."""
+        protocol = PaxosProtocol(num_nodes=3, proposals=((0, 0, "v0"),))
+        budget = SearchBudget(max_depth=6)
+        begin_round, adopt = RoundSpeculator.begin_round, RoundSpeculator.adopt
+
+        def stop_before_round_six(speculator):
+            if speculator._round_no == 5:
+                speculator.enabled = False
+            begin_round(speculator)
+
+        monkeypatch.setattr(RoundSpeculator, "begin_round", stop_before_round_six)
+        reference = _run(protocol, PaxosAgreement(0), budget=budget, **PARALLEL)
+        monkeypatch.setattr(RoundSpeculator, "begin_round", begin_round)
+
+        own_items_run = []
+        conflicts_at_death = []
+
+        def kill_mid_shard(speculator, row, record, subject, packed):
+            outcome = adopt(speculator, row, record, subject, packed)
+            if packed is explore_parallel.INLINE and speculator._round_no == 6:
+                own_items_run.append(record)
+                if len(own_items_run) == 200:
+                    stats = speculator._pass.stats
+                    conflicts_at_death.append(
+                        stats.explore_merge_conflicts_suppressed
+                        - speculator._conflicts_before
+                    )
+                    for pid in pool._LIVE:
+                        os.kill(pid, signal.SIGKILL)
+            return outcome
+
+        monkeypatch.setattr(RoundSpeculator, "adopt", kill_mid_shard)
+        serial = _run(protocol, PaxosAgreement(0), budget=budget)
+        emitter = MemoryEmitter()
+        parallel = LocalModelChecker(
+            protocol,
+            PaxosAgreement(0),
+            budget=budget,
+            config=LMCConfig.optimized(**PARALLEL),
+            emitter=emitter,
+        ).run()
+        assert _observable(serial) == _observable(parallel)
+        assert len(own_items_run) > 200  # its shard went on after the death
+        assert conflicts_at_death[0] > 0
+        [fallback] = self._fallbacks(emitter)
+        assert fallback["fields"]["status"] == -signal.SIGKILL
+        stats, expected = parallel.stats, reference.stats
+        assert stats.explore_rounds_parallel == expected.explore_rounds_parallel == 5
+        assert stats.explore_shards == expected.explore_shards
+        assert (
+            stats.explore_merge_conflicts_suppressed
+            == expected.explore_merge_conflicts_suppressed
+        )
+
+    @pytest.mark.parametrize("exit_path", ["first-bug", "max-transitions", "sigterm"])
+    def test_no_child_outlives_a_run(self, exit_path, monkeypatch, tmp_path):
+        """However the pass ends, every child is reaped: a stop mid-round
+        kills the children the sweep has not collected yet."""
+        killed = []
+        shutdown = explore_parallel.shutdown_worker_pool
+
+        def counting_shutdown():
+            killed.append(len(pool._LIVE))
+            shutdown()
+
+        monkeypatch.setattr(explore_parallel, "shutdown_worker_pool", counting_shutdown)
+        paxos = PaxosProtocol(num_nodes=3, proposals=((0, 0, "v0"),))
+        checkpointer = None
+        if exit_path == "first-bug":
+            protocol, invariant = EagerCommitCoordinator(3, no_voters=(2,)), CommitValidity()
+            budget = SearchBudget.unbounded()
+        elif exit_path == "max-transitions":
+            protocol, invariant = paxos, PaxosAgreement(0)
+            budget = SearchBudget(max_transitions=100)
+        else:
+            protocol, invariant = paxos, PaxosAgreement(0)
+            budget = SearchBudget(max_depth=6)
+            checkpointer = Checkpointer(str(tmp_path / "run.ckpt.json"))
+            begin_round = RoundSpeculator.begin_round
+
+            def sigterm_mid_round(speculator):
+                begin_round(speculator)
+                if speculator._round_no == 2:  # its child is running
+                    os.kill(os.getpid(), signal.SIGTERM)
+
+            monkeypatch.setattr(RoundSpeculator, "begin_round", sigterm_mid_round)
+        result = LocalModelChecker(
+            protocol,
+            invariant,
+            budget=budget,
+            config=LMCConfig.optimized(explore_workers=3),
+            checkpointer=checkpointer,
+        ).run()
         assert result.stats.explore_rounds_parallel > 0
-        assert _unreaped_child() == 0
-        assert not pool._LIVE
+        assert not result.completed
+        if exit_path == "sigterm":
+            assert result.stop_reason == "interrupted (checkpoint written)"
+            assert result.stats.explore_rounds_parallel == 2
+        else:
+            assert max(killed) > 0  # the exit killed a running child
+        assert not pool._LIVE and _unreaped_child() == 0
 
 
 class TestEventKindTable:
@@ -352,39 +466,60 @@ class TestEventKindTable:
     @pytest.mark.parametrize(
         "row", EVENT_KINDS, ids=lambda row: row.event_class.__name__
     )
-    def test_worker_outcome_equals_coordinator_miss_path(self, row):
-        """Protocol.execute dispatches the row's event, and what a forked
-        round's child computes, adopted by the coordinator, is exactly what
-        the kernel computes inline on a miss."""
+    def test_worker_outcome_equals_coordinator_miss_path(self, row, monkeypatch):
+        """Protocol.execute dispatches the row's event, and what a W=2
+        round computes — in the coordinator's own shard or in its child,
+        adopted by the coordinator — is exactly what the kernel computes
+        inline on a miss."""
         protocol = TimeoutTwoPhaseCommit(3)
-        checker = LocalModelChecker(protocol, Atomicity(), config=LMCConfig(explore_workers=1))
+        emitter = MemoryEmitter()
+        checker = LocalModelChecker(
+            protocol, Atomicity(), config=LMCConfig(**PARALLEL), emitter=emitter
+        )
         pass_ = _ExplorationPass(
             checker, protocol.initial_system_state(), BudgetClock(checker.budget), None
         )
         speculator = pass_._speculator
         state, message = self.SAMPLES[row]
         node = state.node
-        record = NodeStateRecord(node, state, content_hash(state), 0, 0, 0, frozenset())
+        # The same node state twice: the first item is the coordinator's
+        # shard, the second its child's.
+        own, forked = (
+            NodeStateRecord(node, state, content_hash(state), index, 0, 0, frozenset())
+            for index in (1, 0)
+        )
         subject = (
             StoredMessage(message, content_hash(message), 0) if row.on_message else None
         )
-        (_report, _wall_s, pid), = speculator._dispatch([[(row, record, subject)]])
-        assert pid != os.getpid()
-        packed = speculator.lookup(row, record, subject)
+        monkeypatch.setattr(
+            speculator, "_snapshot", lambda: [(row, own, subject), (row, forked, subject)]
+        )
+        speculator.begin_round()
+        assert speculator.lookup(row, own, subject) is explore_parallel.INLINE
+        looked_up = speculator.lookup(row, forked, subject)
+        speculator.end_round()
+        [span] = [r for r in emitter.records if r.get("name") == "worker_explore"]
+        assert span["pid"] != os.getpid() and span["fields"] == {"shard": 1, "items": 1}
         if row.fan_out:
             payloads = tuple(protocol.enabled_actions(state))
-            assert payloads and len(packed) == len(payloads)
+            assert payloads and len(looked_up) == len(payloads)
+            shipped = zip(looked_up, repeat(explore_parallel.INLINE))
         else:
-            payloads, packed = (subject,), (packed,)
-        for payload, shipped in zip(payloads, packed):
-            adopted = speculator.adopt(row, record, payload, shipped)
-            inline = execute(protocol, row, record, payload)
+            payloads = (subject,)
+            shipped = [(looked_up, explore_parallel.INLINE)]
+        for payload, packs in zip(payloads, shipped):
+            inline = execute(protocol, row, own, payload)
             assert isinstance(inline, Transition), "samples are real transitions"
-            assert isinstance(adopted.event, row.event_class) and adopted.event.node == node
-            assert adopted.speculated and not inline.speculated
-            for field in Transition.__slots__[:-1]:
-                assert getattr(adopted, field) == getattr(inline, field), field
-            assert adopted.state_hash == content_hash(inline.state)
-            assert adopted.state_size == content_size(inline.state)
-            assert adopted.event_hash == event_hash(adopted.event)
-            assert tuple(h for h, _ in adopted.send_info) == message_hashes(inline.sends)
+            assert not inline.speculated
+            for record, packed in zip((forked, own), packs):
+                adopted = speculator.adopt(row, record, payload, packed)
+                assert isinstance(adopted.event, row.event_class)
+                assert adopted.event.node == node and adopted.speculated
+                for field in Transition.__slots__[:-1]:
+                    assert getattr(adopted, field) == getattr(inline, field), field
+                assert adopted.state_hash == content_hash(inline.state)
+                assert adopted.state_size == content_size(inline.state)
+                assert adopted.event_hash == event_hash(adopted.event)
+                assert tuple(h for h, _ in adopted.send_info) == message_hashes(
+                    inline.sends
+                )

@@ -124,7 +124,7 @@ def _s55_at_760(explore_workers):
         emitter=emitter,
     ).run(initial)
     units = [r["fields"] for r in emitter.records if r.get("name") == "soundness"]
-    assert (result.stats.explore_rounds_parallel > 0) == (explore_workers > 0)
+    assert (result.stats.explore_rounds_parallel > 0) == (explore_workers > 1)
     return protocol, invariant, result, units
 
 

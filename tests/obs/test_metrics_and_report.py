@@ -216,28 +216,37 @@ class TestTraceSummary:
         assert "empty trace" in TraceSummary([]).render()
 
     def test_health_sums_round_counts_and_counts_fallbacks(self):
-        """Round events of any age sum their per-round counts — a trace on
-        disk from before forked speculation still reads its sync-misses —
-        and each failed-child fallback is counted."""
+        """Round events of any age sum their per-round counts and times — a
+        trace on disk from before forked speculation still reads its
+        sync-misses, one from before the coordinator worked a shard has no
+        wait — and each failed-child fallback is counted."""
 
         def event(name, **fields):
             return {"ts": 0.0, "pid": 1, "kind": "event", "name": name, "fields": fields}
 
         now = dict(shards=2, workers=2, dispatch_s=0.01)
         current = [
-            event("parallel_round", number=1, items=300, **now),
-            event("parallel_round", number=2, items=500, **now),
+            event("parallel_round", number=1, items=300, inline_items=150,
+                  wait_s=0.25, killed=0, **now),
+            event("parallel_round", number=2, items=500, inline_items=250,
+                  wait_s=0.125, killed=1, **now),
             event("parallel_fallback", round=9, status=-9, reason="killed"),
         ]
         health = TraceSummary(current).health_profile()
         assert health["parallel_round_events"] == 2
         assert health["parallel_items"] == 800
+        assert health["parallel_inline_items"] == 400
+        assert health["parallel_wait_s"] == 0.375
+        assert health["parallel_killed"] == 1
+        assert health["parallel_dispatch_s"] == 0.02
         assert health["parallel_fallbacks"] == 1
         assert not {"parallel_number", "parallel_shards", "parallel_workers",
                     "parallel_round", "parallel_status"} & set(health)
         on_disk = [event("parallel_round", number=1, items=300, sync_misses=2, **now)]
         health = TraceSummary(on_disk).health_profile()
         assert health["parallel_sync_misses"] == 2
+        assert "parallel_wait_s" not in health
+        assert "parallel_killed" not in health
         assert "parallel_fallbacks" not in health
 
     def test_bound_line_counts_spans_that_carry_the_field(self):

@@ -86,35 +86,49 @@ class TestSequentialTrace:
 class TestExploreWorkerTrace:
     """The exploration front's forked work is visible in the trace: one
     ``parallel_round`` event per dispatched round, one forwarded
-    ``worker_explore`` span per shard, tagged with the child's pid."""
+    ``worker_explore`` span per forked child (every shard but the
+    coordinator's own), tagged with the child's pid."""
 
     @staticmethod
-    def _traced(workers):
+    def _traced(workers, stop_on_first_bug=True):
         emitter = MemoryEmitter()
         result = LocalModelChecker(
             EagerCommitCoordinator(3, no_voters=(2,)),
             CommitValidity(),
-            config=LMCConfig.optimized(explore_workers=workers),
+            config=LMCConfig.optimized(
+                explore_workers=workers, stop_on_first_bug=stop_on_first_bug
+            ),
             emitter=emitter,
         ).run()
         return result, emitter
 
     @pytest.mark.usefixtures("dispatch_every_round")
+    @pytest.mark.parametrize("stop_on_first_bug", [True, False])
     @pytest.mark.parametrize("workers", [0, 2, None])
-    def test_worker_spans_agree_with_merged_stats(self, workers):
-        result, emitter = self._traced(workers)
+    def test_worker_spans_agree_with_merged_stats(self, workers, stop_on_first_bug):
+        result, emitter = self._traced(workers, stop_on_first_bug)
         stats = result.stats
 
         assert result.found_bug
         rounds = spans(emitter, "parallel_round")
         worker_spans = spans(emitter, "worker_explore")
+        killed = [r["fields"]["killed"] for r in rounds]
         assert len(rounds) == stats.explore_rounds_parallel
-        assert len(worker_spans) == stats.explore_shards
-        assert (stats.explore_shards > 0) == (workers != 0)
+        # Every forked child is either collected (one span) or killed
+        # uncollected when the first bug cuts its round (the last one).
+        assert len(worker_spans) + sum(killed) == stats.explore_shards - len(rounds)
+        assert not any(killed[:-1])
+        if workers == 2:  # the cut lands before the second shard
+            assert bool(sum(killed)) == stop_on_first_bug
+        if not stop_on_first_bug:
+            assert not any(killed)
+        assert (stats.explore_shards > 0) == (resolve_workers(workers) > 1)
         assert sum(r["fields"]["shards"] for r in rounds) == stats.explore_shards
-        assert sum(s["fields"]["items"] for s in worker_spans) == sum(
-            r["fields"]["items"] for r in rounds
-        )
+        assert all(r["fields"]["wait_s"] >= 0 for r in rounds)
+        if not any(killed):
+            assert sum(s["fields"]["items"] for s in worker_spans) + sum(
+                r["fields"]["inline_items"] for r in rounds
+            ) == sum(r["fields"]["items"] for r in rounds)
         # The worker count the round used, not the request (None = every CPU).
         assert {r["fields"]["workers"] for r in rounds} <= {resolve_workers(workers)}
         # Verification stays inline: soundness spans reconcile as serially.
