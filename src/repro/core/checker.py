@@ -97,7 +97,7 @@ from repro.core.soundness import SoundnessVerifier
 from repro.core.symmetry import SymmetryReducer
 from repro.core.system_states import (
     Combination,
-    ProjectionIndex,
+    SummaryIndex,
     combination_to_system_state,
     clean_block_size,
     enumerate_general,
@@ -193,12 +193,14 @@ class LocalModelChecker:
         #: default — writes nothing and leaves the checker byte-identical
         #: to a build without the checkpoint layer.
         self.checkpointer = checkpointer
-        self.algorithm = (
-            "LMC-OPT"
-            if config.invariant_specific_creation
+        #: LMC-OPT's pairwise scan needs an invariant whose every violation
+        #: a conflicting pair witnesses; any other invariant runs LMC-GEN.
+        self.use_opt = (
+            config.invariant_specific_creation
             and isinstance(invariant, DecomposableInvariant)
-            else "LMC-GEN"
+            and invariant.pairwise
         )
+        self.algorithm = "LMC-OPT" if self.use_opt else "LMC-GEN"
 
     # -- public API ------------------------------------------------------------
 
@@ -500,32 +502,25 @@ class _ExplorationPass:
         self._rejected_entries: "OrderedDict[int, Combination]" = OrderedDict()
         self._rejected_next = 0
         self._rejected_index: Dict[Tuple[NodeId, int], List[int]] = {}
-        # Cache of invariant projections: recomputing them for every pairwise
-        # scan is quadratic in visited states, and projections of large
-        # multi-decree states are not free.
-        self._projection_cache: Dict[Tuple[NodeId, int], object] = {}
-        #: Summarised GEN's per-record ``Invariant.summary`` cache, and the
-        #: invariant calls made (the ``materialise`` span's
+        #: The invariant calls made (the ``materialise`` span's
         #: ``tuples_checked``; not a stats counter, so a summarised run's
         #: counters stay those of the per-combination walk).
-        self._summary_cache: Dict[Tuple[NodeId, int], object] = {}
         self._invariant_calls = 0
         #: The round's one ``materialise`` span: every :meth:`_check_new_state`
         #: of a round enters it and adds its counts, and each round's end
         #: flushes it.
         self._materialise = self.emitter.batch_span("materialise")
-        # Incremental pairwise-OPT partner index: per node, the records with
-        # non-None projections, maintained as states are discovered so each
-        # anchored enumeration stops rescanning every visited state.
-        use_pairwise_opt = (
-            self.config.invariant_specific_creation
-            and isinstance(self.invariant, DecomposableInvariant)
-            and self.invariant.pairwise
-        )
-        self._projection_index: Optional[ProjectionIndex] = (
-            ProjectionIndex(self.space.node_ids)
-            if use_pairwise_opt and self.config.incremental_enumeration
-            else None
+        #: Every non-crashed record's value, grouped (docs/PERFORMANCE.md):
+        #: its projection under LMC-OPT, its summary under summarised
+        #: LMC-GEN; ``None`` when the pass reads neither.
+        key_of = None
+        if self.config.create_system_states:
+            if checker.use_opt:
+                key_of = self.invariant.local_projection
+            elif declares_summary(self.invariant):
+                key_of = self.invariant.summary
+        self._index: Optional[SummaryIndex] = (
+            None if key_of is None else SummaryIndex(self.space.node_ids, key_of)
         )
         #: Parallel frontier exploration (docs/PERFORMANCE.md): per-round
         #: speculative precomputation of handler results and content hashes
@@ -650,10 +645,8 @@ class _ExplorationPass:
                 if sweep.per_node:
                     self.cursors[sweep.name][node] = Cursor()
             self._retained_bytes += record.retained_bytes()
-            if self._projection_index is not None:
-                self._projection_index.note(
-                    node, record, self._cached_projection(node, record)
-                )
+            if self._index is not None:
+                self._index.note(record)
         if self.config.create_system_states:
             self.stats.invariant_checks += 1
             holds = self.invariant.check(self.initial_system)
@@ -993,16 +986,12 @@ class _ExplorationPass:
         if new_record.depth > self._node_max_depth.get(record.node, 0):
             self._node_max_depth[record.node] = new_record.depth
         if new_record.crashed:
-            # A down node joins no system state: no projection to index, no
+            # A down node joins no system state: no value to index, no
             # anchored invariant checking.  Its only further event is the
             # restart the fault sweep will offer it.
             return
-        if self._projection_index is not None:
-            self._projection_index.note(
-                record.node,
-                new_record,
-                self._cached_projection(record.node, new_record),
-            )
+        if self._index is not None:
+            self._index.note(new_record)
         self._check_new_state(new_record)
 
     def _por_redundant(
@@ -1102,16 +1091,10 @@ class _ExplorationPass:
                 if isinstance(self.invariant, LocalInvariant):
                     self._check_local_invariant(new_record)
                     return
-                use_opt = self.config.invariant_specific_creation and isinstance(
-                    self.invariant, DecomposableInvariant
-                )
-                if not use_opt and declares_summary(self.invariant):
+                use_opt = self.checker.use_opt
+                if not use_opt and self._index is not None:
                     size = clean_block_size(
-                        self.space,
-                        new_record.node,
-                        new_record,
-                        self._cached_summary,
-                        self._holds,
+                        self.space, new_record.node, new_record, self._index, self._holds
                     )
                     if size is not None:
                         self._count_clean_block(new_record, size)
@@ -1122,9 +1105,9 @@ class _ExplorationPass:
                         new_record.node,
                         new_record,
                         self.invariant,
-                        completion_cap=MAX_COMPLETIONS_PER_CONFLICT,
-                        projection_of=self._cached_projection,
-                        index=self._projection_index,
+                        self._index,
+                        MAX_COMPLETIONS_PER_CONFLICT,
+                        grouped=self.config.incremental_enumeration,
                     )
                     if use_opt
                     else enumerate_general(self.space, new_record.node, new_record)
@@ -1312,36 +1295,6 @@ class _ExplorationPass:
         )
         if self.config.stop_on_first_bug:
             raise _StopSearch("bug found", completed=False)
-
-    def _cached_projection(self, node: NodeId, record: NodeStateRecord):
-        """Memoised invariant projection of a node state (LMC-OPT, §4.2).
-
-        The pairwise OPT enumerator re-reads projections quadratically
-        often; caching by ``(node, record index)`` keeps projection cost
-        linear in visited states.
-        """
-        key = (node, record.index)
-        if key not in self._projection_cache:
-            assert isinstance(self.invariant, DecomposableInvariant)
-            self._projection_cache[key] = self.invariant.local_projection(
-                node, record.state
-            )
-        return self._projection_cache[key]
-
-    def _cached_summary(self, node: NodeId, record: NodeStateRecord):
-        """Memoised ``Invariant.summary`` of a node state (summarised GEN).
-
-        Every anchored enumeration groups the other nodes' records by
-        summary; the cache asks the invariant once per record.
-        """
-        key = (node, record.index)
-        try:
-            return self._summary_cache[key]
-        except KeyError:
-            summary = self._summary_cache[key] = self.invariant.summary(
-                node, record.state
-            )
-            return summary
 
     # -- reverify extension ------------------------------------------------------
 

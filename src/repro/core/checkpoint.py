@@ -540,16 +540,14 @@ def restore_pass(
             tuple(tuple(pair) for pair in key) for key in symmetry["seen"]
         }
 
-    # Derived caches are rebuilt, not restored: projections in discovery
-    # order (exactly the order seeding + integration noted them), verifier
-    # memos cold (cache-hit counters only), speculator fresh.
-    if pass_._projection_index is not None:
+    # Derived caches are rebuilt, not restored: the summary index in
+    # discovery order (exactly the order seeding + integration noted it),
+    # verifier memos cold (cache-hit counters only), speculator fresh.
+    if pass_._index is not None:
         for node in pass_.space.node_ids:
             for record in pass_.space.store(node).records:
                 if not record.crashed:
-                    pass_._projection_index.note(
-                        node, record, pass_._cached_projection(node, record)
-                    )
+                    pass_._index.note(record)
 
     pass_._restored = True
 

@@ -177,11 +177,11 @@ class LMCConfig:
     #: false positive).  Off by default and byte-identical-off.
     por_pruning: bool = False
 
-    #: Reuse incremental per-node structures during system-state creation:
-    #: cached active-record lists and — for pairwise LMC-OPT — a per-node
-    #: index of records with non-``None`` projections, so each anchored
-    #: enumeration stops rescanning every visited state.  Enumeration order
-    #: (and therefore every count and witness) is unchanged.
+    #: Selects LMC-OPT's partner scan only: one conflict question per
+    #: projection group of the pass's summary index (True), or one per
+    #: active record (False) — the record-by-record scan is the reference
+    #: the grouped one is tested against.  Enumeration order (and therefore
+    #: every count and witness) is the same either way.
     incremental_enumeration: bool = True
 
     def __post_init__(self) -> None:

@@ -99,12 +99,13 @@ class DecomposableInvariant(Invariant):
     node states that at least two of them are mapped to different values",
     §4.2) and lets LMC-OPT scan conflicting pairs instead of walking the
     full Cartesian product.  Set it to False for exotic invariants whose
-    conflicts only appear with three or more nodes; OPT then falls back to
-    the pruned full-product enumeration.
+    conflicts only appear with three or more nodes; the checker then runs
+    LMC-GEN's full anchored product instead (summarised when the invariant
+    declares :meth:`summary`) and reports ``LMC-GEN``.
 
     The contract LMC-OPT relies on for *speed* (the partner scan asks once
     per distinct projection, not once per record — see
-    :class:`repro.core.system_states.ProjectionIndex`):
+    :class:`repro.core.system_states.SummaryIndex`):
 
     * :meth:`projections_conflict` is a pure function of its argument — the
       ``{node: projection}`` dict, node ids included — with no state and no

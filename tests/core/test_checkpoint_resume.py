@@ -202,25 +202,29 @@ class TestInterruptResume:
             resumed = _checker("opt", 6).resume(payload)
             assert _observable(resumed) == _observable(reference)
 
-    def test_kill_and_resume_rebuilds_projection_groups_in_order(
-        self, tmp_path, monkeypatch
+    @pytest.mark.parametrize("opt", [True, False], ids=["opt", "summarised-gen"])
+    def test_kill_and_resume_rebuilds_summary_groups_in_order(
+        self, opt, tmp_path, monkeypatch
     ):
-        """The projection index is a derived cache, rebuilt from
+        """The summary index is a derived cache, rebuilt from
         ``store.records`` on restore.  Buggy Paxos under the multi-index
-        invariant has two value groups per node by round 4; the restored
-        groups must pair every anchor exactly as the un-indexed scan over
-        the restored stores does, and the resumed run must finish on the
-        uninterrupted run's counters."""
+        invariant has two value groups per node by round 4; under LMC-OPT
+        the restored groups must pair every anchor exactly as the
+        record-by-record scan over the restored stores does.  Under
+        summarised LMC-GEN (correct Paxos, whose run a bug does not cut
+        short) each node's representatives must be the first active record
+        of each distinct summary.  Either way the resumed run must finish
+        on the uninterrupted run's counters."""
         # One completion per conflicting pair, as the enumeration below
         # walks them.
         monkeypatch.setattr(checker_module, "MAX_COMPLETIONS_PER_CONFLICT", 1)
 
         def checker(checkpointer=None):
             return LocalModelChecker(
-                scenario_protocol(buggy=True),
+                scenario_protocol(buggy=opt),
                 PaxosAgreementAll(),
                 SearchBudget(max_depth=3),
-                LMCConfig.optimized(),
+                LMCConfig(invariant_specific_creation=opt),
                 checkpointer=checkpointer,
             )
 
@@ -234,8 +238,16 @@ class TestInterruptResume:
         payload = load_checkpoint(path)
 
         _stats, _result, restored = checker()._restore(payload)
-        pairs = 0
+        index, walked = restored._index, 0
         for node in restored.space.node_ids:
+            if not opt:
+                firsts = {}
+                for record in restored.space.store(node).active_records():
+                    summary = restored.invariant.summary(node, record.state)
+                    firsts.setdefault(summary, record)
+                assert index.representatives(node) == list(firsts.values())
+                walked += len(firsts)
+                continue
             for record in restored.space.store(node).records:
                 indexed, scanned = (
                     [
@@ -245,16 +257,17 @@ class TestInterruptResume:
                             node,
                             record,
                             restored.invariant,
-                            1,
-                            restored._cached_projection,
                             index,
+                            1,
+                            grouped,
                         )
                     ]
-                    for index in (restored._projection_index, None)
+                    for grouped in (True, False)
                 )
                 assert indexed == scanned
-                pairs += len(indexed)
-        assert pairs > created  # several records per group were walked
+                walked += len(indexed)
+        # several records per group were walked, or some node has groups
+        assert walked > (created if opt else len(restored.space.node_ids))
 
         resumed = checker().resume(payload)
         assert _observable(resumed) == _observable(reference)

@@ -1,4 +1,4 @@
-"""Tests for system-state creation: GEN, OPT (pairwise + pruned)."""
+"""Tests for system-state creation: GEN, summarised GEN, pairwise OPT."""
 
 from collections import Counter
 from typing import Dict
@@ -6,9 +6,11 @@ from typing import Dict
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.checker import LocalModelChecker
+from repro.core.config import LMCConfig
 from repro.core.records import LocalStateSpace
 from repro.core.system_states import (
-    ProjectionIndex,
+    SummaryIndex,
     combination_to_system_state,
     enumerate_general,
     enumerate_optimized,
@@ -16,17 +18,18 @@ from repro.core.system_states import (
 )
 from repro.invariants.base import DecomposableInvariant
 from repro.model.hashing import content_hash
-from repro.model.types import NodeId
+from repro.model.protocol import Protocol
+from repro.model.types import Action, HandlerResult, NodeId
 from repro.protocols.tree import ReceivedImpliesSent, TreeNodeState
 
 
 class ValueAgreement(DecomposableInvariant):
-    """Toy agreement: states are (value,) tuples; None value = undecided."""
+    """Toy agreement: a state's first item is its value; None = undecided."""
 
     name = "value-agreement"
 
     def check(self, system):
-        values = {v for _n, (v,) in system.items() if v is not None}
+        values = {state[0] for _n, state in system.items()} - {None}
         return len(values) <= 1
 
     def local_projection(self, node, state):
@@ -34,18 +37,47 @@ class ValueAgreement(DecomposableInvariant):
 
 
 class TripleConflict(ValueAgreement):
-    """Same projection, but declared non-pairwise (full-product path)."""
+    """Same projection, but declared non-pairwise: LMC-GEN's product."""
 
     pairwise = False
 
 
-class CustomConflict(ValueAgreement):
-    """Same conflict expressed through an override (generate-and-filter)."""
+class Choosers(Protocol):
+    """Three nodes, each of which may choose "a" or "b" once."""
 
-    pairwise = False
+    def node_ids(self):
+        return (0, 1, 2)
 
-    def projections_conflict(self, projections):
-        return len(set(projections.values())) >= 2
+    def initial_state(self, node):
+        return (None, node)
+
+    def enabled_actions(self, state):
+        if state[0] is not None:
+            return ()
+        return tuple(Action(node=state[1], name="choose", payload=v) for v in "ab")
+
+    def handle_action(self, state, action):
+        return HandlerResult((action.payload, state[1]))
+
+    def handle_message(self, state, message):
+        return HandlerResult(state)
+
+
+def test_non_pairwise_invariant_runs_and_reports_gen_under_opt():
+    checkers = [
+        LocalModelChecker(Choosers(), TripleConflict(), config=config(stop_on_first_bug=False))
+        for config in (LMCConfig.optimized, LMCConfig.general)
+    ]
+    assert [checker.algorithm for checker in checkers] == ["LMC-GEN", "LMC-GEN"]
+    optimized, general = (
+        (
+            {k: v for k, v in result.stats.snapshot().items() if not k.startswith("phase_")},
+            [bug.trace_lines() for bug in result.bugs],
+        )
+        for result in (checker.run() for checker in checkers)
+    )
+    assert optimized[0]["confirmed_bugs"] > 0
+    assert optimized == general
 
 
 def build_space(per_node: Dict[NodeId, list]) -> LocalStateSpace:
@@ -63,6 +95,21 @@ def build_space(per_node: Dict[NodeId, list]) -> LocalStateSpace:
 
 def anchor_of(space, node, index=-1):
     return space.store(node).records[index]
+
+
+def index_of(space, key_of):
+    """A summary index over every record of ``space``, noted in discovery order."""
+    index = SummaryIndex(space.node_ids, key_of)
+    for node in space.node_ids:
+        for record in space.store(node).records:
+            index.note(record)
+    return index
+
+
+def opt(space, node, anchor, invariant, **kwargs):
+    """``enumerate_optimized`` over an index built from ``space``."""
+    index = index_of(space, invariant.local_projection)
+    return list(enumerate_optimized(space, node, anchor, invariant, index, **kwargs))
 
 
 class TestGeneral:
@@ -92,25 +139,19 @@ class TestGeneral:
 class TestPairwiseOpt:
     def test_no_projection_on_anchor_means_nothing(self):
         space = build_space({0: [(None,)], 1: [("a",)], 2: [("b",)]})
-        combos = list(
-            enumerate_optimized(space, 0, anchor_of(space, 0), ValueAgreement())
-        )
+        combos = opt(space, 0, anchor_of(space, 0), ValueAgreement())
         assert combos == []
 
     def test_no_conflict_means_nothing(self):
         space = build_space({0: [("a",)], 1: [("a",)], 2: [(None,)]})
-        combos = list(
-            enumerate_optimized(space, 0, anchor_of(space, 0), ValueAgreement())
-        )
+        combos = opt(space, 0, anchor_of(space, 0), ValueAgreement())
         assert combos == []
 
     def test_conflicting_pair_completed_over_third_node(self):
         space = build_space(
             {0: [("a",)], 1: [(None,), ("b",)], 2: [(None,), (None,)]}
         )
-        combos = list(
-            enumerate_optimized(space, 0, anchor_of(space, 0), ValueAgreement())
-        )
+        combos = opt(space, 0, anchor_of(space, 0), ValueAgreement())
         # pair (0:"a", 1:"b") completed over node2's two states
         assert len(combos) == 2
         for combo in combos:
@@ -120,14 +161,8 @@ class TestPairwiseOpt:
         space = build_space({0: [("a",)], 1: [("b",)], 2: [(None,)]})
         space.store(2).add((None, "x2"), content_hash("x2"), 1, 0, frozenset())
         space.store(2).add((None, "y2"), content_hash("y2"), 2, 0, frozenset())
-        all_combos = list(
-            enumerate_optimized(space, 0, anchor_of(space, 0), ValueAgreement())
-        )
-        capped = list(
-            enumerate_optimized(
-                space, 0, anchor_of(space, 0), ValueAgreement(), completion_cap=1
-            )
-        )
+        all_combos = opt(space, 0, anchor_of(space, 0), ValueAgreement())
+        capped = opt(space, 0, anchor_of(space, 0), ValueAgreement(), completion_cap=1)
         assert len(all_combos) == 3
         assert len(capped) == 1
 
@@ -136,52 +171,8 @@ class TestPairwiseOpt:
             {0: [("a",)], 1: [(None,), ("b",)], 2: [(None,), ("a",)]}
         )
         invariant = ValueAgreement()
-        for combo in enumerate_optimized(space, 0, anchor_of(space, 0), invariant):
+        for combo in opt(space, 0, anchor_of(space, 0), invariant):
             assert not invariant.check(combination_to_system_state(combo))
-
-
-class TestFullProductOpt:
-    def test_pruned_product_matches_filtered_general(self):
-        space = build_space(
-            {0: [("a",), (None,)], 1: [(None,), ("b,")], 2: [(None,), ("c",)]}
-        )
-        invariant = TripleConflict()
-        anchor = anchor_of(space, 0, index=0)
-        optimized = {
-            tuple(sorted((n, r.index) for n, r in combo.items()))
-            for combo in enumerate_optimized(space, 0, anchor, invariant)
-        }
-        filtered = set()
-        for combo in enumerate_general(space, 0, anchor):
-            projections = {
-                n: invariant.local_projection(n, r.state)
-                for n, r in combo.items()
-                if invariant.local_projection(n, r.state) is not None
-            }
-            if invariant.projections_conflict(projections):
-                filtered.add(
-                    tuple(sorted((n, r.index) for n, r in combo.items()))
-                )
-        assert optimized == filtered
-
-    def test_custom_conflict_generate_and_filter(self):
-        space = build_space({0: [("a",)], 1: [(None,), ("b",)]})
-        combos = list(
-            enumerate_optimized(space, 0, anchor_of(space, 0), CustomConflict())
-        )
-        assert len(combos) == 1
-        assert combos[0][1].state == ("b",)
-
-    def test_zero_cost_when_nothing_projects(self):
-        space = build_space(
-            {0: [(None,)] * 1, 1: [(None,), (None,)], 2: [(None,)]}
-        )
-        combos = list(
-            enumerate_optimized(
-                space, 0, anchor_of(space, 0), TripleConflict()
-            )
-        )
-        assert combos == []
 
 
 class CountingConflict(ValueAgreement):
@@ -213,23 +204,15 @@ def replay_pass(schedule, invariant, nodes=(0, 1, 2), cap=None, reference=None):
     ``schedule`` items are ``(node, value)`` — a new state of ``node``
     projecting to ``value`` — or ``("discard", node, record index)``.  Every
     new record is noted and then anchors one enumeration through the
-    grouped index and one through the un-indexed reference scan; the two
-    must agree combination for combination, in order.  ``reference`` is the
-    (equivalent) invariant instance the un-indexed scan asks, when the
+    grouped scan and one through the record-by-record reference scan; the
+    two must agree combination for combination, in order.  ``reference`` is
+    the (equivalent) invariant instance the reference scan asks, when the
     caller wants the two scans' calls counted apart.  Returns all
     combinations the pass yielded.
     """
     reference = reference or invariant
     space = LocalStateSpace(nodes)
-    index = ProjectionIndex(nodes)
-    projections = {}
-
-    def projection_of(node, record):
-        key = (node, record.index)
-        if key not in projections:
-            projections[key] = invariant.local_projection(node, record.state)
-        return projections[key]
-
+    index = SummaryIndex(nodes, invariant.local_projection)
     yielded = []
     for serial, item in enumerate(schedule):
         if item[0] == "discard":
@@ -244,14 +227,12 @@ def replay_pass(schedule, invariant, nodes=(0, 1, 2), cap=None, reference=None):
             record = store.add(state, content_hash(state), serial, 0, frozenset())
         else:
             record = space.seed(node, state)
-        index.note(node, record, projection_of(node, record))
+        index.note(record)
         indexed = combo_keys(
-            enumerate_optimized(
-                space, node, record, invariant, cap, projection_of, index
-            )
+            enumerate_optimized(space, node, record, invariant, index, cap)
         )
         scanned = combo_keys(
-            enumerate_optimized(space, node, record, reference, cap, projection_of)
+            enumerate_optimized(space, node, record, reference, index, cap, False)
         )
         assert indexed == scanned
         yielded.extend(indexed)
@@ -306,24 +287,19 @@ class TestGroupedIndexEquivalence:
                 2: [TreeNodeState(2), TreeNodeState(2, forwarded=True)],
             }
         )
-        index = ProjectionIndex(space.node_ids)
-        for node in space.node_ids:
-            for record in space.store(node).records:
-                index.note(node, record, invariant.local_projection(node, record.state))
         for node in space.node_ids:
             for record in space.store(node).records:
                 for cap in (None, 1):
-                    indexed = enumerate_optimized(
-                        space, node, record, invariant, cap, index=index
+                    indexed, scanned = (
+                        opt(space, node, record, invariant, completion_cap=cap, grouped=grouped)
+                        for grouped in (True, False)
                     )
-                    scanned = enumerate_optimized(space, node, record, invariant, cap)
                     assert combo_keys(indexed) == combo_keys(scanned)
         # "unsent" on the origin against "received" on the target conflicts
         # (2 partners x 2 completions); the same values on swapped nodes
         # would not.
         unsent = anchor_of(space, 0, index=0)
-        combos = list(enumerate_optimized(space, 0, unsent, invariant, index=index))
-        assert len(combos) == 4
+        assert len(opt(space, 0, unsent, invariant)) == 4
 
     def test_discarded_record_inside_a_conflicting_group(self):
         schedule = [
@@ -397,9 +373,10 @@ class TestGroupedIndexEquivalence:
 class TestSummarisedEquivalence:
     """``enumerate_summarised`` against the filtered ``enumerate_general``.
 
-    Over arbitrary small spaces (with discards): the covered counts add up
-    to the product, the violating combinations come out in the walk's order,
-    and before each one the running count equals the walk's position.
+    Over a ``SummaryIndex`` noted before the discards, like a checker pass's,
+    and arbitrary small spaces: the covered counts add up to the product,
+    the violating combinations come out in the walk's order, and before
+    each one the running count equals the walk's position.
     """
 
     @staticmethod
@@ -419,10 +396,9 @@ class TestSummarisedEquivalence:
             calls.append(combo)
             return check(combination_to_system_state(combo))
 
+        index = index_of(space, ValueAgreement().local_projection)
         position, violating = 0, []
-        for covered, combo in enumerate_summarised(
-            space, anchor_node, anchor, lambda node, record: record.state[0], holds
-        ):
+        for covered, combo in enumerate_summarised(space, anchor_node, anchor, index, holds):
             position += covered
             if combo is not None:
                 assert covered == 1
@@ -447,10 +423,7 @@ class TestSummarisedEquivalence:
             for record in store.records[1:]:
                 if data.draw(st.booleans(), label=f"discard {node}/{record.index}"):
                     store.mark_discarded(record)
-
-        def agreement(system):
-            return len({state[0] for _node, state in system.items()} - {None}) <= 1
-
+        agreement = ValueAgreement().check
         anchor_node = data.draw(st.sampled_from(sorted(values)), label="anchor")
         anchor = anchor_of(space, anchor_node)
         total, violating = self.walked(space, anchor_node, anchor, agreement)
@@ -461,3 +434,18 @@ class TestSummarisedEquivalence:
         # one per combination when some tuple violates
         tuples = 3 ** (len(values) - 1)
         assert calls <= (tuples + total if violating else tuples)
+
+    def test_groups_whose_first_or_every_record_is_discarded(self):
+        values = [None, "a", "c", "a", "b"]
+        space = build_space({0: [("b", 0)], 1: [(v, i) for i, v in enumerate(values)]})
+        index = index_of(space, ValueAgreement().local_projection)
+        store = space.store(1)
+        for discarded in (1, 4):  # the first "a"; the only "b"
+            store.mark_discarded(store.records[discarded])
+        # groups in note order are None, "a", "c", "b"; "a" is represented
+        # by its second record, after "c"'s first, and "b" not at all
+        assert [record.index for record in index.representatives(1)] == [0, 2, 3]
+        anchor, check = anchor_of(space, 0), ValueAgreement().check
+        walk = (3, [(2, ((0, 0), (1, 2))), (3, ((0, 0), (1, 3)))])
+        assert self.walked(space, 0, anchor, check) == walk
+        assert self.summarised(space, 0, anchor, check)[:2] == walk

@@ -7,7 +7,7 @@ These tests enumerate reachable system states of buggy builds (which do
 produce violations) and verify the contract on every single one — the
 evidence that LMC-OPT cannot skip a real bug for our shipped invariants.
 
-The grouped ``ProjectionIndex`` leans on a second clause of the contract:
+The grouped ``SummaryIndex`` scan leans on a second clause of the contract:
 ``projections_conflict`` is a pure function of its argument and equal
 projections are interchangeable, so one verdict per distinct ``(node,
 projection, node, projection)`` may stand for every record pair behind it.
