@@ -62,6 +62,7 @@ from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.checkpoint import (
+    CheckpointError,
     Checkpointer,
     CheckpointMismatch,
     apply_stats,
@@ -307,24 +308,36 @@ class LocalModelChecker:
         return self._run_loop(total_stats, result, run_pass)
 
     def _restore(self, payload: Dict[str, object]):
-        """Rebuild run-level state and the in-flight pass from a checkpoint."""
-        initial_system, registry = decode_initial_system(payload, self.protocol)
-        verify_fingerprint(
-            payload, self.protocol, self.invariant, self.config, initial_system
-        )
-        clock = BudgetClock(self.budget, already_elapsed=payload["elapsed_s"])
-        total_stats = ExplorationStats()
-        apply_stats(total_stats, payload["run"]["prior_stats"])
-        result = CheckResult(
-            algorithm=self.algorithm, completed=False, stats=total_stats
-        )
-        result.bugs.extend(
-            bug_from_dict(item, registry) for item in payload["run"]["prior_bugs"]
-        )
-        run_pass = _ExplorationPass(
-            self, initial_system, clock, payload["run"]["bound"]
-        )
-        restore_pass(run_pass, payload, registry)
+        """Rebuild run-level state and the in-flight pass from a checkpoint.
+
+        A payload that loaded but does not decode — an unknown event kind or
+        class tag, a missing record key — raises :class:`CheckpointError`
+        naming the cause, like any other unreadable checkpoint.
+        """
+        try:
+            initial_system, registry = decode_initial_system(payload, self.protocol)
+            verify_fingerprint(
+                payload, self.protocol, self.invariant, self.config, initial_system
+            )
+            clock = BudgetClock(self.budget, already_elapsed=payload["elapsed_s"])
+            total_stats = ExplorationStats()
+            apply_stats(total_stats, payload["run"]["prior_stats"])
+            result = CheckResult(
+                algorithm=self.algorithm, completed=False, stats=total_stats
+            )
+            result.bugs.extend(
+                bug_from_dict(item, registry) for item in payload["run"]["prior_bugs"]
+            )
+            run_pass = _ExplorationPass(
+                self, initial_system, clock, payload["run"]["bound"]
+            )
+            restore_pass(run_pass, payload, registry)
+        except CheckpointError:
+            raise
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise CheckpointError(
+                f"checkpoint does not decode: {type(exc).__name__}: {exc}"
+            ) from exc
         return total_stats, result, run_pass
 
     def _run_loop(
@@ -481,7 +494,6 @@ class _ExplorationPass:
         #: round number is the partition clock) instead of declaring
         #: fixpoint on a zero-execution round.
         self._partition_retry = False
-        self._seed_records: Dict[NodeId, NodeStateRecord] = {}
         #: Run-level context preceding this pass — counters already merged
         #: and bugs already confirmed by earlier widened passes — so a
         #: mid-pass checkpoint can snapshot the whole run.  Rebound by
@@ -640,7 +652,6 @@ class _ExplorationPass:
         """
         for node, state in self.initial_system.items():
             record = self.space.seed(node, state)
-            self._seed_records[node] = record
             for sweep in CURSOR_SWEEPS:
                 if sweep.per_node:
                     self.cursors[sweep.name][node] = Cursor()

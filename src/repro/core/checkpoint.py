@@ -76,7 +76,7 @@ from repro.persistence import (
     encode_value,
     registry_for_protocol,
 )
-from repro.stats.counters import ExplorationStats
+from repro.stats.counters import COUNTERS, ExplorationStats
 from repro.stats.series import DepthSample
 
 #: On-disk format version; bump on any incompatible payload change.
@@ -202,11 +202,9 @@ def _encode_stats(stats: ExplorationStats) -> Dict[str, Any]:
 def apply_stats(stats: ExplorationStats, encoded: Dict[str, Any]) -> None:
     """Restore counters *in place* — the block is shared with the verifier
     and metrics objects already bound to it."""
-    for field in dataclasses.fields(ExplorationStats):
-        if field.name == "phase_seconds":
-            stats.phase_seconds = dict(encoded["phase_seconds"])
-        else:
-            setattr(stats, field.name, encoded[field.name])
+    for name in COUNTERS:
+        setattr(stats, name, encoded[name])
+    stats.phase_seconds = dict(encoded["phase_seconds"])
 
 
 # -- pass snapshot ---------------------------------------------------------------
@@ -357,10 +355,6 @@ def snapshot_pass(
             "round_number": pass_.round_number,
             "blocked_by_bound": pass_.blocked_by_bound,
             "blocked_by_depth": pass_._blocked_by_depth,
-            # The crash/drop caps count executed fault transitions, i.e. the
-            # pass's own fault counters; the separate keys predate that.
-            "crashes_executed": pass_.stats.fault_crashes,
-            "drops_executed": pass_.stats.fault_drops,
             "dup_seq_cursor": pass_._dup_seq_cursor,
             "retained_bytes": pass_._retained_bytes,
             "stats": _encode_stats(pass_.stats),
@@ -472,8 +466,6 @@ def restore_pass(
                         generated_hashes=tuple(link_row["generated_hashes"]),
                     )
                 )
-            if record.seed:
-                pass_._seed_records[node] = record
         store.finalize_restore(store_data["version"])
 
     network = data["network"]

@@ -29,15 +29,19 @@ generating handler of its own, so the event replays as a local step
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Tuple, Union, get_args
 
 from repro.model.hashing import content_hash
 from repro.model.types import Action, Message, NodeId
 
 
 @dataclass(frozen=True, order=True)
-class DeliveryEvent:
-    """Delivery of ``message`` to its destination node (a network event)."""
+class _MessageEvent:
+    """Shape base: an event about ``message``, executing on its destination.
+
+    Subclasses name their serialisation tag (``KIND``) and the verb their
+    :meth:`describe` line starts with (``VERB``).
+    """
 
     message: Message
 
@@ -46,14 +50,28 @@ class DeliveryEvent:
         """The node on which the event executes (the message destination)."""
         return self.message.dest
 
-    @property
-    def is_network(self) -> bool:
-        """True: delivery events consume a network message."""
-        return True
+    def describe(self) -> str:
+        """Human-readable rendering used in logs and counterexamples."""
+        return f"{self.VERB} {self.message.describe()}"
+
+
+@dataclass(frozen=True, order=True)
+class _NodeEvent:
+    """Shape base: an event whose only subject is the ``node`` it runs on."""
+
+    node: NodeId
 
     def describe(self) -> str:
         """Human-readable rendering used in logs and counterexamples."""
-        return f"deliver {self.message.describe()}"
+        return f"{self.VERB} node {self.node}"
+
+
+@dataclass(frozen=True, order=True)
+class DeliveryEvent(_MessageEvent):
+    """Delivery of ``message`` to its destination node (a network event)."""
+
+    KIND = "deliver"
+    VERB = "deliver"
 
 
 @dataclass(frozen=True, order=True)
@@ -62,15 +80,12 @@ class InternalEvent:
 
     action: Action
 
+    KIND = "action"
+
     @property
     def node(self) -> NodeId:
         """The node on which the event executes."""
         return self.action.node
-
-    @property
-    def is_network(self) -> bool:
-        """False: internal events do not consume a network message."""
-        return False
 
     def describe(self) -> str:
         """Human-readable rendering used in logs and counterexamples."""
@@ -78,7 +93,7 @@ class InternalEvent:
 
 
 @dataclass(frozen=True, order=True)
-class CrashEvent:
+class CrashEvent(_NodeEvent):
     """Crash of a node: its volatile state is lost (a fault event).
 
     The successor node state is a :class:`~repro.model.types.CrashedState`
@@ -87,25 +102,12 @@ class CrashEvent:
     already sent are unaffected — the monotonic network never forgets.
     """
 
-    crashed_node: NodeId
-
-    @property
-    def node(self) -> NodeId:
-        """The node on which the event executes (the crashing node)."""
-        return self.crashed_node
-
-    @property
-    def is_network(self) -> bool:
-        """False: fault events do not consume a network message."""
-        return False
-
-    def describe(self) -> str:
-        """Human-readable rendering used in logs and counterexamples."""
-        return f"crash node {self.crashed_node}"
+    KIND = "crash"
+    VERB = "crash"
 
 
 @dataclass(frozen=True, order=True)
-class RestartEvent:
+class RestartEvent(_NodeEvent):
     """Restart of a crashed node from its durable fragment (a fault event).
 
     The successor node state is
@@ -114,25 +116,12 @@ class RestartEvent:
     only the protocol's declared durable fields recovered.
     """
 
-    restarted_node: NodeId
-
-    @property
-    def node(self) -> NodeId:
-        """The node on which the event executes (the restarting node)."""
-        return self.restarted_node
-
-    @property
-    def is_network(self) -> bool:
-        """False: fault events do not consume a network message."""
-        return False
-
-    def describe(self) -> str:
-        """Human-readable rendering used in logs and counterexamples."""
-        return f"restart node {self.restarted_node}"
+    KIND = "restart"
+    VERB = "restart"
 
 
 @dataclass(frozen=True, order=True)
-class DropEvent:
+class DropEvent(_MessageEvent):
     """Loss of ``message`` before delivery to its destination (a fault event).
 
     Executes on the destination node: the protocol's optional
@@ -144,25 +133,12 @@ class DropEvent:
     drop-then-deliver of the same copy along one witness.
     """
 
-    message: Message
-
-    @property
-    def node(self) -> NodeId:
-        """The node on which the event executes (the message destination)."""
-        return self.message.dest
-
-    @property
-    def is_network(self) -> bool:
-        """True: a drop consumes a network message (without delivering it)."""
-        return True
-
-    def describe(self) -> str:
-        """Human-readable rendering used in logs and counterexamples."""
-        return f"drop {self.message.describe()}"
+    KIND = "drop"
+    VERB = "drop"
 
 
 @dataclass(frozen=True, order=True)
-class DuplicateEvent:
+class DuplicateEvent(_MessageEvent):
     """Redelivery of a fault-minted duplicate of ``message`` (a fault event).
 
     The duplicate copy was admitted through the monotonic network's
@@ -172,26 +148,16 @@ class DuplicateEvent:
     and generates the handler's sends.
     """
 
-    message: Message
-
-    @property
-    def node(self) -> NodeId:
-        """The node on which the event executes (the message destination)."""
-        return self.message.dest
-
-    @property
-    def is_network(self) -> bool:
-        """False: the duplicate copy is fault-minted, not a generated send."""
-        return False
-
-    def describe(self) -> str:
-        """Human-readable rendering used in logs and counterexamples."""
-        return f"redeliver {self.message.describe()}"
+    KIND = "duplicate"
+    VERB = "redeliver"
 
 
 Event = Union[
     DeliveryEvent, InternalEvent, CrashEvent, RestartEvent, DropEvent, DuplicateEvent
 ]
+
+#: Each event class by its ``KIND``, the tag :mod:`repro.persistence` writes.
+EVENT_TYPES = {cls.KIND: cls for cls in get_args(Event)}
 
 #: The fault-event types the LMC fault scheduler mints (docs/FAULTS.md).
 FAULT_EVENT_TYPES = (CrashEvent, RestartEvent, DropEvent, DuplicateEvent)

@@ -1,27 +1,17 @@
-"""Network substrates: consuming (global MC), monotonic I+ (LMC), live-run.
+"""Network substrates: monotonic I+ (LMC) and the lossy live-run network.
 
-Four network models back the library:
-
-* :class:`~repro.network.consuming.ConsumingNetwork` — the multiset ``I`` of
-  classic global model checking; delivery removes the message (Fig. 5).
 * :class:`~repro.network.monotonic.MonotonicNetwork` — the shared, grow-only
   ``I+`` of local model checking; delivery never removes (Fig. 8).
 * :class:`~repro.network.lossy.LossyNetwork` — the seeded lossy UDP used by
   the live-run simulator in the online experiments (§5.5, §5.6).
-* :class:`~repro.network.fifo.FifoNetwork` — per-channel FIFO (simulated
-  TCP, §4.3), plus the checker-side admissibility predicate.
+
+Global model checking keeps its consuming multiset ``I`` (Fig. 5) inside
+each :class:`~repro.model.system_state.GlobalState`, and §4.3's per-channel
+FIFO is a protocol wrapper,
+:class:`~repro.protocols.fifo_wrapper.FifoStampedProtocol`.
 """
 
-from repro.network.consuming import ConsumingNetwork
-from repro.network.fifo import FifoNetwork, fifo_admissible
 from repro.network.lossy import LossyNetwork
 from repro.network.monotonic import MonotonicNetwork, StoredMessage
 
-__all__ = [
-    "ConsumingNetwork",
-    "FifoNetwork",
-    "LossyNetwork",
-    "MonotonicNetwork",
-    "StoredMessage",
-    "fifo_admissible",
-]
+__all__ = ["LossyNetwork", "MonotonicNetwork", "StoredMessage"]

@@ -84,10 +84,10 @@ class StoredMessage:
 class MonotonicNetwork:
     """The grow-only shared network ``I+``.
 
-    Unlike :class:`~repro.network.consuming.ConsumingNetwork` this object is
-    mutable — it is checker-internal bookkeeping, not part of any explored
-    state — but it only ever grows, which is what the completeness argument
-    of §4 relies on.
+    Unlike the consuming ``I`` a :class:`~repro.model.system_state.GlobalState`
+    carries, this object is mutable — it is checker-internal bookkeeping, not
+    part of any explored state — but it only ever grows, which is what the
+    completeness argument of §4 relies on.
     """
 
     def __init__(self, duplicate_limit: int = 0):

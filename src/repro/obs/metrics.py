@@ -92,6 +92,16 @@ class RunMetrics:
         self._last_depth = -1
         self._last_emit = float("-inf")
 
+    def _metrics(self) -> Dict[str, float]:
+        """One sample: the counter snapshot, the ``extra`` gauges and RSS."""
+        metrics = self.stats.snapshot()
+        if self.extra is not None:
+            metrics.update(self.extra())
+        rss = rss_bytes()
+        if rss is not None:
+            metrics["rss_bytes"] = rss
+        return metrics
+
     def pulse(self, get_depth: Callable[[], int]) -> bool:
         """Interval-cadence emission from *inside* a long round.
 
@@ -115,12 +125,7 @@ class RunMetrics:
         if elapsed - self._last_emit < self.interval:
             return False
         depth = get_depth()
-        metrics = self.stats.snapshot()
-        if self.extra is not None:
-            metrics.update(self.extra())
-        rss = rss_bytes()
-        if rss is not None:
-            metrics["rss_bytes"] = rss
+        metrics = self._metrics()
         if self.emitter.enabled:
             self.emitter.metric(depth=depth, elapsed_s=elapsed, **metrics)
         if self.heartbeat is not None:
@@ -145,12 +150,7 @@ class RunMetrics:
         )
         if not (depth_grew or force or interval_due):
             return False
-        metrics = self.stats.snapshot()
-        if self.extra is not None:
-            metrics.update(self.extra())
-        rss = rss_bytes()
-        if rss is not None:
-            metrics["rss_bytes"] = rss
+        metrics = self._metrics()
         # The series stays depth-keyed: interval-only samples do not touch
         # it, and a forced sample at an already-recorded depth replaces the
         # final row (end-of-run totals must win).

@@ -20,15 +20,7 @@ import json
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Type
 
 from repro.fsio import atomic_write_json
-from repro.model.events import (
-    CrashEvent,
-    DeliveryEvent,
-    DropEvent,
-    DuplicateEvent,
-    Event,
-    InternalEvent,
-    RestartEvent,
-)
+from repro.model.events import EVENT_TYPES, Event
 from repro.model.system_state import SystemState
 from repro.model.types import Action, Message
 from repro.reports import BugReport
@@ -229,80 +221,45 @@ def decode_value(encoded: Any, registry: ClassRegistry) -> Any:
 
 
 def encode_event(event: Event) -> Dict[str, Any]:
-    """Encode a delivery, internal or fault event."""
-    if isinstance(event, DeliveryEvent):
+    """Encode any event as its ``KIND`` plus its one field, flattened by
+    shape: a message's ``dest``/``src``/``payload``, an action's
+    ``node``/``name``/``payload``, or a bare ``node``."""
+    cls = type(event)
+    kind = getattr(cls, "KIND", None)
+    if EVENT_TYPES.get(kind) is not cls:
+        raise TypeError(f"unknown event type {cls.__name__}")
+    (shape,) = _field_names(cls)
+    if shape == "message":
         message = event.message
         return {
-            "kind": "deliver",
+            "kind": kind,
             "dest": message.dest,
             "src": message.src,
             "payload": encode_value(message.payload),
         }
-    if isinstance(event, InternalEvent):
+    if shape == "action":
         action = event.action
         return {
-            "kind": "action",
+            "kind": kind,
             "node": action.node,
             "name": action.name,
             "payload": encode_value(action.payload),
         }
-    if isinstance(event, CrashEvent):
-        return {"kind": "crash", "node": event.node}
-    if isinstance(event, RestartEvent):
-        return {"kind": "restart", "node": event.node}
-    if isinstance(event, DropEvent):
-        message = event.message
-        return {
-            "kind": "drop",
-            "dest": message.dest,
-            "src": message.src,
-            "payload": encode_value(message.payload),
-        }
-    if isinstance(event, DuplicateEvent):
-        message = event.message
-        return {
-            "kind": "duplicate",
-            "dest": message.dest,
-            "src": message.src,
-            "payload": encode_value(message.payload),
-        }
-    raise TypeError(f"unknown event type {type(event).__name__}")
+    return {"kind": kind, "node": event.node}
 
 
 def decode_event(encoded: Dict[str, Any], registry: ClassRegistry) -> Event:
     """Decode an event produced by :func:`encode_event`."""
-    if encoded["kind"] == "deliver":
-        return DeliveryEvent(
-            Message(
-                dest=encoded["dest"],
-                src=encoded["src"],
-                payload=decode_value(encoded["payload"], registry),
-            )
-        )
-    if encoded["kind"] == "action":
-        return InternalEvent(
-            Action(
-                node=encoded["node"],
-                name=encoded["name"],
-                payload=decode_value(encoded["payload"], registry),
-            )
-        )
-    if encoded["kind"] == "crash":
-        return CrashEvent(encoded["node"])
-    if encoded["kind"] == "restart":
-        return RestartEvent(encoded["node"])
-    if encoded["kind"] in ("drop", "duplicate"):
-        message = Message(
-            dest=encoded["dest"],
-            src=encoded["src"],
-            payload=decode_value(encoded["payload"], registry),
-        )
-        return (
-            DropEvent(message)
-            if encoded["kind"] == "drop"
-            else DuplicateEvent(message)
-        )
-    raise ValueError(f"unknown event kind {encoded.get('kind')!r}")
+    cls = EVENT_TYPES.get(encoded.get("kind"))
+    if cls is None:
+        raise ValueError(f"unknown event kind {encoded.get('kind')!r}")
+    (shape,) = _field_names(cls)
+    if shape == "node":
+        return cls(encoded["node"])
+    payload = decode_value(encoded["payload"], registry)
+    if shape == "message":
+        return cls(Message(dest=encoded["dest"], src=encoded["src"], payload=payload))
+    return cls(Action(node=encoded["node"], name=encoded["name"], payload=payload))
 
 
 def encode_system_state(system: SystemState) -> List[Tuple[int, Any]]:

@@ -9,8 +9,8 @@ verification calls and the number of event sequences those calls examined
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass, field, fields
+from typing import Dict, Tuple
 
 
 @dataclass
@@ -92,67 +92,22 @@ class ExplorationStats:
 
     def snapshot(self) -> Dict[str, float]:
         """Plain-dict copy of all counters (cheap, for depth series rows)."""
-        return {
-            "transitions": self.transitions,
-            "noop_executions": self.noop_executions,
-            "global_states": self.global_states,
-            "node_states": self.node_states,
-            "system_states_created": self.system_states_created,
-            "invariant_checks": self.invariant_checks,
-            "preliminary_violations": self.preliminary_violations,
-            "soundness_calls": self.soundness_calls,
-            "soundness_sequences": self.soundness_sequences,
-            "confirmed_bugs": self.confirmed_bugs,
-            "states_discarded_by_assert": self.states_discarded_by_assert,
-            "suppressed_duplicates": self.suppressed_duplicates,
-            "history_skips": self.history_skips,
-            "sequence_cache_hits": self.sequence_cache_hits,
-            "replay_cache_hits": self.replay_cache_hits,
-            "rejected_cache_evictions": self.rejected_cache_evictions,
-            "fault_crashes": self.fault_crashes,
-            "fault_restarts": self.fault_restarts,
-            "fault_drops": self.fault_drops,
-            "fault_duplicates": self.fault_duplicates,
-            "partition_blocks": self.partition_blocks,
-            "explore_rounds_parallel": self.explore_rounds_parallel,
-            "explore_shards": self.explore_shards,
-            "explore_merge_conflicts_suppressed": (
-                self.explore_merge_conflicts_suppressed
-            ),
-            "symmetry_skips": self.symmetry_skips,
-            "por_links_suppressed": self.por_links_suppressed,
-            **{f"phase_{name}_s": secs for name, secs in self.phase_seconds.items()},
-        }
+        snap = {name: getattr(self, name) for name in COUNTERS}
+        for name, secs in self.phase_seconds.items():
+            snap[f"phase_{name}_s"] = secs
+        return snap
 
     def merge(self, other: "ExplorationStats") -> None:
-        """Fold another counter block into this one (parallel-run aggregation)."""
-        self.transitions += other.transitions
-        self.noop_executions += other.noop_executions
-        self.global_states += other.global_states
-        self.node_states += other.node_states
-        self.system_states_created += other.system_states_created
-        self.invariant_checks += other.invariant_checks
-        self.preliminary_violations += other.preliminary_violations
-        self.soundness_calls += other.soundness_calls
-        self.soundness_sequences += other.soundness_sequences
-        self.confirmed_bugs += other.confirmed_bugs
-        self.states_discarded_by_assert += other.states_discarded_by_assert
-        self.suppressed_duplicates += other.suppressed_duplicates
-        self.history_skips += other.history_skips
-        self.sequence_cache_hits += other.sequence_cache_hits
-        self.replay_cache_hits += other.replay_cache_hits
-        self.rejected_cache_evictions += other.rejected_cache_evictions
-        self.fault_crashes += other.fault_crashes
-        self.fault_restarts += other.fault_restarts
-        self.fault_drops += other.fault_drops
-        self.fault_duplicates += other.fault_duplicates
-        self.partition_blocks += other.partition_blocks
-        self.explore_rounds_parallel += other.explore_rounds_parallel
-        self.explore_shards += other.explore_shards
-        self.explore_merge_conflicts_suppressed += (
-            other.explore_merge_conflicts_suppressed
-        )
-        self.symmetry_skips += other.symmetry_skips
-        self.por_links_suppressed += other.por_links_suppressed
+        """Fold a later pass's counter block into this run total."""
+        for name in COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         for phase, seconds in other.phase_seconds.items():
             self.add_phase_time(phase, seconds)
+
+
+#: The integer counters of :class:`ExplorationStats`, in declaration order —
+#: the key order of :meth:`ExplorationStats.snapshot` and of the pinned
+#: benchmark counters.  ``phase_seconds`` is the one non-counter field.
+COUNTERS: Tuple[str, ...] = tuple(
+    f.name for f in fields(ExplorationStats) if f.name != "phase_seconds"
+)

@@ -37,6 +37,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.core import checker as checker_module
 from repro.core.checker import LocalModelChecker
 from repro.core.checkpoint import (
@@ -50,6 +51,7 @@ from repro.core.checkpoint import (
 from repro.core.config import LMCConfig
 from repro.core.system_states import enumerate_optimized
 from repro.explore.budget import SearchBudget
+from repro.obs.registry import RunRegistry
 from repro.protocols.paxos import PaxosAgreement, PaxosAgreementAll, PaxosProtocol
 from repro.protocols.paxos.scenarios import partial_choice_state, scenario_protocol
 
@@ -514,6 +516,27 @@ class TestRefusals:
         for depth in (3, 4):
             with pytest.raises(CheckpointMismatch, match="must exceed"):
                 _checker("opt", depth).extend_depth(payload)
+
+    def test_a_log_that_loads_but_does_not_decode_is_a_checkpoint_error(
+        self, tmp_path, capsys
+    ):
+        """A base line can parse and fold yet name an unknown event kind;
+        restoring it fails as a CheckpointError, and the CLI exits 2 with
+        the run marked failed instead of printing a traceback."""
+        payload = self._completed_checkpoint(tmp_path)
+        records = [row for _node, store in payload["pass"]["stores"] for row in store["records"]]
+        linked = next(row for row in records if row["predecessors"])
+        linked["predecessors"][0]["event"]["kind"] = "bogus"
+        bad = str(tmp_path / "bad.json")
+        save_checkpoint(bad, payload)
+        with pytest.raises(CheckpointError, match="unknown event kind 'bogus'"):
+            _checker("opt", 6).extend_depth(load_checkpoint(bad))
+
+        root = str(tmp_path / "runs")
+        assert main(["check", "paxos", "--max-depth", "6", "--extend-from", bad,
+                     "--registry-root", root]) == 2
+        assert "unknown event kind 'bogus'" in capsys.readouterr().err
+        assert RunRegistry(root).latest().status() == "failed"
 
     def test_load_refuses_foreign_format_and_version(self, tmp_path):
         path = str(tmp_path / "done.json")

@@ -434,12 +434,11 @@ class TestEventKindTable:
     """The table both executors read (repro.core.event_kinds.EVENT_KINDS)."""
 
     def test_every_event_class_has_exactly_one_row(self):
-        defined = sorted(
-            name
-            for name, cls in inspect.getmembers(events_module, inspect.isclass)
-            if cls.__module__ == events_module.__name__
-        )
-        assert sorted(row.event_class.__name__ for row in EVENT_KINDS) == defined
+        types = list(events_module.EVENT_TYPES.values())
+        assert [row.event_class for row in EVENT_KINDS] == types
+        public = {cls for name, cls in inspect.getmembers(events_module, inspect.isclass)
+                  if cls.__module__ == events_module.__name__ and not name.startswith("_")}
+        assert set(types) == public
 
     def test_tags_are_unique(self):
         tags = [row.tag for row in EVENT_KINDS]

@@ -77,6 +77,25 @@ def test_global_state_deliver_inserts_sends():
     assert after.network.count(m1) == 0
 
 
+def test_global_state_deliver_consumes_one_copy():
+    """Consuming semantics over a multiset: one of two identical copies goes."""
+    m = Message(dest=1, src=0, payload="ping")
+    gs = GlobalState(SystemState({0: "a", 1: "b"}), FrozenMultiset([m, m]))
+    assert gs.deliver(m, "b2", ()).network.count(m) == 1
+
+
+def test_global_state_deliver_missing_message_raises():
+    m = Message(dest=1, src=0, payload="ping")
+    with pytest.raises(KeyError):
+        GlobalState(SystemState({0: "a", 1: "b"}), FrozenMultiset()).deliver(m, "b2", ())
+
+
+def test_global_state_internal_without_sends_shares_network():
+    network = FrozenMultiset([Message(dest=1, src=0, payload="x")])
+    after = GlobalState(SystemState({0: "a", 1: "b"}), network).run_internal(0, "a2", ())
+    assert after.network is network
+
+
 def test_global_state_internal_keeps_network_plus_sends():
     m = Message(dest=1, src=0, payload="x")
     gs = GlobalState(SystemState({0: "a", 1: "b"}), FrozenMultiset())

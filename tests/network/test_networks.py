@@ -1,4 +1,4 @@
-"""Tests for the four network substrates."""
+"""Tests for the two network substrates."""
 
 import random
 
@@ -7,50 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.model.types import Message
-from repro.network.consuming import ConsumingNetwork
-from repro.network.fifo import FifoNetwork, fifo_admissible
 from repro.network.lossy import LossyNetwork
 from repro.network.monotonic import MonotonicNetwork
 
 
 def msg(dest=1, src=0, payload="m"):
     return Message(dest=dest, src=src, payload=payload)
-
-
-# -- consuming network ----------------------------------------------------------
-
-
-class TestConsumingNetwork:
-    def test_send_then_deliver(self):
-        net = ConsumingNetwork().send((msg(),))
-        assert len(net) == 1
-        after = net.deliver(msg())
-        assert len(after) == 0
-        assert len(net) == 1  # immutability
-
-    def test_send_empty_is_identity(self):
-        net = ConsumingNetwork()
-        assert net.send(()) is net
-
-    def test_deliver_missing_raises(self):
-        with pytest.raises(KeyError):
-            ConsumingNetwork().deliver(msg())
-
-    def test_enabled_deliveries_distinct(self):
-        net = ConsumingNetwork().send((msg(), msg(), msg(payload="other")))
-        events = net.enabled_deliveries()
-        assert len(events) == 2
-        payloads = {event.message.payload for event in events}
-        assert payloads == {"m", "other"}
-
-    def test_in_flight_to(self):
-        net = ConsumingNetwork().send((msg(dest=1), msg(dest=2)))
-        assert [m.dest for m in net.in_flight_to(1)] == [1]
-
-    def test_equality_and_hash(self):
-        a = ConsumingNetwork().send((msg(),))
-        b = ConsumingNetwork().send((msg(),))
-        assert a == b and hash(a) == hash(b)
 
 
 # -- monotonic network ---------------------------------------------------------------
@@ -220,40 +182,3 @@ class TestLossyNetwork:
             LossyNetwork(random.Random(0), duplicate_probability=-0.1)
         with pytest.raises(ValueError):
             LossyNetwork(random.Random(0), duplicate_probability=1.5)
-
-
-# -- fifo network --------------------------------------------------------------
-
-
-class TestFifoNetwork:
-    def test_fifo_per_channel(self):
-        net = FifoNetwork()
-        net.send(msg(payload="first"))
-        net.send(msg(payload="second"))
-        assert net.deliver(0, 1).payload == "first"
-        assert net.deliver(0, 1).payload == "second"
-
-    def test_channels_are_independent(self):
-        net = FifoNetwork()
-        net.send(msg(dest=1, src=0, payload="a"))
-        net.send(msg(dest=1, src=2, payload="b"))
-        assert net.deliverable_channels() == ((0, 1), (2, 1))
-        assert net.deliver(2, 1).payload == "b"
-
-    def test_deliver_empty_channel_raises(self):
-        with pytest.raises(KeyError):
-            FifoNetwork().deliver(0, 1)
-
-    def test_peek_does_not_remove(self):
-        net = FifoNetwork()
-        net.send(msg(payload="x"))
-        assert net.peek(0, 1).payload == "x"
-        assert net.pending() == 1
-        assert net.peek(3, 4) is None
-
-    def test_fifo_admissible(self):
-        delivered = {(0, 1): 2}
-        assert fifo_admissible(delivered, 2, 0, 1)
-        assert not fifo_admissible(delivered, 1, 0, 1)
-        assert not fifo_admissible(delivered, 3, 0, 1)
-        assert fifo_admissible({}, 0, 5, 6)

@@ -64,6 +64,18 @@ class TestWrapperMechanics:
         assert final.inner.received == (0, 1)
         assert not final.stash
 
+    @pytest.mark.parametrize("mode", ["reject", "reassemble"])
+    def test_channels_are_independent(self, mode):
+        """Each source has its own sequence: a first packet from node 2 is in
+        order even though node 0's channel has already advanced."""
+        wrapped = FifoStampedProtocol(StreamProtocol(3), mode=mode)
+        state = wrapped.initial_state(1)
+        for src, seq, number in ((0, 0, 0), (2, 0, 5), (2, 1, 6)):
+            message = Message(dest=1, src=src, payload=Stamped(seq, Packet(number)))
+            state = wrapped.handle_message(state, message).state
+        assert state.inner.received == (0, 5, 6)
+        assert not state.stash
+
     def test_stale_duplicate_dropped(self):
         wrapped = FifoStampedProtocol(StreamProtocol(2))
         receiver = wrapped.initial_state(1)
