@@ -40,7 +40,11 @@ directly).
 
 Model values round-trip through :mod:`repro.persistence`'s structural
 codec — the same closed class registry and versioned-envelope discipline as
-the bug corpus, so deserialization never executes arbitrary content.
+the bug corpus, so deserialization never executes arbitrary content — and
+are content-addressed: each distinct value is one row of a ``values``
+table keyed by its content hash, written once per log, parsed once and
+decoded once, so restored records share sub-values as the original run's
+did.
 
 On disk a checkpoint is a *log*: because everything above only grows, a
 :class:`Checkpointer` writes one full snapshot per pass (the base line) and
@@ -66,6 +70,7 @@ from repro.fsio import append_text, atomic_write_text
 from repro.model.hashing import content_hash
 from repro.persistence import (
     ClassRegistry,
+    ValueTable,
     bug_from_dict,
     bug_to_dict,
     decode_event,
@@ -73,8 +78,9 @@ from repro.persistence import (
     decode_value,
     encode_event,
     encode_system_state,
-    encode_value,
     registry_for_protocol,
+    resolve_ref,
+    resolve_rows,
 )
 from repro.stats.counters import COUNTERS, ExplorationStats
 from repro.stats.series import DepthSample
@@ -85,7 +91,11 @@ from repro.stats.series import DepthSample
 #: fault-minted ``duplicate`` flag, and drop/duplicate predecessor events.
 #: Version 3 made the file a log — a base line plus appended segments; its
 #: base line is a version-2 file, which is why the reader still takes those.
-CHECKPOINT_FORMAT_VERSION = 3
+#: Version 4 made the log content-addressed: each line's ``values`` table
+#: defines the composite model values the log did not hold yet, and records,
+#: link events and ``I+`` messages refer to them by hash; a line without the
+#: table is a version-3 line and reads as one.
+CHECKPOINT_FORMAT_VERSION = 4
 #: Envelope kind tag (see :func:`repro.persistence.save_envelope`).
 CHECKPOINT_KIND = "lmc-checkpoint"
 
@@ -215,16 +225,21 @@ class _Marks:
 
     The starting point of the pass's next segment: per store one ``(link
     count, discarded)`` pair per record written — the only two things a
-    record changes after it is stored — plus the ``I+`` high-water mark and
-    the round of the write.  The pass fingerprint rides along because its
-    inputs are fixed for the pass.
+    record changes after it is stored — plus the ``I+`` high-water mark,
+    the round of the write, the hashes of the value rows the log defines
+    and the seen orbit keys it lists.  The pass fingerprint rides along
+    because its inputs are fixed for the pass.
     """
 
-    __slots__ = ("pass_", "fingerprint", "round", "stores", "messages")
+    __slots__ = (
+        "pass_", "fingerprint", "round", "stores", "messages", "values", "seen"
+    )
 
-    def __init__(self, pass_: Any, fingerprint: str):
+    def __init__(self, pass_: Any, fingerprint: str, values: set):
         self.pass_ = pass_
         self.fingerprint = fingerprint
+        self.values = values
+        self.seen = None if pass_._symmetry is None else set(pass_._symmetry._seen)
         self.round = pass_.round_number
         self.stores = {
             node: [
@@ -236,11 +251,13 @@ class _Marks:
         self.messages = pass_.network.high_water
 
 
-def _encode_links(links: List[PredecessorLink]) -> List[Dict[str, Any]]:
+def _encode_links(
+    links: List[PredecessorLink], table: ValueTable
+) -> List[Dict[str, Any]]:
     return [
         {
             "prev_hash": link.prev_hash,
-            "event": encode_event(link.event),
+            "event": encode_event(link.event, table.ref),
             "event_hash": link.event_hash,
             "consumed_hash": link.consumed_hash,
             "generated_hashes": list(link.generated_hashes),
@@ -249,9 +266,9 @@ def _encode_links(links: List[PredecessorLink]) -> List[Dict[str, Any]]:
     ]
 
 
-def _encode_record(record: Any) -> Dict[str, Any]:
+def _encode_record(record: Any, table: ValueTable) -> Dict[str, Any]:
     return {
-        "state": encode_value(record.state),
+        "state": table.ref(record.state, record.hash),
         "hash": record.hash,
         "depth": record.depth,
         "local_depth": record.local_depth,
@@ -261,23 +278,25 @@ def _encode_record(record: Any) -> Dict[str, Any]:
         "seed": record.seed,
         "discarded": record.discarded,
         "state_size": record.state_size,
-        "predecessors": _encode_links(record.predecessors),
+        "predecessors": _encode_links(record.predecessors, table),
     }
 
 
-def _encode_store(store: Any, written: Optional[List[Any]]) -> Dict[str, Any]:
+def _encode_store(
+    store: Any, written: Optional[List[Any]], table: ValueTable
+) -> Dict[str, Any]:
     """One ``LS_n``: the records the log lacks and, for a segment, what the
     ``written`` ones gained — ``[index, new links, discarded]`` rows."""
     records = store.records
     encoded = {
         "version": store.version,
         "records": [
-            _encode_record(record) for record in records[len(written or ()) :]
+            _encode_record(record, table) for record in records[len(written or ()) :]
         ],
     }
     if written is not None:
         encoded["grown"] = [
-            [index, _encode_links(record.predecessors[links:]), record.discarded]
+            [index, _encode_links(record.predecessors[links:], table), record.discarded]
             for index, (record, (links, discarded)) in enumerate(zip(records, written))
             if len(record.predecessors) != links or record.discarded != discarded
         ]
@@ -307,29 +326,36 @@ def snapshot_pass(
 
     Without ``marks`` the result is the full snapshot.  With them it is the
     segment since the write they describe: the append-only families — store
-    records, their predecessor links, ``I+`` messages — carry only what lies
-    beyond the marks, older records' gains go to per-store ``grown`` rows
-    and older messages' ``[cursor, deferred]`` pairs to a ``cursors`` table,
-    and a ``marks`` key records what the segment was built against.  All
-    else is small and mutable, and is rewritten whole either way.
+    records, their predecessor links, ``I+`` messages, seen orbit keys —
+    carry only what lies beyond the marks, older records' gains go to
+    per-store ``grown`` rows and older messages' ``[cursor, deferred]``
+    pairs to a ``cursors`` table, and a ``marks`` key records what the
+    segment was built against.  All else is small and mutable, and is
+    rewritten whole either way.
+
+    Record states, link event payloads and ``I+`` messages are written as
+    references into the ``values`` table (:class:`ValueTable`), which holds
+    the composite values the marks' log does not define yet.
     """
     checker = pass_.checker
     budget = pass_.budget
     if marks is None:
-        written, sent = {}, 0
+        written, sent, held, seen = {}, 0, frozenset(), frozenset()
         digest = fingerprint(
             checker.protocol, checker.invariant, checker.config, pass_.initial_system
         )
     else:
         written, sent, digest = marks.stores, marks.messages, marks.fingerprint
+        held, seen = marks.values, marks.seen
+    table = ValueTable(held)
     log = pass_.network.messages_since(0)
     symmetry = None
     if pass_._symmetry is not None:
+        # Orbit keys are tuples of int pairs: sorted as tuples they come in
+        # the order their JSON arrays sort in, and dump as those arrays.
         symmetry = {
             "orbit_hits": pass_._symmetry.orbit_hits,
-            "seen": sorted(
-                [list(pair) for pair in key] for key in pass_._symmetry._seen
-            ),
+            "seen": sorted(pass_._symmetry._seen - seen),
         }
     nodes = pass_.space.node_ids
     payload = {
@@ -359,7 +385,7 @@ def snapshot_pass(
             "retained_bytes": pass_._retained_bytes,
             "stats": _encode_stats(pass_.stats),
             "stores": [
-                [node, _encode_store(pass_.space.store(node), written.get(node))]
+                [node, _encode_store(pass_.space.store(node), written.get(node), table)]
                 for node in nodes
             ],
             "network": {
@@ -367,7 +393,7 @@ def snapshot_pass(
                 "retained_bytes": pass_.network.retained_bytes(),
                 "messages": [
                     {
-                        "message": encode_value(stored.message),
+                        "message": table.ref(stored.message, stored.hash),
                         "hash": stored.hash,
                         "cursor": stored.cursor,
                         "deferred": sorted(stored.deferred),
@@ -422,6 +448,7 @@ def snapshot_pass(
         payload["pass"]["network"]["cursors"] = [
             [stored.cursor, sorted(stored.deferred)] for stored in log[:sent]
         ]
+    payload["values"] = [[value, row] for value, row in table.rows.items()]
     return payload
 
 
@@ -435,17 +462,20 @@ def restore_pass(
     through :meth:`LocalModelChecker.resume` / ``extend_depth``, which
     enforce that.  Restores in place: the verifier, metrics and reducer
     objects already bound to the pass's stats/space keep working on the
-    reinstated state.
+    reinstated state.  Each JSON object of the payload decodes once, so the
+    shared rows :func:`load_checkpoint` resolves become shared values.
     """
     if registry is None:
         registry = registry_for_protocol(pass_.checker.protocol)
     data = payload["pass"]
+    # Shared value rows decode once, so restored records share sub-values.
+    memo: Dict[int, Any] = {}
 
     for node, store_data in data["stores"]:
         store = pass_.space.store(node)
         for row in store_data["records"]:
             record = store.restore_record(
-                state=decode_value(row["state"], registry),
+                state=decode_value(row["state"], registry, memo),
                 state_hash=row["hash"],
                 depth=row["depth"],
                 local_depth=row["local_depth"],
@@ -460,7 +490,7 @@ def restore_pass(
                 record.add_predecessor(
                     PredecessorLink(
                         prev_hash=link_row["prev_hash"],
-                        event=decode_event(link_row["event"], registry),
+                        event=decode_event(link_row["event"], registry, memo),
                         event_hash=link_row["event_hash"],
                         consumed_hash=link_row["consumed_hash"],
                         generated_hashes=tuple(link_row["generated_hashes"]),
@@ -472,7 +502,7 @@ def restore_pass(
     pass_.network.restore(
         (
             (
-                decode_value(row["message"], registry),
+                decode_value(row["message"], registry, memo),
                 row["hash"],
                 row["cursor"],
                 row["deferred"],
@@ -528,9 +558,7 @@ def restore_pass(
         )
     if symmetry is not None:
         pass_._symmetry.orbit_hits = symmetry["orbit_hits"]
-        pass_._symmetry._seen = {
-            tuple(tuple(pair) for pair in key) for key in symmetry["seen"]
-        }
+        pass_._symmetry._seen = {tuple(map(tuple, key)) for key in symmetry["seen"]}
 
     # Derived caches are rebuilt, not restored: the summary index in
     # discovery order (exactly the order seeding + integration noted it),
@@ -571,23 +599,31 @@ def save_checkpoint(path: str, payload: Dict[str, Any]) -> None:
         atomic_write_text(path, line)
 
 
-def _fold(folded: Optional[Dict[str, Any]], line: Dict[str, Any]) -> Dict[str, Any]:
+def _fold(
+    folded: Optional[Dict[str, Any]], line: Dict[str, Any], values: Dict[int, Any]
+) -> Dict[str, Any]:
     """The payload read so far with one more parsed log line applied.
 
     The result is what a full :func:`snapshot_pass` of the line's round
     holds: a segment's own dictionary, with the append-only lists it
-    continues spliced in front of what it adds.
+    continues spliced in front of what it adds, and every value reference
+    replaced by the shared row ``values`` — the log's value table so far,
+    which the line's own rows join — holds for it.
     """
     if line.get("format") != CHECKPOINT_KIND:
         raise CheckpointError(
             f"expected a {CHECKPOINT_KIND!r} payload, found {line.get('format')!r}"
         )
     version = line.get("version")
-    # A version-2 file is a version-3 base line with nothing after it.
-    if version != CHECKPOINT_FORMAT_VERSION and (version != 2 or folded is not None):
+    # A version-2 file is a version-3 base line with nothing after it, and a
+    # version-3 line is a version-4 line without a value table.
+    if version not in (3, CHECKPOINT_FORMAT_VERSION) and (
+        version != 2 or folded is not None
+    ):
         raise CheckpointError(
             f"unsupported {CHECKPOINT_KIND} version {version!r} (this reader "
-            f"understands version {CHECKPOINT_FORMAT_VERSION} and version-2 files)"
+            f"understands version {CHECKPOINT_FORMAT_VERSION}, version-3 logs "
+            "and version-2 files)"
         )
     inherited = len(line["pass"]["unverified"])
     if inherited:
@@ -599,8 +635,9 @@ def _fold(folded: Optional[Dict[str, Any]], line: Dict[str, Any]) -> Dict[str, A
     marks = line.pop("marks", None)
     if (marks is None) != (folded is None):
         raise CheckpointError("a log is one full snapshot, then segments only")
+    line["version"] = CHECKPOINT_FORMAT_VERSION
     if folded is None:
-        line["version"] = CHECKPOINT_FORMAT_VERSION
+        _resolve(line, values)
         return line
     if line["fingerprint"] != folded["fingerprint"]:
         raise CheckpointError("segment of another run (its fingerprint differs)")
@@ -617,6 +654,7 @@ def _fold(folded: Optional[Dict[str, Any]], line: Dict[str, Any]) -> Dict[str, A
             f"segment built against {marks} but the log holds {held}: "
             "a gap, a duplicate or another writer"
         )
+    _resolve(line, values)
     for (_, store), (_, gained) in zip(data["stores"], delta["stores"]):
         records = store["records"]
         for index, links, discarded in gained.pop("grown"):
@@ -628,7 +666,39 @@ def _fold(folded: Optional[Dict[str, Any]], line: Dict[str, Any]) -> Dict[str, A
         row["cursor"], row["deferred"] = cursor, deferred
     messages += delta["network"]["messages"]
     delta["network"]["messages"] = messages
+    if delta["symmetry"] is not None and version == CHECKPOINT_FORMAT_VERSION:
+        # A version-3 segment lists every key; from version 4 on it lists
+        # the new ones, and the sort merges the two sorted runs.
+        seen = data["symmetry"]["seen"]
+        seen += delta["symmetry"]["seen"]
+        seen.sort()
+        delta["symmetry"]["seen"] = seen
     return line
+
+
+def _resolve(line: Dict[str, Any], values: Dict[int, Any]) -> None:
+    """Define the line's value rows, then replace its references — record
+    states, link event payloads, ``I+`` messages — by the rows, in place."""
+    rows = line.pop("values", None)
+    if rows is None:
+        return
+    resolve_rows(rows, values)
+
+    def links(encoded: List[Dict[str, Any]]) -> None:
+        for link in encoded:
+            event = link["event"]
+            if "payload" in event:
+                event["payload"] = resolve_ref(event["payload"], values)
+
+    data = line["pass"]
+    for _, store in data["stores"]:
+        for record in store["records"]:
+            record["state"] = resolve_ref(record["state"], values)
+            links(record["predecessors"])
+        for _, gained, _ in store.get("grown", ()):
+            links(gained)
+    for row in data["network"]["messages"]:
+        row["message"] = resolve_ref(row["message"], values)
 
 
 def load_checkpoint(path: str) -> Dict[str, Any]:
@@ -638,8 +708,13 @@ def load_checkpoint(path: str) -> Dict[str, Any]:
     line may be unterminated or unparseable — the kill-mid-append case,
     dropped — anything wrong earlier, or wrong in a line that did parse, is
     a :class:`CheckpointError` naming the line.
+
+    The payload's model values are resolved value-table rows: one JSON
+    object per distinct value, shared wherever the value recurs, so callers
+    must treat them as read-only.
     """
     folded: Optional[Dict[str, Any]] = None
+    values: Dict[int, Any] = {}
     torn: Optional[str] = None
     # Bytes, not text: a damaged byte must fail inside the loop, on its line.
     with open(path, "rb") as handle:
@@ -654,7 +729,7 @@ def load_checkpoint(path: str) -> Dict[str, Any]:
                 torn = f"{path}:{number}: {exc}"
                 continue
             try:
-                folded = _fold(folded, line)
+                folded = _fold(folded, line, values)
             except CheckpointError as exc:
                 raise CheckpointError(f"{path}:{number}: {exc}") from None
             except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
@@ -771,13 +846,18 @@ class Checkpointer:
         The first snapshot of a pass is the full one and starts the file
         over (which also compacts the log a resumed or extended run came
         from); each later one appends the segment since the previous.
+        The marks move only once the write succeeded: after a failed one
+        the next segment again carries everything since the last line on
+        disk, value rows included.
         """
         marks = self._marks
         if marks is not None and marks.pass_ is not pass_:
             marks = None
         payload = snapshot_pass(pass_, reason, pass_completed, pass_reason, marks=marks)
         self.write(payload)
-        self._marks = _Marks(pass_, payload["fingerprint"])
+        values = set() if marks is None else marks.values
+        values.update(value for value, _row in payload["values"])
+        self._marks = _Marks(pass_, payload["fingerprint"], values)
 
     def write(self, payload: Dict[str, Any]) -> None:
         """Persist one snapshot and record it for heartbeat reporting."""

@@ -11,16 +11,24 @@ serialize structurally with a class tag and deserialize through a
 *registry* of allowed dataclasses — the protocol module(s) under test.
 Deserialization never executes arbitrary content: unknown class tags are
 an error, not an import.
+
+The checkpoint log (:mod:`repro.core.checkpoint`) writes model values
+content-addressed instead: :class:`ValueTable` encodes each distinct
+composite once, as a row keyed by its content hash, and
+:func:`resolve_rows` / :func:`resolve_ref` turn the rows back into one
+shared JSON object per hash, which :func:`decode_value` given a memo decodes
+once.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Type
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Type
 
 from repro.fsio import atomic_write_json
 from repro.model.events import EVENT_TYPES, Event
+from repro.model.hashing import canonical_bytes, content_hash
 from repro.model.system_state import SystemState
 from repro.model.types import Action, Message
 from repro.reports import BugReport
@@ -178,8 +186,6 @@ def encode_value(value: Any) -> Any:
     if isinstance(value, tuple):
         return {"__tuple__": [encode_value(item) for item in value]}
     if isinstance(value, frozenset):
-        from repro.model.hashing import canonical_bytes
-
         items = sorted(value, key=canonical_bytes)
         return {"__frozenset__": [encode_value(item) for item in items]}
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
@@ -192,38 +198,141 @@ def encode_value(value: Any) -> Any:
     raise TypeError(f"cannot encode model value of type {type(value).__name__}")
 
 
-def decode_value(encoded: Any, registry: ClassRegistry) -> Any:
-    """Decode a value produced by :func:`encode_value`."""
+def decode_value(
+    encoded: Any, registry: ClassRegistry, memo: Optional[Dict[int, Any]] = None
+) -> Any:
+    """Decode a value produced by :func:`encode_value`.
+
+    With a ``memo`` each encoded composite is decoded once per ``memo``:
+    the memo maps ``id(encoded)`` to ``(encoded, value)``, so JSON objects
+    the input shares (the resolved rows of a :class:`ValueTable`) decode to
+    shared values.  The entry pins its key object, so an ``id`` cannot be
+    recycled while the memo lives.
+    """
     if encoded is None or isinstance(encoded, (bool, int, str)):
         return encoded
     if isinstance(encoded, dict):
-        if "__float__" in encoded:
-            return float(encoded["__float__"])
-        if "__tuple__" in encoded:
-            return tuple(
-                decode_value(item, registry) for item in encoded["__tuple__"]
+        if memo is None:
+            return _decode_composite(encoded, registry, None)
+        entry = memo.get(id(encoded))
+        if entry is None or entry[0] is not encoded:
+            entry = memo[id(encoded)] = (
+                encoded,
+                _decode_composite(encoded, registry, memo),
             )
-        if "__frozenset__" in encoded:
-            return frozenset(
-                decode_value(item, registry) for item in encoded["__frozenset__"]
-            )
-        if "__dataclass__" in encoded:
-            cls = registry.resolve(encoded["__dataclass__"])
-            fields = {
-                name: decode_value(item, registry)
-                for name, item in encoded["fields"].items()
-            }
-            return cls(**fields)
+        return entry[1]
     raise ValueError(f"malformed encoded value: {encoded!r}")
+
+
+def _decode_composite(
+    encoded: Dict[str, Any], registry: ClassRegistry, memo: Optional[Dict[int, Any]]
+) -> Any:
+    if "__float__" in encoded:
+        return float(encoded["__float__"])
+    if "__tuple__" in encoded:
+        return tuple(
+            decode_value(item, registry, memo) for item in encoded["__tuple__"]
+        )
+    if "__frozenset__" in encoded:
+        return frozenset(
+            decode_value(item, registry, memo) for item in encoded["__frozenset__"]
+        )
+    if "__dataclass__" in encoded:
+        cls = registry.resolve(encoded["__dataclass__"])
+        fields = {
+            name: decode_value(item, registry, memo)
+            for name, item in encoded["fields"].items()
+        }
+        return cls(**fields)
+    raise ValueError(f"malformed encoded value: {encoded!r}")
+
+
+# -- content-addressed values ----------------------------------------------------
+
+class ValueTable:
+    """A content-addressed encoder: each distinct composite is written once.
+
+    :meth:`ref` encodes a model value as :func:`encode_value` does, except
+    that every tuple, frozenset and dataclass becomes ``{"__ref__": hash}``
+    — its 64-bit :func:`~repro.model.hashing.content_hash` — and its own
+    encoding, children again as references, becomes a row of :attr:`rows`
+    unless ``held`` (the hashes earlier writes defined) or an earlier row
+    has it.  Rows are added children first, so a reader resolving them in
+    order meets every reference after its definition.  Frozenset items keep
+    :func:`encode_value`'s ``canonical_bytes`` order.
+    """
+
+    __slots__ = ("held", "rows")
+
+    def __init__(self, held: Iterable[int] = frozenset()):
+        self.held = held
+        #: hash -> encoded row, in definition order.
+        self.rows: Dict[int, Dict[str, Any]] = {}
+
+    def ref(self, value: Any, digest: Optional[int] = None) -> Any:
+        """``value`` encoded, composites as references; ``digest`` is its
+        content hash when the caller already has it."""
+        if value is None or isinstance(value, (bool, int, str, float)):
+            return encode_value(value)
+        if digest is None:
+            digest = content_hash(value)
+        if digest not in self.rows and digest not in self.held:
+            self.rows[digest] = self._row(value)
+        return {"__ref__": digest}
+
+    def _row(self, value: Any) -> Dict[str, Any]:
+        if isinstance(value, tuple):
+            return {"__tuple__": [self.ref(item) for item in value]}
+        if isinstance(value, frozenset):
+            items = sorted(value, key=canonical_bytes)
+            return {"__frozenset__": [self.ref(item) for item in items]}
+        if dataclasses.is_dataclass(value) and not isinstance(value, type):
+            cls = type(value)
+            fields = {name: self.ref(getattr(value, name)) for name in _field_names(cls)}
+            return {"__dataclass__": cls.__qualname__, "fields": fields}
+        raise TypeError(f"cannot encode model value of type {type(value).__name__}")
+
+
+def resolve_ref(encoded: Any, table: Dict[int, Any]) -> Any:
+    """``encoded``, or the row ``table`` holds for it when it is a reference;
+    a reference no row of ``table`` defines is a ``ValueError``."""
+    if encoded.__class__ is dict and "__ref__" in encoded:
+        digest = encoded["__ref__"]
+        try:
+            return table[digest]
+        except (KeyError, TypeError):
+            raise ValueError(
+                f"value {digest!r} is referenced but no earlier row defines it"
+            ) from None
+    return encoded
+
+
+def resolve_rows(rows: Iterable[Tuple[int, Any]], table: Dict[int, Any]) -> None:
+    """Add ``[hash, row]`` pairs written by a :class:`ValueTable` to
+    ``table``, each row's child references replaced by the shared rows
+    ``table`` already holds — in place, so every reference to one hash ends
+    up as the same JSON object, which callers must treat as read-only."""
+    for digest, row in rows:
+        fields = row.get("fields")
+        if fields is not None:
+            for name, child in fields.items():
+                fields[name] = resolve_ref(child, table)
+        else:
+            items = row["__tuple__"] if "__tuple__" in row else row["__frozenset__"]
+            items[:] = [resolve_ref(item, table) for item in items]
+        table[digest] = row
 
 
 # -- events and states ---------------------------------------------------------------
 
 
-def encode_event(event: Event) -> Dict[str, Any]:
+def encode_event(
+    event: Event, encode: Callable[[Any], Any] = encode_value
+) -> Dict[str, Any]:
     """Encode any event as its ``KIND`` plus its one field, flattened by
     shape: a message's ``dest``/``src``/``payload``, an action's
-    ``node``/``name``/``payload``, or a bare ``node``."""
+    ``node``/``name``/``payload``, or a bare ``node``.  ``encode`` encodes
+    the payload (a :meth:`ValueTable.ref` writes it as a reference)."""
     cls = type(event)
     kind = getattr(cls, "KIND", None)
     if EVENT_TYPES.get(kind) is not cls:
@@ -235,7 +344,7 @@ def encode_event(event: Event) -> Dict[str, Any]:
             "kind": kind,
             "dest": message.dest,
             "src": message.src,
-            "payload": encode_value(message.payload),
+            "payload": encode(message.payload),
         }
     if shape == "action":
         action = event.action
@@ -243,20 +352,25 @@ def encode_event(event: Event) -> Dict[str, Any]:
             "kind": kind,
             "node": action.node,
             "name": action.name,
-            "payload": encode_value(action.payload),
+            "payload": encode(action.payload),
         }
     return {"kind": kind, "node": event.node}
 
 
-def decode_event(encoded: Dict[str, Any], registry: ClassRegistry) -> Event:
-    """Decode an event produced by :func:`encode_event`."""
+def decode_event(
+    encoded: Dict[str, Any],
+    registry: ClassRegistry,
+    memo: Optional[Dict[int, Any]] = None,
+) -> Event:
+    """Decode an event produced by :func:`encode_event`; ``memo`` as in
+    :func:`decode_value`, for the payload."""
     cls = EVENT_TYPES.get(encoded.get("kind"))
     if cls is None:
         raise ValueError(f"unknown event kind {encoded.get('kind')!r}")
     (shape,) = _field_names(cls)
     if shape == "node":
         return cls(encoded["node"])
-    payload = decode_value(encoded["payload"], registry)
+    payload = decode_value(encoded["payload"], registry, memo)
     if shape == "message":
         return cls(Message(dest=encoded["dest"], src=encoded["src"], payload=payload))
     return cls(Action(node=encoded["node"], name=encoded["name"], payload=payload))

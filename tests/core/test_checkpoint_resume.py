@@ -1,9 +1,10 @@
 """Checkpoint/resume and incremental depth extension (docs/CHECKPOINTS.md).
 
-The durable-snapshot layer's contract, tested from four angles:
+The durable-snapshot layer's contract, tested from five angles:
 
-* **Round-trip**: serialize → deserialize → serialize must be
-  byte-identical, for mid-run and completed-pass snapshots, with faults
+* **Round-trip**: what a reader of the log sees, restored and snapshotted,
+  must load back to itself, and a second restore-and-snapshot must write
+  the same bytes — for mid-run and completed-pass snapshots, with faults
   and symmetry both on and off (the hypothesis property below).
 * **Interrupt/resume**: a run stopped at a round boundary — by the
   cooperative SIGTERM flag or by abandoning the process after a cadence
@@ -17,6 +18,8 @@ The durable-snapshot layer's contract, tested from four angles:
 * **The log**: the file is a base line plus appended segments; cut or
   damaged anywhere it must load as a complete round boundary or raise
   :class:`CheckpointError` naming the line, never as something in between.
+  Its value rows define each model value once, and a restore turns each
+  into one shared object.
 
 Equality everywhere excludes phase timers (wall clock) and the cache-hit
 counters (``sequence_cache_hits``/``replay_cache_hits``/
@@ -25,6 +28,7 @@ restore, so hit counts legitimately differ while every soundness verdict
 and visit count must not.
 """
 
+import dataclasses
 import json
 import os
 import signal
@@ -39,6 +43,7 @@ from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.core import checker as checker_module
+from repro.core import checkpoint as checkpoint_module
 from repro.core.checker import LocalModelChecker
 from repro.core.checkpoint import (
     CheckpointError,
@@ -51,6 +56,8 @@ from repro.core.checkpoint import (
 from repro.core.config import LMCConfig
 from repro.core.system_states import enumerate_optimized
 from repro.explore.budget import SearchBudget
+from repro.fsio import append_text
+from repro.model.hashing import content_hash
 from repro.obs.registry import RunRegistry
 from repro.protocols.paxos import PaxosAgreement, PaxosAgreementAll, PaxosProtocol
 from repro.protocols.paxos.scenarios import partial_choice_state, scenario_protocol
@@ -116,6 +123,42 @@ class CaptureCheckpointer(Checkpointer):
         self.payloads.append(load_checkpoint(self.path))
 
 
+def assert_round_trip(make_checker, view, directory):
+    """A reader's view of a checkpoint log survives restore → snapshot.
+
+    File A is a full snapshot of the restored ``view``: it must load back
+    to ``view`` exactly.  File B is a full snapshot of A restored: it must
+    be A byte for byte.  (A view need not have A's bytes: a log's segments
+    and value rows split the same payload differently.)
+    """
+
+    def save_restored(payload, name):
+        total_stats, result, run_pass = make_checker()._restore(payload)
+        # _run_loop rebinds the run-level context before executing; a
+        # re-snapshot must see the same bindings.
+        run_pass.prior_stats = total_stats
+        run_pass.prior_bugs = result.bugs
+        path = os.path.join(str(directory), name)
+        save_checkpoint(
+            path,
+            snapshot_pass(
+                run_pass,
+                reason=payload["reason"],
+                pass_completed=payload["pass_completed"],
+                pass_reason=payload["pass_reason"],
+                elapsed=payload["elapsed_s"],
+            ),
+        )
+        return path
+
+    first = save_restored(view, "a.json")
+    reloaded = load_checkpoint(first)
+    assert reloaded == view
+    second = save_restored(reloaded, "b.json")
+    with open(first, "rb") as a, open(second, "rb") as b:
+        assert a.read() == b.read()
+
+
 class StopAtCheckpointer(Checkpointer):
     """Deterministic interrupt: behaves exactly like the SIGTERM flag, but
     raised from inside :meth:`due` at one exact round boundary."""
@@ -143,29 +186,8 @@ class TestRoundTrip:
         cadence = CaptureCheckpointer(str(tmp / "cadence.json"), every_rounds=1)
         _checker(variant, 4, checkpointer=cadence).run()
         assert cadence.payloads, "a run with cadence 1 must write snapshots"
-        payload = cadence.payloads[pick % len(cadence.payloads)]
-
-        first = str(tmp / "first.json")
-        second = str(tmp / "second.json")
-        save_checkpoint(first, payload)
-        reloaded = load_checkpoint(first)
-
-        restorer = _checker(variant, 4)
-        total_stats, result, run_pass = restorer._restore(reloaded)
-        # _run_loop rebinds the run-level context before executing; a
-        # re-snapshot must see the same bindings.
-        run_pass.prior_stats = total_stats
-        run_pass.prior_bugs = result.bugs
-        again = snapshot_pass(
-            run_pass,
-            reason=reloaded["reason"],
-            pass_completed=reloaded["pass_completed"],
-            pass_reason=reloaded["pass_reason"],
-            elapsed=reloaded["elapsed_s"],
-        )
-        save_checkpoint(second, again)
-        with open(first, "rb") as a, open(second, "rb") as b:
-            assert a.read() == b.read()
+        view = cadence.payloads[pick % len(cadence.payloads)]
+        assert_round_trip(lambda: _checker(variant, 4), view, tmp)
 
 
 class TestInterruptResume:
@@ -686,3 +708,147 @@ class TestCheckpointLog:
         assert final["pass_completed"]
         for family in ("round_number", "stores", "network"):
             assert final["pass"][family] == payloads[-1]["pass"][family]
+
+
+def _paxos2_checker(depth, checkpointer=None):
+    """Two-proposal Paxos under LMC-OPT: the benchmark's checkpoint space."""
+    return LocalModelChecker(
+        PaxosProtocol(num_nodes=3, proposals=((0, 0, "v0"), (1, 1, "v1"))),
+        PaxosAgreement(0),
+        SearchBudget(max_depth=depth),
+        LMCConfig.optimized(),
+        checkpointer=checkpointer,
+    )
+
+
+def _composites(value, found):
+    """Every tuple, frozenset and dataclass object reachable from ``value``,
+    by ``id``."""
+    if id(value) in found:
+        return
+    if isinstance(value, (tuple, frozenset)):
+        children = value
+    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+        children = [getattr(value, field.name) for field in dataclasses.fields(value)]
+    else:
+        return
+    found[id(value)] = value
+    for child in children:
+        _composites(child, found)
+
+
+class TestValueTable:
+    """The log's content-addressed value rows (docs/CHECKPOINTS.md)."""
+
+    @pytest.fixture(scope="class")
+    def paxos2(self, tmp_path_factory):
+        """The two-proposal d=4 log, one write per round."""
+        path = str(tmp_path_factory.mktemp("paxos2") / "cadence.json")
+        writer = Checkpointer(path, every_rounds=1)
+        _paxos2_checker(4, writer).run()
+        assert writer.segments >= 4
+        return path
+
+    def test_no_value_is_defined_in_two_lines(self, paxos2):
+        defined = [
+            [value for value, _row in json.loads(line)["values"]]
+            for line in _lines(paxos2)
+        ]
+        assert defined[0] and sum(1 for values in defined[1:] if values) > 1
+        flat = [value for line in defined for value in line]
+        assert len(flat) == len(set(flat))
+
+    def test_no_orbit_key_is_listed_in_two_lines(self, tmp_path):
+        path = str(tmp_path / "gen_sym.json")
+        _checker("gen_sym", 3, checkpointer=Checkpointer(path, every_rounds=1)).run()
+        lines = [json.loads(line) for line in _lines(path)]
+        assert len(lines) > 2
+        listed = [tuple(map(str, line["pass"]["symmetry"]["seen"])) for line in lines]
+        flat = [key for keys in listed for key in keys]
+        assert len(flat) == len(set(flat))
+        assert sum(1 for keys in listed[1:] if keys) > 1
+        assert len(load_checkpoint(path)["pass"]["symmetry"]["seen"]) == len(flat)
+
+    def test_restored_records_share_each_distinct_sub_value(self, paxos2):
+        _stats, _result, run_pass = _paxos2_checker(4)._restore(load_checkpoint(paxos2))
+        found = {}
+        for node in run_pass.space.node_ids:
+            for record in run_pass.space.store(node).records:
+                _composites(record.state, found)
+                for link in record.predecessors:
+                    event = link.event
+                    carrier = getattr(event, "message", None) or getattr(
+                        event, "action", None
+                    )
+                    if carrier is not None:
+                        _composites(carrier.payload, found)
+        objects = {}
+        for value in found.values():
+            objects.setdefault(content_hash(value), set()).add(id(value))
+        assert len(objects) > 100
+        assert all(len(ids) == 1 for ids in objects.values())
+
+    def test_a_version_3_log_folds_as_before(self, tmp_path):
+        """Version 3 wrote model values inline and the whole seen-orbit set
+        in every segment; such a log must fold to the same payload."""
+        path = str(tmp_path / "v4.json")
+        _checker("gen_sym", 3, checkpointer=Checkpointer(path, every_rounds=1)).run()
+        lines, values, legacy = _lines(path), {}, []
+        for number, raw in enumerate(lines, 1):
+            line = json.loads(raw)
+            checkpoint_module._resolve(line, values)
+            prefix = _write(tmp_path / "prefix.json", lines[:number])
+            line["pass"]["symmetry"]["seen"] = load_checkpoint(prefix)["pass"][
+                "symmetry"
+            ]["seen"]
+            line["version"] = 3
+            legacy.append(json.dumps(line, sort_keys=True).encode() + b"\n")
+        assert len(legacy) > 2
+        v3 = _write(tmp_path / "v3.json", legacy)
+        assert load_checkpoint(v3) == load_checkpoint(path)
+
+    def test_a_reference_no_row_defines_names_its_line(self, paxos2, tmp_path):
+        lines = _lines(paxos2)
+        number, line = next(
+            (number, json.loads(line))
+            for number, line in enumerate(lines[1:], 2)
+            if json.loads(line)["values"]
+        )
+        line["values"] = []
+        chunks = [*lines[: number - 1], json.dumps(line).encode() + b"\n", *lines[number:]]
+        with pytest.raises(
+            CheckpointError, match=rf"undefined\.json:{number}: .*no earlier row defines"
+        ):
+            load_checkpoint(_write(tmp_path / "undefined.json", chunks))
+
+    def test_a_failed_append_leaves_the_next_segment_complete(
+        self, paxos2, tmp_path, monkeypatch
+    ):
+        """The writer commits a segment's value rows to its marks only once
+        the append succeeded: the segment after a failed one defines them
+        again, so the log still folds to the full snapshot."""
+        failed = []
+
+        def append_once_failing(path, text):
+            if not failed:
+                failed.append(json.loads(text))
+                raise OSError("disk full")
+            append_text(path, text)
+
+        class Tolerant(Checkpointer):
+            def snapshot(self, *args, **kwargs):
+                try:
+                    super().snapshot(*args, **kwargs)
+                except OSError:
+                    pass
+
+        monkeypatch.setattr(checkpoint_module, "append_text", append_once_failing)
+        path = str(tmp_path / "flaky.json")
+        writer = Tolerant(path, every_rounds=1)
+        _paxos2_checker(4, writer).run()
+        assert failed and failed[0]["values"]
+        assert len(_lines(path)) == len(_lines(paxos2)) - 1 == writer.segments + 1
+        flaky, reference = load_checkpoint(path), load_checkpoint(paxos2)
+        assert flaky["pass_completed"]
+        for family in ("round_number", "stores", "network", "symmetry"):
+            assert flaky["pass"][family] == reference["pass"][family]

@@ -20,12 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.checker import LocalModelChecker
-from repro.core.checkpoint import (
-    Checkpointer,
-    load_checkpoint,
-    save_checkpoint,
-    snapshot_pass,
-)
+from repro.core.checkpoint import Checkpointer, load_checkpoint
 from repro.core.config import LMCConfig
 from repro.explore.budget import SearchBudget
 from repro.invariants.base import LocalInvariant
@@ -41,6 +36,7 @@ from repro.protocols.twophase import (
     TimeoutTwoPhaseCommit,
 )
 from repro.replay import validate_bug
+from tests.core.test_checkpoint_resume import CaptureCheckpointer, assert_round_trip
 
 #: Phase timers are wall-clock; everything else must match exactly.
 EXCLUDED_KEYS = ("phase_",)
@@ -363,18 +359,6 @@ def test_healing_partition_window_recovers_the_bug():
 # -- checkpoint round trip of the new fault state --------------------------------
 
 
-class _CaptureCheckpointer(Checkpointer):
-    """Keeps every payload written, so tests can pick a mid-run snapshot."""
-
-    def __init__(self, path, every_rounds=1):
-        super().__init__(path, every_rounds)
-        self.payloads = []
-
-    def write(self, payload):
-        super().write(payload)
-        self.payloads.append(load_checkpoint(self.path))
-
-
 @pytest.mark.parametrize(
     "overrides",
     [
@@ -388,9 +372,9 @@ class _CaptureCheckpointer(Checkpointer):
 def test_fault_state_checkpoint_roundtrip_is_byte_identical(
     overrides, tmp_path
 ):
-    """serialize → restore → serialize over the new fault fields."""
+    """restore → snapshot → load, and again, over the new fault fields."""
     config = LMCConfig.optimized(stop_on_first_bug=False, **overrides)
-    cadence = _CaptureCheckpointer(str(tmp_path / "cadence.json"))
+    cadence = CaptureCheckpointer(str(tmp_path / "cadence.json"))
     LocalModelChecker(
         TimeoutTwoPhaseCommit(3),
         Atomicity(),
@@ -400,28 +384,12 @@ def test_fault_state_checkpoint_roundtrip_is_byte_identical(
     ).run()
     assert cadence.payloads
 
-    for pick, payload in enumerate(cadence.payloads):
-        first = str(tmp_path / f"first{pick}.json")
-        second = str(tmp_path / f"second{pick}.json")
-        save_checkpoint(first, payload)
-        reloaded = load_checkpoint(first)
+    def restorer():
+        return LocalModelChecker(
+            TimeoutTwoPhaseCommit(3), Atomicity(), SearchBudget(max_depth=8), config
+        )
 
-        restorer = LocalModelChecker(
-            TimeoutTwoPhaseCommit(3),
-            Atomicity(),
-            SearchBudget(max_depth=8),
-            config,
-        )
-        total_stats, result, run_pass = restorer._restore(reloaded)
-        run_pass.prior_stats = total_stats
-        run_pass.prior_bugs = result.bugs
-        again = snapshot_pass(
-            run_pass,
-            reason=reloaded["reason"],
-            pass_completed=reloaded["pass_completed"],
-            pass_reason=reloaded["pass_reason"],
-            elapsed=reloaded["elapsed_s"],
-        )
-        save_checkpoint(second, again)
-        with open(first, "rb") as a, open(second, "rb") as b:
-            assert a.read() == b.read()
+    for pick, view in enumerate(cadence.payloads):
+        directory = tmp_path / f"pick{pick}"
+        directory.mkdir()
+        assert_round_trip(restorer, view, directory)

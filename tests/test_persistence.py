@@ -14,11 +14,14 @@ from repro.model.types import Action, Message
 from repro.persistence import (
     ClassRegistry,
     UnknownClassTag,
+    ValueTable,
     bug_from_dict,
     bug_to_dict,
     decode_value,
     encode_value,
     load_bugs,
+    resolve_ref,
+    resolve_rows,
     save_bugs,
 )
 from repro.protocols.paxos import PaxosAgreement
@@ -74,6 +77,69 @@ class TestValueCodec:
     def test_encoding_is_json_safe(self):
         value = (paxos_messages.Ballot(1, 0), frozenset({("a", 1)}))
         json.dumps(encode_value(value))
+
+
+def _through_json(table, ref):
+    """A table's rows and one reference as a reader gets them back: parsed,
+    then resolved into one shared JSON object per hash."""
+    rows, ref = json.loads(json.dumps([list(map(list, table.rows.items())), ref]))
+    resolved = {}
+    resolve_rows(rows, resolved)
+    return resolve_ref(ref, resolved)
+
+
+class TestValueTable:
+    @pytest.mark.parametrize(
+        "value",
+        [
+            None,
+            42,
+            3.5,
+            (1, "a", (2, 3)),
+            frozenset({("a", 1), ("b", 2), ()}),
+            (paxos_messages.Ballot(1, 0), frozenset({paxos_messages.Ballot(2, 1)})),
+        ],
+    )
+    def test_resolved_rows_equal_the_plain_encoding(self, value):
+        table = ValueTable()
+        assert _through_json(table, table.ref(value)) == encode_value(value)
+
+    def test_resolved_state_equals_the_plain_encoding(self):
+        state = partial_choice_state().get(0)
+        table = ValueTable()
+        assert _through_json(table, table.ref(state)) == encode_value(state)
+
+    def test_a_value_is_one_row_and_decodes_to_one_object(self):
+        registry = paxos_registry()
+        ballot = paxos_messages.Ballot(3, 1)
+        value = (ballot, (ballot, "x"), paxos_messages.Ballot(3, 1))
+        table = ValueTable()
+        ref = table.ref(value)
+        # The ballot (once, though two objects hold it), the inner tuple,
+        # the outer tuple; children first.
+        assert list(table.rows.values())[0] == encode_value(ballot)
+        assert len(table.rows) == 3
+        decoded = decode_value(_through_json(table, ref), registry, {})
+        assert decoded == value
+        assert decoded[0] is decoded[1][0] is decoded[2]
+        plain = decode_value(encode_value(value), registry)
+        assert plain == value and plain[0] is not plain[2]
+
+    def test_held_values_are_not_written_again(self):
+        value = (paxos_messages.Ballot(3, 1), frozenset({1, 2}))
+        first = ValueTable()
+        ref = first.ref(value)
+        again = ValueTable(set(first.rows))
+        assert again.ref(value) == ref and again.rows == {}
+
+    def test_a_reference_without_its_row_is_refused(self):
+        table = ValueTable()
+        ref = table.ref((1, (2,)))
+        rows = list(map(list, table.rows.items()))
+        with pytest.raises(ValueError, match="no earlier row defines"):
+            resolve_rows(rows[1:], {})
+        with pytest.raises(ValueError):
+            resolve_ref(ref, {})
 
 
 class TestBugRoundTrip:

@@ -8,7 +8,8 @@ The end-to-end kill story, exercised exactly as an operator would hit it:
 2. start the same check with ``--checkpoint-every 1`` in the background,
    wait (via the run registry) until it has written a mid-run checkpoint,
    and SIGKILL the pid from ``meta.json`` — no warning, no handler; the
-   file left behind must be a log of at least two lines;
+   file left behind must be a log of at least two lines, each whole line
+   carrying a ``values`` table and no value defined in two lines;
 3. ``repro resume <run_id>`` and assert the resumed run's final counters
    match the reference byte-for-byte.
 
@@ -83,6 +84,33 @@ def _counters(stdout):
         if label in COUNTER_LABELS:
             picked[label] = value.strip()
     return picked
+
+
+def _value_table_failures(lines):
+    """What is wrong with the log's content-addressed value rows: every
+    whole line must carry a ``values`` table, and no value may be defined
+    in two lines.  A torn last line is what the loader drops, so it is
+    skipped."""
+    failures = []
+    defined = {}
+    for number, raw in enumerate(lines, 1):
+        try:
+            line = json.loads(raw)
+        except ValueError:
+            if number < len(lines):
+                failures.append(f"checkpoint line {number} does not parse")
+            continue
+        if "values" not in line:
+            failures.append(f"checkpoint line {number} has no value table")
+            continue
+        for value, _row in line["values"]:
+            if value in defined:
+                failures.append(
+                    f"value {value} is defined in checkpoint lines "
+                    f"{defined[value]} and {number}"
+                )
+            defined.setdefault(value, number)
+    return failures
 
 
 def main(argv=None):
@@ -166,9 +194,11 @@ def main(argv=None):
     log_lines = 0
     if run_dir is not None and not failures:
         with open(os.path.join(run_dir, "checkpoint.json"), "rb") as handle:
-            log_lines = sum(1 for _ in handle)
+            lines = handle.read().splitlines(keepends=True)
+        log_lines = len(lines)
         if log_lines < 2:
             failures.append(f"killed run's checkpoint has {log_lines} line(s)")
+        failures.extend(_value_table_failures(lines))
 
     # 3. Resume and compare counters.
     resumed = None
