@@ -16,8 +16,8 @@ The checkpoint log (:mod:`repro.core.checkpoint`) writes model values
 content-addressed instead: :class:`ValueTable` encodes each distinct
 composite once, as a row keyed by its content hash, and
 :func:`resolve_rows` / :func:`resolve_ref` turn the rows back into one
-shared JSON object per hash, which :func:`decode_value` given a memo decodes
-once.
+shared JSON object per hash, which :func:`decode_value` decodes once per
+memo.
 """
 
 from __future__ import annotations
@@ -183,17 +183,21 @@ def encode_value(value: Any) -> Any:
         return value
     if isinstance(value, float):
         return {"__float__": repr(value)}
+    return _encode_composite(value, encode_value)
+
+
+def _encode_composite(value: Any, child: Callable[[Any], Any]) -> Dict[str, Any]:
+    """A tuple, frozenset or dataclass ``value`` encoded one level deep,
+    each child encoded by ``child``; frozenset items in ``canonical_bytes``
+    order.  This is the one place the on-disk shape of a composite lives."""
     if isinstance(value, tuple):
-        return {"__tuple__": [encode_value(item) for item in value]}
+        return {"__tuple__": [child(item) for item in value]}
     if isinstance(value, frozenset):
         items = sorted(value, key=canonical_bytes)
-        return {"__frozenset__": [encode_value(item) for item in items]}
+        return {"__frozenset__": [child(item) for item in items]}
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         cls = type(value)
-        fields = {
-            name: encode_value(getattr(value, name))
-            for name in _field_names(cls)
-        }
+        fields = {name: child(getattr(value, name)) for name in _field_names(cls)}
         return {"__dataclass__": cls.__qualname__, "fields": fields}
     raise TypeError(f"cannot encode model value of type {type(value).__name__}")
 
@@ -203,19 +207,19 @@ def decode_value(
 ) -> Any:
     """Decode a value produced by :func:`encode_value`.
 
-    With a ``memo`` each encoded composite is decoded once per ``memo``:
-    the memo maps ``id(encoded)`` to ``(encoded, value)``, so JSON objects
-    the input shares (the resolved rows of a :class:`ValueTable`) decode to
-    shared values.  The entry pins its key object, so an ``id`` cannot be
-    recycled while the memo lives.
+    Each encoded composite is decoded once per ``memo`` (a fresh one when
+    none is given): the memo maps ``id(encoded)`` to ``(encoded, value)``,
+    so JSON objects the input shares (the resolved rows of a
+    :class:`ValueTable`) decode to shared values.  The entry pins its key
+    object, so an ``id`` cannot be recycled while the memo lives.
     """
     if encoded is None or isinstance(encoded, (bool, int, str)):
         return encoded
     if isinstance(encoded, dict):
         if memo is None:
-            return _decode_composite(encoded, registry, None)
+            memo = {}
         entry = memo.get(id(encoded))
-        if entry is None or entry[0] is not encoded:
+        if entry is None:
             entry = memo[id(encoded)] = (
                 encoded,
                 _decode_composite(encoded, registry, memo),
@@ -225,7 +229,7 @@ def decode_value(
 
 
 def _decode_composite(
-    encoded: Dict[str, Any], registry: ClassRegistry, memo: Optional[Dict[int, Any]]
+    encoded: Dict[str, Any], registry: ClassRegistry, memo: Dict[int, Any]
 ) -> Any:
     if "__float__" in encoded:
         return float(encoded["__float__"])
@@ -277,20 +281,8 @@ class ValueTable:
         if digest is None:
             digest = content_hash(value)
         if digest not in self.rows and digest not in self.held:
-            self.rows[digest] = self._row(value)
+            self.rows[digest] = _encode_composite(value, self.ref)
         return {"__ref__": digest}
-
-    def _row(self, value: Any) -> Dict[str, Any]:
-        if isinstance(value, tuple):
-            return {"__tuple__": [self.ref(item) for item in value]}
-        if isinstance(value, frozenset):
-            items = sorted(value, key=canonical_bytes)
-            return {"__frozenset__": [self.ref(item) for item in items]}
-        if dataclasses.is_dataclass(value) and not isinstance(value, type):
-            cls = type(value)
-            fields = {name: self.ref(getattr(value, name)) for name in _field_names(cls)}
-            return {"__dataclass__": cls.__qualname__, "fields": fields}
-        raise TypeError(f"cannot encode model value of type {type(value).__name__}")
 
 
 def resolve_ref(encoded: Any, table: Dict[int, Any]) -> Any:
