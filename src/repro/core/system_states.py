@@ -15,7 +15,7 @@ invariant sees of it — from the pass's one :class:`SummaryIndex`:
   declares ``summary``: the invariant is asked once per distinct tuple of
   summary groups, and a product with no violating tuple is counted in bulk;
   an anchor with a violating tuple is walked combination by combination
-  (:func:`enumerate_summarised` is the composition).
+  through :func:`enumerate_general`.
 * :func:`enumerate_optimized` — LMC-OPT: invariant-specific creation.  The
   invariant's local projection maps each node state to its relevant summary
   (Paxos: the chosen value, ``None`` when undecided); only anchored pairs
@@ -228,35 +228,6 @@ def clean_block_size(
         if not holds(combo):
             return None
     return size
-
-
-def enumerate_summarised(
-    space: LocalStateSpace,
-    anchor_node: NodeId,
-    anchor: NodeStateRecord,
-    index: SummaryIndex,
-    holds: Callable[[Combination], bool],
-) -> Iterator[Tuple[int, Optional[Combination]]]:
-    """LMC-GEN's anchored product, checked once per distinct summary tuple.
-
-    Yields ``(covered, None)`` for ``covered`` combinations that hold and
-    ``(1, combo)`` for each violating combination, in
-    :func:`enumerate_general`'s order: a consumer that adds ``covered`` to
-    its counters sees at every violation exactly the counts the
-    per-combination walk would have reached.
-
-    When no tuple violates (:func:`clean_block_size`), the whole product is
-    one block.  Otherwise the anchor falls back to
-    :func:`enumerate_general`, asking ``holds`` of every combination, so its
-    order and verdicts are the walk's own — the composition
-    ``LocalModelChecker`` runs, with its symmetry filter in the walk.
-    """
-    size = clean_block_size(space, anchor_node, anchor, index, holds)
-    if size is None:
-        for combo in enumerate_general(space, anchor_node, anchor):
-            yield 1, (None if holds(combo) else combo)
-    elif size:
-        yield size, None
 
 
 def enumerate_optimized(

@@ -7,15 +7,12 @@ and every network mutation mints a fresh global state.  The checker is sound
 up to its bounds, but hits exponential explosion almost immediately; that
 explosion *is* the paper's motivation and the B-DFS curves of Figs. 10-12.
 
-Three strategies share one expansion engine:
-
-* ``bfs`` — layered breadth-first search.  With visited-state deduplication
-  it visits exactly the states bounded DFS visits up to any depth, and it
-  yields the per-depth samples Figs. 10-12 plot, so it is the default for
-  benchmarking.
-* ``dfs`` — a single bounded depth-first pass (the literal B-DFS of §3.2).
-* ``iddfs`` — iterative-deepening DFS: B-DFS restarted with a growing bound,
-  the shape MaceMC actually runs; per-bound cumulative times make a series.
+The search is layered breadth-first with visited-state deduplication on
+state hashes.  Depth ``d`` of the layering holds exactly the states whose
+shortest path from the initial state has ``d`` events, so a depth bound
+visits the same states a bounded DFS (the literal B-DFS of §3.2) visits,
+and each finished layer yields one sample of the per-depth series
+Figs. 10-12 plot.
 """
 
 from __future__ import annotations
@@ -24,11 +21,17 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.explore.budget import BudgetClock, SearchBudget
 from repro.invariants.base import Invariant
-from repro.model.events import DeliveryEvent, Event, InternalEvent, is_fault_event
+from repro.model.events import (
+    DeliveryEvent,
+    DropEvent,
+    Event,
+    InternalEvent,
+    is_fault_event,
+)
 from repro.model.multiset import FrozenMultiset
 from repro.model.protocol import Protocol
 from repro.model.system_state import GlobalState, SystemState
-from repro.model.types import LocalAssertionError, Message
+from repro.model.types import LocalAssertionError
 from repro.reports import BugReport, CheckResult
 from repro.stats.counters import ExplorationStats
 from repro.stats.series import DepthSeries
@@ -65,9 +68,10 @@ def apply_event(
     """Successor global state after executing ``event``, or None for a no-op.
 
     A no-op arises only from internal actions that change nothing; a message
-    delivery always consumes the message, so it always produces a distinct
-    global state.  Local assertion failures propagate to the caller: in the
-    sound global search they are genuine bugs.
+    delivery or drop always consumes one in-flight copy of the message, so it
+    always produces a distinct global state.  Local assertion failures
+    propagate to the caller: in the sound global search they are genuine
+    bugs.
     """
     if isinstance(event, DeliveryEvent):
         message = event.message
@@ -77,8 +81,11 @@ def apply_event(
         # Fault events (docs/FAULTS.md): Protocol.execute applies the
         # durability/omission contracts.  Crash and restart never send;
         # drop hooks and duplicate redeliveries may, so the handler's
-        # sends are forwarded like any local step.
+        # sends are forwarded.  A drop consumes the lost copy like a
+        # delivery; the others are local steps.
         result = protocol.execute(state.system.get(event.node), event)
+        if isinstance(event, DropEvent):
+            return state.deliver(event.message, result.state, result.sends)
         return state.run_internal(event.node, result.state, result.sends)
     result = protocol.handle_action(state.system.get(event.node), event.action)
     if result.is_noop(state.system.get(event.node)):
@@ -87,24 +94,18 @@ def apply_event(
 
 
 class GlobalModelChecker:
-    """Exhaustive checker over global states with pluggable search strategy."""
+    """Exhaustive layered BFS over global states (the B-DFS baseline)."""
 
     def __init__(
         self,
         protocol: Protocol,
         invariant: Invariant,
         budget: SearchBudget = SearchBudget.unbounded(),
-        strategy: str = "bfs",
-        record_series: bool = True,
         stop_on_first_bug: bool = True,
     ):
-        if strategy not in ("bfs", "dfs", "iddfs"):
-            raise ValueError(f"unknown strategy {strategy!r}")
         self.protocol = protocol
         self.invariant = invariant
         self.budget = budget
-        self.strategy = strategy
-        self.record_series = record_series
         self.stop_on_first_bug = stop_on_first_bug
 
     # -- public API ---------------------------------------------------------
@@ -118,40 +119,44 @@ class GlobalModelChecker:
         """
         if initial_system is None:
             initial_system = self.protocol.initial_system_state()
-        initial = GlobalState(initial_system, FrozenMultiset())
-        if self.strategy == "bfs":
-            return self._run_bfs(initial)
-        if self.strategy == "dfs":
-            return self._run_dfs(initial, self.budget.max_depth)
-        return self._run_iddfs(initial)
+        return self._run_bfs(GlobalState(initial_system, FrozenMultiset()))
 
-    # -- BFS ------------------------------------------------------------------
+    # -- search ---------------------------------------------------------------
 
     def _run_bfs(self, initial: GlobalState) -> CheckResult:
         stats = ExplorationStats()
         clock = BudgetClock(self.budget)
-        series = DepthSeries("B-DFS") if self.record_series else None
+        series = DepthSeries("B-DFS")
         result = CheckResult(
             algorithm="B-DFS", completed=False, stats=stats, series=series
         )
-        visited: Dict[int, int] = {}
+        # Predecessor pointers, one per visited state hash: the visited set.
         parents: Dict[int, Tuple[Optional[int], Optional[Event]]] = {}
-        retained = 0
+        peak_memory = 0
+
+        def record_depth(depth: int, layer: List[Tuple[GlobalState, int]]) -> None:
+            nonlocal peak_memory
+            metrics = stats.snapshot()
+            # Consumed memory is a high-water mark: the visited-hash table
+            # only grows, and the frontier's peak footprint is what the
+            # process had to hold (Fig. 12 plots "increased memory size").
+            current = len(parents) * (HASH_ENTRY_BYTES + PARENT_ENTRY_BYTES)
+            current += sum(state.retained_bytes() for state, _ in layer)
+            peak_memory = max(peak_memory, current)
+            metrics["memory_bytes"] = peak_memory
+            series.record(depth, clock.elapsed(), metrics)
 
         initial_hash = hash(initial)
-        visited[initial_hash] = 0
         parents[initial_hash] = (None, None)
         stats.global_states = 1
-        retained += HASH_ENTRY_BYTES + PARENT_ENTRY_BYTES
+        frontier: List[Tuple[GlobalState, int]] = [(initial, initial_hash)]
         self._check_state(initial, initial_hash, parents, initial.system, result)
+        record_depth(0, frontier)
         if result.bugs and self.stop_on_first_bug:
             result.stop_reason = "bug found"
-            self._record_depth(series, 0, clock, stats, retained, [initial])
             return result
 
-        frontier: List[Tuple[GlobalState, int]] = [(initial, initial_hash)]
         depth = 0
-        self._record_depth(series, depth, clock, stats, retained, [s for s, _ in frontier])
         while frontier:
             if not clock.depth_allowed(depth + 1):
                 result.completed = True
@@ -170,137 +175,27 @@ class GlobalModelChecker:
                     if successor is None:
                         continue
                     succ_hash = hash(successor)
-                    if succ_hash in visited:
+                    if succ_hash in parents:
                         continue
-                    visited[succ_hash] = depth + 1
                     parents[succ_hash] = (state_hash, event)
                     stats.global_states += 1
-                    retained += HASH_ENTRY_BYTES + PARENT_ENTRY_BYTES
                     next_frontier.append((successor, succ_hash))
                     self._check_state(
                         successor, succ_hash, parents, initial.system, result
                     )
                     if result.bugs and self.stop_on_first_bug:
                         result.stop_reason = "bug found"
-                        self._record_depth(
-                            series, depth + 1, clock, stats, retained,
-                            [s for s, _ in next_frontier],
-                        )
+                        record_depth(depth + 1, next_frontier)
                         return result
             depth += 1
             frontier = next_frontier
             if frontier:
-                self._record_depth(
-                    series, depth, clock, stats, retained, [s for s, _ in frontier]
-                )
+                record_depth(depth, frontier)
         result.completed = True
         result.stop_reason = "state space exhausted"
         return result
 
-    # -- DFS --------------------------------------------------------------------
-
-    def _run_dfs(self, initial: GlobalState, bound: Optional[int]) -> CheckResult:
-        stats = ExplorationStats()
-        clock = BudgetClock(self.budget)
-        result = CheckResult(algorithm="B-DFS", completed=False, stats=stats)
-        self._dfs_pass(initial, bound, clock, stats, result)
-        if not result.stop_reason:
-            result.completed = True
-            result.stop_reason = "state space exhausted"
-        return result
-
-    def _run_iddfs(self, initial: GlobalState) -> CheckResult:
-        stats = ExplorationStats()
-        clock = BudgetClock(self.budget)
-        series = DepthSeries("B-DFS") if self.record_series else None
-        result = CheckResult(
-            algorithm="B-DFS", completed=False, stats=stats, series=series
-        )
-        bound = 0
-        max_bound = self.budget.max_depth
-        while max_bound is None or bound <= max_bound:
-            pass_stats = ExplorationStats()
-            visited_count, saturated = self._dfs_pass(
-                initial, bound, clock, pass_stats, result
-            )
-            stats.merge(pass_stats)
-            if result.stop_reason:
-                return result
-            retained = visited_count * (HASH_ENTRY_BYTES + PARENT_ENTRY_BYTES)
-            if series is not None:
-                metrics = stats.snapshot()
-                metrics["memory_bytes"] = retained
-                metrics["global_states"] = visited_count
-                series.record(bound, clock.elapsed(), metrics)
-            if result.bugs and self.stop_on_first_bug:
-                result.stop_reason = "bug found"
-                return result
-            if saturated:
-                result.completed = True
-                result.stop_reason = "state space exhausted"
-                return result
-            bound += 1
-        result.completed = True
-        result.stop_reason = "depth bound reached"
-        return result
-
-    def _dfs_pass(
-        self,
-        initial: GlobalState,
-        bound: Optional[int],
-        clock: BudgetClock,
-        stats: ExplorationStats,
-        result: CheckResult,
-    ) -> Tuple[int, bool]:
-        """One bounded DFS pass.  Returns (visited states, saturated?).
-
-        ``saturated`` is True when no path was cut off by the bound, i.e. the
-        reachable state space was exhausted within it.
-        """
-        visited: Dict[int, int] = {}
-        parents: Dict[int, Tuple[Optional[int], Optional[Event]]] = {}
-        initial_hash = hash(initial)
-        visited[initial_hash] = 0
-        parents[initial_hash] = (None, None)
-        stats.global_states += 1
-        self._check_state(initial, initial_hash, parents, initial.system, result)
-        if result.bugs and self.stop_on_first_bug:
-            return len(visited), False
-        saturated = True
-        stack: List[Tuple[GlobalState, int, int]] = [(initial, initial_hash, 0)]
-        while stack:
-            state, state_hash, depth = stack.pop()
-            if bound is not None and depth >= bound:
-                if enumerate_events(self.protocol, state):
-                    saturated = False
-                continue
-            for event in enumerate_events(self.protocol, state):
-                reason = self._budget_reason(clock, stats)
-                if reason:
-                    result.stop_reason = reason
-                    return len(visited), False
-                successor = self._execute(
-                    state, state_hash, event, parents, result, stats
-                )
-                if successor is None:
-                    continue
-                succ_hash = hash(successor)
-                known_depth = visited.get(succ_hash)
-                if known_depth is not None and known_depth <= depth + 1:
-                    continue
-                visited[succ_hash] = depth + 1
-                parents[succ_hash] = (state_hash, event)
-                if known_depth is None:
-                    stats.global_states += 1
-                    self._check_state(
-                        successor, succ_hash, parents, initial.system, result
-                    )
-                    if result.bugs and self.stop_on_first_bug:
-                        return len(visited), False
-                stack.append((successor, succ_hash, depth + 1))
-        return len(visited), saturated
-
-    # -- shared helpers -----------------------------------------------------------
+    # -- helpers ----------------------------------------------------------------
 
     def _execute(
         self,
@@ -390,25 +285,3 @@ class GlobalModelChecker:
                 return "state budget exhausted"
             return None
         return clock.stop_reason(stats.transitions, stats.global_states)
-
-    def _record_depth(
-        self,
-        series: Optional[DepthSeries],
-        depth: int,
-        clock: BudgetClock,
-        stats: ExplorationStats,
-        retained_hash_bytes: int,
-        frontier: List[GlobalState],
-    ) -> None:
-        if series is None:
-            return
-        metrics = stats.snapshot()
-        # Consumed memory is a high-water mark: the visited-hash table only
-        # grows, and the frontier's peak footprint is what the process had
-        # to hold (Fig. 12 plots "increased memory size").
-        current = retained_hash_bytes + sum(
-            state.retained_bytes() for state in frontier
-        )
-        self._peak_memory = max(getattr(self, "_peak_memory", 0), current)
-        metrics["memory_bytes"] = self._peak_memory
-        series.record(depth, clock.elapsed(), metrics)

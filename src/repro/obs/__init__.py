@@ -1,4 +1,4 @@
-"""Observability: structured tracing, run metrics, and profiling hooks.
+"""Observability: structured tracing, run metrics, and trace reports.
 
 The paper's evaluation is entirely quantitative — 157,332 vs 1,186
 transitions (§5.1), 773 soundness calls at 45 ms average (§5.4), the
@@ -6,13 +6,11 @@ Fig. 10–13 curves — and this package makes the same quantities observable
 on a *live* run instead of only after it ends:
 
 * :mod:`repro.obs.emitter` — :class:`TraceEmitter` streams structured JSONL
-  span/event/metric records to a file, a callback, or memory; the
+  span/event/metric records to a file or to memory; the
   :class:`NullEmitter` default makes every hook a no-op.
 * :mod:`repro.obs.metrics` — :class:`RunMetrics` samples
   :class:`~repro.stats.counters.ExplorationStats`, RSS, and the per-phase
   timers into the depth series and the trace at a configurable cadence.
-* :mod:`repro.obs.profiling` — context-manager timers that feed the
-  Fig. 13 phase buckets and the trace at once.
 * :mod:`repro.obs.report` — loads a trace file back and renders the
   Fig. 13 overhead breakdown and the §5.4 soundness profile as tables
   (the ``repro trace-report`` subcommand).
@@ -32,7 +30,6 @@ See ``docs/OBSERVABILITY.md`` for the record schema and a worked example.
 
 from repro.obs.emitter import (
     NULL_EMITTER,
-    CallbackEmitter,
     JsonlEmitter,
     MemoryEmitter,
     NullEmitter,
@@ -40,13 +37,12 @@ from repro.obs.emitter import (
 )
 from repro.obs.coverage import NULL_COVERAGE, CoverageTracker, render_coverage
 from repro.obs.metrics import RunMetrics, rss_bytes
-from repro.obs.profiling import overhead_breakdown, phase_timer
 from repro.obs.progress import ProgressEstimate, estimate_progress, format_eta
 from repro.obs.registry import RunHandle, RunRecord, RunRegistry
 from repro.obs.report import TraceSummary, load_trace
+from repro.stats.reporting import overhead_breakdown
 
 __all__ = [
-    "CallbackEmitter",
     "CoverageTracker",
     "JsonlEmitter",
     "MemoryEmitter",
@@ -64,7 +60,6 @@ __all__ = [
     "format_eta",
     "load_trace",
     "overhead_breakdown",
-    "phase_timer",
     "render_coverage",
     "rss_bytes",
 ]

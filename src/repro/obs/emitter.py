@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import Any, Callable, Dict, List, Optional, TextIO, Union
+from typing import Any, Dict, List, Optional, TextIO, Union
 
 #: Schema version stamped on the trace header event.
 SCHEMA_VERSION = 2
@@ -331,17 +331,6 @@ class MemoryEmitter(TraceEmitter):
 
     def _write(self, record: Dict[str, Any]) -> None:
         self.records.append(record)
-
-
-class CallbackEmitter(TraceEmitter):
-    """Hands each record dict to a callable (bridges to foreign tracers)."""
-
-    def __init__(self, callback: Callable[[Dict[str, Any]], None]):
-        self._callback = callback
-        super().__init__()
-
-    def _write(self, record: Dict[str, Any]) -> None:
-        self._callback(record)
 
 
 class JsonlEmitter(TraceEmitter):

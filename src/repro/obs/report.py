@@ -27,9 +27,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.obs.profiling import overhead_breakdown
 from repro.obs.progress import ProgressEstimate, estimate_progress, format_eta
-from repro.stats.reporting import format_table
+from repro.stats.reporting import format_table, overhead_breakdown
 
 #: Span names counted into the §5.4 soundness profile.
 _SOUNDNESS_SPANS = ("soundness", "worker_verify")

@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 
 from repro.explore.global_checker import apply_event
 from repro.invariants.base import Invariant
-from repro.model.events import Event
+from repro.model.events import DeliveryEvent, DropEvent, Event
 from repro.model.multiset import FrozenMultiset
 from repro.model.protocol import Protocol
 from repro.model.system_state import GlobalState, SystemState
@@ -55,27 +55,25 @@ def replay_trace(
 ) -> ReplayOutcome:
     """Execute ``trace`` from ``initial_system`` under consuming semantics.
 
-    A delivery is executable only while its message is genuinely in flight;
-    an inexecutable event stops the replay (that is what makes the check
-    meaningful).  Internal no-ops are tolerated — they do not change state,
-    so skipping them preserves the run.
+    A delivery or a drop is executable only while its message is genuinely
+    in flight, and consumes that copy; an inexecutable event stops the replay
+    (that is what makes the check meaningful).  Exceptions a handler raises
+    propagate.  Internal no-ops are tolerated — they do not change state, so
+    skipping them preserves the run.
     """
     state = GlobalState(initial_system, FrozenMultiset())
     executed = 0
     failed_at: Optional[int] = None
     for index, event in enumerate(trace):
-        try:
-            successor = apply_event(protocol, state, event)
-        except (KeyError, Exception) as exc:  # noqa: BLE001 - report, don't mask
-            if isinstance(exc, KeyError):
-                failed_at = index
-                break
-            raise
-        if successor is None:
-            # An internal no-op: harmless, state unchanged.
-            executed += 1
-            continue
-        state = successor
+        if (
+            isinstance(event, (DeliveryEvent, DropEvent))
+            and event.message not in state.network
+        ):
+            # Not enabled: that copy was never sent or is already consumed.
+            failed_at = index
+            break
+        # None is an internal no-op: harmless, state unchanged.
+        state = apply_event(protocol, state, event) or state
         executed += 1
     violates = None
     if invariant is not None:

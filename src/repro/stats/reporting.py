@@ -8,9 +8,12 @@ bench output is stable across environments.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.stats.series import DepthSeries
+
+#: Canonical phase order for Fig. 13-style tables.
+PHASE_ORDER = ("explore", "system_states", "soundness")
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
@@ -68,6 +71,26 @@ def format_depth_series(
     return f"{title}\n{format_table(headers, rows)}"
 
 
+def overhead_breakdown(
+    phase_seconds: Dict[str, float]
+) -> List[Tuple[str, float, float]]:
+    """Fig. 13 shares: ``(phase, seconds, fraction-of-total)`` rows.
+
+    Phases appear in canonical order first, then any extra buckets
+    alphabetically; fractions are of the summed phase time (0.0 when the
+    total is zero).  Negative residue from the checker's compensation
+    arithmetic is clamped at zero seconds.
+    """
+    ordered = [name for name in PHASE_ORDER if name in phase_seconds]
+    ordered += sorted(set(phase_seconds) - set(PHASE_ORDER))
+    rows = [(name, max(0.0, phase_seconds[name])) for name in ordered]
+    total = sum(seconds for _name, seconds in rows)
+    return [
+        (name, seconds, (seconds / total) if total > 0 else 0.0)
+        for name, seconds in rows
+    ]
+
+
 def format_phase_breakdown(phase_seconds: Dict[str, float]) -> str:
     """The Fig. 13 overhead decomposition as a table.
 
@@ -76,8 +99,6 @@ def format_phase_breakdown(phase_seconds: Dict[str, float]) -> str:
     seconds and the share of the summed phase time.  Returns ``""`` when no
     phase was timed, so callers can print it unconditionally.
     """
-    from repro.obs.profiling import overhead_breakdown
-
     rows = [
         (name, seconds, f"{share * 100:.1f}%")
         for name, seconds, share in overhead_breakdown(phase_seconds)

@@ -2,7 +2,8 @@
 
 An invariant that declares ``summary`` lets LMC-GEN check each distinct
 summary tuple once and count the combinations behind it in bulk
-(:func:`repro.core.system_states.enumerate_summarised`).  The contract is
+(:func:`repro.core.system_states.clean_block_size`; an anchor with a
+violating tuple falls back to the walk).  The contract is
 that nothing observable moves: every counter of ``stats.snapshot()``
 (timers excluded), the Fig. 11 depth series, the bug list in order, and
 every witness.  The walked reference is the same invariant with its

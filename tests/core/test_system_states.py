@@ -11,10 +11,10 @@ from repro.core.config import LMCConfig
 from repro.core.records import LocalStateSpace
 from repro.core.system_states import (
     SummaryIndex,
+    clean_block_size,
     combination_to_system_state,
     enumerate_general,
     enumerate_optimized,
-    enumerate_summarised,
 )
 from repro.invariants.base import DecomposableInvariant
 from repro.model.hashing import content_hash
@@ -371,12 +371,12 @@ class TestGroupedIndexEquivalence:
 
 
 class TestSummarisedEquivalence:
-    """``enumerate_summarised`` against the filtered ``enumerate_general``.
+    """``clean_block_size`` then ``enumerate_general``, as the checker runs them.
 
-    Over a ``SummaryIndex`` noted before the discards, like a checker pass's,
-    and arbitrary small spaces: the covered counts add up to the product,
-    the violating combinations come out in the walk's order, and before
-    each one the running count equals the walk's position.
+    Against the plain walk, over a ``SummaryIndex`` noted before the
+    discards, like a checker pass's, and arbitrary small spaces: a clean
+    block covers the whole product, and an anchor with a violating tuple
+    yields the walk's violating combinations at the walk's positions.
     """
 
     @staticmethod
@@ -397,11 +397,13 @@ class TestSummarisedEquivalence:
             return check(combination_to_system_state(combo))
 
         index = index_of(space, ValueAgreement().local_projection)
+        size = clean_block_size(space, anchor_node, anchor, index, holds)
+        if size is not None:
+            return size, [], len(calls)
         position, violating = 0, []
-        for covered, combo in enumerate_summarised(space, anchor_node, anchor, index, holds):
-            position += covered
-            if combo is not None:
-                assert covered == 1
+        for combo in enumerate_general(space, anchor_node, anchor):
+            position += 1
+            if not holds(combo):
                 violating.append((position, combo_keys([combo])[0]))
         return position, violating, len(calls)
 

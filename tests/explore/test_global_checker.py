@@ -56,37 +56,46 @@ class TestEventEnumeration:
 
 
 class TestExhaustiveSearch:
-    @pytest.mark.parametrize("strategy", ["bfs", "dfs"])
-    def test_tree_explores_all_strategies_equally(self, strategy):
-        protocol = TreeProtocol()
-        checker = GlobalModelChecker(
-            protocol, TRUE_INV, strategy=strategy, record_series=False
-        )
-        result = checker.run()
+    def test_tree_explores_every_state(self):
+        result = GlobalModelChecker(TreeProtocol(), TRUE_INV).run()
         assert result.completed
         assert not result.found_bug
         assert result.stats.global_states == 11
 
-    def test_iddfs_completes_with_reexploration_overhead(self):
-        protocol = TreeProtocol()
-        result = GlobalModelChecker(protocol, TRUE_INV, strategy="iddfs").run()
-        assert result.completed
-        # The series reports distinct states per bound; the cumulative stats
-        # count the re-exploration work iterative deepening pays.
-        assert result.series.final().get("global_states") == 11
-        assert result.stats.global_states > 11
-
-    def test_bfs_and_dfs_visit_same_state_count(self):
+    def test_depth_bound_keeps_the_layers_up_to_it(self):
+        # Layer d holds the states first reached in d events, so a depth
+        # bound of d visits exactly the states an unbounded run has seen
+        # when its depth-d layer closes: what a bounded DFS visits.
         protocol = TwoPhaseCommit(3)
-        bfs = GlobalModelChecker(protocol, TRUE_INV, strategy="bfs").run()
-        dfs = GlobalModelChecker(
-            protocol, TRUE_INV, strategy="dfs", record_series=False
-        ).run()
-        assert bfs.stats.global_states == dfs.stats.global_states
+        full = GlobalModelChecker(protocol, TRUE_INV).run()
+        assert full.completed
+        depths = full.series.depths()
+        assert depths == tuple(range(len(depths)))
+        for depth in depths:
+            bounded = GlobalModelChecker(
+                protocol, TRUE_INV, budget=SearchBudget(max_depth=depth)
+            ).run()
+            expected = full.series.at_depth(depth).get("global_states")
+            assert bounded.stats.global_states == expected
+            assert bounded.series.depths() == depths[: depth + 1]
 
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            GlobalModelChecker(TreeProtocol(), TRUE_INV, strategy="zigzag")
+    def test_rerun_series_matches_a_fresh_checker(self):
+        def untimed(result):
+            return [
+                (sample.depth, {
+                    key: value
+                    for key, value in sample.metrics.items()
+                    if not key.startswith("phase_")
+                })
+                for sample in result.series.samples
+            ]
+
+        protocol = TwoPhaseCommit(3)
+        checker = GlobalModelChecker(protocol, TRUE_INV)
+        checker.run()
+        fresh = GlobalModelChecker(protocol, TRUE_INV).run()
+        # memory_bytes is a high-water mark of this run, not of the checker
+        assert untimed(checker.run()) == untimed(fresh)
 
     def test_series_records_depths(self):
         result = GlobalModelChecker(TreeProtocol(), TRUE_INV).run()
@@ -180,13 +189,3 @@ class TestBudgets:
         assert clock.stop_reason(0, 0) is None
         tight = BudgetClock(SearchBudget(max_seconds=0.0))
         assert tight.out_of_time()
-
-
-class TestIterativeDeepening:
-    def test_iddfs_series_grows_monotonically(self):
-        protocol = TreeProtocol()
-        result = GlobalModelChecker(protocol, TRUE_INV, strategy="iddfs").run()
-        assert result.completed
-        states = result.series.column("global_states")
-        assert list(states) == sorted(states)
-        assert states[-1] == 11

@@ -7,7 +7,6 @@ import pytest
 
 from repro.obs.emitter import (
     NULL_EMITTER,
-    CallbackEmitter,
     JsonlEmitter,
     MemoryEmitter,
     NullEmitter,
@@ -195,15 +194,6 @@ class TestJsonlRoundTrip:
             emitter.close()
             assert not handle.closed  # caller-owned handles stay open
         assert len(load_trace(str(path))) == 2
-
-
-class TestCallbackEmitter:
-    def test_callback_receives_each_record(self):
-        seen = []
-        emitter = CallbackEmitter(seen.append)
-        with emitter.span("s"):
-            pass
-        assert [r["kind"] for r in seen] == ["event", "span"]
 
 
 class TestNullEmitter:

@@ -1,13 +1,12 @@
-"""Tests for RunMetrics sampling, profiling helpers, and trace reports."""
+"""Tests for RunMetrics sampling, the Fig. 13 phase breakdown, and trace reports."""
 
 import pytest
 
 from repro.obs.emitter import MemoryEmitter
 from repro.obs.metrics import RunMetrics, rss_bytes
-from repro.obs.profiling import overhead_breakdown, phase_timer
 from repro.obs.report import TraceSummary
 from repro.stats.counters import ExplorationStats
-from repro.stats.reporting import format_phase_breakdown
+from repro.stats.reporting import format_phase_breakdown, overhead_breakdown
 from repro.stats.series import DepthSeries
 
 
@@ -92,30 +91,16 @@ class TestRunMetrics:
         assert rss > 1024 * 1024  # a Python process is at least a MiB
 
 
-class TestPhaseTimer:
-    def test_accumulates_into_stats(self):
+class TestPhaseBuckets:
+    def test_accumulated_buckets_snapshot_and_render(self):
         stats = ExplorationStats()
-        with phase_timer(stats, "soundness"):
-            pass
-        with phase_timer(stats, "soundness"):
-            pass
-        assert stats.phase_seconds["soundness"] >= 0
-        assert len(stats.phase_seconds) == 1
-
-    def test_charges_time_on_exception(self):
-        stats = ExplorationStats()
-        with pytest.raises(RuntimeError):
-            with phase_timer(stats, "explore"):
-                raise RuntimeError
-        assert "explore" in stats.phase_seconds
-
-    def test_emits_span_when_named(self):
-        stats = ExplorationStats()
-        emitter = MemoryEmitter()
-        with phase_timer(stats, "soundness", emitter, span_name="verify", n=3):
-            pass
-        span = next(r for r in emitter.records if r.get("name") == "verify")
-        assert span["fields"] == {"phase": "soundness", "n": 3}
+        stats.add_phase_time("soundness", 1.0)
+        stats.add_phase_time("soundness", 1.0)
+        stats.add_phase_time("explore", 2.0)
+        assert stats.snapshot()["phase_soundness_s"] == pytest.approx(2.0)
+        rows = overhead_breakdown(stats.phase_seconds)
+        assert rows == [("explore", 2.0, 0.5), ("soundness", 2.0, 0.5)]
+        assert "50.0%" in format_phase_breakdown(stats.phase_seconds)
 
 
 class TestOverheadBreakdown:

@@ -1,15 +1,23 @@
 """Tests for the witness-trace replayer."""
 
+import pytest
+
 from repro.core.checker import LocalModelChecker
 from repro.core.config import LMCConfig
 from repro.explore.global_checker import GlobalModelChecker
-from repro.model.events import DeliveryEvent, InternalEvent
+from repro.model.events import DeliveryEvent, DropEvent, InternalEvent
 from repro.model.types import Action, Message
 from repro.protocols.paxos import PaxosAgreement
 from repro.protocols.paxos.scenarios import partial_choice_state, scenario_protocol
 from repro.protocols.tree import Payload, ReceivedImpliesSent, TreeProtocol
-from repro.protocols.twophase import CommitValidity, EagerCommitCoordinator
+from repro.protocols.twophase import (
+    Atomicity,
+    CommitValidity,
+    EagerCommitCoordinator,
+    TimeoutTwoPhaseCommit,
+)
 from repro.replay import replay_trace, trace_to_script, validate_bug
+from tests.core.test_event_pipeline_golden import CASES, _checker
 
 
 class TestReplayTrace:
@@ -39,6 +47,19 @@ class TestReplayTrace:
         assert outcome.failed_at == 0
         assert outcome.executed == 0
 
+    def test_handler_key_error_propagates(self):
+        class LookupFailing(TreeProtocol):
+            def handle_message(self, state, message):
+                raise KeyError("missing routing entry")
+
+        protocol = LookupFailing()
+        trace = (
+            InternalEvent(Action(node=0, name="send")),
+            DeliveryEvent(Message(dest=2, src=0, payload=Payload(final_target=4))),
+        )
+        with pytest.raises(KeyError, match="missing routing entry"):
+            replay_trace(protocol, protocol.initial_system_state(), trace)
+
     def test_empty_trace(self):
         protocol = TreeProtocol()
         outcome = replay_trace(
@@ -66,6 +87,50 @@ class TestValidateBug:
         outcome = validate_bug(protocol, result.first_bug(), invariant)
         assert outcome.complete
         assert outcome.violates
+
+
+class TestDropReplay:
+    """A drop, like a delivery, needs its copy in flight and consumes it."""
+
+    @staticmethod
+    def drop_witness():
+        protocol, invariant = TimeoutTwoPhaseCommit(3), Atomicity()
+        result = LocalModelChecker(
+            protocol, invariant, config=LMCConfig.optimized(drop_faults=True)
+        ).run()
+        bug = result.first_bug()
+        index, drop = next(
+            (i, event) for i, event in enumerate(bug.trace)
+            if isinstance(event, DropEvent)
+        )
+        return protocol, bug, index, drop
+
+    def test_drop_of_a_message_never_sent_stops_replay(self):
+        protocol, bug, _index, drop = self.drop_witness()
+        outcome = replay_trace(protocol, bug.initial_state, (drop,))
+        assert outcome.failed_at == 0
+        assert outcome.executed == 0
+
+    def test_dropped_copy_cannot_then_be_delivered(self):
+        protocol, bug, index, drop = self.drop_witness()
+        forged = bug.trace[: index + 1] + (DeliveryEvent(drop.message),)
+        outcome = replay_trace(protocol, bug.initial_state, forged)
+        assert outcome.failed_at == index + 1
+        assert outcome.executed == index + 1
+
+    def test_every_golden_drop_witness_validates(self):
+        # the fault-on workloads whose witnesses the event-pipeline golden
+        # file pins, at their final depth, collecting every bug
+        witnesses = 0
+        for case, (_scenario, overrides, depths) in sorted(CASES.items()):
+            if not overrides.get("drop_faults"):
+                continue
+            checker = _checker(case, 0, depths[1])
+            for bug in checker.run().bugs:
+                outcome = validate_bug(checker.protocol, bug, checker.invariant)
+                assert outcome.complete and outcome.violates, (case, bug.trace_lines())
+                witnesses += any(isinstance(e, DropEvent) for e in bug.trace)
+        assert witnesses > 0
 
 
 def test_trace_to_script_renders_comments():
