@@ -9,7 +9,7 @@ from repro.explore.global_checker import (
     enumerate_events,
 )
 from repro.invariants.base import PredicateInvariant
-from repro.model.events import DeliveryEvent, InternalEvent
+from repro.model.events import DeliveryEvent, DropEvent, InternalEvent
 from repro.model.multiset import FrozenMultiset
 from repro.model.system_state import GlobalState
 from repro.protocols.chain import ChainOrder, ChainProtocol
@@ -54,19 +54,33 @@ class TestEventEnumeration:
         )
         assert after is not None
 
+    def test_drop_consumes_its_copy_without_delivering(self):
+        protocol = TreeProtocol()
+        state = initial_global(protocol)
+        state = apply_event(protocol, state, enumerate_events(protocol, state)[0])
+        message = next(m for m in state.network.distinct() if m.dest == 2)
+        dropped = apply_event(protocol, state, DropEvent(message))
+        assert message not in dropped.network and dropped.system == state.system
+
 
 class TestExhaustiveSearch:
-    def test_tree_explores_every_state(self):
-        result = GlobalModelChecker(TreeProtocol(), TRUE_INV).run()
+    @pytest.mark.parametrize(
+        "protocol, states",
+        [(TreeProtocol(), 11), (ChainProtocol(4), 5), (TwoPhaseCommit(3), 35)],
+    )
+    def test_explores_every_state(self, protocol, states):
+        result = GlobalModelChecker(protocol, TRUE_INV).run()
         assert result.completed
         assert not result.found_bug
-        assert result.stats.global_states == 11
+        assert result.stats.global_states == states
 
-    def test_depth_bound_keeps_the_layers_up_to_it(self):
+    @pytest.mark.parametrize(
+        "protocol", [TwoPhaseCommit(3), TreeProtocol(), ChainProtocol(4)]
+    )
+    def test_depth_bound_keeps_the_layers_up_to_it(self, protocol):
         # Layer d holds the states first reached in d events, so a depth
         # bound of d visits exactly the states an unbounded run has seen
         # when its depth-d layer closes: what a bounded DFS visits.
-        protocol = TwoPhaseCommit(3)
         full = GlobalModelChecker(protocol, TRUE_INV).run()
         assert full.completed
         depths = full.series.depths()
@@ -82,12 +96,8 @@ class TestExhaustiveSearch:
     def test_rerun_series_matches_a_fresh_checker(self):
         def untimed(result):
             return [
-                (sample.depth, {
-                    key: value
-                    for key, value in sample.metrics.items()
-                    if not key.startswith("phase_")
-                })
-                for sample in result.series.samples
+                (s.depth, {k: v for k, v in s.metrics.items() if not k.startswith("phase_")})
+                for s in result.series.samples
             ]
 
         protocol = TwoPhaseCommit(3)
@@ -104,6 +114,13 @@ class TestExhaustiveSearch:
         assert result.series.max_depth() >= 4
         memory = result.series.column("memory_bytes")
         assert all(m > 0 for m in memory)
+
+    def test_series_columns_never_shrink(self):
+        result = GlobalModelChecker(TwoPhaseCommit(3), TRUE_INV).run()
+        for key in ("global_states", "transitions", "memory_bytes"):
+            column = list(result.series.column(key))
+            assert column == sorted(column), key
+        assert result.series.final().get("global_states") == 35
 
     def test_invariant_holds_on_valid_runs(self):
         result = GlobalModelChecker(TreeProtocol(), ReceivedImpliesSent()).run()
@@ -135,6 +152,16 @@ class TestBugFinding:
             assert state is not None
         assert state.system == bug.violating_state
 
+    def test_first_witness_is_a_shortest_one(self):
+        protocol = EagerCommitCoordinator(3, no_voters=(2,))
+        result = GlobalModelChecker(protocol, CommitValidity()).run()
+        depth = len(result.first_bug().trace)
+        # the partial layer holding the violating state is the last sample
+        assert result.series.max_depth() == depth
+        bound = SearchBudget(max_depth=depth - 1)
+        shallower = GlobalModelChecker(protocol, CommitValidity(), budget=bound).run()
+        assert shallower.completed and not shallower.found_bug
+
     def test_stop_on_first_bug_false_collects_more(self):
         protocol = EagerCommitCoordinator(3, no_voters=(2,))
         eager = GlobalModelChecker(
@@ -161,20 +188,16 @@ class TestBudgets:
         assert bounded.stats.global_states < full.stats.global_states
         assert bounded.stop_reason == "depth bound reached"
 
-    def test_transition_budget_stops_search(self):
-        protocol = TwoPhaseCommit(3)
-        result = GlobalModelChecker(
-            protocol, TRUE_INV, budget=SearchBudget(max_transitions=10)
-        ).run()
+    @pytest.mark.parametrize(
+        "budget, reason",
+        [(SearchBudget(max_transitions=10), "transition"), (SearchBudget(max_states=5), "state")],
+    )
+    def test_budget_stops_search_with_its_series(self, budget, reason):
+        result = GlobalModelChecker(TwoPhaseCommit(3), TRUE_INV, budget=budget).run()
         assert not result.completed
-        assert "transition budget" in result.stop_reason
-
-    def test_state_budget_stops_search(self):
-        protocol = TwoPhaseCommit(3)
-        result = GlobalModelChecker(
-            protocol, TRUE_INV, budget=SearchBudget(max_states=5)
-        ).run()
-        assert not result.completed
+        assert result.stop_reason == f"{reason} budget exhausted"
+        depths = result.series.depths()
+        assert depths and depths == tuple(range(len(depths)))
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):

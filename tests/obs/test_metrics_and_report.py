@@ -121,6 +121,11 @@ class TestOverheadBreakdown:
         assert rows[0] == ("explore", 0.0, 0.0)
         assert rows[1][0] == "zeta"
 
+    def test_obs_reexports_the_reporting_breakdown(self):
+        import repro.obs
+
+        assert repro.obs.overhead_breakdown is overhead_breakdown
+
     def test_empty_and_zero(self):
         assert overhead_breakdown({}) == []
         assert overhead_breakdown({"explore": 0.0})[0][2] == 0.0

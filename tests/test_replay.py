@@ -19,6 +19,10 @@ from repro.protocols.twophase import (
 from repro.replay import replay_trace, trace_to_script, validate_bug
 from tests.core.test_event_pipeline_golden import CASES, _checker
 
+#: The tree origin's send, and the copy it sends to node 2.
+SEND = InternalEvent(Action(node=0, name="send"))
+SENT = Message(dest=2, src=0, payload=Payload(final_target=4))
+
 
 class TestReplayTrace:
     def test_valid_linear_trace(self):
@@ -36,16 +40,19 @@ class TestReplayTrace:
         assert outcome.final_system.get(4).received
         assert outcome.violates is False
 
-    def test_undeliverable_message_stops_replay(self):
+    @pytest.mark.parametrize(
+        "prefix",
+        # not in flight: never sent, or consumed by an earlier delivery
+        [(), (SEND, DeliveryEvent(SENT))],
+        ids=["never-sent", "consumed"],
+    )
+    def test_undeliverable_message_stops_replay(self, prefix):
         protocol = TreeProtocol()
-        trace = (
-            # deliver before anything was sent: the message is not in flight
-            DeliveryEvent(Message(dest=4, src=2, payload=Payload(final_target=4))),
-        )
+        trace = prefix + (DeliveryEvent(SENT),)
         outcome = replay_trace(protocol, protocol.initial_system_state(), trace)
         assert not outcome.complete
-        assert outcome.failed_at == 0
-        assert outcome.executed == 0
+        assert outcome.failed_at == len(prefix)
+        assert outcome.executed == len(prefix)
 
     def test_handler_key_error_propagates(self):
         class LookupFailing(TreeProtocol):
@@ -53,10 +60,7 @@ class TestReplayTrace:
                 raise KeyError("missing routing entry")
 
         protocol = LookupFailing()
-        trace = (
-            InternalEvent(Action(node=0, name="send")),
-            DeliveryEvent(Message(dest=2, src=0, payload=Payload(final_target=4))),
-        )
+        trace = (SEND, DeliveryEvent(SENT))
         with pytest.raises(KeyError, match="missing routing entry"):
             replay_trace(protocol, protocol.initial_system_state(), trace)
 
@@ -88,21 +92,23 @@ class TestValidateBug:
         assert outcome.complete
         assert outcome.violates
 
+    def test_every_global_checker_witness_validates(self):
+        protocol, invariant = EagerCommitCoordinator(3, no_voters=(2,)), CommitValidity()
+        result = GlobalModelChecker(protocol, invariant, stop_on_first_bug=False).run()
+        assert len(result.bugs) > 1
+        for bug in result.bugs:
+            outcome = validate_bug(protocol, bug, invariant)
+            assert outcome.complete and outcome.violates, bug.trace_lines()
+
 
 class TestDropReplay:
     """A drop, like a delivery, needs its copy in flight and consumes it."""
 
     @staticmethod
     def drop_witness():
-        protocol, invariant = TimeoutTwoPhaseCommit(3), Atomicity()
-        result = LocalModelChecker(
-            protocol, invariant, config=LMCConfig.optimized(drop_faults=True)
-        ).run()
-        bug = result.first_bug()
-        index, drop = next(
-            (i, event) for i, event in enumerate(bug.trace)
-            if isinstance(event, DropEvent)
-        )
+        protocol, config = TimeoutTwoPhaseCommit(3), LMCConfig.optimized(drop_faults=True)
+        bug = LocalModelChecker(protocol, Atomicity(), config=config).run().first_bug()
+        index, drop = next((i, e) for i, e in enumerate(bug.trace) if isinstance(e, DropEvent))
         return protocol, bug, index, drop
 
     def test_drop_of_a_message_never_sent_stops_replay(self):
