@@ -57,6 +57,7 @@ as its :class:`~repro.core.event_kinds.EventKind` row prescribes.
 from __future__ import annotations
 
 import time
+from array import array
 from collections import OrderedDict
 from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -477,8 +478,8 @@ class _ExplorationPass:
         self.sweeps = tuple(sweep for sweep in SWEEPS if sweep.active(self))
         #: Sweep cursors by family name, then by node (``local``, ``fault``)
         #: or stored ``seq`` (``drop``); the delivery sweep's ride on the
-        #: stored messages.  Each cursor's ``deferred`` set holds the
-        #: depth-blocked record indexes it passed over — write-only
+        #: stored messages.  Each cursor's ``deferred`` array holds the
+        #: depth-blocked record indexes it passed over, ascending — write-only
         #: bookkeeping in a fixed-bound run, consumed by depth extension
         #: (docs/CHECKPOINTS.md) under :attr:`_reoffer`.
         self.cursors: Dict[str, Dict[object, Cursor]] = {
@@ -714,15 +715,18 @@ class _ExplorationPass:
         which is exactly right for a fixed bound — and exactly wrong for a
         bound that later grows — so blocked indexes are kept in
         ``cursor.deferred`` and, under ``_reoffer`` (depth extension),
-        drained first.  The cursor range is taken *after* the re-offers:
-        records they mint in this store are swept in the same round.
+        drained first: the pending array is handed to :meth:`_offer` and
+        the cursor starts a fresh one, which the pairs still blocked
+        re-enter in the same ascending order.  The cursor range is taken
+        *after* the re-offers: records they mint in this store are swept in
+        the same round, and append past every re-deferred index.
         """
         executions = 0
         records = store.records
-        if self._reoffer and cursor.deferred:
-            executions += self._offer(
-                gate, cursor, records, subject, sorted(cursor.deferred)
-            )
+        pending = cursor.deferred
+        if self._reoffer and pending:
+            cursor.deferred = array("q")
+            executions += self._offer(gate, cursor, records, subject, pending)
         if cursor.cursor < len(records):
             executions += self._offer(
                 gate, cursor, records, subject, range(cursor.cursor, len(records))
@@ -732,28 +736,26 @@ class _ExplorationPass:
     def _offer(self, gate, cursor, records, subject, indexes) -> int:
         """Gate each indexed record and apply the outcome's side effects.
 
-        A pair still depth-blocked stays (or becomes) deferred for a further
-        extension; every other outcome settles the pair for good — skips,
-        spent caps and bound blocks consume-and-drop it, a row executes it.
-        Records minted here are swept in a later round, exactly like states
-        minted by handlers.
+        A pair still depth-blocked is appended to ``cursor.deferred`` for a
+        further extension; every other outcome settles the pair for good —
+        skips, spent caps and bound blocks consume-and-drop it, a row
+        executes it.  ``indexes`` ascend, so the array does too.  Records
+        minted here are swept in a later round, exactly like states minted
+        by handlers.
         """
         executions = 0
         speculator = self._speculator
-        deferred = cursor.deferred
+        defer = cursor.deferred.append
         for index in indexes:
             if index >= cursor.cursor:
                 cursor.cursor = index + 1
-            else:
-                # A re-offer: settled for good unless deferred again below.
-                deferred.discard(index)
             record = records[index]
             outcome = gate(self, record, subject)
             if outcome is DEFER:
                 # Remember when the bound bit, so the pass can report
                 # "depth bound reached" instead of claiming exhaustion.
                 self._blocked_by_depth = True
-                deferred.add(index)
+                defer(index)
                 continue
             if outcome.__class__ is not EventKind:
                 if outcome is SEEN:

@@ -62,6 +62,7 @@ import hashlib
 import json
 import os
 import signal
+from array import array
 from typing import Any, Dict, List, Optional
 
 from repro.core.event_kinds import CURSOR_SWEEPS, Cursor
@@ -396,7 +397,7 @@ def snapshot_pass(
                         "message": table.ref(stored.message, stored.hash),
                         "hash": stored.hash,
                         "cursor": stored.cursor,
-                        "deferred": sorted(stored.deferred),
+                        "deferred": stored.deferred.tolist(),
                         "duplicate": stored.duplicate,
                     }
                     for stored in log[sent:]
@@ -435,7 +436,7 @@ def snapshot_pass(
             if sweep.per_node or cursor.cursor
         ]
         payload["pass"][f"{sweep.name}_deferred"] = [
-            [key, sorted(cursor.deferred)]
+            [key, cursor.deferred.tolist()]
             for key, cursor in cursors
             if sweep.per_node or cursor.deferred
         ]
@@ -446,7 +447,7 @@ def snapshot_pass(
             "messages": sent,
         }
         payload["pass"]["network"]["cursors"] = [
-            [stored.cursor, sorted(stored.deferred)] for stored in log[:sent]
+            [stored.cursor, stored.deferred.tolist()] for stored in log[:sent]
         ]
     payload["values"] = [[value, row] for value, row in table.rows.items()]
     return payload
@@ -525,7 +526,7 @@ def restore_pass(
         for key, position in data[f"{sweep.name}_cursor"]:
             cursors[key] = Cursor(position)
         for key, indexes in data[f"{sweep.name}_deferred"]:
-            cursors[key].deferred = set(indexes)
+            cursors[key].deferred = array("q", indexes)
     pass_._node_max_depth = {node: depth for node, depth in data["node_max_depth"]}
 
     for depth, elapsed_s, metrics in data["series"]:

@@ -25,6 +25,7 @@ the checker's process or in a forked speculation child.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Optional, Tuple
 
@@ -294,16 +295,16 @@ class Cursor:
     The same ``(cursor, deferred)`` shape
     :class:`~repro.network.monotonic.StoredMessage` carries for the
     delivery sweep: ``cursor`` is the index of the next record to offer,
-    ``deferred`` the depth-blocked indexes the cursor passed over — write-
-    only bookkeeping in a fixed-bound run, re-offered by a depth extension
-    (docs/CHECKPOINTS.md).
+    ``deferred`` the depth-blocked indexes the cursor passed over, in
+    ascending order — write-only bookkeeping in a fixed-bound run,
+    re-offered by a depth extension (docs/CHECKPOINTS.md).
     """
 
     __slots__ = ("cursor", "deferred")
 
     def __init__(self, cursor: int = 0):
         self.cursor = cursor
-        self.deferred: set = set()
+        self.deferred = array("q")
 
 
 def _delivery_lanes(p: Any) -> Iterator[Tuple[Any, Any, Any]]:

@@ -43,7 +43,13 @@ class PredecessorLink:
     predecessor.  ``consumed_hash`` is the hash of the delivered message for
     network events and ``None`` for internal events.  ``generated_hashes``
     are the hashes of the messages the handler emitted, in emission order.
+
+    Every transition mints one, so the class declares ``__slots__`` by hand
+    (``dataclass(slots=True)`` needs Python 3.10) and its instances carry
+    no ``__dict__``.
     """
+
+    __slots__ = ("prev_hash", "event", "event_hash", "consumed_hash", "generated_hashes")
 
     prev_hash: Optional[int]
     event: Event
@@ -51,9 +57,10 @@ class PredecessorLink:
     consumed_hash: Optional[int]
     generated_hashes: Tuple[int, ...]
 
-    def identity(self) -> Tuple[Optional[int], int]:
-        """Deduplication key: same predecessor + same event is the same link."""
-        return (self.prev_hash, self.event_hash)
+    def __reduce__(self):
+        # Frozen and slotted: copy and pickle rebuild through __init__
+        # instead of assigning the slots one by one.
+        return (PredecessorLink, tuple(getattr(self, name) for name in self.__slots__))
 
 
 class NodeStateRecord:
@@ -73,7 +80,6 @@ class NodeStateRecord:
         "crashed",
         "crashes",
         "state_size",
-        "_link_keys",
     )
 
     def __init__(
@@ -119,14 +125,18 @@ class NodeStateRecord:
         #: coordinator's memory accounting never re-encodes a shipped state);
         #: computed lazily — and then cached — otherwise.
         self.state_size = state_size
-        self._link_keys: set = set()
 
     def add_predecessor(self, link: PredecessorLink) -> bool:
-        """Record a new way of reaching this state; False if already known."""
-        key = link.identity()
-        if key in self._link_keys:
-            return False
-        self._link_keys.add(key)
+        """Record a new way of reaching this state; False if already known.
+
+        Same predecessor and same event is the same link.  A record has a
+        handful of links (at most 10 on two-proposal Paxos at depth 7), so
+        the check scans them instead of keeping a key set per record.
+        """
+        prev_hash, event_hash = link.prev_hash, link.event_hash
+        for known in self.predecessors:
+            if known.event_hash == event_hash and known.prev_hash == prev_hash:
+                return False
         self.predecessors.append(link)
         return True
 

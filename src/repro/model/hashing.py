@@ -51,9 +51,9 @@ digest with the uncached walk.
 from __future__ import annotations
 
 import dataclasses
-from collections import OrderedDict
+from collections import deque
 from hashlib import blake2b
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Deque, Dict, Iterable, Optional, Tuple
 
 #: Number of bytes of BLAKE2b digest retained.  64 bits keeps hash values in
 #: cheap machine ints while making accidental collisions vanishingly unlikely
@@ -99,10 +99,21 @@ class HashInterner:
     see :func:`content_hash` for the contract that makes that exact.
 
     Both tables hold at most ``capacity`` entries and evict oldest-first.
+    Each is a plain dict beside a deque of its keys in insertion order:
+    eviction pops the deque's left end, O(1), and the tables carry none of
+    an ``OrderedDict``'s per-entry linked-list nodes.
     """
 
     __slots__ = (
-        "capacity", "hits", "value_hits", "misses", "evictions", "_table", "_values"
+        "capacity",
+        "hits",
+        "value_hits",
+        "misses",
+        "evictions",
+        "_table",
+        "_values",
+        "_table_order",
+        "_values_order",
     )
 
     def __init__(self, capacity: int = 1 << 16):
@@ -114,28 +125,37 @@ class HashInterner:
         self.misses = 0
         self.evictions = 0
         # id(value) -> [value, bytes, hash-or-None]
-        self._table: "OrderedDict[int, list]" = OrderedDict()
+        self._table: Dict[int, list] = {}
         # value -> the same entry list the identity table holds for it
-        self._values: "OrderedDict[Any, list]" = OrderedDict()
+        self._values: Dict[Any, list] = {}
+        # Each table's keys, oldest first.
+        self._table_order: Deque[int] = deque()
+        self._values_order: Deque[Any] = deque()
 
     def store(self, value: Any, encoded: bytes) -> None:
         """Insert the encoding of ``value``, evicting the oldest if full."""
-        self._table[id(value)] = [value, encoded, None]
-        if len(self._table) > self.capacity:
-            self._table.popitem(last=False)
-            self.evictions += 1
+        self._file(self._table, self._table_order, id(value), [value, encoded, None])
 
     def store_value(self, entry: list) -> None:
         """File ``entry`` under its value too, evicting the oldest if full."""
-        self._values[entry[0]] = entry
-        if len(self._values) > self.capacity:
-            self._values.popitem(last=False)
-            self.evictions += 1
+        self._file(self._values, self._values_order, entry[0], entry)
+
+    def _file(self, table: dict, order: Deque[Any], key: Any, entry: list) -> None:
+        size = len(table)
+        table[key] = entry
+        if len(table) > size:
+            # A new key; a re-filed one keeps its place, as in an OrderedDict.
+            order.append(key)
+            if len(table) > self.capacity:
+                del table[order.popleft()]
+                self.evictions += 1
 
     def clear(self) -> None:
         """Drop every entry of both tables (counters are cumulative)."""
         self._table.clear()
         self._values.clear()
+        self._table_order.clear()
+        self._values_order.clear()
 
     def __len__(self) -> int:
         return len(self._table)

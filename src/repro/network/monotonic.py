@@ -23,6 +23,7 @@ kept faithful to the knob so its cost can be measured.
 
 from __future__ import annotations
 
+from array import array
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.model.events import Event, event_hash
@@ -41,8 +42,10 @@ class StoredMessage:
     *without executing* because the depth budget blocked the record.  The
     cursor discipline alone would lose those pairs forever; keeping them
     lets a depth-extended run (docs/CHECKPOINTS.md) re-offer exactly the
-    work a larger bound unblocks, instead of re-exploring from scratch.  In
-    a fixed-bound run the set is write-only bookkeeping — nothing in it
+    work a larger bound unblocks, instead of re-exploring from scratch.  The
+    sweep only ever appends an index past every earlier one, so an
+    ``array('q')`` holds them in ascending order at 8 bytes each.  In a
+    fixed-bound run the array is write-only bookkeeping — nothing in it
     ever becomes eligible — so counters and verdicts are unchanged.
 
     ``duplicate`` marks a fault-minted copy admitted by the duplication
@@ -64,7 +67,7 @@ class StoredMessage:
         self.hash = msg_hash
         self.seq = seq
         self.cursor = 0
-        self.deferred: set = set()
+        self.deferred = array("q")
         self.duplicate = False
         self._events: Dict[str, Tuple[Event, int]] = {}
 
@@ -177,7 +180,7 @@ class MonotonicNetwork:
         for message, msg_hash, cursor, deferred, duplicate in entries:
             stored = StoredMessage(message, msg_hash, self._seq)
             stored.cursor = cursor
-            stored.deferred = set(deferred)
+            stored.deferred = array("q", deferred)
             stored.duplicate = duplicate
             self._seq += 1
             self._copies[msg_hash] = self._copies.get(msg_hash, 0) + 1

@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 
 from repro.explore.global_checker import apply_event
 from repro.invariants.base import Invariant
-from repro.model.events import DeliveryEvent, DropEvent, Event
+from repro.model.events import DeliveryEvent, DropEvent, DuplicateEvent, Event
 from repro.model.multiset import FrozenMultiset
 from repro.model.protocol import Protocol
 from repro.model.system_state import GlobalState, SystemState
@@ -56,24 +56,30 @@ def replay_trace(
     """Execute ``trace`` from ``initial_system`` under consuming semantics.
 
     A delivery or a drop is executable only while its message is genuinely
-    in flight, and consumes that copy; an inexecutable event stops the replay
-    (that is what makes the check meaningful).  Exceptions a handler raises
-    propagate.  Internal no-ops are tolerated — they do not change state, so
-    skipping them preserves the run.
+    in flight, and consumes that copy; a duplicate redelivery consumes
+    nothing but needs an executed event to have sent its message, since a
+    network can only copy what it carried.  An inexecutable event stops
+    the replay (that is what makes the check meaningful).  Exceptions a
+    handler raises propagate.  Internal no-ops are tolerated — they do not
+    change state, so skipping them preserves the run.
     """
     state = GlobalState(initial_system, FrozenMultiset())
+    # Every message ever in flight: the network starts empty and only sends
+    # enter it, so this is exactly what the executed events sent.
+    sent: set = set()
     executed = 0
     failed_at: Optional[int] = None
     for index, event in enumerate(trace):
         if (
             isinstance(event, (DeliveryEvent, DropEvent))
             and event.message not in state.network
-        ):
+        ) or (isinstance(event, DuplicateEvent) and event.message not in sent):
             # Not enabled: that copy was never sent or is already consumed.
             failed_at = index
             break
         # None is an internal no-op: harmless, state unchanged.
         state = apply_event(protocol, state, event) or state
+        sent.update(state.network.distinct())
         executed += 1
     violates = None
     if invariant is not None:

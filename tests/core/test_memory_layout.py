@@ -1,0 +1,225 @@
+"""The compact exploration bookkeeping behaves like the containers it replaced.
+
+Three layers keep their data without per-entry Python containers
+(docs/PERFORMANCE.md, "What a node state costs in memory"):
+
+* each sweep lane's depth-deferred record indexes are an append-only
+  ``array('q')``, which must stay strictly ascending — through cold runs
+  and ``extend_depth`` chains, with drop, crash and partition faults — and
+  checkpoint to the same rows the set-based layout wrote;
+* a record's predecessor links are deduplicated by scanning its own links,
+  and the links themselves are slotted;
+* the hash interner's two tables are plain dicts beside a deque of their
+  keys, which must evict exactly what an ``OrderedDict`` evicted.
+"""
+
+import copy
+import hashlib
+import json
+import pickle
+from array import array
+from collections import OrderedDict
+
+import pytest
+
+from repro.core import checker as checker_module
+from repro.core.checkpoint import Checkpointer, load_checkpoint
+from repro.core.event_kinds import CURSOR_SWEEPS
+from repro.core.records import NodeStateRecord, PredecessorLink
+from repro.model.events import InternalEvent
+from repro.model.hashing import HashInterner
+from repro.model.types import Action
+from tests.core.test_event_pipeline_golden import _checker
+
+#: name -> (event-pipeline golden case, the cold run's depth then each
+#: extension's, and per leg the :func:`_row_digest` of its final checkpoint
+#: as the set-based layout — ``sorted(deferred)`` rows — wrote it).
+CHAINS = {
+    "drops": (
+        "2pc_drops",
+        (2, 3, 4, 5, 6),
+        (
+            "0207db718608521770c97bb61a741c11bbbf3e1559d659ebb8c7b70dbf3b72cc",
+            "77988388036736d93c1f33350066fafcb04d694c35552484dfd8e64316ac0068",
+            "80193d79d7aa23f9f1fa4be69c0d50f8cc59a3c7a5b9034e165580c0e98e4ab6",
+            "bf8d681e7eb8fa954a822f291b820b47ce79f327c7a1a7a175c81e6bff3c822a",
+            "fb1e6e063c8907ee34482d4a2e97b599561d9b4f68797b335ec07b887be63deb",
+        ),
+    ),
+    "crashes": (
+        "paxos_crash_per_node_cap",
+        (2, 3, 4, 5),
+        (
+            "6cf96b994b276e9e2599482522dc25257044036ab72682822f627b4358911185",
+            "308a1d6a7131eeffbfc902eba35bbbb55fcd714f79b92edc5559636553bd3872",
+            "753ae516ac35330c0003cfd714bbd3cf1c9caaa28de04bbc08336642cfc63cd2",
+            "21258a0a2f4c656837637f0622745025af54f3951b33c090b393b47c9888f40f",
+        ),
+    ),
+    "partition": (
+        "2pc_partition_healing",
+        (2, 3, 4, 5, 6),
+        (
+            "23de85434385f14755c54b083ddf558bf50c05e7181612b9b5cdd7365589a7d0",
+            "584e6811e4a0c7d611c5127a0fe5e913a6d258a856e12a0ef6e1947f5ec69b36",
+            "7ab7e2a1d240e9e310a6b5780fd994a1967d07ed32bae88e4083bfe2eef432e3",
+            "6b25af3f4baaa15eced808d88901f7515ad416c20665ad482abaa68c8dfe42d6",
+            "739b8a3d3c57948020d60edc0788c44a53822dabcd4b33bd30766cc0a851aca0",
+        ),
+    ),
+    "all_families": (
+        "2pc_all_families",
+        (2, 3, 4, 5, 6),
+        (
+            "39197f89078ac64a5fd4b41fa861ed64e0b6239ebd31dde48971001ea80cd90b",
+            "3093eff0de6cbe9c41e906aec9a57b5a03902e8f8ea5d3a9d5ae5fef87b545b5",
+            "28249fb02d93f2ebeef6c27dd008a2dcd7327ef48ca12d8d8389651468168b07",
+            "0cf041f7bf5faf29188b224f6ee63413faa3204d8c3123ece665d2a840f30238",
+            "92009a40695909cc5700d0fe132f5e59d80397d483399cc11d70ae3c993b69a3",
+        ),
+    ),
+}
+
+
+def _lanes(run_pass):
+    """Every cursor of the pass: the stored messages and the sweep cursors."""
+    yield from run_pass.network.messages_since(0)
+    for sweep in CURSOR_SWEEPS:
+        yield from run_pass.cursors[sweep.name].values()
+
+
+def _row_digest(payload):
+    """SHA-256 of a checkpoint's cursor and deferred rows, every family."""
+    data = payload["pass"]
+    rows = {
+        "messages": [
+            [row["hash"], row["cursor"], row["deferred"]]
+            for row in data["network"]["messages"]
+        ]
+    }
+    for sweep in CURSOR_SWEEPS:
+        for part in ("cursor", "deferred"):
+            key = f"{sweep.name}_{part}"
+            rows[key] = data[key]
+    text = json.dumps(rows, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def run_chain(case, depths, directory):
+    """Cold run at ``depths[0]``, then extend to each later depth; the
+    digest of each leg's final checkpoint, and the deferred entries it
+    held."""
+    digests, held = [], []
+    payload = None
+    for depth in depths:
+        path = str(directory / f"{case}_d{depth}.json")
+        checker = _checker(case, 0, depth, checkpointer=Checkpointer(path))
+        if payload is None:
+            checker.run()
+        else:
+            checker.extend_depth(payload)
+        payload = load_checkpoint(path)
+        digests.append(_row_digest(payload))
+        held.append(
+            sum(len(row["deferred"]) for row in payload["pass"]["network"]["messages"])
+            + sum(
+                len(indexes)
+                for sweep in CURSOR_SWEEPS
+                for _key, indexes in payload["pass"][f"{sweep.name}_deferred"]
+            )
+        )
+    return digests, held
+
+
+@pytest.mark.parametrize("chain", sorted(CHAINS))
+def test_deferred_stays_ascending_and_checkpoints_the_set_based_rows(
+    chain, tmp_path, monkeypatch
+):
+    case, depths, expected = CHAINS[chain]
+    rounds = []
+    sweep_round = checker_module._ExplorationPass._round
+
+    def checked_round(run_pass):
+        executions = sweep_round(run_pass)
+        for lane in _lanes(run_pass):
+            deferred = lane.deferred
+            assert isinstance(deferred, array) and deferred.typecode == "q"
+            assert all(a < b for a, b in zip(deferred, deferred[1:])), list(deferred)
+        rounds.append(run_pass.round_number)
+        return executions
+
+    monkeypatch.setattr(checker_module._ExplorationPass, "_round", checked_round)
+    digests, held = run_chain(case, depths, tmp_path)
+    assert len(rounds) > len(depths)
+    # Each leg before the last still blocks pairs, and each extension both
+    # re-offers them and defers some again.
+    assert all(count > 0 for count in held[:-1])
+    assert digests == list(expected)
+
+
+def _link(prev_hash, event_hash, consumed_hash=None):
+    return PredecessorLink(
+        prev_hash=prev_hash,
+        event=InternalEvent(Action(node=0, name="go")),
+        event_hash=event_hash,
+        consumed_hash=consumed_hash,
+        generated_hashes=(7, 8),
+    )
+
+
+def test_add_predecessor_refuses_a_repeated_link_and_keeps_other_predecessors():
+    record = NodeStateRecord(0, "s", 1, 0, 0, 0, frozenset())
+    assert record.add_predecessor(_link(10, 20))
+    # Same predecessor and event: the same link, whatever else it carries.
+    assert not record.add_predecessor(_link(10, 20))
+    assert not record.add_predecessor(_link(10, 20, consumed_hash=5))
+    # The same event from another predecessor, another event from the same
+    # predecessor, and the seed's predecessor-less link are all new.
+    assert record.add_predecessor(_link(11, 20))
+    assert record.add_predecessor(_link(10, 21))
+    assert record.add_predecessor(_link(None, 20))
+    assert not record.add_predecessor(_link(None, 20))
+    assert [(link.prev_hash, link.event_hash) for link in record.predecessors] == [
+        (10, 20),
+        (11, 20),
+        (10, 21),
+        (None, 20),
+    ]
+
+
+def test_links_are_slotted_frozen_values():
+    link = _link(10, 20)
+    assert not hasattr(link, "__dict__")
+    with pytest.raises(AttributeError):
+        link.prev_hash = 11
+    assert link == _link(10, 20) and hash(link) == hash(_link(10, 20))
+    assert link != _link(10, 21)
+    for twin in (copy.copy(link), copy.deepcopy(link), pickle.loads(pickle.dumps(link))):
+        assert twin == link and twin.generated_hashes == (7, 8)
+
+
+@pytest.mark.parametrize("capacity", [1, 3, 64])
+def test_interner_churn_stays_at_capacity_and_evicts_oldest_first(capacity):
+    interner = HashInterner(capacity=capacity)
+    reference = OrderedDict(), OrderedDict()
+    values = [("value", i) for i in range(20 * capacity)]
+    for value in values:
+        interner.store(value, b"x")
+        entry = interner._table[id(value)]
+        interner.store_value(entry)
+        for table, key in zip(reference, (id(value), value)):
+            table[key] = entry
+            if len(table) > capacity:
+                table.popitem(last=False)
+        # Filing a value again keeps its place, as in an OrderedDict.
+        interner.store_value(entry)
+        assert len(interner._table) == len(interner._table_order) <= capacity
+        assert len(interner._values) == len(interner._values_order) <= capacity
+    assert len(interner._table) == len(interner._values) == capacity
+    assert interner.evictions == 2 * (len(values) - capacity)
+    assert list(interner._table) == list(interner._table_order) == list(reference[0])
+    assert list(interner._values) == list(interner._values_order) == list(reference[1])
+    assert list(interner._values) == values[-capacity:]
+    assert interner.stats()["entries"] == capacity
+    interner.clear()
+    assert not interner._table_order and not interner._values_order

@@ -5,7 +5,7 @@ import pytest
 from repro.core.checker import LocalModelChecker
 from repro.core.config import LMCConfig
 from repro.explore.global_checker import GlobalModelChecker
-from repro.model.events import DeliveryEvent, DropEvent, InternalEvent
+from repro.model.events import DeliveryEvent, DropEvent, DuplicateEvent, InternalEvent
 from repro.model.types import Action, Message
 from repro.protocols.paxos import PaxosAgreement
 from repro.protocols.paxos.scenarios import partial_choice_state, scenario_protocol
@@ -136,6 +136,40 @@ class TestDropReplay:
                 outcome = validate_bug(checker.protocol, bug, checker.invariant)
                 assert outcome.complete and outcome.violates, (case, bug.trace_lines())
                 witnesses += any(isinstance(e, DropEvent) for e in bug.trace)
+        assert witnesses > 0
+
+
+class TestDuplicateReplay:
+    """A duplicate redelivery consumes nothing, but only a message that was
+    sent can be duplicated."""
+
+    def test_duplicate_of_a_message_never_sent_stops_replay(self):
+        protocol = TreeProtocol()
+        forged = (DuplicateEvent(Message(dest=4, src=2, payload=Payload(final_target=4))),)
+        outcome = replay_trace(protocol, protocol.initial_system_state(), forged)
+        assert outcome.failed_at == 0
+        assert outcome.executed == 0
+        assert not outcome.final_system.get(4).received
+
+    def test_duplicate_of_a_consumed_message_replays(self):
+        protocol = TreeProtocol()
+        trace = (SEND, DeliveryEvent(SENT), DuplicateEvent(SENT))
+        outcome = replay_trace(protocol, protocol.initial_system_state(), trace)
+        assert outcome.complete
+        assert outcome.executed == 3
+
+    def test_every_golden_duplicate_witness_validates(self):
+        # the duplicate-fault workloads whose witnesses the event-pipeline
+        # golden file pins, at their final depth, collecting every bug
+        witnesses = 0
+        for case, (_scenario, overrides, depths) in sorted(CASES.items()):
+            if not overrides.get("duplicate_faults"):
+                continue
+            checker = _checker(case, 0, depths[1])
+            for bug in checker.run().bugs:
+                outcome = validate_bug(checker.protocol, bug, checker.invariant)
+                assert outcome.complete and outcome.violates, (case, bug.trace_lines())
+                witnesses += any(isinstance(e, DuplicateEvent) for e in bug.trace)
         assert witnesses > 0
 
 

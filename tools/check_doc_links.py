@@ -19,7 +19,14 @@ Scans the given markdown files (default: docs/*.md and README.md) for:
   the member must exist on that class or a base class defined there
   (methods, class-level names, ``__slots__`` entries and ``self.x``
   attributes count; resolved from the AST, nothing is imported), so a doc
-  cannot keep citing a method a refactor deleted.
+  cannot keep citing a method a refactor deleted;
+* backticked bare CamelCase names (`` `ExplorationStats` ``, `` `Incr` ``)
+  — the name must be a class (or a module-level type alias such as
+  ``Event = Union[...]``) defined under ``src/``, ``tests/`` or
+  ``tools/``, a class defined in one of the doc's own code blocks, or a
+  builtin name, so a doc cannot keep naming a class that was renamed.  A
+  stdlib class is written in full (`` `concurrent.futures.X` ``), which
+  this check does not read.
 
 Exits non-zero listing every violation.
 
@@ -31,6 +38,7 @@ Usage::
 from __future__ import annotations
 
 import ast
+import builtins
 import re
 import sys
 from pathlib import Path
@@ -53,6 +61,14 @@ CODE_REF = re.compile(
 #: Backticked ``Class.member`` tokens, optionally with a call suffix.  Only
 #: checked when ``Class`` is defined under ``src/repro``.
 SYMBOL_REF = re.compile(r"`(_?[A-Z]\w*)\.(\w+)(?:\([^`]*\))?`")
+
+#: Backticked bare CamelCase names: a capital, at least one lowercase
+#: letter, no dots or inner underscores (``LS_n`` and ``SHARD_MIN`` are
+#: notation and constants, not classes).
+CLASS_REF = re.compile(r"`(_?[A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*)`")
+
+#: Class definitions inside a doc's fenced code blocks.
+FENCED_CLASS = re.compile(r"^\s*class\s+(\w+)")
 
 #: Code-ref prefixes that name packages as *imported*, not as checked out:
 #: ``repro/...`` maps to ``src/repro/...``.
@@ -168,13 +184,45 @@ def class_members(root: Path) -> dict:
     return {name: resolve(name) for name in own}
 
 
-def dead_links(path: Path, root: Path, slug_cache: dict, members: dict) -> list:
+def type_names(root: Path) -> set:
+    """Every class and module-level type alias defined under ``src/``,
+    ``tests/`` or ``tools/``, plus every builtin name (``None`` included)."""
+    names = set(dir(builtins))
+    for top in ("src", "tests", "tools"):
+        for source in sorted((root / top).rglob("*.py")):
+            tree = ast.parse(source.read_text(encoding="utf-8"))
+            names.update(n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef))
+            names.update(
+                target.id
+                for node in tree.body
+                if isinstance(node, ast.Assign) and isinstance(node.value, ast.Subscript)
+                for target in node.targets
+                if isinstance(target, ast.Name)
+            )
+    return names
+
+
+def fenced_classes(lines: list) -> set:
+    """Names of the classes defined in a doc's own fenced code blocks."""
+    names: set = set()
+    in_fence = False
+    for line in lines:
+        if line.lstrip().startswith("```"):
+            in_fence = not in_fence
+        elif in_fence:
+            names.update(FENCED_CLASS.findall(line))
+    return names
+
+
+def dead_links(
+    path: Path, root: Path, slug_cache: dict, members: dict, types: set
+) -> list:
     """(line number, problem) pairs for ``path``."""
     found = []
+    lines = path.read_text(encoding="utf-8").splitlines()
+    local_types = fenced_classes(lines)
     in_fence = False
-    for lineno, line in enumerate(
-        path.read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    for lineno, line in enumerate(lines, start=1):
         if line.lstrip().startswith("```"):
             in_fence = not in_fence
             continue
@@ -210,6 +258,9 @@ def dead_links(path: Path, root: Path, slug_cache: dict, members: dict) -> list:
             cls, member = match.groups()
             if cls in members and member not in members[cls]:
                 found.append((lineno, f"dead symbol ref: `{cls}.{member}`"))
+        for name in CLASS_REF.findall(line):
+            if name not in types and name not in local_types:
+                found.append((lineno, f"dead class ref: `{name}`"))
     return found
 
 
@@ -222,19 +273,20 @@ def main(argv: list) -> int:
     broken = 0
     slug_cache: dict = {}
     members = class_members(root)
+    types = type_names(root)
     for path in files:
         if not path.exists():
             print(f"{path}: file not found", file=sys.stderr)
             broken += 1
             continue
-        for lineno, problem in dead_links(path, root, slug_cache, members):
+        for lineno, problem in dead_links(path, root, slug_cache, members, types):
             print(f"{path}:{lineno}: {problem}", file=sys.stderr)
             broken += 1
     if broken:
         print(f"{broken} problem(s)", file=sys.stderr)
         return 1
     print(
-        f"checked {len(files)} file(s): links, anchors, code and symbol refs resolve"
+        f"checked {len(files)} file(s): links, anchors, code, symbol and class refs resolve"
     )
     return 0
 
