@@ -60,7 +60,7 @@ import time
 from array import array
 from collections import OrderedDict
 from itertools import repeat
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.checkpoint import (
     CheckpointError,
@@ -302,10 +302,7 @@ class LocalModelChecker:
                     f"{getattr(self.budget, name)!r}"
                 )
         total_stats, result, run_pass = self._restore(payload)
-        run_pass._reoffer = True
-        # The old bound's blockage is stale under the new bound; the pass
-        # re-learns it from whatever the *new* bound defers.
-        run_pass._blocked_by_depth = False
+        run_pass.begin_extension()
         return self._run_loop(total_stats, result, run_pass)
 
     def _restore(self, payload: Dict[str, object]):
@@ -481,7 +478,7 @@ class _ExplorationPass:
         #: stored messages.  Each cursor's ``deferred`` array holds the
         #: depth-blocked record indexes it passed over, ascending — write-only
         #: bookkeeping in a fixed-bound run, consumed by depth extension
-        #: (docs/CHECKPOINTS.md) under :attr:`_reoffer`.
+        #: (docs/CHECKPOINTS.md), see :meth:`begin_extension`.
         self.cursors: Dict[str, Dict[object, Cursor]] = {
             sweep.name: {} for sweep in CURSOR_SWEEPS
         }
@@ -504,9 +501,12 @@ class _ExplorationPass:
         #: True when this pass was rebuilt from a checkpoint: execute()
         #: then skips seeding (the seeds are among the restored records).
         self._restored = False
-        #: Depth-extension mode: round 1 re-offers every deferred pair the
-        #: old depth bound blocked, then the normal cursor sweeps take over.
-        self._reoffer = False
+        #: Depth extension (:meth:`begin_extension`): the lanes whose
+        #: deferred pairs the old bound blocked and no sweep has re-offered
+        #: yet.  Each is drained the first time it is swept, then leaves.
+        self._reoffer: Set[object] = set()
+        #: This pass extends a checkpointed one (for its whole lifetime).
+        self._extended = False
         # reverify_rejected extension: cached rejected combinations (an LRU
         # ordered dict, bounded by ``REJECTED_CACHE_LIMIT``), indexed by the
         # (node, record index) pairs they contain.  Entry keys are monotone
@@ -708,23 +708,43 @@ class _ExplorationPass:
             self._speculator.end_round()
         return executions
 
+    def begin_extension(self) -> None:
+        """Turn this restored pass into a depth extension of its checkpoint.
+
+        Every lane with deferred pairs is marked for one re-offer.  The old
+        bound's blockage is stale under the new bound; the pass re-learns
+        it from whatever the *new* bound defers.
+        """
+        self._extended = True
+        self._blocked_by_depth = False
+        self._reoffer = {
+            cursor
+            for sweep in self.sweeps
+            for cursor, _store, _subject in sweep.lanes(self)
+            if cursor.deferred
+        }
+
     def _sweep_lane(self, gate, cursor, store, subject) -> int:
         """Offer one lane's subject to the records its cursor has not passed.
 
         The cursor discipline advances past depth-blocked records for good,
         which is exactly right for a fixed bound — and exactly wrong for a
         bound that later grows — so blocked indexes are kept in
-        ``cursor.deferred`` and, under ``_reoffer`` (depth extension),
-        drained first: the pending array is handed to :meth:`_offer` and
-        the cursor starts a fresh one, which the pairs still blocked
-        re-enter in the same ascending order.  The cursor range is taken
-        *after* the re-offers: records they mint in this store are swept in
-        the same round, and append past every re-deferred index.
+        ``cursor.deferred``.  The first sweep of a lane in a depth
+        extension (:meth:`begin_extension`) drains them first: the pending
+        array is handed to :meth:`_offer` and the cursor starts a fresh
+        one, which the pairs still blocked re-enter in the same ascending
+        order.  A record's depth never changes, so a pair still blocked
+        stays blocked for the rest of the pass and is not offered again.
+        The cursor range is taken *after* the re-offers: records they mint
+        in this store are swept in the same round, and append past every
+        re-deferred index.
         """
         executions = 0
         records = store.records
         pending = cursor.deferred
-        if self._reoffer and pending:
+        if pending and self._reoffer and cursor in self._reoffer:
+            self._reoffer.discard(cursor)
             cursor.deferred = array("q")
             executions += self._offer(gate, cursor, records, subject, pending)
         if cursor.cursor < len(records):
@@ -805,7 +825,7 @@ class _ExplorationPass:
                 elif rnd <= end:
                     held = True
         if held and (
-            stored.cursor < len(store) or (self._reoffer and stored.deferred)
+            stored.cursor < len(store) or (self._extended and stored.deferred)
         ):
             self.stats.partition_blocks += 1
             if not permanent:

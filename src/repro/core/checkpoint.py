@@ -463,13 +463,15 @@ def restore_pass(
     through :meth:`LocalModelChecker.resume` / ``extend_depth``, which
     enforce that.  Restores in place: the verifier, metrics and reducer
     objects already bound to the pass's stats/space keep working on the
-    reinstated state.  Each JSON object of the payload decodes once, so the
-    shared rows :func:`load_checkpoint` resolves become shared values.
+    reinstated state.  Each JSON object of the payload decodes once, to the
+    interner's canonical object, so the shared rows :func:`load_checkpoint`
+    resolves become shared values and every restored state and message is
+    canonical, as the execution kernel leaves them.
     """
     if registry is None:
         registry = registry_for_protocol(pass_.checker.protocol)
     data = payload["pass"]
-    # Shared value rows decode once, so restored records share sub-values.
+    # Shared value rows decode once, to canonical objects.
     memo: Dict[int, Any] = {}
 
     for node, store_data in data["stores"]:

@@ -39,7 +39,7 @@ from repro.model.events import (
     RestartEvent,
     event_hash,
 )
-from repro.model.hashing import content_hash_and_size
+from repro.model.hashing import canonical_hash_and_size
 from repro.model.types import LocalAssertionError, NodeId
 
 #: Outcomes of :func:`execute` that produce no successor state: the handler
@@ -112,15 +112,18 @@ def execute(protocol: Any, row: "EventKind", record: Any, subject: Any) -> Any:
         return ASSERT
     if result.is_noop(state):
         return NOOP
-    state_hash, state_size = content_hash_and_size(result.state, by_value=True)
+    # The successor and sends are kept as the interner's canonical objects,
+    # so records and ``I+`` share every equal sub-value.
+    state, state_hash, state_size = canonical_hash_and_size(result.state)
+    sends = [canonical_hash_and_size(message) for message in result.sends]
     return Transition(
         event,
         event_hash(event) if ehash is None else ehash,
-        result.state,
+        state,
         state_hash,
         state_size,
-        result.sends,
-        tuple([content_hash_and_size(m, by_value=True) for m in result.sends]),
+        tuple([send[0] for send in sends]),
+        tuple([send[1:] for send in sends]),
     )
 
 

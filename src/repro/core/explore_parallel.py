@@ -63,6 +63,7 @@ from repro.core.event_kinds import (
     execute,
 )
 from repro.core.pool import ChildFailed, collect, fork, resolve_workers, shutdown_worker_pool
+from repro.model.hashing import canonical
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (checker imports us)
     from repro.core.checker import _ExplorationPass
@@ -331,14 +332,28 @@ class RoundSpeculator:
         if packed == NOOP:
             return NOOP
         state_hash, state_size, ehash, send_info = packed
-        messages = self._messages
+        # A shipped value arrives as a fresh copy: keep the interner's
+        # canonical object instead, as the inline kernel does.  The merge
+        # reads a state only when it is new to the store and a message only
+        # when ``I+`` still admits its hash, so only those are looked up.
+        state = self._states.get(state_hash)
+        store = self._pass.space.store(record.node)
+        if state is not None and store.lookup(state_hash) is None:
+            state = canonical(state)
+        admits = self._pass.network.admits
+        sends = []
+        for msg_hash, _size in send_info:
+            message = self._messages.get(msg_hash)
+            if message is not None and admits(msg_hash):
+                message = canonical(message)
+            sends.append(message)
         return Transition(
             event_of(row, record, subject)[0],
             ehash,
-            self._states.get(state_hash),
+            state,
             state_hash,
             state_size,
-            tuple([messages.get(msg_hash) for msg_hash, _size in send_info]),
+            tuple(sends),
             send_info,
             speculated=True,
         )

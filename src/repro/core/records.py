@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.model.events import Event
-from repro.model.hashing import content_hash, content_size
+from repro.model.hashing import canonical_hash_and_size, content_size
 from repro.model.types import NodeId
 
 #: Deterministic memory model: bytes charged per predecessor link (five
@@ -328,7 +328,7 @@ class LocalStateSpace:
 
     def seed(self, node: NodeId, state: object) -> NodeStateRecord:
         """Install the live/snapshot state of ``node`` (Fig. 9 lines 3-4)."""
-        state_hash = content_hash(state, by_value=True)
+        state, state_hash, _ = canonical_hash_and_size(state)
         record = self.stores[node].add(
             state, state_hash, depth=0, local_depth=0, history=frozenset()
         )

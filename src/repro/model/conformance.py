@@ -8,12 +8,10 @@ interface documents but Python cannot enforce:
   lead to the same node state", or soundness replay breaks);
 * **hashability** — every reachable node state and emitted message is
   content-hashable (the closed immutable vocabulary);
-* **equal implies same encoding** — states, messages and events that
-  compare ``==`` encode to the same bytes (docs/PROTOCOL_GUIDE.md), which is
-  what lets the checkers hash them through the value memo of
-  :mod:`repro.model.hashing`: every digest the memo serves is compared with
-  the uncached reference walk, and dataclasses whose ``==`` ignores an
-  encoded field are named;
+* **exact interning** — every digest the shared interner of
+  :mod:`repro.model.hashing` serves for a state, message or event equals
+  the uncached reference walk's (the interner's cons keys are exact, so a
+  mismatch is a bug in the interner, not in the protocol);
 * **totality** — handlers accept any message without crashing (foreign
   payloads must be no-ops, not exceptions);
 * **stable action enumeration** — ``enabled_actions`` is a pure function of
@@ -33,7 +31,6 @@ checker — it turns silent state-space corruption into a named error.
 
 from __future__ import annotations
 
-import dataclasses
 import pickle
 import random
 from dataclasses import dataclass, field
@@ -41,7 +38,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.invariants.base import Invariant, declares_summary
 from repro.model.events import DeliveryEvent, InternalEvent
-from repro.model.hashing import UnhashableModelValue, content_hash, equality_gap
+from repro.model.hashing import UnhashableModelValue, content_hash
 from repro.model.protocol import Protocol
 from repro.model.system_state import SystemState
 from repro.model.types import LocalAssertionError, Message
@@ -75,42 +72,6 @@ class ConformanceReport:
         return "\n".join(lines)
 
 
-def _equality_gaps(value: Any, seen: Set[type]) -> Iterator[str]:
-    """:func:`equality_gap` of every dataclass type in ``value`` not yet seen."""
-    if isinstance(value, (tuple, frozenset)):
-        for item in value:
-            yield from _equality_gaps(item, seen)
-    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
-        if type(value) not in seen:
-            seen.add(type(value))
-            gap = equality_gap(type(value))
-            if gap is not None:
-                yield gap
-        for spec in dataclasses.fields(value):
-            yield from _equality_gaps(getattr(value, spec.name), seen)
-
-
-def _divergence(value: Any, twin: Any, where: str = "") -> str:
-    """Where two ``==`` values encode differently, as ``Class.field: a vs b``."""
-
-    def differ(a: Any, b: Any) -> bool:
-        return content_hash(a, intern=False) != content_hash(b, intern=False)
-
-    if dataclasses.is_dataclass(value) and type(twin) is type(value):
-        for spec in dataclasses.fields(value):
-            a, b = getattr(value, spec.name), getattr(twin, spec.name)
-            if differ(a, b):
-                return _divergence(a, b, f"{type(value).__qualname__}.{spec.name}")
-    elif isinstance(value, tuple) and isinstance(twin, tuple):
-        for index, (a, b) in enumerate(zip(value, twin)):
-            if differ(a, b):
-                return _divergence(a, b, f"{where}[{index}]")
-    return (
-        f"{where or type(value).__qualname__}: {value!r} ({type(value).__name__}) "
-        f"vs {twin!r} ({type(twin).__name__})"
-    )
-
-
 def check_protocol(
     protocol: Protocol,
     max_states: int = 2000,
@@ -131,8 +92,6 @@ def check_protocol(
     seen_hashes: dict = {node: set() for node in protocol.node_ids()}
     messages: List[Message] = []
     message_hashes: Set[int] = set()
-    first_equal: Dict[Any, Any] = {}  # value -> first admitted value == to it
-    classes_seen: Set[type] = set()
 
     def note(problem: str) -> None:
         if len(report.problems) < max_problems and problem not in report.problems:
@@ -140,19 +99,10 @@ def check_protocol(
 
     def exact_hash(value: Any, context: str) -> int:
         """The reference digest of ``value``, after validating that the
-        value memo serves the same one and that ``==`` sees every field."""
+        interner serves the same one."""
         exact = content_hash(value, intern=False)
-        for gap in _equality_gaps(value, classes_seen):
-            note(f"{context}: {gap}, so == ignores part of what is hashed")
-        try:
-            twin = first_equal.setdefault(value, value)
-        except TypeError:  # unhashable by Python: the memo never sees it
-            twin = value
-        if content_hash(value, by_value=True) != exact:
-            note(
-                f"{context}: equal values encode differently, "
-                f"{_divergence(value, twin)}"
-            )
+        if content_hash(value) != exact:
+            note(f"{context}: the interned digest of {value!r} differs from the walk's")
         return exact
 
     def admit_state(node: int, state: Any) -> None:

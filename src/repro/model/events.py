@@ -176,10 +176,10 @@ def event_hash(event: Event) -> int:
     pointers", §4.2).  This module hashes the full event value; the hash of a
     delivery event therefore coincides for duplicate sends of an equal
     message, exactly as in the paper's prototype.  Checkers mint a fresh
-    event object per execution, so repeat hashes are answered by the value
-    memo in :mod:`repro.model.hashing` without re-encoding.
+    event object per execution; the interner in :mod:`repro.model.hashing`
+    answers a repeat by its cons key without re-encoding.
     """
-    return content_hash(event, by_value=True)
+    return content_hash(event)
 
 
 def message_hashes(messages: Tuple[Message, ...]) -> Tuple[int, ...]:
@@ -188,9 +188,9 @@ def message_hashes(messages: Tuple[Message, ...]) -> Tuple[int, ...]:
     These are the values stored next to each predecessor pointer so the
     soundness replay can maintain its generated-message set ``net`` with
     integer operations only.  Handlers re-send equal messages as fresh
-    objects along many interleavings; the value memo in
+    objects along many interleavings; the interner in
     :mod:`repro.model.hashing` encodes each distinct one once.
     """
     if not messages:
         return ()
-    return tuple(content_hash(message, by_value=True) for message in messages)
+    return tuple(content_hash(message) for message in messages)

@@ -15,45 +15,60 @@ Interning
 ---------
 
 Every handler result is hashed, every send is hashed into ``I+``, every
-event hash walks the message it wraps.  Model values are immutable and
-heavily shared by identity — protocol handlers build successor states with
-``dataclasses.replace``, so an unchanged sub-state is the *same object* in
-thousands of encoded values.  :class:`HashInterner` therefore keeps, per
-tuple, frozenset and dataclass object, the encoded bytes plus the digest
-once one is asked for, in an identity table the walk consults at every
-composite: a hit on a nested sub-state skips the entire sub-walk.
+event hash walks the message it wraps, and most of those values are fresh
+objects equal to one already hashed: a handler re-derives a state, or
+re-sends a message, that another interleaving produced before.
+:class:`HashInterner` hash-conses them.  It keeps one entry per *distinct*
+tuple, frozenset and dataclass value: a canonical object, its canonical
+bytes and, once asked for, its digest.
 
-The table holds at most ``capacity`` entries, evicts the oldest first (a hit
-does not refresh an entry), and keys by ``id``; entries keep a strong
-reference to their value, so a cached id can never be recycled while its
-entry is alive.  Values containing ``dict``s (accepted read-only for
-encoding convenience) are never cached, because a mutation would go
-undetected.  Interning changes *nothing* about hash values: the cached bytes
-are exactly what the uncached walk (``intern=False``) produces, a property
+A value is looked up in two steps.  The identity table maps the ``id`` of
+each canonical object to its entry, so a canonical object (and each of its
+canonical sub-objects) is answered with one dict probe.  On an identity
+miss, the cons table is keyed by the value's class and its *pieces*, one
+per field or item: a child's canonical entry (itself found the same way,
+and hashed by identity), an exact ``int`` or ``str``, ``None``, or — for a
+``bool``, a ``float``, ``bytes`` and subclasses of the primitives — the
+child's own canonical encoding (with its class, for a subclass), so
+``True``, ``1`` and ``1.0`` are three different pieces.  A frozenset's
+pieces form a frozenset.  The key is exact: two values have the same key
+exactly when they have the same type structure and encoding, so a probe
+walks only the fresh spine of a value, never calls a model value's
+``__hash__`` or ``__eq__``, and needs no contract from the protocol.  Only
+a new value pays for its encoding, which joins its children's canonical
+bytes, and it becomes canonical itself — or, if some child was a fresh
+object equal to a canonical one, a copy built around the canonical
+children does.
+
+:func:`canonical_hash_and_size` and :func:`canonical` hand out the canonical
+object.  The checker stores that object instead of the handler's: the
+execution kernel, seeding, checkpoint decoding and the parallel merge all
+substitute it, so records and ``I+`` share sub-objects with one another and
+with the interner, and later walks over them hit the identity table.
+
+The tables hold at most ``capacity`` entries and evict the oldest first (a
+hit does not refresh an entry).  Entries pin their canonical object, so a
+cached ``id`` can never be recycled while its entry is alive, and a parent
+entry's key pins its children's entries.  A value containing a ``dict``
+(accepted read-only for encoding convenience), a subclass of ``tuple`` or
+``frozenset``, or a frozenset with two elements that encode alike is never
+cached: they are walked every time and poison their ancestors.  Interning
+changes *nothing* about hash values: the cached bytes are exactly what the
+uncached walk (``intern=False``) produces, a property
 ``tests/model/test_hash_interning.py`` checks against arbitrary values and
-``tests/model/golden/encodings.json`` pins byte for byte.
-
-Identity cannot help with the checker's commonest case: a handler re-derives
-a state, or re-sends a message, that *equals* one already encoded but is a
-fresh object (on two-proposal Paxos, 91% of the values the checker hashes).
-For those the interner keeps a second table keyed by the value itself —
-Python's own ``__hash__``/``__eq__``, which short-cut on shared sub-objects
-— consulted only by ``content_hash(value, by_value=True)`` after an identity
-miss; it shares ``capacity`` and the oldest-first eviction.  ``==`` is
-coarser than the encoding (``True == 1 == 1.0``), so the probe is exact only
-for values whose equality implies equal encodings; that is a contract on
-protocol values (docs/PROTOCOL_GUIDE.md), which is why the keyword is passed
-where a value came out of a protocol handler and nowhere else, and why
-:func:`repro.model.conformance.check_protocol` re-derives every memoised
-digest with the uncached walk.
+interleavings of them, and ``tests/model/golden/encodings.json`` pins byte
+for byte.
 """
 
 from __future__ import annotations
 
+import builtins
 import dataclasses
 from collections import deque
 from hashlib import blake2b
-from typing import Any, Deque, Dict, Iterable, Optional, Tuple
+from operator import attrgetter
+from types import CodeType, FunctionType
+from typing import Any, Callable, Deque, Dict, Iterable, Iterator, Optional, Tuple
 
 #: Number of bytes of BLAKE2b digest retained.  64 bits keeps hash values in
 #: cheap machine ints while making accidental collisions vanishingly unlikely
@@ -84,94 +99,100 @@ class UnhashableModelValue(TypeError):
     """
 
 
+class _Entry:
+    """One distinct value: its canonical object, canonical bytes and digest.
+
+    Hashed and compared by identity, so an entry can stand for its value
+    inside a parent's cons key.
+    """
+
+    __slots__ = ("value", "encoded", "digest")
+
+    def __init__(self, value: Any, encoded: bytes):
+        self.value = value
+        self.encoded = encoded
+        self.digest: Optional[int] = None
+
+
 class HashInterner:
-    """Identity-keyed cache of canonical encodings, plus a value memo.
+    """Hash-consing table of model values: one entry per distinct value.
 
-    One entry per cached *object* (not per equal value): the key is
-    ``id(value)`` and the entry pins the value alive, so identity is stable
-    for exactly as long as the entry exists.  Stores the canonical bytes
-    and — once requested — the BLAKE2b digest, so ``content_hash`` +
-    ``content_size`` on the same object cost one walk.
-
-    The value memo maps a value *itself* (``__hash__``/``__eq__``) to the
-    entry of the first equal object encoded, so a fresh-but-equal object is
-    answered without a walk.  Only ``by_value=True`` calls read or fill it;
-    see :func:`content_hash` for the contract that makes that exact.
-
-    Both tables hold at most ``capacity`` entries and evict oldest-first.
-    Each is a plain dict beside a deque of its keys in insertion order:
-    eviction pops the deque's left end, O(1), and the tables carry none of
-    an ``OrderedDict``'s per-entry linked-list nodes.
+    ``_table`` maps ``id(canonical object)`` to its entry; ``_cons`` maps
+    the value's key — its class and pieces (module docstring) — to the same
+    entry; ``_order`` holds the keys oldest first, so eviction pops its
+    left end in O(1).  Both dicts hold exactly the live entries.
     """
 
     __slots__ = (
         "capacity",
-        "hits",
-        "value_hits",
+        "identity_hits",
+        "cons_hits",
         "misses",
         "evictions",
         "_table",
-        "_values",
-        "_table_order",
-        "_values_order",
+        "_cons",
+        "_order",
     )
 
     def __init__(self, capacity: int = 1 << 16):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self.hits = 0
-        self.value_hits = 0
+        #: Answers by the identity table (a canonical object) and by the
+        #: cons table (a fresh object equal to a known value).
+        self.identity_hits = 0
+        self.cons_hits = 0
         self.misses = 0
         self.evictions = 0
-        # id(value) -> [value, bytes, hash-or-None]
-        self._table: Dict[int, list] = {}
-        # value -> the same entry list the identity table holds for it
-        self._values: Dict[Any, list] = {}
-        # Each table's keys, oldest first.
-        self._table_order: Deque[int] = deque()
-        self._values_order: Deque[Any] = deque()
+        self._table: Dict[int, _Entry] = {}
+        self._cons: Dict[tuple, _Entry] = {}
+        self._order: Deque[tuple] = deque()
 
-    def store(self, value: Any, encoded: bytes) -> None:
-        """Insert the encoding of ``value``, evicting the oldest if full."""
-        self._file(self._table, self._table_order, id(value), [value, encoded, None])
+    def _file(self, key: tuple, value: Any, encoded: bytes) -> _Entry:
+        """Enter a new value with canonical object ``value``."""
+        entry = _Entry(value, encoded)
+        self._table[id(value)] = entry
+        self._cons[key] = entry
+        self._order.append(key)
+        self.misses += 1
+        if len(self._cons) > self.capacity:
+            oldest = self._cons.pop(self._order.popleft())
+            del self._table[id(oldest.value)]
+            self.evictions += 1
+        return entry
 
-    def store_value(self, entry: list) -> None:
-        """File ``entry`` under its value too, evicting the oldest if full."""
-        self._file(self._values, self._values_order, entry[0], entry)
+    def is_canonical(self, value: Any) -> bool:
+        """True when ``value`` is the canonical object of a live entry."""
+        entry = self._table.get(id(value))
+        return entry is not None and entry.value is value
 
-    def _file(self, table: dict, order: Deque[Any], key: Any, entry: list) -> None:
-        size = len(table)
-        table[key] = entry
-        if len(table) > size:
-            # A new key; a re-filed one keeps its place, as in an OrderedDict.
-            order.append(key)
-            if len(table) > self.capacity:
-                del table[order.popleft()]
-                self.evictions += 1
+    def entries(self) -> Iterator[Tuple[Any, bytes]]:
+        """``(canonical object, canonical bytes)`` per entry, oldest first."""
+        for entry in self._cons.values():
+            yield entry.value, entry.encoded
 
     def clear(self) -> None:
-        """Drop every entry of both tables (counters are cumulative)."""
+        """Drop every entry (counters are cumulative)."""
         self._table.clear()
-        self._values.clear()
-        self._table_order.clear()
-        self._values_order.clear()
+        self._cons.clear()
+        self._order.clear()
 
     def __len__(self) -> int:
-        return len(self._table)
+        return len(self._cons)
 
     def stats(self) -> Dict[str, int]:
         """Cumulative hit/miss/eviction counters plus the current size.
 
-        ``hits`` counts every call answered without a walk; ``value_hits``
-        is the part of it the value memo answered.
+        A miss files a new value; every other answer is a hit, and
+        ``value_hits`` is the part of them the cons table answered for a
+        fresh object.
         """
         return {
-            "hits": self.hits,
-            "value_hits": self.value_hits,
+            "hits": self.identity_hits + self.cons_hits,
+            "value_hits": self.cons_hits,
             "misses": self.misses,
             "evictions": self.evictions,
-            "entries": len(self._table),
+            "entries": len(self._cons),
             "capacity": self.capacity,
         }
 
@@ -204,14 +225,18 @@ def interning_enabled() -> bool:
     return _DEFAULT_INTERNER is not None
 
 
+def default_interner() -> Optional[HashInterner]:
+    """The shared interner, or None when interning is off."""
+    return _DEFAULT_INTERNER
+
+
 def intern_stats() -> Dict[str, int]:
     """Counters of the shared interner (zeros when interning is off).
 
     These are the cache hit/miss figures the benchmark harness (``bench/``)
     records and the checker emits as a ``hash_cache`` trace event
-    (docs/OBSERVABILITY.md);
-    a live interner also reports ``value_hits``, the share of ``hits`` its
-    value memo answered.
+    (docs/OBSERVABILITY.md); a live interner also reports ``value_hits``,
+    the share of ``hits`` its cons table answered.
     """
     if _DEFAULT_INTERNER is None:
         return {"hits": 0, "misses": 0, "evictions": 0, "entries": 0, "capacity": 0}
@@ -227,127 +252,89 @@ def _len4(n: int) -> bytes:
 
 
 #: Per-dataclass-class encoding header (tag + qualname + field count),
-#: field-name tuple, and whether instances may be interned.  A dataclass's
-#: fields are fixed at class creation, so this is computed once per class
-#: instead of per instance.
-_DATACLASS_INFO: Dict[type, Tuple[bytes, Tuple[str, ...], bool]] = {}
+#: field names, and a getter returning the field values as a tuple.  A
+#: dataclass's fields are fixed at class creation, so this is computed once
+#: per class instead of per instance.
+_DATACLASS_INFO: Dict[type, Tuple[bytes, Tuple[str, ...], Callable[[Any], tuple]]] = {}
 
 
-def equality_gap(cls: type) -> Optional[str]:
-    """Why ``==`` on dataclass ``cls`` may hold between different encodings.
-
-    Every field is encoded, so a class compared by identity (``eq=False``)
-    or with a ``compare=False`` field breaks the value memo's contract
-    (:func:`content_hash`).  Returns the reason, naming the field, or None.
-    """
-    if not cls.__dataclass_params__.eq:
-        return f"{cls.__qualname__} is declared eq=False"
-    for field in dataclasses.fields(cls):
-        if not field.compare:
-            return f"{cls.__qualname__}.{field.name} is declared compare=False"
-    return None
-
-
-def _dataclass_info(cls: type) -> Tuple[bytes, Tuple[str, ...], bool]:
-    fields = dataclasses.fields(cls)
-    name = cls.__qualname__.encode("utf-8")
-    # A class with an equality gap is never interned (like a dict, it
-    # poisons its ancestors), which keeps it out of the value memo.
+def _dataclass_info(cls: type) -> Tuple[bytes, Tuple[str, ...], Callable[[Any], tuple]]:
+    names = tuple(field.name for field in dataclasses.fields(cls))
+    encoded_name = cls.__qualname__.encode("utf-8")
+    if len(names) > 1:
+        fields = attrgetter(*names)
+    elif names:
+        get = attrgetter(names[0])
+        fields = lambda value: (get(value),)  # noqa: E731
+    else:
+        fields = lambda value: ()  # noqa: E731
     info = _DATACLASS_INFO[cls] = (
-        _TAG_DATACLASS + _len4(len(name)) + name + _len4(len(fields)),
-        tuple(field.name for field in fields),
-        equality_gap(cls) is None,
+        _TAG_DATACLASS + _len4(len(encoded_name)) + encoded_name + _len4(len(names)),
+        names,
+        fields,
     )
     return info
 
 
-def _encode(value: Any, out: bytearray, interner: Optional[HashInterner]) -> bool:
-    """Append the canonical encoding of ``value``; returns cacheability.
+def _is_dataclass_instance(value: Any) -> bool:
+    return dataclasses.is_dataclass(value) and not isinstance(value, type)
 
-    A subtree is cacheable unless it contains a ``dict`` (the one accepted
-    type that is mutable) or a dataclass with an :func:`equality_gap`;
-    non-cacheable subtrees are encoded but never stored, and they poison
-    their ancestors' cacheability.
 
-    Exact-type checks for the common primitives come first (this function
-    dominates checker profiles), then the interned composites — exact
-    ``tuple`` and ``frozenset`` and dataclasses, looked up in and stored to
-    ``interner`` when one is given.  Subclasses and rarer types go to
-    :func:`_encode_other`, whose ``isinstance`` order defines the encoding.
+def _encode(value: Any, out: bytearray) -> None:
+    """Append the canonical encoding of ``value``: the uncached walk.
+
+    Exact-type checks for the common primitives come first, then the
+    composites.  Subclasses and rarer types go to :func:`_encode_other`,
+    whose ``isinstance`` order defines the encoding.
     """
     cls = value.__class__
     if cls is int:
         body = b"%d" % value
         out += _TAG_INT + _len4(len(body)) + body
-        return True
-    if cls is str:
+    elif cls is str:
         body = value.encode("utf-8")
         out += _TAG_STR + _len4(len(body)) + body
-        return True
-    if value is None:
+    elif value is None:
         out += _TAG_NONE
-        return True
-    if cls is bool:
+    elif cls is bool:
         out += _TAG_TRUE if value else _TAG_FALSE
-        return True
-    if cls is not tuple and cls is not frozenset:
+    elif cls is tuple:
+        _encode_tuple(value, out)
+    elif cls is frozenset:
+        _encode_frozenset(value, out)
+    else:
         info = _DATACLASS_INFO.get(cls)
         if info is None:
-            if not dataclasses.is_dataclass(value) or isinstance(value, type):
-                return _encode_other(value, out, interner)
+            if not _is_dataclass_instance(value):
+                _encode_other(value, out)
+                return
             info = _dataclass_info(cls)
-    if interner is not None:
-        entry = interner._table.get(id(value))
-        # ``entry[0] is not value`` can only happen if a caller broke the
-        # immutability contract badly enough to free a cached object; treat
-        # it as a miss rather than serve foreign bytes.
-        if entry is not None and entry[0] is value:
-            interner.hits += 1
-            out += entry[1]
-            return True
-        interner.misses += 1
-    start = len(out)
-    if cls is tuple:
-        cacheable = _encode_tuple(value, out, interner)
-    elif cls is frozenset:
-        cacheable = _encode_frozenset(value, out, interner)
-    else:
-        header, field_names, cacheable = info
-        out += header
-        for name in field_names:
-            cacheable &= _encode(getattr(value, name), out, interner)
-    if cacheable and interner is not None:
-        interner.store(value, bytes(out[start:]))
-    return cacheable
+        out += info[0]
+        for item in info[2](value):
+            _encode(item, out)
 
 
-def _encode_tuple(value: tuple, out: bytearray, interner: Optional[HashInterner]) -> bool:
+def _encode_tuple(value: tuple, out: bytearray) -> None:
     out += _TAG_TUPLE + _len4(len(value))
-    cacheable = True
     for item in value:
-        cacheable &= _encode(item, out, interner)
-    return cacheable
+        _encode(item, out)
 
 
-def _encode_frozenset(
-    value: frozenset, out: bytearray, interner: Optional[HashInterner]
-) -> bool:
+def _encode_frozenset(value: frozenset, out: bytearray) -> None:
     # Sets are unordered: encode elements individually and sort the
     # encodings so equal sets encode equally.
-    cacheable = True
     pieces = []
     for item in value:
         piece = bytearray()
-        cacheable &= _encode(item, piece, interner)
+        _encode(item, piece)
         pieces.append(piece)
     pieces.sort()
     out += _TAG_FROZENSET + _len4(len(pieces))
     out += b"".join(pieces)
-    return cacheable
 
 
-def _encode_other(value: Any, out: bytearray, interner: Optional[HashInterner]) -> bool:
-    """Subclasses and rare types, never interned themselves.
+def _encode_other(value: Any, out: bytearray) -> None:
+    """Subclasses and rare types.
 
     The ``isinstance`` order is the definition of the encoding — an ``int``
     subclass such as an ``IntEnum`` member encodes as an int, a namedtuple
@@ -366,9 +353,9 @@ def _encode_other(value: Any, out: bytearray, interner: Optional[HashInterner]) 
     elif isinstance(value, bytes):
         out += _TAG_BYTES + _len4(len(value)) + value
     elif isinstance(value, tuple):
-        return _encode_tuple(value, out, interner)
+        _encode_tuple(value, out)
     elif isinstance(value, frozenset):
-        return _encode_frozenset(value, out, interner)
+        _encode_frozenset(value, out)
     elif isinstance(value, dict):
         # Mappings are accepted read-only for convenience in *encoding* (for
         # example a frozen dataclass exposing a derived dict); model states
@@ -382,14 +369,317 @@ def _encode_other(value: Any, out: bytearray, interner: Optional[HashInterner]) 
             ) from exc
         out += _TAG_MAPPING + _len4(len(items))
         for key, item in items:
-            _encode(key, out, interner)
-            _encode(item, out, interner)
-        return False
+            _encode(key, out)
+            _encode(item, out)
     else:
         raise UnhashableModelValue(
             f"unsupported type {type(value).__name__!r} in model value: {value!r}"
         )
-    return True
+
+
+def _walk(value: Any) -> bytes:
+    out = bytearray()
+    _encode(value, out)
+    return bytes(out)
+
+
+# -- hash-consing ------------------------------------------------------------------
+#
+# Each dataclass class and each tuple length up to ``_UNROLLED`` gets a cons
+# function from generated code: it reads the fields, turns each into its
+# piece and probes the cons table, with no loop and no function call for a
+# primitive or a canonical child.  Only a fresh child (a recursive probe)
+# and a new value (``_new``) cost a call.  The code is compiled once per
+# shape — field count, and tuple or dataclass — and each class binds its
+# own globals to it.  Frozensets and longer tuples take a loop.
+
+#: The block of a generated cons function that turns field ``{v}`` into
+#: piece ``{p}``; ``return None`` makes the whole value uncacheable.
+_PIECE_SOURCE = """
+    kind = {v}.__class__
+    if kind is int or kind is str or {v} is None:
+        {p} = {v}
+    elif kind is bool:
+        {p} = TRUE if {v} else FALSE
+    else:
+        {p} = table.get(id({v}))
+        if {p} is None or {p}.value is not {v}:
+            cons = CONS.get(kind)
+            {p} = cons({v}, interner) if cons is not None else child({v}, interner)
+            if {p} is None:
+                return None
+"""
+
+#: Exact class of a tuple, frozenset or dataclass -> its cons function:
+#: ``(value, interner) -> entry``, called after an identity miss, ``None``
+#: when the value is uncacheable.
+_CONS: Dict[type, Callable[[Any, HashInterner], Optional[_Entry]]] = {}
+
+
+#: ``(field count, tuple?)`` -> the code of the generated cons functions
+#: of that shape; each class binds its own ``cls`` and field getter to it.
+_CONS_CODE: Dict[Tuple[int, bool], CodeType] = {}
+
+
+def _cons_function(cls: type, arity: int, fields: Optional[Callable]) -> Callable:
+    """A cons function for ``cls``, whose values have ``arity`` fields,
+    returned as a tuple by ``fields`` (``None``: the value is a tuple, its
+    own fields)."""
+    shape = (arity, fields is None)
+    code = _CONS_CODE.get(shape)
+    if code is None:
+        values = "".join(f"v{i}, " for i in range(arity))
+        pieces = "".join(f" p{i}," for i in range(arity))
+        unpack = f"    {values}= {'value' if fields is None else 'FIELDS(value)'}\n"
+        source = (
+            "def cons(value, interner):\n"
+            + (unpack if arity else "")
+            + "    table = interner._table\n"
+            + "".join(_PIECE_SOURCE.format(v=f"v{i}", p=f"p{i}") for i in range(arity))
+            + f"    key = (cls,{pieces})\n"
+            "    entry = interner._cons.get(key)\n"
+            "    if entry is None:\n"
+            "        return new(value, key, interner)\n"
+            "    interner.cons_hits += 1\n"
+            "    return entry\n"
+        )
+        namespace: Dict[str, Any] = {}
+        exec(compile(source, f"<cons {arity} fields>", "exec"), namespace)
+        code = _CONS_CODE[shape] = namespace["cons"].__code__
+    bound = dict(
+        cls=cls, FIELDS=fields, TRUE=_TAG_TRUE, FALSE=_TAG_FALSE, CONS=_CONS,
+        child=_child, new=_new, __builtins__=builtins,
+    )
+    return FunctionType(code, bound, f"cons_{cls.__qualname__}")
+
+
+def _register(cls: type) -> Callable:
+    """The cons function of dataclass ``cls``."""
+    _, names, fields = _DATACLASS_INFO.get(cls) or _dataclass_info(cls)
+    cons = _CONS[cls] = _cons_function(cls, len(names), fields)
+    return cons
+
+
+def _child(item: Any, interner: HashInterner) -> Any:
+    """The piece of a child with no cons function yet, or None.
+
+    A dataclass of a class not seen before is registered and probed.  The
+    primitives other than exact ints and strings are pieces by their
+    canonical encoding — a subclass's with its class, so the canonical
+    object keeps it.  A ``dict``, a subclass of ``tuple`` or ``frozenset``,
+    and whatever contains one, is uncacheable; an unsupported type raises
+    :class:`UnhashableModelValue` from the walk.
+    """
+    cls = item.__class__
+    if cls is float or cls is bytes:
+        return _walk(item)
+    if _is_dataclass_instance(item):
+        return _register(cls)(item, interner)
+    if isinstance(item, (int, float, str, bytes)):
+        return (cls, _walk(item))
+    _walk(item)
+    return None
+
+
+def _piece_bytes(piece: Any) -> bytes:
+    """The canonical encoding of the child a cons-key piece stands for."""
+    cls = piece.__class__
+    if cls is _Entry:
+        return piece.encoded
+    if cls is int:
+        body = b"%d" % piece
+        return _TAG_INT + _len4(len(body)) + body
+    if cls is str:
+        body = piece.encode("utf-8")
+        return _TAG_STR + _len4(len(body)) + body
+    if cls is bytes:
+        return piece
+    if piece is None:
+        return _TAG_NONE
+    return piece[1]
+
+
+def _rebuild(value: Any, names: Tuple[str, ...], items: Iterable[Any]) -> Any:
+    """A dataclass instance of ``value``'s class with fields ``items``.
+
+    Set field by field, as a frozen dataclass's ``__init__`` does, so the
+    instance keeps CPython's compact attribute layout; no ``__init__`` or
+    ``__post_init__`` runs, and attributes that are not fields are not
+    copied.
+    """
+    twin = object.__new__(value.__class__)
+    for name, item in zip(names, items):
+        object.__setattr__(twin, name, item)
+    return twin
+
+
+def _new(value: Any, key: tuple, interner: HashInterner) -> _Entry:
+    """File the tuple or dataclass ``value``, whose key ``key`` is new.
+
+    Its bytes join its children's.  Its canonical object is ``value``
+    itself unless some child is a fresh object, not its entry's; then it
+    is a copy of ``value`` around the children's canonical objects.
+    """
+    cls = key[0]
+    pieces = key[1:]
+    if cls is tuple:
+        items = value
+        parts = [_TAG_TUPLE + _len4(len(pieces))]
+    else:
+        header, names, fields = _DATACLASS_INFO[cls]
+        items = fields(value)
+        parts = [header]
+    fresh = False
+    for piece, item in zip(pieces, items):
+        kind = piece.__class__
+        if kind is _Entry:
+            parts.append(piece.encoded)
+            if piece.value is not item:
+                fresh = True
+        elif kind is int:
+            body = b"%d" % piece
+            parts.append(_TAG_INT + _len4(len(body)) + body)
+        elif kind is str:
+            body = piece.encode("utf-8")
+            parts.append(_TAG_STR + _len4(len(body)) + body)
+        elif kind is bytes:
+            parts.append(piece)
+        elif piece is None:
+            parts.append(_TAG_NONE)
+        else:
+            parts.append(piece[1])
+    if fresh:
+        items = [
+            piece.value if piece.__class__ is _Entry else item
+            for piece, item in zip(pieces, items)
+        ]
+        value = tuple(items) if cls is tuple else _rebuild(value, names, items)
+    return interner._file(key, value, b"".join(parts))
+
+
+#: Tuple length -> its cons function, made on first use.
+_TUPLE_CONS: Dict[int, Callable[[Any, HashInterner], Optional[_Entry]]] = {}
+
+#: Tuples longer than this take :func:`_cons_long_tuple`'s loop instead.
+_UNROLLED = 16
+
+
+def _cons_tuple(value: tuple, interner: HashInterner) -> Optional[_Entry]:
+    """The cons function of every exact tuple: the generated one of its
+    length, or for a long tuple the same work as a loop."""
+    cons = _TUPLE_CONS.get(len(value))
+    if cons is None:
+        if len(value) > _UNROLLED:
+            return _cons_long_tuple(value, interner)
+        cons = _TUPLE_CONS[len(value)] = _cons_function(tuple, len(value), None)
+    return cons(value, interner)
+
+
+def _cons_long_tuple(value: tuple, interner: HashInterner) -> Optional[_Entry]:
+    table = interner._table
+    key = [tuple]
+    append = key.append
+    for item in value:
+        kind = item.__class__
+        if kind is int or kind is str or item is None:
+            append(item)
+        elif kind is bool:
+            append(_TAG_TRUE if item else _TAG_FALSE)
+        else:
+            piece = table.get(id(item))
+            if piece is None or piece.value is not item:
+                cons = _CONS.get(kind)
+                piece = cons(item, interner) if cons is not None else _child(item, interner)
+                if piece is None:
+                    return None
+            append(piece)
+    key = tuple(key)
+    entry = interner._cons.get(key)
+    if entry is None:
+        return _new(value, key, interner)
+    interner.cons_hits += 1
+    return entry
+
+
+def _cons_frozenset(value: frozenset, interner: HashInterner) -> Optional[_Entry]:
+    """A frozenset's pieces form a frozenset, so its key ignores iteration
+    order; its bytes sort the elements' encodings."""
+    table = interner._table
+    pieces = []
+    append = pieces.append
+    fresh = False
+    for item in value:
+        kind = item.__class__
+        if kind is int or kind is str or item is None:
+            append(item)
+        elif kind is bool:
+            append(_TAG_TRUE if item else _TAG_FALSE)
+        else:
+            piece = table.get(id(item))
+            if piece is None or piece.value is not item:
+                cons = _CONS.get(kind)
+                piece = cons(item, interner) if cons is not None else _child(item, interner)
+                if piece is None:
+                    return None
+                if piece.__class__ is _Entry and piece.value is not item:
+                    fresh = True
+            append(piece)
+    members = frozenset(pieces)
+    if len(members) != len(pieces):
+        # Two elements encode alike (say two eq=False dataclass instances
+        # with equal fields): a set of pieces cannot count them.
+        return None
+    key = (frozenset, members)
+    entry = interner._cons.get(key)
+    if entry is not None:
+        interner.cons_hits += 1
+        return entry
+    encoded = sorted([_piece_bytes(piece) for piece in pieces])
+    if fresh:
+        value = frozenset(
+            [
+                piece.value if piece.__class__ is _Entry else item
+                for piece, item in zip(pieces, value)
+            ]
+        )
+    return interner._file(
+        key, value, _TAG_FROZENSET + _len4(len(encoded)) + b"".join(encoded)
+    )
+
+
+_CONS[tuple] = _cons_tuple
+_CONS[frozenset] = _cons_frozenset
+
+
+def _entry(value: Any, interner: Optional[HashInterner]) -> _Entry:
+    """The entry of ``value``: the interner's, or a throwaway one.
+
+    The one path behind every public helper: the identity table, then the
+    cons table, then (a primitive, an uncacheable value or an uninterned
+    call) a plain walk into an entry nobody files.
+    """
+    if interner is not None:
+        entry = interner._table.get(id(value))
+        if entry is not None and entry.value is value:
+            interner.identity_hits += 1
+            return entry
+        cons = _CONS.get(value.__class__)
+        if cons is None and _is_dataclass_instance(value):
+            cons = _register(value.__class__)
+        if cons is not None:
+            entry = cons(value, interner)
+            if entry is not None:
+                return entry
+    return _Entry(value, _walk(value))
+
+
+def _digest(entry: _Entry) -> int:
+    """Compute and keep ``entry``'s digest; callers read ``entry.digest``
+    first, which is set for every entry hashed before."""
+    digest = entry.digest = int.from_bytes(
+        blake2b(entry.encoded, digest_size=_DIGEST_BYTES).digest(), "big"
+    )
+    return digest
 
 
 def canonical_bytes(value: Any, intern: bool = True) -> bytes:
@@ -401,71 +691,21 @@ def canonical_bytes(value: Any, intern: bool = True) -> bytes:
     uncached walk — the reference the property tests compare the interned
     path against; the produced bytes are identical either way.
     """
-    out = bytearray()
-    _encode(value, out, _DEFAULT_INTERNER if intern else None)
-    return bytes(out)
+    if intern and _DEFAULT_INTERNER is not None:
+        return _entry(value, _DEFAULT_INTERNER).encoded
+    return _walk(value)
 
 
-def _entry(value: Any, intern: bool, by_value: bool) -> list:
-    """``[value, bytes, digest]`` for ``value``, the digest filled in.
-
-    The one path behind :func:`content_hash` and
-    :func:`content_hash_and_size`: the identity table, then — with
-    ``by_value`` — the value memo, then the walk.  A value the walk stored
-    comes back as its identity-table entry (filed in the value memo too
-    under ``by_value``), so its digest is computed once; a primitive, an
-    uncacheable value or an uninterned call gets a throwaway entry.  An
-    unhashable value (a ``TypeError`` from the probe) takes the plain walk
-    and is never filed.
-    """
-    interner = _DEFAULT_INTERNER if intern else None
-    if interner is None:
-        entry = [value, canonical_bytes(value, intern=False), None]
-    else:
-        entry = interner._table.get(id(value))
-        if entry is not None and entry[0] is value:
-            interner.hits += 1
-        else:
-            entry = None
-            if by_value:
-                try:
-                    entry = interner._values.get(value)
-                except TypeError:
-                    by_value = False
-            if entry is not None:
-                interner.hits += 1
-                interner.value_hits += 1
-            else:
-                out = bytearray()
-                _encode(value, out, interner)
-                entry = interner._table.get(id(value))
-                if entry is None:
-                    entry = [value, bytes(out), None]
-                elif by_value:
-                    interner.store_value(entry)
-    if entry[2] is None:
-        entry[2] = int.from_bytes(
-            blake2b(entry[1], digest_size=_DIGEST_BYTES).digest(), "big"
-        )
-    return entry
-
-
-def content_hash(value: Any, intern: bool = True, by_value: bool = False) -> int:
+def content_hash(value: Any, intern: bool = True) -> int:
     """Stable 64-bit content hash of a model value.
 
     Equal values always hash equally, across processes and runs; this is the
     identity used for visited-state dedup, predecessor pointers and the
-    soundness replay's generated-message sets.
-
-    ``by_value=True`` lets an identity miss be answered by an ``==``-equal
-    value encoded earlier.  Python equality is coarser than the encoding
-    (``True == 1 == 1.0``), so this is exact only under the contract of
-    docs/PROTOCOL_GUIDE.md — *values of one protocol that compare equal
-    encode equal* — and callers pass it only for values a protocol handler
-    produced; :func:`repro.model.conformance.check_protocol` checks the
-    contract.  The default stays exact for arbitrary values.
+    soundness replay's generated-message sets.  Exact for every value: the
+    interner answers a fresh object by its exact cons key, never by ``==``.
     """
-    return _entry(value, intern, by_value)[2]
+    entry = _entry(value, _DEFAULT_INTERNER if intern else None)
+    return entry.digest or _digest(entry)
 
 
 def content_size(value: Any, intern: bool = True) -> int:
@@ -479,17 +719,36 @@ def content_size(value: Any, intern: bool = True) -> int:
     return len(canonical_bytes(value, intern=intern))
 
 
-def content_hash_and_size(
-    value: Any, intern: bool = True, by_value: bool = False
-) -> Tuple[int, int]:
+def content_hash_and_size(value: Any, intern: bool = True) -> Tuple[int, int]:
     """Hash and serialized size from a single canonical encoding pass.
 
     Callers that need both — the monotonic network stores a message by hash
     and charges its serialized size — walk (or intern) once and derive
-    both.  ``by_value`` as in :func:`content_hash`.
+    both.
     """
-    entry = _entry(value, intern, by_value)
-    return entry[2], len(entry[1])
+    entry = _entry(value, _DEFAULT_INTERNER if intern else None)
+    return entry.digest or _digest(entry), len(entry.encoded)
+
+
+def canonical_hash_and_size(value: Any) -> Tuple[Any, int, int]:
+    """``value``'s canonical object, hash and serialized size.
+
+    The canonical object encodes exactly like ``value`` and has the same
+    type structure; it is the one object the shared interner keeps for
+    that value (``value`` itself when interning is off or the value is not
+    cacheable).  Callers that keep a value — the checker's records and
+    ``I+`` — keep this object instead, so equal values are stored once and
+    later lookups of them are identity hits.
+    """
+    entry = _entry(value, _DEFAULT_INTERNER)
+    return entry.value, entry.digest or _digest(entry), len(entry.encoded)
+
+
+def canonical(value: Any) -> Any:
+    """The canonical object of ``value`` (:func:`canonical_hash_and_size`)."""
+    if _DEFAULT_INTERNER is None:
+        return value
+    return _entry(value, _DEFAULT_INTERNER).value
 
 
 def substitute_node_ids(value: Any, mapping: Dict[int, int]) -> Any:

@@ -117,7 +117,7 @@ class MonotonicNetwork:
         """
         # One canonical encoding pass yields both the hash and the size the
         # memory accounting charges (previously two full encodings).
-        msg_hash, msg_size = content_hash_and_size(message, by_value=True)
+        msg_hash, msg_size = content_hash_and_size(message)
         return self.add_hashed(message, msg_hash, msg_size)
 
     def add_hashed(

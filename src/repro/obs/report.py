@@ -238,7 +238,7 @@ class TraceSummary:
 
         Pulls together the operational gauges a long run's trace carries but
         the paper tables don't surface: the hash interner's hit rate and the
-        value memo's part of it (the last ``hash_cache`` event — the
+        cons table's part of it (the last ``hash_cache`` event — the
         interner is process-global, so the last snapshot is the
         authoritative one), rejected-cache evictions
         and the two cache-hit counters from the final metric, the

@@ -28,7 +28,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Type
 
 from repro.fsio import atomic_write_json
 from repro.model.events import EVENT_TYPES, Event
-from repro.model.hashing import canonical_bytes, content_hash
+from repro.model.hashing import canonical, canonical_bytes, content_hash
 from repro.model.system_state import SystemState
 from repro.model.types import Action, Message
 from repro.reports import BugReport
@@ -211,7 +211,11 @@ def decode_value(
     none is given): the memo maps ``id(encoded)`` to ``(encoded, value)``,
     so JSON objects the input shares (the resolved rows of a
     :class:`ValueTable`) decode to shared values.  The entry pins its key
-    object, so an ``id`` cannot be recycled while the memo lives.
+    object, so an ``id`` cannot be recycled while the memo lives.  A
+    decoded tuple, frozenset or dataclass is the interner's canonical
+    object (:func:`~repro.model.hashing.canonical`): children decode
+    first, so each value is looked up one level deep, and restored values
+    share structure with everything else the process holds.
     """
     if encoded is None or isinstance(encoded, (bool, int, str)):
         return encoded
@@ -222,7 +226,7 @@ def decode_value(
         if entry is None:
             entry = memo[id(encoded)] = (
                 encoded,
-                _decode_composite(encoded, registry, memo),
+                canonical(_decode_composite(encoded, registry, memo)),
             )
         return entry[1]
     raise ValueError(f"malformed encoded value: {encoded!r}")

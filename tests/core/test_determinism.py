@@ -133,8 +133,9 @@ def test_determinism_across_processes():
 
 
 def test_memoised_hashes_reproduced_by_a_second_process():
-    """The value memo probes with Python's salted ``hash``; what it serves
-    must not depend on the salt, nor on what this process memoised before."""
+    """The interner's cons table hashes its keys (strings among them) with
+    Python's salted ``hash``; what it serves must not depend on the salt,
+    nor on what this process interned before."""
     here = io.StringIO()
     with contextlib.redirect_stdout(here):
         exec(HASH_SCRIPT, {})  # this process: warm interner, its own salt

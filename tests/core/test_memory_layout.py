@@ -1,6 +1,6 @@
 """The compact exploration bookkeeping behaves like the containers it replaced.
 
-Three layers keep their data without per-entry Python containers
+The layers keep their data without per-entry Python containers
 (docs/PERFORMANCE.md, "What a node state costs in memory"):
 
 * each sweep lane's depth-deferred record indexes are an append-only
@@ -9,8 +9,11 @@ Three layers keep their data without per-entry Python containers
   checkpoint to the same rows the set-based layout wrote;
 * a record's predecessor links are deduplicated by scanning its own links,
   and the links themselves are slotted;
-* the hash interner's two tables are plain dicts beside a deque of their
-  keys, which must evict exactly what an ``OrderedDict`` evicted.
+* the hash interner keeps one entry per distinct value, evicting the oldest
+  first, and every state a record holds — after a cold run, a depth
+  extension from a checkpoint or two-worker rounds — and every message
+  ``I+`` holds is its entry's canonical object;
+* a depth extension re-offers each deferred pair once.
 """
 
 import copy
@@ -22,13 +25,17 @@ from collections import OrderedDict
 
 import pytest
 
+from repro import LMCConfig, LocalModelChecker
 from repro.core import checker as checker_module
 from repro.core.checkpoint import Checkpointer, load_checkpoint
 from repro.core.event_kinds import CURSOR_SWEEPS
 from repro.core.records import NodeStateRecord, PredecessorLink
+from repro.explore.budget import SearchBudget
+from repro.model import hashing
 from repro.model.events import InternalEvent
 from repro.model.hashing import HashInterner
 from repro.model.types import Action
+from repro.protocols.paxos import PaxosAgreement, PaxosProtocol
 from tests.core.test_event_pipeline_golden import _checker
 
 #: name -> (event-pipeline golden case, the cold run's depth then each
@@ -201,25 +208,141 @@ def test_links_are_slotted_frozen_values():
 @pytest.mark.parametrize("capacity", [1, 3, 64])
 def test_interner_churn_stays_at_capacity_and_evicts_oldest_first(capacity):
     interner = HashInterner(capacity=capacity)
-    reference = OrderedDict(), OrderedDict()
+    reference = OrderedDict()
     values = [("value", i) for i in range(20 * capacity)]
     for value in values:
-        interner.store(value, b"x")
-        entry = interner._table[id(value)]
-        interner.store_value(entry)
-        for table, key in zip(reference, (id(value), value)):
-            table[key] = entry
-            if len(table) > capacity:
-                table.popitem(last=False)
-        # Filing a value again keeps its place, as in an OrderedDict.
-        interner.store_value(entry)
-        assert len(interner._table) == len(interner._table_order) <= capacity
-        assert len(interner._values) == len(interner._values_order) <= capacity
-    assert len(interner._table) == len(interner._values) == capacity
-    assert interner.evictions == 2 * (len(values) - capacity)
-    assert list(interner._table) == list(interner._table_order) == list(reference[0])
-    assert list(interner._values) == list(interner._values_order) == list(reference[1])
-    assert list(interner._values) == values[-capacity:]
+        assert hashing._entry(value, interner).value is value
+        reference[value] = value
+        if len(reference) > capacity:
+            reference.popitem(last=False)
+        # A repeat, fresh or not, is a hit and keeps its place.
+        assert hashing._entry(tuple(list(value)), interner).value is value
+        assert len(interner._table) == len(interner._cons) == len(interner._order)
+        assert len(interner) <= capacity
+    assert len(interner) == capacity
+    assert interner.evictions == len(values) - capacity
+    assert [same for same, _bytes in interner.entries()] == list(reference)
+    assert all(interner.is_canonical(value) for value in reference)
+    assert not interner.is_canonical(values[0])
     assert interner.stats()["entries"] == capacity
     interner.clear()
-    assert not interner._table_order and not interner._values_order
+    assert not interner._order and not interner._table and len(interner) == 0
+
+
+# -- one canonical object per distinct value -------------------------------------
+
+
+def _paxos2(depth, checkpointer=None, **overrides):
+    protocol = PaxosProtocol(num_nodes=3, proposals=((0, 0, "v0"), (1, 1, "v1")))
+    return LocalModelChecker(
+        protocol,
+        PaxosAgreement(0),
+        SearchBudget(max_depth=depth),
+        LMCConfig.optimized(**overrides),
+        checkpointer=checkpointer,
+    )
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """A cold shared interner, and every exploration pass run meanwhile."""
+    hashing.configure_interning(False)
+    hashing.configure_interning(True)
+    seen = []
+    execute = checker_module._ExplorationPass.execute
+
+    def execute_and_keep(run_pass):
+        seen.append(run_pass)
+        return execute(run_pass)
+
+    monkeypatch.setattr(checker_module._ExplorationPass, "execute", execute_and_keep)
+    yield seen
+    hashing.configure_interning(True)
+
+
+def _assert_canonical(run_pass):
+    """One interner entry per distinct encoding, and every state a record
+    holds and every message ``I+`` holds is its entry's object."""
+    interner = hashing.default_interner()
+    encodings = [encoded for _value, encoded in interner.entries()]
+    assert len(interner) == len(set(encodings)) > 1000
+    records = [record for store in run_pass.space.stores.values() for record in store]
+    assert len(records) > 500
+    assert all(interner.is_canonical(record.state) for record in records)
+    assert all(
+        interner.is_canonical(stored.message)
+        for stored in run_pass.network.messages_since(0)
+    )
+
+
+def test_a_run_keeps_one_canonical_object_per_distinct_value(passes):
+    result = _paxos2(4).run()
+    assert result.completed and not result.bugs
+    _assert_canonical(passes[-1])
+
+
+def test_restored_and_extended_states_are_canonical(passes, tmp_path):
+    path = str(tmp_path / "d4.json")
+    _paxos2(4, checkpointer=Checkpointer(path)).run()
+    payload = load_checkpoint(path)
+    # A cold interner: every restored value is decoded to a new entry.
+    hashing.configure_interning(False)
+    hashing.configure_interning(True)
+    result = _paxos2(5).extend_depth(payload)
+    assert result.completed and not result.bugs
+    _assert_canonical(passes[-1])
+
+
+@pytest.mark.usefixtures("dispatch_every_round")
+def test_two_worker_rounds_keep_canonical_states(passes):
+    result = _paxos2(4, explore_workers=2).run()
+    assert result.stats.explore_rounds_parallel > 0
+    _assert_canonical(passes[-1])
+
+
+def test_a_second_identical_run_adds_no_entries(passes):
+    """The online loop's shape: each restart meets the values of the last."""
+    first = _paxos2(4).run()
+    before = hashing.intern_stats()
+    second = _paxos2(4).run()
+    after = hashing.intern_stats()
+    assert second.stats.snapshot()["node_states"] == first.stats.snapshot()["node_states"]
+    assert after["entries"] == before["entries"]
+    assert after["misses"] == before["misses"]
+
+
+# -- depth extension re-offers each deferred pair once -----------------------------
+
+
+def _deferred_pairs(payload):
+    data = payload["pass"]
+    return sum(len(row["deferred"]) for row in data["network"]["messages"]) + sum(
+        len(indexes)
+        for sweep in CURSOR_SWEEPS
+        for _key, indexes in data[f"{sweep.name}_deferred"]
+    )
+
+
+def test_an_extension_offers_each_deferred_pair_once(tmp_path, monkeypatch):
+    """Every pair the d=4 bound deferred is gated once in the d=5 pass —
+    the first time its lane is swept — and not again in later rounds."""
+    path = str(tmp_path / "d4.json")
+    _paxos2(4, checkpointer=Checkpointer(path)).run()
+    payload = load_checkpoint(path)
+    held = _deferred_pairs(payload)
+    assert held > 1000
+    reoffered = []
+    offer = checker_module._ExplorationPass._offer
+
+    def counting_offer(run_pass, gate, cursor, records, subject, indexes):
+        if not isinstance(indexes, range):
+            reoffered.append(len(indexes))
+        return offer(run_pass, gate, cursor, records, subject, indexes)
+
+    monkeypatch.setattr(checker_module._ExplorationPass, "_offer", counting_offer)
+    extended = _paxos2(5).extend_depth(payload)
+    assert sum(reoffered) == held
+    monkeypatch.setattr(checker_module._ExplorationPass, "_offer", offer)
+    cold = _paxos2(5).run()
+    assert extended.stats.snapshot()["transitions"] == cold.stats.snapshot()["transitions"]
+    assert extended.stats.snapshot()["node_states"] == cold.stats.snapshot()["node_states"]

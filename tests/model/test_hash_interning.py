@@ -1,10 +1,13 @@
-"""Property tests for the hash interning cache.
+"""Property tests for the hash-consing interner.
 
 The contract of :class:`repro.model.hashing.HashInterner` is that it is
-*invisible*: for any model value, the interned encoding, hash and size must
-equal what the uncached walk produces — including after evictions, repeat
-lookups, and for values that are never cacheable (anything containing a
-``dict``).  These tests exercise that contract over arbitrary values.
+*invisible* to hash values: for any model value, the interned encoding,
+hash and size equal what the uncached walk produces — including after
+evictions, repeat lookups, for values that are never cacheable (anything
+containing a ``dict``) and whatever was interned before (``True``, ``1``
+and ``1.0`` are ``==`` in Python but encode apart).  And it is invisible to
+protocols: a value's canonical object encodes like it and has the same type
+structure, so a checker may keep the canonical object instead.
 """
 
 import copy
@@ -15,9 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.model import hashing
+from repro.model.events import InternalEvent, event_hash, message_hashes
 from repro.model.hashing import (
     HashInterner,
+    canonical,
     canonical_bytes,
+    canonical_hash_and_size,
     configure_interning,
     content_hash,
     content_hash_and_size,
@@ -25,6 +31,7 @@ from repro.model.hashing import (
     intern_stats,
     interning_enabled,
 )
+from repro.model.types import Action, Message
 
 
 @dataclasses.dataclass(frozen=True)
@@ -115,11 +122,10 @@ def test_eviction_preserves_correctness(items):
     """A tiny table evicts constantly yet never changes a hash."""
     interner = HashInterner(capacity=3)
     for value in items:
-        out = bytearray()
-        hashing._encode(value, out, interner)
-        assert bytes(out) == canonical_bytes(value, intern=False)
+        entry = hashing._entry(value, interner)
+        assert entry.encoded == canonical_bytes(value, intern=False)
     assert len(interner) <= 3
-    if len(set(map(id, items))) > 3:
+    if len(set(items)) > 3:
         assert interner.evictions > 0
 
 
@@ -167,30 +173,28 @@ def test_capacity_must_be_positive():
         HashInterner(capacity=0)
 
 
-# -- the value memo (``by_value=True``) -----------------------------------------
-#
-# Its contract (docs/PROTOCOL_GUIDE.md): values that compare equal encode
-# equal.  Type-stable strategies keep it — each position only ever holds one
-# type — so the memo, shared across a whole *sequence* of values as it is
-# across a checker run, must stay invisible.
+# -- exactness: the cons key, never ``==`` ----------------------------------------
 
 
 @dataclasses.dataclass(frozen=True)
-class Ledger:
-    owner: int
-    entries: tuple  # a tuple map: ((key, Inner), ...)
-    voters: frozenset
+class Box:
+    item: object
 
 
-@dataclasses.dataclass
-class Scratch:  # not frozen: eq without hash, so Python cannot hash it
-    note: str
+@dataclasses.dataclass(frozen=True, eq=False)
+class Token:  # compared by identity, hashed by content
+    count: int
 
 
 @dataclasses.dataclass(frozen=True)
 class Stamped:
     count: int
     stamp: int = dataclasses.field(default=0, compare=False)
+
+
+@dataclasses.dataclass
+class Scratch:  # not frozen: eq without hash, so Python cannot hash it
+    note: str
 
 
 def _fresh_interner(capacity=None):
@@ -200,133 +204,243 @@ def _fresh_interner(capacity=None):
     return hashing._DEFAULT_INTERNER
 
 
-inners = st.builds(Inner, st.integers(-3, 3), st.sampled_from(["", "a", "b"]))
-ledgers = st.builds(
-    Ledger,
-    st.integers(0, 2),
-    st.lists(st.tuples(st.integers(0, 3), inners), max_size=3).map(tuple),
-    st.frozensets(st.integers(0, 3), max_size=3),
-)
-stable_values = st.one_of(
-    inners,
-    ledgers,
-    st.builds(Outer, inners, st.tuples(st.integers(0, 2), ledgers), st.just("t")),
-    st.tuples(st.sampled_from(["x", "y"]), inners),
-)
+#: Makers of fresh values that Python's ``==`` conflates or tells apart
+#: differently from the encoding: ``True == 1 == 1.0``, an ``eq=False``
+#: class compares by identity, a ``compare=False`` field is not compared.
+TWINS = {
+    "Box(True)": lambda: Box(True),
+    "Box(1)": lambda: Box(1),
+    "Box(1.0)": lambda: Box(1.0),
+    "Token(1)": lambda: Token(1),
+    "Stamped(1, stamp=1)": lambda: Stamped(1, stamp=1),
+    "Stamped(1, stamp=2)": lambda: Stamped(1, stamp=2),
+    "(Box(True), 'x')": lambda: (Box(True), "x"),
+    "(Box(1), 'x')": lambda: (Box(1), "x"),
+    "{Box(1.0), Box(0)}": lambda: frozenset({Box(1.0), Box(0)}),
+    "{Box(True), Box(0)}": lambda: frozenset({Box(True), Box(0)}),
+}
 
 
-@given(st.lists(stable_values, min_size=2, max_size=25))
-@settings(max_examples=150)
-def test_by_value_agrees_with_uncached_across_a_sequence(sequence):
-    """One process-wide memo, many fresh-but-equal objects: every by-value
-    digest and size equals the uncached reference."""
-    for value in sequence:
-        expected = canonical_bytes(value, intern=False)
-        expected_hash = content_hash(value, intern=False)
-        for candidate in (value, copy.deepcopy(value)):
-            assert content_hash(candidate, by_value=True) == expected_hash
-            assert content_hash_and_size(candidate, by_value=True) == (
-                expected_hash,
-                len(expected),
-            )
+def _checker_digests(value):
+    """``value``'s digests through every path the checkers hash by: a
+    successor or seed, a send, an event, and the plain helpers."""
+    message = Message(dest=0, src=1, payload=value)
+    return (
+        content_hash(value),
+        content_hash_and_size(value),
+        canonical_hash_and_size(value)[1:],
+        message_hashes((message,)),
+        event_hash(InternalEvent(Action(node=0, name="a", payload=value))),
+    )
 
 
-def test_fresh_equal_object_is_a_value_hit_not_an_encode():
+def _reference_digests(value):
+    message = Message(dest=0, src=1, payload=value)
+    digest = content_hash(value, intern=False)
+    size = len(canonical_bytes(value, intern=False))
+    return (
+        digest,
+        (digest, size),
+        (digest, size),
+        (content_hash(message, intern=False),),
+        content_hash(
+            InternalEvent(Action(node=0, name="a", payload=value)), intern=False
+        ),
+    )
+
+
+@pytest.mark.parametrize("first", sorted(TWINS))
+def test_interned_digest_is_exact_whatever_was_interned_before(first):
+    """Whichever twin is interned first, every later twin, fresh, gets its
+    own encoding's digest — not the digest of an ``==`` value."""
     _fresh_interner()
+    order = [first] + [name for name in sorted(TWINS) if name != first]
+    for _ in range(2):
+        for name in order:
+            value = TWINS[name]()
+            assert _checker_digests(value) == _reference_digests(value), name
+
+
+def test_equal_but_differently_encoded_values_get_separate_entries():
+    interner = _fresh_interner()
+    boxes = [canonical(Box(item)) for item in (True, 1, 1.0)]
+    assert len({id(box) for box in boxes}) == 3
+    assert [type(box.item) for box in boxes] == [bool, int, float]
+    stamped = [canonical(Stamped(1, stamp=stamp)) for stamp in (1, 2)]
+    assert [item.stamp for item in stamped] == [1, 2]
+    # Two eq=False objects with one encoding are one value.
+    token = canonical(Token(1))
+    assert canonical(Token(1)) is token
+    assert len(interner) == 6
+
+
+def _shape(value):
+    """``value``'s types all the way down, with its primitives' reprs."""
+    if isinstance(value, tuple):
+        return (type(value), tuple(_shape(item) for item in value))
+    if isinstance(value, frozenset):
+        return (frozenset, tuple(sorted((_shape(item) for item in value), key=repr)))
+    if dataclasses.is_dataclass(value):
+        return (
+            type(value),
+            tuple(
+                _shape(getattr(value, field.name))
+                for field in dataclasses.fields(value)
+            ),
+        )
+    return (type(value), repr(value))
+
+
+mixed_scalars = st.one_of(
+    st.booleans(),
+    st.integers(-2, 2),
+    st.sampled_from([0.0, -0.0, 1.0, 2.5]),
+    st.sampled_from(["", "1", "a"]),
+    st.sampled_from([b"", b"T", b"1"]),
+    st.none(),
+)
+
+
+def _mixed(children):
+    return st.one_of(
+        st.builds(Box, children),
+        st.builds(Token, st.integers(0, 2)),
+        st.builds(Stamped, st.integers(0, 2), st.integers(0, 2)),
+        st.tuples(children, children),
+        st.tuples(children),
+        st.frozensets(children, max_size=3),
+    )
+
+
+mixed_values = st.recursive(mixed_scalars, _mixed, max_leaves=8)
+
+
+@given(st.lists(mixed_values, min_size=2, max_size=20))
+@settings(max_examples=200, deadline=None)
+def test_interleavings_of_mixed_values_hash_like_the_walk(sequence):
+    """One process-wide interner, many fresh objects of mixed primitive
+    types in the same positions: every digest and size equals the uncached
+    reference, and every canonical object has the value's type structure."""
+    _fresh_interner()
+    for value in sequence:
+        expected = (content_hash(value, intern=False), content_size(value, intern=False))
+        for candidate in (value, copy.deepcopy(value)):
+            assert content_hash_and_size(candidate) == expected
+            same, digest, size = canonical_hash_and_size(candidate)
+            assert (digest, size) == expected
+            assert canonical_bytes(same, intern=False) == canonical_bytes(
+                value, intern=False
+            )
+            assert _shape(same) == _shape(value)
+            assert canonical(same) is same
+
+
+def test_a_probe_calls_no_model_hash_or_eq():
+    """The cons key hashes children by their entries, never by value."""
+
+    @dataclasses.dataclass(frozen=True)
+    class Loud:
+        item: object
+
+        def __hash__(self):
+            raise AssertionError("hashed by value")
+
+        def __eq__(self, other):
+            raise AssertionError("compared by value")
+
+    _fresh_interner()
+    first = (Loud(Box(1)), Loud(2))
+    expected = content_hash(first, intern=False)
+    assert content_hash(first) == expected
+    assert content_hash((Loud(Box(1)), Loud(2))) == expected
+    assert content_hash((Loud(Box(True)), Loud(2))) != expected
+
+
+def test_fresh_equal_object_is_a_cons_hit_not_a_new_value():
+    interner = _fresh_interner()
     first = Outer(Inner(1, "a"), (1, 2), "t")
-    content_hash(first, by_value=True)
+    canonical_first = canonical(first)
+    assert canonical_first is first and interner.is_canonical(first)
     before = intern_stats()
-    twin = Outer(Inner(1, "a"), (1, 2), "t")
-    assert content_hash(twin, by_value=True) == content_hash(first, intern=False)
+    twin = Outer(Inner(1, "a"), tuple([1, 2]), "t")  # a literal would be shared
+    assert canonical_hash_and_size(twin) == (
+        first,
+        content_hash(first, intern=False),
+        content_size(first, intern=False),
+    )
     after = intern_stats()
     assert after["misses"] == before["misses"]
-    assert after["value_hits"] == before["value_hits"] + 1
-    # Value hits are hits: the published hit share counts them.
-    assert after["hits"] == before["hits"] + 1
-    # The twin itself is not pinned: no new identity entry.
-    assert after["entries"] == before["entries"]
+    assert after["entries"] == before["entries"] == 3
+    # The twin's Outer, Inner and tuple were each answered by the cons table.
+    assert after["value_hits"] == before["value_hits"] + 3
+    assert after["hits"] == before["hits"] + 3
+    assert not interner.is_canonical(twin)
 
 
-def test_plain_content_hash_stays_exact_beside_the_memo():
-    """``True == 1`` in Python; the default entry point never conflates them,
-    whatever the memo already holds."""
+def test_a_new_value_around_known_children_is_rebuilt_on_them():
+    """A new value whose child is a fresh twin of a known value becomes
+    canonical as a copy built around the known child."""
     _fresh_interner()
-
-    def pair(first):  # a fresh object each time (literals are shared constants)
-        return tuple([first, "x"])
-
-    one, true, real = (content_hash(pair(v), intern=False) for v in (1, True, 1.0))
-    assert len({one, true, real}) == 3
-    assert content_hash(pair(1), by_value=True) == one
-    assert content_hash(pair(1)) == one
-    assert content_hash(pair(True)) == true
-    assert content_hash(pair(1.0)) == real
-    assert content_hash_and_size(pair(True))[0] == true
-    # Why the memo is opt-in: outside its contract it serves the twin's digest.
-    assert content_hash(pair(True), by_value=True) == one
+    inner = canonical(Inner(1, "a"))
+    outer = Outer(Inner(1, "a"), (Inner(1, "a"),), "t")
+    same = canonical(outer)
+    assert same is not outer and same == outer
+    assert same.inner is inner and same.items[0] is inner
+    assert any(item is inner for item in canonical(frozenset({Inner(1, "a"), 3})))
 
 
-def test_unhashable_values_fall_through_and_are_never_stored():
-    """Python cannot hash a dict or a non-frozen dataclass: the probe's
-    ``TypeError`` falls through to the walk and the memo stays empty."""
+def test_unhashable_and_dict_values_are_walked_and_never_stored():
+    """A dict (mutable) and whatever contains one is walked every time; a
+    non-frozen dataclass, which Python cannot hash, is interned by its
+    fields like any other."""
     interner = _fresh_interner()
-    for value in (({"k": 1}, "tag"), (Scratch("n"), 1)):
-        with pytest.raises(TypeError):
-            hash(value)
-        expected = content_hash(value, intern=False)
-        before = intern_stats()["value_hits"]
-        assert content_hash(value, by_value=True) == expected
-        assert content_hash_and_size(value, by_value=True)[0] == expected
-        assert intern_stats()["value_hits"] == before
-        assert len(interner._values) == 0
+    value = ({"k": 1}, "tag")
+    assert content_hash(value) == content_hash(value, intern=False)
+    assert canonical(value) is value
+    assert len(interner) == 0
+    scratch = (Scratch("n"), 1)
+    with pytest.raises(TypeError):
+        hash(scratch)
+    assert content_hash(scratch) == content_hash(scratch, intern=False)
+    assert len(interner) == 2
     with pytest.raises(hashing.UnhashableModelValue):
-        content_hash((1, [2]), by_value=True)
-    assert len(interner._values) == 0
+        content_hash((1, [2]))
 
 
-def test_equality_gap_classes_are_refused():
-    """``==`` ignores ``stamp`` but the encoding does not: never memoised."""
-    interner = _fresh_interner()
-    a, b = (Stamped(1, stamp=1), "s"), (Stamped(1, stamp=2), "s")
-    assert a == b
-    assert content_hash(a, by_value=True) == content_hash(a, intern=False)
-    assert content_hash(b, by_value=True) == content_hash(b, intern=False)
-    assert content_hash(a, by_value=True) != content_hash(b, by_value=True)
-    assert len(interner) == 0 and len(interner._values) == 0
-    assert "Stamped.stamp" in hashing.equality_gap(Stamped)
-    assert hashing.equality_gap(Inner) is None
-
-
-def test_tiny_capacity_evicts_from_both_tables_and_keeps_digests():
+def test_tiny_capacity_evicts_and_keeps_digests():
     interner = _fresh_interner(capacity=3)
     values = [Outer(Inner(i, "a"), (i, i + 1), "t") for i in range(12)]
     for _ in range(2):
         for value in values:
             twin = dataclasses.replace(value, inner=dataclasses.replace(value.inner))
             for candidate in (value, twin):
-                assert content_hash(candidate, by_value=True) == content_hash(
-                    candidate, intern=False
+                assert content_hash(candidate) == content_hash(candidate, intern=False)
+                assert canonical_bytes(canonical(candidate), intern=False) == (
+                    canonical_bytes(candidate, intern=False)
                 )
             assert len(interner) <= 3
-            assert len(interner._values) <= 3
-    # 12 values × (Outer + Inner + tuple) through 3 + 3 slots.
+    # 12 values × (Outer + Inner + tuple) through 3 slots.
     assert interner.evictions > 12
 
 
-def test_disabling_or_resizing_drops_both_tables():
+def test_disabling_or_resizing_drops_the_tables():
     old = _fresh_interner()
-    content_hash(Inner(1, "a"), by_value=True)
-    assert len(old) == 1 and len(old._values) == 1
+    content_hash(Inner(1, "a"))
+    assert len(old) == 1
     configure_interning(True, capacity=1 << 11)
     resized = hashing._DEFAULT_INTERNER
-    assert resized is not old and len(resized) == 0 and len(resized._values) == 0
-    content_hash(Inner(1, "a"), by_value=True)
+    assert resized is not old and len(resized) == 0
+    content_hash(Inner(1, "a"))
     configure_interning(False)
     assert hashing._DEFAULT_INTERNER is None
-    assert content_hash(Inner(1, "a"), by_value=True) == content_hash(
-        Inner(1, "a"), intern=False
+    fresh = Inner(1, "a")
+    assert canonical(fresh) is fresh
+    assert canonical_hash_and_size(fresh) == (
+        fresh,
+        content_hash(fresh, intern=False),
+        content_size(fresh, intern=False),
     )
     configure_interning(True)
-    assert len(hashing._DEFAULT_INTERNER._values) == 0
+    assert len(hashing._DEFAULT_INTERNER) == 0
     resized.clear()
-    assert len(resized) == 0 and len(resized._values) == 0
+    assert len(resized) == 0 and not resized.is_canonical(fresh)

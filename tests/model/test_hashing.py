@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from repro.model.hashing import (
     UnhashableModelValue,
     canonical_bytes,
+    canonical_hash_and_size,
     configure_interning,
     content_hash,
     content_hash_and_size,
@@ -194,8 +195,8 @@ VERSION_DEPENDENT = {"int_enum": (3, 11)}
 
 def golden_corpus():
     """``(name, value)`` pairs reaching every encoder branch; fresh objects
-    on every call.  No two composites compare equal while encoding
-    differently, so the value memo may answer any of them."""
+    on every call, so the interner files each one, then answers it by its
+    cons key."""
     return [
         ("int_small", 7),
         ("int_zero", 0),
@@ -315,11 +316,12 @@ def _applies(name):
 
 
 def test_encodings_match_golden():
-    """Interned (cold and warm), uncached and value-memoised encodings of the
-    corpus, and every hash a Paxos pass stores, equal the pinned file."""
+    """Interned (cold and warm) and uncached encodings of the corpus, the
+    canonical objects' encodings, and every hash a Paxos pass stores,
+    equal the pinned file."""
     golden = json.loads(GOLDEN_PATH.read_text())
     configure_interning(False)
-    configure_interning(True)  # a cold shared interner and value memo
+    configure_interning(True)  # a cold shared interner
     try:
         for corpus in (golden_corpus(), golden_corpus()):
             for name, value in corpus:
@@ -338,11 +340,11 @@ def test_encodings_match_golden():
                             expected["hash"],
                             size,
                         )
-                    assert content_hash(value, by_value=True) == expected["hash"]
-                    assert content_hash_and_size(value, by_value=True) == (
-                        expected["hash"],
-                        size,
-                    )
+                    same, digest, same_size = canonical_hash_and_size(value)
+                    assert (digest, same_size) == (expected["hash"], size)
+                    assert canonical_bytes(same, intern=False).hex() == (
+                        expected["bytes"]
+                    ), name
         summary, values = paxos_pass_hashes()
         assert summary == golden["paxos_depth4"]
         for digest, value in values:

@@ -8,8 +8,9 @@ depth bound under
 returns — before the checker drops it — and charges each allocation site to
 a layer:
 
-* ``interner`` — ``model/hashing.py``: the identity table, the value memo,
-  their order structures, the canonical bytes and digests;
+* ``interner`` — ``model/hashing.py``: the identity and cons tables, the
+  eviction order, the entries with their canonical bytes and digests, and
+  the canonical copies the interner builds;
 * ``records`` — ``core/records.py`` and the history sets the checker builds
   for a new record;
 * ``links`` — predecessor links, their generated-hash tuples and the
@@ -22,14 +23,18 @@ a layer:
 A site is a source line; it is mapped to its enclosing function and
 statement through the AST, so the rules below name functions, not line
 numbers.  The deterministic Fig. 12 model (``memory_bytes``, what the
-checker charges itself) is printed alongside.
+checker charges itself) is printed alongside, and so are the interner's
+entries and the distinct values (canonical encodings) they hold.
 
 Usage::
 
-    python tools/mem_probe.py [--depth 6] [--sites N] [--src DIR]
+    python tools/mem_probe.py [--depth 6] [--sites N] [--src DIR] [--repeat N]
 
 ``--src`` probes another checkout's ``src`` (for a before/after table);
-``--sites N`` also lists the N largest allocation sites.  Prints markdown.
+``--sites N`` also lists the N largest allocation sites; ``--repeat N``
+explores N times in one process, as the online loop restarts, and prints
+the interner's entries and the live bytes after each run (the layer table
+is the first run's).  Prints markdown.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from __future__ import annotations
 import argparse
 import ast
 import functools
+import gc
 import sys
 import tracemalloc
 from pathlib import Path
@@ -95,6 +101,8 @@ def site_index(filename: str) -> dict:
 
 
 def layer_of(filename: str, function: str, statement: str) -> str:
+    if filename.startswith("<cons "):
+        return "interner"  # the cons functions model/hashing.py generates
     path = filename.replace("\\", "/")
     for suffix, prefix, needle, layer in RULES:
         if path.endswith(suffix) and function.startswith(prefix) and needle in statement:
@@ -102,36 +110,75 @@ def layer_of(filename: str, function: str, statement: str) -> str:
     return "other"
 
 
-def probe(depth: int) -> dict:
-    """Run the pass and return its snapshot, node-state count and model bytes."""
+def interner_counts() -> tuple:
+    """(entries, distinct canonical encodings) of the shared interner."""
+    from repro.model import hashing
+
+    interner = hashing._DEFAULT_INTERNER
+    if hasattr(interner, "entries"):
+        encodings = [encoded for _value, encoded in interner.entries()]
+    else:  # an older checkout: identity-table entries are [value, bytes, digest]
+        encodings = [entry[1] for entry in interner._table.values()]
+    return len(interner), len(set(encodings))
+
+
+def probe(depth: int, repeat: int = 1) -> list:
+    """Run the pass ``repeat`` times in this process; per run, the snapshot
+    at the end of the pass, its gauges and the interner's counts."""
     from repro import LMCConfig, LocalModelChecker
     from repro.core import checker
     from repro.explore.budget import SearchBudget
     from repro.protocols.paxos import PaxosAgreement, PaxosProtocol
 
-    seen: dict = {}
+    runs: list = []
     execute = checker._ExplorationPass.execute
 
     def execute_and_snapshot(run_pass):
         outcome = execute(run_pass)
-        seen["snapshot"] = tracemalloc.take_snapshot()
+        seen = {"snapshot": tracemalloc.take_snapshot()}
         seen.update(run_pass._metric_gauges())
+        runs.append(seen)
         return outcome
 
     protocol = PaxosProtocol(num_nodes=3, proposals=((0, 0, "v0"), (1, 1, "v1")))
-    lmc = LocalModelChecker(
-        protocol, PaxosAgreement(0), SearchBudget(max_depth=depth), LMCConfig.optimized()
-    )
     checker._ExplorationPass.execute = execute_and_snapshot
     tracemalloc.start()
     try:
-        result = lmc.run()
+        for _ in range(repeat):
+            # The last run's pass is garbage (reference cycles included):
+            # what stays live is what the process keeps across runs.
+            gc.collect()
+            lmc = LocalModelChecker(
+                protocol,
+                PaxosAgreement(0),
+                SearchBudget(max_depth=depth),
+                LMCConfig.optimized(),
+            )
+            result = lmc.run()
+            if result.bugs or not result.completed:
+                raise SystemExit("expected a clean run completed to its bound")
+            runs[-1]["entries"], runs[-1]["distinct"] = interner_counts()
     finally:
         tracemalloc.stop()
         checker._ExplorationPass.execute = execute
-    if result.bugs or not result.completed:
-        raise SystemExit("expected a clean run completed to its bound")
-    return seen
+    return runs
+
+
+def by_layer(snapshot) -> tuple:
+    """Live bytes per layer and per allocation site of ``snapshot``."""
+    snapshot = snapshot.filter_traces([tracemalloc.Filter(False, tracemalloc.__file__)])
+    layers = dict.fromkeys(LAYERS, 0)
+    sites: dict = {}
+    for stat in snapshot.statistics("lineno"):
+        frame = stat.traceback[0]
+        function, statement = site_index(frame.filename).get(frame.lineno, ("", ""))
+        layer = layer_of(frame.filename, function, statement)
+        layers[layer] += stat.size
+        name = frame.filename.replace("\\", "/")
+        name = name.rsplit("/repro/", 1)[1] if "/repro/" in name else Path(name).name
+        site = (layer, name, function)
+        sites[site] = sites.get(site, 0) + stat.size
+    return layers, sites
 
 
 def main(argv: list) -> int:
@@ -139,42 +186,48 @@ def main(argv: list) -> int:
     parser.add_argument("--depth", type=int, default=6)
     parser.add_argument("--sites", type=int, default=0, metavar="N")
     parser.add_argument("--src", default=str(REPO_ROOT / "src"), metavar="DIR")
+    parser.add_argument("--repeat", type=int, default=1, metavar="N")
     args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
     sys.path.insert(0, str(Path(args.src).resolve()))
-    seen = probe(args.depth)
-    snapshot = seen["snapshot"].filter_traces(
-        [tracemalloc.Filter(False, tracemalloc.__file__)]
-    )
-    by_layer = dict.fromkeys(LAYERS, 0)
-    by_site: dict = {}
-    for stat in snapshot.statistics("lineno"):
-        frame = stat.traceback[0]
-        function, statement = site_index(frame.filename).get(frame.lineno, ("", ""))
-        layer = layer_of(frame.filename, function, statement)
-        by_layer[layer] += stat.size
-        name = frame.filename.replace("\\", "/")
-        name = name.rsplit("/repro/", 1)[1] if "/repro/" in name else Path(name).name
-        site = (layer, name, function)
-        by_site[site] = by_site.get(site, 0) + stat.size
-    states = seen["node_states"]
-    total = sum(by_layer.values())
+    runs = probe(args.depth, args.repeat)
+    first = runs[0]
+    layers, sites = by_layer(first["snapshot"])
+    states = first["node_states"]
+    total = sum(layers.values())
     print(
         f"Correct two-proposal Paxos, d={args.depth}: {states:,} node states; "
         f"live at the end of the pass (tracemalloc) {total:,} B; "
-        f"Fig. 12 model (memory_bytes) {seen['memory_bytes']:,} B.\n"
+        f"Fig. 12 model (memory_bytes) {first['memory_bytes']:,} B; "
+        f"interner {first['entries']:,} entries for {first['distinct']:,} "
+        "distinct values.\n"
     )
     print("| layer | live bytes | bytes per node state |")
     print("|---|---:|---:|")
     for layer in LAYERS:
-        print(f"| {layer} | {by_layer[layer]:,} | {by_layer[layer] / states:,.0f} |")
+        print(f"| {layer} | {layers[layer]:,} | {layers[layer] / states:,.0f} |")
     print(f"| total | {total:,} | {total / states:,.0f} |")
-    print(f"| Fig. 12 model | {seen['memory_bytes']:,} | {seen['memory_bytes'] / states:,.0f} |")
+    print(f"| Fig. 12 model | {first['memory_bytes']:,} | {first['memory_bytes'] / states:,.0f} |")
     if args.sites:
         print("\n| layer | site | live bytes |")
         print("|---|---|---:|")
-        ranked = sorted(by_site.items(), key=lambda item: -item[1])[: args.sites]
+        ranked = sorted(sites.items(), key=lambda item: -item[1])[: args.sites]
         for (layer, filename, function), size in ranked:
             print(f"| {layer} | `{filename}` {function or '(module)'} | {size:,} |")
+    if args.repeat > 1:
+        print(
+            "\n| run | node states | interner entries | distinct values "
+            "| interner live bytes | total live bytes |"
+        )
+        print("|---:|---:|---:|---:|---:|---:|")
+        for number, run in enumerate(runs, 1):
+            layers = by_layer(run["snapshot"])[0]
+            print(
+                f"| {number} | {run['node_states']:,} | {run['entries']:,} "
+                f"| {run['distinct']:,} | {layers['interner']:,} "
+                f"| {sum(layers.values()):,} |"
+            )
     return 0
 
 
