@@ -22,7 +22,8 @@ metadata, history, predecessor links with their events, seed/discard/crash
 flags), the full ``I+`` log (message values, hashes, cursors, deferred
 pairs, fault-minted duplicate flags), all exploration counters and phase
 timers, the per-node sweep and fault cursors (including the drop sweep's
-cursor/deferred pairs and the duplication cursor), the depth series,
+cursor/deferred pairs and the duplication cursor), a depth extension's
+lanes not re-offered yet, the depth series,
 confirmed bugs and the rejected-combination cache, symmetry-reduction orbit
 keys, and the widening/prior-pass context of the enclosing run.  Every
 preliminary violation is verified inline, so ``unverified`` is always
@@ -65,7 +66,7 @@ import signal
 from array import array
 from typing import Any, Dict, List, Optional
 
-from repro.core.event_kinds import CURSOR_SWEEPS, Cursor
+from repro.core.event_kinds import CURSOR_SWEEPS, DELIVERY_SWEEP, Cursor
 from repro.core.records import PredecessorLink
 from repro.fsio import append_text, atomic_write_text
 from repro.model.hashing import content_hash
@@ -440,6 +441,22 @@ def snapshot_pass(
             for key, cursor in cursors
             if sweep.per_node or cursor.deferred
         ]
+    if pass_._extended:
+        # A depth extension's lanes whose deferred pairs no sweep has
+        # re-offered yet, by family: stored ``seq`` for the delivery sweep,
+        # the cursor's key for the others.  Absent from any other pass, so
+        # its checkpoints keep their bytes.
+        reoffer = pass_._reoffer
+        extension = {
+            DELIVERY_SWEEP.name: [stored.seq for stored in log if stored in reoffer]
+        }
+        for sweep in CURSOR_SWEEPS:
+            extension[sweep.name] = [
+                key
+                for key, cursor in sorted(pass_.cursors[sweep.name].items())
+                if cursor in reoffer
+            ]
+        payload["pass"]["extension"] = extension
     if marks is not None:
         payload["marks"] = {
             "round": marks.round,
@@ -529,6 +546,14 @@ def restore_pass(
             cursors[key] = Cursor(position)
         for key, indexes in data[f"{sweep.name}_deferred"]:
             cursors[key].deferred = array("q", indexes)
+    extension = data.get("extension")
+    if extension is not None:
+        log = pass_.network.messages_since(0)
+        pass_._extended = True
+        pass_._reoffer = {log[seq] for seq in extension[DELIVERY_SWEEP.name]}
+        for sweep in CURSOR_SWEEPS:
+            cursors = pass_.cursors[sweep.name]
+            pass_._reoffer.update(cursors[key] for key in extension[sweep.name])
     pass_._node_max_depth = {node: depth for node, depth in data["node_max_depth"]}
 
     for depth, elapsed_s, metrics in data["series"]:

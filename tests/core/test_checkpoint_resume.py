@@ -428,6 +428,46 @@ class TestDepthExtension:
             cold_sweep = sum(result.stats.transitions for result in cold.values())
             assert cold_sweep >= 1.5 * extended.stats.transitions
 
+    def test_resumed_extension_matches_the_uninterrupted_one(self, tmp_path):
+        """An extension interrupted while a partition window holds lanes
+        whose deferred pairs it has not re-offered yet resumes to the
+        uninterrupted extension's counters: the checkpoint keeps those
+        lanes, and keeps the pass counting ``partition_blocks`` as an
+        extension."""
+
+        def checker(depth, schedule, checkpointer=None):
+            return LocalModelChecker(
+                PaxosProtocol(num_nodes=3, proposals=((0, 0, "v0"),)),
+                PaxosAgreement(0),
+                SearchBudget(max_depth=depth),
+                LMCConfig.optimized(partition_schedules=schedule),
+                checkpointer=checkpointer,
+            )
+
+        cold = str(tmp_path / "cold.json")
+        checker(4, (), Checkpointer(cold)).run()
+        last = load_checkpoint(cold)["pass"]["round_number"]
+        # The window opens with the extension's first round, after the cold
+        # pass, so that pass is the same under it and its deferred pairs of
+        # node 0's messages to 1 and 2 wait out the window.
+        schedule = ((last + 1, last + 2, (0,), (1, 2)),)
+        checker(4, schedule, Checkpointer(cold)).run()
+        payload = load_checkpoint(cold)
+        assert payload["pass"]["round_number"] == last
+        uninterrupted = checker(6, schedule).extend_depth(payload)
+
+        cut = str(tmp_path / "cut.json")
+        stopped = checker(6, schedule, StopAtCheckpointer(cut, last + 1)).extend_depth(
+            payload
+        )
+        assert not stopped.completed
+        interrupted = load_checkpoint(cut)
+        resumed = checker(6, schedule).resume(interrupted)
+        assert _observable(resumed) == _observable(uninterrupted)
+        assert resumed.stats.partition_blocks > 0
+        assert interrupted["pass"]["extension"]["delivery"]
+        assert_round_trip(lambda: checker(6, schedule), interrupted, tmp_path)
+
     def test_extension_to_unbounded_depth(self, tmp_path):
         reference = _checker("opt", 10).run()
         assert reference.completed

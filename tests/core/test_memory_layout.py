@@ -263,7 +263,7 @@ def passes(monkeypatch):
 def _assert_canonical(run_pass):
     """One interner entry per distinct encoding, and every state a record
     holds and every message ``I+`` holds is its entry's object."""
-    interner = hashing.default_interner()
+    interner = hashing._DEFAULT_INTERNER
     encodings = [encoded for _value, encoded in interner.entries()]
     assert len(interner) == len(set(encodings)) > 1000
     records = [record for store in run_pass.space.stores.values() for record in store]
