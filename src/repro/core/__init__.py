@@ -2,7 +2,7 @@
 
 from repro.core.checker import LocalModelChecker
 from repro.core.config import LMCConfig
-from repro.core.records import LocalStateSpace, NodeStateRecord, PredecessorLink
+from repro.core.records import LocalStateSpace, NodeStateRecord
 from repro.core.soundness import SoundnessVerifier, replay_sequences
 from repro.core.system_states import (
     combination_to_system_state,
@@ -15,7 +15,6 @@ __all__ = [
     "LocalModelChecker",
     "LocalStateSpace",
     "NodeStateRecord",
-    "PredecessorLink",
     "SoundnessVerifier",
     "combination_to_system_state",
     "enumerate_general",

@@ -89,12 +89,7 @@ from repro.core.event_kinds import (
 )
 from repro.core.explore_parallel import RoundSpeculator
 from repro.core.pool import require_fork
-from repro.core.records import (
-    LINK_BYTES,
-    LocalStateSpace,
-    NodeStateRecord,
-    PredecessorLink,
-)
+from repro.core.records import LINK_BYTES, LocalStateSpace, NodeStateRecord
 from repro.core.soundness import SoundnessVerifier
 from repro.core.symmetry import SymmetryReducer
 from repro.core.system_states import (
@@ -644,6 +639,12 @@ class _ExplorationPass:
                 if self._symmetry is not None:
                     payload.update(self._symmetry.summary())
                 self.emitter.event("reduction", **payload)
+            # Drop what points back at the pass — the metrics hooks are its
+            # bound methods, the speculator holds it — so that reference
+            # counting frees the pass, and every record it holds, as soon as
+            # its caller lets go, not at some later cyclic collection.
+            self.metrics.extra = self.metrics.heartbeat = None
+            self._speculator = None
 
     def _seed(self) -> None:
         """Install the live state (Fig. 9 lines 2-4): seed each ``LS_n``.
@@ -956,19 +957,18 @@ class _ExplorationPass:
         for message, (msg_hash, msg_size) in zip(step.sends, send_info):
             self.network.add_hashed(message, msg_hash, msg_size)
         consumed_hash = subject.hash if row.consumes else None
-        link = PredecessorLink(
-            prev_hash=record.hash,
-            event=step.event,
-            event_hash=step.event_hash,
-            consumed_hash=consumed_hash,
-            generated_hashes=tuple([msg_hash for msg_hash, _size in send_info]),
+        link_step = self.space.steps.intern(
+            step.event,
+            step.event_hash,
+            consumed_hash,
+            tuple([msg_hash for msg_hash, _size in send_info]),
         )
         new_hash = step.state_hash
         store = self.space.store(record.node)
         if new_hash == record.hash:
             # Sends without a state change: a self-referencing link, ignored
             # by the predecessor closure (§4.2).
-            record.add_predecessor(link)
+            record.add_predecessor(store, record.index, link_step)
             return
         existing = store.lookup(new_hash)
         if existing is not None:
@@ -980,7 +980,7 @@ class _ExplorationPass:
             if (
                 self._por
                 and row is DELIVERY
-                and self._por_redundant(record, existing, link)
+                and self._por_redundant(record, existing, consumed_hash)
             ):
                 # Commutativity pruning (docs/REDUCTION.md): this link would
                 # close the non-canonical side of a delivery-order diamond
@@ -988,7 +988,7 @@ class _ExplorationPass:
                 # already reaches the same state.
                 self.stats.por_links_suppressed += 1
                 return
-            if existing.add_predecessor(link):
+            if existing.add_predecessor(store, record.index, link_step):
                 self._retained_bytes += LINK_BYTES
                 # The predecessor DAG changed: invalidate the soundness
                 # verifier's memoised sequence enumerations for this node.
@@ -997,13 +997,13 @@ class _ExplorationPass:
                     self._reverify_affected(existing)
             return
         if row.reboots:
-            history = frozenset()
+            history = 0
         else:
             history = record.history
-            if consumed_hash is not None:
-                history = history | {consumed_hash}
+            if row.consumes:
+                history |= 1 << subject.bit
             if row.copy_token:
-                history = history | {-(subject.seq + 1)}
+                history |= 1 << subject.seq
         new_record = store.add(
             step.state,
             new_hash,
@@ -1014,8 +1014,8 @@ class _ExplorationPass:
             crashed=row.crashes,
             state_size=step.state_size,
         )
-        new_record.add_predecessor(link)
-        self._retained_bytes += new_record.retained_bytes()
+        new_record.add_predecessor(store, record.index, link_step)
+        self._retained_bytes += new_record.retained_bytes() + LINK_BYTES
         if new_record.depth > self._node_max_depth.get(record.node, 0):
             self._node_max_depth[record.node] = new_record.depth
         if new_record.crashed:
@@ -1031,9 +1031,10 @@ class _ExplorationPass:
         self,
         record: NodeStateRecord,
         existing: NodeStateRecord,
-        link: PredecessorLink,
+        m2: int,
     ) -> bool:
-        """Would ``link`` close the redundant side of a commuting diamond?
+        """Would delivering ``m2`` on ``record`` close the redundant side of
+        a commuting diamond?
 
         The link being added delivers message ``m2`` on ``record`` (whose
         own discovery includes a delivery of some ``m1``) and lands on
@@ -1048,10 +1049,8 @@ class _ExplorationPass:
         witness found later is still genuinely replayable (the documented
         conservatism is a possibly *missed* witness, docs/REDUCTION.md).
         """
-        m2 = link.consumed_hash
-        assert m2 is not None
         store = self.space.store(record.node)
-        for lq in record.predecessors:
+        for q_prev, lq in store.links_of(record):
             m1 = lq.consumed_hash
             # Only delivery→delivery diamonds, and only the non-canonical
             # ordering (m1 before m2 with m1 > m2) is a suppression
@@ -1061,26 +1060,24 @@ class _ExplorationPass:
             # leg of the diamond must be a genuine delivery.
             if (
                 m1 is None
-                or lq.prev_hash is None
+                or q_prev < 0
                 or m1 <= m2
                 or not isinstance(lq.event, DeliveryEvent)
             ):
                 continue
             if m2 in lq.generated_hashes:
                 continue  # m2 causally follows m1: not a commuting pair
-            for lt in existing.predecessors:
+            for t_prev, lt in store.links_of(existing):
                 if (
                     lt.consumed_hash != m1
-                    or lt.prev_hash is None
+                    or t_prev < 0
+                    or t_prev == record.index
                     or not isinstance(lt.event, DeliveryEvent)
                 ):
                     continue
-                sibling = store.lookup(lt.prev_hash)
-                if sibling is None or sibling is record:
-                    continue
-                for lr in sibling.predecessors:
+                for r_prev, lr in store.links_of(store.records[t_prev]):
                     if (
-                        lr.prev_hash == lq.prev_hash
+                        r_prev == q_prev
                         and lr.consumed_hash == m2
                         and isinstance(lr.event, DeliveryEvent)
                         and m1 not in lr.generated_hashes

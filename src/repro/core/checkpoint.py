@@ -67,7 +67,6 @@ from array import array
 from typing import Any, Dict, List, Optional
 
 from repro.core.event_kinds import CURSOR_SWEEPS, DELIVERY_SWEEP, Cursor
-from repro.core.records import PredecessorLink
 from repro.fsio import append_text, atomic_write_text
 from repro.model.hashing import content_hash
 from repro.persistence import (
@@ -225,12 +224,14 @@ def apply_stats(stats: ExplorationStats, encoded: Dict[str, Any]) -> None:
 class _Marks:
     """What a checkpoint log already holds of one pass.
 
-    The starting point of the pass's next segment: per store one ``(link
-    count, discarded)`` pair per record written — the only two things a
-    record changes after it is stored — plus the ``I+`` high-water mark,
-    the round of the write, the hashes of the value rows the log defines
-    and the seen orbit keys it lists.  The pass fingerprint rides along
-    because its inputs are fixed for the pass.
+    The starting point of the pass's next segment: per store the records
+    and link rows written and the indexes of the records written discarded
+    — links and the discard flag are the only two things a record changes
+    after it is stored, and a record's later links sit at higher offsets —
+    plus the ``I+`` high-water mark, the round of the write, the hashes of
+    the value rows the log defines and the seen orbit keys it lists.  The
+    pass fingerprint rides along because its inputs are fixed for the
+    pass.
     """
 
     __slots__ = (
@@ -244,64 +245,86 @@ class _Marks:
         self.seen = None if pass_._symmetry is None else set(pass_._symmetry._seen)
         self.round = pass_.round_number
         self.stores = {
-            node: [
-                (len(record.predecessors), record.discarded)
-                for record in pass_.space.store(node).records
-            ]
-            for node in pass_.space.node_ids
+            node: (
+                len(store.records),
+                len(store.links),
+                {record.index for record in store.records if record.discarded},
+            )
+            for node, store in pass_.space.stores.items()
         }
         self.messages = pass_.network.high_water
 
 
 def _encode_links(
-    links: List[PredecessorLink], table: ValueTable
+    store: Any, record: Any, table: ValueTable, since: int = 0
 ) -> List[Dict[str, Any]]:
+    records = store.records
     return [
         {
-            "prev_hash": link.prev_hash,
-            "event": encode_event(link.event, table.ref),
-            "event_hash": link.event_hash,
-            "consumed_hash": link.consumed_hash,
-            "generated_hashes": list(link.generated_hashes),
+            "prev_hash": None if prev < 0 else records[prev].hash,
+            "event": encode_event(step.event, table.ref),
+            "event_hash": step.event_hash,
+            "consumed_hash": step.consumed_hash,
+            "generated_hashes": list(step.generated_hashes),
         }
-        for link in links
+        for prev, step in store.links_of(record, since)
     ]
 
 
-def _encode_record(record: Any, table: ValueTable) -> Dict[str, Any]:
+def _history_rows(mask: int, log: Any) -> List[int]:
+    """A history mask as the sorted entries it stands for: the hash of each
+    first-copy bit, the token ``-(seq + 1)`` of each other copy's."""
+    return sorted(
+        log[seq].hash if log[seq].bit == seq else -(seq + 1)
+        for seq, bit in enumerate(bin(mask)[:1:-1])
+        if bit == "1"
+    )
+
+
+def _history_mask(rows: List[int], bits: Dict[int, int]) -> int:
+    """:func:`_history_rows` inverted through the restored ``I+``'s hash to
+    bit map; a hash ``I+`` does not hold raises ``KeyError``."""
+    mask = 0
+    for entry in rows:
+        mask |= 1 << (-entry - 1 if entry < 0 else bits[entry])
+    return mask
+
+
+def _encode_record(store: Any, record: Any, table: ValueTable, log: Any) -> Dict[str, Any]:
     return {
         "state": table.ref(record.state, record.hash),
         "hash": record.hash,
         "depth": record.depth,
         "local_depth": record.local_depth,
-        "history": sorted(record.history),
+        "history": _history_rows(record.history, log),
         "crashes": record.crashes,
         "crashed": record.crashed,
         "seed": record.seed,
         "discarded": record.discarded,
         "state_size": record.state_size,
-        "predecessors": _encode_links(record.predecessors, table),
+        "predecessors": _encode_links(store, record, table),
     }
 
 
 def _encode_store(
-    store: Any, written: Optional[List[Any]], table: ValueTable
+    store: Any, written: Optional[tuple], table: ValueTable, log: Any
 ) -> Dict[str, Any]:
     """One ``LS_n``: the records the log lacks and, for a segment, what the
     ``written`` ones gained — ``[index, new links, discarded]`` rows."""
-    records = store.records
+    held, links_held, discarded = written or (0, 0, ())
     encoded = {
         "version": store.version,
         "records": [
-            _encode_record(record, table) for record in records[len(written or ()) :]
+            _encode_record(store, record, table, log)
+            for record in store.records[held:]
         ],
     }
     if written is not None:
-        encoded["grown"] = [
-            [index, _encode_links(record.predecessors[links:], table), record.discarded]
-            for index, (record, (links, discarded)) in enumerate(zip(records, written))
-            if len(record.predecessors) != links or record.discarded != discarded
-        ]
+        encoded["grown"] = []
+        for record in store.records[:held]:
+            links = _encode_links(store, record, table, links_held)
+            if links or (record.discarded and record.index not in discarded):
+                encoded["grown"].append([record.index, links, record.discarded])
     return encoded
 
 
@@ -387,7 +410,12 @@ def snapshot_pass(
             "retained_bytes": pass_._retained_bytes,
             "stats": _encode_stats(pass_.stats),
             "stores": [
-                [node, _encode_store(pass_.space.store(node), written.get(node), table)]
+                [
+                    node,
+                    _encode_store(
+                        pass_.space.store(node), written.get(node), table, log
+                    ),
+                ]
                 for node in nodes
             ],
             "network": {
@@ -460,7 +488,7 @@ def snapshot_pass(
     if marks is not None:
         payload["marks"] = {
             "round": marks.round,
-            "stores": [[node, len(written[node])] for node in nodes],
+            "stores": [[node, written[node][0]] for node in nodes],
             "messages": sent,
         }
         payload["pass"]["network"]["cursors"] = [
@@ -491,33 +519,6 @@ def restore_pass(
     # Shared value rows decode once, to canonical objects.
     memo: Dict[int, Any] = {}
 
-    for node, store_data in data["stores"]:
-        store = pass_.space.store(node)
-        for row in store_data["records"]:
-            record = store.restore_record(
-                state=decode_value(row["state"], registry, memo),
-                state_hash=row["hash"],
-                depth=row["depth"],
-                local_depth=row["local_depth"],
-                history=frozenset(row["history"]),
-                crashes=row["crashes"],
-                crashed=row["crashed"],
-                seed=row["seed"],
-                discarded=row["discarded"],
-                state_size=row["state_size"],
-            )
-            for link_row in row["predecessors"]:
-                record.add_predecessor(
-                    PredecessorLink(
-                        prev_hash=link_row["prev_hash"],
-                        event=decode_event(link_row["event"], registry, memo),
-                        event_hash=link_row["event_hash"],
-                        consumed_hash=link_row["consumed_hash"],
-                        generated_hashes=tuple(link_row["generated_hashes"]),
-                    )
-                )
-        store.finalize_restore(store_data["version"])
-
     network = data["network"]
     pass_.network.restore(
         (
@@ -533,6 +534,44 @@ def restore_pass(
         suppressed_duplicates=network["suppressed_duplicates"],
         retained_bytes=network["retained_bytes"],
     )
+    # History masks are rebuilt through the restored ``I+``.
+    bits = {stored.hash: stored.bit for stored in pass_.network.messages_since(0)}
+
+    steps = pass_.space.steps
+    for node, store_data in data["stores"]:
+        store = pass_.space.store(node)
+        rows = store_data["records"]
+        for row in rows:
+            record = store.add(
+                decode_value(row["state"], registry, memo),
+                row["hash"],
+                depth=row["depth"],
+                local_depth=row["local_depth"],
+                history=_history_mask(row["history"], bits),
+                crashes=row["crashes"],
+                crashed=row["crashed"],
+                state_size=row["state_size"],
+            )
+            # The flags ``add`` leaves to the checker.
+            record.seed = row["seed"]
+            record.discarded = row["discarded"]
+        # Links go in once every record is: a link's predecessor may be a
+        # record discovered after the one it leads to.  A predecessor hash
+        # the store lacks raises ``KeyError``.
+        for record, row in zip(store.records, rows):
+            for link_row in row["predecessors"]:
+                prev_hash = link_row["prev_hash"]
+                record.add_predecessor(
+                    store,
+                    -1 if prev_hash is None else store._by_hash[prev_hash].index,
+                    steps.intern(
+                        decode_event(link_row["event"], registry, memo),
+                        link_row["event_hash"],
+                        link_row["consumed_hash"],
+                        tuple(link_row["generated_hashes"]),
+                    ),
+                )
+        store.finalize_restore(store_data["version"])
 
     apply_stats(pass_.stats, data["stats"])
     pass_.round_number = data["round_number"]

@@ -137,13 +137,13 @@ class EventKind:
     event_class: type
     #: The sweep subject is a stored message (else an action, or nothing).
     on_message: bool = False
-    #: The successor's history gains the consumed message hash, so the
-    #: copy is never offered again along that path (§4.2).
+    #: The successor's history gains the consumed message (its ``bit``),
+    #: so no copy of it is offered again along that path (§4.2).
     consumes: bool = False
-    #: The successor's history gains the stored copy's per-copy token
-    #: ``-(seq + 1)`` — collision-free against the non-negative 64-bit
-    #: content hashes — so each admitted duplicate executes at most once
-    #: per discovery path instead of chaining one redelivery per successor.
+    #: The successor's history gains the stored copy's per-copy token (the
+    #: bit at the copy's own ``seq``; a checkpoint writes it as
+    #: ``-(seq + 1)``), so each admitted duplicate executes at most once per
+    #: discovery path instead of chaining one redelivery per successor.
     copy_token: bool = False
     #: ``local_depth`` increment (the §4.2 local-event bound counts these).
     local_step: int = 0
@@ -234,8 +234,8 @@ def gate_delivery(p: Any, record: Any, stored: Any) -> Any:
     if p.max_depth is not None and record.depth >= p.max_depth:
         return DEFER
     history = record.history
-    if stored.hash in history:
-        if stored.duplicate and -(stored.seq + 1) not in history:
+    if history >> stored.bit & 1:
+        if stored.duplicate and not history >> stored.seq & 1:
             return DUPLICATE
         return SEEN
     return DELIVERY
@@ -281,7 +281,7 @@ def gate_drop(p: Any, record: Any, stored: Any) -> Any:
         return SKIP
     if p.max_depth is not None and record.depth >= p.max_depth:
         return DEFER
-    if stored.hash in record.history:
+    if record.history >> stored.bit & 1:
         return SKIP
     limit = p.config.max_drops
     if limit is not None and p.stats.fault_drops >= limit:

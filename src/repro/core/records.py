@@ -3,26 +3,36 @@
 LMC's entire persistent state is, per node ``n``, the append-only list of
 distinct local states discovered so far.  Each state carries:
 
-* ``predecessors`` — "all the last immediate node states as well as the
+* predecessor links — "all the last immediate node states as well as the
   executed events on them that led to the current node state" (Fig. 9,
-  line 14).  Following the paper's prototype, a link stores *hashes*: the
-  predecessor state hash, the event hash, the hash of the consumed message
+  line 14).  Following the paper's prototype, a link is kept in hash form:
+  the predecessor state, the event hash, the hash of the consumed message
   (for network events) and the hashes of the generated messages — exactly
-  what the fast soundness replay needs.  We additionally retain the event
-  value itself so confirmed bugs can print readable witness traces.
-* ``history`` — the hashes of messages already executed along the path that
-  first discovered this state (§4.2 "Duplicate messages" rules (i)/(ii)):
-  a message in the history is never redelivered to this state or its
-  descendants.  Matching the paper's simplification, history is set only at
-  first discovery.
+  what the fast soundness replay needs — plus the event value itself so
+  confirmed bugs can print readable witness traces.  The store keeps its
+  links as integer rows ``(predecessor index, step id, next link)`` in one
+  ``array('q')``; a step id names a :class:`SequenceStep` of the space's
+  shared :class:`StepTable`, which holds each distinct
+  ``(event hash, consumed hash, generated hashes)`` step once.  A record
+  holds the offset of its first link (``first_link``), and each row the
+  offset of the record's next one, so a record's links read in the order
+  they were added.
+* ``history`` — the messages already executed along the path that first
+  discovered this state (§4.2 "Duplicate messages" rules (i)/(ii)), as an
+  ``int`` bitmask over ``I+`` sequence numbers: a message's bit sits at
+  the ``seq`` of its value's first copy, and a fault-minted duplicate
+  copy's per-copy token at the copy's own ``seq``
+  (:class:`~repro.network.monotonic.StoredMessage`).  A message in the
+  history is never redelivered to this state or its descendants.  Matching
+  the paper's simplification, history is set only at first discovery.
 * ``depth`` / ``local_depth`` — events (resp. internal events) on the
   discovery path, for depth bounds and the per-round local-event bound.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from array import array
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.model.events import Event
 from repro.model.hashing import canonical_hash_and_size, content_size
@@ -34,33 +44,66 @@ LINK_BYTES = 48
 HISTORY_ENTRY_BYTES = 8
 INDEX_ENTRY_BYTES = 16
 
+#: Integers per link row: predecessor index, step id, next link's offset.
+LINK_WIDTH = 3
 
-@dataclass(frozen=True)
-class PredecessorLink:
-    """One way of reaching a node state: predecessor + event + message hashes.
 
-    ``prev_hash`` is ``None`` for the initial (live) state, which has no
-    predecessor.  ``consumed_hash`` is the hash of the delivered message for
-    network events and ``None`` for internal events.  ``generated_hashes``
-    are the hashes of the messages the handler emitted, in emission order.
+class SequenceStep:
+    """One event of a node sequence, in hash form plus the original event.
 
-    Every transition mints one, so the class declares ``__slots__`` by hand
-    (``dataclass(slots=True)`` needs Python 3.10) and its instances carry
-    no ``__dict__``.
+    ``event_hash`` is the predecessor pointer's stored hash of the event
+    (§4.2), carried for diagnostics and for callers that identify steps
+    without touching the event value.  It is optional (``None``) because
+    hand-built steps in tests don't need it.
     """
 
-    __slots__ = ("prev_hash", "event", "event_hash", "consumed_hash", "generated_hashes")
+    __slots__ = ("event", "consumed_hash", "generated_hashes", "event_hash")
 
-    prev_hash: Optional[int]
-    event: Event
-    event_hash: int
-    consumed_hash: Optional[int]
-    generated_hashes: Tuple[int, ...]
+    def __init__(
+        self,
+        event: Event,
+        consumed_hash: Optional[int],
+        generated_hashes: Tuple[int, ...],
+        event_hash: Optional[int] = None,
+    ):
+        self.event = event
+        self.consumed_hash = consumed_hash
+        self.generated_hashes = generated_hashes
+        self.event_hash = event_hash
 
-    def __reduce__(self):
-        # Frozen and slotted: copy and pickle rebuild through __init__
-        # instead of assigning the slots one by one.
-        return (PredecessorLink, tuple(getattr(self, name) for name in self.__slots__))
+
+class StepTable:
+    """The distinct steps predecessor links name, each interned once.
+
+    A step is keyed by its event hash, consumed hash and generated hashes;
+    the first event value seen under a key is the one witnesses print.
+    Thousands of links share a few dozen steps (65 on two-proposal Paxos
+    at d=6), so a link row stores a step id instead of the hashes.
+    """
+
+    __slots__ = ("steps", "_ids")
+
+    def __init__(self) -> None:
+        #: Step id -> :class:`SequenceStep`.
+        self.steps: List[SequenceStep] = []
+        self._ids: Dict[Tuple[int, Optional[int], Tuple[int, ...]], int] = {}
+
+    def intern(
+        self,
+        event: Event,
+        event_hash: int,
+        consumed_hash: Optional[int],
+        generated_hashes: Tuple[int, ...],
+    ) -> int:
+        """The id of this step, filed on first sight."""
+        key = (event_hash, consumed_hash, generated_hashes)
+        step = self._ids.get(key)
+        if step is None:
+            step = self._ids[key] = len(self.steps)
+            self.steps.append(
+                SequenceStep(event, consumed_hash, generated_hashes, event_hash)
+            )
+        return step
 
 
 class NodeStateRecord:
@@ -74,7 +117,7 @@ class NodeStateRecord:
         "depth",
         "local_depth",
         "history",
-        "predecessors",
+        "first_link",
         "seed",
         "discarded",
         "crashed",
@@ -90,7 +133,7 @@ class NodeStateRecord:
         index: int,
         depth: int,
         local_depth: int,
-        history: FrozenSet[int],
+        history: int,
         crashes: int = 0,
         crashed: bool = False,
         state_size: Optional[int] = None,
@@ -102,7 +145,9 @@ class NodeStateRecord:
         self.depth = depth
         self.local_depth = local_depth
         self.history = history
-        self.predecessors: List[PredecessorLink] = []
+        #: Offset of this record's first link row in its store's ``links``
+        #: (-1: none yet).
+        self.first_link = -1
         #: True for the live/snapshot state the search was seeded with; seed
         #: states are where backward path enumeration terminates.
         self.seed = False
@@ -126,42 +171,49 @@ class NodeStateRecord:
         #: computed lazily — and then cached — otherwise.
         self.state_size = state_size
 
-    def add_predecessor(self, link: PredecessorLink) -> bool:
+    def add_predecessor(self, store: "NodeStateStore", prev: int, step: int) -> bool:
         """Record a new way of reaching this state; False if already known.
 
-        Same predecessor and same event is the same link.  A record has a
-        handful of links (at most 10 on two-proposal Paxos at depth 7), so
-        the check scans them instead of keeping a key set per record.
+        ``prev`` is the predecessor's index in ``store`` (-1 for none) and
+        ``step`` the id of the event's step in the store's step table.  Same
+        predecessor and same event hash is the same link, whatever else the
+        step carries.  A record has a handful of links (at most 10 on
+        two-proposal Paxos at depth 7), so the check scans them on the way
+        to the last one, behind which the new row is chained.
         """
-        prev_hash, event_hash = link.prev_hash, link.event_hash
-        for known in self.predecessors:
-            if known.event_hash == event_hash and known.prev_hash == prev_hash:
+        links, steps = store.links, store.steps.steps
+        event_hash = steps[step].event_hash
+        last = -1
+        link = self.first_link
+        while link >= 0:
+            if links[link] == prev and steps[links[link + 1]].event_hash == event_hash:
                 return False
-        self.predecessors.append(link)
+            last = link
+            link = links[link + 2]
+        link = len(links)
+        links.extend((prev, step, -1))
+        if last < 0:
+            self.first_link = link
+        else:
+            links[last + 2] = link
         return True
 
-    @property
-    def is_initial(self) -> bool:
-        """True for the live/snapshot state LMC was started from."""
-        return self.seed
-
     def retained_bytes(self) -> int:
-        """Deterministic memory footprint of this record."""
+        """Deterministic memory footprint of this record without its links,
+        which its store charges (:meth:`NodeStateStore.retained_bytes`)."""
         size = self.state_size
         if size is None:
             size = self.state_size = content_size(self.state)
         return (
             size
             + INDEX_ENTRY_BYTES
-            + LINK_BYTES * len(self.predecessors)
-            + HISTORY_ENTRY_BYTES * len(self.history)
+            + HISTORY_ENTRY_BYTES * bin(self.history).count("1")
         )
 
     def __repr__(self) -> str:
         return (
             f"NodeStateRecord(node={self.node}, index={self.index}, "
-            f"depth={self.depth}, links={len(self.predecessors)}, "
-            f"state={self.state!r})"
+            f"depth={self.depth}, state={self.state!r})"
         )
 
 
@@ -170,13 +222,19 @@ class NodeStateStore:
 
     States live in a list in discovery order — the paper's deque, which the
     monotonic network's per-message cursors index into — with a hash index
-    for O(1) duplicate detection.
+    for O(1) duplicate detection.  Predecessor links are ``LINK_WIDTH``
+    integers each in ``links``, appended in the order they were added.
     """
 
-    def __init__(self, node: NodeId):
+    def __init__(self, node: NodeId, steps: Optional[StepTable] = None):
         self.node = node
         self.records: List[NodeStateRecord] = []
         self._by_hash: Dict[int, NodeStateRecord] = {}
+        #: Link rows: predecessor index (-1: none), step id, offset of the
+        #: same record's next link (-1: last).
+        self.links = array("q")
+        #: The step table link rows name (shared by a space's stores).
+        self.steps = StepTable() if steps is None else steps
         #: Structural version: bumped when a record is added and — via
         #: :meth:`note_link` — when a predecessor pointer lands anywhere in
         #: the store.  The soundness verifier keys its per-record sequence
@@ -189,6 +247,19 @@ class NodeStateStore:
     def lookup(self, state_hash: int) -> Optional[NodeStateRecord]:
         """The record with this state hash, if the state was visited."""
         return self._by_hash.get(state_hash)
+
+    def links_of(
+        self, record: NodeStateRecord, since: int = 0
+    ) -> Iterator[Tuple[int, SequenceStep]]:
+        """``record``'s links in the order they were added, as
+        ``(predecessor index or -1, step)``; ``since`` skips the rows at
+        lower offsets (those ``links`` already held at that length)."""
+        links, steps = self.links, self.steps.steps
+        link = record.first_link
+        while link >= 0:
+            if link >= since:
+                yield links[link], steps[links[link + 1]]
+            link = links[link + 2]
 
     def note_link(self) -> None:
         """Record that a predecessor pointer was added to some record here."""
@@ -229,7 +300,7 @@ class NodeStateStore:
         state_hash: int,
         depth: int,
         local_depth: int,
-        history: FrozenSet[int],
+        history: int,
         crashes: int = 0,
         crashed: bool = False,
         state_size: Optional[int] = None,
@@ -238,61 +309,19 @@ class NodeStateStore:
         if state_hash in self._by_hash:
             raise ValueError(f"state already stored for node {self.node}")
         record = NodeStateRecord(
-            node=self.node,
-            state=state,
-            state_hash=state_hash,
-            index=len(self.records),
-            depth=depth,
-            local_depth=local_depth,
-            history=history,
-            crashes=crashes,
-            crashed=crashed,
-            state_size=state_size,
+            self.node, state, state_hash, len(self.records), depth, local_depth,
+            history, crashes, crashed, state_size,
         )
         self.records.append(record)
         self._by_hash[state_hash] = record
         self.version += 1
         return record
 
-    def restore_record(
-        self,
-        state: object,
-        state_hash: int,
-        depth: int,
-        local_depth: int,
-        history: FrozenSet[int],
-        crashes: int,
-        crashed: bool,
-        seed: bool,
-        discarded: bool,
-        state_size: Optional[int],
-    ) -> NodeStateRecord:
-        """Reinstate one checkpointed record (docs/CHECKPOINTS.md).
-
-        Appends like :meth:`add` but also reinstates the flags ``add``
-        leaves to the checker (``seed``, ``discarded``).  The caller
-        replays predecessor links afterwards and then calls
-        :meth:`finalize_restore` to pin the structural version.
-        """
-        record = self.add(
-            state,
-            state_hash,
-            depth=depth,
-            local_depth=local_depth,
-            history=history,
-            crashes=crashes,
-            crashed=crashed,
-            state_size=state_size,
-        )
-        record.seed = seed
-        record.discarded = discarded
-        return record
-
     def finalize_restore(self, version: int) -> None:
         """Pin the checkpointed structural version after a restore.
 
-        :meth:`restore_record` and the replayed predecessor links bumped
-        ``version`` on their own schedule; overwriting it with the
+        The restored records and predecessor links bumped ``version`` on
+        their own schedule; overwriting it with the
         checkpointed value makes a snapshot→restore→snapshot round trip
         byte-identical, and keeps future bumps aligned with the original
         run.  Discard and active-record caches are recomputed from the
@@ -310,7 +339,9 @@ class NodeStateStore:
 
     def retained_bytes(self) -> int:
         """Deterministic memory footprint of the whole store."""
-        return sum(record.retained_bytes() for record in self.records)
+        return LINK_BYTES * (len(self.links) // LINK_WIDTH) + sum(
+            record.retained_bytes() for record in self.records
+        )
 
 
 class LocalStateSpace:
@@ -318,8 +349,10 @@ class LocalStateSpace:
 
     def __init__(self, node_ids: Tuple[NodeId, ...]):
         self.node_ids = tuple(node_ids)
+        #: The one step table every store's link rows name.
+        self.steps = StepTable()
         self.stores: Dict[NodeId, NodeStateStore] = {
-            node: NodeStateStore(node) for node in self.node_ids
+            node: NodeStateStore(node, self.steps) for node in self.node_ids
         }
 
     def store(self, node: NodeId) -> NodeStateStore:
@@ -330,7 +363,7 @@ class LocalStateSpace:
         """Install the live/snapshot state of ``node`` (Fig. 9 lines 3-4)."""
         state, state_hash, _ = canonical_hash_and_size(state)
         record = self.stores[node].add(
-            state, state_hash, depth=0, local_depth=0, history=frozenset()
+            state, state_hash, depth=0, local_depth=0, history=0
         )
         record.seed = True
         return record
@@ -347,7 +380,3 @@ class LocalStateSpace:
                 if record.depth > depth:
                     depth = record.depth
         return depth
-
-    def retained_bytes(self) -> int:
-        """Deterministic memory footprint across nodes."""
-        return sum(store.retained_bytes() for store in self.stores.values())

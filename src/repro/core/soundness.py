@@ -95,35 +95,11 @@ from itertools import islice, product
 from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.records import LocalStateSpace, NodeStateRecord, PredecessorLink
+from repro.core.records import LocalStateSpace, NodeStateRecord, SequenceStep
 from repro.model.events import Event
 from repro.model.types import NodeId
 from repro.obs.emitter import NULL_EMITTER, TraceEmitter
 from repro.stats.counters import ExplorationStats
-
-
-class SequenceStep:
-    """One event of a node sequence, in hash form plus the original event.
-
-    ``event_hash`` is the predecessor pointer's stored hash of the event
-    (§4.2), carried for diagnostics and for callers that identify steps
-    without touching the event value.  It is optional (``None``) because
-    hand-built steps in tests don't need it.
-    """
-
-    __slots__ = ("event", "consumed_hash", "generated_hashes", "event_hash")
-
-    def __init__(
-        self,
-        event: Event,
-        consumed_hash: Optional[int],
-        generated_hashes: Tuple[int, ...],
-        event_hash: Optional[int] = None,
-    ):
-        self.event = event
-        self.consumed_hash = consumed_hash
-        self.generated_hashes = generated_hashes
-        self.event_hash = event_hash
 
 
 #: One node's candidate event sequence, oldest event first.
@@ -471,12 +447,14 @@ class SoundnessVerifier:
     def _walk_sequences(self, record: NodeStateRecord) -> List[CompiledSequence]:
         """The uncached predecessor-DAG walk behind :meth:`enumerate_sequences`.
 
-        Walks the predecessor DAG backwards; a path never revisits a state
-        hash (simple paths) and self-referencing links are skipped, per the
+        Walks the predecessor DAG backwards by record index, pushing each
+        link's shared :class:`SequenceStep`; a path never revisits a record
+        (simple paths) and self-referencing links are skipped, per the
         paper's simplification.  Truncated at ``max_sequences_per_node``.
         """
         sequences: List[CompiledSequence] = []
         store = self._space.store(record.node)
+        records = store.records
         keys = self._sequence_keys
 
         def walk(current: NodeStateRecord, suffix: List[SequenceStep], seen: set) -> bool:
@@ -492,31 +470,21 @@ class SoundnessVerifier:
                     self._max_sequences is None
                     or len(sequences) < self._max_sequences
                 )
-            for link in current.predecessors:
-                if link.prev_hash is None or link.prev_hash == current.hash:
-                    continue  # self-reference (§4.2) or defensive None
-                if link.prev_hash in seen:
-                    continue  # keep paths simple
-                previous = store.lookup(link.prev_hash)
-                if previous is None:
+            for prev, step in store.links_of(current):
+                if prev < 0 or prev in seen:
+                    # Self-reference (§4.2) — the current record is in
+                    # ``seen`` — a defensive none, or a revisit.
                     continue
-                suffix.append(
-                    SequenceStep(
-                        link.event,
-                        link.consumed_hash,
-                        link.generated_hashes,
-                        link.event_hash,
-                    )
-                )
-                seen.add(link.prev_hash)
-                keep_going = walk(previous, suffix, seen)
-                seen.discard(link.prev_hash)
+                suffix.append(step)
+                seen.add(prev)
+                keep_going = walk(records[prev], suffix, seen)
+                seen.discard(prev)
                 suffix.pop()
                 if not keep_going:
                     return False
             return True
 
-        walk(record, [], {record.hash})
+        walk(record, [], {record.index})
         return sequences
 
 

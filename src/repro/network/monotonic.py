@@ -54,18 +54,28 @@ class StoredMessage:
     :class:`~repro.model.events.DuplicateEvent` steps.  Always ``False``
     when ``duplicate_faults`` is off.
 
+    ``bit`` is the message's bit in a record's history mask
+    (:mod:`repro.core.records`): the ``seq`` of its value's first copy, so
+    every copy of one value shares it.  A fault-minted copy is never a
+    first copy, so its own ``seq`` bit is free for its per-copy token.
+
     :meth:`event` memoises, per event family, the event this message makes
     and its hash: every delivery of the copy reuses one event object instead
     of minting and re-hashing a fresh one.  Derived state, never
     checkpointed.
     """
 
-    __slots__ = ("message", "hash", "seq", "cursor", "deferred", "duplicate", "_events")
+    __slots__ = (
+        "message", "hash", "seq", "bit", "cursor", "deferred", "duplicate", "_events"
+    )
 
-    def __init__(self, message: Message, msg_hash: int, seq: int):
+    def __init__(
+        self, message: Message, msg_hash: int, seq: int, bit: Optional[int] = None
+    ):
         self.message = message
         self.hash = msg_hash
         self.seq = seq
+        self.bit = seq if bit is None else bit
         self.cursor = 0
         self.deferred = array("q")
         self.duplicate = False
@@ -137,12 +147,23 @@ class MonotonicNetwork:
             # ``duplicate_limit`` duplicates).
             self._suppressed_duplicates += 1
             return None
-        stored = StoredMessage(message, msg_hash, self._seq)
+        stored = self._append(message, msg_hash, copies)
+        self._retained_bytes += msg_size
+        return stored
+
+    def _append(self, message: Message, msg_hash: int, copies: int) -> StoredMessage:
+        """Store one more copy of a value ``copies`` copies are stored of."""
+        lane = self._by_dest.setdefault(message.dest, [])
+        bit = self._seq
+        if copies:
+            # A later copy's history bit is its first copy's; copies only
+            # exist under duplication, so the scan is off the common path.
+            bit = next(stored.bit for stored in lane if stored.hash == msg_hash)
+        stored = StoredMessage(message, msg_hash, self._seq, bit)
         self._seq += 1
         self._copies[msg_hash] = copies + 1
-        self._by_dest.setdefault(message.dest, []).append(stored)
+        lane.append(stored)
         self._log.append(stored)
-        self._retained_bytes += msg_size
         return stored
 
     def admits(self, msg_hash: int) -> bool:
@@ -178,14 +199,10 @@ class MonotonicNetwork:
         if self._log:
             raise ValueError("restore requires an empty network")
         for message, msg_hash, cursor, deferred, duplicate in entries:
-            stored = StoredMessage(message, msg_hash, self._seq)
+            stored = self._append(message, msg_hash, self._copies.get(msg_hash, 0))
             stored.cursor = cursor
             stored.deferred = array("q", deferred)
             stored.duplicate = duplicate
-            self._seq += 1
-            self._copies[msg_hash] = self._copies.get(msg_hash, 0) + 1
-            self._by_dest.setdefault(message.dest, []).append(stored)
-            self._log.append(stored)
         self._suppressed_duplicates = suppressed_duplicates
         self._retained_bytes = retained_bytes
 

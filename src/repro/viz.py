@@ -10,7 +10,7 @@ or paste into an online renderer.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.core.records import LocalStateSpace, NodeStateRecord
 from repro.model.events import (
@@ -62,22 +62,14 @@ def predecessor_dag(
         lines.append("  }")
     for node_id in node_ids:
         store = space.store(node_id)
-        index_by_hash: Dict[int, int] = {
-            record.hash: record.index for record in store
-        }
         for record in store:
-            for link in record.predecessors:
-                if link.prev_hash is None:
+            for prev, step in store.links_of(record):
+                if prev < 0:
                     continue
-                prev_index = index_by_hash.get(link.prev_hash)
-                if prev_index is None:
-                    continue
-                label = _escape(link.event.describe(), limit=40)
-                style = (
-                    ", style=dashed" if link.prev_hash == record.hash else ""
-                )
+                label = _escape(step.event.describe(), limit=40)
+                style = ", style=dashed" if prev == record.index else ""
                 lines.append(
-                    f'  n{node_id}_{prev_index} -> n{node_id}_{record.index} '
+                    f'  n{node_id}_{prev} -> n{node_id}_{record.index} '
                     f'[label="{label}", fontsize=8{style}];'
                 )
     lines.append("}")

@@ -309,11 +309,11 @@ def _stored_hashes(cached):
         for record in store:
             assert record.hash == hashing.content_hash(record.state, intern=False)
             states.append(record.hash)
-            for link in record.predecessors:
-                assert link.event_hash == hashing.content_hash(link.event, intern=False)
+            for prev, step in store.links_of(record):
+                assert step.event_hash == hashing.content_hash(step.event, intern=False)
                 links.append(
-                    (link.prev_hash, link.event_hash, link.consumed_hash)
-                    + link.generated_hashes
+                    (store.records[prev].hash, step.event_hash, step.consumed_hash)
+                    + step.generated_hashes
                 )
     messages = []
     for stored in run.network.all_messages():

@@ -818,10 +818,11 @@ class TestValueTable:
         _stats, _result, run_pass = _paxos2_checker(4)._restore(load_checkpoint(paxos2))
         found = {}
         for node in run_pass.space.node_ids:
-            for record in run_pass.space.store(node).records:
+            store = run_pass.space.store(node)
+            for record in store.records:
                 _composites(record.state, found)
-                for link in record.predecessors:
-                    event = link.event
+                for _prev, step in store.links_of(record):
+                    event = step.event
                     carrier = getattr(event, "message", None) or getattr(
                         event, "action", None
                     )

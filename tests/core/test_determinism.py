@@ -95,10 +95,12 @@ HASH_SCRIPT = (
     " config=LMCConfig.optimized()), p.initial_system_state(),"
     " BudgetClock(SearchBudget.unbounded()), None)\n"
     "run.execute()\n"
-    "records = [r for store in run.space.stores.values() for r in store]\n"
+    "stores = run.space.stores.values()\n"
+    "records = [r for store in stores for r in store]\n"
     "print(sorted(r.hash for r in records))\n"
     "print(sorted(m.hash for m in run.network.all_messages()))\n"
-    "print(sorted(l.event_hash for r in records for l in r.predecessors))\n"
+    "print(sorted(step.event_hash for store in stores for r in store"
+    " for _prev, step in store.links_of(r)))\n"
 )
 
 

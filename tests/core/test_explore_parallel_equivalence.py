@@ -484,7 +484,7 @@ class TestEventKindTable:
         # The same node state twice: the first item is the coordinator's
         # shard, the second its child's.
         own, forked = (
-            NodeStateRecord(node, state, content_hash(state), index, 0, 0, frozenset())
+            NodeStateRecord(node, state, content_hash(state), index, 0, 0, 0)
             for index in (1, 0)
         )
         subject = (

@@ -7,8 +7,10 @@ The layers keep their data without per-entry Python containers
   ``array('q')``, which must stay strictly ascending — through cold runs
   and ``extend_depth`` chains, with drop, crash and partition faults — and
   checkpoint to the same rows the set-based layout wrote;
-* a record's predecessor links are deduplicated by scanning its own links,
-  and the links themselves are slotted;
+* a record's predecessor links are integer rows in its store's
+  ``array('q')``, deduplicated by scanning the record's own chain and read
+  back in the order they were added, over one shared table of slotted
+  steps;
 * the hash interner keeps one entry per distinct value, evicting the oldest
   first, and every state a record holds — after a cold run, a depth
   extension from a checkpoint or two-worker rounds — and every message
@@ -16,10 +18,10 @@ The layers keep their data without per-entry Python containers
 * a depth extension re-offers each deferred pair once.
 """
 
-import copy
+import gc
 import hashlib
 import json
-import pickle
+import weakref
 from array import array
 from collections import OrderedDict
 
@@ -29,7 +31,7 @@ from repro import LMCConfig, LocalModelChecker
 from repro.core import checker as checker_module
 from repro.core.checkpoint import Checkpointer, load_checkpoint
 from repro.core.event_kinds import CURSOR_SWEEPS
-from repro.core.records import NodeStateRecord, PredecessorLink
+from repro.core.records import LINK_WIDTH, LocalStateSpace, NodeStateRecord, SequenceStep
 from repro.explore.budget import SearchBudget
 from repro.model import hashing
 from repro.model.events import InternalEvent
@@ -164,45 +166,55 @@ def test_deferred_stays_ascending_and_checkpoints_the_set_based_rows(
     assert digests == list(expected)
 
 
-def _link(prev_hash, event_hash, consumed_hash=None):
-    return PredecessorLink(
-        prev_hash=prev_hash,
-        event=InternalEvent(Action(node=0, name="go")),
-        event_hash=event_hash,
-        consumed_hash=consumed_hash,
-        generated_hashes=(7, 8),
+def _step(space, event_hash, consumed_hash=None):
+    return space.steps.intern(
+        InternalEvent(Action(node=0, name="go")), event_hash, consumed_hash, (7, 8)
     )
 
 
 def test_add_predecessor_refuses_a_repeated_link_and_keeps_other_predecessors():
-    record = NodeStateRecord(0, "s", 1, 0, 0, 0, frozenset())
-    assert record.add_predecessor(_link(10, 20))
+    space = LocalStateSpace((0,))
+    store = space.store(0)
+    record = store.add("s", 1, 0, 0, 0)
+    assert record.add_predecessor(store, 10, _step(space, 20))
     # Same predecessor and event: the same link, whatever else it carries.
-    assert not record.add_predecessor(_link(10, 20))
-    assert not record.add_predecessor(_link(10, 20, consumed_hash=5))
+    assert not record.add_predecessor(store, 10, _step(space, 20))
+    assert not record.add_predecessor(store, 10, _step(space, 20, consumed_hash=5))
     # The same event from another predecessor, another event from the same
     # predecessor, and the seed's predecessor-less link are all new.
-    assert record.add_predecessor(_link(11, 20))
-    assert record.add_predecessor(_link(10, 21))
-    assert record.add_predecessor(_link(None, 20))
-    assert not record.add_predecessor(_link(None, 20))
-    assert [(link.prev_hash, link.event_hash) for link in record.predecessors] == [
+    assert record.add_predecessor(store, 11, _step(space, 20))
+    assert record.add_predecessor(store, 10, _step(space, 21))
+    assert record.add_predecessor(store, -1, _step(space, 20))
+    assert not record.add_predecessor(store, -1, _step(space, 20))
+    assert [(prev, step.event_hash) for prev, step in store.links_of(record)] == [
         (10, 20),
         (11, 20),
         (10, 21),
-        (None, 20),
+        (-1, 20),
     ]
 
 
-def test_links_are_slotted_frozen_values():
-    link = _link(10, 20)
-    assert not hasattr(link, "__dict__")
-    with pytest.raises(AttributeError):
-        link.prev_hash = 11
-    assert link == _link(10, 20) and hash(link) == hash(_link(10, 20))
-    assert link != _link(10, 21)
-    for twin in (copy.copy(link), copy.deepcopy(link), pickle.loads(pickle.dumps(link))):
-        assert twin == link and twin.generated_hashes == (7, 8)
+def test_links_are_integer_rows_over_shared_slotted_steps():
+    space = LocalStateSpace((0, 1))
+    records = [space.store(node).add("s", 1, 0, 0, 0) for node in (0, 1)]
+    for record in records:
+        store = space.store(record.node)
+        record.add_predecessor(store, 3, _step(space, 20))
+        record.add_predecessor(store, 4, _step(space, 20))
+    rows = space.store(1).links
+    assert isinstance(rows, array) and rows.typecode == "q"
+    # (predecessor, step id, next link): the second row ends the chain.
+    assert list(rows) == [3, 0, LINK_WIDTH, 4, 0, -1]
+    assert records[1].first_link == 0
+    # Both stores name one step object; steps carry no ``__dict__``.
+    (step,) = space.steps.steps
+    assert isinstance(step, SequenceStep) and not hasattr(step, "__dict__")
+    assert all(
+        linked is step
+        for record in records
+        for _prev, linked in space.store(record.node).links_of(record)
+    )
+    assert not hasattr(NodeStateRecord(0, "s", 1, 0, 0, 0, 0), "__dict__")
 
 
 @pytest.mark.parametrize("capacity", [1, 3, 64])
@@ -309,6 +321,29 @@ def test_a_second_identical_run_adds_no_entries(passes):
     assert second.stats.snapshot()["node_states"] == first.stats.snapshot()["node_states"]
     assert after["entries"] == before["entries"]
     assert after["misses"] == before["misses"]
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+@pytest.mark.usefixtures("dispatch_every_round")
+def test_a_finished_pass_is_freed_by_reference_counting(monkeypatch, workers):
+    """No reference cycle keeps a finished pass alive for the collector."""
+    weak = []
+    execute = checker_module._ExplorationPass.execute
+
+    def execute_and_watch(run_pass):
+        weak.append(weakref.ref(run_pass))
+        return execute(run_pass)
+
+    monkeypatch.setattr(checker_module._ExplorationPass, "execute", execute_and_watch)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(2):
+            assert _paxos2(3, explore_workers=workers).run().completed
+        assert weak[0]() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # -- depth extension re-offers each deferred pair once -----------------------------

@@ -1,33 +1,46 @@
-"""Tests for the per-node state stores and predecessor records."""
+"""Tests for the per-node state stores, their link rows and history masks."""
+
+from types import SimpleNamespace
 
 import pytest
 
+from repro.core import checker as checker_module
+from repro.core.checkpoint import (
+    Checkpointer,
+    _history_mask,
+    _history_rows,
+    load_checkpoint,
+    snapshot_pass,
+)
+from repro.core.event_kinds import DELIVERY, DUPLICATE, SEEN, SKIP, gate_delivery, gate_drop
 from repro.core.records import (
+    HISTORY_ENTRY_BYTES,
+    LINK_BYTES,
+    LINK_WIDTH,
     LocalStateSpace,
     NodeStateStore,
-    PredecessorLink,
 )
-from repro.model.events import InternalEvent, event_hash
+from repro.model.events import InternalEvent, RestartEvent, event_hash
 from repro.model.hashing import content_hash
-from repro.model.types import Action
+from repro.model.types import Action, Message
+from repro.network.monotonic import MonotonicNetwork
+from tests.core.test_event_pipeline_golden import ENVELOPE_CASE, _checker
 
 
-def make_link(prev_hash=None, name="e", generated=()):
+def step_of(store, name="e", consumed=None, generated=()):
     event = InternalEvent(Action(node=0, name=name))
-    return PredecessorLink(
-        prev_hash=prev_hash,
-        event=event,
-        event_hash=event_hash(event),
-        consumed_hash=None,
-        generated_hashes=tuple(generated),
-    )
+    return store.steps.intern(event, event_hash(event), consumed, tuple(generated))
+
+
+def links(store, record):
+    return [(prev, step.event.action.name) for prev, step in store.links_of(record)]
 
 
 class TestNodeStateStore:
     def test_add_and_lookup(self):
         store = NodeStateStore(0)
         h = content_hash("s0")
-        record = store.add("s0", h, depth=0, local_depth=0, history=frozenset())
+        record = store.add("s0", h, depth=0, local_depth=0, history=0)
         assert store.lookup(h) is record
         assert store.lookup(12345) is None
         assert len(store) == 1
@@ -36,51 +49,66 @@ class TestNodeStateStore:
     def test_duplicate_add_rejected(self):
         store = NodeStateStore(0)
         h = content_hash("s0")
-        store.add("s0", h, depth=0, local_depth=0, history=frozenset())
+        store.add("s0", h, depth=0, local_depth=0, history=0)
         with pytest.raises(ValueError):
-            store.add("s0", h, depth=1, local_depth=0, history=frozenset())
+            store.add("s0", h, depth=1, local_depth=0, history=0)
 
     def test_indices_follow_insertion(self):
         store = NodeStateStore(0)
         for i, state in enumerate(["a", "b", "c"]):
-            record = store.add(
-                state, content_hash(state), depth=i, local_depth=0, history=frozenset()
-            )
+            record = store.add(state, content_hash(state), depth=i, local_depth=0, history=0)
             assert record.index == i
 
     def test_retained_bytes_grows_with_records(self):
         store = NodeStateStore(0)
-        store.add("a", content_hash("a"), 0, 0, frozenset())
+        store.add("a", content_hash("a"), 0, 0, 0)
         before = store.retained_bytes()
-        store.add("b", content_hash("b"), 1, 0, frozenset())
+        store.add("b", content_hash("b"), 1, 0, 0)
         assert store.retained_bytes() > before
 
 
 class TestPredecessorLinks:
     def test_dedup_by_prev_and_event(self):
         store = NodeStateStore(0)
-        record = store.add("a", content_hash("a"), 0, 0, frozenset())
-        link = make_link(prev_hash=1)
-        assert record.add_predecessor(link)
-        assert not record.add_predecessor(make_link(prev_hash=1))
-        assert record.add_predecessor(make_link(prev_hash=2))
-        assert len(record.predecessors) == 2
+        record = store.add("a", content_hash("a"), 0, 0, 0)
+        assert record.add_predecessor(store, 1, step_of(store))
+        assert not record.add_predecessor(store, 1, step_of(store))
+        assert record.add_predecessor(store, 2, step_of(store))
+        assert links(store, record) == [(1, "e"), (2, "e")]
 
     def test_links_with_different_events_kept(self):
         store = NodeStateStore(0)
-        record = store.add("a", content_hash("a"), 0, 0, frozenset())
-        assert record.add_predecessor(make_link(prev_hash=1, name="x"))
-        assert record.add_predecessor(make_link(prev_hash=1, name="y"))
-        assert len(record.predecessors) == 2
+        record = store.add("a", content_hash("a"), 0, 0, 0)
+        assert record.add_predecessor(store, 1, step_of(store, "x"))
+        assert record.add_predecessor(store, 1, step_of(store, "y"))
+        assert links(store, record) == [(1, "x"), (1, "y")]
+
+    def test_links_keep_their_order_across_interleaved_records(self):
+        store = NodeStateStore(0)
+        first = store.add("a", content_hash("a"), 0, 0, 0)
+        second = store.add("b", content_hash("b"), 0, 0, 0)
+        for prev, name in ((3, "p"), (4, "q"), (5, "r")):
+            first.add_predecessor(store, prev, step_of(store, name))
+            second.add_predecessor(store, prev + 10, step_of(store, name))
+        assert links(store, first) == [(3, "p"), (4, "q"), (5, "r")]
+        assert links(store, second) == [(13, "p"), (14, "q"), (15, "r")]
+        # ``since`` keeps only rows added once ``links`` had that length.
+        since = 3 * LINK_WIDTH
+        assert links(store, first)[2:] == [
+            (prev, step.event.action.name)
+            for prev, step in store.links_of(first, since)
+        ]
 
     def test_retained_bytes_counts_links_and_history(self):
         store = NodeStateStore(0)
-        bare = store.add("a", content_hash("a"), 0, 0, frozenset())
-        loaded = store.add(
-            "b", content_hash("b"), 0, 0, history=frozenset({1, 2, 3})
-        )
-        loaded.add_predecessor(make_link(prev_hash=1))
-        assert loaded.retained_bytes() > bare.retained_bytes()
+        bare = store.add("a", content_hash("a"), 0, 0, 0)
+        loaded = store.add("b", content_hash("b"), 0, 0, history=0b1011)
+        # Same-size states: the difference is one entry per history bit.
+        assert loaded.retained_bytes() - bare.retained_bytes() == 3 * HISTORY_ENTRY_BYTES
+        before = store.retained_bytes()
+        loaded.add_predecessor(store, bare.index, step_of(store))
+        loaded.add_predecessor(store, loaded.index, step_of(store, "loop"))
+        assert store.retained_bytes() == before + 2 * LINK_BYTES
 
 
 class TestLocalStateSpace:
@@ -88,15 +116,15 @@ class TestLocalStateSpace:
         space = LocalStateSpace((0, 1))
         record = space.seed(0, "live0")
         assert record.seed
-        assert record.is_initial
         assert record.depth == 0
+        assert record.history == 0
         assert space.total_states() == 1
 
     def test_max_depth_tracks_all_nodes(self):
         space = LocalStateSpace((0, 1))
         space.seed(0, "a")
         space.seed(1, "b")
-        space.store(1).add("b2", content_hash("b2"), depth=5, local_depth=1, history=frozenset())
+        space.store(1).add("b2", content_hash("b2"), depth=5, local_depth=1, history=0)
         assert space.max_depth() == 5
 
     def test_stores_are_per_node(self):
@@ -105,3 +133,109 @@ class TestLocalStateSpace:
         space.seed(1, "same")
         assert space.total_states() == 2
         assert len(space.store(0)) == 1
+
+    def test_stores_share_one_step_table(self):
+        space = LocalStateSpace((0, 1))
+        assert space.store(0).steps is space.store(1).steps is space.steps
+        first = step_of(space.store(0), "go", consumed=5, generated=(7,))
+        assert step_of(space.store(1), "go", consumed=5, generated=(7,)) == first
+        assert step_of(space.store(1), "go", consumed=5, generated=(8,)) != first
+        assert len(space.steps.steps) == 2
+
+
+# -- history masks ---------------------------------------------------------------
+
+
+def _pass(max_depth=None):
+    """The attributes the delivery and drop gates read off a pass."""
+    return SimpleNamespace(max_depth=max_depth, config=SimpleNamespace(max_drops=None), stats=None)
+
+
+def _record(history):
+    return SimpleNamespace(discarded=False, crashed=False, depth=0, history=history)
+
+
+class TestHistoryMasks:
+    def test_a_message_bit_sits_at_its_first_copys_seq(self):
+        network = MonotonicNetwork()
+        first = network.add(Message(dest=1, src=0, payload="a"))
+        second = network.add(Message(dest=1, src=0, payload="b"))
+        assert (first.bit, second.bit) == (0, 1)
+        seen_first = _record(1 << first.bit)
+        assert gate_delivery(_pass(), seen_first, first) is SEEN
+        assert gate_delivery(_pass(), seen_first, second) is DELIVERY
+        assert gate_drop(_pass(), seen_first, first) is SKIP
+        assert gate_drop(_pass(), seen_first, second).tag == "o"
+
+    def test_a_duplicate_copy_shares_the_bit_and_tokens_its_own_seq(self):
+        network = MonotonicNetwork(duplicate_limit=1)
+        network.add(Message(dest=2, src=0, payload="other"))
+        first = network.add(Message(dest=1, src=0, payload="a"))
+        copy = network.add(Message(dest=1, src=0, payload="a"))
+        copy.duplicate = True
+        assert (first.seq, first.bit, copy.seq, copy.bit) == (1, 1, 2, 1)
+        delivered = _record(1 << first.bit)
+        assert gate_delivery(_pass(), delivered, copy) is DUPLICATE
+        assert gate_drop(_pass(), delivered, copy) is SKIP
+        token = _record(1 << first.bit | 1 << copy.seq)
+        assert gate_delivery(_pass(), token, copy) is SEEN
+        assert _history_rows(token.history, network.messages_since(0)) == sorted(
+            [first.hash, -(copy.seq + 1)]
+        )
+
+    def test_rows_round_trip_and_an_unknown_hash_raises(self):
+        network = MonotonicNetwork(duplicate_limit=1)
+        stored = [network.add(Message(dest=1, src=0, payload=p)) for p in "abca"]
+        stored[3].duplicate = True
+        log = network.messages_since(0)
+        bits = {item.hash: item.bit for item in log}
+        mask = 1 << stored[2].bit | 1 << stored[0].bit | 1 << stored[3].seq
+        rows = _history_rows(mask, log)
+        assert rows == sorted([stored[0].hash, stored[2].hash, -4])
+        assert _history_mask(rows, bits) == mask
+        with pytest.raises(KeyError):
+            _history_mask([content_hash("never sent")], bits)
+
+    def test_a_reboot_clears_the_history(self, monkeypatch):
+        passes = []
+        execute = checker_module._ExplorationPass.execute
+
+        def execute_and_keep(run_pass):
+            passes.append(run_pass)
+            return execute(run_pass)
+
+        monkeypatch.setattr(checker_module._ExplorationPass, "execute", execute_and_keep)
+        _checker(ENVELOPE_CASE, 0, 4).run()
+        (run_pass,) = passes
+        rebooted = inherited = 0
+        for store in run_pass.space.stores.values():
+            for record in store:
+                # A record's first link is the one that discovered it.
+                discovery = next(store.links_of(record), None)
+                if discovery is not None and isinstance(discovery[1].event, RestartEvent):
+                    inherited += store.records[discovery[0]].history != 0
+                    assert record.history == 0
+                    rebooted += 1
+        assert rebooted and inherited
+
+    def test_a_checkpoint_round_trip_writes_the_same_sorted_rows(self, tmp_path):
+        # Its duplicate copies leave per-copy tokens in some histories.
+        case = "relay_assert_ignore"
+        path = str(tmp_path / "ckpt.json")
+        _checker(case, 0, 3, Checkpointer(path, every_rounds=1)).run()
+        payload = load_checkpoint(path)
+        rows = [
+            row["history"]
+            for _node, store in payload["pass"]["stores"]
+            for row in store["records"]
+        ]
+        assert all(history == sorted(history) for history in rows)
+        assert any(entry < 0 for history in rows for entry in history)
+        assert any(entry >= 0 for history in rows for entry in history)
+        _stats, _result, restored = _checker(case, 0, 3)._restore(payload)
+        again = snapshot_pass(restored, "round trip", elapsed=payload["elapsed_s"])
+        assert [
+            row["history"]
+            for _node, store in again["pass"]["stores"]
+            for row in store["records"]
+        ] == rows

@@ -331,7 +331,7 @@ def _add(space: LocalStateSpace, state: EchoNodeState):
     state_hash = content_hash(state)
     if store.lookup(state_hash) is not None:
         return None
-    return store.add(state, state_hash, 1, 0, frozenset())
+    return store.add(state, state_hash, 1, 0, 0)
 
 
 def _counted_and_walked(reducers, space, anchor):

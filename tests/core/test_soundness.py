@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.soundness as soundness
-from repro.core.records import LocalStateSpace, PredecessorLink
+from repro.core.records import LocalStateSpace
 from repro.core.soundness import (
     CompiledSequence,
     SequenceStep,
@@ -35,6 +35,13 @@ def delivery(dest, src, payload):
 
 def step(event, consumed=None, generated=()):
     return SequenceStep(event, consumed, tuple(generated))
+
+
+def link(space, record, previous, event, consumed=None, generated=()):
+    """Add the link ``previous --event--> record`` to ``record``'s store."""
+    store = space.store(record.node)
+    step_id = space.steps.intern(event, event_hash(event), consumed, tuple(generated))
+    return record.add_predecessor(store, previous.index, step_id)
 
 
 def compiled(node, plain):
@@ -125,20 +132,11 @@ class TestSequenceEnumeration:
         space = LocalStateSpace((0,))
         seed = space.seed(0, "seed")
         store = space.store(0)
-        s1 = store.add("s1", content_hash("s1"), 1, 0, frozenset())
-        ev1 = internal(0, "e1")
-        s1.add_predecessor(
-            PredecessorLink(seed.hash, ev1, event_hash(ev1), None, ())
-        )
-        s2 = store.add("s2", content_hash("s2"), 2, 0, frozenset())
-        ev2 = internal(0, "e2")
-        s2.add_predecessor(
-            PredecessorLink(s1.hash, ev2, event_hash(ev2), None, ())
-        )
-        ev3 = internal(0, "e3")
-        s2.add_predecessor(
-            PredecessorLink(seed.hash, ev3, event_hash(ev3), None, ())
-        )
+        s1 = store.add("s1", content_hash("s1"), 1, 0, 0)
+        link(space, s1, seed, internal(0, "e1"))
+        s2 = store.add("s2", content_hash("s2"), 2, 0, 0)
+        link(space, s2, s1, internal(0, "e2"))
+        link(space, s2, seed, internal(0, "e3"))
         return space, seed, s1, s2
 
     def test_all_simple_paths_enumerated(self):
@@ -157,13 +155,9 @@ class TestSequenceEnumeration:
         space = LocalStateSpace((0,))
         seed = space.seed(0, "seed")
         store = space.store(0)
-        s1 = store.add("s1", content_hash("s1"), 1, 0, frozenset())
-        ev = internal(0, "e")
-        s1.add_predecessor(PredecessorLink(seed.hash, ev, event_hash(ev), None, ()))
-        loop = internal(0, "loop")
-        s1.add_predecessor(
-            PredecessorLink(s1.hash, loop, event_hash(loop), None, ())
-        )
+        s1 = store.add("s1", content_hash("s1"), 1, 0, 0)
+        link(space, s1, seed, internal(0, "e"))
+        link(space, s1, s1, internal(0, "loop"))
         verifier = SoundnessVerifier(space, ExplorationStats())
         sequences = verifier.enumerate_sequences(s1)
         assert len(sequences) == 1
@@ -265,7 +259,7 @@ def _space_realising(records_per_node):
 
         def state():
             number = next(fresh)
-            return store.add(("s", number), number, 1, 1, frozenset())
+            return store.add(("s", number), number, 1, 1, 0)
 
         targets.append([])
         for sequences in records:
@@ -275,11 +269,7 @@ def _space_realising(records_per_node):
                 for position, (consumed, generated) in enumerate(plain):
                     current = target if position == len(plain) - 1 else state()
                     event = internal(node, f"e{next(fresh)}")
-                    current.add_predecessor(
-                        PredecessorLink(
-                            previous.hash, event, event_hash(event), consumed, generated
-                        )
-                    )
+                    link(space, current, previous, event, consumed, generated)
                     previous = current
             targets[node].append(target)
     return space, targets
@@ -368,7 +358,7 @@ class TestCombinationSearch:
         space = LocalStateSpace((0, 1))
         seed = space.seed(0, ("seed", 0))
         space.seed(1, ("seed", 1))
-        unreachable = space.store(1).add(("s", 1), 1, 1, 1, frozenset())
+        unreachable = space.store(1).add(("s", 1), 1, 1, 1, 0)
         stats = ExplorationStats()
         verifier = SoundnessVerifier(space, stats)
         assert verifier.is_state_sound({0: seed, 1: unreachable}) is None

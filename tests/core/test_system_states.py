@@ -88,7 +88,7 @@ def build_space(per_node: Dict[NodeId, list]) -> LocalStateSpace:
         records[(node, 0)] = space.seed(node, seed)
         for i, state in enumerate(rest, start=1):
             records[(node, i)] = space.store(node).add(
-                state, content_hash((node, state)), i, 0, frozenset()
+                state, content_hash((node, state)), i, 0, 0
             )
     return space
 
@@ -159,8 +159,8 @@ class TestPairwiseOpt:
 
     def test_completion_cap(self):
         space = build_space({0: [("a",)], 1: [("b",)], 2: [(None,)]})
-        space.store(2).add((None, "x2"), content_hash("x2"), 1, 0, frozenset())
-        space.store(2).add((None, "y2"), content_hash("y2"), 2, 0, frozenset())
+        space.store(2).add((None, "x2"), content_hash("x2"), 1, 0, 0)
+        space.store(2).add((None, "y2"), content_hash("y2"), 2, 0, 0)
         all_combos = opt(space, 0, anchor_of(space, 0), ValueAgreement())
         capped = opt(space, 0, anchor_of(space, 0), ValueAgreement(), completion_cap=1)
         assert len(all_combos) == 3
@@ -224,7 +224,7 @@ def replay_pass(schedule, invariant, nodes=(0, 1, 2), cap=None, reference=None):
         store = space.store(node)
         state = (value, serial)
         if store.records:
-            record = store.add(state, content_hash(state), serial, 0, frozenset())
+            record = store.add(state, content_hash(state), serial, 0, 0)
         else:
             record = space.seed(node, state)
         index.note(record)

@@ -279,12 +279,12 @@ def paxos_pass_hashes():
         for record in store:
             states.append(record.hash)
             values.append((record.hash, record.state))
-            for link in record.predecessors:
-                events.add(link.event_hash)
-                values.append((link.event_hash, link.event))
+            for prev, step in store.links_of(record):
+                events.add(step.event_hash)
+                values.append((step.event_hash, step.event))
                 links.append(
-                    (link.prev_hash, link.event_hash, link.consumed_hash)
-                    + link.generated_hashes
+                    (store.records[prev].hash, step.event_hash, step.consumed_hash)
+                    + step.generated_hashes
                 )
     messages = []
     for stored in run.network.all_messages():

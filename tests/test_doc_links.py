@@ -36,7 +36,7 @@ def test_a_renamed_class_is_a_dead_ref(check_doc_links, tmp_path):
 def test_defined_fenced_builtin_and_qualified_names_resolve(check_doc_links, tmp_path):
     text = "\n".join(
         [
-            "`ExplorationStats`, `PredecessorLink`, `Event` (a type alias),",
+            "`ExplorationStats`, `StepTable`, `Event` (a type alias),",
             "`TestDuplicateReplay` (a test class), `None`, `ValueError`, `Incr`,",
             "`concurrent.futures.ProcessPoolExecutor`, `LS_n`, `SHARD_MIN`.",
             "```python",

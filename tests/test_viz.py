@@ -1,5 +1,7 @@
 """Tests for the DOT exports."""
 
+import hashlib
+
 from repro.core.checker import LocalModelChecker, _ExplorationPass
 from repro.core.config import LMCConfig
 from repro.explore.budget import BudgetClock, SearchBudget
@@ -55,6 +57,14 @@ class TestPredecessorDag:
         space = explored_space(TreeProtocol())
         dot = predecessor_dag(space, describe_state=lambda s: 'with "quotes"')
         assert '\\"quotes\\"' in dot
+
+    def test_rendering_is_pinned(self):
+        """The DOT text the list-of-link-objects layout drew, byte for byte."""
+        dot = predecessor_dag(explored_space(TreeProtocol()))
+        assert len(dot) == 1608
+        assert hashlib.sha256(dot.encode()).hexdigest() == (
+            "3fa3677979a8276c00a5be62b4ef5477bed7b960681e871b9fbbbcaf116a1c49"
+        )
 
 
 class TestWitnessDiagram:

@@ -11,10 +11,12 @@ a layer:
 * ``interner`` — ``model/hashing.py``: the identity and cons tables, the
   eviction order, the entries with their canonical bytes and digests, and
   the canonical copies the interner builds;
-* ``records`` — ``core/records.py`` and the history sets the checker builds
-  for a new record;
-* ``links`` — predecessor links, their generated-hash tuples and the
-  per-record link lists (and any per-record dedup structure);
+* ``records`` — ``core/records.py`` and the history masks the checker
+  builds for a new record;
+* ``links`` — the stores' link rows and each record's first-link offset,
+  the step table with its steps and generated-hash tuples (and, in an
+  older checkout, ``PredecessorLink`` objects, per-record link lists and
+  any per-record dedup structure);
 * ``deferred`` — the sweeps' depth-deferred record indexes;
 * ``network`` — the monotonic ``I+`` log;
 * ``other`` — everything else: the node states, messages and events the
@@ -51,11 +53,13 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: ``(file suffix, function-name prefix, statement substring, layer)``;
 #: the first row that matches a site wins.  Empty strings match anything.
-#: The ``_link_keys`` row (and ``PredecessorLink.identity`` under the
-#: ``PredecessorLink`` row) match only an older checkout's per-record link
-#: key sets, so ``--src`` can probe it for a before/after table.
+#: The ``PredecessorLink`` rows, the ``predecessors`` row and the
+#: ``_link_keys`` row match only older checkouts' link objects, per-record
+#: link lists and key sets, so ``--src`` can probe them for a before/after
+#: table.
 RULES = (
     ("repro/model/hashing.py", "", "", "interner"),
+    ("repro/core/checker.py", "_ExplorationPass._integrate", "steps.intern", "links"),
     ("repro/core/checker.py", "_ExplorationPass._integrate", "PredecessorLink(", "links"),
     ("repro/core/checker.py", "_ExplorationPass._integrate", "history", "records"),
     ("repro/core/checker.py", "_ExplorationPass._offer", "", "deferred"),
@@ -63,6 +67,7 @@ RULES = (
     ("repro/core/event_kinds.py", "Cursor.", "", "deferred"),
     ("repro/network/monotonic.py", "", "deferred", "deferred"),
     ("repro/network/monotonic.py", "", "", "network"),
+    ("repro/core/records.py", "StepTable", "", "links"),
     ("repro/core/records.py", "PredecessorLink", "", "links"),
     ("repro/core/records.py", "NodeStateRecord.add_predecessor", "", "links"),
     ("repro/core/records.py", "NodeStateRecord.__init__", "predecessors", "links"),
