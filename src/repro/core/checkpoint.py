@@ -375,12 +375,16 @@ def snapshot_pass(
     table = ValueTable(held)
     log = pass_.network.messages_since(0)
     symmetry = None
-    if pass_._symmetry is not None:
-        # Orbit keys are tuples of int pairs: sorted as tuples they come in
-        # the order their JSON arrays sort in, and dump as those arrays.
+    reducer = pass_._symmetry
+    if reducer is not None:
+        # Orbit keys are tuples of hashes, one per node of the reducer's
+        # ascending node set, written as ``[node, hash]`` rows.  The nodes
+        # are the same at every position, so the keys sort as their rows.
         symmetry = {
-            "orbit_hits": pass_._symmetry.orbit_hits,
-            "seen": sorted(pass_._symmetry._seen - seen),
+            "orbit_hits": reducer.orbit_hits,
+            "seen": [
+                tuple(zip(reducer.nodes, key)) for key in sorted(reducer._seen - seen)
+            ],
         }
     nodes = pass_.space.node_ids
     payload = {
@@ -624,8 +628,14 @@ def restore_pass(
             "this configuration"
         )
     if symmetry is not None:
-        pass_._symmetry.orbit_hits = symmetry["orbit_hits"]
-        pass_._symmetry._seen = {tuple(map(tuple, key)) for key in symmetry["seen"]}
+        reducer = pass_._symmetry
+        nodes = list(reducer.nodes)
+        if any([node for node, _hash in key] != nodes for key in symmetry["seen"]):
+            raise CheckpointMismatch(
+                "an orbit key of the checkpoint does not list this pass's nodes"
+            )
+        reducer.orbit_hits = symmetry["orbit_hits"]
+        reducer._seen = {tuple(row[1] for row in key) for key in symmetry["seen"]}
 
     # Derived caches are rebuilt, not restored: the summary index in
     # discovery order (exactly the order seeding + integration noted it),

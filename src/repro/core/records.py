@@ -371,12 +371,3 @@ class LocalStateSpace:
     def total_states(self) -> int:
         """Distinct node states across all nodes (the LMC-local curve)."""
         return sum(len(store) for store in self.stores.values())
-
-    def max_depth(self) -> int:
-        """Deepest discovery depth of any node state."""
-        depth = 0
-        for store in self.stores.values():
-            for record in store:
-                if record.depth > depth:
-                    depth = record.depth
-        return depth

@@ -48,9 +48,9 @@ _GROUP_CAP = 720
 #: checks its time budget and heartbeat between chunks.
 BLOCK_CHUNK = 4096
 
-#: ``(π(node), hash(rename(state, π)))``: one record's contribution to the
-#: orbit-key candidate of group element π.
-Pair = Tuple[NodeId, int]
+#: One ``hash(rename(state, π))`` per listed node, ordered by target node
+#: ``π(node)``: the orbit-key candidate of group element π.
+Key = Tuple[int, ...]
 
 
 def _class_permutations(members: Tuple[NodeId, ...]) -> List[Dict[NodeId, NodeId]]:
@@ -100,27 +100,32 @@ class SymmetryReducer:
     One reducer serves one exploration pass.  It holds:
 
     * the composed symmetry ``group`` (identity first);
-    * per record, its pair vector — one ``(π(node), hash(rename(state,
-      π)))`` pair per group element, keyed by ``(node, record index)``,
-      with the identity's hash being the record's stored one;
+    * per record, its hash vector — one ``hash(rename(state, π))`` per
+      group element, keyed by ``(node, record index)``, with the
+      identity's hash being the record's stored one;
     * the set of canonical orbit keys already enumerated this pass.
 
     A combination's **orbit key** is the minimum, over the group, of its
-    records' π-pairs listed by target node ``π(node)``, ascending — the
-    sorted pair tuple, since the targets are distinct.  Two combinations
-    get equal keys iff some group element maps one onto the other (modulo
-    the vanishing probability of a content-hash collision), so
-    first-occurrence filtering on the key enumerates exactly one member per
-    orbit.  :meth:`orbit_key` and :meth:`count_block` both read the pair
-    vectors and place them with the same getters, so the per-combination
-    walk and the counted block produce the same keys.
+    records' π-hashes listed by target node ``π(node)``, ascending.  Every
+    keyed combination covers the reducer's node set ``nodes``, which each
+    π maps onto itself, so the targets listed are ``nodes`` in order
+    whatever π is: the key of pairs ``(π(node), hash)`` would repeat the
+    same node at each position, and the hashes alone order and identify
+    keys exactly as those pairs do.  Two combinations get equal keys iff
+    some group element maps one onto the other (modulo the vanishing
+    probability of a content-hash collision), so first-occurrence
+    filtering on the key enumerates exactly one member per orbit.
+    :meth:`orbit_key` and :meth:`count_block` both read the hash vectors
+    and place them with the same getters, so the per-combination walk and
+    the counted block produce the same keys.
     """
 
     __slots__ = (
         "protocol",
         "classes",
         "group",
-        "_pairs",
+        "nodes",
+        "_hashes",
         "_placements",
         "_seen",
         "orbit_hits",
@@ -135,7 +140,10 @@ class SymmetryReducer:
         self.protocol = protocol
         self.classes = classes
         self.group = build_group(classes, cap)
-        self._pairs: Dict[Tuple[NodeId, int], Tuple[Pair, ...]] = {}
+        #: The node ids every keyed combination covers, ascending: the
+        #: target node of each position of an orbit key.
+        self.nodes: Tuple[NodeId, ...] = tuple(sorted(protocol.node_ids()))
+        self._hashes: Dict[Tuple[NodeId, int], Tuple[int, ...]] = {}
         #: Node order of a combination -> one placing getter per group element.
         self._placements: Dict[Tuple[NodeId, ...], Tuple[Callable, ...]] = {}
         self._seen: set = set()
@@ -188,39 +196,41 @@ class SymmetryReducer:
             if fixes:
                 kept.append(mapping)
         self.group = tuple(kept)
-        self._pairs.clear()
+        self._hashes.clear()
         self._placements.clear()
 
     # -- canonicalisation --------------------------------------------------
 
-    def _pairs_of(self, record: Any) -> Tuple[Pair, ...]:
-        """``record``'s pair vector: ``(π(node), hash(rename(state, π)))`` per π."""
+    def _hashes_of(self, record: Any) -> Tuple[int, ...]:
+        """``record``'s hash vector: ``hash(rename(state, π))`` per π."""
         key = (record.node, record.index)
-        pairs = self._pairs.get(key)
-        if pairs is None:
-            node = record.node
-            pairs = tuple(
-                (
-                    mapping.get(node, node),
-                    content_hash(renamed_state(self.protocol, record.state, mapping))
-                    if mapping
-                    else record.hash,
-                )
+        hashes = self._hashes.get(key)
+        if hashes is None:
+            hashes = tuple(
+                content_hash(renamed_state(self.protocol, record.state, mapping))
+                if mapping
+                else record.hash
                 for mapping in self.group
             )
-            self._pairs[key] = pairs
-        return pairs
+            self._hashes[key] = hashes
+        return hashes
 
     def _placing(self, nodes: Tuple[NodeId, ...]) -> Tuple[Callable, ...]:
-        """Per group element π, the getter listing π-pairs by target node.
+        """Per group element π, the getter listing π-hashes by target node.
 
-        The getter takes one pair per node of ``nodes``, in that order, and
-        returns them ordered by ``π(node)`` ascending: the order ``sorted``
-        would give, decided once per node order instead of per combination.
+        The getter takes one hash per node of ``nodes``, in that order, and
+        returns them ordered by ``π(node)`` ascending, decided once per node
+        order instead of per combination.  ``nodes`` must cover the
+        reducer's node set: an orbit key lists one hash per node of it.
         """
         placing = self._placements.get(nodes)
         if placing is None:
             targets = sorted(nodes)
+            if tuple(targets) != self.nodes:
+                raise ValueError(
+                    f"combination over nodes {targets} does not cover the "
+                    f"reducer's node set {list(self.nodes)}"
+                )
             getters = []
             for mapping in self.group:
                 source = {mapping.get(node, node): i for i, node in enumerate(nodes)}
@@ -228,9 +238,9 @@ class SymmetryReducer:
             placing = self._placements[nodes] = tuple(getters)
         return placing
 
-    def orbit_key(self, combo: Dict[NodeId, Any]) -> Tuple[Pair, ...]:
+    def orbit_key(self, combo: Dict[NodeId, Any]) -> Key:
         """The canonical key of ``combo``'s orbit (minimum over the group)."""
-        columns = zip(*(self._pairs_of(record) for record in combo.values()))
+        columns = zip(*(self._hashes_of(record) for record in combo.values()))
         return min(
             place(column) for place, column in zip(self._placing(tuple(combo)), columns)
         )
@@ -245,7 +255,7 @@ class SymmetryReducer:
         combination keyed as :meth:`orbit_key` keys it and filtered as
         :meth:`first_occurrence` filters it — but without building a
         combination dict, sorting, or leaving C loops: per group element
-        one ``itertools.product`` over the records' π-pairs, placed by the
+        one ``itertools.product`` over the records' π-hashes, placed by the
         same getters, and the minimum over the group per combination.
 
         Yields ``(combinations, new orbits)`` per chunk of at most
@@ -261,9 +271,9 @@ class SymmetryReducer:
                 (anchor,) if node == anchor_node else space.store(node).active_records()
             )
             size *= len(records)
-            rows.append([self._pairs_of(record) for record in records])
+            rows.append([self._hashes_of(record) for record in records])
         streams = [
-            map(place, itertools.product(*([pairs[k] for pairs in row] for row in rows)))
+            map(place, itertools.product(*([hashes[k] for hashes in row] for row in rows)))
             for k, place in enumerate(self._placing(nodes))
         ]
         keys = map(min, *streams) if len(streams) > 1 else streams[0]
@@ -310,8 +320,8 @@ class SymmetryReducer:
             variant: Dict[NodeId, Any] = {}
             complete = True
             for record in combo.values():
-                target, renamed_hash = self._pairs_of(record)[index]
-                sibling = space.store(target).lookup(renamed_hash)
+                target = mapping.get(record.node, record.node)
+                sibling = space.store(target).lookup(self._hashes_of(record)[index])
                 if sibling is None or sibling.discarded or sibling.crashed:
                     complete = False
                     break
@@ -328,5 +338,5 @@ class SymmetryReducer:
             "symmetry_classes": len(self.classes),
             "orbits_enumerated": len(self._seen),
             "orbit_hits": self.orbit_hits,
-            "renamed_hashes_cached": len(self._pairs) * (len(self.group) - 1),
+            "renamed_hashes_cached": len(self._hashes) * (len(self.group) - 1),
         }

@@ -19,8 +19,10 @@ event hash walks the message it wraps, and most of those values are fresh
 objects equal to one already hashed: a handler re-derives a state, or
 re-sends a message, that another interleaving produced before.
 :class:`HashInterner` hash-conses them.  It keeps one entry per *distinct*
-tuple, frozenset and dataclass value: a canonical object, its canonical
-bytes and, once asked for, its digest.
+tuple, frozenset and dataclass value: a canonical object, its cons key and,
+once asked for, its digest and serialized size.  Like the paper's
+prototype, which keeps hashes of serialized states rather than the
+serializations, it does not keep a value's canonical bytes by default.
 
 A value is looked up in two steps.  The identity table maps the ``id`` of
 each canonical object to its entry, so a canonical object (and each of its
@@ -34,11 +36,20 @@ child's own canonical encoding (with its class, for a subclass), so
 pieces form a frozenset.  The key is exact: two values have the same key
 exactly when they have the same type structure and encoding, so a probe
 walks only the fresh spine of a value, never calls a model value's
-``__hash__`` or ``__eq__``, and needs no contract from the protocol.  Only
-a new value pays for its encoding, which joins its children's canonical
-bytes, and it becomes canonical itself — or, if some child was a fresh
-object equal to a canonical one, a copy built around the canonical
-children does.
+``__hash__`` or ``__eq__``, and needs no contract from the protocol.  A
+new value becomes canonical itself — or, if some child was a fresh object
+equal to a canonical one, a copy built around the canonical children does.
+
+Only a new value pays for its encoding, and only when something reads it.
+Its bytes are its key's pieces joined: the header, then each child's
+bytes (sorted, for a frozenset).  Hashing a value joins them, hashes them,
+records their length and drops them, so a node state's encoding lives for
+one ``blake2b`` call.  A value's bytes are kept once something asks for
+them as bytes: a parent joining its children, or
+:func:`canonical_bytes`.  So the interner holds the encodings of the
+values that occur inside other values, not those of the top-level states
+the checker hashes; a top-level value that later becomes a child is
+encoded once more, then kept.
 
 :func:`canonical_hash_and_size` and :func:`canonical` hand out the canonical
 object.  The checker stores that object instead of the handler's: the
@@ -53,8 +64,8 @@ entry's key pins its children's entries.  A value containing a ``dict``
 (accepted read-only for encoding convenience), a subclass of ``tuple`` or
 ``frozenset``, or a frozenset with two elements that encode alike is never
 cached: they are walked every time and poison their ancestors.  Interning
-changes *nothing* about hash values: the cached bytes are exactly what the
-uncached walk (``intern=False``) produces, a property
+changes *nothing* about hash values: the bytes an entry builds are exactly
+what the uncached walk (``intern=False``) produces, a property
 ``tests/model/test_hash_interning.py`` checks against arbitrary values and
 interleavings of them, and ``tests/model/golden/encodings.json`` pins byte
 for byte.
@@ -98,18 +109,33 @@ class UnhashableModelValue(TypeError):
 
 
 class _Entry:
-    """One distinct value: its canonical object, canonical bytes and digest.
+    """One distinct value: its canonical object, cons key, digest and size.
 
     Hashed and compared by identity, so an entry can stand for its value
-    inside a parent's cons key.
+    inside a parent's cons key.  The key is the tuple the cons table
+    already owns.  Only a new value pays for its encoding, and only once
+    something reads it: :attr:`encoded` joins the key's pieces on first
+    request and keeps the bytes; hashing builds them, records ``size`` and
+    keeps nothing.  A throwaway entry (an uncached walk) has no key: its
+    bytes are set at construction.
     """
 
-    __slots__ = ("value", "encoded", "digest")
+    __slots__ = ("value", "key", "_encoded", "digest", "size")
 
-    def __init__(self, value: Any, encoded: bytes):
+    def __init__(self, value: Any, key: Optional[tuple], encoded: Optional[bytes] = None):
         self.value = value
-        self.encoded = encoded
+        self.key = key
+        self._encoded = encoded
         self.digest: Optional[int] = None
+        self.size: Optional[int] = None
+
+    @property
+    def encoded(self) -> bytes:
+        """The canonical bytes, built from the key on first request and kept."""
+        encoded = self._encoded
+        if encoded is None:
+            encoded = self._encoded = _build(self)
+        return encoded
 
 
 class HashInterner:
@@ -118,7 +144,10 @@ class HashInterner:
     ``_table`` maps ``id(canonical object)`` to its entry; ``_cons`` maps
     the value's key — its class and pieces (module docstring) — to the same
     entry; ``_order`` holds the keys oldest first, so eviction pops its
-    left end in O(1).  Both dicts hold exactly the live entries.
+    left end in O(1).  Both dicts hold exactly the live entries.  Only a
+    new value pays for its encoding, and an entry holds its bytes only
+    once a parent's encoding or :func:`canonical_bytes` has asked for them
+    (:class:`_Entry`).
     """
 
     __slots__ = (
@@ -146,9 +175,9 @@ class HashInterner:
         self._cons: Dict[tuple, _Entry] = {}
         self._order: Deque[tuple] = deque()
 
-    def _file(self, key: tuple, value: Any, encoded: bytes) -> _Entry:
+    def _file(self, key: tuple, value: Any) -> _Entry:
         """Enter a new value with canonical object ``value``."""
-        entry = _Entry(value, encoded)
+        entry = _Entry(value, key)
         self._table[id(value)] = entry
         self._cons[key] = entry
         self._order.append(key)
@@ -165,9 +194,12 @@ class HashInterner:
         return entry is not None and entry.value is value
 
     def entries(self) -> Iterator[Tuple[Any, bytes]]:
-        """``(canonical object, canonical bytes)`` per entry, oldest first."""
+        """``(canonical object, canonical bytes)`` per entry, oldest first.
+
+        Bytes an entry does not hold are built for the caller and not kept.
+        """
         for entry in self._cons.values():
-            yield entry.value, entry.encoded
+            yield entry.value, entry._encoded or _build(entry)
 
     def clear(self) -> None:
         """Drop every entry (counters are cumulative)."""
@@ -442,7 +474,7 @@ def _cons(value: Any, interner: HashInterner) -> Any:
 def _cons_frozenset(value: frozenset, key: list, interner: HashInterner) -> Optional[_Entry]:
     """The entry of ``value``, whose pieces follow ``frozenset`` in
     ``key``.  A frozenset's pieces form a frozenset, so its key ignores
-    iteration order; its bytes sort the elements' encodings."""
+    iteration order; its bytes sort the elements' encodings (:func:`_build`)."""
     pieces = key[1:]
     members = frozenset(pieces)
     if len(members) != len(pieces):
@@ -454,20 +486,42 @@ def _cons_frozenset(value: frozenset, key: list, interner: HashInterner) -> Opti
     if entry is not None:
         interner.cons_hits += 1
         return entry
-    encoded = sorted([_piece_bytes(piece) for piece in pieces])
     items = _canonical_items(pieces, value)
-    return interner._file(
-        key,
-        value if items is None else frozenset(items),
-        _TAG_FROZENSET + _len4(len(encoded)) + b"".join(encoded),
-    )
+    return interner._file(key, value if items is None else frozenset(items))
+
+
+def _build(entry: _Entry) -> bytes:
+    """``entry``'s canonical bytes, joined from its key's pieces.
+
+    The header, then each child's bytes — which the children keep — sorted
+    for a frozenset.  The caller decides whether ``entry`` keeps them.  A
+    child is built by a direct recursive call, one frame per level of
+    nesting, so a value nests as deep as :func:`_cons` can file it.
+    """
+    key = entry.key
+    cls = key[0]
+    parts = []
+    for piece in key[1] if cls is frozenset else key[1:]:
+        if piece.__class__ is _Entry:
+            encoded = piece._encoded
+            if encoded is None:
+                encoded = piece._encoded = _build(piece)
+            parts.append(encoded)
+        else:
+            parts.append(_piece_bytes(piece))
+    if cls is frozenset:
+        parts.sort()
+        header = _TAG_FROZENSET + _len4(len(parts))
+    elif cls is tuple:
+        header = _TAG_TUPLE + _len4(len(parts))
+    else:
+        header = _DATACLASS_INFO[cls][0]
+    return header + b"".join(parts)
 
 
 def _piece_bytes(piece: Any) -> bytes:
-    """The canonical encoding of the child a cons-key piece stands for."""
+    """The canonical encoding of the primitive a cons-key piece stands for."""
     cls = piece.__class__
-    if cls is _Entry:
-        return piece.encoded
     if cls is int:
         body = b"%d" % piece
         return _TAG_INT + _len4(len(body)) + body
@@ -511,24 +565,22 @@ def _rebuild(value: Any, names: Tuple[str, ...], items: Iterable[Any]) -> Any:
 def _new(value: Any, key: tuple, interner: HashInterner) -> _Entry:
     """File the tuple or dataclass ``value``, whose key ``key`` is new.
 
-    Its bytes join its children's.  Its canonical object is ``value``
-    itself unless some child is a fresh object, not its entry's; then it
-    is a copy of ``value`` around the children's canonical objects.
+    Its canonical object is ``value`` itself unless some child is a fresh
+    object, not its entry's; then it is a copy of ``value`` around the
+    children's canonical objects.  Its bytes wait until read.
     """
     cls = key[0]
     pieces = key[1:]
     if cls is tuple:
-        header = _TAG_TUPLE + _len4(len(pieces))
         items = _canonical_items(pieces, value)
         if items is not None:
             value = tuple(items)
     else:
-        header, names, fields = _DATACLASS_INFO[cls]
+        _, names, fields = _DATACLASS_INFO[cls]
         items = _canonical_items(pieces, fields(value))
         if items is not None:
             value = _rebuild(value, names, items)
-    encoded = header + b"".join([_piece_bytes(piece) for piece in pieces])
-    return interner._file(key, value, encoded)
+    return interner._file(key, value)
 
 
 def _entry(value: Any, interner: Optional[HashInterner]) -> _Entry:
@@ -546,14 +598,19 @@ def _entry(value: Any, interner: Optional[HashInterner]) -> _Entry:
         entry = _cons(value, interner)
         if entry.__class__ is _Entry:
             return entry
-    return _Entry(value, _walk(value))
+    return _Entry(value, None, _walk(value))
 
 
 def _digest(entry: _Entry) -> int:
-    """Compute and keep ``entry``'s digest; callers read ``entry.digest``
-    first, which is set for every entry hashed before."""
+    """Compute and keep ``entry``'s digest and size; callers read
+    ``entry.digest`` first, which is set for every entry hashed before.
+
+    Bytes the entry does not hold are built for the hash and dropped.
+    """
+    encoded = entry._encoded or _build(entry)
+    entry.size = len(encoded)
     digest = entry.digest = int.from_bytes(
-        blake2b(entry.encoded, digest_size=_DIGEST_BYTES).digest(), "big"
+        blake2b(encoded, digest_size=_DIGEST_BYTES).digest(), "big"
     )
     return digest
 
@@ -590,9 +647,10 @@ def content_size(value: Any, intern: bool = True) -> int:
     Used by the deterministic memory accounting behind the Fig. 12
     reproduction: retained memory is the sum of serialized sizes of the
     states a checker keeps, which makes the reported series independent of
-    allocator behaviour.
+    allocator behaviour.  Read from the digest pass, so an interned value
+    does not keep its bytes for it.
     """
-    return len(canonical_bytes(value, intern=intern))
+    return content_hash_and_size(value, intern)[1]
 
 
 def content_hash_and_size(value: Any, intern: bool = True) -> Tuple[int, int]:
@@ -603,7 +661,7 @@ def content_hash_and_size(value: Any, intern: bool = True) -> Tuple[int, int]:
     both.
     """
     entry = _entry(value, _DEFAULT_INTERNER if intern else None)
-    return entry.digest or _digest(entry), len(entry.encoded)
+    return entry.digest or _digest(entry), entry.size
 
 
 def canonical_hash_and_size(value: Any) -> Tuple[Any, int, int]:
@@ -617,7 +675,7 @@ def canonical_hash_and_size(value: Any) -> Tuple[Any, int, int]:
     later lookups of them are identity hits.
     """
     entry = _entry(value, _DEFAULT_INTERNER)
-    return entry.value, entry.digest or _digest(entry), len(entry.encoded)
+    return entry.value, entry.digest or _digest(entry), entry.size
 
 
 def canonical(value: Any) -> Any:

@@ -323,6 +323,35 @@ def test_a_second_identical_run_adds_no_entries(passes):
     assert after["misses"] == before["misses"]
 
 
+def _held(interner):
+    """The entries that hold their canonical bytes."""
+    return [entry for entry in interner._cons.values() if entry._encoded is not None]
+
+
+def test_record_states_hold_no_bytes_and_reading_entries_keeps_none(passes):
+    """Only a new value pays for its encoding, and only while something
+    reads it: a record state is hashed top-level, so its entry keeps its
+    digest and size but not its bytes; the values inside states keep
+    theirs, which their parents' encodings read."""
+    result = _paxos2(4).run()
+    assert result.completed and not result.bugs
+    interner = hashing._DEFAULT_INTERNER
+    records = [record for store in passes[-1].space.stores.values() for record in store]
+    entries = [interner._table[id(record.state)] for record in records]
+    assert all(entry.value is record.state for entry, record in zip(entries, records))
+    assert all(entry._encoded is None for entry in entries)
+    assert all(
+        entry.digest == record.hash and entry.size == len(hashing._walk(record.state))
+        for entry, record in zip(entries, records)
+    )
+    held = _held(interner)
+    assert 0 < len(held) < len(interner) / 2
+    assert [encoded for _value, encoded in interner.entries()] == [
+        hashing._walk(entry.value) for entry in interner._cons.values()
+    ]
+    assert _held(interner) == held
+
+
 @pytest.mark.parametrize("workers", [0, 2])
 @pytest.mark.usefixtures("dispatch_every_round")
 def test_a_finished_pass_is_freed_by_reference_counting(monkeypatch, workers):

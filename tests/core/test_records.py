@@ -120,13 +120,6 @@ class TestLocalStateSpace:
         assert record.history == 0
         assert space.total_states() == 1
 
-    def test_max_depth_tracks_all_nodes(self):
-        space = LocalStateSpace((0, 1))
-        space.seed(0, "a")
-        space.seed(1, "b")
-        space.store(1).add("b2", content_hash("b2"), depth=5, local_depth=1, history=0)
-        assert space.max_depth() == 5
-
     def test_stores_are_per_node(self):
         space = LocalStateSpace((0, 1))
         space.seed(0, "same")

@@ -325,6 +325,24 @@ def test_orbit_key_is_invariant_across_the_orbit(data):
     assert reducer.orbit_hits == 1
 
 
+def test_orbit_keys_are_hash_tuples_over_the_whole_node_set():
+    """A key lists one hash per node of the reducer's node set, in node
+    order; a combination missing a node cannot be keyed."""
+    protocol = EchoProtocol(num_nodes=3)
+    reducer = SymmetryReducer(protocol, protocol.symmetry_classes())
+    assert reducer.nodes == (0, 1, 2)
+    combo = {
+        node: _record(node, _echo_state(node, False, False, ()))
+        for node in reversed(protocol.node_ids())
+    }
+    key = reducer.orbit_key(combo)
+    assert len(key) == 3 and all(type(item) is int for item in key)
+    assert key[0] == combo[0].hash
+    del combo[2]
+    with pytest.raises(ValueError, match="node set"):
+        reducer.orbit_key(combo)
+
+
 def _add(space: LocalStateSpace, state: EchoNodeState):
     """Store ``state`` as a new record of its node; None when already known."""
     store = space.store(state.node)

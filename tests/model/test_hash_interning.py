@@ -12,6 +12,7 @@ structure, so a checker may keep the canonical object instead.
 
 import copy
 import dataclasses
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -444,3 +445,70 @@ def test_disabling_or_resizing_drops_the_tables():
     assert len(hashing._DEFAULT_INTERNER) == 0
     resized.clear()
     assert len(resized) == 0 and not resized.is_canonical(fresh)
+
+
+# -- encodings on demand -----------------------------------------------------------
+
+
+def _assert_like_the_walk(entry):
+    """``entry``'s digest and size, then its bytes built on request, equal
+    the uncached walk's."""
+    walked = hashing._walk(entry.value)
+    assert (entry.digest or hashing._digest(entry)) == content_hash(
+        entry.value, intern=False
+    )
+    assert entry.size == len(walked)
+    assert entry.encoded == walked
+    assert entry.encoded is entry.encoded  # kept once built
+
+
+@given(st.lists(mixed_values, min_size=1, max_size=12), st.sampled_from([1, 3, 1 << 16]))
+@settings(max_examples=150, deadline=None)
+def test_lazily_built_bytes_digest_and_size_equal_the_walks(sequence, capacity):
+    """Each value is hashed top-level first, then as a tuple item, a
+    frozenset member and a dataclass field; at capacity 1 and 3 entries
+    are evicted meanwhile.  A new entry hashed top-level keeps no bytes; a
+    parent's hash keeps its children's; and every entry, evicted or live,
+    builds exactly the walk's bytes, digest and size."""
+    interner = HashInterner(capacity)
+    seen = []
+    for value in sequence:
+        known = {id(entry) for entry in interner._cons.values()}
+        top = hashing._entry(value, interner)
+        top.digest or hashing._digest(top)
+        if top.key is not None and id(top) not in known:
+            assert top._encoded is None
+            assert top.size == len(hashing._walk(value))
+        seen.append(top)
+        for parent in ((value, "child"), frozenset({value, "member"}), Box(value)):
+            entry = hashing._entry(parent, interner)
+            entry.digest or hashing._digest(entry)
+            if entry.key is not None:
+                pieces = entry.key[1] if entry.key[0] is frozenset else entry.key[1:]
+                assert all(
+                    piece._encoded is not None
+                    for piece in pieces
+                    if piece.__class__ is hashing._Entry
+                )
+            seen.append(entry)
+    assert len(interner) <= capacity
+    for entry in seen + list(interner._cons.values()):
+        _assert_like_the_walk(entry)
+
+
+
+def test_a_deep_value_is_built_one_frame_per_level():
+    """Hashing a cold nested value builds its children's bytes on demand,
+    as deep as the interner files it: 700 levels, past the uncached walk's
+    reach at the default recursion limit."""
+    _fresh_interner()
+    value = ()
+    for level in range(700):
+        value = (level, value)
+    digest = content_hash(value)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 2000)
+    try:
+        assert digest == content_hash(value, intern=False)
+    finally:
+        sys.setrecursionlimit(limit)

@@ -9,8 +9,8 @@ returns — before the checker drops it — and charges each allocation site to
 a layer:
 
 * ``interner`` — ``model/hashing.py``: the identity and cons tables, the
-  eviction order, the entries with their canonical bytes and digests, and
-  the canonical copies the interner builds;
+  eviction order, the entries with their digests and the canonical bytes
+  they hold, and the canonical copies the interner builds;
 * ``records`` — ``core/records.py`` and the history masks the checker
   builds for a new record;
 * ``links`` — the stores' link rows and each record's first-link offset,
@@ -26,7 +26,8 @@ A site is a source line; it is mapped to its enclosing function and
 statement through the AST, so the rules below name functions, not line
 numbers.  The deterministic Fig. 12 model (``memory_bytes``, what the
 checker charges itself) is printed alongside, and so are the interner's
-entries and the distinct values (canonical encodings) they hold.
+entries, the distinct values (canonical encodings) they stand for and how
+many of them hold their bytes.
 
 Usage::
 
@@ -116,15 +117,21 @@ def layer_of(filename: str, function: str, statement: str) -> str:
 
 
 def interner_counts() -> tuple:
-    """(entries, distinct canonical encodings) of the shared interner."""
+    """(entries, distinct canonical encodings, entries holding their bytes)
+    of the shared interner.  In an older checkout every entry holds them."""
     from repro.model import hashing
 
     interner = hashing._DEFAULT_INTERNER
     if hasattr(interner, "entries"):
         encodings = [encoded for _value, encoded in interner.entries()]
+        held = sum(
+            getattr(entry, "_encoded", True) is not None
+            for entry in interner._cons.values()
+        )
     else:  # an older checkout: identity-table entries are [value, bytes, digest]
         encodings = [entry[1] for entry in interner._table.values()]
-    return len(interner), len(set(encodings))
+        held = len(encodings)
+    return len(interner), len(set(encodings)), held
 
 
 def probe(depth: int, repeat: int = 1) -> list:
@@ -162,7 +169,7 @@ def probe(depth: int, repeat: int = 1) -> list:
             result = lmc.run()
             if result.bugs or not result.completed:
                 raise SystemExit("expected a clean run completed to its bound")
-            runs[-1]["entries"], runs[-1]["distinct"] = interner_counts()
+            runs[-1]["entries"], runs[-1]["distinct"], runs[-1]["held"] = interner_counts()
     finally:
         tracemalloc.stop()
         checker._ExplorationPass.execute = execute
@@ -206,7 +213,7 @@ def main(argv: list) -> int:
         f"live at the end of the pass (tracemalloc) {total:,} B; "
         f"Fig. 12 model (memory_bytes) {first['memory_bytes']:,} B; "
         f"interner {first['entries']:,} entries for {first['distinct']:,} "
-        "distinct values.\n"
+        f"distinct values, {first['held']:,} holding their bytes.\n"
     )
     print("| layer | live bytes | bytes per node state |")
     print("|---|---:|---:|")
@@ -223,14 +230,14 @@ def main(argv: list) -> int:
     if args.repeat > 1:
         print(
             "\n| run | node states | interner entries | distinct values "
-            "| interner live bytes | total live bytes |"
+            "| holding bytes | interner live bytes | total live bytes |"
         )
-        print("|---:|---:|---:|---:|---:|---:|")
+        print("|---:|---:|---:|---:|---:|---:|---:|")
         for number, run in enumerate(runs, 1):
             layers = by_layer(run["snapshot"])[0]
             print(
                 f"| {number} | {run['node_states']:,} | {run['entries']:,} "
-                f"| {run['distinct']:,} | {layers['interner']:,} "
+                f"| {run['distinct']:,} | {run['held']:,} | {layers['interner']:,} "
                 f"| {sum(layers.values()):,} |"
             )
     return 0
