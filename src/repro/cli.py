@@ -185,124 +185,42 @@ class _AppendTuple(argparse.Action):
         setattr(namespace, self.dest, getattr(namespace, self.dest) + (values,))
 
 
-#: Every ``LMCConfig`` field with its default.  A flag that sets a field is
-#: declared with ``dest=`` the field and this default, so
-#: :func:`build_config` reads the whole configuration off ``args`` by name.
+#: Every ``LMCConfig`` field with its default.  A config flag's ``dest`` is
+#: its field, so :func:`build_config` reads the whole configuration off
+#: ``args`` by name.
 CONFIG_DEFAULTS = {field.name: field.default for field in dataclasses.fields(LMCConfig)}
 
+#: The ``LMCConfig`` fields that declare a flag, in declaration order.
+CONFIG_FLAGS = tuple(field for field in dataclasses.fields(LMCConfig) if field.metadata.get("flag"))
 
-def _config_flag_adder(command: argparse.ArgumentParser) -> Callable[..., None]:
-    """``add(flag, field, **kwargs)``: declare on ``command`` a flag that
-    writes ``LMCConfig.<field>``, defaulting to the field's default."""
-
-    def add(flag: str, field: str, **kwargs: Any) -> None:
-        command.add_argument(flag, dest=field, default=CONFIG_DEFAULTS[field], **kwargs)
-
-    return add
-
-
-def add_reduction_flags(command: argparse.ArgumentParser) -> None:
-    """The reduction flags, shared by ``check`` and ``scenario``."""
-    add = _config_flag_adder(command)
-    add(
-        "--symmetry-reduction",
-        "symmetry_reduction",
-        action="store_true",
-        help="canonicalise system-state combinations to orbit "
-        "representatives under the protocol-declared node-symmetry "
-        "group (LMC algorithms only; a scenario restricts the group to "
-        "its snapshot's stabilizer; see docs/REDUCTION.md)",
-    )
-    add(
-        "--por",
-        "por_pruning",
-        action="store_true",
-        help="prune non-canonical orderings of commuting deliveries "
-        "from the predecessor DAG (LMC algorithms only; see "
-        "docs/REDUCTION.md)",
-    )
+#: Flags the command line parses its own way, beyond the ``store_true`` of a
+#: bool field and the ``type=int`` of any other.
+_OWN_PARSING: Dict[str, Dict[str, Any]] = {
+    "explore_workers": {"type": worker_count},
+    "partition_schedules": {
+        "action": _AppendTuple,
+        "type": parse_partition_spec,
+        "metavar": "START:END:SRCS:DESTS",
+    },
+}
 
 
-def add_config_flags(command: argparse.ArgumentParser) -> None:
-    """The ``check`` flags that set ``LMCConfig`` fields."""
-    add = _config_flag_adder(command)
-    add(
-        "--explore-workers",
-        "explore_workers",
-        type=worker_count,
-        metavar="N",
-        help="shard each exploration round's frontier across N workers: "
-        "this process and N-1 forked children (LMC algorithms only; 0 or "
-        "1 explores serially, -1 uses all CPUs; results are identical "
-        "either way — see docs/PERFORMANCE.md)",
-    )
-    add(
-        "--faults",
-        "fault_events_enabled",
-        action="store_true",
-        help="explore crash/restart fault schedules (LMC algorithms "
-        "only; see docs/FAULTS.md)",
-    )
-    add(
-        "--max-crashes-per-node",
-        "max_crashes_per_node",
-        type=int,
-        metavar="N",
-        help="crashes allowed on any single node's discovery path "
-        "(default %(default)s; consulted only with --faults)",
-    )
-    add(
-        "--max-total-crashes",
-        "max_total_crashes",
-        type=int,
-        metavar="N",
-        help="global cap on crash events across the run "
-        "(default: only the per-node bound; consulted only with --faults)",
-    )
-    add(
-        "--drop-faults",
-        "drop_faults",
-        action="store_true",
-        help="explore message-loss schedules against protocols that "
-        "declare a handle_drop omission hook (LMC algorithms only; "
-        "see docs/FAULTS.md)",
-    )
-    add(
-        "--max-drops",
-        "max_drops",
-        type=int,
-        metavar="N",
-        help="global cap on effective drop events across the run "
-        "(default: unbounded; consulted only with --drop-faults)",
-    )
-    add(
-        "--duplicate-faults",
-        "duplicate_faults",
-        action="store_true",
-        help="explore at-least-once redelivery of every sent message "
-        "(LMC algorithms only; needs --duplicate-limit 1 or more; "
-        "see docs/FAULTS.md)",
-    )
-    add(
-        "--duplicate-limit",
-        "duplicate_limit",
-        type=int,
-        metavar="N",
-        help="extra copies of one message value the monotonic network "
-        "admits (default %(default)s; raise alongside --duplicate-faults "
-        "to deepen redelivery exploration)",
-    )
-    add(
-        "--partition",
-        "partition_schedules",
-        action=_AppendTuple,
-        type=parse_partition_spec,
-        metavar="START:END:SRCS:DESTS",
-        help="block deliveries from SRCS to DESTS during rounds "
-        "START..END (END empty or '-' means forever; repeatable; "
-        "see docs/FAULTS.md)",
-    )
-    add_reduction_flags(command)
+def add_config_flags(
+    command: argparse.ArgumentParser, names: Optional[Tuple[str, ...]] = None
+) -> None:
+    """Declare on ``command`` the flag of every ``LMCConfig`` field that has
+    one (of the fields ``names`` lists, when given), writing the field and
+    defaulting to its default."""
+    for field in CONFIG_FLAGS:
+        if names is not None and field.name not in names:
+            continue
+        if isinstance(field.default, bool):
+            parsing: Dict[str, Any] = {"action": "store_true"}
+        else:
+            parsing = {"type": int, "metavar": "N"}
+        parsing.update(_OWN_PARSING.get(field.name, {}), help=field.metadata["help"])
+        flag = field.metadata["flag"]
+        command.add_argument(flag, dest=field.name, default=field.default, **parsing)
 
 
 def build_config(args: argparse.Namespace) -> LMCConfig:
@@ -315,12 +233,10 @@ def build_config(args: argparse.Namespace) -> LMCConfig:
 
 def changed_config_flags(args: argparse.Namespace) -> List[str]:
     """The config flags ``args`` sets away from their defaults, as spelled."""
-    probe = argparse.ArgumentParser()
-    add_config_flags(probe)
     return [
-        action.option_strings[0]
-        for action in probe._actions
-        if action.dest in CONFIG_DEFAULTS and getattr(args, action.dest) != action.default
+        field.metadata["flag"]
+        for field in CONFIG_FLAGS
+        if vars(args).get(field.name, field.default) != field.default
     ]
 
 
@@ -448,7 +364,7 @@ def build_parser(
     scenario.add_argument("name", choices=("s55", "s56"))
     scenario.add_argument("--buggy", action="store_true", default=None)
     scenario.add_argument("--correct", dest="buggy", action="store_false")
-    add_reduction_flags(scenario)
+    add_config_flags(scenario, ("symmetry_reduction", "por_pruning"))
     add_trace_flags(scenario)
     add_registry_flags(scenario)
 
@@ -570,6 +486,8 @@ def _make_run_context(
 
 def run_check(
     args: argparse.Namespace,
+    config: LMCConfig,
+    budget: SearchBudget,
     emitter: TraceEmitter = NULL_EMITTER,
     run_handle: Optional[RunHandle] = None,
     coverage: Optional[CoverageTracker] = None,
@@ -582,7 +500,6 @@ def run_check(
     """
     builder, _doc = WORKLOADS[args.workload]
     protocol, invariant = builder(args.nodes, args.buggy)
-    budget = SearchBudget(max_depth=args.max_depth, max_seconds=args.max_seconds)
     interval = getattr(args, "metrics_interval", None)
     # Checkpointing (docs/CHECKPOINTS.md): any of the three flags turns the
     # snapshot layer on; the file defaults into the registry run directory
@@ -611,7 +528,7 @@ def run_check(
         return GlobalModelChecker(protocol, invariant, budget=budget).run()
     lmc_kwargs: Dict[str, Any] = dict(
         budget=budget,
-        config=build_config(args),
+        config=config,
         emitter=emitter,
         metrics_interval=interval,
         run_handle=run_handle,
@@ -632,6 +549,7 @@ def run_check(
 
 def run_scenario(
     args: argparse.Namespace,
+    config: LMCConfig,
     emitter: TraceEmitter = NULL_EMITTER,
     run_handle: Optional[RunHandle] = None,
     coverage: Optional[CoverageTracker] = None,
@@ -662,7 +580,7 @@ def run_scenario(
     checker = LocalModelChecker(
         protocol,
         invariant,
-        config=build_config(args),
+        config=config,
         emitter=emitter,
         metrics_interval=interval,
         run_handle=run_handle,
@@ -999,6 +917,16 @@ def main(argv: Optional[list] = None) -> int:
     except ValueError as exc:
         print(f"error: --explore-workers: {exc}", file=sys.stderr)
         return 2
+    # Out-of-range values are usage errors, refused before a run registers.
+    try:
+        config = build_config(args)
+        budget = SearchBudget(
+            max_depth=getattr(args, "max_depth", None),
+            max_seconds=getattr(args, "max_seconds", None),
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         emitter = _make_emitter(args)
     except OSError as exc:
@@ -1015,9 +943,9 @@ def main(argv: Optional[list] = None) -> int:
             run_id=run_handle.run_id if run_handle is not None else None,
         )
         if args.command in ("check", "trace"):
-            result = run_check(args, emitter, run_handle, coverage)
+            result = run_check(args, config, budget, emitter, run_handle, coverage)
         else:
-            result = run_scenario(args, emitter, run_handle, coverage)
+            result = run_scenario(args, config, emitter, run_handle, coverage)
         # End-of-run bookkeeping: the merged final counters and a closing
         # event, so trace-report always has an authoritative last metric
         # record.

@@ -433,11 +433,8 @@ class _ExplorationPass:
         self.verifier = SoundnessVerifier(
             self.space,
             self.stats,
-            max_sequences_per_node=self.config.max_sequences_per_node,
-            max_combinations=self.config.max_combinations_per_check,
             emitter=self.emitter,
             memoize=self.config.memoize_soundness,
-            replay_cache_limit=self.config.replay_cache_limit,
         )
         self.run_handle = checker.run_handle
         self.coverage = checker.coverage

@@ -136,9 +136,10 @@ class CheckpointMismatch(CheckpointError):
 
 #: ``LMCConfig`` fields that no longer exist, at the only values a checkpoint
 #: was ever written with (their defaults: the one checker that set the first
-#: two otherwise took no checkpointer, no caller set the next three, and the
-#: last two — now ``repro.core.explore_parallel`` constants — were only ever
-#: set by a benchmark harness that wrote no checkpoint).
+#: two otherwise took no checkpointer, no caller set the next three, the
+#: next two — now ``repro.core.explore_parallel`` constants — were only ever
+#: set by a benchmark harness that wrote no checkpoint, and the last three —
+#: now ``repro.core.soundness`` constants — only by tests).
 #: Still fingerprinted so that envelopes written before their removal keep
 #: verifying — the digest is a hash of every key, so dropping these would
 #: orphan every existing checkpoint.
@@ -150,6 +151,9 @@ _RETIRED_CONFIG_FIELDS = {
     "rejected_cache_limit": "4096",
     "explore_shard_min": "64",
     "explore_round_threshold": "128",
+    "max_sequences_per_node": "256",
+    "max_combinations_per_check": "8192",
+    "replay_cache_limit": "4096",
 }
 
 

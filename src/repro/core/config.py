@@ -17,30 +17,50 @@ can be exercised, tested and ablated individually:
   ("we could cache the system states in which an invariant is violated and
   reverify them after the changes into LS that affect them") which the
   paper's prototype leaves out but this library implements.
+
+The bounds on one soundness call — sequences per node, combinations per
+call, cached replay verdicts — are not knobs: no caller ever turned them,
+so they are the constants ``MAX_SEQUENCES_PER_NODE``,
+``MAX_COMBINATIONS_PER_CHECK`` and ``REPLAY_CACHE_LIMIT`` of
+:mod:`repro.core.soundness`.
+
+Each knob is declared once, here: a field made with :func:`knob` carries
+its smallest legal value, which :meth:`LMCConfig.__post_init__` checks, and,
+when the command line sets it, its flag and help text, from which
+:mod:`repro.cli` derives the flag.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field, fields
+from typing import Any, Optional
+
+
+def knob(
+    default: Any,
+    minimum: Optional[int] = None,
+    flag: Optional[str] = None,
+    help: Optional[str] = None,
+) -> Any:
+    """A field with its declaration: ``minimum`` is the smallest value it
+    takes (``None`` stays legal where the field is ``Optional``); ``flag``
+    and ``help`` are its command-line option."""
+    return field(default=default, metadata={"minimum": minimum, "flag": flag, "help": help})
 
 
 @dataclass(frozen=True)
 class LMCConfig:
     """Knobs of :class:`~repro.core.checker.LocalModelChecker`."""
 
-    #: Extra copies of an identical message admitted into ``I+`` (§4.2).
-    duplicate_limit: int = 0
-
     #: Starting bound on local (internal) events per node along any discovery
     #: path; ``None`` disables the bound (single un-widened run).
-    local_event_bound: Optional[int] = None
+    local_event_bound: Optional[int] = knob(None, minimum=0)
 
     #: When a local-event bound is set and the bounded run saturates without
     #: exhausting the budget, widen the bound by this factor (≥ 1 adds, the
     #: paper just says "increased") and restart from scratch.  0 disables
     #: widening.
-    widen_increment: int = 1
+    widen_increment: int = knob(1, minimum=0)
 
     #: Use the invariant's decomposition to create only system states whose
     #: local projections can conflict (LMC-OPT, §4.2).  Requires the invariant
@@ -65,14 +85,6 @@ class LMCConfig:
     #: the handler were a no-op.
     assertion_policy: str = "discard"
 
-    #: Upper bound on event sequences enumerated per node during one
-    #: soundness verification; prevents the §5.2 exponential path blow-up
-    #: from hanging a single call.  ``None`` removes the cap.
-    max_sequences_per_node: Optional[int] = 256
-
-    #: Upper bound on sequence *combinations* tried per soundness call.
-    max_combinations_per_check: Optional[int] = 8192
-
     #: Extension beyond the paper's prototype: cache preliminary violations
     #: whose soundness check failed and re-verify them when a new predecessor
     #: pointer is added to any node state they contain.  Restores the
@@ -91,56 +103,6 @@ class LMCConfig:
     #: count cached combinations exactly as uncached ones.
     memoize_soundness: bool = True
 
-    #: LRU bound on cached replay verdicts; ``None`` removes the bound.
-    replay_cache_limit: Optional[int] = 4096
-
-    #: Explore crash/restart fault schedules (docs/FAULTS.md): the checker
-    #: additionally mints a :class:`~repro.model.events.CrashEvent` for every
-    #: eligible visited node state and a
-    #: :class:`~repro.model.events.RestartEvent` for every crashed one.  Off
-    #: by default — the paper's event vocabulary, and byte-identical counters,
-    #: verdicts and witnesses to a build without the fault scheduler.
-    fault_events_enabled: bool = False
-
-    #: Maximum crashes along any single node's discovery path (the per-record
-    #: crash count, mirroring how ``local_depth`` bounds local events).  Only
-    #: consulted when ``fault_events_enabled``.
-    max_crashes_per_node: int = 1
-
-    #: Global cap on crash events executed across the whole run; ``None``
-    #: leaves only the per-node bound.  Only consulted when
-    #: ``fault_events_enabled``.
-    max_total_crashes: Optional[int] = None
-
-    #: Explore message-drop fault schedules (docs/FAULTS.md): the checker
-    #: additionally mints a :class:`~repro.model.events.DropEvent` for every
-    #: undelivered stored copy whose destination protocol declares a
-    #: ``handle_drop`` hook, consuming the copy (it becomes never-deliverable
-    #: along that branch).  Off by default and byte-identical-off.
-    drop_faults: bool = False
-
-    #: Global cap on drop events executed across the whole run; ``None``
-    #: leaves drops bounded only by the finite message space.  Only
-    #: consulted when ``drop_faults``.
-    max_drops: Optional[int] = None
-
-    #: Explore message-duplication fault schedules (docs/FAULTS.md): the
-    #: checker re-admits each generated message once through the network's
-    #: ``duplicate_limit`` path and redelivers the fault-minted copy via a
-    #: :class:`~repro.model.events.DuplicateEvent`.  Requires
-    #: ``duplicate_limit >= 1`` (the admission budget).  Off by default and
-    #: byte-identical-off.
-    duplicate_faults: bool = False
-
-    #: Timed network-partition schedules (docs/FAULTS.md): each entry is a
-    #: ``(start_round, end_round, srcs, dests)`` tuple blocking delivery of
-    #: messages from any node in ``srcs`` to any node in ``dests`` while the
-    #: checker's round number lies in ``[start_round, end_round]``
-    #: (``end_round=None`` = permanent).  Blocked deliveries are counted as
-    #: ``partition_blocks`` and retried once the window closes.  Empty (the
-    #: default) is byte-identical to a build without partition support.
-    partition_schedules: tuple = ()
-
     #: Workers for parallel frontier exploration (docs/PERFORMANCE.md),
     #: the coordinator included: each round, the per-node frontier of
     #: pending deliveries, internal actions and fault steps is split into
@@ -154,7 +116,93 @@ class LMCConfig:
     #: when the checker is built).  Which rounds go parallel, and in how
     #: many shards, is fixed by :mod:`repro.core.explore_parallel`'s
     #: ``ROUND_THRESHOLD``/``SHARD_MIN``.
-    explore_workers: Optional[int] = 0
+    explore_workers: Optional[int] = knob(
+        0, minimum=0, flag="--explore-workers",
+        help="shard each exploration round's frontier across N workers: this process and N-1 "
+        "forked children (LMC algorithms only; 0 or 1 explores serially, -1 uses all CPUs; results "
+        "are identical either way — see docs/PERFORMANCE.md)",
+    )
+
+    #: Explore crash/restart fault schedules (docs/FAULTS.md): the checker
+    #: additionally mints a :class:`~repro.model.events.CrashEvent` for every
+    #: eligible visited node state and a
+    #: :class:`~repro.model.events.RestartEvent` for every crashed one.  Off
+    #: by default — the paper's event vocabulary, and byte-identical counters,
+    #: verdicts and witnesses to a build without the fault scheduler.
+    fault_events_enabled: bool = knob(
+        False, flag="--faults",
+        help="explore crash/restart fault schedules (LMC algorithms only; see docs/FAULTS.md)",
+    )
+
+    #: Maximum crashes along any single node's discovery path (the per-record
+    #: crash count, mirroring how ``local_depth`` bounds local events).  Only
+    #: consulted when ``fault_events_enabled``.
+    max_crashes_per_node: int = knob(
+        1, minimum=0, flag="--max-crashes-per-node",
+        help="crashes allowed on any single node's discovery path (default %(default)s; consulted "
+        "only with --faults)",
+    )
+
+    #: Global cap on crash events executed across the whole run; ``None``
+    #: leaves only the per-node bound.  Only consulted when
+    #: ``fault_events_enabled``.
+    max_total_crashes: Optional[int] = knob(
+        None, minimum=0, flag="--max-total-crashes",
+        help="global cap on crash events across the run (default: only the per-node bound; "
+        "consulted only with --faults)",
+    )
+
+    #: Explore message-drop fault schedules (docs/FAULTS.md): the checker
+    #: additionally mints a :class:`~repro.model.events.DropEvent` for every
+    #: undelivered stored copy whose destination protocol declares a
+    #: ``handle_drop`` hook, consuming the copy (it becomes never-deliverable
+    #: along that branch).  Off by default and byte-identical-off.
+    drop_faults: bool = knob(
+        False, flag="--drop-faults",
+        help="explore message-loss schedules against protocols that declare a handle_drop omission "
+        "hook (LMC algorithms only; see docs/FAULTS.md)",
+    )
+
+    #: Global cap on drop events executed across the whole run; ``None``
+    #: leaves drops bounded only by the finite message space.  Only
+    #: consulted when ``drop_faults``.
+    max_drops: Optional[int] = knob(
+        None, minimum=0, flag="--max-drops",
+        help="global cap on effective drop events across the run (default: unbounded; consulted "
+        "only with --drop-faults)",
+    )
+
+    #: Explore message-duplication fault schedules (docs/FAULTS.md): the
+    #: checker re-admits each generated message once through the network's
+    #: ``duplicate_limit`` path and redelivers the fault-minted copy via a
+    #: :class:`~repro.model.events.DuplicateEvent`.  Requires
+    #: ``duplicate_limit >= 1`` (the admission budget).  Off by default and
+    #: byte-identical-off.
+    duplicate_faults: bool = knob(
+        False, flag="--duplicate-faults",
+        help="explore at-least-once redelivery of every sent message (LMC algorithms only; needs "
+        "--duplicate-limit 1 or more; see docs/FAULTS.md)",
+    )
+
+    #: Extra copies of an identical message admitted into ``I+`` (§4.2).
+    duplicate_limit: int = knob(
+        0, minimum=0, flag="--duplicate-limit",
+        help="extra copies of one message value the monotonic network admits (default %(default)s; "
+        "raise alongside --duplicate-faults to deepen redelivery exploration)",
+    )
+
+    #: Timed network-partition schedules (docs/FAULTS.md): each entry is a
+    #: ``(start_round, end_round, srcs, dests)`` tuple blocking delivery of
+    #: messages from any node in ``srcs`` to any node in ``dests`` while the
+    #: checker's round number lies in ``[start_round, end_round]``
+    #: (``end_round=None`` = permanent).  Blocked deliveries are counted as
+    #: ``partition_blocks`` and retried once the window closes.  Empty (the
+    #: default) is byte-identical to a build without partition support.
+    partition_schedules: tuple = knob(
+        (), flag="--partition",
+        help="block deliveries from SRCS to DESTS during rounds START..END (END empty or '-' means "
+        "forever; repeatable; see docs/FAULTS.md)",
+    )
 
     #: Symmetry reduction (docs/REDUCTION.md): canonicalise system-state
     #: combinations to orbit representatives under the protocol-declared
@@ -165,7 +213,12 @@ class LMCConfig:
     #: ``system_states_created``.  Off by default — and byte-identical-off:
     #: with the knob off no reducer object exists and every counter, verdict
     #: and witness matches a build without the feature.
-    symmetry_reduction: bool = False
+    symmetry_reduction: bool = knob(
+        False, flag="--symmetry-reduction",
+        help="canonicalise system-state combinations to orbit representatives under the "
+        "protocol-declared node-symmetry group (LMC algorithms only; a scenario restricts the "
+        "group to its snapshot's stabilizer; see docs/REDUCTION.md)",
+    )
 
     #: Commutativity-based pruning (docs/REDUCTION.md): suppress the
     #: non-canonical predecessor pointer of a same-node delivery-order
@@ -175,7 +228,11 @@ class LMCConfig:
     #: the cost of a documented conservatism (a suppressed ordering can, in
     #: principle, hide the only valid witness of a combination; never a
     #: false positive).  Off by default and byte-identical-off.
-    por_pruning: bool = False
+    por_pruning: bool = knob(
+        False, flag="--por",
+        help="prune non-canonical orderings of commuting deliveries from the predecessor DAG (LMC "
+        "algorithms only; see docs/REDUCTION.md)",
+    )
 
     #: Selects LMC-OPT's partner scan only: one conflict question per
     #: projection group of the pass's summary index (True), or one per
@@ -185,33 +242,18 @@ class LMCConfig:
     incremental_enumeration: bool = True
 
     def __post_init__(self) -> None:
-        if self.duplicate_limit < 0:
-            raise ValueError("duplicate_limit must be >= 0")
-        if self.local_event_bound is not None and self.local_event_bound < 0:
-            raise ValueError("local_event_bound must be >= 0")
-        if self.widen_increment < 0:
-            raise ValueError("widen_increment must be >= 0")
+        for declared in fields(self):
+            minimum = declared.metadata.get("minimum")
+            value = getattr(self, declared.name)
+            if minimum is None or (value is None and declared.type.startswith("Optional")):
+                continue
+            if value < minimum:
+                raise ValueError(f"{declared.name} must be >= {minimum}, got {value!r}")
         if self.assertion_policy not in ("discard", "ignore"):
             raise ValueError(
                 f"assertion_policy must be 'discard' or 'ignore', "
                 f"got {self.assertion_policy!r}"
             )
-        for name in (
-            "max_sequences_per_node",
-            "max_combinations_per_check",
-            "replay_cache_limit",
-        ):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive or None")
-        if self.explore_workers is not None and self.explore_workers < 0:
-            raise ValueError("explore_workers must be >= 0 or None")
-        if self.max_crashes_per_node < 0:
-            raise ValueError("max_crashes_per_node must be >= 0")
-        if self.max_total_crashes is not None and self.max_total_crashes < 0:
-            raise ValueError("max_total_crashes must be >= 0 or None")
-        if self.max_drops is not None and self.max_drops < 0:
-            raise ValueError("max_drops must be >= 0 or None")
         if self.duplicate_faults and self.duplicate_limit < 1:
             raise ValueError(
                 "duplicate_faults requires duplicate_limit >= 1 "
@@ -225,10 +267,10 @@ class LMCConfig:
                 )
             start, end, srcs, dests = entry
             if not (isinstance(start, int) and start >= 1):
-                raise ValueError("partition start_round must be an int >= 1")
+                raise ValueError("partition_schedules start_round must be an int >= 1")
             if end is not None and not (isinstance(end, int) and end >= start):
                 raise ValueError(
-                    "partition end_round must be None or an int >= start_round"
+                    "partition_schedules end_round must be None or an int >= start_round"
                 )
             for side, name in ((srcs, "srcs"), (dests, "dests")):
                 if not (
@@ -237,7 +279,7 @@ class LMCConfig:
                     and all(isinstance(node, int) for node in side)
                 ):
                     raise ValueError(
-                        f"partition {name} must be a non-empty tuple of node ids"
+                        f"partition_schedules {name} must be a non-empty tuple of node ids"
                     )
 
     @classmethod

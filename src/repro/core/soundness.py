@@ -83,9 +83,10 @@ Deviations from the paper, both explicit and bounded:
 
 * self-referencing predecessor links are ignored (the paper does the same);
 * predecessor-path enumeration walks *simple* paths (no repeated state on a
-  path) and is capped by the configured limits; a capped search that found no
-  valid order reports "inconclusive", which the checker treats as invalid
-  (no bug reported), mirroring the paper's favour-simplicity stance.
+  path) and is capped by :data:`MAX_SEQUENCES_PER_NODE` and
+  :data:`MAX_COMBINATIONS_PER_CHECK`; a capped search that found no valid
+  order reports "inconclusive", which the checker treats as invalid (no bug
+  reported), mirroring the paper's favour-simplicity stance.
 """
 
 from __future__ import annotations
@@ -101,6 +102,16 @@ from repro.model.types import NodeId
 from repro.obs.emitter import NULL_EMITTER, TraceEmitter
 from repro.stats.counters import ExplorationStats
 
+
+#: Sequences one call enumerates per node at most: the §5.2 exponential
+#: path blow-up cannot hang a single call.
+MAX_SEQUENCES_PER_NODE = 256
+
+#: Sequence combinations one call tries at most.
+MAX_COMBINATIONS_PER_CHECK = 8192
+
+#: LRU bound on cached replay verdicts.
+REPLAY_CACHE_LIMIT = 4096
 
 #: One node's candidate event sequence, oldest event first.
 NodeSequence = Tuple[SequenceStep, ...]
@@ -217,19 +228,13 @@ class SoundnessVerifier:
         self,
         space: LocalStateSpace,
         stats: ExplorationStats,
-        max_sequences_per_node: Optional[int] = None,
-        max_combinations: Optional[int] = None,
         emitter: TraceEmitter = NULL_EMITTER,
         memoize: bool = True,
-        replay_cache_limit: Optional[int] = 4096,
     ):
         self._space = space
         self._stats = stats
-        self._max_sequences = max_sequences_per_node
-        self._max_combinations = max_combinations
         self._emitter = emitter
         self._memoize = memoize
-        self._replay_cache_limit = replay_cache_limit
         #: (node, record index) -> (store version at compute time, compiled
         #: sequences, their :func:`summarise` summary).  A bumped store
         #: version (new record or new predecessor pointer anywhere in that
@@ -303,10 +308,10 @@ class SoundnessVerifier:
         The walk takes the cross product in node order and stops at the
         first combination the replay accepts; ``tried`` counts the
         combinations handed to the replay — the §5.4 ``soundness_sequences``
-        unit — and never exceeds ``max_combinations``.  With memoisation on,
-        a call the record-level bound refutes skips the product walk and
-        counts the product, capped; ``memoize=False`` keeps the
-        per-combination reference.
+        unit — and never exceeds :data:`MAX_COMBINATIONS_PER_CHECK`.  With
+        memoisation on, a call the record-level bound refutes skips the
+        product walk and counts the product, capped; ``memoize=False`` keeps
+        the per-combination reference.
         """
         per_node: List[List[CompiledSequence]] = []
         summaries: List[Optional[RecordSummary]] = []
@@ -319,11 +324,9 @@ class SoundnessVerifier:
             per_node.append(sequences)
             summaries.append(summary)
 
-        cap = self._max_combinations
+        cap = MAX_COMBINATIONS_PER_CHECK
         if self._memoize and refuted_by_bound(summaries):
-            tried = prod(len(sequences) for sequences in per_node)
-            if cap is not None:
-                tried = min(tried, cap)
+            tried = min(prod(len(sequences) for sequences in per_node), cap)
             self._stats.soundness_sequences += tried
             self._file_refuted(per_node, tried, audit)
             return None
@@ -364,10 +367,7 @@ class SoundnessVerifier:
             return cached
         order = replay_compiled(combo, audit)
         cache[key] = order
-        if (
-            self._replay_cache_limit is not None
-            and len(cache) > self._replay_cache_limit
-        ):
+        if len(cache) > REPLAY_CACHE_LIMIT:
             cache.popitem(last=False)
         return order
 
@@ -386,7 +386,6 @@ class SoundnessVerifier:
         count as quotient dismissals and the last one names the starved pair.
         """
         cache = self._replay_cache
-        limit = self._replay_cache_limit
         hits = 0
         last_miss: Optional[Tuple[int, ...]] = None
         keys = product(*[[sequence.key for sequence in each] for each in per_node])
@@ -397,7 +396,7 @@ class SoundnessVerifier:
                 continue
             cache[key] = None
             last_miss = key
-            if limit is not None and len(cache) > limit:
+            if len(cache) > REPLAY_CACHE_LIMIT:
                 cache.popitem(last=False)
         self._stats.replay_cache_hits += hits
         if audit is None:
@@ -450,7 +449,7 @@ class SoundnessVerifier:
         Walks the predecessor DAG backwards by record index, pushing each
         link's shared :class:`SequenceStep`; a path never revisits a record
         (simple paths) and self-referencing links are skipped, per the
-        paper's simplification.  Truncated at ``max_sequences_per_node``.
+        paper's simplification.  Truncated at :data:`MAX_SEQUENCES_PER_NODE`.
         """
         sequences: List[CompiledSequence] = []
         store = self._space.store(record.node)
@@ -466,10 +465,7 @@ class SoundnessVerifier:
                 plain = plain_steps(steps)
                 key = keys.setdefault((record.node, plain), len(keys))
                 sequences.append(CompiledSequence(record.node, plain, steps, key))
-                return (
-                    self._max_sequences is None
-                    or len(sequences) < self._max_sequences
-                )
+                return len(sequences) < MAX_SEQUENCES_PER_NODE
             for prev, step in store.links_of(current):
                 if prev < 0 or prev in seen:
                     # Self-reference (§4.2) — the current record is in

@@ -102,11 +102,6 @@ class OnePaxosProtocol(Protocol):
             if node not in self._node_ids:
                 raise ProtocolConfigError(f"unknown fault suspect {node}")
 
-    @property
-    def name_with_variant(self) -> str:
-        """Protocol name including the build variant."""
-        return f"{self.name}{'-buggy' if self.buggy_init else ''}"
-
     # -- Protocol interface -----------------------------------------------------
 
     def node_ids(self) -> Tuple[NodeId, ...]:

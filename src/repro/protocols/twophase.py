@@ -51,10 +51,6 @@ class TwoPhaseNodeState:
     votes: FrozenSet[Tuple[NodeId, bool]] = frozenset()
     decided: Optional[bool] = None  # True commit / False abort / None open
 
-    def yes_votes(self) -> FrozenSet[NodeId]:
-        """Voters that voted yes."""
-        return frozenset(voter for voter, yes in self.votes if yes)
-
 
 class TwoPhaseCommit(Protocol):
     """Standard presumed-nothing 2PC over ``num_nodes`` nodes.

@@ -1,5 +1,7 @@
 """Tests for the §4.2 pragmatic knobs of the local checker."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.checker import LocalModelChecker
@@ -13,23 +15,42 @@ from repro.protocols.tree import ReceivedImpliesSent, TreeProtocol
 TRUE_INV = PredicateInvariant("true", lambda s: True)
 
 
+#: Every field that declares a minimum, with that minimum.
+MINIMUMS = {
+    field.name: field.metadata["minimum"]
+    for field in dataclasses.fields(LMCConfig)
+    if field.metadata.get("minimum") is not None
+}
+
+
 class TestConfigValidation:
     def test_defaults_are_valid(self):
         LMCConfig()
 
+    def test_every_count_declares_its_minimum(self):
+        assert MINIMUMS == dict.fromkeys(
+            (
+                "local_event_bound",
+                "widen_increment",
+                "explore_workers",
+                "max_crashes_per_node",
+                "max_total_crashes",
+                "max_drops",
+                "duplicate_limit",
+            ),
+            0,
+        )
+
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"duplicate_limit": -1},
-            {"local_event_bound": -2},
-            {"widen_increment": -1},
             {"assertion_policy": "explode"},
-            {"max_sequences_per_node": 0},
-            {"max_combinations_per_check": -5},
+            *({name: minimum - 1} for name, minimum in MINIMUMS.items()),
         ],
+        ids=lambda kwargs: next(iter(kwargs)),
     )
     def test_invalid_configs_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             LMCConfig(**kwargs)
 
     def test_factory_methods(self):

@@ -164,10 +164,9 @@ class TestSequenceEnumeration:
 
     def test_sequence_cap_respected(self):
         space, _seed, _s1, s2 = self._space_with_chain()
-        verifier = SoundnessVerifier(
-            space, ExplorationStats(), max_sequences_per_node=1
-        )
-        sequences = verifier.enumerate_sequences(s2)
+        verifier = SoundnessVerifier(space, ExplorationStats())
+        with mock.patch.object(soundness, "MAX_SEQUENCES_PER_NODE", 1):
+            sequences = verifier.enumerate_sequences(s2)
         assert len(sequences) == 1
 
     def test_is_state_sound_counts_calls(self):
@@ -182,8 +181,9 @@ class TestSequenceEnumeration:
     def test_combination_cap_gives_up(self):
         space, _seed, _s1, s2 = self._space_with_chain()
         stats = ExplorationStats()
-        verifier = SoundnessVerifier(space, stats, max_combinations=0)
-        assert verifier.is_state_sound({0: s2}) is None
+        verifier = SoundnessVerifier(space, stats)
+        with mock.patch.object(soundness, "MAX_COMBINATIONS_PER_CHECK", 0):
+            assert verifier.is_state_sound({0: s2}) is None
 
 
 class TestRecordLevelBound:
@@ -279,8 +279,10 @@ def _space_realising(records_per_node):
 @given(
     records_per_node=bound_records,
     picks=st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=12),
-    cache_limit=st.sampled_from([None, 1, 3, 4096]),
-    max_combinations=st.one_of(st.none(), st.integers(min_value=0, max_value=6)),
+    # 4096 and 8192 stand for no bound: no case builds more than 4**3
+    # combinations per call, or 2**3 * 4**3 cache keys.
+    cache_limit=st.sampled_from([1, 3, 4096]),
+    max_combinations=st.one_of(st.just(8192), st.integers(min_value=0, max_value=6)),
 )
 def test_the_bound_leaves_what_the_product_walk_leaves(
     records_per_node, picks, cache_limit, max_combinations
@@ -299,14 +301,11 @@ def test_the_bound_leaves_what_the_product_walk_leaves(
 
     def run():
         stats, emitter = ExplorationStats(), MemoryEmitter()
-        verifier = SoundnessVerifier(
-            space,
-            stats,
-            max_combinations=max_combinations,
-            emitter=emitter,
-            replay_cache_limit=cache_limit,
-        )
-        verdicts = [verifier.is_state_sound(records) for records in calls]
+        verifier = SoundnessVerifier(space, stats, emitter=emitter)
+        with mock.patch.object(
+            soundness, "MAX_COMBINATIONS_PER_CHECK", max_combinations
+        ), mock.patch.object(soundness, "REPLAY_CACHE_LIMIT", cache_limit):
+            verdicts = [verifier.is_state_sound(records) for records in calls]
         spans = [
             {key: value for key, value in record["fields"].items() if key != "bound_refuted"}
             for record in emitter.records
@@ -325,13 +324,16 @@ def test_the_bound_leaves_what_the_product_walk_leaves(
     assert with_bound == without_bound
 
 
-def _verify(records_per_node, **verifier_kw):
-    """One traced call on the first record of each node of a realised space:
-    ``(witness, stats, soundness span fields)``."""
+def _verify(records_per_node, max_combinations=8192, **verifier_kw):
+    """One traced call on the first record of each node of a realised space,
+    with at most ``max_combinations`` tried: ``(witness, stats, soundness
+    span fields)``."""
     space, targets = _space_realising(records_per_node)
     stats, emitter = ExplorationStats(), MemoryEmitter()
     verifier = SoundnessVerifier(space, stats, emitter=emitter, **verifier_kw)
-    witness = verifier.is_state_sound({node: records[0] for node, records in enumerate(targets)})
+    first = {node: records[0] for node, records in enumerate(targets)}
+    with mock.patch.object(soundness, "MAX_COMBINATIONS_PER_CHECK", max_combinations):
+        witness = verifier.is_state_sound(first)
     (span,) = [record["fields"] for record in emitter.records if record.get("name") == "soundness"]
     return witness, stats, span
 
@@ -367,7 +369,7 @@ class TestCombinationSearch:
     def test_the_bound_refutes_and_counts_the_capped_product(self):
         # Node 0 needs hash 5 twice; node 1 offers at most one copy.
         unit = [[[((5, ()), (5, ()))] * 3], [[((None, (5,)),), ((None, ()),)]]]
-        for cap, tried in ((None, 6), (4, 4)):
+        for cap, tried in ((8192, 6), (4, 4)):
             witness, stats, span = _verify(unit, max_combinations=cap)
             assert witness is None
             assert span["bound_refuted"] is True

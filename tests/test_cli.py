@@ -4,6 +4,7 @@ import pytest
 
 import argparse
 import dataclasses
+import json
 import os
 
 from repro.cli import (
@@ -152,9 +153,8 @@ class TestFaultFlags:
         # --duplicate-faults alone must fail config validation (the default
         # duplicate_limit is 0), proving the limit flag is what feeds the
         # admission budget through to LMCConfig.
-        with pytest.raises(ValueError, match="duplicate_limit"):
-            main(["check", "tree", "--duplicate-faults", "--no-registry"])
-        capsys.readouterr()
+        assert main(["check", "tree", "--duplicate-faults", "--no-registry"]) == 2
+        assert "duplicate_limit" in capsys.readouterr().err
         assert (
             main(
                 [
@@ -268,6 +268,42 @@ class TestConfigBinding:
         err = capsys.readouterr().err
         assert "--drop-faults" in err and "--max-drops" in err
         assert main(argv) == 0
+
+
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--max-drops", "-2"], "max_drops"),
+        (["--duplicate-limit", "-1"], "duplicate_limit"),
+        (["--max-depth", "-1"], "max_depth"),
+        (["--partition", "3:1:0:1"], "partition_schedules"),
+        (["--duplicate-faults"], "duplicate_limit"),
+    ],
+)
+def test_an_out_of_range_value_is_one_error_line(flags, field, tmp_path, capsys):
+    """Exit 2 with one line naming the field, before any run registers."""
+    root = str(tmp_path / "runs")
+    assert main(["check", "tree", *flags, "--registry-root", root]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err and err.count("\n") == 1
+    assert RunRegistry(root).list_runs() == []
+
+
+def _options(command):
+    """``[option strings, dest, default, help, metavar]`` per action of one
+    subcommand, JSON-shaped."""
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    actions = commands.choices[command]._actions
+    rows = [[a.option_strings, a.dest, a.default, a.help, a.metavar] for a in actions]
+    return json.loads(json.dumps(rows))
+
+
+@pytest.mark.parametrize("command", ["check", "trace", "scenario"])
+def test_options_match_the_pinned_table(command):
+    """The flags derived from ``LMCConfig`` spell, default and document
+    each option as the hand-declared ones did."""
+    with open(os.path.join(os.path.dirname(__file__), "golden", "cli_options.json")) as handle:
+        assert _options(command) == json.load(handle)[command]
 
 
 def test_resume_of_arguments_this_version_rejects_exits_two(tmp_path, capsys):
