@@ -131,8 +131,8 @@ def test_ablation_local_event_widening(report):
     rows = []
     for label, config in (
         ("unbounded", LMCConfig.optimized()),
-        ("widened from 0", LMCConfig.optimized(local_event_bound=0, widen_increment=1)),
-        ("widened from 1", LMCConfig.optimized(local_event_bound=1, widen_increment=1)),
+        ("widened from 0", LMCConfig.optimized(local_event_bound=0)),
+        ("widened from 1", LMCConfig.optimized(local_event_bound=1)),
     ):
         protocol, invariant = space()
         result = LocalModelChecker(protocol, invariant, config=config).run()

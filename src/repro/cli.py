@@ -486,6 +486,8 @@ def _make_run_context(
 
 def run_check(
     args: argparse.Namespace,
+    protocol: Protocol,
+    invariant: Invariant,
     config: LMCConfig,
     budget: SearchBudget,
     emitter: TraceEmitter = NULL_EMITTER,
@@ -494,12 +496,12 @@ def run_check(
 ) -> CheckResult:
     """Run the ``check``/``trace`` subcommands: a named workload, one algorithm.
 
-    The emitter and metrics cadence thread into the LMC checkers; the B-DFS
+    ``main`` builds the workload's protocol and invariant, the config and
+    the budget, so a usage error exits before a run registers.  The
+    emitter and metrics cadence thread into the LMC checkers; the B-DFS
     baseline takes no per-phase instrumentation (its trace still carries
     the final counter snapshot ``main`` emits).
     """
-    builder, _doc = WORKLOADS[args.workload]
-    protocol, invariant = builder(args.nodes, args.buggy)
     interval = getattr(args, "metrics_interval", None)
     # Checkpointing (docs/CHECKPOINTS.md): any of the three flags turns the
     # snapshot layer on; the file defaults into the registry run directory
@@ -924,6 +926,12 @@ def main(argv: Optional[list] = None) -> int:
             max_depth=getattr(args, "max_depth", None),
             max_seconds=getattr(args, "max_seconds", None),
         )
+        every = getattr(args, "checkpoint_every", None)
+        if every is not None and every < 1:
+            raise ValueError(f"--checkpoint-every must be >= 1, got {every}")
+        if args.command in ("check", "trace"):
+            builder, _doc = WORKLOADS[args.workload]
+            protocol, invariant = builder(args.nodes, args.buggy)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -943,7 +951,9 @@ def main(argv: Optional[list] = None) -> int:
             run_id=run_handle.run_id if run_handle is not None else None,
         )
         if args.command in ("check", "trace"):
-            result = run_check(args, config, budget, emitter, run_handle, coverage)
+            result = run_check(
+                args, protocol, invariant, config, budget, emitter, run_handle, coverage
+            )
         else:
             result = run_scenario(args, config, emitter, run_handle, coverage)
         # End-of-run bookkeeping: the merged final counters and a closing

@@ -59,6 +59,7 @@ from __future__ import annotations
 import time
 from array import array
 from collections import OrderedDict
+from dataclasses import fields
 from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -100,7 +101,7 @@ from repro.core.system_states import (
     enumerate_general,
     enumerate_optimized,
 )
-from repro.explore.budget import BudgetClock, SearchBudget
+from repro.explore.budget import CLOCK_CHECK_INTERVAL, BudgetClock, SearchBudget
 from repro.invariants.base import (
     DecomposableInvariant,
     Invariant,
@@ -124,8 +125,9 @@ from repro.reports import BugReport, CheckResult
 from repro.stats.counters import ExplorationStats
 from repro.stats.series import DepthSeries
 
-#: How many handler executions between wall-clock budget checks.
-_BUDGET_CHECK_INTERVAL = 256
+#: How much a saturated bounded pass raises the local-event bound before the
+#: next pass starts from scratch (§4.2: "the bounds are increased").
+WIDEN_INCREMENT = 1
 
 #: LRU bound on the ``reverify_rejected`` combination cache; evictions trade
 #: the §4.2 completeness patch back for bounded memory on long online runs
@@ -251,14 +253,7 @@ class LocalModelChecker:
         the uninterrupted run's (rebuildable caches excepted — see
         docs/CHECKPOINTS.md).
         """
-        saved = payload["budget"]
-        for name in ("max_depth", "max_transitions", "max_states"):
-            if getattr(self.budget, name) != saved[name]:
-                raise CheckpointMismatch(
-                    f"resume requires the checkpointed budget: {name} was "
-                    f"{saved[name]!r}, this run has "
-                    f"{getattr(self.budget, name)!r}"
-                )
+        self._require_saved_bounds(payload["budget"], "resume")
         total_stats, result, run_pass = self._restore(payload)
         return self._run_loop(total_stats, result, run_pass)
 
@@ -289,16 +284,30 @@ class LocalModelChecker:
                 f"extension depth must exceed the checkpointed bound "
                 f"{saved['max_depth']} (got {new_depth})"
             )
-        for name in ("max_transitions", "max_states"):
-            if getattr(self.budget, name) != saved[name]:
-                raise CheckpointMismatch(
-                    f"depth extension must keep the checkpointed {name} "
-                    f"({saved[name]!r}); this run has "
-                    f"{getattr(self.budget, name)!r}"
-                )
+        self._require_saved_bounds(saved, "depth extension", "max_depth")
         total_stats, result, run_pass = self._restore(payload)
         run_pass.begin_extension()
         return self._run_loop(total_stats, result, run_pass)
+
+    def _require_saved_bounds(
+        self, saved: Dict[str, object], action: str, *free: str
+    ) -> None:
+        """Refuse a budget whose bounds differ from the checkpointed ones.
+
+        Every :class:`SearchBudget` bound but ``max_seconds`` and ``free``
+        shapes the explored space, so must be equal; granting a killed run
+        more wall clock is the point of resuming.
+        """
+        for bound in fields(SearchBudget):
+            name = bound.name
+            if name == "max_seconds" or name in free:
+                continue
+            if getattr(self.budget, name) != saved[name]:
+                raise CheckpointMismatch(
+                    f"{action} requires the checkpointed budget: {name} was "
+                    f"{saved[name]!r}, this run has "
+                    f"{getattr(self.budget, name)!r}"
+                )
 
     def _restore(self, payload: Dict[str, object]):
         """Rebuild run-level state and the in-flight pass from a checkpoint.
@@ -375,11 +384,7 @@ class LocalModelChecker:
                     result.stop_reason = pass_outcome.reason
                     return result
                 # The pass saturated within its bound.
-                if (
-                    bound is None
-                    or not run_pass.blocked_by_bound
-                    or self.config.widen_increment == 0
-                ):
+                if bound is None or not run_pass.blocked_by_bound:
                     result.completed = True
                     result.stop_reason = pass_outcome.reason
                     return result
@@ -387,7 +392,7 @@ class LocalModelChecker:
                     self,
                     run_pass.initial_system,
                     run_pass.clock,
-                    bound + self.config.widen_increment,
+                    bound + WIDEN_INCREMENT,
                 )
         finally:
             if checkpointer is not None:
@@ -910,16 +915,14 @@ class _ExplorationPass:
     def _handle_assertion_failure(self, record: NodeStateRecord) -> None:
         """Apply the §4.2 local-assertion policy to a failing handler.
 
-        "discard" drops the node state the handler would have produced (the
-        paper's choice: such assertions mostly flag messages delivered to
-        states no real run pairs them with); "ignore" treats the execution
-        as a no-op.  Seed states are never discarded — they came from a
-        real run.
+        The node state the failing handler ran on is discarded (the paper's
+        choice: such assertions mostly flag messages delivered to states no
+        real run pairs them with), and the execution counts as a no-op.  Seed states
+        are never discarded — they came from a real run.
         """
-        if self.config.assertion_policy == "discard" and not record.seed:
+        if not record.seed:
             self.space.store(record.node).mark_discarded(record)
             self.stats.states_discarded_by_assert += 1
-        # Under "ignore" (or on a seed state) the execution is a no-op.
         self.stats.noop_executions += 1
 
     def _integrate(
@@ -1387,24 +1390,17 @@ class _ExplorationPass:
     def _tick_budget(self) -> None:
         """Enforce the transition/state/time budgets (§5 bounded searches).
 
-        Called before every handler execution; the wall clock is consulted
-        only every ``_BUDGET_CHECK_INTERVAL`` executions to keep the hot
-        path cheap.
+        Called before every handler execution; on the clock's cadence
+        (``CLOCK_CHECK_INTERVAL`` executions) it also keeps the heartbeat.
         """
         executed = self.stats.transitions + self.stats.noop_executions
-        budget = self.budget
-        if (
-            budget.max_transitions is not None
-            and self.stats.transitions >= budget.max_transitions
-        ):
-            raise _StopSearch("transition budget exhausted", completed=False)
-        if (
-            budget.max_states is not None
-            and self.space.total_states() >= budget.max_states
-        ):
-            raise _StopSearch("state budget exhausted", completed=False)
-        if executed % _BUDGET_CHECK_INTERVAL == 0:
-            self._pulse()
+        reason = self.clock.stop_reason(
+            self.stats.transitions, self.space.total_states, executed
+        )
+        if reason is not None:
+            raise _StopSearch(reason, completed=False)
+        if executed % CLOCK_CHECK_INTERVAL == 0:
+            self.metrics.pulse(self.explored_depth)
 
     def explored_depth(self) -> int:
         """Length of the longest combined event sequence explored so far."""

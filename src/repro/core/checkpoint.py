@@ -138,8 +138,11 @@ class CheckpointMismatch(CheckpointError):
 #: was ever written with (their defaults: the one checker that set the first
 #: two otherwise took no checkpointer, no caller set the next three, the
 #: next two — now ``repro.core.explore_parallel`` constants — were only ever
-#: set by a benchmark harness that wrote no checkpoint, and the last three —
-#: now ``repro.core.soundness`` constants — only by tests).
+#: set by a benchmark harness that wrote no checkpoint, the next three —
+#: now ``repro.core.soundness`` constants — only by tests, and the last two
+#: are the paper's fixed choices in ``repro.core.checker``: an envelope
+#: written under another assertion policy or widening step no longer
+#: verifies, since this checker would explore a different space).
 #: Still fingerprinted so that envelopes written before their removal keep
 #: verifying — the digest is a hash of every key, so dropping these would
 #: orphan every existing checkpoint.
@@ -154,6 +157,8 @@ _RETIRED_CONFIG_FIELDS = {
     "max_sequences_per_node": "256",
     "max_combinations_per_check": "8192",
     "replay_cache_limit": "4096",
+    "assertion_policy": "'discard'",
+    "widen_increment": "1",
 }
 
 
@@ -367,7 +372,6 @@ def snapshot_pass(
     the composite values the marks' log does not define yet.
     """
     checker = pass_.checker
-    budget = pass_.budget
     if marks is None:
         written, sent, held, seen = {}, 0, frozenset(), frozenset()
         digest = fingerprint(
@@ -397,12 +401,7 @@ def snapshot_pass(
         "reason": reason,
         "pass_completed": pass_completed,
         "pass_reason": pass_reason,
-        "budget": {
-            "max_depth": budget.max_depth,
-            "max_seconds": budget.max_seconds,
-            "max_transitions": budget.max_transitions,
-            "max_states": budget.max_states,
-        },
+        "budget": dataclasses.asdict(pass_.budget),
         "elapsed_s": pass_.clock.elapsed() if elapsed is None else elapsed,
         "initial_system": encode_system_state(pass_.initial_system),
         "run": {

@@ -1,15 +1,12 @@
 """Configuration of the local model checker.
 
-Every pragmatic knob the paper describes in §4.2 is explicit here, so each
-can be exercised, tested and ablated individually:
+The §4.2 pragmatics the paper leaves open are explicit here, so each can
+be exercised, tested and ablated individually:
 
 * the duplicate-message limit ("This limit is set to zero for the results
   reported in this paper");
-* the per-round local-event bound with iterative widening ("in each round we
-  put a bound on the number of local events that each node can execute;
-  after finishing the round, the bounds are increased and the model checking
-  is started from scratch");
-* the local-assertion policy (discard the node state vs. ignore);
+* the starting local-event bound ("in each round we put a bound on the
+  number of local events that each node can execute");
 * phase toggles used by the Fig. 13 overhead decomposition (disable system
   state creation / disable soundness verification);
 * the optional re-verification of cached rejected violations when new
@@ -18,34 +15,27 @@ can be exercised, tested and ablated individually:
   reverify them after the changes into LS that affect them") which the
   paper's prototype leaves out but this library implements.
 
-The bounds on one soundness call — sequences per node, combinations per
-call, cached replay verdicts — are not knobs: no caller ever turned them,
-so they are the constants ``MAX_SEQUENCES_PER_NODE``,
-``MAX_COMBINATIONS_PER_CHECK`` and ``REPLAY_CACHE_LIMIT`` of
-:mod:`repro.core.soundness`.
+What the paper fixes is not a knob: a failing local assertion discards
+the node state the handler ran on, and "after finishing the round, the
+bounds are increased and the model checking is started from scratch" —
+by one (both in :mod:`repro.core.checker`).  Nor are the bounds on one
+soundness call — sequences per node, combinations per call, cached replay
+verdicts: no caller ever turned them, so they are the constants
+``MAX_SEQUENCES_PER_NODE``, ``MAX_COMBINATIONS_PER_CHECK`` and
+``REPLAY_CACHE_LIMIT`` of :mod:`repro.core.soundness`.
 
-Each knob is declared once, here: a field made with :func:`knob` carries
-its smallest legal value, which :meth:`LMCConfig.__post_init__` checks, and,
-when the command line sets it, its flag and help text, from which
-:mod:`repro.cli` derives the flag.
+Each knob is declared once, here: a field made with
+:func:`~repro.knobs.knob` carries its smallest legal value, which
+:meth:`LMCConfig.__post_init__` checks, and, when the command line sets it,
+its flag and help text, from which :mod:`repro.cli` derives the flag.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Any, Optional
+from dataclasses import dataclass
+from typing import Optional
 
-
-def knob(
-    default: Any,
-    minimum: Optional[int] = None,
-    flag: Optional[str] = None,
-    help: Optional[str] = None,
-) -> Any:
-    """A field with its declaration: ``minimum`` is the smallest value it
-    takes (``None`` stays legal where the field is ``Optional``); ``flag``
-    and ``help`` are its command-line option."""
-    return field(default=default, metadata={"minimum": minimum, "flag": flag, "help": help})
+from repro.knobs import check_minimums, knob
 
 
 @dataclass(frozen=True)
@@ -53,14 +43,10 @@ class LMCConfig:
     """Knobs of :class:`~repro.core.checker.LocalModelChecker`."""
 
     #: Starting bound on local (internal) events per node along any discovery
-    #: path; ``None`` disables the bound (single un-widened run).
+    #: path; ``None`` disables the bound (single un-widened run).  A bounded
+    #: pass that saturates without exhausting the budget restarts from
+    #: scratch with the bound one higher.
     local_event_bound: Optional[int] = knob(None, minimum=0)
-
-    #: When a local-event bound is set and the bounded run saturates without
-    #: exhausting the budget, widen the bound by this factor (≥ 1 adds, the
-    #: paper just says "increased") and restart from scratch.  0 disables
-    #: widening.
-    widen_increment: int = knob(1, minimum=0)
 
     #: Use the invariant's decomposition to create only system states whose
     #: local projections can conflict (LMC-OPT, §4.2).  Requires the invariant
@@ -77,13 +63,6 @@ class LMCConfig:
     #: confirmed or reported.  Enabled, each violation is verified inline,
     #: where it is found.
     verify_soundness: bool = True
-
-    #: Local assertion policy (§4.2): "discard" drops the node state that the
-    #: failing handler would have produced (the paper's choice — assertions in
-    #: the tested code mostly flag unexpected messages, i.e. invalid states
-    #: minted by LMC's conservative delivery); "ignore" keeps exploring as if
-    #: the handler were a no-op.
-    assertion_policy: str = "discard"
 
     #: Extension beyond the paper's prototype: cache preliminary violations
     #: whose soundness check failed and re-verify them when a new predecessor
@@ -242,18 +221,7 @@ class LMCConfig:
     incremental_enumeration: bool = True
 
     def __post_init__(self) -> None:
-        for declared in fields(self):
-            minimum = declared.metadata.get("minimum")
-            value = getattr(self, declared.name)
-            if minimum is None or (value is None and declared.type.startswith("Optional")):
-                continue
-            if value < minimum:
-                raise ValueError(f"{declared.name} must be >= {minimum}, got {value!r}")
-        if self.assertion_policy not in ("discard", "ignore"):
-            raise ValueError(
-                f"assertion_policy must be 'discard' or 'ignore', "
-                f"got {self.assertion_policy!r}"
-            )
+        check_minimums(self)
         if self.duplicate_faults and self.duplicate_limit < 1:
             raise ValueError(
                 "duplicate_faults requires duplicate_limit >= 1 "

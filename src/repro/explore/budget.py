@@ -12,7 +12,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
+
+from repro.knobs import check_minimums, knob
+
+#: Handler executions between two readings of the wall clock: the counter
+#: bounds are compared before every execution, the clock only this often,
+#: to keep the hot path cheap.
+CLOCK_CHECK_INTERVAL = 256
 
 
 @dataclass(frozen=True)
@@ -26,33 +33,18 @@ class SearchBudget:
     for the global checker, node states for LMC).
     """
 
-    max_depth: Optional[int] = None
-    max_seconds: Optional[float] = None
-    max_transitions: Optional[int] = None
-    max_states: Optional[int] = None
+    max_depth: Optional[int] = knob(None, minimum=0)
+    max_seconds: Optional[float] = knob(None, minimum=0)
+    max_transitions: Optional[int] = knob(None, minimum=0)
+    max_states: Optional[int] = knob(None, minimum=0)
 
     def __post_init__(self) -> None:
-        for name in ("max_depth", "max_transitions", "max_states"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
-        if self.max_seconds is not None and self.max_seconds < 0:
-            raise ValueError(f"max_seconds must be >= 0, got {self.max_seconds}")
+        check_minimums(self)
 
     @classmethod
     def unbounded(cls) -> "SearchBudget":
         """A budget with every bound disabled (exhaustive search)."""
         return cls()
-
-    @classmethod
-    def depth(cls, max_depth: int) -> "SearchBudget":
-        """Depth-only budget."""
-        return cls(max_depth=max_depth)
-
-    @classmethod
-    def seconds(cls, max_seconds: float, max_depth: Optional[int] = None) -> "SearchBudget":
-        """Time budget, optionally also depth-bounded (the online-MC shape)."""
-        return cls(max_depth=max_depth, max_seconds=max_seconds)
 
 
 class BudgetClock:
@@ -80,14 +72,23 @@ class BudgetClock:
         limit = self.budget.max_depth
         return limit is None or depth <= limit
 
-    def stop_reason(self, transitions: int, states: int) -> Optional[str]:
-        """The first exceeded bound as a human-readable label, else None."""
-        if self.out_of_time():
-            return "time budget exhausted"
-        limit = self.budget.max_transitions
-        if limit is not None and transitions >= limit:
+    def stop_reason(
+        self, transitions: int, states: Callable[[], int], executed: int
+    ) -> Optional[str]:
+        """The first exhausted bound as a human-readable label, else None.
+
+        The stop criterion of both checkers, asked before each handler
+        execution.  The counter bounds come first: ``transitions`` against
+        ``max_transitions``, then ``states()`` — called only when
+        ``max_states`` is set — against ``max_states``.  The wall clock is
+        read last, and only when ``executed`` (handler executions so far)
+        is a multiple of :data:`CLOCK_CHECK_INTERVAL`.
+        """
+        budget = self.budget
+        if budget.max_transitions is not None and transitions >= budget.max_transitions:
             return "transition budget exhausted"
-        limit = self.budget.max_states
-        if limit is not None and states >= limit:
+        if budget.max_states is not None and states() >= budget.max_states:
             return "state budget exhausted"
+        if executed % CLOCK_CHECK_INTERVAL == 0 and self.out_of_time():
+            return "time budget exhausted"
         return None

@@ -42,9 +42,6 @@ from repro.stats.series import DepthSeries
 HASH_ENTRY_BYTES = 16
 PARENT_ENTRY_BYTES = 24
 
-#: How many transitions to execute between budget re-checks.
-_BUDGET_CHECK_INTERVAL = 256
-
 
 def enumerate_events(protocol: Protocol, state: GlobalState) -> Tuple[Event, ...]:
     """All events enabled in a global state, in deterministic order.
@@ -165,7 +162,10 @@ class GlobalModelChecker:
             next_frontier: List[Tuple[GlobalState, int]] = []
             for state, state_hash in frontier:
                 for event in enumerate_events(self.protocol, state):
-                    reason = self._budget_reason(clock, stats)
+                    # The visited set holds one entry per global state.
+                    reason = clock.stop_reason(
+                        stats.transitions, parents.__len__, stats.transitions
+                    )
                     if reason:
                         result.stop_reason = reason
                         return result
@@ -265,23 +265,3 @@ class GlobalModelChecker:
             cursor = parent
         events.reverse()
         return tuple(events)
-
-    def _budget_reason(
-        self, clock: BudgetClock, stats: ExplorationStats
-    ) -> Optional[str]:
-        if stats.transitions % _BUDGET_CHECK_INTERVAL:
-            # Only consult the wall clock periodically; the cheap counter
-            # bounds are evaluated every time.
-            budget = self.budget
-            if (
-                budget.max_transitions is not None
-                and stats.transitions >= budget.max_transitions
-            ):
-                return "transition budget exhausted"
-            if (
-                budget.max_states is not None
-                and stats.global_states >= budget.max_states
-            ):
-                return "state budget exhausted"
-            return None
-        return clock.stop_reason(stats.transitions, stats.global_states)

@@ -1,10 +1,13 @@
 """Remaining budget and stop-criterion edge cases."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.checker import LocalModelChecker
 from repro.core.config import LMCConfig
-from repro.explore.budget import BudgetClock, SearchBudget
+from repro.explore.budget import CLOCK_CHECK_INTERVAL, BudgetClock, SearchBudget
+from repro.explore.global_checker import GlobalModelChecker
 from repro.invariants.base import PredicateInvariant
 from repro.protocols.echo import EchoProtocol
 from repro.protocols.tree import TreeProtocol
@@ -18,30 +21,43 @@ class TestSearchBudgetFactories:
         assert budget.max_depth is None
         assert budget.max_seconds is None
 
-    def test_depth_factory(self):
-        assert SearchBudget.depth(5).max_depth == 5
-
-    def test_seconds_factory(self):
-        budget = SearchBudget.seconds(2.5, max_depth=7)
-        assert budget.max_seconds == 2.5
-        assert budget.max_depth == 7
+    @pytest.mark.parametrize("bound", [field.name for field in dataclasses.fields(SearchBudget)])
+    @pytest.mark.parametrize("value", [-1, float("nan")])
+    def test_every_bound_refuses_negative_and_nan(self, bound, value):
+        with pytest.raises(ValueError, match=bound):
+            SearchBudget(**{bound: value})
 
 
 class TestBudgetClockEdges:
     def test_unbounded_never_stops(self):
         clock = BudgetClock(SearchBudget.unbounded())
-        assert clock.stop_reason(10**9, 10**9) is None
+        assert clock.stop_reason(10**9, lambda: 10**9, 0) is None
         assert clock.depth_allowed(10**9)
 
     def test_transition_bound_reported(self):
         clock = BudgetClock(SearchBudget(max_transitions=10))
-        assert clock.stop_reason(9, 0) is None
-        assert clock.stop_reason(10, 0) == "transition budget exhausted"
+        assert clock.stop_reason(9, lambda: 0, 1) is None
+        assert clock.stop_reason(10, lambda: 0, 1) == "transition budget exhausted"
 
     def test_state_bound_reported(self):
         clock = BudgetClock(SearchBudget(max_states=3))
-        assert clock.stop_reason(0, 2) is None
-        assert clock.stop_reason(0, 3) == "state budget exhausted"
+        assert clock.stop_reason(0, lambda: 2, 1) is None
+        assert clock.stop_reason(0, lambda: 3, 1) == "state budget exhausted"
+
+    def test_the_clock_is_read_on_its_cadence_only(self):
+        clock = BudgetClock(SearchBudget(max_seconds=0.0))
+        assert clock.stop_reason(0, lambda: 0, CLOCK_CHECK_INTERVAL + 1) is None
+        assert clock.stop_reason(0, lambda: 0, CLOCK_CHECK_INTERVAL) == "time budget exhausted"
+
+    def test_both_checkers_name_the_transition_bound_first(self):
+        """With the transition, state and time bounds all exhausted at the
+        first check, both checkers stop on the one stop criterion, which
+        compares the counters first and transitions before states."""
+        budget = SearchBudget(max_transitions=0, max_states=0, max_seconds=0.0)
+        for checker in (LocalModelChecker, GlobalModelChecker):
+            result = checker(TreeProtocol(), TRUE, budget=budget).run()
+            assert not result.completed and result.stats.transitions == 0
+            assert result.stop_reason == "transition budget exhausted"
 
     def test_elapsed_monotone(self):
         clock = BudgetClock(SearchBudget.unbounded())

@@ -31,7 +31,6 @@ class TestConfigValidation:
         assert MINIMUMS == dict.fromkeys(
             (
                 "local_event_bound",
-                "widen_increment",
                 "explore_workers",
                 "max_crashes_per_node",
                 "max_total_crashes",
@@ -43,10 +42,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [
-            {"assertion_policy": "explode"},
-            *({name: minimum - 1} for name, minimum in MINIMUMS.items()),
-        ],
+        [{name: minimum - 1} for name, minimum in MINIMUMS.items()],
         ids=lambda kwargs: next(iter(kwargs)),
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -156,22 +152,9 @@ class _AssertingProtocol(Protocol):
 
 class TestAssertionPolicies:
     def test_discard_policy_drops_states(self):
-        result = LocalModelChecker(
-            _AssertingProtocol(),
-            TRUE_INV,
-            config=LMCConfig(assertion_policy="discard"),
-        ).run()
+        result = LocalModelChecker(_AssertingProtocol(), TRUE_INV).run()
         assert result.completed
         assert result.stats.states_discarded_by_assert > 0
-
-    def test_ignore_policy_keeps_states(self):
-        result = LocalModelChecker(
-            _AssertingProtocol(),
-            TRUE_INV,
-            config=LMCConfig(assertion_policy="ignore"),
-        ).run()
-        assert result.completed
-        assert result.stats.states_discarded_by_assert == 0
 
     def test_seed_states_never_discarded(self):
         class SeedPoison(LocalInvariant):
@@ -180,35 +163,19 @@ class TestAssertionPolicies:
             def check_local(self, node, state):
                 return True
 
-        result = LocalModelChecker(
-            _AssertingProtocol(),
-            SeedPoison(),
-            config=LMCConfig(assertion_policy="discard"),
-        ).run()
+        result = LocalModelChecker(_AssertingProtocol(), SeedPoison()).run()
         # the seed of node 1 receives poison (conservative delivery) but
         # must survive: discarding the live state would be absurd.
         assert result.completed
 
 
 class TestLocalEventBoundWidening:
-    def test_bound_zero_blocks_everything(self):
-        result = LocalModelChecker(
-            PaxosProtocol(),
-            TRUE_INV,
-            config=LMCConfig(local_event_bound=0, widen_increment=0),
-        ).run()
-        # no local events at all: only the three seeds exist
-        assert result.completed
-        assert result.stats.node_states == 3
-
     def test_widening_restarts_until_saturation(self):
         # Widening is an exploration matter: system states stay off.
         bounded = LocalModelChecker(
             PaxosProtocol(),
             PaxosAgreement(0),
-            config=LMCConfig(
-                local_event_bound=1, widen_increment=1, create_system_states=False
-            ),
+            config=LMCConfig(local_event_bound=1, create_system_states=False),
         ).run()
         unbounded = LocalModelChecker(
             PaxosProtocol(),
@@ -220,14 +187,6 @@ class TestLocalEventBoundWidening:
         # (the last pass explores with a sufficient bound).  Total node
         # states across passes are at least the unbounded count.
         assert bounded.stats.node_states >= unbounded.stats.node_states
-
-    def test_no_widening_leaves_bound_in_place(self):
-        result = LocalModelChecker(
-            PaxosProtocol(),
-            TRUE_INV,
-            config=LMCConfig(local_event_bound=1, widen_increment=0),
-        ).run()
-        assert result.completed
 
 
 class TestReverifyExtension:

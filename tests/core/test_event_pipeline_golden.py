@@ -72,8 +72,8 @@ class CountingRelay(Protocol):
 
     Deliberately non-idempotent (each executed ``Ping`` increments
     ``count``), asserting (``Poison``) and drop-aware (``handle_drop``), so
-    one small space exercises duplicate redelivery as real transitions, both
-    assertion policies, and the omission hook.
+    one small space exercises duplicate redelivery as real transitions, the
+    discarding assertion policy, and the omission hook.
     """
 
     name = "counting-relay"
@@ -185,27 +185,12 @@ CASES = {
     ),
     "paxos_local_bound_widening": (
         _paxos,
-        dict(local_event_bound=1, widen_increment=1),
+        dict(local_event_bound=1),
         (3, 4),
     ),
     "relay_assert_discard": (
         _relay,
-        dict(
-            assertion_policy="discard",
-            drop_faults=True,
-            duplicate_faults=True,
-            duplicate_limit=2,
-        ),
-        (2, 4),
-    ),
-    "relay_assert_ignore": (
-        _relay,
-        dict(
-            assertion_policy="ignore",
-            drop_faults=True,
-            duplicate_faults=True,
-            duplicate_limit=2,
-        ),
+        dict(drop_faults=True, duplicate_faults=True, duplicate_limit=2),
         (2, 4),
     ),
 }

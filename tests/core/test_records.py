@@ -213,7 +213,7 @@ class TestHistoryMasks:
 
     def test_a_checkpoint_round_trip_writes_the_same_sorted_rows(self, tmp_path):
         # Its duplicate copies leave per-copy tokens in some histories.
-        case = "relay_assert_ignore"
+        case = "relay_assert_discard"
         path = str(tmp_path / "ckpt.json")
         _checker(case, 0, 3, Checkpointer(path, every_rounds=1)).run()
         payload = load_checkpoint(path)

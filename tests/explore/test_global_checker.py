@@ -209,6 +209,6 @@ class TestBudgets:
         clock = BudgetClock(SearchBudget(max_seconds=1000))
         assert not clock.out_of_time()
         assert clock.depth_allowed(10)
-        assert clock.stop_reason(0, 0) is None
+        assert clock.stop_reason(0, lambda: 0, 0) is None
         tight = BudgetClock(SearchBudget(max_seconds=0.0))
         assert tight.out_of_time()

@@ -285,7 +285,7 @@ def test_frontier_counts_pending_faults(monkeypatch):
     restart starts must still see the second crashed marker pending — the
     delivery and local cursors have long passed it.
     """
-    monkeypatch.setattr(checker_module, "_BUDGET_CHECK_INTERVAL", 1)
+    monkeypatch.setattr(checker_module, "CLOCK_CHECK_INTERVAL", 1)
     handle = _RecordingHandle()
     result = LocalModelChecker(
         _IdleProtocol(),

@@ -278,12 +278,16 @@ class TestConfigBinding:
         (["--max-depth", "-1"], "max_depth"),
         (["--partition", "3:1:0:1"], "partition_schedules"),
         (["--duplicate-faults"], "duplicate_limit"),
+        (["--checkpoint-every", "-1"], "--checkpoint-every"),
+        (["--max-seconds", "nan"], "max_seconds"),
+        (["paxos", "--nodes", "0"], "two nodes"),
     ],
 )
 def test_an_out_of_range_value_is_one_error_line(flags, field, tmp_path, capsys):
     """Exit 2 with one line naming the field, before any run registers."""
     root = str(tmp_path / "runs")
-    assert main(["check", "tree", *flags, "--registry-root", root]) == 2
+    workload = [] if flags[0] == "paxos" else ["tree"]
+    assert main(["check", *workload, *flags, "--registry-root", root]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err and err.count("\n") == 1
     assert RunRegistry(root).list_runs() == []

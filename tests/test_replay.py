@@ -4,9 +4,10 @@ import pytest
 
 from repro.core.checker import LocalModelChecker
 from repro.core.config import LMCConfig
+from repro.explore.budget import SearchBudget
 from repro.explore.global_checker import GlobalModelChecker
 from repro.model.events import DeliveryEvent, DropEvent, DuplicateEvent, InternalEvent
-from repro.model.types import Action, Message
+from repro.model.types import Action, HandlerResult, Message
 from repro.protocols.paxos import PaxosAgreement
 from repro.protocols.paxos.scenarios import partial_choice_state, scenario_protocol
 from repro.protocols.tree import Payload, ReceivedImpliesSent, TreeProtocol
@@ -17,7 +18,13 @@ from repro.protocols.twophase import (
     TimeoutTwoPhaseCommit,
 )
 from repro.replay import replay_trace, trace_to_script, validate_bug
-from tests.core.test_event_pipeline_golden import CASES, _checker
+from tests.core.test_event_pipeline_golden import (
+    CASES,
+    CountAtMostTwo,
+    CountingRelay,
+    Poison,
+    _checker,
+)
 
 #: The tree origin's send, and the copy it sends to node 2.
 SEND = InternalEvent(Action(node=0, name="send"))
@@ -139,6 +146,15 @@ class TestDropReplay:
         assert witnesses > 0
 
 
+class _UnpoisonedRelay(CountingRelay):
+    """The golden relay, minus the poison its origin sends node 1."""
+
+    def handle_action(self, state, action):
+        result = super().handle_action(state, action)
+        sends = tuple(m for m in result.sends if not isinstance(m.payload, Poison))
+        return HandlerResult(result.state, sends)
+
+
 class TestDuplicateReplay:
     """A duplicate redelivery consumes nothing, but only a message that was
     sent can be duplicated."""
@@ -158,17 +174,27 @@ class TestDuplicateReplay:
         assert outcome.complete
         assert outcome.executed == 3
 
-    def test_every_golden_duplicate_witness_validates(self):
+    def test_every_duplicate_witness_validates(self):
         # the duplicate-fault workloads whose witnesses the event-pipeline
-        # golden file pins, at their final depth, collecting every bug
+        # golden file pins, at their final depth, and the golden relay
+        # without its poison, whose relays no assertion discards, so a
+        # redelivered ping can make a third; every bug collected
+        checkers = [
+            _checker(case, 0, depths[1])
+            for case, (_scenario, overrides, depths) in sorted(CASES.items())
+            if overrides.get("duplicate_faults")
+        ]
+        config = LMCConfig.optimized(
+            stop_on_first_bug=False, drop_faults=True, duplicate_faults=True, duplicate_limit=2
+        )
+        checkers.append(
+            LocalModelChecker(_UnpoisonedRelay(), CountAtMostTwo(), SearchBudget(max_depth=4), config)
+        )
         witnesses = 0
-        for case, (_scenario, overrides, depths) in sorted(CASES.items()):
-            if not overrides.get("duplicate_faults"):
-                continue
-            checker = _checker(case, 0, depths[1])
+        for checker in checkers:
             for bug in checker.run().bugs:
                 outcome = validate_bug(checker.protocol, bug, checker.invariant)
-                assert outcome.complete and outcome.violates, (case, bug.trace_lines())
+                assert outcome.complete and outcome.violates, bug.trace_lines()
                 witnesses += any(isinstance(e, DuplicateEvent) for e in bug.trace)
         assert witnesses > 0
 
