@@ -90,7 +90,7 @@ from repro.core.event_kinds import (
 )
 from repro.core.explore_parallel import RoundSpeculator
 from repro.core.pool import require_fork
-from repro.core.records import LINK_BYTES, LocalStateSpace, NodeStateRecord
+from repro.core.records import LocalStateSpace, NodeStateRecord
 from repro.core.soundness import SoundnessVerifier
 from repro.core.symmetry import SymmetryReducer
 from repro.core.system_states import (
@@ -466,7 +466,6 @@ class _ExplorationPass:
         # decomposition of §5.1 sums events across all three nodes), so the
         # series uses sum(per-node maxima).
         self._node_max_depth: Dict[NodeId, int] = {}
-        self._retained_bytes = 0
         #: The round's sweeps (:data:`repro.core.event_kinds.SWEEPS`) this
         #: pass runs; a disabled fault sweep is absent, not inert.
         self.sweeps = tuple(sweep for sweep in SWEEPS if sweep.active(self))
@@ -659,7 +658,6 @@ class _ExplorationPass:
             for sweep in CURSOR_SWEEPS:
                 if sweep.per_node:
                     self.cursors[sweep.name][node] = Cursor()
-            self._retained_bytes += record.retained_bytes()
             if self._index is not None:
                 self._index.note(record)
         if self.config.create_system_states:
@@ -949,19 +947,16 @@ class _ExplorationPass:
 
         ``step`` is the kernel's :class:`~repro.core.event_kinds.Transition`
         — computed here or adopted from a speculation child — so every hash
-        the fold needs (successor hash and size, event hash, per-send hash
-        and size) is already in hand: send admission, successor dedup and
-        predecessor linking re-encode nothing.
+        the fold needs (successor, event and per-send hashes) is already in
+        hand: send admission, successor dedup and predecessor linking
+        re-encode nothing.
         """
-        send_info = step.send_info
-        for message, (msg_hash, msg_size) in zip(step.sends, send_info):
-            self.network.add_hashed(message, msg_hash, msg_size)
+        send_hashes = step.send_hashes
+        for message, msg_hash in zip(step.sends, send_hashes):
+            self.network.add_hashed(message, msg_hash)
         consumed_hash = subject.hash if row.consumes else None
         link_step = self.space.steps.intern(
-            step.event,
-            step.event_hash,
-            consumed_hash,
-            tuple([msg_hash for msg_hash, _size in send_info]),
+            step.event, step.event_hash, consumed_hash, send_hashes
         )
         new_hash = step.state_hash
         store = self.space.store(record.node)
@@ -989,7 +984,6 @@ class _ExplorationPass:
                 self.stats.por_links_suppressed += 1
                 return
             if existing.add_predecessor(store, record.index, link_step):
-                self._retained_bytes += LINK_BYTES
                 # The predecessor DAG changed: invalidate the soundness
                 # verifier's memoised sequence enumerations for this node.
                 store.note_link()
@@ -1012,10 +1006,8 @@ class _ExplorationPass:
             history=history,
             crashes=record.crashes + row.crashes,
             crashed=row.crashes,
-            state_size=step.state_size,
         )
         new_record.add_predecessor(store, record.index, link_step)
-        self._retained_bytes += new_record.retained_bytes() + LINK_BYTES
         if new_record.depth > self._node_max_depth.get(record.node, 0):
             self._node_max_depth[record.node] = new_record.depth
         if new_record.crashed:
@@ -1407,11 +1399,8 @@ class _ExplorationPass:
         return sum(self._node_max_depth.values())
 
     def _metric_gauges(self) -> Dict[str, float]:
-        """Gauges joined onto every metrics sample (Figs. 11-12 quantities)."""
-        return {
-            "node_states": self.space.total_states(),
-            "memory_bytes": self._retained_bytes + self.network.retained_bytes(),
-        }
+        """Gauges joined onto every metrics sample (the Fig. 11 node-state count)."""
+        return {"node_states": self.space.total_states()}
 
     def _frontier_size(self) -> int:
         """Pending offers the cursors have not reached yet.

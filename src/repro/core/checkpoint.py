@@ -96,7 +96,10 @@ from repro.stats.series import DepthSample
 #: defines the composite model values the log did not hold yet, and records,
 #: link events and ``I+`` messages refer to them by hash; a line without the
 #: table is a version-3 line and reads as one.
-CHECKPOINT_FORMAT_VERSION = 4
+#: Version 5 dropped the fields of the retired Fig. 12 byte model (each
+#: record's state size, the pass's and ``I+``'s byte totals); restoring
+#: never reads them, so an older line still loads.
+CHECKPOINT_FORMAT_VERSION = 5
 #: Envelope kind tag (see :func:`repro.persistence.save_envelope`).
 CHECKPOINT_KIND = "lmc-checkpoint"
 
@@ -310,7 +313,6 @@ def _encode_record(store: Any, record: Any, table: ValueTable, log: Any) -> Dict
         "crashed": record.crashed,
         "seed": record.seed,
         "discarded": record.discarded,
-        "state_size": record.state_size,
         "predecessors": _encode_links(store, record, table),
     }
 
@@ -414,7 +416,6 @@ def snapshot_pass(
             "blocked_by_bound": pass_.blocked_by_bound,
             "blocked_by_depth": pass_._blocked_by_depth,
             "dup_seq_cursor": pass_._dup_seq_cursor,
-            "retained_bytes": pass_._retained_bytes,
             "stats": _encode_stats(pass_.stats),
             "stores": [
                 [
@@ -427,7 +428,6 @@ def snapshot_pass(
             ],
             "network": {
                 "suppressed_duplicates": pass_.network.suppressed_duplicates,
-                "retained_bytes": pass_.network.retained_bytes(),
                 "messages": [
                     {
                         "message": table.ref(stored.message, stored.hash),
@@ -539,7 +539,6 @@ def restore_pass(
             for row in network["messages"]
         ),
         suppressed_duplicates=network["suppressed_duplicates"],
-        retained_bytes=network["retained_bytes"],
     )
     # History masks are rebuilt through the restored ``I+``.
     bits = {stored.hash: stored.bit for stored in pass_.network.messages_since(0)}
@@ -557,7 +556,6 @@ def restore_pass(
                 history=_history_mask(row["history"], bits),
                 crashes=row["crashes"],
                 crashed=row["crashed"],
-                state_size=row["state_size"],
             )
             # The flags ``add`` leaves to the checker.
             record.seed = row["seed"]
@@ -585,7 +583,6 @@ def restore_pass(
     pass_.blocked_by_bound = data["blocked_by_bound"]
     pass_._blocked_by_depth = data["blocked_by_depth"]
     pass_._dup_seq_cursor = data["dup_seq_cursor"]
-    pass_._retained_bytes = data["retained_bytes"]
     for sweep in CURSOR_SWEEPS:
         cursors = pass_.cursors[sweep.name]
         for key, position in data[f"{sweep.name}_cursor"]:
@@ -663,7 +660,8 @@ def save_checkpoint(path: str, payload: Dict[str, Any]) -> None:
     previous complete log or the new base, never a truncated one.  A segment
     — a payload carrying ``marks`` — is appended and fsynced; a kill
     mid-append leaves a torn last line, which :func:`load_checkpoint` drops,
-    so the file then reads as the previous round boundary.
+    so the file then reads as the previous round boundary.  A write the
+    file system refuses is a :class:`CheckpointError` naming ``path``.
 
     Lines are compact JSON (``indent=None``): checkpoints are machine
     artifacts, and on the Fig. 10 d=6 snapshot that is ~3x smaller and a
@@ -673,10 +671,15 @@ def save_checkpoint(path: str, payload: Dict[str, Any]) -> None:
     """
     envelope = dict(payload, format=CHECKPOINT_KIND, version=CHECKPOINT_FORMAT_VERSION)
     line = json.dumps(envelope, sort_keys=True, default=str) + "\n"
-    if "marks" in payload:
-        append_text(path, line)
-    else:
-        atomic_write_text(path, line)
+    try:
+        if "marks" in payload:
+            append_text(path, line)
+        else:
+            atomic_write_text(path, line)
+    except OSError as exc:
+        raise CheckpointError(
+            f"cannot write checkpoint {path}: {exc.strerror or exc}"
+        ) from None
 
 
 def _fold(
@@ -695,15 +698,16 @@ def _fold(
             f"expected a {CHECKPOINT_KIND!r} payload, found {line.get('format')!r}"
         )
     version = line.get("version")
-    # A version-2 file is a version-3 base line with nothing after it, and a
-    # version-3 line is a version-4 line without a value table.
-    if version not in (3, CHECKPOINT_FORMAT_VERSION) and (
+    # A version-2 file is a version-3 base line with nothing after it, a
+    # version-3 line is a version-4 line without a value table, and a
+    # version-4 line is a version-5 line with the byte-model fields.
+    if version not in (3, 4, CHECKPOINT_FORMAT_VERSION) and (
         version != 2 or folded is not None
     ):
         raise CheckpointError(
             f"unsupported {CHECKPOINT_KIND} version {version!r} (this reader "
-            f"understands version {CHECKPOINT_FORMAT_VERSION}, version-3 logs "
-            "and version-2 files)"
+            f"understands version {CHECKPOINT_FORMAT_VERSION}, version-3 and "
+            "version-4 logs and version-2 files)"
         )
     inherited = len(line["pass"]["unverified"])
     if inherited:
@@ -746,7 +750,7 @@ def _fold(
         row["cursor"], row["deferred"] = cursor, deferred
     messages += delta["network"]["messages"]
     delta["network"]["messages"] = messages
-    if delta["symmetry"] is not None and version == CHECKPOINT_FORMAT_VERSION:
+    if delta["symmetry"] is not None and version != 3:
         # A version-3 segment lists every key; from version 4 on it lists
         # the new ones, and the sort merges the two sorted runs.
         seen = data["symmetry"]["seen"]
@@ -787,7 +791,8 @@ def load_checkpoint(path: str) -> Dict[str, Any]:
     Streams the file line by line through :func:`_fold`.  Only the *final*
     line may be unterminated or unparseable — the kill-mid-append case,
     dropped — anything wrong earlier, or wrong in a line that did parse, is
-    a :class:`CheckpointError` naming the line.
+    a :class:`CheckpointError` naming the line, and a path that cannot be
+    opened one naming the path.
 
     The payload's model values are resolved value-table rows: one JSON
     object per distinct value, shared wherever the value recurs, so callers
@@ -797,7 +802,13 @@ def load_checkpoint(path: str) -> Dict[str, Any]:
     values: Dict[int, Any] = {}
     torn: Optional[str] = None
     # Bytes, not text: a damaged byte must fail inside the loop, on its line.
-    with open(path, "rb") as handle:
+    try:
+        handle = open(path, "rb")
+    except OSError as exc:
+        raise CheckpointError(
+            f"cannot read checkpoint {path}: {exc.strerror or exc}"
+        ) from None
+    with handle:
         for number, raw in enumerate(handle, 1):
             if torn is not None:
                 raise CheckpointError(torn)

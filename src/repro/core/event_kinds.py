@@ -51,8 +51,7 @@ NOOP = "n"
 
 class Transition:
     """An executed event that changed something, with every hash its
-    integration needs: the successor's content hash and canonical size from
-    one encoding, the event hash and each send's ``(hash, size)``.
+    integration needs: the successor's, the event's and each send's.
 
     ``state`` and a send's message are ``None`` only in a transition a
     speculation child computed and did not ship them for — the successor
@@ -61,8 +60,8 @@ class Transition:
     """
 
     __slots__ = (
-        "event", "event_hash", "state", "state_hash", "state_size", "sends",
-        "send_info", "speculated",
+        "event", "event_hash", "state", "state_hash", "sends", "send_hashes",
+        "speculated",
     )
 
     def __init__(
@@ -71,18 +70,16 @@ class Transition:
         ehash: int,
         state: Any,
         state_hash: int,
-        state_size: int,
         sends: Tuple[Any, ...],
-        send_info: Tuple[Tuple[int, int], ...],
+        send_hashes: Tuple[int, ...],
         speculated: bool = False,
     ):
         self.event = event
         self.event_hash = ehash
         self.state = state
         self.state_hash = state_hash
-        self.state_size = state_size
         self.sends = sends
-        self.send_info = send_info
+        self.send_hashes = send_hashes
         #: A frontier item of a parallel round, whichever process computed
         #: it: the merge counts the ones whose successor it finds already
         #: stored (``explore_merge_conflicts_suppressed``).
@@ -114,16 +111,15 @@ def execute(protocol: Any, row: "EventKind", record: Any, subject: Any) -> Any:
         return NOOP
     # The successor and sends are kept as the interner's canonical objects,
     # so records and ``I+`` share every equal sub-value.
-    state, state_hash, state_size = canonical_hash_and_size(result.state)
+    state, state_hash, _ = canonical_hash_and_size(result.state)
     sends = [canonical_hash_and_size(message) for message in result.sends]
     return Transition(
         event,
         event_hash(event) if ehash is None else ehash,
         state,
         state_hash,
-        state_size,
         tuple([send[0] for send in sends]),
-        tuple([send[1:] for send in sends]),
+        tuple([send[1] for send in sends]),
     )
 
 

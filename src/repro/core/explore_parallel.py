@@ -17,8 +17,8 @@ exploits that independence **speculatively**:
    ``I+``, the protocol, the warm hash interner — and runs the execution
    kernel (:func:`repro.core.event_kinds.execute`), the very function the
    coordinator's executor runs, on each of its items.  Per item it pipes
-   back integers only: the outcome tag, the successor's hash and size, the
-   event hash and each send's ``(hash, size)``.  Objects go with them only
+   back integers only: the outcome tag, the successor's hash, the event
+   hash and each send's hash.  Objects go with them only
    where the coordinator may need them: a successor state whose hash was
    not in the node's store at round start, and a send whose copy count was
    still below ``1 + duplicate_limit`` then.
@@ -247,10 +247,10 @@ class RoundSpeculator:
             state_hash = outcome.state_hash
             if state_hash not in states and store.lookup(state_hash) is None:
                 states[state_hash] = outcome.state
-            for message, (msg_hash, _size) in zip(outcome.sends, outcome.send_info):
+            for message, msg_hash in zip(outcome.sends, outcome.send_hashes):
                 if msg_hash not in messages and admits(msg_hash):
                     messages[msg_hash] = message
-            return (state_hash, outcome.state_size, outcome.event_hash, outcome.send_info)
+            return (state_hash, outcome.event_hash, outcome.send_hashes)
 
         outcomes: List[Any] = []
         for row, record, subject in shard:
@@ -331,7 +331,7 @@ class RoundSpeculator:
             return ASSERT
         if packed == NOOP:
             return NOOP
-        state_hash, state_size, ehash, send_info = packed
+        state_hash, ehash, send_hashes = packed
         # A shipped value arrives as a fresh copy: keep the interner's
         # canonical object instead, as the inline kernel does.  The merge
         # reads a state only when it is new to the store and a message only
@@ -342,7 +342,7 @@ class RoundSpeculator:
             state = canonical(state)
         admits = self._pass.network.admits
         sends = []
-        for msg_hash, _size in send_info:
+        for msg_hash in send_hashes:
             message = self._messages.get(msg_hash)
             if message is not None and admits(msg_hash):
                 message = canonical(message)
@@ -352,8 +352,7 @@ class RoundSpeculator:
             ehash,
             state,
             state_hash,
-            state_size,
             tuple(sends),
-            send_info,
+            send_hashes,
             speculated=True,
         )

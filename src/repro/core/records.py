@@ -35,14 +35,8 @@ from array import array
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.model.events import Event
-from repro.model.hashing import canonical_hash_and_size, content_size
+from repro.model.hashing import canonical_hash_and_size
 from repro.model.types import NodeId
-
-#: Deterministic memory model: bytes charged per predecessor link (five
-#: 64-bit hashes plus container overhead) and per history entry.
-LINK_BYTES = 48
-HISTORY_ENTRY_BYTES = 8
-INDEX_ENTRY_BYTES = 16
 
 #: Integers per link row: predecessor index, step id, next link's offset.
 LINK_WIDTH = 3
@@ -122,7 +116,6 @@ class NodeStateRecord:
         "discarded",
         "crashed",
         "crashes",
-        "state_size",
     )
 
     def __init__(
@@ -136,7 +129,6 @@ class NodeStateRecord:
         history: int,
         crashes: int = 0,
         crashed: bool = False,
-        state_size: Optional[int] = None,
     ):
         self.node = node
         self.state = state
@@ -165,11 +157,6 @@ class NodeStateRecord:
         #: (like ``depth``/``local_depth``, frozen at first discovery — the
         #: paper's simplification).  Bounded by ``max_crashes_per_node``.
         self.crashes = crashes
-        #: Canonical-encoding size of ``state``, when a caller already knows
-        #: it (parallel-exploration workers ship it next to the hash so the
-        #: coordinator's memory accounting never re-encodes a shipped state);
-        #: computed lazily — and then cached — otherwise.
-        self.state_size = state_size
 
     def add_predecessor(self, store: "NodeStateStore", prev: int, step: int) -> bool:
         """Record a new way of reaching this state; False if already known.
@@ -197,18 +184,6 @@ class NodeStateRecord:
         else:
             links[last + 2] = link
         return True
-
-    def retained_bytes(self) -> int:
-        """Deterministic memory footprint of this record without its links,
-        which its store charges (:meth:`NodeStateStore.retained_bytes`)."""
-        size = self.state_size
-        if size is None:
-            size = self.state_size = content_size(self.state)
-        return (
-            size
-            + INDEX_ENTRY_BYTES
-            + HISTORY_ENTRY_BYTES * bin(self.history).count("1")
-        )
 
     def __repr__(self) -> str:
         return (
@@ -303,14 +278,13 @@ class NodeStateStore:
         history: int,
         crashes: int = 0,
         crashed: bool = False,
-        state_size: Optional[int] = None,
     ) -> NodeStateRecord:
         """Append a new (unvisited) state; caller must have checked lookup."""
         if state_hash in self._by_hash:
             raise ValueError(f"state already stored for node {self.node}")
         record = NodeStateRecord(
             self.node, state, state_hash, len(self.records), depth, local_depth,
-            history, crashes, crashed, state_size,
+            history, crashes, crashed,
         )
         self.records.append(record)
         self._by_hash[state_hash] = record
@@ -336,12 +310,6 @@ class NodeStateStore:
 
     def __iter__(self):
         return iter(self.records)
-
-    def retained_bytes(self) -> int:
-        """Deterministic memory footprint of the whole store."""
-        return LINK_BYTES * (len(self.links) // LINK_WIDTH) + sum(
-            record.retained_bytes() for record in self.records
-        )
 
 
 class LocalStateSpace:

@@ -21,26 +21,15 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.explore.budget import BudgetClock, SearchBudget
 from repro.invariants.base import Invariant
-from repro.model.events import (
-    DeliveryEvent,
-    DropEvent,
-    Event,
-    InternalEvent,
-    is_fault_event,
-)
+from repro.model.events import DeliveryEvent, DropEvent, Event, InternalEvent
 from repro.model.multiset import FrozenMultiset
 from repro.model.protocol import Protocol
 from repro.model.system_state import GlobalState, SystemState
 from repro.model.types import LocalAssertionError
+from repro.obs.metrics import live_bytes
 from repro.reports import BugReport, CheckResult
 from repro.stats.counters import ExplorationStats
 from repro.stats.series import DepthSeries
-
-#: Deterministic memory model: bytes charged per visited-set entry (a 64-bit
-#: state hash plus table overhead) and per predecessor-map entry.  These
-#: mirror how the MaceMC prototype stores hashes rather than full states.
-HASH_ENTRY_BYTES = 16
-PARENT_ENTRY_BYTES = 24
 
 
 def enumerate_events(protocol: Protocol, state: GlobalState) -> Tuple[Event, ...]:
@@ -64,28 +53,18 @@ def apply_event(
 ) -> Optional[GlobalState]:
     """Successor global state after executing ``event``, or None for a no-op.
 
-    A no-op arises only from internal actions that change nothing; a message
-    delivery or drop always consumes one in-flight copy of the message, so it
-    always produces a distinct global state.  Local assertion failures
-    propagate to the caller: in the sound global search they are genuine
-    bugs.
+    Every event runs through :meth:`Protocol.execute`; what is left here is
+    the consuming network ``I``.  A delivery or a drop consumes one
+    in-flight copy of its message, so it always produces a distinct global
+    state; every other event is a local step, and an internal action that
+    changes nothing is a no-op.  Local assertion failures propagate to the
+    caller: in the sound global search they are genuine bugs.
     """
-    if isinstance(event, DeliveryEvent):
-        message = event.message
-        result = protocol.handle_message(state.system.get(message.dest), message)
-        return state.deliver(message, result.state, result.sends)
-    if is_fault_event(event):
-        # Fault events (docs/FAULTS.md): Protocol.execute applies the
-        # durability/omission contracts.  Crash and restart never send;
-        # drop hooks and duplicate redeliveries may, so the handler's
-        # sends are forwarded.  A drop consumes the lost copy like a
-        # delivery; the others are local steps.
-        result = protocol.execute(state.system.get(event.node), event)
-        if isinstance(event, DropEvent):
-            return state.deliver(event.message, result.state, result.sends)
-        return state.run_internal(event.node, result.state, result.sends)
-    result = protocol.handle_action(state.system.get(event.node), event.action)
-    if result.is_noop(state.system.get(event.node)):
+    node_state = state.system.get(event.node)
+    result = protocol.execute(node_state, event)
+    if isinstance(event, (DeliveryEvent, DropEvent)):
+        return state.deliver(event.message, result.state, result.sends)
+    if isinstance(event, InternalEvent) and result.is_noop(node_state):
         return None
     return state.run_internal(event.node, result.state, result.sends)
 
@@ -129,18 +108,12 @@ class GlobalModelChecker:
         )
         # Predecessor pointers, one per visited state hash: the visited set.
         parents: Dict[int, Tuple[Optional[int], Optional[Event]]] = {}
-        peak_memory = 0
 
-        def record_depth(depth: int, layer: List[Tuple[GlobalState, int]]) -> None:
-            nonlocal peak_memory
+        def record_depth(depth: int) -> None:
             metrics = stats.snapshot()
-            # Consumed memory is a high-water mark: the visited-hash table
-            # only grows, and the frontier's peak footprint is what the
-            # process had to hold (Fig. 12 plots "increased memory size").
-            current = len(parents) * (HASH_ENTRY_BYTES + PARENT_ENTRY_BYTES)
-            current += sum(state.retained_bytes() for state, _ in layer)
-            peak_memory = max(peak_memory, current)
-            metrics["memory_bytes"] = peak_memory
+            live = live_bytes()
+            if live is not None:
+                metrics["live_bytes"] = live
             series.record(depth, clock.elapsed(), metrics)
 
         initial_hash = hash(initial)
@@ -148,7 +121,7 @@ class GlobalModelChecker:
         stats.global_states = 1
         frontier: List[Tuple[GlobalState, int]] = [(initial, initial_hash)]
         self._check_state(initial, initial_hash, parents, initial.system, result)
-        record_depth(0, frontier)
+        record_depth(0)
         if result.bugs and self.stop_on_first_bug:
             result.stop_reason = "bug found"
             return result
@@ -185,12 +158,12 @@ class GlobalModelChecker:
                     )
                     if result.bugs and self.stop_on_first_bug:
                         result.stop_reason = "bug found"
-                        record_depth(depth + 1, next_frontier)
+                        record_depth(depth + 1)
                         return result
             depth += 1
             frontier = next_frontier
             if frontier:
-                record_depth(depth, frontier)
+                record_depth(depth)
         result.completed = True
         result.stop_reason = "state space exhausted"
         return result

@@ -642,13 +642,12 @@ def content_hash(value: Any, intern: bool = True) -> int:
 
 
 def content_size(value: Any, intern: bool = True) -> int:
-    """Serialized size of ``value`` in bytes.
+    """Serialized size of ``value`` in bytes: the length of its canonical
+    encoding.
 
-    Used by the deterministic memory accounting behind the Fig. 12
-    reproduction: retained memory is the sum of serialized sizes of the
-    states a checker keeps, which makes the reported series independent of
-    allocator behaviour.  Read from the digest pass, so an interned value
-    does not keep its bytes for it.
+    Read from the digest pass, so an interned value does not keep its
+    bytes for it.  No checker reads sizes: memory is measured
+    (:func:`repro.obs.metrics.live_bytes`), not modelled from them.
     """
     return content_hash_and_size(value, intern)[1]
 
@@ -656,9 +655,7 @@ def content_size(value: Any, intern: bool = True) -> int:
 def content_hash_and_size(value: Any, intern: bool = True) -> Tuple[int, int]:
     """Hash and serialized size from a single canonical encoding pass.
 
-    Callers that need both — the monotonic network stores a message by hash
-    and charges its serialized size — walk (or intern) once and derive
-    both.
+    Callers that need both walk (or intern) once and derive both.
     """
     entry = _entry(value, _DEFAULT_INTERNER if intern else None)
     return entry.digest or _digest(entry), entry.size

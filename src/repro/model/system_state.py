@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, Tuple
 
-from repro.model.hashing import content_hash, content_size
+from repro.model.hashing import content_hash
 from repro.model.multiset import FrozenMultiset
 from repro.model.types import Message, NodeId
 
@@ -94,10 +94,6 @@ class SystemState:
         """Stable content hash (identical to ``hash`` but explicit)."""
         return hash(self)
 
-    def retained_bytes(self) -> int:
-        """Serialized size, used by deterministic memory accounting."""
-        return content_size(self._entries)
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{node}: {state!r}" for node, state in self._entries)
         return f"SystemState({{{inner}}})"
@@ -140,13 +136,6 @@ class GlobalState:
         if self._hash is None:
             self._hash = hash((hash(self.system), hash(self.network)))
         return self._hash
-
-    def retained_bytes(self) -> int:
-        """Serialized size of the full global state (system + network)."""
-        size = self.system.retained_bytes()
-        for message, count in self.network.items():
-            size += content_size(message) * count
-        return size
 
     def __repr__(self) -> str:
         return f"GlobalState(system={self.system!r}, network={self.network!r})"

@@ -27,7 +27,7 @@ from array import array
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.model.events import Event, event_hash
-from repro.model.hashing import content_hash_and_size
+from repro.model.hashing import content_hash
 from repro.model.types import Message, NodeId
 
 
@@ -114,7 +114,6 @@ class MonotonicNetwork:
         self._log: List[StoredMessage] = []
         self._seq = 0
         self._suppressed_duplicates = 0
-        self._retained_bytes = 0
 
     # -- growth ------------------------------------------------------------
 
@@ -125,15 +124,12 @@ class MonotonicNetwork:
         admitted only while the per-value copy count is within
         ``1 + duplicate_limit``.
         """
-        # One canonical encoding pass yields both the hash and the size the
-        # memory accounting charges (previously two full encodings).
-        msg_hash, msg_size = content_hash_and_size(message)
-        return self.add_hashed(message, msg_hash, msg_size)
+        return self.add_hashed(message, content_hash(message))
 
     def add_hashed(
-        self, message: Optional[Message], msg_hash: int, msg_size: int
+        self, message: Optional[Message], msg_hash: int
     ) -> Optional[StoredMessage]:
-        """:meth:`add` with the content hash and size already computed.
+        """:meth:`add` with the content hash already computed.
 
         The checker's execution kernel hashes a handler's sends once, in
         this process or in a forked speculation child; the hash is trusted.
@@ -147,9 +143,7 @@ class MonotonicNetwork:
             # ``duplicate_limit`` duplicates).
             self._suppressed_duplicates += 1
             return None
-        stored = self._append(message, msg_hash, copies)
-        self._retained_bytes += msg_size
-        return stored
+        return self._append(message, msg_hash, copies)
 
     def _append(self, message: Message, msg_hash: int, copies: int) -> StoredMessage:
         """Store one more copy of a value ``copies`` copies are stored of."""
@@ -186,15 +180,14 @@ class MonotonicNetwork:
         self,
         entries: Iterable[Tuple[Message, int, int, Iterable[int], bool]],
         suppressed_duplicates: int,
-        retained_bytes: int,
     ) -> None:
         """Rebuild ``I+`` from checkpointed ``(message, hash, cursor,
         deferred, duplicate)`` rows, in admission (``seq``) order.
 
         Only valid on a freshly constructed network.  Duplicate suppression
         is *not* re-applied: every row was admitted by the original run, so
-        the copy counts are reinstated as-is and the suppression counter and
-        byte accounting are restored to their checkpointed values.
+        the copy counts are reinstated as-is and the suppression counter is
+        restored to its checkpointed value.
         """
         if self._log:
             raise ValueError("restore requires an empty network")
@@ -204,7 +197,6 @@ class MonotonicNetwork:
             stored.deferred = array("q", deferred)
             stored.duplicate = duplicate
         self._suppressed_duplicates = suppressed_duplicates
-        self._retained_bytes = retained_bytes
 
     # -- queries ------------------------------------------------------------
 
@@ -246,10 +238,6 @@ class MonotonicNetwork:
 
     def __len__(self) -> int:
         return self._seq
-
-    def retained_bytes(self) -> int:
-        """Serialized size of every stored message (memory accounting)."""
-        return self._retained_bytes
 
     def __repr__(self) -> str:
         return (

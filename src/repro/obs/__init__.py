@@ -9,8 +9,9 @@ on a *live* run instead of only after it ends:
   span/event/metric records to a file or to memory; the
   :class:`NullEmitter` default makes every hook a no-op.
 * :mod:`repro.obs.metrics` — :class:`RunMetrics` samples
-  :class:`~repro.stats.counters.ExplorationStats`, RSS, and the per-phase
-  timers into the depth series and the trace at a configurable cadence.
+  :class:`~repro.stats.counters.ExplorationStats`, RSS, live bytes and the
+  per-phase timers into the depth series and the trace at a configurable
+  cadence.
 * :mod:`repro.obs.report` — loads a trace file back and renders the
   Fig. 13 overhead breakdown and the §5.4 soundness profile as tables
   (the ``repro trace-report`` subcommand).
@@ -36,7 +37,7 @@ from repro.obs.emitter import (
     TraceEmitter,
 )
 from repro.obs.coverage import NULL_COVERAGE, CoverageTracker, render_coverage
-from repro.obs.metrics import RunMetrics, rss_bytes
+from repro.obs.metrics import RunMetrics, live_bytes, rss_bytes
 from repro.obs.progress import ProgressEstimate, estimate_progress, format_eta
 from repro.obs.registry import RunHandle, RunRecord, RunRegistry
 from repro.obs.report import TraceSummary, load_trace
@@ -58,6 +59,7 @@ __all__ = [
     "TraceSummary",
     "estimate_progress",
     "format_eta",
+    "live_bytes",
     "load_trace",
     "overhead_breakdown",
     "render_coverage",

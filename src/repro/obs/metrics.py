@@ -12,13 +12,15 @@ with one registry that feeds two consumers at once:
 
 Each sample is the :meth:`~repro.stats.counters.ExplorationStats.snapshot`
 dict (which already folds in the ``phase_*_s`` Fig. 13 timers) extended
-with caller-provided gauges (node states, tracked bytes) and the process
-RSS via :func:`rss_bytes`.
+with caller-provided gauges (node states), the process RSS via
+:func:`rss_bytes` and, while the process is tracing allocations, the live
+bytes via :func:`live_bytes`.
 """
 
 from __future__ import annotations
 
 import sys
+import tracemalloc
 from typing import Callable, Dict, Optional
 
 from repro.obs.emitter import NULL_EMITTER, TraceEmitter
@@ -42,6 +44,20 @@ def rss_bytes() -> Optional[int]:
     return int(peak) * 1024
 
 
+def live_bytes() -> Optional[int]:
+    """Bytes of Python objects alive now, or None unless the process is
+    tracing allocations (:mod:`tracemalloc`, e.g. ``python -X
+    tracemalloc``).
+
+    Only the caller decides whether to trace: tracing slows every
+    allocation, so no checker turns it on.  The Fig. 12 bench traces each
+    run on its own, so the number is what that run holds.
+    """
+    if not tracemalloc.is_tracing():
+        return None
+    return tracemalloc.get_traced_memory()[0]
+
+
 class RunMetrics:
     """Samples exploration counters into a depth series and a trace.
 
@@ -61,7 +77,7 @@ class RunMetrics:
         flat; ``None`` emits only when depth grows (and on force).
     extra:
         Zero-argument callable contributing additional gauge fields to each
-        sample (e.g. ``node_states``, ``memory_bytes``).
+        sample (e.g. ``node_states``).
     heartbeat:
         Callable receiving ``(depth, elapsed_s, metrics, force)`` on every
         taken sample — the run registry's hook (docs/OBSERVABILITY.md "Live
@@ -93,13 +109,17 @@ class RunMetrics:
         self._last_emit = float("-inf")
 
     def _metrics(self) -> Dict[str, float]:
-        """One sample: the counter snapshot, the ``extra`` gauges and RSS."""
+        """One sample: the counter snapshot, the ``extra`` gauges, RSS and
+        (while tracing) live bytes."""
         metrics = self.stats.snapshot()
         if self.extra is not None:
             metrics.update(self.extra())
         rss = rss_bytes()
         if rss is not None:
             metrics["rss_bytes"] = rss
+        live = live_bytes()
+        if live is not None:
+            metrics["live_bytes"] = live
         return metrics
 
     def pulse(self, get_depth: Callable[[], int]) -> bool:

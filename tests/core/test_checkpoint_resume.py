@@ -259,9 +259,7 @@ class TestInterruptResume:
 
         reference = checker().run(partial_choice_state())
         path = str(tmp_path / "checkpoint.json")
-        interrupted = checker(StopAtCheckpointer(path, stop_round=4)).run(
-            partial_choice_state()
-        )
+        interrupted = checker(StopAtCheckpointer(path, stop_round=4)).run(partial_choice_state())
         created = interrupted.stats.system_states_created
         assert 0 < created < reference.stats.system_states_created
         payload = load_checkpoint(path)
@@ -309,9 +307,7 @@ class TestInterruptResume:
         path = str(tmp_path / "checkpoint.json")
         try:
             timer.start()
-            interrupted = _checker(
-                "opt", 10, checkpointer=Checkpointer(path)
-            ).run()
+            interrupted = _checker("opt", 10, checkpointer=Checkpointer(path)).run()
         finally:
             timer.cancel()
             signal.signal(signal.SIGTERM, previous)
@@ -457,9 +453,7 @@ class TestDepthExtension:
         uninterrupted = checker(6, schedule).extend_depth(payload)
 
         cut = str(tmp_path / "cut.json")
-        stopped = checker(6, schedule, StopAtCheckpointer(cut, last + 1)).extend_depth(
-            payload
-        )
+        stopped = checker(6, schedule, StopAtCheckpointer(cut, last + 1)).extend_depth(payload)
         assert not stopped.completed
         interrupted = load_checkpoint(cut)
         resumed = checker(6, schedule).resume(interrupted)
@@ -631,6 +625,17 @@ class TestRefusals:
             json.dump(envelope, handle)
         with pytest.raises(CheckpointError):
             load_checkpoint(tampered)
+
+    def test_a_path_the_file_system_refuses_is_a_checkpoint_error(self, tmp_path):
+        """Neither a missing log nor an unwritable target escapes as an
+        OSError: each is a CheckpointError naming its path."""
+        missing = str(tmp_path / "missing.json")
+        with pytest.raises(CheckpointError, match=f"cannot read checkpoint {missing}"):
+            load_checkpoint(missing)
+        unwritable = str(tmp_path / "no" / "x.json")
+        checker = _checker("opt", 4, checkpointer=Checkpointer(unwritable))
+        with pytest.raises(CheckpointError, match=f"cannot write checkpoint {unwritable}"):
+            checker.run()
 
 
 def _lines(path):
@@ -823,9 +828,7 @@ class TestValueTable:
                 _composites(record.state, found)
                 for _prev, step in store.links_of(record):
                     event = step.event
-                    carrier = getattr(event, "message", None) or getattr(
-                        event, "action", None
-                    )
+                    carrier = getattr(event, "message", None) or getattr(event, "action", None)
                     if carrier is not None:
                         _composites(carrier.payload, found)
         objects = {}
@@ -844,14 +847,28 @@ class TestValueTable:
             line = json.loads(raw)
             checkpoint_module._resolve(line, values)
             prefix = _write(tmp_path / "prefix.json", lines[:number])
-            line["pass"]["symmetry"]["seen"] = load_checkpoint(prefix)["pass"][
-                "symmetry"
-            ]["seen"]
+            line["pass"]["symmetry"]["seen"] = load_checkpoint(prefix)["pass"]["symmetry"]["seen"]
             line["version"] = 3
             legacy.append(json.dumps(line, sort_keys=True).encode() + b"\n")
         assert len(legacy) > 2
         v3 = _write(tmp_path / "v3.json", legacy)
         assert load_checkpoint(v3) == load_checkpoint(path)
+
+    def test_a_version_4_log_folds_as_before(self, tmp_path):
+        """Version 4 lines also carried the retired byte model's totals,
+        which no reader reads (the parent-written version-2 envelopes of
+        ``test_event_pipeline_golden.py`` resume and extend with all of
+        its fields); its segments list only new orbit keys, like 5's."""
+        path = str(tmp_path / "v5.json")
+        _checker("gen_sym", 3, checkpointer=Checkpointer(path, every_rounds=1)).run()
+        legacy = []
+        for raw in _lines(path):
+            line = json.loads(raw)
+            line["version"], line["pass"]["retained_bytes"] = 4, 0
+            legacy.append(json.dumps(line).encode() + b"\n")
+        v4 = load_checkpoint(_write(tmp_path / "v4.json", legacy))
+        assert len(legacy) > 2 and v4["pass"].pop("retained_bytes") == 0
+        assert v4 == load_checkpoint(path)
 
     def test_a_reference_no_row_defines_names_its_line(self, paxos2, tmp_path):
         lines = _lines(paxos2)
@@ -885,7 +902,7 @@ class TestValueTable:
             def snapshot(self, *args, **kwargs):
                 try:
                     super().snapshot(*args, **kwargs)
-                except OSError:
+                except CheckpointError:
                     pass
 
         monkeypatch.setattr(checkpoint_module, "append_text", append_once_failing)

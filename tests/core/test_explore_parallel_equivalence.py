@@ -48,7 +48,7 @@ from repro.core.records import NodeStateRecord
 from repro.explore.budget import BudgetClock, SearchBudget
 from repro.model import events as events_module
 from repro.model.events import event_hash, message_hashes
-from repro.model.hashing import content_hash, content_size
+from repro.model.hashing import content_hash
 from repro.model.types import CrashedState, Message
 from repro.network.monotonic import StoredMessage
 from repro.obs.emitter import MemoryEmitter
@@ -520,8 +520,5 @@ class TestEventKindTable:
                 for field in Transition.__slots__[:-1]:
                     assert getattr(adopted, field) == getattr(inline, field), field
                 assert adopted.state_hash == content_hash(inline.state)
-                assert adopted.state_size == content_size(inline.state)
                 assert adopted.event_hash == event_hash(adopted.event)
-                assert tuple(h for h, _ in adopted.send_info) == message_hashes(
-                    inline.sends
-                )
+                assert adopted.send_hashes == message_hashes(inline.sends)

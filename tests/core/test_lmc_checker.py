@@ -1,5 +1,7 @@
 """Tests for the local model checker on the library's protocols."""
 
+import tracemalloc
+
 import pytest
 
 from repro.core.checker import LocalModelChecker
@@ -28,6 +30,7 @@ from repro.protocols.twophase import (
     EagerCommitCoordinator,
     TwoPhaseCommit,
 )
+from repro.stats.counters import COUNTERS
 
 TRUE_INV = PredicateInvariant("true", lambda s: True)
 
@@ -242,9 +245,23 @@ class TestSeriesAndStats:
         assert list(depths) == sorted(depths)
         assert paxos_gen_full.series.max_depth() >= 15  # combined length
 
-    def test_memory_metric_grows(self, paxos_gen_full):
-        memory = paxos_gen_full.series.column("memory_bytes")
-        assert memory[0] < memory[-1]
+    @pytest.mark.parametrize("checker", [LocalModelChecker, GlobalModelChecker])
+    def test_series_carries_live_bytes_exactly_while_tracing(self, checker):
+        """An untraced sample holds the counters (LMC adds RSS) and no
+        memory figure; under tracemalloc each also holds the live bytes."""
+
+        def samples():
+            return checker(TreeProtocol(), ReceivedImpliesSent()).run().series.samples
+
+        expected = set(COUNTERS) | ({"rss_bytes"} if checker is LocalModelChecker else set())
+        untraced = [{k for k in s.metrics if not k.startswith("phase_")} for s in samples()]
+        assert untraced and all(keys == expected for keys in untraced)
+        tracemalloc.start()
+        try:
+            traced = samples()
+        finally:
+            tracemalloc.stop()
+        assert traced and all(sample.metrics["live_bytes"] > 0 for sample in traced)
 
     def test_live_state_violation_reported_immediately(self):
         # A snapshot that already violates is a sound bug with empty trace.

@@ -13,13 +13,7 @@ from repro.core.checkpoint import (
     snapshot_pass,
 )
 from repro.core.event_kinds import DELIVERY, DUPLICATE, SEEN, SKIP, gate_delivery, gate_drop
-from repro.core.records import (
-    HISTORY_ENTRY_BYTES,
-    LINK_BYTES,
-    LINK_WIDTH,
-    LocalStateSpace,
-    NodeStateStore,
-)
+from repro.core.records import LINK_WIDTH, LocalStateSpace, NodeStateStore
 from repro.model.events import InternalEvent, RestartEvent, event_hash
 from repro.model.hashing import content_hash
 from repro.model.types import Action, Message
@@ -59,13 +53,6 @@ class TestNodeStateStore:
             record = store.add(state, content_hash(state), depth=i, local_depth=0, history=0)
             assert record.index == i
 
-    def test_retained_bytes_grows_with_records(self):
-        store = NodeStateStore(0)
-        store.add("a", content_hash("a"), 0, 0, 0)
-        before = store.retained_bytes()
-        store.add("b", content_hash("b"), 1, 0, 0)
-        assert store.retained_bytes() > before
-
 
 class TestPredecessorLinks:
     def test_dedup_by_prev_and_event(self):
@@ -98,17 +85,6 @@ class TestPredecessorLinks:
             (prev, step.event.action.name)
             for prev, step in store.links_of(first, since)
         ]
-
-    def test_retained_bytes_counts_links_and_history(self):
-        store = NodeStateStore(0)
-        bare = store.add("a", content_hash("a"), 0, 0, 0)
-        loaded = store.add("b", content_hash("b"), 0, 0, history=0b1011)
-        # Same-size states: the difference is one entry per history bit.
-        assert loaded.retained_bytes() - bare.retained_bytes() == 3 * HISTORY_ENTRY_BYTES
-        before = store.retained_bytes()
-        loaded.add_predecessor(store, bare.index, step_of(store))
-        loaded.add_predecessor(store, loaded.index, step_of(store, "loop"))
-        assert store.retained_bytes() == before + 2 * LINK_BYTES
 
 
 class TestLocalStateSpace:

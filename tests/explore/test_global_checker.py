@@ -45,14 +45,11 @@ class TestEventEnumeration:
         assert {e.message.dest for e in deliveries} == {1, 2}
 
     def test_apply_internal_noop_returns_none(self):
-        protocol = ChainProtocol(3)
+        protocol = TreeProtocol()
         state = initial_global(protocol)
-        # chain start is not a noop; craft one via a protocol whose action
-        # handler ignores the action by running "start" twice.
-        after = apply_event(
-            protocol, state, enumerate_events(protocol, state)[0]
-        )
-        assert after is not None
+        send = enumerate_events(protocol, state)[0]
+        # The origin sends once; a second "send" changes nothing.
+        assert apply_event(protocol, apply_event(protocol, state, send), send) is None
 
     def test_drop_consumes_its_copy_without_delivering(self):
         protocol = TreeProtocol()
@@ -104,7 +101,6 @@ class TestExhaustiveSearch:
         checker = GlobalModelChecker(protocol, TRUE_INV)
         checker.run()
         fresh = GlobalModelChecker(protocol, TRUE_INV).run()
-        # memory_bytes is a high-water mark of this run, not of the checker
         assert untimed(checker.run()) == untimed(fresh)
 
     def test_series_records_depths(self):
@@ -112,12 +108,10 @@ class TestExhaustiveSearch:
         assert result.series is not None
         assert result.series.depths()[0] == 0
         assert result.series.max_depth() >= 4
-        memory = result.series.column("memory_bytes")
-        assert all(m > 0 for m in memory)
 
     def test_series_columns_never_shrink(self):
         result = GlobalModelChecker(TwoPhaseCommit(3), TRUE_INV).run()
-        for key in ("global_states", "transitions", "memory_bytes"):
+        for key in ("global_states", "transitions"):
             column = list(result.series.column(key))
             assert column == sorted(column), key
         assert result.series.final().get("global_states") == 35

@@ -53,10 +53,6 @@ def test_len_and_iter():
     assert list(ss) == [(0, "a"), (1, "b")]
 
 
-def test_retained_bytes_positive():
-    assert SystemState({0: "a"}).retained_bytes() > 0
-
-
 def test_global_state_deliver_consumes_message():
     message = Message(dest=1, src=0, payload="ping")
     gs = GlobalState(SystemState({0: "a", 1: "b"}), FrozenMultiset([message]))
@@ -113,11 +109,3 @@ def test_global_state_equality_covers_network():
     assert g1 != g2
     assert g1 == g3
     assert hash(g1) == hash(g3)
-
-
-def test_global_state_retained_bytes_counts_messages():
-    system = SystemState({0: "a"})
-    m = Message(dest=0, src=0, payload="x")
-    bare = GlobalState(system, FrozenMultiset()).retained_bytes()
-    loaded = GlobalState(system, FrozenMultiset([m, m])).retained_bytes()
-    assert loaded > bare

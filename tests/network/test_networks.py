@@ -79,12 +79,6 @@ class TestMonotonicNetwork:
         seqs = [s.seq for s in net.all_messages()]
         assert seqs == [0, 1]
 
-    def test_retained_bytes_grows(self):
-        net = MonotonicNetwork()
-        before = net.retained_bytes()
-        net.add(msg())
-        assert net.retained_bytes() > before
-
     @given(st.lists(st.sampled_from(["a", "b", "c"]), max_size=20))
     def test_distinct_storage_matches_set(self, payloads):
         net = MonotonicNetwork(duplicate_limit=0)

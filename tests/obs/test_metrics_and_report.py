@@ -1,9 +1,11 @@
 """Tests for RunMetrics sampling, the Fig. 13 phase breakdown, and trace reports."""
 
+import tracemalloc
+
 import pytest
 
 from repro.obs.emitter import MemoryEmitter
-from repro.obs.metrics import RunMetrics, rss_bytes
+from repro.obs.metrics import RunMetrics, live_bytes, rss_bytes
 from repro.obs.report import TraceSummary
 from repro.stats.counters import ExplorationStats
 from repro.stats.reporting import format_phase_breakdown, overhead_breakdown
@@ -60,9 +62,7 @@ class TestRunMetrics:
 
     def test_interval_cadence_emits_trace_metrics_only(self):
         emitter = MemoryEmitter()
-        registry, series, _stats, clock = self._metrics(
-            emitter=emitter, interval=1.0
-        )
+        registry, series, _stats, clock = self._metrics(emitter=emitter, interval=1.0)
         registry.sample(1)  # depth growth: series + trace
         clock.now = 0.5
         assert registry.sample(1) is False  # cadence not due yet
@@ -90,6 +90,16 @@ class TestRunMetrics:
             pytest.skip("no resource module on this platform")
         assert rss > 1024 * 1024  # a Python process is at least a MiB
 
+    def test_live_bytes_only_while_tracing(self):
+        assert live_bytes() is None
+        tracemalloc.start()
+        try:
+            held = bytearray(1 << 20)
+            assert live_bytes() >= len(held)
+        finally:
+            tracemalloc.stop()
+        assert live_bytes() is None
+
 
 class TestPhaseBuckets:
     def test_accumulated_buckets_snapshot_and_render(self):
@@ -105,14 +115,8 @@ class TestPhaseBuckets:
 
 class TestOverheadBreakdown:
     def test_canonical_order_and_shares(self):
-        rows = overhead_breakdown(
-            {"soundness": 1.0, "explore": 2.0, "system_states": 1.0}
-        )
-        assert [name for name, _s, _f in rows] == [
-            "explore",
-            "system_states",
-            "soundness",
-        ]
+        rows = overhead_breakdown({"soundness": 1.0, "explore": 2.0, "system_states": 1.0})
+        assert [name for name, _s, _f in rows] == ["explore", "system_states", "soundness"]
         assert rows[0][2] == pytest.approx(0.5)
         assert sum(share for _n, _s, share in rows) == pytest.approx(1.0)
 
@@ -177,11 +181,7 @@ def _trace_records():
 class TestTraceSummary:
     def test_phase_seconds_from_final_metric(self):
         summary = TraceSummary(_trace_records())
-        assert summary.phase_seconds() == {
-            "explore": 0.6,
-            "soundness": 0.3,
-            "system_states": 0.1,
-        }
+        assert summary.phase_seconds() == {"explore": 0.6, "soundness": 0.3, "system_states": 0.1}
 
     def test_soundness_profile_merges_worker_spans(self):
         profile = TraceSummary(_trace_records()).soundness_profile()

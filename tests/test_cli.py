@@ -293,6 +293,22 @@ def test_an_out_of_range_value_is_one_error_line(flags, field, tmp_path, capsys)
     assert RunRegistry(root).list_runs() == []
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--extend-from", "{}/missing.json", "--max-depth", "3"], ["--checkpoint", "{}/no/x.json"]],
+    ids=["missing-extend-from", "unwritable-checkpoint"],
+)
+def test_an_unusable_checkpoint_path_is_one_error_line(flags, tmp_path, capsys):
+    """Exit 2 with one line naming the path, and the run registered failed."""
+    root = str(tmp_path / "runs")
+    flags = [flag.format(tmp_path) for flag in flags]
+    assert main(["check", "tree", *flags, "--registry-root", root]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot ") and flags[1] in err and err.count("\n") == 1
+    (run,) = RunRegistry(root).list_runs()
+    assert run.status() == "failed" and flags[1] in run.result["error"]
+
+
 def _options(command):
     """``[option strings, dest, default, help, metavar]`` per action of one
     subcommand, JSON-shaped."""

@@ -24,10 +24,8 @@ a layer:
 
 A site is a source line; it is mapped to its enclosing function and
 statement through the AST, so the rules below name functions, not line
-numbers.  The deterministic Fig. 12 model (``memory_bytes``, what the
-checker charges itself) is printed alongside, and so are the interner's
-entries, the distinct values (canonical encodings) they stand for and how
-many of them hold their bytes.
+numbers.  The interner's entries, the distinct values (canonical encodings)
+they stand for and how many of them hold their bytes are printed alongside.
 
 Usage::
 
@@ -211,7 +209,6 @@ def main(argv: list) -> int:
     print(
         f"Correct two-proposal Paxos, d={args.depth}: {states:,} node states; "
         f"live at the end of the pass (tracemalloc) {total:,} B; "
-        f"Fig. 12 model (memory_bytes) {first['memory_bytes']:,} B; "
         f"interner {first['entries']:,} entries for {first['distinct']:,} "
         f"distinct values, {first['held']:,} holding their bytes.\n"
     )
@@ -220,7 +217,6 @@ def main(argv: list) -> int:
     for layer in LAYERS:
         print(f"| {layer} | {layers[layer]:,} | {layers[layer] / states:,.0f} |")
     print(f"| total | {total:,} | {total / states:,.0f} |")
-    print(f"| Fig. 12 model | {first['memory_bytes']:,} | {first['memory_bytes'] / states:,.0f} |")
     if args.sites:
         print("\n| layer | site | live bytes |")
         print("|---|---|---:|")
