@@ -60,17 +60,6 @@ def _assert_results_not_rotted() -> None:
 _assert_results_not_rotted()
 
 
-@pytest.fixture(autouse=True)
-def _benchmark_mode(benchmark):
-    """Mark every module here as a benchmark for ``--benchmark-only`` runs.
-
-    Several benches measure whole checker runs through shared fixtures and
-    shape assertions rather than through ``benchmark()`` micro-timing;
-    requesting the fixture keeps them part of the benchmark suite.
-    """
-    yield
-
-
 @pytest.fixture(scope="session")
 def single_proposal_runs():
     """The Fig. 10-12 workload, run once per bench session.

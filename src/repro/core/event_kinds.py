@@ -39,7 +39,7 @@ from repro.model.events import (
     RestartEvent,
     event_hash,
 )
-from repro.model.hashing import canonical_hash_and_size
+from repro.model.hashing import canonical_and_hash
 from repro.model.types import LocalAssertionError, NodeId
 
 #: Outcomes of :func:`execute` that produce no successor state: the handler
@@ -111,8 +111,8 @@ def execute(protocol: Any, row: "EventKind", record: Any, subject: Any) -> Any:
         return NOOP
     # The successor and sends are kept as the interner's canonical objects,
     # so records and ``I+`` share every equal sub-value.
-    state, state_hash, _ = canonical_hash_and_size(result.state)
-    sends = [canonical_hash_and_size(message) for message in result.sends]
+    state, state_hash = canonical_and_hash(result.state)
+    sends = [canonical_and_hash(message) for message in result.sends]
     return Transition(
         event,
         event_hash(event) if ehash is None else ehash,

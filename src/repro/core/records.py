@@ -35,7 +35,7 @@ from array import array
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.model.events import Event
-from repro.model.hashing import canonical_hash_and_size
+from repro.model.hashing import canonical_and_hash
 from repro.model.types import NodeId
 
 #: Integers per link row: predecessor index, step id, next link's offset.
@@ -329,7 +329,7 @@ class LocalStateSpace:
 
     def seed(self, node: NodeId, state: object) -> NodeStateRecord:
         """Install the live/snapshot state of ``node`` (Fig. 9 lines 3-4)."""
-        state, state_hash, _ = canonical_hash_and_size(state)
+        state, state_hash = canonical_and_hash(state)
         record = self.stores[node].add(
             state, state_hash, depth=0, local_depth=0, history=0
         )

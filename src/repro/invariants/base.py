@@ -7,14 +7,17 @@ three shapes, each unlocking a different optimisation in LMC:
 
 * :class:`Invariant` — the base contract: a predicate over a
   :class:`~repro.model.system_state.SystemState`.
-* :class:`DecomposableInvariant` — additionally exposes a cheap *local
-  projection* of each node state and a conflict test over projections.  This
-  is the §4.1/§4.2 invariant-specific system-state creation hook: a weaker
-  invariant ``in'`` (``in' ⇒ in`` violation-wise) decomposed into locally
-  verifiable properties, so LMC-OPT can skip every combination whose
-  projections cannot possibly violate the invariant.  For Paxos the
-  projection is the value a node has chosen (``None`` for undecided nodes)
-  and a conflict is "at least two distinct chosen values".
+* :class:`DecomposableInvariant` — stated as a cheap *local projection* of
+  each node state and a conflict test over projections; its ``check`` is
+  derived from the two, so the violation is stated once.  This is the
+  §4.1/§4.2 invariant-specific system-state creation hook: LMC-OPT skips
+  every combination whose projections cannot conflict, and because
+  ``check`` is "the projections conflict" the skip loses no violation by
+  construction.  For Paxos the projection is the value a node has chosen
+  (``None`` for undecided nodes) and a conflict is "at least two distinct
+  chosen values".  A deliberately weaker decomposition (``in'`` with
+  ``in' ⇒ in`` violation-wise) overrides ``check`` and carries the
+  contract itself.
 * :class:`LocalInvariant` — an invariant that is a conjunction of per-node
   predicates (the RandTree children/siblings-disjoint example); checking it
   never needs a combination of nodes at all.
@@ -79,19 +82,23 @@ def declares_summary(invariant: Invariant) -> bool:
 
 
 class DecomposableInvariant(Invariant):
-    """An invariant with a cheap local projection for LMC-OPT.
+    """An invariant stated as a local projection and a conflict test.
 
     Subclasses implement :meth:`local_projection`; the default
     :meth:`projections_conflict` flags any pair of distinct non-``None``
     projection values, which matches agreement-style invariants (Paxos: no
     two nodes choose different values).  Subclasses with richer conflict
-    structure override it.
+    structure override it.  :meth:`check` is derived: a system state
+    violates the invariant exactly when its node states' non-``None``
+    projections conflict.
 
     The contract LMC-OPT relies on (soundness of the *skip*): if a system
     state violates :meth:`check`, then the projections of its node states
-    must satisfy :meth:`projections_conflict`.  Violating that contract makes
-    LMC-OPT miss bugs; the test suite cross-checks it for every shipped
-    invariant by exhaustive comparison against LMC-GEN.
+    must satisfy :meth:`projections_conflict`.  The derived :meth:`check`
+    meets it by construction.  A subclass that overrides :meth:`check` — a
+    deliberately weaker decomposition, whose projections conflict on states
+    that hold — carries the contract itself: violating it makes LMC-OPT
+    miss bugs.
 
     ``pairwise`` (default True) additionally asserts that every violation is
     *witnessed by a pair*: some two nodes' projections already conflict on
@@ -118,7 +125,8 @@ class DecomposableInvariant(Invariant):
       forfeits the grouping (each such state is asked about on its own).
 
     ``tests/invariants/test_decomposition_contract.py`` checks both
-    contracts for every shipped invariant over its reachable projections.
+    contracts for every shipped invariant over its reachable projections,
+    and that no shipped invariant overrides :meth:`check`.
     """
 
     #: Violations are witnessed by a two-node projection conflict.
@@ -136,6 +144,14 @@ class DecomposableInvariant(Invariant):
     def projections_conflict(self, projections: Dict[NodeId, Any]) -> bool:
         """Could node states with these (non-None) projections violate?"""
         return len(set(projections.values())) >= 2
+
+    def check(self, system: SystemState) -> bool:
+        projections = {}
+        for node, state in system.items():
+            projection = self.local_projection(node, state)
+            if projection is not None:
+                projections[node] = projection
+        return not self.projections_conflict(projections)
 
 
 class LocalInvariant(Invariant):

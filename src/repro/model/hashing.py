@@ -20,7 +20,7 @@ objects equal to one already hashed: a handler re-derives a state, or
 re-sends a message, that another interleaving produced before.
 :class:`HashInterner` hash-conses them.  It keeps one entry per *distinct*
 tuple, frozenset and dataclass value: a canonical object, its cons key and,
-once asked for, its digest and serialized size.  Like the paper's
+once asked for, its digest.  Like the paper's
 prototype, which keeps hashes of serialized states rather than the
 serializations, it does not keep a value's canonical bytes by default.
 
@@ -42,16 +42,16 @@ equal to a canonical one, a copy built around the canonical children does.
 
 Only a new value pays for its encoding, and only when something reads it.
 Its bytes are its key's pieces joined: the header, then each child's
-bytes (sorted, for a frozenset).  Hashing a value joins them, hashes them,
-records their length and drops them, so a node state's encoding lives for
-one ``blake2b`` call.  A value's bytes are kept once something asks for
-them as bytes: a parent joining its children, or
+bytes (sorted, for a frozenset).  Hashing a value joins them, hashes them
+and drops them, so a node state's encoding lives for one ``blake2b`` call
+(a size builds them again).  A value's bytes are kept once something asks
+for them as bytes: a parent joining its children, or
 :func:`canonical_bytes`.  So the interner holds the encodings of the
 values that occur inside other values, not those of the top-level states
 the checker hashes; a top-level value that later becomes a child is
 encoded once more, then kept.
 
-:func:`canonical_hash_and_size` and :func:`canonical` hand out the canonical
+:func:`canonical_and_hash` and :func:`canonical` hand out the canonical
 object.  The checker stores that object instead of the handler's: the
 execution kernel, seeding, checkpoint decoding and the parallel merge all
 substitute it, so records and ``I+`` share sub-objects with one another and
@@ -109,25 +109,24 @@ class UnhashableModelValue(TypeError):
 
 
 class _Entry:
-    """One distinct value: its canonical object, cons key, digest and size.
+    """One distinct value: its canonical object, cons key and digest.
 
     Hashed and compared by identity, so an entry can stand for its value
     inside a parent's cons key.  The key is the tuple the cons table
     already owns.  Only a new value pays for its encoding, and only once
     something reads it: :attr:`encoded` joins the key's pieces on first
-    request and keeps the bytes; hashing builds them, records ``size`` and
-    keeps nothing.  A throwaway entry (an uncached walk) has no key: its
-    bytes are set at construction.
+    request and keeps the bytes; hashing builds them, records the digest
+    and keeps nothing else.  A throwaway entry (an uncached walk) has no
+    key: its bytes are set at construction.
     """
 
-    __slots__ = ("value", "key", "_encoded", "digest", "size")
+    __slots__ = ("value", "key", "_encoded", "digest")
 
     def __init__(self, value: Any, key: Optional[tuple], encoded: Optional[bytes] = None):
         self.value = value
         self.key = key
         self._encoded = encoded
         self.digest: Optional[int] = None
-        self.size: Optional[int] = None
 
     @property
     def encoded(self) -> bytes:
@@ -602,13 +601,12 @@ def _entry(value: Any, interner: Optional[HashInterner]) -> _Entry:
 
 
 def _digest(entry: _Entry) -> int:
-    """Compute and keep ``entry``'s digest and size; callers read
-    ``entry.digest`` first, which is set for every entry hashed before.
+    """Compute and keep ``entry``'s digest; callers read ``entry.digest``
+    first, which is set for every entry hashed before.
 
     Bytes the entry does not hold are built for the hash and dropped.
     """
     encoded = entry._encoded or _build(entry)
-    entry.size = len(encoded)
     digest = entry.digest = int.from_bytes(
         blake2b(encoded, digest_size=_DIGEST_BYTES).digest(), "big"
     )
@@ -645,24 +643,25 @@ def content_size(value: Any, intern: bool = True) -> int:
     """Serialized size of ``value`` in bytes: the length of its canonical
     encoding.
 
-    Read from the digest pass, so an interned value does not keep its
-    bytes for it.  No checker reads sizes: memory is measured
+    Computed on demand from the encoding, which an interned value does not
+    keep for it.  No checker reads sizes: memory is measured
     (:func:`repro.obs.metrics.live_bytes`), not modelled from them.
     """
     return content_hash_and_size(value, intern)[1]
 
 
 def content_hash_and_size(value: Any, intern: bool = True) -> Tuple[int, int]:
-    """Hash and serialized size from a single canonical encoding pass.
+    """Hash and serialized size of ``value``, interning (or walking) it once.
 
-    Callers that need both walk (or intern) once and derive both.
+    The size is the length of the encoding, built again when the entry does
+    not keep its bytes.
     """
     entry = _entry(value, _DEFAULT_INTERNER if intern else None)
-    return entry.digest or _digest(entry), entry.size
+    return entry.digest or _digest(entry), len(entry._encoded or _build(entry))
 
 
-def canonical_hash_and_size(value: Any) -> Tuple[Any, int, int]:
-    """``value``'s canonical object, hash and serialized size.
+def canonical_and_hash(value: Any) -> Tuple[Any, int]:
+    """``value``'s canonical object and hash.
 
     The canonical object encodes exactly like ``value`` and has the same
     type structure; it is the one object the shared interner keeps for
@@ -672,11 +671,11 @@ def canonical_hash_and_size(value: Any) -> Tuple[Any, int, int]:
     later lookups of them are identity hits.
     """
     entry = _entry(value, _DEFAULT_INTERNER)
-    return entry.value, entry.digest or _digest(entry), entry.size
+    return entry.value, entry.digest or _digest(entry)
 
 
 def canonical(value: Any) -> Any:
-    """The canonical object of ``value`` (:func:`canonical_hash_and_size`)."""
+    """The canonical object of ``value`` (:func:`canonical_and_hash`)."""
     if _DEFAULT_INTERNER is None:
         return value
     return _entry(value, _DEFAULT_INTERNER).value

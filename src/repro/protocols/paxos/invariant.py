@@ -14,7 +14,7 @@ invariant; OPT's partner scan asks it once per distinct projection pair).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
 from repro.invariants.base import DecomposableInvariant
 from repro.model.system_state import SystemState
@@ -26,17 +26,16 @@ from repro.protocols.paxos.state import PaxosNodeState
 class PaxosAgreement(DecomposableInvariant):
     """No two nodes choose different values for decree ``index``."""
 
+    #: The protocol as ``name`` and the violation text spell it.
+    tag, label = "paxos", "Paxos"
+
     def __init__(self, index: int = 0):
         self.index = index
-        self.name = f"paxos-agreement[{index}]"
+        self.name = f"{self.tag}-agreement[{index}]"
 
-    def check(self, system: SystemState) -> bool:
-        chosen = {
-            state.chosen_value(self.index)
-            for _node, state in system.items()
-            if state.chosen_value(self.index) is not None
-        }
-        return len(chosen) <= 1
+    # The derived check, bound in this class's namespace as well: the
+    # benchmark's tracer test (bench/tests/test_bench.py) reads it there.
+    check = DecomposableInvariant.check
 
     def describe_violation(self, system: SystemState) -> str:
         choices = {
@@ -45,7 +44,7 @@ class PaxosAgreement(DecomposableInvariant):
             if state.chosen_value(self.index) is not None
         }
         return (
-            f"Paxos agreement violated at index {self.index}: "
+            f"{self.label} agreement violated at index {self.index}: "
             f"nodes chose {choices}"
         )
 
@@ -61,39 +60,35 @@ class PaxosAgreementAll(DecomposableInvariant):
     """No two nodes choose different values for *any* decree index."""
 
     name = "paxos-agreement[*]"
+    label = PaxosAgreement.label
 
-    def check(self, system: SystemState) -> bool:
-        per_index: Dict[int, set] = {}
-        for _node, state in system.items():
-            for index, slot in state.learners:
-                if slot.chosen is not None:
-                    per_index.setdefault(index, set()).add(slot.chosen)
-        return all(len(values) <= 1 for values in per_index.values())
+    @staticmethod
+    def chosen(state: PaxosNodeState) -> Iterable[Tuple[int, Value]]:
+        """The ``(index, value)`` pairs ``state`` has learned as chosen."""
+        # One pass over the learner map: ``chosen_value(index)`` is a linear
+        # ``tm_get`` scan, so asking per decree is quadratic in decrees.
+        return (
+            (index, slot.chosen)
+            for index, slot in state.learners
+            if slot.chosen is not None
+        )
 
     def describe_violation(self, system: SystemState) -> str:
         per_index: Dict[int, Dict[NodeId, Value]] = {}
         for node, state in system.items():
-            for index, slot in state.learners:
-                if slot.chosen is not None:
-                    per_index.setdefault(index, {})[node] = slot.chosen
+            for index, value in self.chosen(state):
+                per_index.setdefault(index, {})[node] = value
         conflicting = {
             index: choices
             for index, choices in per_index.items()
             if len(set(choices.values())) > 1
         }
-        return f"Paxos agreement violated: {conflicting}"
+        return f"{self.label} agreement violated: {conflicting}"
 
     def local_projection(
         self, node: NodeId, state: PaxosNodeState
     ) -> Optional[FrozenSet[Tuple[int, Value]]]:
-        # One pass over the learner map: ``chosen_value(index)`` is a linear
-        # ``tm_get`` scan, so asking per decree is quadratic in decrees.
-        chosen = frozenset(
-            (index, slot.chosen)
-            for index, slot in state.learners
-            if slot.chosen is not None
-        )
-        return chosen or None
+        return frozenset(self.chosen(state)) or None
 
     summary = local_projection
 

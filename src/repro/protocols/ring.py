@@ -135,10 +135,6 @@ class AtMostOneLeader(DecomposableInvariant):
 
     name = "ring-at-most-one-leader"
 
-    def check(self, system: SystemState) -> bool:
-        leaders = [node for node, state in system.items() if state.leader]
-        return len(leaders) <= 1
-
     def describe_violation(self, system: SystemState) -> str:
         leaders = [node for node, state in system.items() if state.leader]
         return f"multiple ring leaders elected: {leaders}"

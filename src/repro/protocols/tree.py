@@ -176,11 +176,6 @@ class ReceivedImpliesSent(DecomposableInvariant):
         self.origin = origin
         self.target = target
 
-    def check(self, system: SystemState) -> bool:
-        target_state: TreeNodeState = system.get(self.target)
-        origin_state: TreeNodeState = system.get(self.origin)
-        return not target_state.received or origin_state.sent
-
     def local_projection(self, node: NodeId, state: TreeNodeState) -> Optional[str]:
         if node == self.target and state.received:
             return "received"

@@ -237,14 +237,6 @@ class Atomicity(DecomposableInvariant):
 
     name = "2pc-atomicity"
 
-    def check(self, system: SystemState) -> bool:
-        outcomes = {
-            state.decided
-            for _node, state in system.items()
-            if state.decided is not None
-        }
-        return len(outcomes) <= 1
-
     def describe_violation(self, system: SystemState) -> str:
         outcomes: Dict[NodeId, bool] = {
             node: state.decided
@@ -271,16 +263,6 @@ class CommitValidity(DecomposableInvariant):
     """
 
     name = "2pc-commit-validity"
-
-    def check(self, system: SystemState) -> bool:
-        committed = any(
-            state.decided is True for _node, state in system.items()
-        )
-        if not committed:
-            return True
-        return all(
-            state.my_vote is not False for _node, state in system.items()
-        )
 
     def describe_violation(self, system: SystemState) -> str:
         committed = [

@@ -17,6 +17,7 @@ child behind.
 import inspect
 import os
 import signal
+import time
 from dataclasses import replace
 from itertools import repeat
 from unittest import mock
@@ -330,10 +331,13 @@ class TestForkFailure:
         of them: the results are serial, and the failed round is left out
         of every ``explore_*`` counter — they equal a run whose speculation
         stops at that round, although the coordinator's items had already
-        met merge conflicts."""
+        met merge conflicts.  The child blocks before it speculates, so the
+        kill always lands on a live child; the block is bounded, so a kill
+        that never comes fails the test instead of hanging it."""
         protocol = PaxosProtocol(num_nodes=3, proposals=((0, 0, "v0"),))
         budget = SearchBudget(max_depth=6)
         begin_round, adopt = RoundSpeculator.begin_round, RoundSpeculator.adopt
+        speculate = RoundSpeculator._speculate
 
         def stop_before_round_six(speculator):
             if speculator._round_no == 5:
@@ -361,7 +365,13 @@ class TestForkFailure:
                         os.kill(pid, signal.SIGKILL)
             return outcome
 
+        def block_round_six(speculator, shard):
+            if speculator._round_no == 5:  # read in the child: round 6
+                time.sleep(60)
+            return speculate(speculator, shard)
+
         monkeypatch.setattr(RoundSpeculator, "adopt", kill_mid_shard)
+        monkeypatch.setattr(RoundSpeculator, "_speculate", block_round_six)
         serial = _run(protocol, PaxosAgreement(0), budget=budget)
         emitter = MemoryEmitter()
         parallel = LocalModelChecker(

@@ -23,7 +23,6 @@ from repro.explore.budget import SearchBudget
 from repro.invariants.base import DecomposableInvariant
 from repro.model.events import CrashEvent, RestartEvent
 from repro.model.protocol import Protocol
-from repro.model.system_state import SystemState
 from repro.model.types import Action, HandlerResult, Message, NodeId
 from repro.protocols.paxos import PaxosAgreement, PaxosProtocol
 from repro.protocols.tree import ReceivedImpliesSent, TreeProtocol
@@ -173,12 +172,6 @@ class DecisionAgreement(DecomposableInvariant):
     """No two nodes may hold different decisions."""
 
     name = "decision-agreement"
-
-    def check(self, system: SystemState) -> bool:
-        values = {
-            getattr(state, "value", None) for _node, state in system.items()
-        } - {None}
-        return len(values) <= 1
 
     def local_projection(self, node: NodeId, state: Any) -> Optional[str]:
         return getattr(state, "value", None)

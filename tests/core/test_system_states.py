@@ -28,10 +28,6 @@ class ValueAgreement(DecomposableInvariant):
 
     name = "value-agreement"
 
-    def check(self, system):
-        values = {state[0] for _n, state in system.items()} - {None}
-        return len(values) <= 1
-
     def local_projection(self, node, state):
         return state[0]
 

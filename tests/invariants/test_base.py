@@ -24,10 +24,6 @@ class EvenSum(DecomposableInvariant):
 
     name = "even-sum"
 
-    def check(self, system):
-        values = {v for _n, v in system.items() if v is not None}
-        return len(values) <= 1
-
     def local_projection(self, node, state):
         return state
 
@@ -62,6 +58,18 @@ def test_decomposable_default_conflict_is_two_distinct():
     assert not inv.projections_conflict({0: "a"})
     assert not inv.projections_conflict({0: "a", 1: "a"})
     assert inv.projections_conflict({0: "a", 1: "b"})
+
+
+def test_decomposable_check_is_derived_from_projection_and_conflict():
+    class Recording(EvenSum):
+        def projections_conflict(self, projections):
+            self.asked = projections
+            return super().projections_conflict(projections)
+
+    inv = Recording()
+    assert inv.check(SystemState({0: "a", 1: None, 2: "a"}))
+    assert inv.asked == {0: "a", 2: "a"}
+    assert not inv.check(SystemState({0: "a", 1: None, 2: "b"}))
 
 
 def test_decomposable_is_pairwise_by_default():

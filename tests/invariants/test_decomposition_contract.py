@@ -19,14 +19,22 @@ function of the per-node summary tuple, so one verdict stands for every
 combination behind a tuple.  :func:`assert_summary_contract` checks it for
 every shipped invariant that declares the hook, over every combination of
 reachable node states.
+
+A shipped invariant states its violation once, as the decomposition, and
+its ``check`` is derived from it.  :func:`assert_contract` compares that
+derived ``check`` with the predicate each invariant used to state by hand
+(the reference functions below) on every system state it is given.
 """
 
+import importlib
 import pickle
+import pkgutil
 from itertools import combinations, permutations, product
 from typing import List
 
 import pytest
 
+import repro.protocols
 from repro.explore.global_checker import (
     GlobalModelChecker,
 )
@@ -58,6 +66,60 @@ from repro.protocols.twophase import (
 from tests.model.test_conformance import BlindAtomicity
 
 
+# -- reference predicates: each invariant's hand-written ``check`` ---------------
+
+
+def paxos_agreement(invariant, system) -> bool:
+    chosen = {
+        state.chosen_value(invariant.index)
+        for _node, state in system.items()
+        if state.chosen_value(invariant.index) is not None
+    }
+    return len(chosen) <= 1
+
+
+def paxos_agreement_all(invariant, system) -> bool:
+    per_index = {}
+    for _node, state in system.items():
+        for index, slot in state.learners:
+            if slot.chosen is not None:
+                per_index.setdefault(index, set()).add(slot.chosen)
+    return all(len(values) <= 1 for values in per_index.values())
+
+
+def onepaxos_agreement_all(invariant, system) -> bool:
+    per_index = {}
+    for _node, state in system.items():
+        for index, value in state.chosen1:
+            per_index.setdefault(index, set()).add(value)
+    return all(len(values) <= 1 for values in per_index.values())
+
+
+def atomicity(invariant, system) -> bool:
+    outcomes = {
+        state.decided for _node, state in system.items() if state.decided is not None
+    }
+    return len(outcomes) <= 1
+
+
+def commit_validity(invariant, system) -> bool:
+    committed = any(state.decided is True for _node, state in system.items())
+    if not committed:
+        return True
+    return all(state.my_vote is not False for _node, state in system.items())
+
+
+def at_most_one_leader(invariant, system) -> bool:
+    leaders = [node for node, state in system.items() if state.leader]
+    return len(leaders) <= 1
+
+
+def received_implies_sent(invariant, system) -> bool:
+    target_state = system.get(invariant.target)
+    origin_state = system.get(invariant.origin)
+    return not target_state.received or origin_state.sent
+
+
 def reachable_systems(protocol, initial=None, limit=20000) -> List[SystemState]:
     """All distinct system states reachable from ``initial`` (exhaustive)."""
     collected: List[SystemState] = []
@@ -81,11 +143,19 @@ def reachable_systems(protocol, initial=None, limit=20000) -> List[SystemState]:
     return collected
 
 
-def assert_contract(invariant: DecomposableInvariant, systems) -> int:
-    """Check the contract on every system state; return violation count."""
+def assert_contract(invariant: DecomposableInvariant, systems, reference) -> int:
+    """Check the contract on every system state; return violation count.
+
+    ``reference`` is the invariant's hand-written predicate: the derived
+    ``check`` must give its verdict on every system state.
+    """
     violations = 0
     for system in systems:
-        if invariant.check(system):
+        holds = invariant.check(system)
+        assert holds == reference(invariant, system), (
+            f"derived check disagrees with the reference on {system!r}"
+        )
+        if holds:
             continue
         violations += 1
         projections = {
@@ -173,7 +243,7 @@ def paxos_systems():
 
 def test_paxos_agreement_contract(paxos_systems):
     systems = paxos_systems
-    found = assert_contract(PaxosAgreement(0), systems)
+    found = assert_contract(PaxosAgreement(0), systems, paxos_agreement)
     assert found > 0, "the buggy space must contain real violations"
     assert assert_verdicts_pure(PaxosAgreement(0), systems) > 0
     assert assert_summary_contract(PaxosAgreement(0), local_products(systems)) > 1
@@ -181,7 +251,7 @@ def test_paxos_agreement_contract(paxos_systems):
 
 def test_paxos_agreement_all_contract(paxos_systems):
     systems = paxos_systems
-    found = assert_contract(PaxosAgreementAll(), systems)
+    found = assert_contract(PaxosAgreementAll(), systems, paxos_agreement_all)
     assert found > 0
     assert assert_verdicts_pure(PaxosAgreementAll(), systems) > 0
     assert assert_summary_contract(PaxosAgreementAll(), local_products(systems)) > 1
@@ -190,8 +260,11 @@ def test_paxos_agreement_all_contract(paxos_systems):
 def test_onepaxos_agreement_contract():
     protocol = onepaxos_scenario(buggy=True)
     systems = reachable_systems(protocol, post_leaderchange_state(protocol))
-    for invariant in (OnePaxosAgreement(0), OnePaxosAgreementAll()):
-        assert assert_contract(invariant, systems) > 0
+    for invariant, reference in (
+        (OnePaxosAgreement(0), paxos_agreement),
+        (OnePaxosAgreementAll(), onepaxos_agreement_all),
+    ):
+        assert assert_contract(invariant, systems, reference) > 0
         assert assert_verdicts_pure(invariant, systems) > 0
         assert assert_summary_contract(invariant, local_products(systems)) > 1
 
@@ -199,7 +272,7 @@ def test_onepaxos_agreement_contract():
 def test_2pc_commit_validity_contract():
     protocol = EagerCommitCoordinator(3, no_voters=(2,))
     systems = reachable_systems(protocol)
-    assert assert_contract(CommitValidity(), systems) > 0
+    assert assert_contract(CommitValidity(), systems, commit_validity) > 0
     assert assert_verdicts_pure(CommitValidity(), systems) > 0
     assert assert_summary_contract(CommitValidity(), local_products(systems)) > 1
 
@@ -209,7 +282,7 @@ def test_2pc_atomicity_contract():
     # live in the Cartesian combinations of node states.
     protocol = EagerCommitCoordinator(3, no_voters=(2,))
     systems = local_products(reachable_systems(protocol))
-    assert assert_contract(Atomicity(), systems) > 0
+    assert assert_contract(Atomicity(), systems, atomicity) > 0
     assert assert_verdicts_pure(Atomicity(), systems) > 0
     assert assert_summary_contract(Atomicity(), systems) > 1
 
@@ -219,7 +292,7 @@ def test_tree_received_implies_sent_contract():
     # the one shipped conflict notion that reads the node ids.
     invariant = ReceivedImpliesSent()
     systems = local_products(reachable_systems(TreeProtocol()))
-    assert assert_contract(invariant, systems) > 0
+    assert assert_contract(invariant, systems, received_implies_sent) > 0
     assert assert_verdicts_pure(invariant, systems) > 0
     assert assert_summary_contract(invariant, systems) > 1
     assert invariant.projections_conflict({0: "unsent", 4: "received"})
@@ -229,7 +302,7 @@ def test_tree_received_implies_sent_contract():
 def test_ring_leader_contract():
     protocol = GreedyRingElection(3, initiators=(0,))
     systems = reachable_systems(protocol)
-    assert assert_contract(AtMostOneLeader(), systems) > 0
+    assert assert_contract(AtMostOneLeader(), systems, at_most_one_leader) > 0
     assert assert_verdicts_pure(AtMostOneLeader(), systems) > 0
     assert assert_summary_contract(AtMostOneLeader(), local_products(systems)) > 1
 
@@ -240,3 +313,17 @@ def test_summary_contract_catches_a_summary_that_hides_the_verdict():
     )
     with pytest.raises(AssertionError, match="different verdicts"):
         assert_summary_contract(BlindAtomicity(), systems)
+
+
+def test_no_shipped_invariant_states_its_violation_twice():
+    for module in pkgutil.walk_packages(repro.protocols.__path__, "repro.protocols."):
+        importlib.import_module(module.name)
+    shipped, pending = [], [DecomposableInvariant]
+    while pending:
+        for subclass in pending.pop().__subclasses__():
+            pending.append(subclass)
+            if subclass.__module__.startswith("repro.protocols."):
+                shipped.append(subclass)
+    assert len(shipped) >= 8
+    derived = DecomposableInvariant.check
+    assert [cls.__qualname__ for cls in shipped if cls.check is not derived] == []

@@ -23,8 +23,8 @@ from repro.model.events import InternalEvent, event_hash, message_hashes
 from repro.model.hashing import (
     HashInterner,
     canonical,
+    canonical_and_hash,
     canonical_bytes,
-    canonical_hash_and_size,
     configure_interning,
     content_hash,
     content_hash_and_size,
@@ -229,7 +229,7 @@ def _checker_digests(value):
     return (
         content_hash(value),
         content_hash_and_size(value),
-        canonical_hash_and_size(value)[1:],
+        canonical_and_hash(value)[1],
         message_hashes((message,)),
         event_hash(InternalEvent(Action(node=0, name="a", payload=value))),
     )
@@ -242,7 +242,7 @@ def _reference_digests(value):
     return (
         digest,
         (digest, size),
-        (digest, size),
+        digest,
         (content_hash(message, intern=False),),
         content_hash(
             InternalEvent(Action(node=0, name="a", payload=value)), intern=False
@@ -327,8 +327,8 @@ def test_interleavings_of_mixed_values_hash_like_the_walk(sequence):
         expected = (content_hash(value, intern=False), content_size(value, intern=False))
         for candidate in (value, copy.deepcopy(value)):
             assert content_hash_and_size(candidate) == expected
-            same, digest, size = canonical_hash_and_size(candidate)
-            assert (digest, size) == expected
+            same, digest = canonical_and_hash(candidate)
+            assert digest == expected[0]
             assert canonical_bytes(same, intern=False) == canonical_bytes(
                 value, intern=False
             )
@@ -364,11 +364,7 @@ def test_fresh_equal_object_is_a_cons_hit_not_a_new_value():
     assert canonical_first is first and interner.is_canonical(first)
     before = intern_stats()
     twin = Outer(Inner(1, "a"), tuple([1, 2]), "t")  # a literal would be shared
-    assert canonical_hash_and_size(twin) == (
-        first,
-        content_hash(first, intern=False),
-        content_size(first, intern=False),
-    )
+    assert canonical_and_hash(twin) == (first, content_hash(first, intern=False))
     after = intern_stats()
     assert after["misses"] == before["misses"]
     assert after["entries"] == before["entries"] == 3
@@ -436,11 +432,7 @@ def test_disabling_or_resizing_drops_the_tables():
     assert hashing._DEFAULT_INTERNER is None
     fresh = Inner(1, "a")
     assert canonical(fresh) is fresh
-    assert canonical_hash_and_size(fresh) == (
-        fresh,
-        content_hash(fresh, intern=False),
-        content_size(fresh, intern=False),
-    )
+    assert canonical_and_hash(fresh) == (fresh, content_hash(fresh, intern=False))
     configure_interning(True)
     assert len(hashing._DEFAULT_INTERNER) == 0
     resized.clear()
@@ -451,25 +443,24 @@ def test_disabling_or_resizing_drops_the_tables():
 
 
 def _assert_like_the_walk(entry):
-    """``entry``'s digest and size, then its bytes built on request, equal
-    the uncached walk's."""
+    """``entry``'s digest, then its bytes built on request, equal the
+    uncached walk's."""
     walked = hashing._walk(entry.value)
     assert (entry.digest or hashing._digest(entry)) == content_hash(
         entry.value, intern=False
     )
-    assert entry.size == len(walked)
     assert entry.encoded == walked
     assert entry.encoded is entry.encoded  # kept once built
 
 
 @given(st.lists(mixed_values, min_size=1, max_size=12), st.sampled_from([1, 3, 1 << 16]))
 @settings(max_examples=150, deadline=None)
-def test_lazily_built_bytes_digest_and_size_equal_the_walks(sequence, capacity):
+def test_lazily_built_bytes_and_digest_equal_the_walks(sequence, capacity):
     """Each value is hashed top-level first, then as a tuple item, a
     frozenset member and a dataclass field; at capacity 1 and 3 entries
     are evicted meanwhile.  A new entry hashed top-level keeps no bytes; a
     parent's hash keeps its children's; and every entry, evicted or live,
-    builds exactly the walk's bytes, digest and size."""
+    builds exactly the walk's bytes and digest."""
     interner = HashInterner(capacity)
     seen = []
     for value in sequence:
@@ -478,7 +469,6 @@ def test_lazily_built_bytes_digest_and_size_equal_the_walks(sequence, capacity):
         top.digest or hashing._digest(top)
         if top.key is not None and id(top) not in known:
             assert top._encoded is None
-            assert top.size == len(hashing._walk(value))
         seen.append(top)
         for parent in ((value, "child"), frozenset({value, "member"}), Box(value)):
             entry = hashing._entry(parent, interner)

@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 
 from repro.model.hashing import (
     UnhashableModelValue,
+    canonical_and_hash,
     canonical_bytes,
-    canonical_hash_and_size,
     configure_interning,
     content_hash,
     content_hash_and_size,
@@ -340,8 +340,8 @@ def test_encodings_match_golden():
                             expected["hash"],
                             size,
                         )
-                    same, digest, same_size = canonical_hash_and_size(value)
-                    assert (digest, same_size) == (expected["hash"], size)
+                    same, digest = canonical_and_hash(value)
+                    assert digest == expected["hash"]
                     assert canonical_bytes(same, intern=False).hex() == (
                         expected["bytes"]
                     ), name
