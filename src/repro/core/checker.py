@@ -113,7 +113,6 @@ from repro.model.hashing import intern_stats, interning_enabled
 from repro.model.protocol import Protocol
 from repro.model.system_state import SystemState
 from repro.model.types import NodeId
-from repro.protocols.common import declared_action_names, declared_message_types
 from repro.network.monotonic import MonotonicNetwork, StoredMessage
 from repro.obs.coverage import NULL_COVERAGE, CoverageTracker
 from repro.obs.emitter import NULL_EMITTER, TraceEmitter
@@ -212,8 +211,8 @@ class LocalModelChecker:
         tracker lives on the checker, not the pass.
         """
         return self.coverage.as_dict(
-            declared_messages=declared_message_types(self.protocol),
-            declared_actions=declared_action_names(self.protocol),
+            declared_messages=self.protocol.coverage_message_types(),
+            declared_actions=self.protocol.coverage_action_names(),
         )
 
     def run(self, initial_system: Optional[SystemState] = None) -> CheckResult:

@@ -100,7 +100,7 @@ from repro.stats.series import DepthSample
 #: record's state size, the pass's and ``I+``'s byte totals); restoring
 #: never reads them, so an older line still loads.
 CHECKPOINT_FORMAT_VERSION = 5
-#: Envelope kind tag (see :func:`repro.persistence.save_envelope`).
+#: The ``format`` tag of every checkpoint log line (see :func:`save_checkpoint`).
 CHECKPOINT_KIND = "lmc-checkpoint"
 
 __all__ = [

@@ -40,6 +40,7 @@ from repro.model.events import (
     event_hash,
 )
 from repro.model.hashing import canonical_and_hash
+from repro.model.protocol import Protocol
 from repro.model.types import LocalAssertionError, NodeId
 
 #: Outcomes of :func:`execute` that produce no successor state: the handler
@@ -369,10 +370,13 @@ def _always(_p: Any) -> bool:
 
 
 def _drops_on(p: Any) -> bool:
-    # The drop sweep only runs against protocols that declare the
+    # The drop sweep only runs against protocols that override the
     # ``handle_drop`` omission hook: for drop-oblivious protocols a silent
     # omission reaches no state a slower network could not (docs/FAULTS.md).
-    return p.config.drop_faults and getattr(p.protocol, "handle_drop", None) is not None
+    return (
+        p.config.drop_faults
+        and type(p.protocol).handle_drop is not Protocol.handle_drop
+    )
 
 
 DELIVERY_SWEEP = Sweep("delivery", _always, _delivery_lanes, gate_delivery)

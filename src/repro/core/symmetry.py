@@ -9,9 +9,9 @@ representative of its *orbit* under the protocol-declared symmetry group,
 so each orbit is invariant-checked (and, on violation, soundness-verified)
 once.
 
-The group is declared, not discovered: a protocol's optional
-``symmetry_classes()`` hook (:func:`repro.protocols.common
-.declared_symmetry_classes`) names tuples of interchangeable node ids, and
+The group is declared, not discovered: a protocol's
+:meth:`~repro.model.protocol.Protocol.symmetry_classes` hook names tuples of
+interchangeable node ids, and
 the group is the product of the full symmetric groups over each class.
 Declaring a class asserts *equivariance* — renaming the members everywhere
 (initial states, handler behaviour, invariant verdicts) permutes executions
@@ -35,7 +35,6 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.model.hashing import content_hash
 from repro.model.types import NodeId
-from repro.protocols.common import declared_symmetry_classes, renamed_state
 
 #: Hard cap on composed group size: the per-class factorials multiply, and a
 #: pathological declaration (say, ten interchangeable nodes) must not turn
@@ -161,7 +160,10 @@ class SymmetryReducer:
         """
         if not pass_.config.symmetry_reduction:
             return None
-        classes = declared_symmetry_classes(pass_.protocol)
+        # A class of fewer than two members admits only the identity.
+        classes = tuple(
+            members for members in pass_.protocol.symmetry_classes() if len(members) >= 2
+        )
         if not classes:
             return None
         reducer = cls(pass_.protocol, classes)
@@ -189,7 +191,7 @@ class SymmetryReducer:
                 kept.append(mapping)
                 continue
             fixes = all(
-                renamed_state(self.protocol, state, mapping)
+                self.protocol.rename_state(state, mapping)
                 == initial_system.get(mapping.get(node, node))
                 for node, state in initial_system.items()
             )
@@ -207,7 +209,7 @@ class SymmetryReducer:
         hashes = self._hashes.get(key)
         if hashes is None:
             hashes = tuple(
-                content_hash(renamed_state(self.protocol, record.state, mapping))
+                content_hash(self.protocol.rename_state(record.state, mapping))
                 if mapping
                 else record.hash
                 for mapping in self.group

@@ -98,7 +98,7 @@ class CrashEvent(_NodeEvent):
 
     The successor node state is a :class:`~repro.model.types.CrashedState`
     carrying only the protocol's durable fragment
-    (:func:`repro.protocols.common.durable_projection`).  Messages the node
+    (:meth:`repro.model.protocol.Protocol.durable_state`).  Messages the node
     already sent are unaffected — the monotonic network never forgets.
     """
 
@@ -111,7 +111,7 @@ class RestartEvent(_NodeEvent):
     """Restart of a crashed node from its durable fragment (a fault event).
 
     The successor node state is
-    :func:`repro.protocols.common.restart_state` applied to the durable
+    :meth:`repro.model.protocol.Protocol.restart_state` applied to the durable
     fragment the matching :class:`CrashEvent` preserved — a fresh boot with
     only the protocol's declared durable fields recovered.
     """

@@ -19,7 +19,7 @@ soundness verification.  Handlers must therefore be pure; any nondeterminism
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.model.events import (
     CrashEvent,
@@ -30,6 +30,7 @@ from repro.model.events import (
     InternalEvent,
     RestartEvent,
 )
+from repro.model.hashing import substitute_node_ids
 from repro.model.system_state import SystemState
 from repro.model.types import Action, CrashedState, HandlerResult, Message, NodeId
 
@@ -74,6 +75,80 @@ class Protocol(ABC):
         Same purity/totality contract as :meth:`handle_message`.
         """
 
+    # -- optional hooks (override the method) ---------------------------------
+
+    def durable_state(self, node: NodeId, state: Any) -> Any:
+        """The fragment of ``state`` that survives a crash of ``node``.
+
+        The durability contract of docs/FAULTS.md.  The default is
+        all-volatile: ``None``, so a crash loses everything.  That is sound
+        (it only under-approximates what stable storage would keep) but
+        explores harsher recoveries than a deployment with disks.  The
+        fragment must be immutable and content-hashable; crashes with equal
+        fragments dedupe into one crashed ``LS_n`` entry.
+        """
+        return None
+
+    def restart_state(self, node: NodeId, durable: Any) -> Any:
+        """The state ``node`` boots into when restarted from ``durable``.
+
+        The default reboots from :meth:`initial_state`, discarding the
+        ``None`` fragment of the all-volatile :meth:`durable_state`.
+        """
+        return self.initial_state(node)
+
+    def handle_drop(self, state: Any, message: Message) -> HandlerResult:
+        """How ``message.dest`` reacts to never receiving ``message``.
+
+        The omission contract of docs/FAULTS.md: the timeout or
+        negative-acknowledgement path a real implementation takes when an
+        expected message is lost.  Same purity/totality contract as
+        :meth:`handle_message`.  The default is a no-op, and a protocol
+        that does not override it is *drop-oblivious*: under the monotonic
+        network a silent omission reaches no new state, so the fault
+        scheduler mints no :class:`~repro.model.events.DropEvent` for it.
+        Replay still dispatches such an event here.
+        """
+        return HandlerResult(state)
+
+    def symmetry_classes(self) -> Tuple[Tuple[NodeId, ...], ...]:
+        """Classes of interchangeable node ids (docs/REDUCTION.md).
+
+        Declaring a class ``(a, b, ...)`` asserts full *equivariance*:
+        renaming its members everywhere (initial states, handlers,
+        invariant) permutes executions without changing verdicts.  The
+        default declares none, so the symmetry reducer stays off.
+        """
+        return ()
+
+    def rename_state(self, state: Any, mapping: Dict[NodeId, NodeId]) -> Any:
+        """``state`` under the node renaming ``mapping``.
+
+        The default is the generic walker
+        :func:`~repro.model.hashing.substitute_node_ids`, which rewrites
+        every int equal to a mapped id.  A protocol whose states hold other
+        ints that can collide with node ids (a Paxos ballot's proposer is
+        an int like any other) must override this.
+        """
+        return substitute_node_ids(state, mapping)
+
+    def coverage_message_types(self) -> Optional[Tuple[str, ...]]:
+        """Payload type names the protocol declares as its message universe.
+
+        Names are payload ``type(...).__name__`` strings, exactly what the
+        coverage tracker records (docs/OBSERVABILITY.md).  The default,
+        ``None``, declares nothing: coverage reports then show what ran but
+        cannot show what was missed.
+        """
+        return None
+
+    def coverage_action_names(self) -> Optional[Tuple[str, ...]]:
+        """Internal action names the protocol declares as its universe.
+
+        Same contract as :meth:`coverage_message_types`.
+        """
+        return None
+
     # -- provided conveniences -------------------------------------------------
 
     def initial_system_state(self) -> SystemState:
@@ -81,44 +156,33 @@ class Protocol(ABC):
         return SystemState({node: self.initial_state(node) for node in self.node_ids()})
 
     def execute(self, state: Any, event: Event) -> HandlerResult:
-        """Dispatch an event to the matching handler.
+        """Dispatch an event to the handler or hook that executes it.
 
-        Fault events (docs/FAULTS.md) are handled here rather than by the
-        protocol: a crash projects ``state`` onto the protocol's durable
-        fragment and wraps it in :class:`~repro.model.types.CrashedState`; a
-        restart boots the node from that fragment.  Neither sends messages.
+        Every checker, witness replay and live run executes events here.
+        Crash and restart are handled here rather than by a handler: a
+        crash wraps the node's :meth:`durable_state` in a
+        :class:`~repro.model.types.CrashedState`, and a restart boots the
+        node from :meth:`restart_state`.  Neither sends messages.
 
-        Raises :class:`ValueError` when the event does not target the node
-        whose state was supplied — that is always a checker bug, not a
-        protocol bug.
+        Raises :class:`ValueError` for a restart of a state that is not
+        crashed and for an event of unknown type.  Both are checker bugs,
+        not protocol bugs.
         """
         if isinstance(event, DeliveryEvent):
             return self.handle_message(state, event.message)
         if isinstance(event, InternalEvent):
             return self.handle_action(state, event.action)
         if isinstance(event, CrashEvent):
-            # Imported lazily: the durability dispatch helpers live in the
-            # protocols layer, which imports this module at load time.
-            from repro.protocols.common import durable_projection
-
-            durable = durable_projection(self, event.node, state)
+            durable = self.durable_state(event.node, state)
             return HandlerResult(CrashedState(node=event.node, durable=durable))
         if isinstance(event, RestartEvent):
-            from repro.protocols.common import restart_state
-
             if not isinstance(state, CrashedState):
                 raise ValueError(
                     f"restart of node {event.node} which is not crashed: {state!r}"
                 )
-            return HandlerResult(restart_state(self, event.node, state.durable))
+            return HandlerResult(self.restart_state(event.node, state.durable))
         if isinstance(event, DropEvent):
-            from repro.protocols.common import drop_result
-
-            result = drop_result(self, state, event.message)
-            # Drop-oblivious protocols treat the loss as a no-op; the LMC
-            # scheduler never mints drops for them, but replay must still
-            # dispatch the event.
-            return HandlerResult(state) if result is None else result
+            return self.handle_drop(state, event.message)
         if isinstance(event, DuplicateEvent):
             return self.handle_message(state, event.message)
         raise ValueError(f"unknown event type: {event!r}")

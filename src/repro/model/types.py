@@ -96,7 +96,7 @@ class CrashedState:
     """The local state of a node that is down (between crash and restart).
 
     ``durable`` is the protocol's durable fragment of the pre-crash state
-    (:func:`repro.protocols.common.durable_projection`; ``None`` for
+    (:meth:`repro.model.protocol.Protocol.durable_state`; ``None`` for
     all-volatile protocols).  A crashed node executes no handlers and
     appears in no invariant-checked system state — its only enabled event
     is the :class:`~repro.model.events.RestartEvent` that boots it again.

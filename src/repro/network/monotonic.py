@@ -24,7 +24,7 @@ kept faithful to the knob so its cost can be measured.
 from __future__ import annotations
 
 from array import array
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.model.events import Event, event_hash
 from repro.model.hashing import content_hash
@@ -218,18 +218,6 @@ class MonotonicNetwork:
     def high_water(self) -> int:
         """The next sequence number to be assigned (== stored message count)."""
         return self._seq
-
-    def contains_hash(self, msg_hash: int) -> bool:
-        """True when a message with this content hash is in ``I+``."""
-        return msg_hash in self._copies
-
-    def all_messages(self) -> Iterator[StoredMessage]:
-        """All stored messages across destinations, in arrival order."""
-        merged: List[StoredMessage] = []
-        for records in self._by_dest.values():
-            merged.extend(records)
-        merged.sort(key=lambda record: record.seq)
-        return iter(merged)
 
     @property
     def suppressed_duplicates(self) -> int:

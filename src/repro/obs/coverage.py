@@ -14,11 +14,11 @@ tracker whose ``enabled`` flag gates all field computation, and the shared
 one attribute read — counters, verdicts and witnesses are byte-identical
 with coverage off.
 
-The declared universe comes from the optional protocol hooks
-``coverage_message_types()`` / ``coverage_action_names()`` (dispatched
-structurally by :func:`repro.protocols.common.declared_message_types`, like
-the durability contract).  Protocols that declare nothing still get
-exercised-only reports.
+The declared universe comes from the protocol hooks
+:meth:`~repro.model.protocol.Protocol.coverage_message_types` and
+:meth:`~repro.model.protocol.Protocol.coverage_action_names`, which default
+to ``None``.  Protocols that declare nothing still get exercised-only
+reports.
 """
 
 from __future__ import annotations

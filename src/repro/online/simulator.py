@@ -20,6 +20,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.model.events import DeliveryEvent, Event, InternalEvent
 from repro.model.protocol import Protocol
 from repro.model.system_state import SystemState
 from repro.model.types import Action, LocalAssertionError, Message, NodeId
@@ -32,8 +33,8 @@ class TraceEntry:
     """One executed live event, for debugging and tests."""
 
     time: float
-    kind: str  # "deliver" | "action"
-    description: str
+    kind: str  # the event's KIND: "deliver" | "action"
+    description: str  # the event's describe() line
 
 
 class LiveRun:
@@ -124,24 +125,24 @@ class LiveRun:
         self.now = event_time
         message = self.network.pop_due(self.now)
         if message is not None:
-            self._deliver(message)
+            self._run(DeliveryEvent(message))
             return
         _, _, action = heapq.heappop(self._timer_queue)
         self._fire_action(action)
 
-    def _deliver(self, message: Message) -> None:
-        node = message.dest
+    def _run(self, event: Event) -> bool:
+        """Execute ``event`` on its node; False when a local assertion failed."""
+        node = event.node
         try:
-            result = self.protocol.handle_message(self._states[node], message)
+            result = self.protocol.execute(self._states[node], event)
         except LocalAssertionError:
             self.assertion_failures += 1
-            return
+            return False
         self._apply(node, result.state, result.sends)
         self.events_executed += 1
         if self.keep_trace:
-            self.trace.append(
-                TraceEntry(self.now, "deliver", message.describe())
-            )
+            self.trace.append(TraceEntry(self.now, event.KIND, event.describe()))
+        return True
 
     def _fire_action(self, action: Action) -> None:
         node = action.node
@@ -150,17 +151,8 @@ class LiveRun:
         # offer this action (injected application calls bypass this check).
         enabled = self.protocol.enabled_actions(self._states[node])
         if action in enabled or action.name.startswith("inject"):
-            try:
-                result = self.protocol.handle_action(self._states[node], action)
-            except LocalAssertionError:
-                self.assertion_failures += 1
+            if not self._run(InternalEvent(action)):
                 return
-            self._apply(node, result.state, result.sends)
-            self.events_executed += 1
-            if self.keep_trace:
-                self.trace.append(
-                    TraceEntry(self.now, "action", action.describe())
-                )
         self._poll_actions(node)
 
     def _apply(self, node: NodeId, new_state: Any, sends: Tuple[Message, ...]) -> None:

@@ -40,11 +40,12 @@ class UnknownClassTag(ValueError):
 
 # -- versioned envelopes ---------------------------------------------------------
 #
-# Every durable artifact this library writes — the bug corpus here, the
-# checker checkpoints in :mod:`repro.core.checkpoint` — shares one envelope
-# discipline: a ``format`` tag naming the artifact kind, an integer
-# ``version``, and an atomic whole-file replace.  Factoring it keeps the
-# loaders' refusal behaviour (wrong kind, wrong version) identical.
+# A whole-file artifact (the bug corpus here) is written as one envelope: a
+# ``format`` tag naming the artifact kind, an integer ``version``, and an
+# atomic whole-file replace; the loader refuses a wrong kind or version.
+# Checker checkpoints tag every line of their log the same way but are not
+# envelopes: ``repro.core.checkpoint.save_checkpoint`` replaces the file
+# with a base line and appends segments.
 
 
 def save_envelope(

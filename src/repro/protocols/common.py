@@ -4,178 +4,11 @@ Protocol node states must be immutable and hashable, so per-index role state
 (Paxos decrees, log slots, …) is kept in *tuple maps*: sorted tuples of
 ``(key, value)`` pairs with functional update.  These helpers keep that idiom
 terse and uniform across protocols.
-
-This module also defines the **durability contract** used by the fault
-scheduler (docs/FAULTS.md).  A protocol that survives crashes declares which
-part of a node state is written to stable storage by implementing two
-optional methods::
-
-    def durable_state(self, node, state):  # state -> durable fragment
-    def restart_state(self, node, durable):  # durable fragment -> boot state
-
-:func:`durable_projection` and :func:`restart_state` dispatch to those
-methods and default to the *all-volatile* semantics — nothing survives a
-crash and a restarted node boots from its initial state — so existing
-protocols need no change to run under fault schedules.
-
-The **omission contract** works the same way.  A protocol whose nodes
-react to a message that never arrives (timeouts, presumed-abort rules)
-declares that reaction with one optional method::
-
-    def handle_drop(self, state, message):  # -> HandlerResult
-
-:func:`drop_result` dispatches to it; the default returns ``None``,
-meaning the destination is *drop-oblivious* — losing a message then
-reaches no node state a slower network could not already reach under the
-monotonic abstraction, so the scheduler skips the drop entirely.
-
-The **coverage contract** (docs/OBSERVABILITY.md "Live operations") works
-the same way: a protocol may declare its full handler universe with two
-optional methods::
-
-    def coverage_message_types(self):  # -> tuple of payload type names
-    def coverage_action_names(self):   # -> tuple of action names
-
-:func:`declared_message_types` and :func:`declared_action_names` dispatch
-to them, returning ``None`` for protocols that declare nothing — coverage
-reports then show exercised handlers only, with no unexercised analysis.
-
-The **symmetry contract** (docs/REDUCTION.md) is the third optional hook
-family.  A protocol whose verdicts are invariant under renaming some of its
-nodes may declare those interchangeable classes::
-
-    def symmetry_classes(self):        # -> tuple of tuples of NodeId
-    def rename_state(self, state, mapping):  # state under a node renaming
-
-Declaring a class ``(a, b, ...)`` asserts full *equivariance*: renaming the
-class members everywhere (initial states, handlers, invariant) permutes
-executions without changing verdicts.  :func:`declared_symmetry_classes`
-and :func:`renamed_state` dispatch to the hooks; ``rename_state`` may be
-omitted when every occurrence of a node id inside the state is structurally
-distinguishable from other integers, in which case the generic walker
-:func:`repro.model.hashing.substitute_node_ids` is used (see its caveat).
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
-
-from repro.model.types import NodeId
-
-
-def durable_projection(protocol: Any, node: NodeId, state: Any) -> Any:
-    """The durable fragment of ``state`` that survives a crash of ``node``.
-
-    Dispatches to the protocol's optional ``durable_state(node, state)``
-    method.  The default is all-volatile: ``None`` — a crash loses
-    everything, which is sound (it only under-approximates what stable
-    storage would preserve) but explores harsher recoveries than a real
-    deployment with disks.  The fragment must be immutable and
-    content-hashable; crashes with equal fragments dedupe into one crashed
-    ``LS_n`` entry.
-    """
-    hook = getattr(protocol, "durable_state", None)
-    if hook is None:
-        return None
-    return hook(node, state)
-
-
-def restart_state(protocol: Any, node: NodeId, durable: Any) -> Any:
-    """The node state ``node`` boots into when restarted from ``durable``.
-
-    Dispatches to the protocol's optional ``restart_state(node, durable)``
-    method.  The default reboots from ``protocol.initial_state(node)``,
-    discarding the (``None``) fragment — consistent with the all-volatile
-    default of :func:`durable_projection`.
-    """
-    hook = getattr(protocol, "restart_state", None)
-    if hook is None:
-        return protocol.initial_state(node)
-    return hook(node, durable)
-
-
-def drop_result(protocol: Any, state: Any, message: Any) -> Optional[Any]:
-    """How ``message.dest`` reacts to never receiving ``message``.
-
-    Dispatches to the protocol's optional ``handle_drop(state, message)``
-    method — the timeout/negative-acknowledgement path a real
-    implementation takes when an expected message is lost.  The hook has
-    the same purity/totality contract as ``handle_message`` and may raise
-    :class:`~repro.model.types.LocalAssertionError`.  ``None`` (no hook)
-    means the protocol is drop-oblivious and the fault scheduler mints no
-    :class:`~repro.model.events.DropEvent` for it: under the monotonic
-    network a silent omission adds no reachable states.
-    """
-    hook = getattr(protocol, "handle_drop", None)
-    if hook is None:
-        return None
-    return hook(state, message)
-
-
-def declared_message_types(protocol: Any) -> Optional[Tuple[str, ...]]:
-    """Message payload type names the protocol declares as its universe.
-
-    Dispatches to the optional ``coverage_message_types()`` method; ``None``
-    (no declaration) means coverage reports cannot know what was *missed*,
-    only what ran.  Names are payload ``type(...).__name__`` strings —
-    exactly what the coverage tracker records.
-    """
-    hook = getattr(protocol, "coverage_message_types", None)
-    if hook is None:
-        return None
-    return tuple(hook())
-
-
-def declared_action_names(protocol: Any) -> Optional[Tuple[str, ...]]:
-    """Internal action names the protocol declares as its universe.
-
-    Dispatches to the optional ``coverage_action_names()`` method; same
-    semantics as :func:`declared_message_types`.
-    """
-    hook = getattr(protocol, "coverage_action_names", None)
-    if hook is None:
-        return None
-    return tuple(hook())
-
-
-def declared_symmetry_classes(
-    protocol: Any,
-) -> Optional[Tuple[Tuple[NodeId, ...], ...]]:
-    """Node-symmetry classes the protocol declares (docs/REDUCTION.md).
-
-    Dispatches to the optional ``symmetry_classes()`` method.  Each class is
-    a tuple of node ids the protocol asserts are interchangeable: renaming
-    them consistently everywhere yields the same executions and verdicts.
-    Classes with fewer than two members are dropped (a singleton admits only
-    the identity renaming); ``None`` — no hook, or nothing left — means the
-    symmetry reducer stays disabled even when the config knob is on.
-    """
-    hook = getattr(protocol, "symmetry_classes", None)
-    if hook is None:
-        return None
-    classes = tuple(
-        tuple(members) for members in hook() if len(tuple(members)) >= 2
-    )
-    return classes or None
-
-
-def renamed_state(protocol: Any, state: Any, mapping: Any) -> Any:
-    """``state`` under the node renaming ``mapping`` (a NodeId → NodeId dict).
-
-    Dispatches to the protocol's optional ``rename_state(state, mapping)``
-    method.  Protocols whose states embed node ids ambiguously (a Paxos
-    ballot's proposer field is an int like any other) must implement the
-    hook; states where every node id is structurally distinguishable may
-    rely on the default, the generic structural walker
-    :func:`repro.model.hashing.substitute_node_ids`.
-    """
-    hook = getattr(protocol, "rename_state", None)
-    if hook is None:
-        from repro.model.hashing import substitute_node_ids
-
-        return substitute_node_ids(state, mapping)
-    return hook(state, mapping)
-
+from typing import Any, Tuple
 
 #: A sorted immutable mapping as a tuple of (key, value) pairs.
 TupleMap = Tuple[Tuple[Any, Any], ...]
@@ -195,11 +28,6 @@ def tm_set(entries: TupleMap, key: Any, value: Any) -> TupleMap:
     return tuple(sorted(filtered + ((key, value),)))
 
 
-def tm_contains(entries: TupleMap, key: Any) -> bool:
-    """True when ``key`` is bound."""
-    return any(entry_key == key for entry_key, _ in entries)
-
-
 def tm_keys(entries: TupleMap) -> Tuple[Any, ...]:
     """All bound keys, in map order."""
     return tuple(entry_key for entry_key, _ in entries)
@@ -210,8 +38,3 @@ def majority_of(count: int) -> int:
     if count <= 0:
         raise ValueError("count must be positive")
     return count // 2 + 1
-
-
-def first_or_none(items: Tuple[Any, ...]) -> Optional[Any]:
-    """First element or None for empty tuples."""
-    return items[0] if items else None

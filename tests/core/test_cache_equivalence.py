@@ -14,6 +14,7 @@ shipped thresholds.  The wall-clock side of the caches is
 
 import contextlib
 import json
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -23,40 +24,19 @@ from repro.core.config import LMCConfig
 from repro.explore.budget import BudgetClock, SearchBudget
 from repro.model import hashing
 from repro.obs.emitter import MemoryEmitter
-from repro.protocols.onepaxos import OnePaxosAgreement
-from repro.protocols.onepaxos import scenarios as onepaxos_scenarios
 from repro.protocols.paxos import PaxosAgreement, PaxosProtocol
-from repro.protocols.paxos.scenarios import partial_choice_state, scenario_protocol
 from repro.protocols.twophase import (
     Atomicity,
     CommitValidity,
     EagerCommitCoordinator,
     TimeoutTwoPhaseCommit,
 )
+from tests.core.equivalence import CACHE_ONLY_KEYS, observable, onepaxos_s56, paxos_s55
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "workload_counts.json"
 
-#: Snapshot keys excluded from comparison: phase timers are wall-clock, and
-#: the cache-hit counters are definitionally zero in the uncached run.
-EXCLUDED_KEYS = ("phase_",)
-CACHE_ONLY_KEYS = frozenset(
-    {"sequence_cache_hits", "replay_cache_hits", "rejected_cache_evictions"}
-)
-
-
-def _observable(result):
-    counts = {
-        key: value
-        for key, value in result.stats.snapshot().items()
-        if not key.startswith(EXCLUDED_KEYS) and key not in CACHE_ONLY_KEYS
-    }
-    return {
-        "counts": counts,
-        "completed": result.completed,
-        "stop_reason": result.stop_reason,
-        "bugs": [bug.description for bug in result.bugs],
-        "traces": [bug.trace_lines() for bug in result.bugs],
-    }
+#: The cache-hit counters are definitionally zero in the uncached run.
+_observable = partial(observable, keys=CACHE_ONLY_KEYS)
 
 
 @contextlib.contextmanager
@@ -77,18 +57,6 @@ def _run(make_checker, initial, cached, factory=LMCConfig.optimized, **overrides
         )
     with _hashing_caches(cached):
         return make_checker(factory(**overrides)).run(initial)
-
-
-def _paxos_s55():
-    protocol = scenario_protocol(buggy=True)
-    invariant = PaxosAgreement(0)
-    return protocol, invariant, partial_choice_state()
-
-
-def _onepaxos_s56():
-    protocol = onepaxos_scenarios.scenario_protocol(buggy=True)
-    invariant = OnePaxosAgreement(0)
-    return protocol, invariant, onepaxos_scenarios.post_leaderchange_state(protocol)
 
 
 def _paxos(num_nodes=3):
@@ -113,8 +81,8 @@ WORKLOADS = {
         )
         for depth in (4, 6, 8, 10)
     },
-    "s55_snapshot": (_paxos_s55, LMCConfig.optimized, SearchBudget.unbounded(), {}),
-    "s56_onepaxos": (_onepaxos_s56, LMCConfig.optimized, SearchBudget.unbounded(), {}),
+    "s55_snapshot": (paxos_s55, LMCConfig.optimized, SearchBudget.unbounded(), {}),
+    "s56_onepaxos": (onepaxos_s56, LMCConfig.optimized, SearchBudget.unbounded(), {}),
     "paxos_faults": (
         _paxos,
         LMCConfig.optimized,
@@ -229,7 +197,7 @@ EXPLORE_BUDGET = SearchBudget(max_transitions=400)
 
 
 @pytest.mark.usefixtures("dispatch_every_round")
-@pytest.mark.parametrize("scenario", [_paxos_s55, _onepaxos_s56], ids=["s55", "s56"])
+@pytest.mark.parametrize("scenario", [paxos_s55, onepaxos_s56], ids=["s55", "s56"])
 def test_explore_workers_equivalent_with_and_without_caches(scenario):
     """The caches are off in the uncached run, for the coordinator and the
     forked children it speculates in alike.  Neither may show in any
@@ -266,7 +234,7 @@ def test_s55_smoke_budget_identical_across_memoize():
     520 transitions), ``memoize_soundness`` on/off: same counters, same bug
     set, same witness event tuples.
     """
-    protocol, invariant, initial = _paxos_s55()
+    protocol, invariant, initial = paxos_s55()
     budget = SearchBudget(max_transitions=520)
 
     def observe(memoize):
@@ -316,7 +284,7 @@ def _stored_hashes(cached):
                     + step.generated_hashes
                 )
     messages = []
-    for stored in run.network.all_messages():
+    for stored in run.network.messages_since(0):
         assert stored.hash == hashing.content_hash(stored.message, intern=False)
         messages.append(stored.hash)
     return sorted(states), sorted(messages), sorted(links, key=repr)

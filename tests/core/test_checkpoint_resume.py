@@ -36,6 +36,7 @@ import subprocess
 import sys
 import threading
 import time
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -61,13 +62,10 @@ from repro.model.hashing import content_hash
 from repro.obs.registry import RunRegistry
 from repro.protocols.paxos import PaxosAgreement, PaxosAgreementAll, PaxosProtocol
 from repro.protocols.paxos.scenarios import partial_choice_state, scenario_protocol
+from tests.core.equivalence import CACHE_ONLY_KEYS, observable
 
-#: Excluded from counter equality: wall-clock phase timers, and the
-#: cache-hit counters a restored run rebuilds cold.
-EXCLUDED_PREFIXES = ("phase_",)
-EXCLUDED_KEYS = frozenset(
-    {"sequence_cache_hits", "replay_cache_hits", "rejected_cache_evictions"}
-)
+#: The cache-hit counters a restored run rebuilds cold.
+_observable = partial(observable, keys=CACHE_ONLY_KEYS)
 
 #: The config axes the codec must cover: GEN vs OPT, crash–restart
 #: scheduling on, symmetry reduction on, rounds sharded across two forked
@@ -94,21 +92,6 @@ def _checker(variant, depth, checkpointer=None):
         getattr(LMCConfig, factory)(**overrides),
         checkpointer=checkpointer,
     )
-
-
-def _observable(result):
-    counts = {
-        key: value
-        for key, value in result.stats.snapshot().items()
-        if not key.startswith(EXCLUDED_PREFIXES) and key not in EXCLUDED_KEYS
-    }
-    return {
-        "counts": counts,
-        "completed": result.completed,
-        "stop_reason": result.stop_reason,
-        "bugs": [bug.description for bug in result.bugs],
-        "traces": [bug.trace_lines() for bug in result.bugs],
-    }
 
 
 class CaptureCheckpointer(Checkpointer):

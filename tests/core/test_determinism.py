@@ -98,7 +98,7 @@ HASH_SCRIPT = (
     "stores = run.space.stores.values()\n"
     "records = [r for store in stores for r in store]\n"
     "print(sorted(r.hash for r in records))\n"
-    "print(sorted(m.hash for m in run.network.all_messages()))\n"
+    "print(sorted(m.hash for m in run.network.messages_since(0)))\n"
     "print(sorted(step.event_hash for store in stores for r in store"
     " for _prev, step in store.links_of(r)))\n"
 )

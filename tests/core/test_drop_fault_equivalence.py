@@ -36,29 +36,11 @@ from repro.protocols.twophase import (
     TimeoutTwoPhaseCommit,
 )
 from repro.replay import validate_bug
+from tests.core.equivalence import observable
 from tests.core.test_checkpoint_resume import CaptureCheckpointer, assert_round_trip
 
-#: Phase timers are wall-clock; everything else must match exactly.
-EXCLUDED_KEYS = ("phase_",)
-
-
-def _observable(result):
-    counts = {
-        key: value
-        for key, value in result.stats.snapshot().items()
-        if not key.startswith(EXCLUDED_KEYS)
-    }
-    return {
-        "counts": counts,
-        "completed": result.completed,
-        "stop_reason": result.stop_reason,
-        "bugs": [bug.description for bug in result.bugs],
-        "traces": [bug.trace_lines() for bug in result.bugs],
-    }
-
-
 #: Small exhaustible workloads spanning verdict shapes.  ``2pc-timeout``
-#: is the only one that declares a ``handle_drop`` hook.
+#: is the only one that overrides ``handle_drop``.
 SCENARIOS = {
     "tree": lambda: (TreeProtocol(), ReceivedImpliesSent()),
     "2pc-buggy": lambda: (
@@ -111,7 +93,7 @@ def test_inert_fault_knobs_are_byte_identical(scenario, inert, mode, symmetry):
         budget=budget,
         config=factory(**common, **INERT_OVERRIDES[inert]),
     ).run()
-    assert _observable(gated) == _observable(baseline)
+    assert observable(gated) == observable(baseline)
 
 
 def test_new_fault_knobs_are_off_by_default():
@@ -157,7 +139,7 @@ def test_inert_knobs_survive_checkpoint_resume_byte_identically(tmp_path):
     resumed = LocalModelChecker(protocol, invariant, config=config).resume(
         load_checkpoint(path)
     )
-    assert _observable(resumed) == _observable(reference)
+    assert observable(resumed) == observable(reference)
 
 
 # -- drop-dependent bug: loss is required to break atomicity ---------------------

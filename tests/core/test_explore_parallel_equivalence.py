@@ -19,6 +19,7 @@ import os
 import signal
 import time
 from dataclasses import replace
+from functools import partial
 from itertools import repeat
 from unittest import mock
 
@@ -67,30 +68,16 @@ from repro.protocols.twophase import (
     VoteRequest,
 )
 from repro.replay import validate_bug
+from tests.core.equivalence import observable
 from tests.core.test_pool import _unreaped_child, no_child_left_behind  # noqa: F401
 
 #: Phase timers are wall-clock; the explore_* counters exist only so the
 #: parallel run can prove it actually went parallel.  Everything else must
 #: match the serial run exactly.
-EXCLUDED_KEYS = ("phase_", "explore_")
+_observable = partial(observable, prefixes=("phase_", "explore_"))
 
 PARALLEL = dict(explore_workers=2)
 pytestmark = pytest.mark.usefixtures("dispatch_every_round")
-
-
-def _observable(result):
-    counts = {
-        key: value
-        for key, value in result.stats.snapshot().items()
-        if not key.startswith(EXCLUDED_KEYS)
-    }
-    return {
-        "counts": counts,
-        "completed": result.completed,
-        "stop_reason": result.stop_reason,
-        "bugs": [bug.description for bug in result.bugs],
-        "traces": [bug.trace_lines() for bug in result.bugs],
-    }
 
 
 def _run(protocol, invariant, budget=None, initial=None, **config_kw):

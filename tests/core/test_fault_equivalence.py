@@ -28,25 +28,7 @@ from repro.protocols.paxos import PaxosAgreement, PaxosProtocol
 from repro.protocols.tree import ReceivedImpliesSent, TreeProtocol
 from repro.protocols.twophase import CommitValidity, EagerCommitCoordinator
 from repro.replay import validate_bug
-
-#: Phase timers are wall-clock; everything else must match exactly.
-EXCLUDED_KEYS = ("phase_",)
-
-
-def _observable(result):
-    counts = {
-        key: value
-        for key, value in result.stats.snapshot().items()
-        if not key.startswith(EXCLUDED_KEYS)
-    }
-    return {
-        "counts": counts,
-        "completed": result.completed,
-        "stop_reason": result.stop_reason,
-        "bugs": [bug.description for bug in result.bugs],
-        "traces": [bug.trace_lines() for bug in result.bugs],
-    }
-
+from tests.core.equivalence import observable
 
 #: Small exhaustible workloads: a clean protocol, a clean consensus run and a
 #: genuinely buggy one, so the equivalence holds across verdict shapes.
@@ -87,7 +69,7 @@ def test_zero_crash_budget_is_byte_identical(
             max_crashes_per_node=max_crashes_per_node,
         ),
     ).run()
-    assert _observable(gated) == _observable(baseline)
+    assert observable(gated) == observable(baseline)
 
 
 def test_fault_exploration_is_off_by_default():

@@ -17,49 +17,15 @@ from repro.obs.coverage import CoverageTracker
 from repro.obs.emitter import MemoryEmitter
 from repro.obs.registry import RunRegistry
 from repro.obs.report import TraceSummary
-from repro.protocols.onepaxos import OnePaxosAgreement
-from repro.protocols.onepaxos import scenarios as onepaxos_scenarios
 from repro.protocols.paxos import PaxosAgreement, PaxosProtocol
-from repro.protocols.paxos.scenarios import partial_choice_state, scenario_protocol
 from repro.protocols.twophase import (
     Atomicity,
     CommitValidity,
     EagerCommitCoordinator,
     TimeoutTwoPhaseCommit,
 )
+from tests.core.equivalence import observable, onepaxos_s56, paxos_s55
 from tests.core.test_summarised_gen import walked
-
-#: Phase timers are wall-clock and excluded, as in the cache-equivalence gate.
-EXCLUDED_KEYS = ("phase_",)
-
-
-def _observable(result):
-    counts = {
-        key: value
-        for key, value in result.stats.snapshot().items()
-        if not key.startswith(EXCLUDED_KEYS)
-    }
-    return {
-        "counts": counts,
-        "completed": result.completed,
-        "stop_reason": result.stop_reason,
-        "bugs": [bug.description for bug in result.bugs],
-        "traces": [bug.trace_lines() for bug in result.bugs],
-    }
-
-
-def _paxos_s55():
-    protocol = scenario_protocol(buggy=True)
-    return protocol, PaxosAgreement(0), partial_choice_state()
-
-
-def _onepaxos_s56():
-    protocol = onepaxos_scenarios.scenario_protocol(buggy=True)
-    return (
-        protocol,
-        OnePaxosAgreement(0),
-        onepaxos_scenarios.post_leaderchange_state(protocol),
-    )
 
 
 def _instrumented_kwargs(tmp_path, interval):
@@ -76,7 +42,7 @@ def _instrumented_kwargs(tmp_path, interval):
     }
 
 
-@pytest.mark.parametrize("scenario", [_paxos_s55, _onepaxos_s56], ids=["s55", "s56"])
+@pytest.mark.parametrize("scenario", [paxos_s55, onepaxos_s56], ids=["s55", "s56"])
 def test_local_checker_identical_with_observability_on(scenario, tmp_path):
     protocol, invariant, initial = scenario()
 
@@ -88,13 +54,13 @@ def test_local_checker_identical_with_observability_on(scenario, tmp_path):
     plain = run()
     instrumented = run(**_instrumented_kwargs(tmp_path, interval=0.001))
     assert plain.found_bug and instrumented.found_bug
-    assert _observable(plain) == _observable(instrumented)
+    assert observable(plain) == observable(instrumented)
 
 
 @pytest.mark.usefixtures("dispatch_every_round")
 def test_explore_workers_identical_with_observability_on(tmp_path):
     """Forwarded worker spans and round events must not shift any result."""
-    protocol, invariant, initial = _paxos_s55()
+    protocol, invariant, initial = paxos_s55()
     budget = SearchBudget(max_transitions=400)
     config = LMCConfig.optimized(explore_workers=2)
 
@@ -106,12 +72,12 @@ def test_explore_workers_identical_with_observability_on(tmp_path):
     plain = run()
     instrumented = run(**_instrumented_kwargs(tmp_path, interval=0.001))
     assert plain.stats.explore_rounds_parallel > 0
-    assert _observable(plain) == _observable(instrumented)
+    assert observable(plain) == observable(instrumented)
 
 
 def test_depth_series_identical_with_observability_on(tmp_path):
     """The Fig. 10-13 series must not shift under heartbeat sampling."""
-    protocol, invariant, initial = _paxos_s55()
+    protocol, invariant, initial = paxos_s55()
 
     def run(**kwargs):
         return LocalModelChecker(
@@ -127,7 +93,7 @@ def test_depth_series_identical_with_observability_on(tmp_path):
 
 
 def test_instrumented_run_leaves_durable_record(tmp_path):
-    protocol, invariant, initial = _paxos_s55()
+    protocol, invariant, initial = paxos_s55()
     registry = RunRegistry(str(tmp_path))
     handle = registry.register("test", workload="s55", algorithm="lmc-opt")
     coverage = CoverageTracker()
@@ -151,7 +117,7 @@ def test_instrumented_run_leaves_durable_record(tmp_path):
 
 def test_soundness_spans_explain_rejections_without_changing_the_run():
     """The quotient's span attributes are bookkeeping on the traced path only."""
-    protocol, invariant, initial = _paxos_s55()
+    protocol, invariant, initial = paxos_s55()
 
     def run(**kwargs):
         return LocalModelChecker(
@@ -161,7 +127,7 @@ def test_soundness_spans_explain_rejections_without_changing_the_run():
     plain = run()
     emitter = MemoryEmitter()
     traced = run(emitter=emitter)
-    assert _observable(plain) == _observable(traced)
+    assert observable(plain) == observable(traced)
 
     spans = [
         record["fields"]
@@ -186,7 +152,7 @@ def test_soundness_spans_explain_rejections_without_changing_the_run():
 
 
 def _s55_at_760():
-    protocol, invariant, initial = _paxos_s55()
+    protocol, invariant, initial = paxos_s55()
     config = LMCConfig.optimized(stop_on_first_bug=False)
     return protocol, invariant, initial, SearchBudget(max_transitions=760), config
 
@@ -227,7 +193,7 @@ def test_bound_refuted_calls_trace_as_the_product_walk_does(space, monkeypatch):
     monkeypatch.setattr(soundness, "refuted_by_bound", lambda summaries: False)
     walked_result, walked_spans, _ = run()
 
-    assert _observable(bounded) == _observable(walked_result)
+    assert observable(bounded) == observable(walked_result)
     refuted = sum(span.pop("bound_refuted") for span in bounded_spans)
     assert not any(span.pop("bound_refuted") for span in walked_spans)
     assert bounded_spans == walked_spans
@@ -253,14 +219,14 @@ def test_summarised_gen_coverage_counts_equal_with_tracing_on_and_off():
     plain, plain_coverage = run(PaxosAgreement(0))
     emitter = MemoryEmitter()
     traced, traced_coverage = run(PaxosAgreement(0), emitter=emitter)
-    assert _observable(plain) == _observable(traced)
+    assert observable(plain) == observable(traced)
     assert plain_coverage == traced_coverage
     checks = plain_coverage["invariant_checks"]["PaxosAgreement"]
     assert checks == plain.stats.invariant_checks
     # The same counts from the per-combination walk (summary hidden).
     walked_result, walked_coverage = run(walked(PaxosAgreement(0)))
     assert walked_coverage == plain_coverage
-    assert _observable(walked_result) == _observable(plain)
+    assert observable(walked_result) == observable(plain)
     # The spans say how many calls stood for those system states.
     spans = [
         record["fields"]
@@ -294,13 +260,13 @@ def test_symmetry_reduced_gen_coverage_counts_equal_with_tracing_on_and_off():
     plain, plain_coverage = run(PaxosAgreement(0))
     emitter = MemoryEmitter()
     traced, traced_coverage = run(PaxosAgreement(0), emitter=emitter)
-    assert _observable(plain) == _observable(traced)
+    assert observable(plain) == observable(traced)
     assert plain_coverage == traced_coverage
     checks = plain_coverage["invariant_checks"]["PaxosAgreement"]
     assert checks == plain.stats.invariant_checks
     walked_result, walked_coverage = run(walked(PaxosAgreement(0)))
     assert walked_coverage == plain_coverage
-    assert _observable(walked_result) == _observable(plain)
+    assert observable(walked_result) == observable(plain)
     spans = [
         record["fields"]
         for record in emitter.records
@@ -339,7 +305,7 @@ def _round_spans_reconcile(records, stats):
 
 def _s55_opt(stop_on_first_bug, explore_workers=0):
     def run(emitter=None):
-        protocol, invariant, initial = _paxos_s55()
+        protocol, invariant, initial = paxos_s55()
         budget = SearchBudget() if stop_on_first_bug else SearchBudget(max_transitions=760)
         config = LMCConfig.optimized(
             stop_on_first_bug=stop_on_first_bug, explore_workers=explore_workers
@@ -405,7 +371,7 @@ def test_one_materialise_span_per_round(case, tmp_path):
     plain = run()
     emitter = MemoryEmitter()
     traced = run(emitter)
-    assert _observable(plain) == _observable(traced)
+    assert observable(plain) == observable(traced)
     spans = _round_spans_reconcile(emitter.records, traced.stats)
     assert traced.stats.system_states_created > 0
     if case == "s55-first-bug":

@@ -35,33 +35,13 @@ from repro.core.system_states import enumerate_general
 from repro.explore.budget import SearchBudget
 from repro.model.hashing import content_hash, substitute_node_ids
 from repro.model.types import NodeId
-from repro.protocols.common import renamed_state
 from repro.protocols.echo import EchoNodeState, EchoProtocol, PongsImplyPing
-from repro.protocols.onepaxos import OnePaxosAgreement
-from repro.protocols.onepaxos import scenarios as onepaxos_scenarios
 from repro.protocols.paxos import PaxosAgreement, PaxosProtocol
 from repro.protocols.paxos.scenarios import partial_choice_state, scenario_protocol
 from repro.protocols.tree import ReceivedImpliesSent, TreeProtocol
 from repro.protocols.twophase import CommitValidity, EagerCommitCoordinator
 from repro.replay import validate_bug
-
-#: Phase timers are wall-clock; everything else must match exactly.
-EXCLUDED_KEYS = ("phase_",)
-
-
-def _observable(result):
-    counts = {
-        key: value
-        for key, value in result.stats.snapshot().items()
-        if not key.startswith(EXCLUDED_KEYS)
-    }
-    return {
-        "counts": counts,
-        "completed": result.completed,
-        "stop_reason": result.stop_reason,
-        "bugs": [bug.description for bug in result.bugs],
-        "traces": [bug.trace_lines() for bug in result.bugs],
-    }
+from tests.core.equivalence import observable, onepaxos_s56, paxos_s55
 
 
 def _verdict(result):
@@ -113,8 +93,8 @@ def test_knobs_off_is_byte_identical(scenario, max_transitions):
         budget=budget,
         config=LMCConfig.optimized(symmetry_reduction=False, por_pruning=False),
     ).run()
-    observed = _observable(gated)
-    assert observed == _observable(baseline)
+    observed = observable(gated)
+    assert observed == observable(baseline)
     assert observed["counts"]["symmetry_skips"] == 0
     assert observed["counts"]["por_links_suppressed"] == 0
 
@@ -135,7 +115,7 @@ def test_no_declared_symmetry_is_byte_identical():
         ReceivedImpliesSent(),
         config=LMCConfig.optimized(symmetry_reduction=True),
     ).run()
-    assert _observable(reduced) == _observable(baseline)
+    assert observable(reduced) == observable(baseline)
 
 
 @given(
@@ -194,20 +174,9 @@ def test_symmetry_reduces_general_enumeration_and_keeps_the_verdict(por):
     assert results[True].stats.symmetry_skips > 0
 
 
-def _s55():
-    protocol = scenario_protocol(buggy=True)
-    return protocol, PaxosAgreement(0), partial_choice_state()
-
-
-def _s56():
-    protocol = onepaxos_scenarios.scenario_protocol(buggy=True)
-    initial = onepaxos_scenarios.post_leaderchange_state(protocol)
-    return protocol, OnePaxosAgreement(0), initial
-
-
 def test_snapshot_bugs_survive_reduction_with_replayable_witness():
     """The §5.5 and §5.6 bugs are found with both knobs on, and replay."""
-    for make in (_s55, _s56):
+    for make in (paxos_s55, onepaxos_s56):
         protocol, invariant, initial = make()
         baseline = LocalModelChecker(
             protocol, invariant, config=LMCConfig.optimized()
@@ -226,7 +195,7 @@ def test_snapshot_bugs_survive_reduction_with_replayable_witness():
 
 def test_por_suppresses_links_without_losing_the_s55_bug():
     """Commutativity pruning actually fires on §5.5 and keeps the witness."""
-    protocol, invariant, initial = _s55()
+    protocol, invariant, initial = paxos_s55()
     result = LocalModelChecker(
         protocol, invariant, config=LMCConfig.optimized(por_pruning=True)
     ).run(initial)
@@ -313,7 +282,7 @@ def test_orbit_key_is_invariant_across_the_orbit(data):
     renamed = {
         _apply(mapping, node): _record(
             _apply(mapping, node),
-            renamed_state(protocol, record.state, mapping),
+            protocol.rename_state(record.state, mapping),
             index=record.index + 100,
         )
         for node, record in combo.items()
@@ -483,6 +452,6 @@ def test_paxos_rename_state_relabels_ballots_but_not_rounds():
     """
     protocol = PaxosProtocol(num_nodes=4, proposals=((0, 0, "v0"),))
     state = protocol.initial_state(1)
-    renamed = renamed_state(protocol, state, {1: 2, 2: 1})
+    renamed = protocol.rename_state(state, {1: 2, 2: 1})
     assert renamed.node == 2
-    assert renamed_state(protocol, state, {}) == state
+    assert protocol.rename_state(state, {}) == state

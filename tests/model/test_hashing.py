@@ -287,7 +287,7 @@ def paxos_pass_hashes():
                     + step.generated_hashes
                 )
     messages = []
-    for stored in run.network.all_messages():
+    for stored in run.network.messages_since(0):
         messages.append(stored.hash)
         values.append((stored.hash, stored.message))
     links.sort(key=repr)

@@ -64,19 +64,11 @@ class TestMonotonicNetwork:
         stored = net.add_all((msg(), msg(), msg(payload="x")))
         assert len(stored) == 2
 
-    def test_contains_hash(self):
-        from repro.model.hashing import content_hash
-
-        net = MonotonicNetwork()
-        net.add(msg())
-        assert net.contains_hash(content_hash(msg()))
-        assert not net.contains_hash(content_hash(msg(payload="zz")))
-
-    def test_all_messages_in_arrival_order(self):
+    def test_messages_since_zero_in_arrival_order(self):
         net = MonotonicNetwork()
         net.add(msg(dest=2, payload="first"))
         net.add(msg(dest=1, payload="second"))
-        seqs = [s.seq for s in net.all_messages()]
+        seqs = [s.seq for s in net.messages_since(0)]
         assert seqs == [0, 1]
 
     @given(st.lists(st.sampled_from(["a", "b", "c"]), max_size=20))

@@ -9,7 +9,6 @@ from repro.obs.coverage import (
     render_coverage,
     unexercised,
 )
-from repro.protocols.common import declared_action_names, declared_message_types
 from repro.protocols.echo import EchoProtocol, PongsImplyPing
 
 
@@ -62,11 +61,11 @@ def test_null_coverage_is_inert_and_disabled():
 
 def test_declared_universe_dispatch():
     plain = EchoProtocol(2)
-    assert declared_message_types(plain) is None
-    assert declared_action_names(plain) is None
+    assert plain.coverage_message_types() is None
+    assert plain.coverage_action_names() is None
     declaring = DeadHandlerEcho(2)
-    assert declared_message_types(declaring) == ("Ping", "Pong", "NeverSent")
-    assert declared_action_names(declaring) == ("ping", "never_fired")
+    assert declaring.coverage_message_types() == ("Ping", "Pong", "NeverSent")
+    assert declaring.coverage_action_names() == ("ping", "never_fired")
 
 
 def test_unexercised_against_declared_universe():

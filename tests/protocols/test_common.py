@@ -4,14 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.protocols.common import (
-    first_or_none,
-    majority_of,
-    tm_contains,
-    tm_get,
-    tm_keys,
-    tm_set,
-)
+from repro.protocols.common import majority_of, tm_get, tm_keys, tm_set
 
 
 class TestTupleMap:
@@ -29,10 +22,8 @@ class TestTupleMap:
         entries = tm_set(((1, "a"),), 1, "z")
         assert entries == ((1, "z"),)
 
-    def test_contains_and_keys(self):
+    def test_keys(self):
         entries = ((1, "a"), (3, "c"))
-        assert tm_contains(entries, 3)
-        assert not tm_contains(entries, 2)
         assert tm_keys(entries) == (1, 3)
 
     @given(st.dictionaries(st.integers(), st.text(max_size=5), max_size=8))
@@ -76,8 +67,3 @@ class TestMajority:
         # the quorum-intersection property Paxos relies on
         quorum = majority_of(count)
         assert 2 * quorum > count
-
-
-def test_first_or_none():
-    assert first_or_none(()) is None
-    assert first_or_none((1, 2)) == 1
