@@ -18,8 +18,8 @@ two features:
   depth-deferred pairs the sweeps recorded), instead of the whole prefix.
 
 What is serialized: every ``LS_n`` record (state value, hashes, depth
-metadata, history, predecessor links with their events, seed/discard/crash
-flags), the full ``I+`` log (message values, hashes, cursors, deferred
+metadata, history, predecessor links, seed/discard/crash flags) with the
+step table its links name, the full ``I+`` log (message values, hashes, cursors, deferred
 pairs, fault-minted duplicate flags), all exploration counters and phase
 timers, the per-node sweep and fault cursors (including the drop sweep's
 cursor/deferred pairs and the duplication cursor), a depth extension's
@@ -99,7 +99,11 @@ from repro.stats.series import DepthSample
 #: Version 5 dropped the fields of the retired Fig. 12 byte model (each
 #: record's state size, the pass's and ``I+``'s byte totals); restoring
 #: never reads them, so an older line still loads.
-CHECKPOINT_FORMAT_VERSION = 5
+#: Version 6 writes each record as one row whose predecessor links are
+#: ``[predecessor index, step id]`` pairs into a ``steps`` table each line
+#: extends, each history as its hex mask and each orbit key as its bare
+#: hashes; :func:`load_checkpoint` upgrades a log of older lines to it.
+CHECKPOINT_FORMAT_VERSION = 6
 #: The ``format`` tag of every checkpoint log line (see :func:`save_checkpoint`).
 CHECKPOINT_KIND = "lmc-checkpoint"
 
@@ -240,14 +244,15 @@ class _Marks:
     and link rows written and the indexes of the records written discarded
     — links and the discard flag are the only two things a record changes
     after it is stored, and a record's later links sit at higher offsets —
-    plus the ``I+`` high-water mark, the round of the write, the hashes of
-    the value rows the log defines and the seen orbit keys it lists.  The
-    pass fingerprint rides along because its inputs are fixed for the
-    pass.
+    plus the ``I+`` high-water mark, the steps of the step table written,
+    the round of the write, the hashes of the value rows the log defines
+    and the seen orbit keys it lists.  The pass fingerprint rides along
+    because its inputs are fixed for the pass.
     """
 
     __slots__ = (
-        "pass_", "fingerprint", "round", "stores", "messages", "values", "seen"
+        "pass_", "fingerprint", "round", "stores", "messages", "steps", "values",
+        "seen",
     )
 
     def __init__(self, pass_: Any, fingerprint: str, values: set):
@@ -265,75 +270,60 @@ class _Marks:
             for node, store in pass_.space.stores.items()
         }
         self.messages = pass_.network.high_water
+        self.steps = len(pass_.space.steps.steps)
 
 
-def _encode_links(
-    store: Any, record: Any, table: ValueTable, since: int = 0
-) -> List[Dict[str, Any]]:
-    records = store.records
+#: Columns of a record row; ``LINKS`` is the flat ``[prev, step id, …]``
+#: list of its predecessor links (``prev`` -1: none).
+STATE, HASH, DEPTH, LOCAL_DEPTH, HISTORY, CRASHES, CRASHED, SEED, DISCARDED, LINKS = (
+    range(10)
+)
+
+
+def _link_row(store: Any, record: Any, since: int = 0) -> List[int]:
+    """``record``'s links in the order they were added, flat: the
+    predecessor index and step id of each, skipping the rows at offsets
+    below ``since``."""
+    links = store.links
+    row: List[int] = []
+    link = record.first_link
+    while link >= 0:
+        if link >= since:
+            row += links[link : link + 2]
+        link = links[link + 2]
+    return row
+
+
+def _record_row(store: Any, record: Any, table: ValueTable) -> List[Any]:
+    """One record as a row of the ``STATE`` … ``LINKS`` columns; the
+    history mask is hex, since ``json`` refuses to write an int of more
+    than 4,300 digits."""
     return [
-        {
-            "prev_hash": None if prev < 0 else records[prev].hash,
-            "event": encode_event(step.event, table.ref),
-            "event_hash": step.event_hash,
-            "consumed_hash": step.consumed_hash,
-            "generated_hashes": list(step.generated_hashes),
-        }
-        for prev, step in store.links_of(record, since)
+        table.ref(record.state, record.hash),
+        record.hash,
+        record.depth,
+        record.local_depth,
+        format(record.history, "x"),
+        record.crashes,
+        record.crashed,
+        record.seed,
+        record.discarded,
+        _link_row(store, record),
     ]
 
 
-def _history_rows(mask: int, log: Any) -> List[int]:
-    """A history mask as the sorted entries it stands for: the hash of each
-    first-copy bit, the token ``-(seq + 1)`` of each other copy's."""
-    return sorted(
-        log[seq].hash if log[seq].bit == seq else -(seq + 1)
-        for seq, bit in enumerate(bin(mask)[:1:-1])
-        if bit == "1"
-    )
-
-
-def _history_mask(rows: List[int], bits: Dict[int, int]) -> int:
-    """:func:`_history_rows` inverted through the restored ``I+``'s hash to
-    bit map; a hash ``I+`` does not hold raises ``KeyError``."""
-    mask = 0
-    for entry in rows:
-        mask |= 1 << (-entry - 1 if entry < 0 else bits[entry])
-    return mask
-
-
-def _encode_record(store: Any, record: Any, table: ValueTable, log: Any) -> Dict[str, Any]:
-    return {
-        "state": table.ref(record.state, record.hash),
-        "hash": record.hash,
-        "depth": record.depth,
-        "local_depth": record.local_depth,
-        "history": _history_rows(record.history, log),
-        "crashes": record.crashes,
-        "crashed": record.crashed,
-        "seed": record.seed,
-        "discarded": record.discarded,
-        "predecessors": _encode_links(store, record, table),
-    }
-
-
-def _encode_store(
-    store: Any, written: Optional[tuple], table: ValueTable, log: Any
-) -> Dict[str, Any]:
+def _encode_store(store: Any, written: Optional[tuple], table: ValueTable) -> Dict[str, Any]:
     """One ``LS_n``: the records the log lacks and, for a segment, what the
     ``written`` ones gained — ``[index, new links, discarded]`` rows."""
     held, links_held, discarded = written or (0, 0, ())
     encoded = {
         "version": store.version,
-        "records": [
-            _encode_record(store, record, table, log)
-            for record in store.records[held:]
-        ],
+        "records": [_record_row(store, record, table) for record in store.records[held:]],
     }
     if written is not None:
         encoded["grown"] = []
         for record in store.records[:held]:
-            links = _encode_links(store, record, table, links_held)
+            links = _link_row(store, record, links_held)
             if links or (record.discarded and record.index not in discarded):
                 encoded["grown"].append([record.index, links, record.discarded])
     return encoded
@@ -362,39 +352,40 @@ def snapshot_pass(
 
     Without ``marks`` the result is the full snapshot.  With them it is the
     segment since the write they describe: the append-only families — store
-    records, their predecessor links, ``I+`` messages, seen orbit keys —
-    carry only what lies beyond the marks, older records' gains go to
-    per-store ``grown`` rows and older messages' ``[cursor, deferred]``
-    pairs to a ``cursors`` table, and a ``marks`` key records what the
-    segment was built against.  All else is small and mutable, and is
-    rewritten whole either way.
+    records, their predecessor links, the step table, ``I+`` messages, seen
+    orbit keys — carry only what lies beyond the marks, older records'
+    gains go to per-store ``grown`` rows and older messages' ``[cursor,
+    deferred]`` pairs to a ``cursors`` table, and a ``marks`` key records
+    what the segment was built against.  All else is small and mutable, and
+    is rewritten whole either way.
 
-    Record states, link event payloads and ``I+`` messages are written as
+    A link is a ``[predecessor index, step id]`` pair of its record row's
+    ``LINKS`` column; the ``steps`` list defines each step id once, as
+    ``[event, event hash, consumed hash, generated hashes]`` in id order.
+    Record states, step event payloads and ``I+`` messages are written as
     references into the ``values`` table (:class:`ValueTable`), which holds
     the composite values the marks' log does not define yet.
     """
     checker = pass_.checker
     if marks is None:
-        written, sent, held, seen = {}, 0, frozenset(), frozenset()
+        written, sent, held, seen, stepped = {}, 0, frozenset(), frozenset(), 0
         digest = fingerprint(
             checker.protocol, checker.invariant, checker.config, pass_.initial_system
         )
     else:
         written, sent, digest = marks.stores, marks.messages, marks.fingerprint
-        held, seen = marks.values, marks.seen
+        held, seen, stepped = marks.values, marks.seen, marks.steps
     table = ValueTable(held)
     log = pass_.network.messages_since(0)
     symmetry = None
     reducer = pass_._symmetry
     if reducer is not None:
         # Orbit keys are tuples of hashes, one per node of the reducer's
-        # ascending node set, written as ``[node, hash]`` rows.  The nodes
-        # are the same at every position, so the keys sort as their rows.
+        # ascending node set, which is written once.
         symmetry = {
             "orbit_hits": reducer.orbit_hits,
-            "seen": [
-                tuple(zip(reducer.nodes, key)) for key in sorted(reducer._seen - seen)
-            ],
+            "nodes": list(reducer.nodes),
+            "seen": sorted(reducer._seen - seen),
         }
     nodes = pass_.space.node_ids
     payload = {
@@ -417,13 +408,17 @@ def snapshot_pass(
             "blocked_by_depth": pass_._blocked_by_depth,
             "dup_seq_cursor": pass_._dup_seq_cursor,
             "stats": _encode_stats(pass_.stats),
-            "stores": [
+            "steps": [
                 [
-                    node,
-                    _encode_store(
-                        pass_.space.store(node), written.get(node), table, log
-                    ),
+                    encode_event(step.event, table.ref),
+                    step.event_hash,
+                    step.consumed_hash,
+                    list(step.generated_hashes),
                 ]
+                for step in pass_.space.steps.steps[stepped:]
+            ],
+            "stores": [
+                [node, _encode_store(pass_.space.store(node), written.get(node), table)]
                 for node in nodes
             ],
             "network": {
@@ -497,6 +492,7 @@ def snapshot_pass(
             "round": marks.round,
             "stores": [[node, written[node][0]] for node in nodes],
             "messages": sent,
+            "steps": stepped,
         }
         payload["pass"]["network"]["cursors"] = [
             [stored.cursor, stored.deferred.tolist()] for stored in log[:sent]
@@ -540,42 +536,38 @@ def restore_pass(
         ),
         suppressed_duplicates=network["suppressed_duplicates"],
     )
-    # History masks are rebuilt through the restored ``I+``.
-    bits = {stored.hash: stored.bit for stored in pass_.network.messages_since(0)}
-
+    # Steps are interned in id order before any link names one, so each
+    # keeps its id.
     steps = pass_.space.steps
+    for step, (event, event_hash, consumed_hash, generated) in enumerate(data["steps"]):
+        interned = steps.intern(
+            decode_event(event, registry, memo), event_hash, consumed_hash, tuple(generated)
+        )
+        if interned != step:
+            raise CheckpointError(f"step {step} repeats step {interned}")
+
     for node, store_data in data["stores"]:
         store = pass_.space.store(node)
         rows = store_data["records"]
         for row in rows:
             record = store.add(
-                decode_value(row["state"], registry, memo),
-                row["hash"],
-                depth=row["depth"],
-                local_depth=row["local_depth"],
-                history=_history_mask(row["history"], bits),
-                crashes=row["crashes"],
-                crashed=row["crashed"],
+                decode_value(row[STATE], registry, memo),
+                row[HASH],
+                depth=row[DEPTH],
+                local_depth=row[LOCAL_DEPTH],
+                history=int(row[HISTORY], 16),
+                crashes=row[CRASHES],
+                crashed=row[CRASHED],
             )
             # The flags ``add`` leaves to the checker.
-            record.seed = row["seed"]
-            record.discarded = row["discarded"]
+            record.seed = row[SEED]
+            record.discarded = row[DISCARDED]
         # Links go in once every record is: a link's predecessor may be a
-        # record discovered after the one it leads to.  A predecessor hash
-        # the store lacks raises ``KeyError``.
+        # record discovered after the one it leads to.
         for record, row in zip(store.records, rows):
-            for link_row in row["predecessors"]:
-                prev_hash = link_row["prev_hash"]
-                record.add_predecessor(
-                    store,
-                    -1 if prev_hash is None else store._by_hash[prev_hash].index,
-                    steps.intern(
-                        decode_event(link_row["event"], registry, memo),
-                        link_row["event_hash"],
-                        link_row["consumed_hash"],
-                        tuple(link_row["generated_hashes"]),
-                    ),
-                )
+            links = row[LINKS]
+            for at in range(0, len(links), 2):
+                record.add_predecessor(store, links[at], links[at + 1])
         store.finalize_restore(store_data["version"])
 
     apply_stats(pass_.stats, data["stats"])
@@ -629,13 +621,12 @@ def restore_pass(
         )
     if symmetry is not None:
         reducer = pass_._symmetry
-        nodes = list(reducer.nodes)
-        if any([node for node, _hash in key] != nodes for key in symmetry["seen"]):
+        if symmetry["nodes"] != list(reducer.nodes):
             raise CheckpointMismatch(
-                "an orbit key of the checkpoint does not list this pass's nodes"
+                "the checkpoint's orbit keys do not list this pass's nodes"
             )
         reducer.orbit_hits = symmetry["orbit_hits"]
-        reducer._seen = {tuple(row[1] for row in key) for key in symmetry["seen"]}
+        reducer._seen = {tuple(key) for key in symmetry["seen"]}
 
     # Derived caches are rebuilt, not restored: the summary index in
     # discovery order (exactly the order seeding + integration noted it),
@@ -650,6 +641,9 @@ def restore_pass(
 
 
 # -- files -----------------------------------------------------------------------
+
+#: What a parsed line of the wrong shape raises while it is folded.
+_MALFORMED = (AttributeError, IndexError, KeyError, TypeError, ValueError)
 
 
 def save_checkpoint(path: str, payload: Dict[str, Any]) -> None:
@@ -691,7 +685,10 @@ def _fold(
     holds: a segment's own dictionary, with the append-only lists it
     continues spliced in front of what it adds, and every value reference
     replaced by the shared row ``values`` — the log's value table so far,
-    which the line's own rows join — holds for it.
+    which the line's own rows join — holds for it.  A log of version-2 to
+    -5 lines folds in their shape, which :func:`_upgrade` turns into this
+    version's once the log is read; its ``version`` stays the base line's
+    until then.
     """
     if line.get("format") != CHECKPOINT_KIND:
         raise CheckpointError(
@@ -701,13 +698,13 @@ def _fold(
     # A version-2 file is a version-3 base line with nothing after it, a
     # version-3 line is a version-4 line without a value table, and a
     # version-4 line is a version-5 line with the byte-model fields.
-    if version not in (3, 4, CHECKPOINT_FORMAT_VERSION) and (
+    if version not in (3, 4, 5, CHECKPOINT_FORMAT_VERSION) and (
         version != 2 or folded is not None
     ):
         raise CheckpointError(
             f"unsupported {CHECKPOINT_KIND} version {version!r} (this reader "
-            f"understands version {CHECKPOINT_FORMAT_VERSION}, version-3 and "
-            "version-4 logs and version-2 files)"
+            f"understands version {CHECKPOINT_FORMAT_VERSION}, version-3 to "
+            "version-5 logs and version-2 files)"
         )
     inherited = len(line["pass"]["unverified"])
     if inherited:
@@ -719,31 +716,54 @@ def _fold(
     marks = line.pop("marks", None)
     if (marks is None) != (folded is None):
         raise CheckpointError("a log is one full snapshot, then segments only")
-    line["version"] = CHECKPOINT_FORMAT_VERSION
+    legacy = version < CHECKPOINT_FORMAT_VERSION
+    delta = line["pass"]
     if folded is None:
-        _resolve(line, values)
+        if not legacy:
+            _check_links(delta["stores"], [0] * len(delta["stores"]), len(delta["steps"]))
+        _resolve(line, values, legacy)
         return line
+    if legacy != (folded["version"] < CHECKPOINT_FORMAT_VERSION):
+        raise CheckpointError(
+            f"a version-{version} segment cannot continue a version-"
+            f"{folded['version']} log: a log is one version family"
+        )
+    line["version"] = folded["version"]
     if line["fingerprint"] != folded["fingerprint"]:
         raise CheckpointError("segment of another run (its fingerprint differs)")
-    data, delta = folded["pass"], line["pass"]
+    data = folded["pass"]
     messages = data["network"]["messages"]
     held = {
         "round": data["round_number"],
         "stores": [[node, len(store["records"])] for node, store in data["stores"]],
         "messages": len(messages),
     }
+    if not legacy:
+        held["steps"] = len(data["steps"])
     cursors = delta["network"].pop("cursors")
     if marks != held or len(cursors) != len(messages):
         raise CheckpointError(
             f"segment built against {marks} but the log holds {held}: "
             "a gap, a duplicate or another writer"
         )
-    _resolve(line, values)
+    if legacy:
+        links_key, discarded_key = "predecessors", "discarded"
+    else:
+        links_key, discarded_key = LINKS, DISCARDED
+        steps = data["steps"]
+        _check_links(
+            delta["stores"],
+            [size for _node, size in held["stores"]],
+            len(steps) + len(delta["steps"]),
+        )
+        steps += delta["steps"]
+        delta["steps"] = steps
+    _resolve(line, values, legacy)
     for (_, store), (_, gained) in zip(data["stores"], delta["stores"]):
         records = store["records"]
         for index, links, discarded in gained.pop("grown"):
-            records[index]["predecessors"] += links
-            records[index]["discarded"] = discarded
+            records[index][links_key] += links
+            records[index][discarded_key] = discarded
         records += gained["records"]
         gained["records"] = records
     for row, (cursor, deferred) in zip(messages, cursors):
@@ -760,29 +780,132 @@ def _fold(
     return line
 
 
-def _resolve(line: Dict[str, Any], values: Dict[int, Any]) -> None:
+def _check_links(stores: List[Any], held: List[int], steps: int) -> None:
+    """Refuse a line whose link rows do not point into the log: per store,
+    the line's new records and ``grown`` rows (which only older records
+    get) against the ``held`` records before it and the ``steps`` the log
+    defines with it."""
+    for (node, store), size in zip(stores, held):
+        lists = [row[LINKS] for row in store["records"]]
+        for index, links, _discarded in store.get("grown", ()):
+            if not 0 <= index < size:
+                raise CheckpointError(
+                    f"node {node}: a grown row names record {index}, but the "
+                    f"log holds {size}"
+                )
+            lists.append(links)
+        size += len(store["records"])
+        for links in lists:
+            if len(links) % 2:
+                raise CheckpointError(
+                    f"node {node}: a link list of odd length {len(links)}"
+                )
+        pairs = [item for links in lists for item in links]
+        if not pairs:
+            continue
+        prevs, ids = pairs[::2], pairs[1::2]
+        if min(prevs) < -1 or max(prevs) >= size:
+            raise CheckpointError(
+                f"node {node}: a link names predecessor {max(prevs)} beyond "
+                f"its store of {size} records"
+            )
+        if min(ids) < 0 or max(ids) >= steps:
+            raise CheckpointError(
+                f"node {node}: a link names step {max(ids)}, but the log "
+                f"defines {steps} steps"
+            )
+
+
+def _resolve(line: Dict[str, Any], values: Dict[int, Any], legacy: bool) -> None:
     """Define the line's value rows, then replace its references — record
-    states, link event payloads, ``I+`` messages — by the rows, in place."""
+    states, step event payloads (a ``legacy`` line's link event payloads),
+    ``I+`` messages — by the rows, in place."""
     rows = line.pop("values", None)
     if rows is None:
         return
     resolve_rows(rows, values)
-
-    def links(encoded: List[Dict[str, Any]]) -> None:
-        for link in encoded:
-            event = link["event"]
-            if "payload" in event:
-                event["payload"] = resolve_ref(event["payload"], values)
-
     data = line["pass"]
+    state = "state" if legacy else STATE
+    events = [step[0] for step in data.get("steps", ())]
     for _, store in data["stores"]:
         for record in store["records"]:
-            record["state"] = resolve_ref(record["state"], values)
-            links(record["predecessors"])
-        for _, gained, _ in store.get("grown", ()):
-            links(gained)
+            record[state] = resolve_ref(record[state], values)
+            if legacy:
+                events += [link["event"] for link in record["predecessors"]]
+        if legacy:
+            for _, gained, _ in store.get("grown", ()):
+                events += [link["event"] for link in gained]
+    for event in events:
+        if "payload" in event:
+            event["payload"] = resolve_ref(event["payload"], values)
     for row in data["network"]["messages"]:
         row["message"] = resolve_ref(row["message"], values)
+
+
+def _history_mask(rows: List[int], bits: Dict[int, int]) -> int:
+    """A version-5 history — the sorted hash of each first-copy bit and
+    token ``-(seq + 1)`` of each other copy's — as a mask, through the
+    ``I+`` log's hash to bit map; a hash ``I+`` does not hold raises
+    ``KeyError``."""
+    mask = 0
+    for entry in rows:
+        mask |= 1 << (-entry - 1 if entry < 0 else bits[entry])
+    return mask
+
+
+def _upgrade(payload: Dict[str, Any]) -> None:
+    """A payload folded from version-2 to -5 lines, in this version's shape.
+
+    Those versions wrote each link as a dict naming its predecessor by hash
+    and carrying its step's event and hashes, each history as the sorted
+    entries of :func:`_history_mask`, and each orbit key as ``[node, hash]``
+    rows.  Steps are numbered in the order the stores' links first name
+    them — the order restoring such a log always interned them — and the
+    histories become masks through the folded ``I+`` log.
+    """
+    data = payload["pass"]
+    bits: Dict[int, int] = {}
+    for seq, row in enumerate(data["network"]["messages"]):
+        bits.setdefault(row["hash"], seq)
+    steps: List[List[Any]] = []
+    ids: Dict[tuple, int] = {}
+    for _node, store in data["stores"]:
+        index = {record["hash"]: at for at, record in enumerate(store["records"])}
+        rows = []
+        for record in store["records"]:
+            links: List[int] = []
+            for link in record["predecessors"]:
+                generated = link["generated_hashes"]
+                key = (link["event_hash"], link["consumed_hash"], tuple(generated))
+                if key not in ids:
+                    ids[key] = len(steps)
+                    steps.append([link["event"], key[0], key[1], generated])
+                prev = link["prev_hash"]
+                links += (-1 if prev is None else index[prev], ids[key])
+            rows.append(
+                [
+                    record["state"],
+                    record["hash"],
+                    record["depth"],
+                    record["local_depth"],
+                    format(_history_mask(record["history"], bits), "x"),
+                    record["crashes"],
+                    record["crashed"],
+                    record["seed"],
+                    record["discarded"],
+                    links,
+                ]
+            )
+        store["records"] = rows
+    data["steps"] = steps
+    symmetry = data["symmetry"]
+    if symmetry is not None:
+        nodes = sorted(node for node, _state in payload["initial_system"])
+        if any([node for node, _hash in key] != nodes for key in symmetry["seen"]):
+            raise CheckpointError("an orbit key does not list the pass's nodes")
+        symmetry["nodes"] = nodes
+        symmetry["seen"] = [[digest for _node, digest in key] for key in symmetry["seen"]]
+    payload["version"] = CHECKPOINT_FORMAT_VERSION
 
 
 def load_checkpoint(path: str) -> Dict[str, Any]:
@@ -792,7 +915,8 @@ def load_checkpoint(path: str) -> Dict[str, Any]:
     line may be unterminated or unparseable — the kill-mid-append case,
     dropped — anything wrong earlier, or wrong in a line that did parse, is
     a :class:`CheckpointError` naming the line, and a path that cannot be
-    opened one naming the path.
+    opened one naming the path.  An older version's log is upgraded to this
+    version's shape once it is folded (:func:`_upgrade`).
 
     The payload's model values are resolved value-table rows: one JSON
     object per distinct value, shared wherever the value recurs, so callers
@@ -823,12 +947,19 @@ def load_checkpoint(path: str) -> Dict[str, Any]:
                 folded = _fold(folded, line, values)
             except CheckpointError as exc:
                 raise CheckpointError(f"{path}:{number}: {exc}") from None
-            except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+            except _MALFORMED as exc:
                 raise CheckpointError(
                     f"{path}:{number}: malformed line ({exc!r})"
                 ) from None
     if folded is None:
         raise CheckpointError(torn or f"{path}: empty file")
+    if folded["version"] != CHECKPOINT_FORMAT_VERSION:
+        try:
+            _upgrade(folded)
+        except CheckpointError as exc:
+            raise CheckpointError(f"{path}: {exc}") from None
+        except _MALFORMED as exc:
+            raise CheckpointError(f"{path}: malformed log ({exc!r})") from None
     return folded
 
 

@@ -58,7 +58,16 @@ class FifoState:
 
 
 class FifoStampedProtocol(Protocol):
-    """Per-channel FIFO semantics layered over any protocol."""
+    """Per-channel FIFO semantics layered over any protocol.
+
+    Of the optional hooks, only the crash pair is forwarded: a crash keeps
+    what the inner protocol's ``durable_state`` keeps, and a restart boots
+    the inner ``restart_state`` with fresh channel counters, since a crash
+    resets the connection.  Drops stay oblivious (no ``handle_drop``): TCP
+    retransmits, so a wrapped protocol never sees a loss.  Symmetry and
+    coverage are not forwarded either: every payload is a :class:`Stamped`,
+    which the inner declarations do not describe.
+    """
 
     def __init__(self, inner: Protocol, mode: str = "reject"):
         if mode not in ("reject", "reassemble"):
@@ -81,6 +90,12 @@ class FifoStampedProtocol(Protocol):
     def handle_action(self, state: FifoState, action: Action) -> HandlerResult:
         result = self.inner.handle_action(state.inner, action)
         return self._wrap_result(state, result)
+
+    def durable_state(self, node: NodeId, state: FifoState) -> Any:
+        return self.inner.durable_state(node, state.inner)
+
+    def restart_state(self, node: NodeId, durable: Any) -> FifoState:
+        return FifoState(inner=self.inner.restart_state(node, durable))
 
     def handle_message(self, state: FifoState, message: Message) -> HandlerResult:
         payload = message.payload

@@ -2,8 +2,11 @@
 
 Each suite runs the checker in two configurations that must be
 observationally identical: the same counters, verdicts and witnesses.
+Checkpoint payloads of two runs compare through :func:`without_clocks`
+and :func:`renumber_steps`.
 """
 
+from repro.core.checkpoint import LINKS
 from repro.protocols.onepaxos import OnePaxosAgreement
 from repro.protocols.onepaxos import scenarios as onepaxos_scenarios
 from repro.protocols.paxos import PaxosAgreement
@@ -36,6 +39,50 @@ def observable(result, prefixes=WALL_CLOCK_PREFIXES, keys=frozenset()):
         "bugs": [bug.description for bug in result.bugs],
         "traces": [bug.trace_lines() for bug in result.bugs],
     }
+
+
+def without_clocks(value):
+    """A checkpoint payload minus what depends on the wall clock or the
+    process (a depth series row keeps its depth and metrics)."""
+    if isinstance(value, dict):
+        return {
+            key: (
+                [[depth, without_clocks(metrics)] for depth, _elapsed, metrics in item]
+                if key == "series"
+                else without_clocks(item)
+            )
+            for key, item in value.items()
+            if key not in ("elapsed_s", "phase_seconds", "rss_bytes")
+            and not key.startswith("phase_")
+        }
+    if isinstance(value, list):
+        return [without_clocks(item) for item in value]
+    return value
+
+
+def renumber_steps(payload):
+    """``payload`` with its step table in the order the stores' links first
+    name the steps, every link renumbered to match, in place.
+
+    A run numbers its steps in the order it met them; upgrading a
+    version-5 log numbers them in link order, since that log kept no step
+    ids.  Steps no link names keep their order, after the rest.
+    """
+    data = payload["pass"]
+    order = {}
+    for _node, store in data["stores"]:
+        for row in store["records"]:
+            for step in row[LINKS][1::2]:
+                order.setdefault(step, len(order))
+    for step in range(len(data["steps"])):
+        order.setdefault(step, len(order))
+    for _node, store in data["stores"]:
+        for row in store["records"]:
+            row[LINKS][1::2] = [order[step] for step in row[LINKS][1::2]]
+    steps = list(data["steps"])
+    for step, renumbered in order.items():
+        data["steps"][renumbered] = steps[step]
+    return payload
 
 
 def paxos_s55():

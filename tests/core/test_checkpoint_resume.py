@@ -37,6 +37,7 @@ import sys
 import threading
 import time
 from functools import partial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -47,6 +48,9 @@ from repro.core import checker as checker_module
 from repro.core import checkpoint as checkpoint_module
 from repro.core.checker import LocalModelChecker
 from repro.core.checkpoint import (
+    CHECKPOINT_FORMAT_VERSION,
+    HISTORY,
+    LINKS,
     CheckpointError,
     CheckpointMismatch,
     Checkpointer,
@@ -62,7 +66,12 @@ from repro.model.hashing import content_hash
 from repro.obs.registry import RunRegistry
 from repro.protocols.paxos import PaxosAgreement, PaxosAgreementAll, PaxosProtocol
 from repro.protocols.paxos.scenarios import partial_choice_state, scenario_protocol
-from tests.core.equivalence import CACHE_ONLY_KEYS, observable
+from tests.core.equivalence import (
+    CACHE_ONLY_KEYS,
+    observable,
+    renumber_steps,
+    without_clocks,
+)
 
 #: The cache-hit counters a restored run rebuilds cold.
 _observable = partial(observable, keys=CACHE_ONLY_KEYS)
@@ -79,6 +88,25 @@ CONFIGS = {
     "gen_sym": ("general", {"symmetry_reduction": True}),
     "opt_explore": ("optimized", {"explore_workers": 2}),
 }
+
+
+#: A version-5 log of ``_legacy_checker(3)``, one write per round, as the
+#: commit before version 6 wrote it: segments with ``grown`` rows, value
+#: rows and orbit keys (crash faults are on because symmetric LMC-GEN alone
+#: grows no older record at this depth).
+LEGACY_LOG = Path(__file__).parent / "golden" / "parent_log_v5.json"
+
+
+def _legacy_checker(depth, checkpointer=None):
+    """Single-proposal Paxos, LMC-GEN with symmetry reduction and crash
+    faults: the run ``LEGACY_LOG`` is a log of."""
+    return LocalModelChecker(
+        PaxosProtocol(num_nodes=3, proposals=((0, 0, "v0"),)),
+        PaxosAgreement(0),
+        SearchBudget(max_depth=depth),
+        LMCConfig.general(symmetry_reduction=True, fault_events_enabled=True),
+        checkpointer=checkpointer,
+    )
 
 
 def _checker(variant, depth, checkpointer=None):
@@ -568,9 +596,7 @@ class TestRefusals:
         restoring it fails as a CheckpointError, and the CLI exits 2 with
         the run marked failed instead of printing a traceback."""
         payload = self._completed_checkpoint(tmp_path)
-        records = [row for _node, store in payload["pass"]["stores"] for row in store["records"]]
-        linked = next(row for row in records if row["predecessors"])
-        linked["predecessors"][0]["event"]["kind"] = "bogus"
+        payload["pass"]["steps"][0][0]["kind"] = "bogus"
         bad = str(tmp_path / "bad.json")
         save_checkpoint(bad, payload)
         with pytest.raises(CheckpointError, match="unknown event kind 'bogus'"):
@@ -583,12 +609,9 @@ class TestRefusals:
         assert RunRegistry(root).latest().status() == "failed"
 
     def test_load_refuses_foreign_format_and_version(self, tmp_path):
-        path = str(tmp_path / "done.json")
-        _checker("opt", 4, checkpointer=Checkpointer(path)).run()
-        with open(path) as handle:
-            envelope = json.load(handle)
-
-        # Version 2 wrote the same object, alone and unterminated: still read.
+        # Version 2 wrote a base line alone and unterminated: still read.
+        base = _lines(LEGACY_LOG)[0]
+        path, envelope = _write(tmp_path / "base.json", [base]), json.loads(base)
         envelope["version"] = 2
         legacy = str(tmp_path / "legacy.json")
         with open(legacy, "w") as handle:
@@ -823,35 +846,32 @@ class TestValueTable:
     def test_a_version_3_log_folds_as_before(self, tmp_path):
         """Version 3 wrote model values inline and the whole seen-orbit set
         in every segment; such a log must fold to the same payload."""
-        path = str(tmp_path / "v4.json")
-        _checker("gen_sym", 3, checkpointer=Checkpointer(path, every_rounds=1)).run()
-        lines, values, legacy = _lines(path), {}, []
+        lines, values, legacy = _lines(LEGACY_LOG), {}, []
         for number, raw in enumerate(lines, 1):
             line = json.loads(raw)
-            checkpoint_module._resolve(line, values)
+            checkpoint_module._resolve(line, values, legacy=True)
             prefix = _write(tmp_path / "prefix.json", lines[:number])
-            line["pass"]["symmetry"]["seen"] = load_checkpoint(prefix)["pass"]["symmetry"]["seen"]
+            seen = load_checkpoint(prefix)["pass"]["symmetry"]["seen"]
+            line["pass"]["symmetry"]["seen"] = [list(zip((0, 1, 2), key)) for key in seen]
             line["version"] = 3
             legacy.append(json.dumps(line, sort_keys=True).encode() + b"\n")
         assert len(legacy) > 2
         v3 = _write(tmp_path / "v3.json", legacy)
-        assert load_checkpoint(v3) == load_checkpoint(path)
+        assert load_checkpoint(v3) == load_checkpoint(str(LEGACY_LOG))
 
     def test_a_version_4_log_folds_as_before(self, tmp_path):
         """Version 4 lines also carried the retired byte model's totals,
         which no reader reads (the parent-written version-2 envelopes of
         ``test_event_pipeline_golden.py`` resume and extend with all of
         its fields); its segments list only new orbit keys, like 5's."""
-        path = str(tmp_path / "v5.json")
-        _checker("gen_sym", 3, checkpointer=Checkpointer(path, every_rounds=1)).run()
         legacy = []
-        for raw in _lines(path):
+        for raw in _lines(LEGACY_LOG):
             line = json.loads(raw)
             line["version"], line["pass"]["retained_bytes"] = 4, 0
             legacy.append(json.dumps(line).encode() + b"\n")
         v4 = load_checkpoint(_write(tmp_path / "v4.json", legacy))
         assert len(legacy) > 2 and v4["pass"].pop("retained_bytes") == 0
-        assert v4 == load_checkpoint(path)
+        assert v4 == load_checkpoint(str(LEGACY_LOG))
 
     def test_a_reference_no_row_defines_names_its_line(self, paxos2, tmp_path):
         lines = _lines(paxos2)
@@ -898,3 +918,126 @@ class TestValueTable:
         assert flaky["pass_completed"]
         for family in ("round_number", "stores", "network", "symmetry"):
             assert flaky["pass"][family] == reference["pass"][family]
+
+
+class TestVersion6:
+    """Record rows, link rows over the step table, and the older logs
+    upgraded to them (docs/CHECKPOINTS.md)."""
+
+    @pytest.fixture(scope="class")
+    def current(self, tmp_path_factory):
+        """The version-6 log of the run ``LEGACY_LOG`` was written by."""
+        path = str(tmp_path_factory.mktemp("v6") / "current.json")
+        _legacy_checker(3, Checkpointer(path, every_rounds=1)).run()
+        return path
+
+    def test_the_legacy_log_holds_every_appended_family(self):
+        lines = [json.loads(line) for line in _lines(LEGACY_LOG)]
+        assert len(lines) > 2 and {line["version"] for line in lines} == {5}
+        segments = [line["pass"] for line in lines[1:]]
+        assert any(store["grown"] for data in segments for _node, store in data["stores"])
+        assert sum(1 for line in lines[1:] if line["values"]) > 1
+        assert sum(1 for data in segments if data["symmetry"]["seen"]) > 1
+
+    def test_a_version_5_log_loads_as_the_version_6_log_of_its_run(self, current):
+        legacy, written = load_checkpoint(str(LEGACY_LOG)), load_checkpoint(current)
+        assert legacy["version"] == written["version"] == CHECKPOINT_FORMAT_VERSION
+        assert len(_lines(current)) == len(_lines(LEGACY_LOG))
+        # Version 5 kept no step ids: the upgrade numbers the steps as the
+        # links name them, the run as it met them.
+        assert renumber_steps(without_clocks(legacy)) == renumber_steps(
+            without_clocks(written)
+        )
+
+    def test_a_version_5_log_resumes_and_extends_as_the_version_6_log(
+        self, current, tmp_path
+    ):
+        reference = _observable(_legacy_checker(3).run())
+        deeper = _observable(_legacy_checker(4).run())
+        for path in (str(LEGACY_LOG), current):
+            mid_run = load_checkpoint(_write(tmp_path / "mid.json", _lines(path)[:2]))
+            assert not mid_run["pass_completed"]
+            assert _observable(_legacy_checker(3).resume(mid_run)) == reference
+            extended = _legacy_checker(4).extend_depth(load_checkpoint(path))
+            assert _observable(extended) == deeper
+
+    def test_every_line_defines_its_new_steps_once(self, current):
+        lines = [json.loads(line) for line in _lines(current)]
+        defined = [step[1:] for line in lines for step in line["pass"]["steps"]]
+        assert len(defined) == len({json.dumps(step) for step in defined})
+        assert sum(1 for line in lines[1:] if line["pass"]["steps"]) > 1
+        assert [line["marks"]["steps"] for line in lines[1:]] == [
+            sum(len(line["pass"]["steps"]) for line in lines[:number])
+            for number in range(1, len(lines))
+        ]
+
+    def _refused(self, path, tmp_path, number, edit, reason):
+        """Edit line ``number`` of the log at ``path``; loading must fail
+        naming that line and ``reason``."""
+        lines = _lines(path)
+        line = json.loads(lines[number - 1])
+        edit(line)
+        lines[number - 1] = json.dumps(line).encode() + b"\n"
+        with pytest.raises(CheckpointError, match=rf"hostile\.json:{number}: .*{reason}"):
+            load_checkpoint(_write(tmp_path / "hostile.json", lines))
+
+    def test_a_link_row_pointing_outside_the_log_names_its_line(self, current, tmp_path):
+        lines = [json.loads(line) for line in _lines(current)]
+        steps = sum(len(line["pass"]["steps"]) for line in lines)
+
+        def first_linked(line):
+            """The line's first record row with links, and the size of its
+            store once the line is read; ``None`` if no row has links."""
+            held = dict(line.get("marks", {}).get("stores", []))
+            for node, store in line["pass"]["stores"]:
+                for row in store["records"]:
+                    if row[LINKS]:
+                        return row, held.get(node, 0) + len(store["records"])
+            return None
+
+        def undefined_step(row, _size):
+            row[LINKS][1] = steps
+
+        def beyond_the_store(row, size):
+            row[LINKS][0] = size
+
+        def odd_length(row, _size):
+            row[LINKS].append(0)
+
+        segment = next(number for number, line in enumerate(lines[1:], 2) if first_linked(line))
+        for number, edit, reason in (
+            (1, undefined_step, f"names step {steps}, but"),
+            (segment, undefined_step, f"names step {steps}, but"),
+            (segment, beyond_the_store, "beyond its store"),
+            (segment, odd_length, "odd length"),
+        ):
+            self._refused(
+                current, tmp_path, number, lambda line: edit(*first_linked(line)), reason
+            )
+
+    def test_a_version_6_segment_after_an_older_base_names_its_line(
+        self, current, tmp_path
+    ):
+        mixed = [_lines(LEGACY_LOG)[0], *_lines(current)[1:]]
+        with pytest.raises(CheckpointError, match=r"mixed\.json:2: .*one version family"):
+            load_checkpoint(_write(tmp_path / "mixed.json", mixed))
+        mixed = [_lines(current)[0], *_lines(LEGACY_LOG)[1:]]
+        with pytest.raises(CheckpointError, match=r"mixed\.json:2: .*one version family"):
+            load_checkpoint(_write(tmp_path / "mixed.json", mixed))
+
+    def test_a_history_mask_past_the_json_int_limit_round_trips(self, tmp_path):
+        """A decimal int of more than 4,300 digits makes ``json`` raise; the
+        hex mask of a history over 15,000 ``I+`` copies is a string."""
+        path = str(tmp_path / "done.json")
+        _checker("opt", 3, checkpointer=Checkpointer(path)).run()
+        _stats, _result, run_pass = _checker("opt", 3)._restore(load_checkpoint(path))
+        record = run_pass.space.store(1).records[-1]
+        record.history |= 1 << 15001
+        huge = str(tmp_path / "huge.json")
+        save_checkpoint(huge, snapshot_pass(run_pass, "huge", pass_completed=True))
+        payload = load_checkpoint(huge)
+        assert payload["pass"]["stores"][1][1]["records"][-1][HISTORY] == format(
+            record.history, "x"
+        )
+        _stats, _result, restored = _checker("opt", 3)._restore(payload)
+        assert restored.space.store(1).records[-1].history == record.history > 2**15000

@@ -6,9 +6,9 @@ import pytest
 
 from repro.core import checker as checker_module
 from repro.core.checkpoint import (
+    HISTORY,
     Checkpointer,
     _history_mask,
-    _history_rows,
     load_checkpoint,
     snapshot_pass,
 )
@@ -148,19 +148,17 @@ class TestHistoryMasks:
         assert gate_drop(_pass(), delivered, copy) is SKIP
         token = _record(1 << first.bit | 1 << copy.seq)
         assert gate_delivery(_pass(), token, copy) is SEEN
-        assert _history_rows(token.history, network.messages_since(0)) == sorted(
-            [first.hash, -(copy.seq + 1)]
-        )
 
-    def test_rows_round_trip_and_an_unknown_hash_raises(self):
+    def test_version_5_rows_become_the_mask_and_an_unknown_hash_raises(self):
+        """Version 5 wrote a history as the sorted hashes of its first-copy
+        bits and a ``-(seq + 1)`` token per other copy; upgrading a log
+        turns them back into the mask through its ``I+`` log."""
         network = MonotonicNetwork(duplicate_limit=1)
         stored = [network.add(Message(dest=1, src=0, payload=p)) for p in "abca"]
         stored[3].duplicate = True
-        log = network.messages_since(0)
-        bits = {item.hash: item.bit for item in log}
+        bits = {item.hash: item.bit for item in network.messages_since(0)}
         mask = 1 << stored[2].bit | 1 << stored[0].bit | 1 << stored[3].seq
-        rows = _history_rows(mask, log)
-        assert rows == sorted([stored[0].hash, stored[2].hash, -4])
+        rows = sorted([stored[0].hash, stored[2].hash, -4])
         assert _history_mask(rows, bits) == mask
         with pytest.raises(KeyError):
             _history_mask([content_hash("never sent")], bits)
@@ -187,24 +185,31 @@ class TestHistoryMasks:
                     rebooted += 1
         assert rebooted and inherited
 
-    def test_a_checkpoint_round_trip_writes_the_same_sorted_rows(self, tmp_path):
+    def test_a_checkpoint_round_trip_writes_the_same_masks(self, tmp_path):
         # Its duplicate copies leave per-copy tokens in some histories.
         case = "relay_assert_discard"
         path = str(tmp_path / "ckpt.json")
         _checker(case, 0, 3, Checkpointer(path, every_rounds=1)).run()
         payload = load_checkpoint(path)
         rows = [
-            row["history"]
+            row[HISTORY]
             for _node, store in payload["pass"]["stores"]
             for row in store["records"]
         ]
-        assert all(history == sorted(history) for history in rows)
-        assert any(entry < 0 for history in rows for entry in history)
-        assert any(entry >= 0 for history in rows for entry in history)
+        masks = [int(history, 16) for history in rows]
+        assert rows == [format(mask, "x") for mask in masks]
+        copies = [
+            seq
+            for seq, row in enumerate(payload["pass"]["network"]["messages"])
+            if row["duplicate"]
+        ]
+        assert any(mask >> seq & 1 for mask in masks for seq in copies)
+        assert any(mask >> seq & 1 for mask in masks for seq in range(mask.bit_length())
+                   if seq not in copies)
         _stats, _result, restored = _checker(case, 0, 3)._restore(payload)
         again = snapshot_pass(restored, "round trip", elapsed=payload["elapsed_s"])
         assert [
-            row["history"]
+            row[HISTORY]
             for _node, store in again["pass"]["stores"]
             for row in store["records"]
         ] == rows

@@ -5,8 +5,10 @@ import pytest
 from repro.core.checker import LocalModelChecker
 from repro.explore.global_checker import GlobalModelChecker
 from repro.invariants.base import PredicateInvariant
-from repro.model.types import Action, Message
+from repro.model.events import CrashEvent, RestartEvent
+from repro.model.types import Action, CrashedState, Message
 from repro.protocols.echo import EchoProtocol, PongsImplyPing
+from repro.protocols.paxos import PaxosProtocol
 from repro.protocols.fifo_wrapper import (
     FifoStampedProtocol,
     Stamped,
@@ -97,6 +99,27 @@ class TestWrapperMechanics:
         inner = unwrap_system_state(system)
         assert inner.get(0).node == 0
         assert inner.get(1).received == ()
+
+
+    def test_a_crash_and_restart_keep_a_wrapped_acceptors_promises(self):
+        """The crash hooks reach the inner protocol: a restarted Paxos
+        acceptor still holds its promise, and its channel counters start
+        over, as a reset connection's do."""
+        wrapped = FifoStampedProtocol(PaxosProtocol(num_nodes=3, proposals=((0, 0, "v0"),)))
+        proposer, sends = wrapped.initial_state(0), []
+        while wrapped.enabled_actions(proposer):
+            result = wrapped.handle_action(proposer, wrapped.enabled_actions(proposer)[0])
+            proposer, sends = result.state, sends + list(result.sends)
+        (prepare,) = [message for message in sends if message.dest == 1]
+        acceptor = wrapped.handle_message(wrapped.initial_state(1), prepare).state
+        assert acceptor.inner.acceptors and acceptor.delivered
+
+        crashed = wrapped.execute(acceptor, CrashEvent(1)).state
+        assert isinstance(crashed, CrashedState)
+        assert crashed.durable == acceptor.inner.acceptors
+        restarted = wrapped.execute(crashed, RestartEvent(1)).state
+        assert restarted.inner.acceptors == acceptor.inner.acceptors
+        assert (restarted.next_seq, restarted.delivered, restarted.stash) == ((), (), ())
 
 
 class TestStateSpaceSavings:

@@ -9,7 +9,8 @@ The end-to-end kill story, exercised exactly as an operator would hit it:
    wait (via the run registry) until it has written a mid-run checkpoint,
    and SIGKILL the pid from ``meta.json`` — no warning, no handler; the
    file left behind must be a log of at least two lines, each whole line
-   carrying a ``values`` table and no value defined in two lines;
+   carrying a ``values`` table and a ``steps`` table, and no value or step
+   defined in two lines;
 3. ``repro resume <run_id>`` and assert the resumed run's final counters
    match the reference byte-for-byte.
 
@@ -86,11 +87,12 @@ def _counters(stdout):
     return picked
 
 
-def _value_table_failures(lines):
-    """What is wrong with the log's content-addressed value rows: every
-    whole line must carry a ``values`` table, and no value may be defined
-    in two lines.  A torn last line is what the loader drops, so it is
-    skipped."""
+def _table_failures(lines):
+    """What is wrong with the log's tables: every whole line must carry a
+    ``values`` table of content-addressed value rows and a ``steps`` table
+    of the steps its links name first, and no value and no step — keyed by
+    its event, consumed and generated hashes — may be defined in two
+    lines.  A torn last line is what the loader drops, so it is skipped."""
     failures = []
     defined = {}
     for number, raw in enumerate(lines, 1):
@@ -100,16 +102,19 @@ def _value_table_failures(lines):
             if number < len(lines):
                 failures.append(f"checkpoint line {number} does not parse")
             continue
-        if "values" not in line:
-            failures.append(f"checkpoint line {number} has no value table")
-            continue
-        for value, _row in line["values"]:
-            if value in defined:
+        steps = line.get("pass", {}).get("steps")
+        for name, table in (("value", line.get("values")), ("step", steps)):
+            if table is None:
+                failures.append(f"checkpoint line {number} has no {name} table")
+        keys = [("value", value) for value, _row in line.get("values") or ()]
+        keys += [("step", json.dumps(step[1:])) for step in steps or ()]
+        for key in keys:
+            if key in defined:
                 failures.append(
-                    f"value {value} is defined in checkpoint lines "
-                    f"{defined[value]} and {number}"
+                    f"{key[0]} {key[1]} is defined in checkpoint lines "
+                    f"{defined[key]} and {number}"
                 )
-            defined.setdefault(value, number)
+            defined.setdefault(key, number)
     return failures
 
 
@@ -198,7 +203,7 @@ def main(argv=None):
         log_lines = len(lines)
         if log_lines < 2:
             failures.append(f"killed run's checkpoint has {log_lines} line(s)")
-        failures.extend(_value_table_failures(lines))
+        failures.extend(_table_failures(lines))
 
     # 3. Resume and compare counters.
     resumed = None
