@@ -67,6 +67,7 @@ from array import array
 from typing import Any, Dict, List, Optional
 
 from repro.core.event_kinds import CURSOR_SWEEPS, DELIVERY_SWEEP, Cursor
+from repro.core.records import LINK_WIDTH
 from repro.fsio import append_text, atomic_write_text
 from repro.model.hashing import content_hash
 from repro.persistence import (
@@ -240,10 +241,10 @@ def apply_stats(stats: ExplorationStats, encoded: Dict[str, Any]) -> None:
 class _Marks:
     """What a checkpoint log already holds of one pass.
 
-    The starting point of the pass's next segment: per store the records
-    and link rows written and the indexes of the records written discarded
-    — links and the discard flag are the only two things a record changes
-    after it is stored, and a record's later links sit at higher offsets —
+    The starting point of the pass's next segment: per store the records,
+    link rows and discards written — links and the discard flag are the
+    only two things a record changes after it is stored, a record's later
+    links sit at higher offsets and a store lists its discards in order —
     plus the ``I+`` high-water mark, the steps of the step table written,
     the round of the write, the hashes of the value rows the log defines
     and the seen orbit keys it lists.  The pass fingerprint rides along
@@ -262,11 +263,7 @@ class _Marks:
         self.seen = None if pass_._symmetry is None else set(pass_._symmetry._seen)
         self.round = pass_.round_number
         self.stores = {
-            node: (
-                len(store.records),
-                len(store.links),
-                {record.index for record in store.records if record.discarded},
-            )
+            node: (len(store.records), len(store.links), len(store.discards))
             for node, store in pass_.space.stores.items()
         }
         self.messages = pass_.network.high_water
@@ -314,18 +311,26 @@ def _record_row(store: Any, record: Any, table: ValueTable) -> List[Any]:
 
 def _encode_store(store: Any, written: Optional[tuple], table: ValueTable) -> Dict[str, Any]:
     """One ``LS_n``: the records the log lacks and, for a segment, what the
-    ``written`` ones gained — ``[index, new links, discarded]`` rows."""
-    held, links_held, discarded = written or (0, 0, ())
+    ``written`` ones gained — ``[index, new links, discarded]`` rows, in
+    index order.  Only the owners of the link rows and the discards since
+    ``written`` are visited, so a segment costs what changed."""
+    held, links_held, discards_held = written or (0, 0, 0)
     encoded = {
         "version": store.version,
         "records": [_record_row(store, record, table) for record in store.records[held:]],
     }
     if written is not None:
-        encoded["grown"] = []
-        for record in store.records[:held]:
-            links = _link_row(store, record, links_held)
-            if links or (record.discarded and record.index not in discarded):
-                encoded["grown"].append([record.index, links, record.discarded])
+        changed = {
+            index
+            for index in store.owners[links_held // LINK_WIDTH :]
+            if index < held
+        }
+        changed.update(index for index in store.discards[discards_held:] if index < held)
+        records = store.records
+        encoded["grown"] = [
+            [index, _link_row(store, records[index], links_held), records[index].discarded]
+            for index in sorted(changed)
+        ]
     return encoded
 
 

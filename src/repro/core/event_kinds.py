@@ -113,14 +113,18 @@ def execute(protocol: Any, row: "EventKind", record: Any, subject: Any) -> Any:
     # The successor and sends are kept as the interner's canonical objects,
     # so records and ``I+`` share every equal sub-value.
     state, state_hash = canonical_and_hash(result.state)
-    sends = [canonical_and_hash(message) for message in result.sends]
+    sends, send_hashes = [], []
+    for message in result.sends:
+        message, message_hash = canonical_and_hash(message)
+        sends.append(message)
+        send_hashes.append(message_hash)
     return Transition(
         event,
         event_hash(event) if ehash is None else ehash,
         state,
         state_hash,
-        tuple([send[0] for send in sends]),
-        tuple([send[1] for send in sends]),
+        tuple(sends),
+        tuple(send_hashes),
     )
 
 

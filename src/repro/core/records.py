@@ -179,6 +179,7 @@ class NodeStateRecord:
             link = links[link + 2]
         link = len(links)
         links.extend((prev, step, -1))
+        store.owners.append(self.index)
         if last < 0:
             self.first_link = link
         else:
@@ -208,6 +209,9 @@ class NodeStateStore:
         #: Link rows: predecessor index (-1: none), step id, offset of the
         #: same record's next link (-1: last).
         self.links = array("q")
+        #: The record index of each link row, in row order: the records a
+        #: checkpoint segment must revisit are the owners of its new rows.
+        self.owners = array("q")
         #: The step table link rows name (shared by a space's stores).
         self.steps = StepTable() if steps is None else steps
         #: Structural version: bumped when a record is added and — via
@@ -216,7 +220,9 @@ class NodeStateStore:
         #: memo on this, so a memoised path enumeration is reused exactly
         #: until the predecessor DAG could have changed.
         self.version = 0
-        self._discards = 0
+        #: Indexes of the discarded records, in the order they were
+        #: discarded (ascending after a restore).
+        self.discards: List[int] = []
         self._active_cache: Optional[Tuple[Tuple[int, int], List[NodeStateRecord]]] = None
 
     def lookup(self, state_hash: int) -> Optional[NodeStateRecord]:
@@ -244,7 +250,7 @@ class NodeStateStore:
         """Discard ``record`` (§4.2 assertion policy), keeping caches honest."""
         if not record.discarded:
             record.discarded = True
-            self._discards += 1
+            self.discards.append(record.index)
             self._active_cache = None
 
     def active_records(self) -> List[NodeStateRecord]:
@@ -257,7 +263,7 @@ class NodeStateStore:
         system state — and since ``crashed`` is immutable after construction
         the (length, discards) cache key needs no extra component.
         """
-        key = (len(self.records), self._discards)
+        key = (len(self.records), len(self.discards))
         cached = self._active_cache
         if cached is not None and cached[0] == key:
             return cached[1]
@@ -302,7 +308,7 @@ class NodeStateStore:
         reinstated flags.
         """
         self.version = version
-        self._discards = sum(1 for record in self.records if record.discarded)
+        self.discards = [record.index for record in self.records if record.discarded]
         self._active_cache = None
 
     def __len__(self) -> int:

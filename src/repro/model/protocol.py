@@ -203,4 +203,4 @@ def broadcast(src: NodeId, targets: Tuple[NodeId, ...], payload: Any) -> Tuple[M
     targets (Prepare/Accept/Learn in Paxos all broadcast); centralising it
     keeps emission order deterministic.
     """
-    return tuple(Message(dest=dest, src=src, payload=payload) for dest in sorted(targets))
+    return tuple([Message(dest, src, payload) for dest in sorted(targets)])

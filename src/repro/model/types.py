@@ -14,7 +14,7 @@ immutable, hashable value) and wrap them in :class:`Message` /
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Tuple
+from typing import Any, NamedTuple, Tuple
 
 #: A node identifier.  The paper uses an abstract finite set ``N`` (think IP
 #: addresses); small non-negative integers are sufficient and keep states
@@ -72,8 +72,7 @@ class Action:
 SendSet = Tuple[Message, ...]
 
 
-@dataclass(frozen=True)
-class HandlerResult:
+class HandlerResult(NamedTuple):
     """Outcome of running a message or action handler on a node state.
 
     ``state`` is the successor node state ``s2`` and ``sends`` the emitted
@@ -81,14 +80,24 @@ class HandlerResult:
     state unchanged with no sends; the checkers detect this (``state`` equal
     to the pre-state and ``sends`` empty) and avoid minting spurious
     transitions.
+
+    A named tuple because one is built per handler run and a tuple is the
+    cheapest immutable pair; like any tuple it also equals the plain
+    ``(state, sends)``.
     """
 
     state: Any
     sends: SendSet = ()
 
     def is_noop(self, previous_state: Any) -> bool:
-        """True when the handler neither changed state nor sent messages."""
-        return not self.sends and self.state == previous_state
+        """True when the handler neither changed state nor sent messages.
+
+        A handler that ignores its input returns that very object, so
+        identity answers before a field-by-field ``==``.
+        """
+        return not self.sends and (
+            self.state is previous_state or self.state == previous_state
+        )
 
 
 @dataclass(frozen=True)

@@ -322,20 +322,13 @@ class PaxosProtocol(Protocol):
             return HandlerResult(state)
         if slot.has_response_from(src):
             return HandlerResult(state)
-        info = PromiseInfo(
-            src=src,
-            accepted_ballot=msg.accepted_ballot,
-            accepted_value=msg.accepted_value,
-        )
+        info = PromiseInfo(src, msg.accepted_ballot, msg.accepted_value)
         responses = slot.responses + (info,)
+        grown = ProposerSlot(slot.ballot, slot.value, slot.phase, responses)
         if len(responses) < self.majority:
-            return HandlerResult(
-                state.with_proposer(msg.index, replace(slot, responses=responses))
-            )
-        value = self._select_value(replace(slot, responses=responses))
-        new_slot = replace(
-            slot, responses=responses, phase="accepting", value=value
-        )
+            return HandlerResult(state.with_proposer(msg.index, grown))
+        value = self._select_value(grown)
+        new_slot = ProposerSlot(slot.ballot, value, "accepting", responses)
         sends = broadcast(
             state.node,
             self._node_ids,
@@ -368,7 +361,7 @@ class PaxosProtocol(Protocol):
         slot = state.acceptor(msg.index)
         if slot.promised is not None and msg.ballot < slot.promised:
             return HandlerResult(state)
-        new_slot = replace(slot, promised=msg.ballot)
+        new_slot = AcceptorSlot(msg.ballot, slot.accepted_ballot, slot.accepted_value)
         response = Message(
             dest=src,
             src=state.node,
@@ -426,16 +419,17 @@ class PaxosProtocol(Protocol):
             )
             if len(supporters) >= self.majority:
                 chosen = msg.value
-        new_state = state.with_learner(
-            msg.index, LearnerSlot(learns=learns, chosen=chosen)
-        )
+        new_state = state.with_learner(msg.index, LearnerSlot(learns, chosen))
         if chosen is not None:
             # The decree is decided: retire any in-flight proposer slot for
             # it so the proposer stops insisting (no further retransmits).
             proposer_slot = new_state.proposer(msg.index)
             if proposer_slot is not None and proposer_slot.phase != "done":
                 new_state = new_state.with_proposer(
-                    msg.index, replace(proposer_slot, phase="done")
+                    msg.index,
+                    ProposerSlot(
+                        proposer_slot.ballot, proposer_slot.value, "done", proposer_slot.responses
+                    ),
                 )
         return HandlerResult(new_state)
 

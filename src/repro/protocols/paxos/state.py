@@ -8,7 +8,7 @@ state stays hashable and cheap to content-hash.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import FrozenSet, Optional, Tuple
 
 from repro.model.types import NodeId
@@ -72,6 +72,12 @@ class LearnerSlot:
         )
 
 
+#: The slot of a decree the role never touched.  One shared value, not a
+#: fresh default per lookup: slots are immutable.
+EMPTY_ACCEPTOR = AcceptorSlot()
+EMPTY_LEARNER = LearnerSlot()
+
+
 @dataclass(frozen=True)
 class PaxosNodeState:
     """Complete local state of one Paxos node.
@@ -96,27 +102,51 @@ class PaxosNodeState:
         return tm_get(self.proposers, index)
 
     def acceptor(self, index: int) -> AcceptorSlot:
-        """Acceptor slot for ``index`` (default empty slot)."""
-        return tm_get(self.acceptors, index, AcceptorSlot())
+        """Acceptor slot for ``index`` (:data:`EMPTY_ACCEPTOR` if unbound)."""
+        return tm_get(self.acceptors, index, EMPTY_ACCEPTOR)
 
     def learner(self, index: int) -> LearnerSlot:
-        """Learner slot for ``index`` (default empty slot)."""
-        return tm_get(self.learners, index, LearnerSlot())
+        """Learner slot for ``index`` (:data:`EMPTY_LEARNER` if unbound)."""
+        return tm_get(self.learners, index, EMPTY_LEARNER)
 
     def chosen_value(self, index: int) -> Optional[Value]:
         """The value this node's learner chose for ``index``, if any."""
         return self.learner(index).chosen
 
     # -- functional updates ----------------------------------------------------
+    #
+    # Each builds the copy with the constructor: ``dataclasses.replace``
+    # costs about three times as much, and handlers run on every transition.
 
     def with_proposer(self, index: int, slot: ProposerSlot) -> "PaxosNodeState":
         """Copy with the proposer slot of ``index`` replaced."""
-        return replace(self, proposers=tm_set(self.proposers, index, slot))
+        return PaxosNodeState(
+            self.node,
+            self.initialized,
+            self.pending,
+            tm_set(self.proposers, index, slot),
+            self.acceptors,
+            self.learners,
+        )
 
     def with_acceptor(self, index: int, slot: AcceptorSlot) -> "PaxosNodeState":
         """Copy with the acceptor slot of ``index`` replaced."""
-        return replace(self, acceptors=tm_set(self.acceptors, index, slot))
+        return PaxosNodeState(
+            self.node,
+            self.initialized,
+            self.pending,
+            self.proposers,
+            tm_set(self.acceptors, index, slot),
+            self.learners,
+        )
 
     def with_learner(self, index: int, slot: LearnerSlot) -> "PaxosNodeState":
         """Copy with the learner slot of ``index`` replaced."""
-        return replace(self, learners=tm_set(self.learners, index, slot))
+        return PaxosNodeState(
+            self.node,
+            self.initialized,
+            self.pending,
+            self.proposers,
+            self.acceptors,
+            tm_set(self.learners, index, slot),
+        )

@@ -66,6 +66,7 @@ from repro.model.hashing import content_hash
 from repro.obs.registry import RunRegistry
 from repro.protocols.paxos import PaxosAgreement, PaxosAgreementAll, PaxosProtocol
 from repro.protocols.paxos.scenarios import partial_choice_state, scenario_protocol
+from tests.core.test_event_pipeline_golden import _checker as _golden_checker
 from tests.core.equivalence import (
     CACHE_ONLY_KEYS,
     observable,
@@ -1041,3 +1042,98 @@ class TestVersion6:
         )
         _stats, _result, restored = _checker("opt", 3)._restore(payload)
         assert restored.space.store(1).records[-1].history == record.history > 2**15000
+
+
+def _grown_by_full_scan(store, held, links_held, discarded):
+    """A segment's ``grown`` rows as format 6 first found them: walk every
+    held record's link chain, and keep the records that gained a link row
+    at an offset of at least ``links_held`` or were discarded since the
+    write (``discarded``: the indexes discarded then)."""
+    rows = []
+    for record in store.records[:held]:
+        links = checkpoint_module._link_row(store, record, links_held)
+        if links or (record.discarded and record.index not in discarded):
+            rows.append([record.index, links, record.discarded])
+    return rows
+
+
+def _segments_against_the_scan(make_checker, path, monkeypatch):
+    """Run ``make_checker`` with a write every round, asserting each
+    segment's ``grown`` rows equal :func:`_grown_by_full_scan`'s; counts
+    the segments and the grown rows with new links or a new discard."""
+    seen = {"segments": 0, "links": 0, "discards": 0}
+    discarded_then = {}
+    marks_init = checkpoint_module._Marks.__init__
+    snapshot = checkpoint_module.snapshot_pass
+
+    def marks_and_discard_sets(marks, pass_, fingerprint, values):
+        marks_init(marks, pass_, fingerprint, values)
+        discarded_then[marks] = {
+            node: {record.index for record in store if record.discarded}
+            for node, store in pass_.space.stores.items()
+        }
+
+    def snapshot_against_the_scan(pass_, *args, marks=None, **kwargs):
+        payload = snapshot(pass_, *args, marks=marks, **kwargs)
+        if marks is not None:
+            seen["segments"] += 1
+            for node, encoded in payload["pass"]["stores"]:
+                held, links_held, _discards = marks.stores[node]
+                discarded = discarded_then[marks][node]
+                expected = _grown_by_full_scan(
+                    pass_.space.store(node), held, links_held, discarded
+                )
+                assert encoded["grown"] == expected
+                seen["links"] += sum(1 for row in expected if row[1])
+                seen["discards"] += sum(
+                    1 for row in expected if row[2] and row[0] not in discarded
+                )
+        return payload
+
+    monkeypatch.setattr(checkpoint_module._Marks, "__init__", marks_and_discard_sets)
+    monkeypatch.setattr(checkpoint_module, "snapshot_pass", snapshot_against_the_scan)
+    make_checker(Checkpointer(path, every_rounds=1)).run()
+    return seen
+
+
+class TestSegmentGrowth:
+    """A segment visits only the owners of the link rows and the discards
+    added since the previous write; its ``grown`` rows must be the ones
+    the full scan of every held record wrote."""
+
+    @pytest.mark.parametrize(
+        "make_checker",
+        [
+            pytest.param(partial(_paxos2_checker, 5), id="paxos2_d5"),
+            pytest.param(partial(_legacy_checker, 4), id="gen_sym_crashes"),
+        ],
+    )
+    def test_grown_links_match_the_full_scan(self, make_checker, tmp_path, monkeypatch):
+        seen = _segments_against_the_scan(
+            make_checker, str(tmp_path / "log.json"), monkeypatch
+        )
+        assert seen["segments"] > 1 and seen["links"]
+
+    def test_newly_discarded_held_records_match_the_full_scan(
+        self, tmp_path, monkeypatch
+    ):
+        seen = _segments_against_the_scan(
+            partial(_golden_checker, "relay_assert_discard", 0, 4),
+            str(tmp_path / "log.json"),
+            monkeypatch,
+        )
+        assert seen["segments"] > 1 and seen["discards"]
+
+    def test_a_held_record_discarded_without_new_links_is_a_grown_row(self, tmp_path):
+        path = str(tmp_path / "done.json")
+        _checker("opt", 3, checkpointer=Checkpointer(path)).run()
+        _stats, _result, run_pass = _checker("opt", 3)._restore(load_checkpoint(path))
+        marks = checkpoint_module._Marks(run_pass, "fingerprint", set())
+        store = run_pass.space.store(1)
+        held, links_held = len(store.records), len(store.links)
+        assert not store.records[2].discarded
+        store.mark_discarded(store.records[2])
+        payload = snapshot_pass(run_pass, "discarded", pass_completed=True, marks=marks)
+        grown = dict(payload["pass"]["stores"])[1]["grown"]
+        assert grown == [[2, [], True]]
+        assert grown == _grown_by_full_scan(store, held, links_held, set())

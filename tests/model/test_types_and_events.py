@@ -42,6 +42,49 @@ def test_handler_result_noop_detection():
     assert not HandlerResult(state, (m,)).is_noop(state)
 
 
+class _CountingEq:
+    """A state whose ``==`` is counted, to see when ``is_noop`` needs it."""
+
+    def __init__(self, value):
+        self.value = value
+        self.eq_calls = 0
+
+    def __eq__(self, other):
+        self.eq_calls += 1
+        return isinstance(other, _CountingEq) and other.value == self.value
+
+    __hash__ = None
+
+
+def test_handler_result_noop_identity_then_equality():
+    state = _CountingEq(1)
+    # The very same object: a no-op, answered without ``==``.
+    assert HandlerResult(state).is_noop(state)
+    assert state.eq_calls == 0
+    # A fresh but equal state with no sends is still a no-op.
+    assert HandlerResult(_CountingEq(1)).is_noop(state)
+    # A changed state, or any send, is not.
+    assert not HandlerResult(_CountingEq(2)).is_noop(state)
+    m = Message(dest=0, src=0, payload="x")
+    assert not HandlerResult(state, (m,)).is_noop(state)
+    assert not HandlerResult(_CountingEq(1), (m,)).is_noop(state)
+
+
+def test_handler_result_value_contract():
+    m = Message(dest=1, src=0, payload="x")
+    result = HandlerResult(("s",), (m,))
+    assert (result.state, result.sends) == (("s",), (m,))
+    assert HandlerResult(("s",)).sends == ()
+    assert HandlerResult(state=("s",), sends=(m,)) == result
+    assert HandlerResult(("s",)) == HandlerResult(("s",), ())
+    assert HandlerResult(("s",)) != result
+    # The hash and repr a frozen dataclass of these two fields had.
+    assert hash(result) == hash((("s",), (m,)))
+    assert repr(HandlerResult(("s",))) == "HandlerResult(state=('s',), sends=())"
+    with pytest.raises(AttributeError):
+        result.state = ("t",)
+
+
 def test_local_assert_passes_and_fails():
     local_assert(True, "fine")
     with pytest.raises(LocalAssertionError) as exc:

@@ -51,6 +51,46 @@ class TestTupleMap:
         assert dict(entries) == expected
 
 
+def _filter_and_sort(entries, key, value):
+    """``tm_set`` as it was first defined: drop the key, append, re-sort."""
+    filtered = tuple(entry for entry in entries if entry[0] != key)
+    return tuple(sorted(filtered + ((key, value),)))
+
+
+class TestTupleMapSplice:
+    """``tm_set`` splices instead of re-sorting; on every sorted map it
+    must still build exactly what the filter-and-sort definition built."""
+
+    @given(
+        st.dictionaries(st.integers(-5, 5), st.integers(), max_size=8),
+        st.integers(-6, 6),
+        st.integers(),
+    )
+    def test_int_keys_inserted_or_rebound(self, mapping, key, value):
+        entries = tuple(sorted(mapping.items()))
+        assert tm_set(entries, key, value) == _filter_and_sort(entries, key, value)
+
+    @given(
+        st.dictionaries(st.text(max_size=2), st.text(max_size=3), max_size=6),
+        st.text(max_size=2),
+        st.text(max_size=3),
+    )
+    def test_text_keys_inserted_or_rebound(self, mapping, key, value):
+        entries = tuple(sorted(mapping.items()))
+        assert tm_set(entries, key, value) == _filter_and_sort(entries, key, value)
+
+    @given(
+        st.dictionaries(st.integers(-5, 5), st.integers(), min_size=1, max_size=8),
+        st.data(),
+    )
+    def test_a_bound_key_is_rebound_in_place(self, mapping, data):
+        entries = tuple(sorted(mapping.items()))
+        key = data.draw(st.sampled_from(sorted(mapping)))
+        rebound = tm_set(entries, key, "new")
+        assert rebound == _filter_and_sort(entries, key, "new")
+        assert tm_keys(rebound) == tm_keys(entries)
+
+
 class TestMajority:
     @pytest.mark.parametrize(
         "count,expected", [(1, 1), (2, 2), (3, 2), (4, 3), (5, 3), (7, 4)]

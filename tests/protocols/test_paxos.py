@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.model.hashing import content_hash
 from repro.model.protocol import ProtocolConfigError
 from repro.model.types import Action, Message
 from repro.protocols.paxos import (
@@ -15,7 +16,14 @@ from repro.protocols.paxos import (
     Prepare,
     PrepareResponse,
 )
-from repro.protocols.paxos.state import PromiseInfo, ProposerSlot
+from repro.protocols.paxos.state import (
+    EMPTY_ACCEPTOR,
+    EMPTY_LEARNER,
+    AcceptorSlot,
+    LearnerSlot,
+    PromiseInfo,
+    ProposerSlot,
+)
 
 
 def deliver(protocol, state, src, payload):
@@ -334,3 +342,19 @@ class TestInvariants:
         assert not inv.projections_conflict(
             {0: projection, 1: frozenset({(4, "w")})}
         )
+
+
+class TestSlotDefaults:
+    """An unbound decree reads as the empty slot, shared, not rebuilt."""
+
+    def test_unbound_slots_equal_fresh_defaults(self, protocol):
+        state = protocol.initial_state(0)
+        assert state.acceptor(7) == AcceptorSlot()
+        assert state.learner(7) == LearnerSlot()
+        assert content_hash(state.acceptor(7)) == content_hash(AcceptorSlot())
+        assert content_hash(state.learner(7)) == content_hash(LearnerSlot())
+
+    def test_unbound_slots_are_one_shared_value(self, protocol):
+        state = protocol.initial_state(0)
+        assert state.acceptor(0) is state.acceptor(1) is EMPTY_ACCEPTOR
+        assert state.learner(0) is state.learner(1) is EMPTY_LEARNER
